@@ -49,6 +49,11 @@ P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_MEASURE_MS=25 cargo bench --offline -p p4db-
 P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_MICRO_QUICK=1 cargo bench --offline -p p4db-bench --bench micro > /dev/null
 P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_BENCH_GATE=1 cargo test --offline -q -p p4db-bench --lib gate_
 
+echo "==> repo benchmark: unit tests + smoke run (1 round x 1 s and a 2 s traced run per workload, ~1 min: schema, verification rounds, anti-vacuity)"
+# benchmark/ is its own workspace, so nothing above sees it.
+(cd benchmark && cargo test --offline -q)
+benchmark/run.sh --smoke > /dev/null
+
 echo "==> rustdoc: public API docs must build warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 

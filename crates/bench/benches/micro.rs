@@ -241,16 +241,15 @@ fn wal_throughput(points: &mut Vec<BenchPoint>) {
         wal.append(LogRecord::Commit { txn: TxnId::compose(i as u32, NodeId(0), WorkerId(0)) });
     });
     points.push(BenchPoint::from_rates("micro", "wal append", single, 1e6 / single, 1.0));
-    // Release the first log before measuring the second: ~150 MB of live
-    // records would otherwise skew the group run's allocator behaviour (the
-    // comparison is copy-bound, not lock-bound — see the Wal module docs).
+    // Release the first log's segment bytes before measuring the second, so
+    // both runs start from the same allocator state.
     drop(wal);
 
     // Group commit: the same records, 16 per log write (one lock acquisition
     // per group). The rate is in records/s so the ratio to single appends is
-    // directly visible; uncontended it is dominated by the record copy and
-    // hovers around 1x — the amortisation pays off on contended multi-worker
-    // logs and in the executor's pipelined hot path, not here.
+    // directly visible; uncontended it is dominated by the per-record encode
+    // and hovers around 1x — the amortisation pays off on contended
+    // multi-worker logs and in the executor's pipelined hot path, not here.
     let group_wal = Wal::new();
     let grouped_rate = bench("WAL append_group: commit records x16", total / 16, |g| {
         let batch: Vec<LogRecord> = (0..16u32)
@@ -268,11 +267,14 @@ fn wal_throughput(points: &mut Vec<BenchPoint>) {
 }
 
 /// The group-commit encode comparison: the same 512-record group rendered
-/// through the segmented binary codec (what a segment seal or group flush
-/// writes) vs the versioned text format (the compatibility arm). Both arms
-/// re-encode the full group per iteration. Recorded as the `micro`
-/// group-encode datapoint in the BENCH json trajectory (not gated — the
-/// recovery floor covers the end-to-end durability path).
+/// through the segmented binary codec (what appends write into the active
+/// segment) vs the versioned text format (the compatibility arm). Both arms
+/// re-encode the full group per iteration — and since the log holds only
+/// segment bytes, `Wal::serialize()` *decodes* the 512 records before it
+/// renders them, so the text arm's figure includes that decode (the arm is
+/// ROADMAP item 4(ii)'s to delete; it gets no new entry point). Recorded as
+/// the `micro` group-encode datapoint in the BENCH json trajectory (not
+/// gated — the recovery floor covers the end-to-end durability path).
 fn wal_group_encode(points: &mut Vec<BenchPoint>) {
     const GROUP: usize = 512;
     let records: Vec<LogRecord> = (0..GROUP as u32)

@@ -28,7 +28,7 @@
 
 use p4db_common::{GlobalTxnId, NodeId, SwitchId, TupleId, TxnId};
 use p4db_core::Cluster;
-use p4db_storage::{recover_cold_records, recover_cold_state, replay_logged_op, LogRecord, LoggedSwitchOp};
+use p4db_storage::{recover_cold_records, replay_logged_op, LogRecord, LoggedSwitchOp};
 use p4db_workloads::smallbank::{CHECKING, SAVINGS};
 use p4db_workloads::tpcc::{keys, CUSTOMER, CUSTOMERS_PER_DISTRICT, DISTRICTS_PER_WAREHOUSE, WAREHOUSE};
 use std::collections::{HashMap, HashSet};
@@ -183,13 +183,12 @@ struct EpochLog {
 /// cross-switch transaction logs one intent/result pair per owning switch
 /// under the same `TxnId`, but within one switch's view each `TxnId` appears
 /// at most once (the executor sends at most one sub-transaction per switch).
-fn epoch_log(cluster: &Cluster, switch: SwitchId) -> EpochLog {
+fn epoch_log(cluster: &Cluster, switch: SwitchId, logs: &[Vec<LogRecord>]) -> EpochLog {
     let epoch = cluster.switch_epoch_at(switch);
     let owned: HashSet<TupleId> = cluster.control_plane_at(switch).placements().map(|(t, _)| t).collect();
     let mut intents = HashMap::new();
     let mut results = HashMap::new();
-    for (n, storage) in cluster.shared().nodes.iter().enumerate() {
-        let records = storage.wal().records();
+    for (n, records) in logs.iter().enumerate() {
         let start = epoch.wal_start.get(n).copied().unwrap_or(0).min(records.len());
         for record in &records[start..] {
             match record {
@@ -243,6 +242,11 @@ pub fn check(cluster: &Cluster, semantics: SemanticChecks) -> InvariantReport {
         SemanticChecks::None => Vec::new(),
     };
 
+    // Every node's log is decoded once: the WAL holds only segment bytes, so
+    // each `records()` call is a full decode, and every pass below reads the
+    // same snapshot.
+    let node_logs: Vec<Vec<LogRecord>> = cluster.shared().nodes.iter().map(|n| n.wal().records()).collect();
+
     // The committed history is materialized once per switch: every sub-check
     // reads the same epoch-relative log and audit snapshots. Epochs are
     // per-switch (crashing one switch moves only its baseline), so each
@@ -254,7 +258,7 @@ pub fn check(cluster: &Cluster, semantics: SemanticChecks) -> InvariantReport {
     let mut switch_money_delta: i128 = 0;
     for s in 0..cluster.num_switches() {
         let switch = SwitchId(s as u16);
-        let log = epoch_log(cluster, switch);
+        let log = epoch_log(cluster, switch, &node_logs);
         let audit: Vec<(TxnId, GlobalTxnId)> = {
             let full = cluster.switch_audit_at(switch);
             let start = cluster.switch_epoch_at(switch).audit_start.min(full.len());
@@ -266,15 +270,16 @@ pub fn check(cluster: &Cluster, semantics: SemanticChecks) -> InvariantReport {
         logs.push(log);
         audits.push(audit);
     }
-    let cold_money_delta = check_cold(cluster, &mut report, &money_tables);
-    check_checkpoints(cluster, &mut report);
-    check_version_chains(cluster, &mut report);
+    let cold_money_delta = check_cold(cluster, &node_logs, &mut report, &money_tables);
+    check_checkpoints(cluster, &node_logs, &mut report);
+    check_version_chains(cluster, &node_logs, &mut report);
 
     match semantics {
         SemanticChecks::None => {}
         SemanticChecks::SmallBank { initial_balance, max_amount } => {
             check_smallbank(
                 cluster,
+                &node_logs,
                 audit_enabled,
                 &mut report,
                 initial_balance,
@@ -418,18 +423,20 @@ fn switch_owned(cluster: &Cluster) -> HashMap<TupleId, SwitchId> {
 /// registers are authoritative again while the host row stays a stale
 /// degraded-era artifact, so owned tuples are exempt from the host-row
 /// divergence comparison (their live state is proven by the switch replay).
-fn check_cold(cluster: &Cluster, report: &mut InvariantReport, money_tables: &[p4db_common::TableId]) -> i128 {
+fn check_cold(
+    cluster: &Cluster,
+    node_logs: &[Vec<LogRecord>],
+    report: &mut InvariantReport,
+    money_tables: &[p4db_common::TableId],
+) -> i128 {
     let map = cluster.partition_map();
     let owned = switch_owned(cluster);
     // (home, tuple) -> recovered final images from each coordinator's log.
     let mut candidates: HashMap<(NodeId, TupleId), Vec<u64>> = HashMap::new();
     let mut money_delta: i128 = 0;
 
-    for (n, storage) in cluster.shared().nodes.iter().enumerate() {
-        let wal = storage.wal();
-        let records = wal.records();
-
-        let committed = commit_status(&records);
+    for (n, (storage, records)) in cluster.shared().nodes.iter().zip(node_logs).enumerate() {
+        let committed = commit_status(records);
         for (i, r) in records.iter().enumerate() {
             if let LogRecord::ColdWrite { txn, tuple, before, after } = r {
                 if committed.get(txn).copied().unwrap_or(false) && money_tables.contains(&tuple.table) {
@@ -444,8 +451,7 @@ fn check_cold(cluster: &Cluster, report: &mut InvariantReport, money_tables: &[p
             }
         }
 
-        let recovered = recover_cold_state(wal);
-        for (tuple, value) in recovered {
+        for (tuple, value) in recover_cold_records(records) {
             let home = map.home(tuple).unwrap_or(storage.node());
             candidates.entry((home, tuple)).or_default().push(value.switch_word());
         }
@@ -480,7 +486,7 @@ fn check_cold(cluster: &Cluster, report: &mut InvariantReport, money_tables: &[p
 /// mid-traffic: the scans are fuzzy, but a transaction's cold writes land in
 /// the log atomically with its verdict, so whatever in-progress value a scan
 /// captured is rewritten by the tail.
-fn check_checkpoints(cluster: &Cluster, report: &mut InvariantReport) {
+fn check_checkpoints(cluster: &Cluster, node_logs: &[Vec<LogRecord>], report: &mut InvariantReport) {
     let map = cluster.partition_map();
     let shared = cluster.shared();
     for storage in shared.nodes.iter() {
@@ -492,9 +498,9 @@ fn check_checkpoints(cluster: &Cluster, report: &mut InvariantReport) {
         // several coordinators the cross-log order is unknown, so (like
         // check_cold) the live value must match at least one image.
         let mut tails: HashMap<TupleId, Vec<u64>> = HashMap::new();
-        for (n, coordinator) in shared.nodes.iter().enumerate() {
-            let fence = checkpoint.start_fence.get(n).copied().unwrap_or(0);
-            for (tuple, value) in recover_cold_records(&coordinator.wal().records_from(fence)) {
+        for (n, records) in node_logs.iter().enumerate() {
+            let fence = (checkpoint.start_fence.get(n).copied().unwrap_or(0) as usize).min(records.len());
+            for (tuple, value) in recover_cold_records(&records[fence..]) {
                 if map.home(tuple) == Some(node) {
                     tails.entry(tuple).or_default().push(value.switch_word());
                 }
@@ -569,7 +575,7 @@ fn pre_epoch_money_delta(
 /// an unknown predecessor for its first retained entry only; everything
 /// after it is still fully checked. The `single_latch` seed arm installs no
 /// versions by design and is skipped.
-fn check_version_chains(cluster: &Cluster, report: &mut InvariantReport) {
+fn check_version_chains(cluster: &Cluster, node_logs: &[Vec<LogRecord>], report: &mut InvariantReport) {
     if cluster.config().single_latch {
         return;
     }
@@ -578,10 +584,9 @@ fn check_version_chains(cluster: &Cluster, report: &mut InvariantReport) {
     // time, so a transaction's several writes to one tuple collapse into a
     // single chain entry carrying its final image.
     let mut nets: HashMap<(TxnId, TupleId), (u64, u64)> = HashMap::new();
-    for storage in cluster.shared().nodes.iter() {
-        let records = storage.wal().records();
-        let committed = commit_status(&records);
-        for r in &records {
+    for records in node_logs {
+        let committed = commit_status(records);
+        for r in records {
             if let LogRecord::ColdWrite { txn, tuple, before, after } = r {
                 if committed.get(txn).copied().unwrap_or(false) {
                     nets.entry((*txn, *tuple))
@@ -642,6 +647,7 @@ fn check_version_chains(cluster: &Cluster, report: &mut InvariantReport) {
 #[allow(clippy::too_many_arguments)]
 fn check_smallbank(
     cluster: &Cluster,
+    node_logs: &[Vec<LogRecord>],
     audit_enabled: bool,
     report: &mut InvariantReport,
     initial_balance: u64,
@@ -694,12 +700,11 @@ fn check_smallbank(
 
     // Per-transaction shape check on the host path: net delta of a committed
     // transaction's cold money writes is 0 (transfer) or ±amount.
-    for storage in shared.nodes.iter() {
-        let records = storage.wal().records();
-        let committed = commit_status(&records);
+    for records in node_logs {
+        let committed = commit_status(records);
         let mut per_txn: HashMap<TxnId, i128> = HashMap::new();
         let mut touched_money: HashSet<TxnId> = HashSet::new();
-        for r in &records {
+        for r in records {
             if let LogRecord::ColdWrite { txn, tuple, before, after } = r {
                 if (tuple.table == SAVINGS || tuple.table == CHECKING) && committed.get(txn).copied().unwrap_or(false) {
                     *per_txn.entry(*txn).or_insert(0) +=

@@ -807,23 +807,20 @@ impl Cluster {
         for (n, coordinator) in self.shared.nodes.iter().enumerate() {
             let fence = checkpoint.as_ref().map(|c| c.start_fence.get(n).copied().unwrap_or(0));
             report.wal_records += coordinator.wal().len();
-            let (records, torn) = match (fence, self.config.wal_codec) {
-                // The O(tail) restart path: sealed segments wholly below the
-                // fence are skipped without being decoded.
-                (Some(fence), WalCodec::Binary) => {
+            let (records, torn) = match self.config.wal_codec {
+                // Decode straight from the serialised segments. With a fence
+                // this is the O(tail) restart path: sealed segments wholly
+                // below it are skipped without being decoded.
+                WalCodec::Binary => {
                     let blobs = coordinator.wal().serialize_segments();
                     let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-                    let (records, torn) = decode_segment_tail(&views, fence)
+                    let (records, torn) = decode_segment_tail(&views, fence.unwrap_or(0))
                         .map_err(|e| Error::InvalidConfig(format!("WAL tail decode failed during recovery: {e}")))?;
                     (records, torn.map(|t| t.to_string()))
                 }
-                _ => {
+                WalCodec::Text => {
                     let (wal, torn) = self.roundtrip_wal(coordinator)?;
-                    let records = match fence {
-                        Some(fence) => wal.records_from(fence),
-                        None => wal.records(),
-                    };
-                    (records, torn)
+                    (wal.records_from(fence.unwrap_or(0)), torn)
                 }
             };
             if let Some(note) = torn {
@@ -986,9 +983,9 @@ impl Cluster {
                 return Err(Error::InvalidConfig(format!("WAL torn during switch recovery: {note}")));
             }
             consumed.push(full.len());
-            let start = epoch_wal_start.get(n).copied().unwrap_or(0).min(full.len());
+            let start = epoch_wal_start.get(n).copied().unwrap_or(0);
             let filtered = Wal::new();
-            for record in full.records().into_iter().skip(start) {
+            for record in full.records_from(start as u64) {
                 let keep = match &record {
                     LogRecord::SwitchIntent { ops, .. } => ops.first().is_some_and(|op| owned.contains(&op.tuple)),
                     LogRecord::SwitchResult { results, .. } => results.first().is_some_and(|(t, _)| owned.contains(t)),

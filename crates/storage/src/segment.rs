@@ -1,12 +1,13 @@
 //! The binary, segmented on-disk codec of the write-ahead log.
 //!
-//! This is the default crash-drill arm of [`crate::wal::Wal`] (the text
-//! format stays available as the compatibility/differential arm). It reuses
-//! the checksummed, truncation-safe wire idiom of `p4db_net::frame`: a
-//! 5-byte versioned magic, then length-prefixed records each closed by an
-//! FNV-1a-64 checksum over the record's own bytes, so a prefix of a segment
-//! decodes to a prefix of its records and a torn final record is detected
-//! rather than misparsed.
+//! This is the representation of [`crate::wal::Wal`] itself — appends encode
+//! into the active segment and the log keeps nothing but these bytes — and
+//! therefore its default crash-drill arm (the text format stays available as
+//! the compatibility/differential arm). It reuses the checksummed,
+//! truncation-safe wire idiom of `p4db_net::frame`: a 5-byte versioned magic,
+//! then length-prefixed records each closed by an FNV-1a-64 checksum over the
+//! record's own bytes, so a prefix of a segment decodes to a prefix of its
+//! records and a torn final record is detected rather than misparsed.
 //!
 //! ## Wire format
 //!
@@ -157,8 +158,17 @@ fn encode_body(out: &mut Vec<u8>, record: &LogRecord) {
     }
 }
 
+/// Appends a segment header (magic + base LSN) to `out`. The format carries
+/// no record count, so a header followed by any number of whole records is a
+/// valid segment — which is what lets [`crate::wal::Wal`] grow its active
+/// segment in place.
+pub(crate) fn encode_header(out: &mut Vec<u8>, base_lsn: u64) {
+    out.extend_from_slice(SEGMENT_MAGIC);
+    put_u64(out, base_lsn);
+}
+
 /// Appends one framed record (`len` + body + `crc`) to `out`.
-fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
+pub(crate) fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
     let frame_start = out.len();
     put_u32(out, 0); // length placeholder
     encode_body(out, record);
@@ -171,8 +181,7 @@ fn encode_record(out: &mut Vec<u8>, record: &LogRecord) {
 /// Encodes `records` as one segment whose first record has LSN `base_lsn`.
 pub fn encode_segment(base_lsn: u64, records: &[LogRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + records.len() * 40);
-    out.extend_from_slice(SEGMENT_MAGIC);
-    put_u64(&mut out, base_lsn);
+    encode_header(&mut out, base_lsn);
     for record in records {
         encode_record(&mut out, record);
     }

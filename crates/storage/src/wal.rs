@@ -9,11 +9,34 @@
 //! before/after images so that node recovery can redo committed and undo
 //! uncommitted work.
 //!
-//! ## On-disk format
+//! ## Representation: segment bytes, encoded at append
 //!
-//! The serialised log is a hand-rolled, versioned text encoding — one record
-//! per line, first line a version header — because the build environment has
-//! no crates.io access and therefore no `serde_json`:
+//! The log has **one** representation — the bytes of its binary segments
+//! ([`crate::segment`]). [`Wal::append`] / [`Wal::append_group`] encode each
+//! record straight into the active segment's buffer under the log mutex (the
+//! segment header is written when the segment's first record arrives; the
+//! format has no record count, so the growing buffer is a valid segment at
+//! every instant). When the active segment holds
+//! [`Wal::segment_capacity`] records it is *sealed*: the buffer is moved —
+//! not re-encoded — into an `Arc` that every later
+//! [`Wal::serialize_segments`] snapshot shares. These bytes are the only copy
+//! of the log: no decoded record is retained, so the log's memory is its
+//! serialised size.
+//!
+//! [`LogRecord`] values are transient staging values: built by the executor
+//! on the way in, decoded on demand on the way out. LSNs are absolute record
+//! indices and every segment header carries the LSN of its first record, so
+//! readers address the log by LSN through segment headers —
+//! [`Wal::records_from`] skips sealed segments wholly below the requested
+//! LSN without decoding them.
+//!
+//! ## The text format (compatibility / differential arm)
+//!
+//! [`Wal::serialize`] renders the decoded log in a hand-rolled, versioned
+//! text encoding — one record per line, first line a version header (the
+//! build environment has no crates.io access and therefore no `serde_json`).
+//! It is kept as the differential baseline of the crash drills
+//! ([`WalCodec::Text`]); nothing stores it:
 //!
 //! ```text
 //! p4dbwal 1
@@ -28,41 +51,36 @@
 //! FNV-1a-64 checksum (hex) of the record body: without it a torn final
 //! record could decode as a *different but well-formed* record (e.g. `c 10`
 //! torn to `c 1`), silently corrupting recovery. The encoding round-trips
-//! exactly: `Wal::deserialize(&wal.serialize())` reproduces the record
-//! vector verbatim.
+//! exactly: `Wal::deserialize(&wal.serialize())` reproduces the records
+//! verbatim.
 //!
 //! ## Torn tail vs. interior corruption
 //!
 //! A failing record is classified by *where* it fails, and the two cases
 //! have opposite meanings:
 //!
-//! * **Torn tail** — the failing line is the **final** non-empty line of the
-//!   input. That is exactly what a crash mid-flush produces: the prefix
-//!   reached stable storage, the last record did not.
-//!   [`Wal::deserialize_prefix`] returns the intact prefix together with the
-//!   tear as a note, and recovery proceeds from the prefix.
+//! * **Torn tail** — the failing record is the **final** one of the input.
+//!   That is exactly what a crash mid-flush produces: the prefix reached
+//!   stable storage, the last record did not. [`Wal::deserialize_segments`]
+//!   and [`Wal::deserialize_prefix`] return the intact prefix together with
+//!   the tear as a note, and recovery proceeds from the prefix.
 //! * **Interior corruption** — a record fails while *intact records follow
 //!   it*. No crash produces that shape; it means the medium lost data in the
 //!   middle of the log, and truncating to the prefix would silently discard
-//!   the intact records after the hole. This is a hard [`WalCodecError`]
-//!   from both [`Wal::deserialize`] and [`Wal::deserialize_prefix`].
+//!   the intact records after the hole. This is a hard [`WalCodecError`] on
+//!   both arms.
 //!
-//! The binary segment codec ([`crate::segment`]) carries the identical
-//! contract: an error at the physical end of the *final* segment is a torn
-//! tail; anything earlier is data loss.
-//!
-//! This text format is the compatibility/differential arm; the default
-//! crash-drill arm is the segmented binary codec in [`crate::segment`]
-//! (sealed bounded segments plus one active tail, rotated by
-//! [`Wal::append`]/[`Wal::append_group`] at
-//! [`Wal::segment_capacity`] records).
+//! In bytes ([`crate::segment`]): an error at the physical end of the
+//! *final* segment is a torn tail; anything earlier is data loss. A live
+//! `Wal`'s own bytes were written by its own encoder, so failing to decode
+//! them is a bug, not a tear — the in-memory readers assert.
 
 use p4db_common::sync::unpoison;
 use p4db_common::{GlobalTxnId, TupleId, TxnId, Value};
 use p4db_switch::OpCode;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Version tag written as the first line of every serialised log.
 const WAL_HEADER: &str = "p4dbwal 1";
@@ -100,9 +118,11 @@ pub struct LoggedSwitchOp {
 /// A log record.
 ///
 /// `ColdWrite` is much larger than the tag-only variants because it carries
-/// two full before/after images inline; boxing them would put an allocation
-/// on the append hot path for no benefit, since logs are stored in `Vec`s
-/// whose slot size is paid either way.
+/// two full before/after images inline. Records are transient staging
+/// values — the log stores their encoded bytes, never the enum — so the
+/// large slot is only ever paid on a worker's reusable staging buffer or a
+/// reader's decoded snapshot; boxing the images would put an allocation on
+/// the append hot path to shrink a value that is dropped right after.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum LogRecord {
@@ -362,25 +382,52 @@ fn decode_record(line_no: usize, text: &str) -> Result<LogRecord, WalCodecError>
     Ok(record)
 }
 
-/// The mutex-guarded interior of a [`Wal`]: the full record vector plus the
-/// cache of sealed, already-encoded binary segments (every
-/// `segment_capacity` records the oldest unsealed span is encoded once and
-/// kept, so repeated crash drills never re-encode history).
+/// The mutex-guarded interior of a [`Wal`]: the log's segment bytes and the
+/// counters that address them. Nothing else is kept.
 #[derive(Debug, Default)]
 struct WalInner {
-    records: Vec<LogRecord>,
+    /// Full, immutable segments of exactly `segment_capacity` records each.
     sealed: Vec<Arc<Vec<u8>>>,
+    /// The active segment: header plus `active_records` encoded records.
+    /// Empty (not even a header) between a seal and the next append.
+    active: Vec<u8>,
+    active_records: usize,
+    /// Total records in the log — the LSN the next record gets.
+    len: usize,
+}
+
+impl WalInner {
+    /// Encodes `record` at the end of the active segment, opening the
+    /// segment first if this is its first record and sealing it if this is
+    /// its last — the moment a file-backed log closes one segment file and
+    /// opens the next.
+    fn push(&mut self, record: &LogRecord, capacity: usize) {
+        if self.active_records == 0 {
+            // Segments of one log are about the same size: start from the
+            // last one's instead of doubling up from empty every time.
+            self.active.reserve_exact(self.sealed.last().map_or(0, |blob| blob.len()));
+            crate::segment::encode_header(&mut self.active, self.len as u64);
+        }
+        crate::segment::encode_record(&mut self.active, record);
+        self.active_records += 1;
+        self.len += 1;
+        if self.active_records == capacity {
+            let mut blob = std::mem::take(&mut self.active);
+            blob.shrink_to_fit();
+            self.sealed.push(Arc::new(blob));
+            self.active_records = 0;
+        }
+    }
 }
 
 /// The per-node write-ahead log. Appends are serialised by a mutex; in the
 /// real system this is the log buffer + group commit path, whose cost the
 /// paper argues is negligible next to network latency (§A.3).
 ///
-/// The log is physically a sequence of bounded **segments**: sealed segments
-/// (encoded to the binary codec of [`crate::segment`] at rotation time,
-/// immutable from then on) plus one active tail. [`Wal::serialize_segments`]
-/// returns that sequence; [`Wal::serialize`] still renders the whole log in
-/// the versioned text format as the compatibility/differential arm.
+/// The log is physically a sequence of bounded **segments** in the binary
+/// codec of [`crate::segment`]: sealed segments (immutable, shared by `Arc`)
+/// plus one active tail that appends encode into. [`Wal::serialize_segments`]
+/// returns that sequence; readers decode it on demand (module docs).
 #[derive(Debug)]
 pub struct Wal {
     inner: Mutex<WalInner>,
@@ -389,7 +436,7 @@ pub struct Wal {
 
 impl Default for Wal {
     fn default() -> Self {
-        Wal { inner: Mutex::new(WalInner::default()), segment_capacity: DEFAULT_SEGMENT_RECORDS }
+        Self::with_segment_capacity(DEFAULT_SEGMENT_RECORDS)
     }
 }
 
@@ -410,28 +457,23 @@ impl Wal {
         self.segment_capacity
     }
 
-    fn from_records(records: Vec<LogRecord>) -> Self {
-        Wal { inner: Mutex::new(WalInner { records, sealed: Vec::new() }), segment_capacity: DEFAULT_SEGMENT_RECORDS }
+    /// The one way a log is rebuilt from decoded records (both
+    /// deserialisation arms): re-append them, re-rotating under `capacity`.
+    fn from_records(records: Vec<LogRecord>, capacity: usize) -> Self {
+        let wal = Self::with_segment_capacity(capacity);
+        wal.append_group(records);
+        wal
     }
 
-    /// Seals every complete, not-yet-sealed segment. Called with the append
-    /// mutex held: rotation is the moment the record crossing the capacity
-    /// boundary is appended, exactly like a file-backed log closing one
-    /// segment file and opening the next.
-    fn seal_full_segments(&self, inner: &mut WalInner) {
-        while (inner.sealed.len() + 1) * self.segment_capacity <= inner.records.len() {
-            let base = inner.sealed.len() * self.segment_capacity;
-            let blob = crate::segment::encode_segment(base as u64, &inner.records[base..base + self.segment_capacity]);
-            inner.sealed.push(Arc::new(blob));
-        }
+    fn lock(&self) -> MutexGuard<'_, WalInner> {
+        unpoison(self.inner.lock())
     }
 
     /// Appends a record and returns its log sequence number.
     pub fn append(&self, record: LogRecord) -> u64 {
-        let mut inner = unpoison(self.inner.lock());
-        inner.records.push(record);
-        let lsn = (inner.records.len() - 1) as u64;
-        self.seal_full_segments(&mut inner);
+        let mut inner = self.lock();
+        let lsn = inner.len as u64;
+        inner.push(&record, self.segment_capacity);
         lsn
     }
 
@@ -439,56 +481,59 @@ impl Wal {
     /// acquisition — the stand-in for staging records in a worker-local
     /// buffer and encoding + fsyncing them as a single log write. The batch
     /// is appended contiguously and in order (no other appender's record can
-    /// interleave inside it), and the serialised form is identical to the
-    /// same records appended one by one, so the torn-record-safe encoding
-    /// and [`Wal::deserialize_prefix`] recovery are unaffected.
+    /// interleave inside it, even when it straddles a segment boundary), and
+    /// the serialised form is identical to the same records appended one by
+    /// one, so the torn-record-safe encoding and recovery are unaffected.
     ///
     /// Returns the LSN of the batch's first record, or `None` for an empty
     /// batch — an empty batch writes nothing, and handing out the current
     /// log length as its "LSN" would name a record that belongs to whoever
     /// appends next.
     pub fn append_group(&self, batch: impl IntoIterator<Item = LogRecord>) -> Option<u64> {
-        let mut inner = unpoison(self.inner.lock());
-        let first = inner.records.len() as u64;
-        inner.records.extend(batch);
-        if inner.records.len() as u64 == first {
-            return None;
+        let mut inner = self.lock();
+        let first = inner.len;
+        for record in batch {
+            inner.push(&record, self.segment_capacity);
         }
-        self.seal_full_segments(&mut inner);
-        Some(first)
+        (inner.len > first).then_some(first as u64)
     }
 
     /// Number of records in the log.
     pub fn len(&self) -> usize {
-        unpoison(self.inner.lock()).records.len()
+        self.lock().len
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// A snapshot of the whole log (recovery input).
+    /// A decoded snapshot of the whole log (recovery input).
     pub fn records(&self) -> Vec<LogRecord> {
-        unpoison(self.inner.lock()).records.clone()
+        self.records_from(0)
     }
 
-    /// A snapshot of the log from `lsn` onwards (checkpoint-tail replay
-    /// input).
+    /// A decoded snapshot of the log from `lsn` onwards (checkpoint-tail and
+    /// epoch-suffix replay input); empty when `lsn` is at or past the end.
+    /// Sealed segments wholly below `lsn` are skipped by header, not decoded.
     pub fn records_from(&self, lsn: u64) -> Vec<LogRecord> {
-        let inner = unpoison(self.inner.lock());
-        let at = (lsn as usize).min(inner.records.len());
-        inner.records[at..].to_vec()
+        let blobs = self.serialize_segments();
+        let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
+        let (records, torn) = crate::segment::decode_segment_tail(&views, lsn)
+            .unwrap_or_else(|e| panic!("the in-memory log does not decode — encoder bug, not a torn tail: {e}"));
+        assert!(torn.is_none(), "the in-memory log has a torn tail — encoder bug: {torn:?}");
+        records
     }
 
-    /// Serialises the log to the versioned text format (header line plus one
-    /// record per line), the stand-in for forcing the log to stable storage.
+    /// Renders the log in the versioned text format (header line plus one
+    /// record per line) — the compatibility/differential arm. The log holds
+    /// only segment bytes, so this decodes before it renders.
     pub fn serialize(&self) -> String {
-        let inner = unpoison(self.inner.lock());
-        let mut out = String::with_capacity(16 + inner.records.len() * 48);
+        let records = self.records();
+        let mut out = String::with_capacity(16 + records.len() * 48);
         out.push_str(WAL_HEADER);
         out.push('\n');
         let mut body = String::new();
-        for r in inner.records.iter() {
+        for r in &records {
             body.clear();
             encode_record(&mut body, r);
             out.push_str(&body);
@@ -497,17 +542,17 @@ impl Wal {
         out
     }
 
-    /// Serialises the log as its binary segment sequence: every sealed
-    /// segment (encoded once, at rotation) followed by the active tail
-    /// (encoded fresh, it is still growing). An empty log yields no
-    /// segments. See [`crate::segment`] for the wire format and the torn-
-    /// tail contract.
+    /// The log as its binary segment sequence — the stand-in for forcing the
+    /// log to stable storage: every sealed segment (the same `Arc` on every
+    /// call) followed by a copy of the active tail (it is still growing). An
+    /// empty log yields no segments. See [`crate::segment`] for the wire
+    /// format and the torn-tail contract.
     pub fn serialize_segments(&self) -> Vec<Arc<Vec<u8>>> {
-        let inner = unpoison(self.inner.lock());
-        let mut blobs = inner.sealed.clone();
-        let tail_base = inner.sealed.len() * self.segment_capacity;
-        if tail_base < inner.records.len() {
-            blobs.push(Arc::new(crate::segment::encode_segment(tail_base as u64, &inner.records[tail_base..])));
+        let inner = self.lock();
+        let mut blobs = Vec::with_capacity(inner.sealed.len() + 1);
+        blobs.extend(inner.sealed.iter().cloned());
+        if inner.active_records > 0 {
+            blobs.push(Arc::new(inner.active.clone()));
         }
         blobs
     }
@@ -520,13 +565,7 @@ impl Wal {
         capacity: usize,
     ) -> Result<(Self, Option<WalCodecError>), WalCodecError> {
         let (records, torn) = crate::segment::decode_segments(blobs)?;
-        let wal =
-            Wal { inner: Mutex::new(WalInner { records, sealed: Vec::new() }), segment_capacity: capacity.max(1) };
-        {
-            let mut inner = unpoison(wal.inner.lock());
-            wal.seal_full_segments(&mut inner);
-        }
-        Ok((wal, torn))
+        Ok((Self::from_records(records, capacity), torn))
     }
 
     /// Reconstructs a log from its serialised form. Empty input yields an
@@ -592,7 +631,7 @@ impl Wal {
                 }
             }
         }
-        Ok((Wal::from_records(records), torn))
+        Ok((Self::from_records(records, DEFAULT_SEGMENT_RECORDS), torn))
     }
 }
 
@@ -659,13 +698,29 @@ mod tests {
         assert_eq!(lsn, singles.len() as u64);
     }
 
+    /// Every intent is immediately followed by its own commit: groups are
+    /// atomic with respect to each other and to snapshots.
+    fn assert_whole_groups(records: &[LogRecord]) {
+        assert_eq!(records.len() % 2, 0, "a snapshot split a group");
+        for pair in records.chunks(2) {
+            assert!(matches!(pair[0], LogRecord::SwitchIntent { .. }));
+            assert!(matches!(pair[1], LogRecord::Commit { .. }));
+            assert_eq!(pair[0].txn(), pair[1].txn());
+        }
+    }
+
     #[test]
     fn concurrent_append_groups_never_interleave() {
-        let wal = std::sync::Arc::new(Wal::new());
-        let threads: Vec<_> = (0..4u16)
-            .map(|i| {
-                let wal = std::sync::Arc::clone(&wal);
-                std::thread::spawn(move || {
+        // Capacity 7: two-record groups straddle every other segment
+        // boundary, so sealing happens mid-group under contention.
+        let wal = Wal::with_segment_capacity(7);
+        let start = std::sync::Barrier::new(5);
+        let running = std::sync::atomic::AtomicUsize::new(4);
+        std::thread::scope(|scope| {
+            for i in 0..4u16 {
+                let (wal, start, running) = (&wal, &start, &running);
+                scope.spawn(move || {
+                    start.wait();
                     for s in 0..100u32 {
                         let t = TxnId::compose(s, NodeId(0), WorkerId(i));
                         wal.append_group(vec![
@@ -673,21 +728,31 @@ mod tests {
                             LogRecord::Commit { txn: t },
                         ]);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let records = wal.records();
-        assert_eq!(records.len(), 800);
-        // Every intent is immediately followed by its own commit: groups are
-        // atomic with respect to each other.
-        for pair in records.chunks(2) {
-            assert!(matches!(pair[0], LogRecord::SwitchIntent { .. }));
-            assert!(matches!(pair[1], LogRecord::Commit { .. }));
-            assert_eq!(pair[0].txn(), pair[1].txn());
-        }
+                    running.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                });
+            }
+            // The reader races the appenders: every snapshot is a whole
+            // number of groups, decodes with no tear, has contiguous segment
+            // LSNs (decode_segments checks them) and only ever grows.
+            start.wait();
+            let mut seen = 0;
+            loop {
+                let done = running.load(std::sync::atomic::Ordering::SeqCst) == 0;
+                let blobs = wal.serialize_segments();
+                let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
+                let (records, torn) = crate::segment::decode_segments(&views).expect("snapshot decodes");
+                assert!(torn.is_none(), "snapshot tore: {torn:?}");
+                assert!(records.len() >= seen, "the log shrank");
+                seen = records.len();
+                assert_whole_groups(&records);
+                if done {
+                    break;
+                }
+            }
+            assert_eq!(seen, 800);
+        });
+        assert_eq!(wal.len(), 800);
+        assert_whole_groups(&wal.records());
     }
 
     #[test]
@@ -844,9 +909,21 @@ mod tests {
         let (restored, torn) = Wal::deserialize_segments(&views, 2).unwrap();
         assert!(torn.is_none());
         assert_eq!(restored.records(), wal.records());
-        // Sealed blobs are cached: serialising twice returns the same Arcs.
+        // Sealed blobs are shared: serialising twice returns the same Arcs,
+        // and they are exactly the chunk-wise encoding of the records.
         let again = wal.serialize_segments();
         assert!(Arc::ptr_eq(&blobs[0], &again[0]) && Arc::ptr_eq(&blobs[1], &again[1]));
+        for (i, chunk) in wal.records().chunks(2).enumerate() {
+            assert_eq!(*blobs[i], crate::segment::encode_segment(2 * i as u64, chunk));
+        }
+        // A group that crosses segment boundaries seals mid-group and keeps
+        // going; it still reports its first record's LSN.
+        assert_eq!(wal.append_group(sample_wal().records()), Some(5));
+        assert_eq!(wal.len(), 10);
+        let grown = wal.serialize_segments();
+        assert_eq!(grown.len(), 5);
+        assert!(Arc::ptr_eq(&blobs[0], &grown[0]) && Arc::ptr_eq(&blobs[1], &grown[1]));
+        assert_eq!(wal.records_from(5), sample_wal().records());
         // An empty log has no segments.
         assert!(Wal::new().serialize_segments().is_empty());
         let (empty, torn) = Wal::deserialize_segments(&Vec::<Vec<u8>>::new(), 2).unwrap();

@@ -907,19 +907,10 @@ impl Worker {
             // Lock acquisition: at the owning node (normal path) or at the
             // switch lock manager for hot-set tuples in LM-Switch mode.
             let handle = if lm_lock {
-                match self.lm_acquire(op.tuple, op.kind.is_write()) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        let e = Error::lock_conflict(op.tuple);
-                        self.fail_host(txn_id, state, stats, &e);
-                        return Err(e);
-                    }
-                    Err(e) => {
-                        self.fail_host(txn_id, state, stats, &e);
-                        return Err(e);
-                    }
+                if let Err(e) = self.lm_lock_once(req, op.tuple, state) {
+                    self.fail_host(txn_id, state, stats, &e);
+                    return Err(e);
                 }
-                state.switch_locks.push((HotSetIndex::lock_id(op.tuple), op.kind.is_write()));
                 // The data still lives on the host; resolve without a host
                 // lock (the switch lock manager serialises access).
                 match self.shared.node(op.home).table(op.tuple.table) {
@@ -1121,8 +1112,7 @@ impl Worker {
 
         for slot in 0..state.order.len() {
             let i = state.order[slot];
-            let op = &req.ops[i];
-            match self.execute_cold_op_single_latch(txn_id, op, i, index, results, state, stats, &mut watch) {
+            match self.execute_cold_op_single_latch(txn_id, req, i, index, results, state, stats, &mut watch) {
                 Ok(()) => {}
                 Err(e) => {
                     self.fail_host(txn_id, state, stats, &e);
@@ -1140,7 +1130,7 @@ impl Worker {
     fn execute_cold_op_single_latch(
         &mut self,
         txn_id: TxnId,
-        op: &TxnOp,
+        req: &TxnRequest,
         op_index: usize,
         index: &HotSetIndex,
         results: &mut [u64],
@@ -1148,6 +1138,7 @@ impl Worker {
         stats: &mut WorkerStats,
         watch: &mut Stopwatch,
     ) -> Result<()> {
+        let op = &req.ops[op_index];
         let remote = op.home != self.node;
         let storage = Arc::clone(self.shared.node(op.home));
         let lock_mode = if op.kind.is_write() { LockMode::Exclusive } else { LockMode::Shared };
@@ -1159,11 +1150,7 @@ impl Worker {
 
         let lm_lock = self.shared.config.mode == SystemMode::LmSwitch && index.is_hot(op.tuple);
         if lm_lock {
-            let granted = self.lm_acquire(op.tuple, op.kind.is_write())?;
-            if !granted {
-                return Err(Error::lock_conflict(op.tuple));
-            }
-            state.switch_locks.push((HotSetIndex::lock_id(op.tuple), op.kind.is_write()));
+            self.lm_lock_once(req, op.tuple, state)?;
             stats.record_phase(Phase::LockAcquisition, watch.lap());
         } else {
             storage.locks().acquire(txn_id, op.tuple, lock_mode, self.shared.config.cc)?;
@@ -1436,11 +1423,34 @@ impl Worker {
         stats.record_abort(e.abort_reason().unwrap_or(AbortReason::ConstraintViolation));
     }
 
+    /// LM-Switch: makes sure this transaction holds the switch lock of
+    /// `tuple`, asking for it at most once. The switch lock manager is
+    /// ownerless — it cannot tell a transaction's second request from a
+    /// rival's — so a read-then-write of one tuple that asked per operation
+    /// (shared, then exclusive) would be denied by its own grant. The
+    /// footprint is deduplicated here instead: one request per lock id, in
+    /// the strongest mode any cold operation of the transaction needs, one
+    /// `switch_locks` entry, one release. A denial is a lock conflict.
+    fn lm_lock_once(&mut self, req: &TxnRequest, tuple: TupleId, state: &mut HostTxnState) -> Result<()> {
+        let lock_id = HotSetIndex::lock_id(tuple);
+        if state.switch_locks.iter().any(|&(held, _)| held == lock_id) {
+            return Ok(());
+        }
+        let exclusive = state.order.iter().any(|&i| {
+            let op = &req.ops[i];
+            op.kind.is_write() && HotSetIndex::lock_id(op.tuple) == lock_id
+        });
+        if !self.lm_acquire(lock_id, exclusive)? {
+            return Err(Error::lock_conflict(tuple));
+        }
+        state.switch_locks.push((lock_id, exclusive));
+        Ok(())
+    }
+
     /// Acquires a lock on the switch lock manager (LM-Switch baseline).
-    fn lm_acquire(&mut self, tuple: TupleId, exclusive: bool) -> Result<bool> {
+    fn lm_acquire(&mut self, lock_id: u64, exclusive: bool) -> Result<bool> {
         let token = self.next_token();
-        let req =
-            p4db_switch::LockRequest { origin: self.endpoint, token, lock_id: HotSetIndex::lock_id(tuple), exclusive };
+        let req = p4db_switch::LockRequest { origin: self.endpoint, token, lock_id, exclusive };
         // The LM-Switch baseline is a single-switch comparison arm: the lock
         // manager always runs on switch 0.
         if !self.shared.fabric.send(self.endpoint, EndpointId::Switch(SwitchId(0)), SwitchMessage::LockRequest(req)) {
@@ -1835,6 +1845,30 @@ mod tests {
         // The switch data plane never executed a transaction in LM mode.
         assert_eq!(rig._switch.stats().txns_executed, 0);
         assert!(rig._switch.stats().lm_requests >= 2);
+    }
+
+    #[test]
+    fn lm_switch_read_then_write_of_one_hot_tuple_commits_on_the_first_attempt() {
+        // The switch lock manager is ownerless: asked per operation, the
+        // write's exclusive request would be denied by the read's own shared
+        // grant. Both engine arms ask once per lock id, at the strongest mode.
+        for single_latch in [false, true] {
+            let mut rig = rig(SystemMode::LmSwitch, CcScheme::NoWait);
+            Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config.single_latch = single_latch;
+            let mut w = worker(&rig, 0, 0);
+            let mut stats = WorkerStats::new();
+            // Amalgamate's shape: read a hot balance, then overwrite it.
+            let req = TxnRequest::new(vec![op(1, OpKind::Read), op(1, OpKind::Write(0)), op(2, OpKind::Read)]);
+            let out = w.execute(&req, &mut stats).expect("no self-conflict");
+            assert_eq!(out.results, vec![100, 0, 100]);
+            assert_eq!(stats.aborts_lock_conflict, 0, "single_latch={single_latch}");
+            // One request per lock id (tuples 1 and 2), not one per operation.
+            assert_eq!(rig._switch.stats().lm_requests, 2, "single_latch={single_latch}");
+            // The one exclusive grant was released once: a rival gets the lock.
+            let mut rival = worker(&rig, 1, 0);
+            rival.execute(&TxnRequest::new(vec![op(1, OpKind::Add(5))]), &mut stats).expect("lock was released");
+            assert_eq!(rig.shared.node(home(1)).table(TBL).unwrap().read(1).unwrap().switch_word(), 5);
+        }
     }
 
     #[test]

@@ -185,50 +185,102 @@ fn lock_table_compatibility() {
     });
 }
 
+/// One pseudo-random record of any of the five shapes, for transaction
+/// sequence number `s`.
+fn random_record(rng: &mut FastRng, s: u64) -> LogRecord {
+    let txn = TxnId::compose(s as u32, NodeId(0), WorkerId(0));
+    let tuple = TupleId::new(TableId(rng.gen_range(3) as u16), rng.gen_range(1_000));
+    match rng.gen_range(5) {
+        0 => LogRecord::ColdWrite {
+            txn,
+            tuple,
+            before: Value::from_fields(&[rng.next_u64() % 1_000, 7]),
+            after: Value::from_fields(&[rng.next_u64() % 1_000, 7]),
+        },
+        1 => {
+            let ops = (0..1 + rng.gen_range(3))
+                .map(|i| LoggedSwitchOp {
+                    tuple: TupleId::new(tuple.table, tuple.key + i),
+                    op: OpCode::Add,
+                    operand: rng.gen_range(50),
+                    operand_from: (i > 0 && rng.gen_bool(0.3)).then_some(0),
+                })
+                .collect();
+            LogRecord::SwitchIntent { txn, ops }
+        }
+        2 => LogRecord::SwitchResult {
+            txn,
+            gid: GlobalTxnId(rng.gen_range(100)),
+            results: vec![(tuple, rng.next_u64() % 500)],
+        },
+        3 => LogRecord::Commit { txn },
+        _ => LogRecord::Abort { txn },
+    }
+}
+
 /// Builds a WAL with a pseudo-random mix of all record types, so truncation
 /// sweeps cover every encoding shape.
 fn random_wal(rng: &mut FastRng) -> Wal {
     let wal = Wal::new();
-    let records = 2 + rng.gen_range(8);
-    for s in 0..records {
-        let txn = TxnId::compose(s as u32, NodeId(0), WorkerId(0));
-        let tuple = TupleId::new(TableId(rng.gen_range(3) as u16), rng.gen_range(1_000));
-        match rng.gen_range(5) {
-            0 => {
-                wal.append(LogRecord::ColdWrite {
-                    txn,
-                    tuple,
-                    before: Value::from_fields(&[rng.next_u64() % 1_000, 7]),
-                    after: Value::from_fields(&[rng.next_u64() % 1_000, 7]),
-                });
-            }
-            1 => {
-                let ops = (0..1 + rng.gen_range(3))
-                    .map(|i| LoggedSwitchOp {
-                        tuple: TupleId::new(tuple.table, tuple.key + i),
-                        op: OpCode::Add,
-                        operand: rng.gen_range(50),
-                        operand_from: (i > 0 && rng.gen_bool(0.3)).then_some(0),
-                    })
-                    .collect();
-                wal.append(LogRecord::SwitchIntent { txn, ops });
-            }
-            2 => {
-                wal.append(LogRecord::SwitchResult {
-                    txn,
-                    gid: GlobalTxnId(rng.gen_range(100)),
-                    results: vec![(tuple, rng.next_u64() % 500)],
-                });
-            }
-            3 => {
-                wal.append(LogRecord::Commit { txn });
-            }
-            _ => {
-                wal.append(LogRecord::Abort { txn });
-            }
-        }
+    for s in 0..2 + rng.gen_range(8) {
+        wal.append(random_record(rng, s));
     }
     wal
+}
+
+/// The log's only representation is its segment bytes, written at append:
+/// whatever mix of `append` / `append_group` wrote a record stream, at any
+/// segment capacity, the segments are byte-identical to encoding the stream
+/// chunk-wise, every LSN suffix decodes to exactly that suffix (both sides
+/// of every segment boundary, and past the end), and the bytes rebuild the
+/// same log at a different capacity.
+#[test]
+fn wal_segments_are_the_chunkwise_encoding_of_the_appended_stream() {
+    check("wal_segments_are_the_chunkwise_encoding_of_the_appended_stream", |rng| {
+        let stream: Vec<LogRecord> = (0..rng.gen_range(40)).map(|s| random_record(rng, s)).collect();
+        for capacity in [1usize, 2, 7, 512] {
+            let wal = Wal::with_segment_capacity(capacity);
+            let mut at = 0;
+            while at < stream.len() {
+                if rng.gen_bool(0.5) {
+                    assert_eq!(wal.append(stream[at].clone()), at as u64);
+                    at += 1;
+                } else {
+                    // Groups of 0..=9 records: empty ones, and ones that
+                    // straddle one or several segment boundaries.
+                    let end = (at + rng.gen_range(10) as usize).min(stream.len());
+                    let first = wal.append_group(stream[at..end].to_vec());
+                    assert_eq!(first, (end > at).then_some(at as u64), "group {at}..{end}");
+                    at = end;
+                }
+            }
+            assert_eq!(wal.len(), stream.len());
+
+            let blobs = wal.serialize_segments();
+            let expected: Vec<Vec<u8>> =
+                stream.chunks(capacity).enumerate().map(|(i, c)| encode_segment((i * capacity) as u64, c)).collect();
+            assert_eq!(blobs.len(), expected.len(), "capacity {capacity}");
+            for (i, (blob, want)) in blobs.iter().zip(&expected).enumerate() {
+                assert_eq!(blob.as_slice(), want.as_slice(), "capacity {capacity}, segment {i}");
+            }
+
+            assert_eq!(wal.records(), stream);
+            for lsn in 0..=stream.len() + 2 {
+                let want = &stream[lsn.min(stream.len())..];
+                assert_eq!(wal.records_from(lsn as u64), want, "capacity {capacity}, lsn {lsn}");
+            }
+
+            let other = if capacity == 7 { 3 } else { 7 };
+            let (rebuilt, torn) = Wal::deserialize_segments(&expected, other).expect("clean segments decode");
+            assert!(torn.is_none());
+            assert_eq!(rebuilt.records(), stream);
+            let rebuilt_blobs = rebuilt.serialize_segments();
+            assert_eq!(rebuilt_blobs.len(), stream.len().div_ceil(other));
+            for (i, (blob, chunk)) in rebuilt_blobs.iter().zip(stream.chunks(other)).enumerate() {
+                assert_eq!(**blob, encode_segment((i * other) as u64, chunk), "rebuilt at {other}, segment {i}");
+            }
+        }
+    });
 }
 
 /// Truncating a serialised log at *every* byte offset recovers exactly the
