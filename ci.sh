@@ -26,6 +26,9 @@ cargo test --offline --release -q --test chaos smoke_ -- --nocapture
 echo "==> batching gate: whole-frame faults at batch_size=16 (full differential sweep runs in tier-1)"
 cargo test --offline --release -q --test batching batched_chaos -- --nocapture
 
+echo "==> pool gate: an executor drains its fair share of the submission queue (channel share rule, 8 queued jobs on 8 executors finish in one round trip, a single executor still drains whole batches in order)"
+cargo test --offline --release -q -p p4db-core -p p4db-common -- recv_share queued_jobs_spread_over_idle_executors a_single_executor_drains_the_whole_queue_in_order
+
 echo "==> topology gate: 1-switch vs 2-switch differential on one workload (full 12x3 sweep runs in tier-1)"
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
 

@@ -24,6 +24,7 @@ use p4db_storage::{LogRecord, WalCodec};
 use p4db_switch::{Instruction, SwitchMessage, SwitchTxn, TxnHeader};
 use p4db_txn::{OpKind, TxnOp};
 use p4db_workloads::{SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, WorkloadCtx, Ycsb, YcsbConfig, YcsbMix};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,7 +94,10 @@ pub struct ChaosOptions {
     pub max_attempts: u32,
     /// Hot-path batching degree (`ClusterConfig::batch_size`): the switch
     /// dequeues/replies in frames of up to this many packets and the
-    /// executors pipeline queued all-hot transactions. `1` = unbatched.
+    /// executors pipeline queued all-hot transactions. It is also each
+    /// driver's in-flight window — an executor only ever batches what is
+    /// queued, and a closed-loop driver queues one request at a time.
+    /// `1` = unbatched, one request in flight per driver.
     pub batch: u16,
     /// Runs the pre-sharding node hot path (`ClusterConfig::single_latch`):
     /// single-shard storage plus the seed's per-op lock/lookup/release
@@ -340,6 +344,14 @@ pub struct ChaosReport {
     /// Committed transactions served on the lock-free snapshot read path
     /// (non-zero only with `read_only_frac > 0` and `snapshot_arm`).
     pub snapshot_reads: u64,
+    /// Messages the nodes sent towards the switches, as the latency model
+    /// counted them: two per switch round trip, whether it carried one
+    /// transaction or a whole frame.
+    pub messages_to_switch: u64,
+    /// Transactions the switches executed (since their last recovery).
+    /// Without faults or lock-manager traffic, fewer than
+    /// `2 * switch_txns_executed` messages means frames were shared.
+    pub switch_txns_executed: u64,
     /// Total network faults injected (the trace below is capped, this is
     /// not).
     pub faults_injected: u64,
@@ -612,6 +624,8 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         wave_committed,
         supervisor,
         snapshot_reads,
+        messages_to_switch: cluster.shared().latency.stats().snapshot().0,
+        switch_txns_executed: cluster.switch_stats().txns_executed,
         faults_injected: cluster.faults_injected(),
         fault_events: cluster.fault_trace(),
         invariants,
@@ -626,8 +640,8 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
 }
 
 /// One traffic wave: every `(node, worker)` pair drives its session through
-/// `txns_per_wave` generated transactions. Returns (committed, aborted,
-/// in-doubt, snapshot-read) counts.
+/// `txns_per_wave` generated transactions, `batch` of them in flight at a
+/// time. Returns (committed, aborted, in-doubt, snapshot-read) counts.
 fn drive_wave(
     cluster: &Cluster,
     workload: &Arc<dyn Workload>,
@@ -666,6 +680,7 @@ fn spawn_wave_drivers(
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add((wave as u64) << 40 | (node as u64) << 20 | worker as u64);
             let count = options.txns_per_wave;
+            let window = options.batch.max(1) as usize;
             let (ro_frac, snapshot_arm) = (options.read_only_frac, options.snapshot_arm);
             let active = Arc::clone(&active);
             handles.push(std::thread::spawn(move || {
@@ -679,8 +694,7 @@ fn spawn_wave_drivers(
                 }
                 let _done = Done(active);
                 let mut rng = FastRng::new(seed);
-                let (mut committed, mut aborted, mut in_doubt) = (0u64, 0u64, 0u64);
-                for _ in 0..count {
+                let mut generate = || {
                     let mut req = workload.generate(&ctx, &mut rng);
                     // The conversion decision costs one rng draw in every
                     // arm (schedules stay seed-identical whichever arm
@@ -705,7 +719,24 @@ fn spawn_wave_drivers(
                             }
                         }
                     }
-                    match session.execute_request(&req) {
+                    req
+                };
+                let (mut committed, mut aborted, mut in_doubt) = (0u64, 0u64, 0u64);
+                // Each driver keeps `min(batch, remaining)` requests in
+                // flight and redeems them in submission order, so an
+                // executor's share of the queue holds several transactions
+                // and the batched paths (pipelined frames, group commit) are
+                // exercised by construction. A window of 1 is the closed
+                // loop of `execute_request`, schedule included.
+                let mut in_flight = VecDeque::with_capacity(window);
+                let mut remaining = count;
+                loop {
+                    while remaining > 0 && in_flight.len() < window {
+                        in_flight.push_back(session.submit_request(&generate())?);
+                        remaining -= 1;
+                    }
+                    let Some(pending) = in_flight.pop_front() else { break };
+                    match session.wait(pending) {
                         Ok(outcome) => {
                             committed += 1;
                             if outcome.in_doubt {

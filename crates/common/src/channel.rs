@@ -233,6 +233,30 @@ impl<T> Receiver<T> {
         }
     }
 
+    /// Blocking fair-share receive: waits until at least one message is
+    /// queued, then drains this consumer's share of the queue —
+    /// `⌈queued ÷ receivers⌉`, at least 1 and at most `max` — counted and
+    /// taken under the same lock acquisition, so a sibling draining
+    /// concurrently can never make this consumer over-take. With one
+    /// receiver the share is the whole queue (up to `max`); with `R`
+    /// receivers and at most `R` messages queued every message goes to its
+    /// own consumer, which is what keeps a pool of consumers work-conserving:
+    /// nobody idles on a queue whose messages wait behind each other inside
+    /// one sibling. Reports disconnect like [`Receiver::recv`].
+    pub fn recv_share(&self, max: usize) -> Result<Vec<T>, RecvError> {
+        let mut state = self.shared.lock();
+        loop {
+            if !state.queue.is_empty() {
+                let n = fair_share(state.queue.len(), state.receivers, max);
+                return Ok(state.queue.drain(..n).collect());
+            }
+            if state.senders == 0 {
+                return Err(RecvError);
+            }
+            state = unpoison(self.shared.available.wait(state));
+        }
+    }
+
     /// Number of queued messages (approximate under concurrency).
     pub fn len(&self) -> usize {
         self.shared.lock().queue.len()
@@ -241,6 +265,13 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// One consumer's share of `queued` messages among `receivers` consumers
+/// (at least the caller itself), capped at `max`; never 0, so a woken
+/// consumer always makes progress.
+fn fair_share(queued: usize, receivers: usize, max: usize) -> usize {
+    queued.div_ceil(receivers).clamp(1, max.max(1))
 }
 
 impl<T> Clone for Receiver<T> {
@@ -428,6 +459,84 @@ mod tests {
         let got = rx.recv_many_timeout(Duration::from_secs(5), 8).unwrap();
         assert_eq!(got, vec![7, 8, 9]);
         sender.join().unwrap();
+    }
+
+    /// `count` consumers of one queue preloaded with `0..queued`.
+    fn preloaded(queued: u64, count: usize) -> (Sender<u64>, Vec<Receiver<u64>>) {
+        let (tx, rx) = unbounded();
+        tx.send_batch((0..queued).collect()).unwrap();
+        let mut consumers = vec![rx];
+        while consumers.len() < count {
+            consumers.push(consumers[0].clone());
+        }
+        (tx, consumers)
+    }
+
+    #[test]
+    fn recv_share_takes_queued_over_receivers_rounded_up_and_capped() {
+        for (queued, receivers, max, share) in
+            [(8, 8, 16, 1), (9, 8, 16, 2), (64, 8, 16, 8), (64, 1, 16, 16), (3, 1, 16, 3), (5, 8, 1, 1)]
+        {
+            let (_tx, consumers) = preloaded(queued, receivers);
+            let got = consumers[0].recv_share(max).unwrap();
+            assert_eq!(got, (0..share).collect::<Vec<_>>(), "share of ({queued}, {receivers}, {max})");
+            assert_eq!(consumers[0].len() as u64, queued - share, "the rest stays queued for the siblings");
+        }
+        // A zero cap still makes progress, like `recv_many_timeout`.
+        let (_tx, consumers) = preloaded(4, 1);
+        assert_eq!(consumers[0].recv_share(0).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn recv_share_blocks_on_empty_and_reports_disconnect_like_recv() {
+        let (tx, rx) = unbounded();
+        let waiter = thread::spawn(move || (rx.recv_share(4), rx.recv_share(4)));
+        thread::sleep(Duration::from_millis(10));
+        tx.send(7u32).unwrap();
+        drop(tx);
+        // Queued messages survive the disconnect, then it surfaces.
+        assert_eq!(waiter.join().unwrap(), (Ok(vec![7]), Err(RecvError)));
+    }
+
+    #[test]
+    fn racing_recv_share_consumers_deliver_each_message_once_and_never_over_take() {
+        const TOTAL: u64 = 10_000;
+        const CONSUMERS: usize = 8;
+        const MAX: usize = 16;
+        let (tx, consumers) = preloaded(TOTAL, CONSUMERS);
+        drop(tx);
+        let start = Arc::new(std::sync::Barrier::new(CONSUMERS));
+        let threads: Vec<_> = consumers
+            .into_iter()
+            .map(|rx| {
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    let mut drains = Vec::new();
+                    while let Ok(got) = rx.recv_share(MAX) {
+                        drains.push(got);
+                    }
+                    // Every receiver stays alive until the queue is empty,
+                    // so each drain below was shared among all of them.
+                    start.wait();
+                    drains
+                })
+            })
+            .collect();
+        let mut seen = vec![false; TOTAL as usize];
+        for t in threads {
+            for drain in t.join().unwrap() {
+                // Nothing is sent after the preload, so a drain that starts
+                // at message `first` saw exactly `TOTAL - first` queued.
+                let queued = (TOTAL - drain[0]) as usize;
+                assert_eq!(drain.len(), fair_share(queued, CONSUMERS, MAX), "drain at {} of {queued} queued", drain[0]);
+                for (i, v) in drain.iter().enumerate() {
+                    assert_eq!(*v, drain[0] + i as u64, "a drain is contiguous");
+                    assert!(!std::mem::replace(&mut seen[*v as usize], true), "message {v} delivered twice");
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every message delivered");
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl LatencyConfig {
     /// single core: workers spend almost all wall-clock time sleeping in the
     /// latency model rather than burning cycles. Absolute throughput numbers
     /// are correspondingly ~500× lower than the paper's; speedups and curve
-    /// shapes are preserved (see EXPERIMENTS.md).
+    /// shapes are preserved.
     pub const fn bench_profile() -> Self {
         LatencyConfig { one_way_ns: 250_000, sw_overhead_ns: 25_000, switch_pass_ns: 5_000 }
     }

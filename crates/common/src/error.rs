@@ -30,6 +30,23 @@ pub enum AbortReason {
     SwitchUnavailable { switch: crate::ids::SwitchId },
 }
 
+impl AbortReason {
+    /// Whether re-running the same transaction can end differently. A
+    /// conflict or an unreachable switch depends on what else is in flight;
+    /// a constraint violation is a property of the transaction and the data
+    /// (and an exhausted budget is already a verdict), so the retry loop
+    /// returns those to the client on the first attempt.
+    pub fn is_retryable(&self) -> bool {
+        match self {
+            AbortReason::LockConflict { .. }
+            | AbortReason::WaitDieDied { .. }
+            | AbortReason::RemoteVoteAbort { .. }
+            | AbortReason::SwitchUnavailable { .. } => true,
+            AbortReason::ConstraintViolation | AbortReason::RetryBudgetExhausted => false,
+        }
+    }
+}
+
 impl fmt::Display for AbortReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -109,7 +126,8 @@ impl Error {
         Error::Abort(AbortReason::WaitDieDied { tuple, owner })
     }
 
-    /// Whether the error is a (retryable) transaction abort.
+    /// Whether the error is a transaction abort (see
+    /// [`AbortReason::is_retryable`] for whether a retry can help).
     pub fn is_abort(&self) -> bool {
         matches!(self, Error::Abort(_))
     }
@@ -138,6 +156,22 @@ mod tests {
         let e = Error::TupleNotFound(t);
         assert!(!e.is_abort());
         assert_eq!(e.abort_reason(), None);
+    }
+
+    #[test]
+    fn only_aborts_that_depend_on_concurrent_traffic_are_retryable() {
+        let t = TupleId::new(TableId(0), 5);
+        let owner = TxnId::compose(3, NodeId(0), WorkerId(1));
+        for reason in [
+            AbortReason::LockConflict { tuple: t },
+            AbortReason::WaitDieDied { tuple: t, owner },
+            AbortReason::RemoteVoteAbort { participant: NodeId(1) },
+            AbortReason::SwitchUnavailable { switch: crate::ids::SwitchId(0) },
+        ] {
+            assert!(reason.is_retryable(), "{reason}");
+        }
+        assert!(!AbortReason::ConstraintViolation.is_retryable());
+        assert!(!AbortReason::RetryBudgetExhausted.is_retryable());
     }
 
     #[test]

@@ -122,10 +122,12 @@ impl ClusterBuilder {
     }
 
     /// Hot-path batching degree for both the switch engine (packets dequeued
-    /// and replies coalesced per scheduling quantum) and the executor pool
-    /// (queued all-hot transactions pipelined per frame, intents and results
-    /// group-committed). `1` disables batching and reproduces the unbatched
-    /// behaviour exactly; values below 1 are clamped to 1.
+    /// and replies coalesced per scheduling quantum) and the executor pool:
+    /// the upper bound on an executor's share of the node's submission queue
+    /// (`⌈queued ÷ workers⌉` jobs), whose all-hot transactions are pipelined
+    /// per frame, intents and results group-committed. `1` disables batching
+    /// and reproduces the unbatched behaviour exactly; values below 1 are
+    /// clamped to 1.
     pub fn batch_size(mut self, batch_size: u16) -> Self {
         self.config.batch_size = batch_size.max(1);
         self

@@ -61,8 +61,9 @@ pub struct ClusterConfig {
     /// Used by the Fig 17 capacity experiment.
     pub offload_limit: Option<usize>,
     /// Hot-path batching degree, applied to both ends of the switch path:
-    /// the engine's executors pipeline up to this many queued all-hot
-    /// transactions per frame (group-committed intents, one fabric frame),
+    /// an executor drains at most this many queued jobs at a time (the
+    /// upper bound on its share, `⌈queued ÷ workers⌉`) and pipelines the
+    /// all-hot ones per frame (group-committed intents, one fabric frame),
     /// and the switch dequeues/executes up to this many packets per
     /// scheduling quantum, coalescing their replies into per-worker frames.
     /// `1` reproduces the unbatched behaviour exactly; the differential

@@ -4,8 +4,8 @@
 //! the paper's evaluation (nodes + switch + hot-set offload + executor pool)
 //! for one configuration, serves ad-hoc transactions through [`Session`]s,
 //! and runs fixed-duration closed-loop measurements on top of the same
-//! session API, producing the data points behind every figure in
-//! `EXPERIMENTS.md`.
+//! session API, producing the data points behind every figure of the
+//! committed `BENCH_*.json` series.
 
 pub mod builder;
 pub mod cluster;

@@ -96,8 +96,7 @@ impl FigureTable {
         self.points.push(point);
     }
 
-    /// Renders the table as github-flavoured markdown (used for
-    /// EXPERIMENTS.md and the bench output).
+    /// Renders the table as github-flavoured markdown (the bench output).
     pub fn to_markdown(&self) -> String {
         let mut out = format!("### {}\n\n", self.title);
         out.push_str(&format!("| {} |\n", self.headers.join(" | ")));

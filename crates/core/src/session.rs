@@ -8,6 +8,17 @@
 //! [`Session::wait`] — without owning a worker thread. The benchmark driver
 //! (`Cluster::run_for`) is itself a session client, so the closed-loop
 //! measurement path and the ad-hoc client path are the same code.
+//!
+//! The pool is **work-conserving**: an executor that wakes on a queue holding
+//! `q` jobs takes its fair share, `⌈q ÷ executors⌉` of them (at least 1, at
+//! most `batch_size`), not everything it can carry. A drained batch replies
+//! only when all of it is done and runs its cold and warm jobs one after the
+//! other, so a job in a hoarded batch would wait behind its batchmates while
+//! the sibling executors sleep on an empty queue — with `W` executors and at
+//! most `W` jobs queued every job gets its own thread instead. With one
+//! executor per node the share *is* the queue, which keeps the batches (and
+//! [`Worker::execute_batch`]'s pipelining of the all-hot ones) as deep as the
+//! clients' in-flight window allows.
 
 use p4db_common::channel::{unbounded, Receiver, SendError, Sender};
 use p4db_common::rand_util::FastRng;
@@ -28,6 +39,13 @@ use crate::cluster::ClusterConfig;
 /// Default cap on execution attempts per submitted transaction, matching the
 /// closed-loop driver's historical retry budget.
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 1000;
+
+/// Floor of the retry backoff base. The base is latency-proportional (half a
+/// one-way hop), which is zero at zero modelled latency: without a floor a
+/// conflict with a lock holder that lost its CPU burns a whole retry budget
+/// in microseconds. From 2 µs the jittered exponential schedule of
+/// `serve_job` spends at least 350 µs over a budget of 16 attempts.
+const MIN_BACKOFF: Duration = Duration::from_micros(2);
 
 /// One unit of work travelling from a session to a pool executor.
 pub(crate) enum Job {
@@ -95,7 +113,7 @@ impl SubmissionPool {
     /// Spawns `workers_per_node` executor threads per node, each owning a
     /// registered fabric endpoint.
     pub(crate) fn spawn(shared: &Arc<EngineShared>, config: &ClusterConfig) -> Result<SubmissionPool> {
-        let backoff = Duration::from_nanos(config.latency.one_way_ns / 2);
+        let backoff = Duration::from_nanos(config.latency.one_way_ns / 2).max(MIN_BACKOFF);
         let mut queues = Vec::with_capacity(config.num_nodes as usize);
         let mut handles = Vec::new();
         for node in 0..config.num_nodes {
@@ -104,7 +122,7 @@ impl SubmissionPool {
                 let wid = next_worker_slot()?;
                 let shared = Arc::clone(shared);
                 let rx = rx.clone();
-                // Executors drain jobs in batches; a drained batch can
+                // Executors drain jobs in batches; a drained share can
                 // contain other executors' poison pills, which are
                 // re-forwarded through this sender (see `executor_loop`).
                 let pill_tx = tx.clone();
@@ -140,14 +158,21 @@ impl Drop for SubmissionPool {
     }
 }
 
-/// Body of one executor thread: drain up to `batch_size` queued jobs, run
-/// the all-hot ones pipelined through [`Worker::execute_batch`] (intents
-/// group-committed, packets framed, replies drained together) and the rest
-/// one at a time — each to commit or to its retry budget (jittered
-/// exponential latency-proportional backoff between attempts, as the paper's
-/// closed-loop workers do) — then reply with the outcome and the recorded
-/// statistics.
-/// With `batch_size <= 1`, or whenever the queue holds a single job, this is
+/// Body of one executor thread: drain this executor's fair share of the
+/// queued jobs — `⌈queued ÷ executors⌉`, at most `batch_size`, decided by
+/// [`Receiver::recv_share`] under the queue's lock (every executor of the
+/// node owns exactly one receiver, so the channel's receiver count is the
+/// executor count) — run the all-hot ones pipelined through
+/// [`Worker::execute_batch`] (intents group-committed, packets framed,
+/// replies drained together) and the rest one at a time — each to commit or
+/// to its retry budget (jittered exponential latency-proportional backoff
+/// between attempts, as the paper's closed-loop workers do) — then reply
+/// with the outcome and the recorded statistics.
+///
+/// The share, not the whole queue: no reply leaves before the batch is done
+/// and its cold and warm jobs run serially, so every job an executor takes
+/// beyond its share waits behind its batchmates while a sibling idles.
+/// With `batch_size <= 1`, or whenever the share is a single job, this is
 /// exactly the historical one-job-at-a-time loop.
 fn executor_loop(
     shared: Arc<EngineShared>,
@@ -161,11 +186,7 @@ fn executor_loop(
     let batch_size = shared.config.batch_size.max(1) as usize;
     let mut worker = Worker::new(shared, node, wid);
     let mut rng = FastRng::new(seed);
-    while let Ok(first) = rx.recv() {
-        let mut jobs = vec![first];
-        if batch_size > 1 {
-            jobs.extend(rx.try_recv_many(batch_size - 1));
-        }
+    while let Ok(jobs) = rx.recv_share(batch_size) {
         let mut pills = 0usize;
         let mut work = Vec::with_capacity(jobs.len());
         for job in jobs {
@@ -214,7 +235,7 @@ fn executor_loop(
             }
         }
         if pills > 0 {
-            // A drained batch may have swallowed pills addressed to other
+            // A drained share may have swallowed pills addressed to other
             // executors: keep one for ourselves, hand the rest back.
             for _ in 1..pills {
                 let _ = pill_tx.send(Job::Shutdown);
@@ -224,8 +245,9 @@ fn executor_loop(
     }
 }
 
-/// Runs one job to commit or to its retry budget and sends the reply. The
-/// batched path passes the already-obtained first attempt (plus its start
+/// Runs one job to commit, to an abort no retry can change
+/// (`AbortReason::is_retryable`) or to its retry budget, and sends the
+/// reply. The batched path passes the already-obtained first attempt (plus its start
 /// instant and the statistics recorded while producing it); retries — only
 /// possible for host-path aborts, which the pipelined hot path cannot
 /// produce — fall back to the one-at-a-time engine. Returns the recorded
@@ -259,16 +281,19 @@ fn serve_job(
                 stats.record_commit(outcome.class, started.elapsed());
                 break Ok(outcome);
             }
-            Err(e) if e.is_abort() => {
+            Err(Error::Abort(reason)) => {
                 attempts += 1;
-                if attempts >= max_attempts || cancelled() {
-                    break Err(e);
+                if !reason.is_retryable() || attempts >= max_attempts || cancelled() {
+                    break Err(Error::Abort(reason));
                 }
                 // Jittered exponential backoff, capped at 32× the base: a
                 // contended tuple (or a whole switch's traffic demoted to
                 // the host path) backs its retry storm off instead of
-                // hammering the lock table in lock-step.
+                // hammering the lock table in lock-step. The yield lets a
+                // lock holder that shares this CPU run before the (short,
+                // busy-waited) backoff spins on it.
                 let scale = 1u32 << (attempts - 1).min(5);
+                std::thread::yield_now();
                 wait_for((backoff * scale).mul_f64(0.5 + rng.gen_f64()));
                 stats.retry_rounds += 1;
             }
@@ -616,13 +641,16 @@ impl std::fmt::Debug for Session {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
-    use p4db_common::{CcScheme, SystemMode, TupleId};
-    use p4db_workloads::{Workload, Ycsb, YcsbConfig, YcsbMix};
+    use p4db_common::{AbortReason, CcScheme, LatencyConfig, SystemMode, TupleId, TxnId};
+    use p4db_storage::LockMode;
+    use p4db_workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
+
+    fn ycsb() -> Arc<dyn Workload> {
+        Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 1_000, ..YcsbConfig::new(YcsbMix::A) }))
+    }
 
     fn small_cluster() -> Cluster {
-        let workload: Arc<dyn Workload> =
-            Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 1_000, ..YcsbConfig::new(YcsbMix::A) }));
-        Cluster::build(ClusterConfig::test_profile(SystemMode::NoSwitch, CcScheme::NoWait), workload)
+        Cluster::build(ClusterConfig::test_profile(SystemMode::NoSwitch, CcScheme::NoWait), ycsb())
     }
 
     fn t(key: u64) -> TupleId {
@@ -630,24 +658,134 @@ mod tests {
     }
 
     /// Regression test for the executor batch loop: a shutdown round drains
-    /// batches that mix `Execute` jobs with poison pills in every
-    /// proportion (including all-pills). Every job submitted *before* the
-    /// pills must still be served — an executor panicking over its batch
-    /// composition would strand the queue and fail the `wait`s below.
+    /// shares that mix `Execute` jobs with poison pills in every proportion
+    /// (including all-pills). Every job submitted *before* the pills must
+    /// still be served — an executor panicking over its batch composition,
+    /// or keeping a sibling's pill, would strand the queue and fail the
+    /// `wait`s below.
     #[test]
     fn jobs_queued_before_shutdown_pills_are_served() {
+        for workers in [2, 4] {
+            let cluster = Cluster::builder(ycsb()).test_profile().workers(workers).mode(SystemMode::NoSwitch).build();
+            let mut session = cluster.session(NodeId(0)).unwrap();
+            // More jobs than executors, open-loop, so the queue still holds
+            // work when the pool drops its pills in behind it (test profile
+            // batch_size = 16 caps a share far above what is queued).
+            let pendings: Vec<Pending> = (0..24).map(|k| session.submit(&Txn::new().add(t(k), 1)).unwrap()).collect();
+            drop(cluster);
+            for pending in pendings {
+                let outcome = session.wait(pending).expect("job queued before shutdown must execute");
+                assert_eq!(outcome.results[0], 1);
+            }
+            assert_eq!(session.take_stats().committed_total(), 24, "workers({workers})");
+        }
+    }
+
+    /// A latency profile whose node round trip (8 ms) dwarfs every software
+    /// cost and every scheduling hiccup of a loaded test machine.
+    fn slow_rack() -> LatencyConfig {
+        LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0, switch_pass_ns: 0 }
+    }
+
+    /// Reads one row of node 1 through a session of node 0.
+    fn remote_read(k: u64) -> Txn {
+        Txn::new().read(t(1_000 + k))
+    }
+
+    /// The convoy test: eight jobs queued on a node with eight executors are
+    /// eight executors' work. An executor that drained more than its share
+    /// would run them one node round trip after the other while its
+    /// siblings slept.
+    #[test]
+    fn queued_jobs_spread_over_idle_executors() {
+        let cluster =
+            Cluster::builder(ycsb()).test_profile().workers(8).mode(SystemMode::NoSwitch).latency(slow_rack()).build();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        let started = Instant::now();
+        session.execute(&remote_read(0)).unwrap();
+        let one = started.elapsed();
+        assert!(one >= slow_rack().node_rtt(), "the probe must pay a node round trip, took {one:?}");
+
+        let started = Instant::now();
+        let pendings: Vec<Pending> = (1..=8).map(|k| session.submit(&remote_read(k)).unwrap()).collect();
+        for pending in pendings {
+            session.wait(pending).unwrap();
+        }
+        let eight = started.elapsed();
+        assert!(
+            eight <= one.mul_f64(2.5),
+            "8 open-loop remote reads on 8 executors took {eight:?}, one takes {one:?}: jobs queued behind each other"
+        );
+    }
+
+    /// The opposite invariant for a single-executor pool: its share is the
+    /// whole queue, so everything queued while it was busy is served in
+    /// submission order, in batches capped by `batch_size` alone — which is
+    /// what lets `execute_batch` pipeline them into shared switch frames.
+    #[test]
+    fn a_single_executor_drains_the_whole_queue_in_order() {
+        let cluster =
+            Cluster::builder(ycsb()).test_profile().workers(1).mode(SystemMode::P4db).latency(slow_rack()).build();
+        assert_eq!(cluster.config().batch_size, 16);
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        // Park the executor on a cold remote read (taken alone: the queue is
+        // empty again before anything else is submitted), then queue 20 hot
+        // increments of one switch register behind it.
+        let blocker = session.submit(&remote_read(500)).unwrap();
+        while !session.submit.is_empty() {
+            std::thread::yield_now();
+        }
+        let pendings: Vec<Pending> = (0..20).map(|_| session.submit(&Txn::new().add(t(0), 1)).unwrap()).collect();
+        session.wait(blocker).unwrap();
+        for (i, pending) in pendings.into_iter().enumerate() {
+            assert_eq!(session.wait(pending).unwrap().results[0], i as u64 + 1, "served in submission order");
+        }
+        // 20 queued = one share of 16 and one of 4; a pipelined frame costs
+        // two switch messages (out, back) however many transactions it holds.
+        let (to_switch, ..) = cluster.shared().latency.stats().snapshot();
+        assert_eq!(to_switch, 4, "20 hot jobs behind one executor must travel as frames of 16 + 4");
+    }
+
+    /// A constraint violation is a verdict on the transaction, not on the
+    /// schedule: it goes back to the client on the first attempt.
+    #[test]
+    fn constraint_violation_is_returned_without_retrying() {
+        use p4db_workloads::smallbank::{CHECKING, INITIAL_BALANCE};
+        let workload: Arc<dyn Workload> =
+            Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 1_000, ..SmallBankConfig::default() }));
+        let cluster = Cluster::builder(workload).test_profile().mode(SystemMode::NoSwitch).build();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        let overdraft = Txn::new().cond_sub(TupleId::new(CHECKING, 200), INITIAL_BALANCE + 1);
+        let err = session.execute(&overdraft).unwrap_err();
+        assert_eq!(err, Error::Abort(AbortReason::ConstraintViolation));
+        assert_eq!(session.stats().aborts_constraint, 1);
+        assert_eq!(session.stats().retry_rounds, 0);
+    }
+
+    /// The latency-proportional backoff base is zero at zero modelled
+    /// latency; without the floor sixteen attempts against a held lock are
+    /// over in microseconds, long before a holder that lost its CPU can
+    /// release it.
+    #[test]
+    fn backoff_has_a_floor_at_zero_latency() {
         let cluster = small_cluster();
         let mut session = cluster.session(NodeId(0)).unwrap();
-        // More jobs than executors, open-loop, so the queue still holds
-        // work when the pool drops its pills in behind it (test profile
-        // batch_size = 16 makes each drain a mixed batch).
-        let pendings: Vec<Pending> = (0..24).map(|k| session.submit(&Txn::new().add(t(k), 1)).unwrap()).collect();
-        drop(cluster);
-        for pending in pendings {
-            let outcome = session.wait(pending).expect("job queued before shutdown must execute");
-            assert_eq!(outcome.results[0], 1);
+        session.set_max_attempts(16);
+        let locks = cluster.shared().nodes[0].locks();
+        let holder = TxnId::compose(1, NodeId(0), WorkerId(u16::MAX));
+        locks.acquire(holder, t(7), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let held = locks.acquisition_count();
+        let pending = session.submit(&Txn::new().add(t(7), 1)).unwrap();
+        // The clock starts at the job's first denied attempt. Even with the
+        // smallest jitter on every round, fifteen backoffs from the floor
+        // add up to more than the 300 µs the lock stays held.
+        while locks.acquisition_count() == held {
+            std::thread::yield_now();
         }
-        assert_eq!(session.stats().committed_total(), 24);
+        p4db_common::simtime::spin_for(Duration::from_micros(300));
+        locks.release(holder, t(7));
+        session.wait(pending).expect("a lock released 300 µs after the first conflict is within a budget of 16");
+        assert!(session.stats().retry_rounds > 0);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! `batch_size = 1` reproduces the pre-batching engine exactly, so every
 //! `batch=1` arm below is the historical behaviour; the batched arm runs the
-//! same seed at batch 4/16/64.
+//! same seed at batch 4/16/64, with as many requests in flight per driver —
+//! an executor batches its share of what is *queued*, so a closed loop of
+//! one request per driver would leave the batched paths unexercised.
 
 use p4db::chaos::{run_chaos, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks, Violation};
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload};
@@ -58,6 +60,21 @@ fn assert_equivalent(workload: ChaosWorkload, seed: u64, unbatched: &ChaosReport
         batched.committed + batched.aborted,
         "{workload:?} seed {seed}: attempted-transaction counts diverge"
     );
+    // Anti-vacuity: a switch round trip costs two messages whether it
+    // carries one transaction or a frame, so the unbatched arm pays exactly
+    // two per switch transaction and the batched arm must have paid less —
+    // at least one frame carried more than one transaction. (SmallBank is
+    // ~90% all-hot; the other workloads' hot share is too thin to promise a
+    // shared frame on every seed.)
+    assert_eq!(unbatched.messages_to_switch, 2 * unbatched.switch_txns_executed, "{workload:?} seed {seed} batch=1");
+    if workload == ChaosWorkload::SmallBank {
+        assert!(
+            batched.messages_to_switch < 2 * batched.switch_txns_executed,
+            "SmallBank seed {seed} batch={batch}: {} switch transactions in {} messages, no frame was shared",
+            batched.switch_txns_executed,
+            batched.messages_to_switch
+        );
+    }
 }
 
 fn differential_sweep(workload: ChaosWorkload) {
