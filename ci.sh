@@ -29,6 +29,9 @@ cargo test --offline --release -q --test batching batched_chaos -- --nocapture
 echo "==> pool gate: an executor drains its fair share of the submission queue (channel share rule, 8 queued jobs on 8 executors finish in one round trip, a single executor still drains whole batches in order)"
 cargo test --offline --release -q -p p4db-core -p p4db-common -- recv_share queued_jobs_spread_over_idle_executors a_single_executor_drains_the_whole_queue_in_order
 
+echo "==> round-trip gate: one node round trip per participant, not per remote operation (4 remote ops = 2 RTTs and 4 messages, 2 participants asked concurrently, snapshot read = 1 RTT, remote NO_WAIT abort = 1 RTT with no lock leaked, Chiller late set = 1 more RTT)"
+cargo test --offline --release -q -p p4db-txn -p p4db-net -- round_trip participant
+
 echo "==> topology gate: 1-switch vs 2-switch differential on one workload (full 12x3 sweep runs in tier-1)"
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
 
@@ -55,7 +58,13 @@ P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_BENCH_GATE=1 cargo test --offline -q -p p4db
 echo "==> repo benchmark: unit tests + smoke run (1 round x 1 s and a 2 s traced run per workload, ~1 min: schema, verification rounds, anti-vacuity)"
 # benchmark/ is its own workspace, so nothing above sees it.
 (cd benchmark && cargo test --offline -q)
-benchmark/run.sh --smoke > /dev/null
+REPO_BENCH_SMOKE="$(pwd)/target/benchmark_smoke.txt"
+benchmark/run.sh --smoke > "$REPO_BENCH_SMOKE"
+# A count, so it holds on a noisy box: a distributed host transaction sends
+# one request per participant and one prepare (2.6 messages per transaction
+# over the workload's mix; 6.7 when every remote operation had its own).
+awk '$1 == "ycsb_contended_host" && $2 == "net.msgs_to_nodes_per_txn" { seen = 1; ok = ($3 < 4); print "    " $0 }
+     END { if (!seen || !ok) { print "ycsb_contended_host net.msgs_to_nodes_per_txn must be reported and < 4"; exit 1 } }' "$REPO_BENCH_SMOKE"
 
 echo "==> rustdoc: public API docs must build warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

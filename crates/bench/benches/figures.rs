@@ -3,7 +3,7 @@
 //! Run with `cargo bench -p p4db-bench --bench figures`. Environment knobs:
 //! `P4DB_MEASURE_MS` (per-point measurement time, default 250 ms),
 //! `P4DB_FULL=1` (wider parameter sweeps) and `P4DB_BENCH_JSON` (output
-//! path for the machine-readable datapoints, default `BENCH_22.json` at the
+//! path for the machine-readable datapoints, default `BENCH_23.json` at the
 //! workspace root). Stdout is markdown; redirect it into a file to update
 //! `EXPERIMENTS.md`. The figures that ran are additionally serialised as
 //! `BenchPoint`s, merged by figure into the JSON file, which the CI

@@ -3,7 +3,7 @@
 //! manager, the max-cut heuristic and the WAL (single appends and group
 //! commit). Used to sanity-check that the substrates are far from being the
 //! bottleneck of the figure reproduction, and to pin the batched-vs-unbatched
-//! hot-path speedup as a machine-readable datapoint in `BENCH_22.json`
+//! hot-path speedup as a machine-readable datapoint in `BENCH_23.json`
 //! (figure `micro`), which the CI gate tripwires.
 //!
 //! Knobs: `P4DB_MICRO_QUICK=1` shrinks iteration counts ~10× (the CI smoke

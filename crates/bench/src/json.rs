@@ -22,7 +22,7 @@
 //!
 //! Writers merge by figure: emitting points for `fig01` replaces every
 //! existing `fig01` point in the file and leaves other figures' points
-//! untouched, so `figures` and `micro` can update the same `BENCH_22.json`
+//! untouched, so `figures` and `micro` can update the same `BENCH_23.json`
 //! independently.
 
 use p4db_core::BenchPoint;
@@ -338,13 +338,13 @@ pub fn write_merged(path: &Path, points: &[BenchPoint]) -> std::io::Result<()> {
     std::fs::write(path, render(&merged))
 }
 
-/// Default output path: `$P4DB_BENCH_JSON`, or `BENCH_22.json` at the
+/// Default output path: `$P4DB_BENCH_JSON`, or `BENCH_23.json` at the
 /// workspace root (the current trajectory file; `BENCH_4.json` through
-/// `BENCH_10.json` are the committed history of earlier PRs).
+/// `BENCH_22.json` are the committed history of earlier PRs).
 pub fn output_path() -> std::path::PathBuf {
     match std::env::var("P4DB_BENCH_JSON") {
         Ok(path) if !path.is_empty() => std::path::PathBuf::from(path),
-        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_22.json"),
+        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_23.json"),
     }
 }
 
@@ -356,7 +356,7 @@ pub fn output_path() -> std::path::PathBuf {
 /// few milliseconds per point on a loaded single-core runner, so the
 /// throughput band is wide — the gate is a tripwire for collapses and schema
 /// drift, not a microbenchmark judge; `EXPERIMENTS.md` and the committed
-/// `BENCH_22.json` carry the trend.
+/// `BENCH_23.json` carry the trend.
 #[derive(Clone, Debug)]
 pub struct GateConfig {
     /// Max allowed throughput ratio between current and baseline, either
@@ -710,6 +710,7 @@ mod tests {
             "BENCH_9.json",
             "BENCH_10.json",
             "BENCH_22.json",
+            "BENCH_23.json",
             "BENCH_baseline.json",
         ] {
             let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name);

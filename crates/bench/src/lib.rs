@@ -5,7 +5,7 @@
 //! functions below and prints the resulting markdown table; the same
 //! functions are used to produce `EXPERIMENTS.md`. Every function also
 //! records its raw measurements as [`BenchPoint`]s on the returned
-//! [`FigureTable`], which the bench targets serialise into `BENCH_22.json`
+//! [`FigureTable`], which the bench targets serialise into `BENCH_23.json`
 //! (see [`json`]) — the machine-readable perf trajectory that the CI
 //! regression gate diffs against `BENCH_baseline.json`.
 //!

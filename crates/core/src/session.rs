@@ -694,8 +694,10 @@ mod tests {
 
     /// The convoy test: eight jobs queued on a node with eight executors are
     /// eight executors' work. An executor that drained more than its share
-    /// would run them one node round trip after the other while its
-    /// siblings slept.
+    /// would run them one after the other while its siblings slept. (The
+    /// probe is one remote lock: two node round trips, admission and vote,
+    /// whatever the transaction's size — so 2.5 probes is room for one
+    /// straggler behind a busy executor, not for the convoy's eight.)
     #[test]
     fn queued_jobs_spread_over_idle_executors() {
         let cluster =

@@ -83,15 +83,26 @@ impl LatencyModel {
         wait_for(d);
     }
 
-    /// Blocks the caller for a full remote round trip between two distinct
-    /// nodes (used by the direct-call model for remote tuple accesses).
-    pub fn impose_node_rtt(&self) {
-        self.stats.messages_to_nodes.fetch_add(2, Ordering::Relaxed);
+    /// One request/response exchange with `participants` distinct remote
+    /// nodes, all in flight at once: counts two messages per participant and
+    /// blocks the caller for a single node round trip — the slowest reply
+    /// sets the wait, not the number of replies. Free without participants.
+    /// (The direct-call model's remote step: what the requests carry —
+    /// locks, row resolutions, reads, a 2PC prepare — runs in the caller.)
+    pub fn impose_node_round_trip(&self, participants: usize) {
+        if participants == 0 {
+            return;
+        }
+        self.stats.messages_to_nodes.fetch_add(2 * participants as u64, Ordering::Relaxed);
         wait_for(self.config.node_rtt());
     }
 
-    /// Blocks the caller for a full switch round trip *excluding* the pipeline
-    /// pass (the switch simulator accounts for its own pass delay).
+    /// Counts one switch message and blocks the caller for a **full** wire
+    /// round trip to the switch (2 × `to_switch()`), excluding the pipeline
+    /// pass (the switch simulator accounts for its own pass delay). Callers
+    /// impose it when a reply arrives, *after* `Fabric::send` already
+    /// imposed the outbound ½ RTT — so a switch exchange costs 1.5 wire
+    /// RTTs, not 1 (ROADMAP item 13, which owns the re-basing).
     pub fn impose_switch_rtt_wire(&self) {
         self.stats.messages_to_switch.fetch_add(1, Ordering::Relaxed);
         wait_for(Duration::from_nanos(2 * (self.config.one_way_ns + self.config.sw_overhead_ns)));
@@ -159,11 +170,26 @@ mod tests {
     }
 
     #[test]
+    fn a_round_trip_counts_per_participant_and_waits_once() {
+        let lat = LatencyModel::new(LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0, switch_pass_ns: 0 });
+        let rtt = lat.config().node_rtt();
+        let start = Instant::now();
+        lat.impose_node_round_trip(0);
+        assert!(start.elapsed() < rtt / 2, "nobody to ask: no wait");
+        assert_eq!(lat.stats().snapshot().1, 0);
+        let start = Instant::now();
+        lat.impose_node_round_trip(3);
+        let took = start.elapsed();
+        assert!(took >= rtt && took < rtt * 2, "three concurrent exchanges took {took:?}, one round trip is {rtt:?}");
+        assert_eq!(lat.stats().snapshot().1, 6);
+    }
+
+    #[test]
     fn zero_config_never_blocks() {
         let lat = LatencyModel::new(LatencyConfig::zero());
         let start = Instant::now();
         for _ in 0..1000 {
-            lat.impose_node_rtt();
+            lat.impose_node_round_trip(3);
             lat.impose_switch_rtt_wire();
         }
         assert!(start.elapsed() < Duration::from_millis(100));

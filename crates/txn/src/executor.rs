@@ -164,6 +164,14 @@ struct HostTxnState {
     /// timestamp while the exclusive locks are still held. (Sharded path
     /// only; the single-latch seed arm stays version-free.)
     installs: Vec<(RowHandle, u64)>,
+    /// The transaction's remote participants — the distinct remote home
+    /// nodes of *every* operation, switch-resident ones included, as
+    /// [`TxnRequest::is_distributed`] defines a distributed transaction.
+    /// Collected once at admission; the 2PC vote addresses exactly these.
+    participants: Vec<NodeId>,
+    /// The participants of the lock-and-resolve round being sent (see
+    /// [`remote_homes`]); also the snapshot read path's scratch.
+    round: Vec<NodeId>,
 }
 
 impl HostTxnState {
@@ -177,6 +185,23 @@ impl HostTxnState {
         self.order.clear();
         self.release_scratch.clear();
         self.installs.clear();
+        self.participants.clear();
+        self.round.clear();
+    }
+}
+
+/// Collects the distinct home nodes of `ops` other than `coordinator` into
+/// `out`: the participants one round of remote work addresses. A participant
+/// gets **one** request carrying all of its operations, so the round costs
+/// [`LatencyModel::impose_node_round_trip`]`(out.len())` whatever the
+/// operation count. (Footprints span a handful of nodes: a linear `contains`
+/// beats any set.)
+fn remote_homes<'a>(coordinator: NodeId, ops: impl IntoIterator<Item = &'a TxnOp>, out: &mut Vec<NodeId>) {
+    out.clear();
+    for op in ops {
+        if op.home != coordinator && !out.contains(&op.home) {
+            out.push(op.home);
+        }
     }
 }
 
@@ -301,8 +326,9 @@ impl Worker {
     /// reads each tuple's newest version at or below the snapshot — **zero
     /// lock-table interaction, zero 2PC, zero per-op allocations** (the one
     /// allocation is the per-transaction results vector, exactly like the
-    /// locking path). Remote-home reads still pay the node round trip, as
-    /// the locking path does.
+    /// locking path). Remote-home reads travel as one request per remote
+    /// participant, all sent with the snapshot timestamp before the first
+    /// read: one node round trip however many rows are remote.
     ///
     /// Returns `Ok(None)` when the request is not eligible: an operation is
     /// not a plain `Read`, or a tuple is offloaded to a switch (its host row
@@ -323,12 +349,13 @@ impl Worker {
         let mut watch = Stopwatch::start();
         let mut results = vec![0u64; req.ops.len()];
         let snap = self.snapshot_slot.begin(&self.shared.mvcc.clock);
+        remote_homes(self.node, &req.ops, &mut self.scratch.round);
+        if !self.scratch.round.is_empty() {
+            self.shared.latency.impose_node_round_trip(self.scratch.round.len());
+            stats.record_phase(Phase::RemoteAccess, watch.lap());
+        }
         let mut run = Ok(());
         for (i, op) in req.ops.iter().enumerate() {
-            if op.home != self.node {
-                self.shared.latency.impose_node_rtt();
-                stats.record_phase(Phase::RemoteAccess, watch.lap());
-            }
             let visible = match self.shared.node(op.home).peek(op.tuple) {
                 Ok(row) => row.and_then(|r| r.read_at(snap)),
                 Err(e) => {
@@ -548,9 +575,10 @@ impl Worker {
                 BatchRecvOutcome::Disconnected => return Err(Error::Disconnected),
             }
         }
-        // Return-path wire latency, once per reply frame — not imposed when
-        // the whole frame was lost (the unbatched TimedOut arm imposes none
-        // either).
+        // A full wire RTT on top of the outbound ½ RTT the fabric imposed
+        // (1.5 in all — ROADMAP item 13), once per reply frame; not imposed
+        // when the whole frame was lost (the unbatched TimedOut arm imposes
+        // none either).
         if !replies.is_empty() {
             self.shared.latency.impose_switch_rtt_wire();
         }
@@ -787,7 +815,8 @@ impl Worker {
             }
         };
         self.shared.health.record_success(switch);
-        // Return-path wire latency.
+        // A full wire RTT on top of the outbound ½ RTT the fabric imposed:
+        // a switch exchange costs 1.5 wire RTTs (ROADMAP item 13).
         self.shared.latency.impose_switch_rtt_wire();
         stats.record_phase(Phase::SwitchTxn, watch.lap());
 
@@ -883,27 +912,41 @@ impl Worker {
             state.order.sort_by_key(|&i| index.is_hot(ops[i].tuple));
         }
 
+        // Chiller-contended tuples skip admission: their whole point is
+        // *late* acquisition + early release, so they are locked at access
+        // time in the execution loop below. (Not in LM-Switch mode, where
+        // the switch lock manager owns the hot set's locks.)
+        let lm_switch = self.shared.config.mode == SystemMode::LmSwitch;
+        let late_acquisition = self.shared.config.chiller && !lm_switch;
+        let late = |op: &TxnOp| late_acquisition && index.is_hot(op.tuple);
+
+        // --- The wire: admission knows the whole footprint before it sends
+        // anything, so every remote participant gets one lock-and-resolve
+        // request carrying all of its operations, the requests travel
+        // concurrently, and the coordinator waits one node round trip for
+        // all the replies (the paper's 2PL/2PC baseline, §3.2). The locks
+        // themselves are then taken below, in operation order.
+        remote_homes(self.node, &req.ops, &mut state.participants);
+        if !state.participants.is_empty() {
+            let ops = &req.ops;
+            remote_homes(self.node, state.order.iter().map(|&i| &ops[i]).filter(|op| !late(op)), &mut state.round);
+            if !state.round.is_empty() {
+                self.shared.latency.impose_node_round_trip(state.round.len());
+                stats.record_phase(Phase::RemoteAccess, watch.lap());
+            }
+        }
+
         // --- Admission: lock + resolve the whole footprint, one hash per
         // tuple. The `TupleId::mix` value selects the lock-table shard, the
         // row-store shard, and is kept for the grouped release at commit.
-        // Chiller-contended tuples are the exception: their whole point is
-        // *late* acquisition + early release, so they skip admission and are
-        // locked at access time in the execution loop below.
         for slot in 0..state.order.len() {
             let i = state.order[slot];
             let op = &req.ops[i];
-            let lm_lock = self.shared.config.mode == SystemMode::LmSwitch && index.is_hot(op.tuple);
-            if self.shared.config.chiller && index.is_hot(op.tuple) && !lm_lock {
+            if late(op) {
                 state.resolved.push(None);
                 continue;
             }
-            // Remote operations pay a full node-to-node round trip (the
-            // request carries the lock acquisition and the row-handle
-            // resolution, as in the paper's 2PL/2PC baseline).
-            if op.home != self.node {
-                self.shared.latency.impose_node_rtt();
-                stats.record_phase(Phase::RemoteAccess, watch.lap());
-            }
+            let lm_lock = lm_switch && index.is_hot(op.tuple);
             // Lock acquisition: at the owning node (normal path) or at the
             // switch lock manager for hot-set tuples in LM-Switch mode.
             let handle = if lm_lock {
@@ -939,22 +982,30 @@ impl Worker {
         // per-op allocations. (Remote rows were paid for at admission; the
         // data accesses themselves run on local handles, so the whole loop
         // accounts as local access.)
+        let mut late_round_sent = false;
         for slot in 0..state.order.len() {
             let i = state.order[slot];
             let op = &req.ops[i];
-            let chiller_hot = self.shared.config.chiller
-                && index.is_hot(op.tuple)
-                && !(self.shared.config.mode == SystemMode::LmSwitch);
             // Chiller: contended tuples were skipped at admission — acquire
             // their locks now, at access time (late acquisition), and
             // resolve the handle under the same hash. The laps around the
             // acquisition keep its time (including any WAIT_DIE waiting) in
             // the lock-acquisition phase, like the seed arm accounts it.
-            if chiller_hot && state.resolved[slot].is_none() {
+            if late(op) && state.resolved[slot].is_none() {
                 stats.record_phase(Phase::LocalAccess, watch.lap());
-                if op.home != self.node {
-                    self.shared.latency.impose_node_rtt();
-                    stats.record_phase(Phase::RemoteAccess, watch.lap());
+                // The late set is known as well as the admission set was:
+                // its first access sends one request per participant for
+                // all of it, so it costs one more round trip, not one per
+                // contended tuple.
+                if !late_round_sent {
+                    late_round_sent = true;
+                    let ops = &req.ops;
+                    let rest = state.order[slot..].iter().map(|&i| &ops[i]).filter(|op| late(op));
+                    remote_homes(self.node, rest, &mut state.round);
+                    if !state.round.is_empty() {
+                        self.shared.latency.impose_node_round_trip(state.round.len());
+                        stats.record_phase(Phase::RemoteAccess, watch.lap());
+                    }
                 }
                 match self.admit_op(txn_id, op, state) {
                     Ok(handle) => state.resolved[slot] = handle,
@@ -1144,7 +1195,7 @@ impl Worker {
         let lock_mode = if op.kind.is_write() { LockMode::Exclusive } else { LockMode::Shared };
 
         if remote {
-            self.shared.latency.impose_node_rtt();
+            self.shared.latency.impose_node_round_trip(1);
             stats.record_phase(Phase::RemoteAccess, watch.lap());
         }
 
@@ -1238,15 +1289,17 @@ impl Worker {
     ) -> Result<(Option<GlobalTxnId>, bool)> {
         // The cold part can no longer abort. For distributed transactions run
         // the 2PC voting phase now (participants hold their locks and have
-        // validated constraints, so they vote yes).
-        let distributed = if self.shared.config.single_latch {
+        // validated constraints, so they vote yes): one prepare/vote pair
+        // per remote participant, all in flight together, one wait.
+        let remote_participants = if self.shared.config.single_latch {
             // Seed shape: materialise the deduplicated participant list.
-            req.participant_nodes().iter().any(|&n| n != self.node)
+            req.participant_nodes().iter().filter(|&&n| n != self.node).count()
         } else {
-            req.ops.iter().any(|op| op.home != self.node)
+            state.participants.len()
         };
+        let distributed = remote_participants > 0;
         if distributed {
-            self.shared.latency.impose_node_rtt();
+            self.shared.latency.impose_node_round_trip(remote_participants);
             stats.record_phase(Phase::RemoteAccess, watch.lap());
         }
 
@@ -1479,7 +1532,8 @@ impl Worker {
                 RecvOutcome::Disconnected => return Err(Error::Disconnected),
             }
         };
-        // Return-path wire latency for the grant/deny message.
+        // The grant/deny message: a full wire RTT on top of the request's
+        // ½ RTT, like every switch exchange (ROADMAP item 13).
         self.shared.latency.impose_switch_rtt_wire();
         Ok(reply.granted)
     }
@@ -1565,22 +1619,34 @@ mod tests {
         TupleId::new(TBL, key)
     }
 
-    /// Two-node cluster; keys 0..10 are hot (offloaded in P4DB mode), keys
-    /// 100.. are cold. Key k lives on node (k % 2).
+    /// Two-node cluster at zero latency; keys 0..10 are hot (offloaded in
+    /// P4DB mode), keys 100.. are cold. Key k lives on node (k % 2).
     fn rig(mode: SystemMode, cc: CcScheme) -> Rig {
+        rig_on(mode, cc, 2, LatencyConfig::zero())
+    }
+
+    /// A latency profile whose node round trip (8 ms) dwarfs every software
+    /// cost and every scheduling hiccup of a loaded test machine.
+    fn slow_rack() -> LatencyConfig {
+        LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0, switch_pass_ns: 0 }
+    }
+
+    /// The rig on `num_nodes` nodes under `latency`: key k lives on node
+    /// (k % num_nodes).
+    fn rig_on(mode: SystemMode, cc: CcScheme, num_nodes: u16, latency: LatencyConfig) -> Rig {
         let switch_config = p4db_switch::SwitchConfig::tiny();
-        let latency = LatencyModel::new(LatencyConfig::zero());
+        let latency = LatencyModel::new(latency);
         let fabric: Fabric<SwitchMessage> = Fabric::new(latency.clone());
         let memory = Arc::new(RegisterMemory::new(switch_config));
         let mut control_plane = ControlPlane::new(switch_config, Arc::clone(&memory));
 
-        let nodes: Vec<Arc<NodeStorage>> = (0..2)
+        let nodes: Vec<Arc<NodeStorage>> = (0..num_nodes)
             .map(|n| {
                 let storage = NodeStorage::new(NodeId(n), [TBL]);
                 let table = storage.table(TBL).unwrap();
                 // Hot rows 0..10 and cold rows 100..120, initial value 100.
                 for k in (0..10u64).chain(100..120) {
-                    if k % 2 == n as u64 {
+                    if k % num_nodes as u64 == n as u64 {
                         table.insert(k, Value::scalar(100));
                     }
                 }
@@ -1607,7 +1673,7 @@ mod tests {
             hot_index: HotIndexCell::new(hot_index),
             config: EngineConfig::new(mode, cc, switch_config),
             mvcc: MvccState::default(),
-            health: SwitchHealth::new(1, 2, BreakerConfig::default()),
+            health: SwitchHealth::new(1, num_nodes as usize, BreakerConfig::default()),
         });
         Rig { shared, _switch: switch, control_plane }
     }
@@ -1947,5 +2013,124 @@ mod tests {
         assert_eq!(shared.node(home(3)).table(TBL).unwrap().read(3).unwrap().switch_word(), 112);
         assert_eq!(shared.node(NodeId(0)).locks().locked_count(), 0);
         assert_eq!(shared.node(NodeId(1)).locks().locked_count(), 0);
+    }
+
+    // --- The wire: one round trip per participant --------------------------
+
+    /// Runs `req` and reports, beside its result, how many node round trips
+    /// of `slow_rack()` it took (wall time ÷ 8 ms) and how many node messages
+    /// it added. The count is the verdict a noisy box cannot bend; the time
+    /// shows the rounds really were concurrent.
+    fn on_the_wire(rig: &Rig, w: &mut Worker, req: &TxnRequest) -> (Result<TxnOutcome>, f64, u64) {
+        let (_, before, _) = rig.shared.latency.stats().snapshot();
+        let started = Instant::now();
+        let result = w.execute(req, &mut WorkerStats::new());
+        let rtts = started.elapsed().as_secs_f64() / slow_rack().node_rtt().as_secs_f64();
+        let (_, after, _) = rig.shared.latency.stats().snapshot();
+        (result, rtts, after - before)
+    }
+
+    #[test]
+    fn four_remote_ops_on_one_participant_cost_two_round_trips() {
+        let rig = rig_on(SystemMode::NoSwitch, CcScheme::NoWait, 2, slow_rack());
+        let mut w = worker(&rig, 0, 0);
+        // A distributed YCSB transaction's shape: every other operation is
+        // homed on the one other node.
+        let req = TxnRequest::new(vec![
+            op(101, OpKind::Add(1)),
+            op(100, OpKind::Read),
+            op(103, OpKind::Add(1)),
+            op(105, OpKind::Add(1)),
+            op(107, OpKind::Read),
+        ]);
+        let (result, rtts, msgs) = on_the_wire(&rig, &mut w, &req);
+        assert_eq!(result.unwrap().results, vec![101, 100, 101, 101, 100]);
+        assert_eq!(msgs, 4, "one admission request + reply, one prepare + vote");
+        assert!((2.0..3.0).contains(&rtts), "admission + vote are two round trips, took {rtts:.2}");
+    }
+
+    #[test]
+    fn two_remote_participants_are_asked_concurrently() {
+        let rig = rig_on(SystemMode::NoSwitch, CcScheme::NoWait, 3, slow_rack());
+        let mut w = worker(&rig, 0, 0);
+        // Key k lives on node k % 3: two operations on node 1, two on node 2.
+        let at = |k: u64, kind| TxnOp::new(t(k), kind, NodeId((k % 3) as u16));
+        let req = TxnRequest::new(vec![
+            at(100, OpKind::Add(1)),
+            at(101, OpKind::Add(1)),
+            at(103, OpKind::Add(1)),
+            at(104, OpKind::Add(1)),
+            at(102, OpKind::Read),
+        ]);
+        let (result, rtts, msgs) = on_the_wire(&rig, &mut w, &req);
+        assert_eq!(result.unwrap().results, vec![101, 101, 101, 101, 100]);
+        assert_eq!(msgs, 8, "a request + reply and a prepare + vote per participant");
+        assert!((2.0..3.0).contains(&rtts), "two participants still cost two round trips, took {rtts:.2}");
+        for n in 0..3 {
+            assert_eq!(rig.shared.node(NodeId(n)).locks().locked_count(), 0);
+        }
+    }
+
+    #[test]
+    fn a_snapshot_read_of_four_remote_rows_costs_one_round_trip() {
+        let rig = rig_on(SystemMode::NoSwitch, CcScheme::NoWait, 2, slow_rack());
+        let mut w = worker(&rig, 0, 0);
+        let req = TxnRequest::new(vec![
+            op(101, OpKind::Read),
+            op(103, OpKind::Read),
+            op(105, OpKind::Read),
+            op(107, OpKind::Read),
+        ])
+        .into_read_only();
+        let (result, rtts, msgs) = on_the_wire(&rig, &mut w, &req);
+        let out = result.unwrap();
+        assert_eq!(out.results, vec![100; 4]);
+        assert!(out.snapshot.is_some(), "still served by the lock-free snapshot path");
+        assert_eq!(msgs, 2, "one read request + reply, no vote");
+        assert!((1.0..2.0).contains(&rtts), "took {rtts:.2} round trips");
+    }
+
+    #[test]
+    fn a_remote_conflict_aborts_after_one_round_trip() {
+        let rig = rig_on(SystemMode::NoSwitch, CcScheme::NoWait, 2, slow_rack());
+        let mut w = worker(&rig, 0, 0);
+        // A rival holds the participant's *third* tuple: the first two remote
+        // locks and the local one are granted, then admission is denied.
+        let rival = TxnId::compose(1, NodeId(1), WorkerId(9));
+        rig.shared.node(NodeId(1)).locks().acquire(rival, t(105), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let req = TxnRequest::new(vec![
+            op(100, OpKind::Add(1)),
+            op(101, OpKind::Add(1)),
+            op(103, OpKind::Add(1)),
+            op(105, OpKind::Add(1)),
+            op(107, OpKind::Add(1)),
+        ]);
+        let (result, rtts, msgs) = on_the_wire(&rig, &mut w, &req);
+        assert!(result.unwrap_err().is_abort());
+        assert_eq!(msgs, 2, "the denial rides the one admission reply; nothing is voted on");
+        assert!((1.0..2.0).contains(&rtts), "took {rtts:.2} round trips");
+        rig.shared.node(NodeId(1)).locks().release(rival, t(105));
+        for n in 0..2 {
+            assert_eq!(rig.shared.node(NodeId(n)).locks().locked_count(), 0, "node {n} leaked a lock");
+        }
+        let log = rig.shared.node(NodeId(0)).wal().records();
+        assert!(matches!(log.last(), Some(LogRecord::Abort { .. })), "the coordinator logs the abort");
+    }
+
+    #[test]
+    fn chiller_late_set_on_one_participant_adds_one_round_trip() {
+        let mut rig = rig_on(SystemMode::NoSwitch, CcScheme::NoWait, 2, slow_rack());
+        Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config.chiller = true;
+        // Chiller needs hot-tuple identity even though data stays on the host.
+        rig.shared.hot_index.swap(Arc::new(HotSetIndex::from_tuples((0..10).map(t))));
+        let mut w = worker(&rig, 0, 0);
+        // One cold and two contended tuples, all on node 1: the contended
+        // pair is acquired late, after the cold admission round.
+        let req = TxnRequest::new(vec![op(1, OpKind::Add(1)), op(101, OpKind::Add(1)), op(3, OpKind::Add(1))]);
+        let (result, rtts, msgs) = on_the_wire(&rig, &mut w, &req);
+        assert_eq!(result.unwrap().results, vec![101, 101, 101]);
+        assert_eq!(msgs, 6, "admission, one late round for both contended tuples, vote");
+        assert!((3.0..4.0).contains(&rtts), "took {rtts:.2} round trips");
+        assert_eq!(rig.shared.node(NodeId(1)).locks().locked_count(), 0);
     }
 }
