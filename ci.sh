@@ -38,8 +38,9 @@ cargo test --offline --release -q --test topology topology_differential_smallban
 echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, codec-arm agreement (full 12x3 differential sweep runs in tier-1)"
 cargo test --offline --release -q --test durability smoke_recovery_ -- --nocapture
 
-echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC safety, doctored-chain detection"
+echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC safety, doctored-chain detection (folded chains included), the fold-at-install reference model (property_fold_at_install_matches_the_reference_model), the Row size budget (a_row_stays_within_its_size_budget), and a write-only stream retaining only its log (mvcc_memory)"
 cargo test --offline --release -q --test mvcc -- --nocapture
+cargo test --offline --release -q --test mvcc_memory a_write_only_stream_retains_its_log_and_no_versions
 
 echo "==> bench smoke gate: BENCH json emission, schema validity, regression band vs BENCH_baseline.json"
 # Absolute path: cargo runs bench binaries with the package dir as CWD.
@@ -65,6 +66,11 @@ benchmark/run.sh --smoke > "$REPO_BENCH_SMOKE"
 # over the workload's mix; 6.7 when every remote operation had its own).
 awk '$1 == "ycsb_contended_host" && $2 == "net.msgs_to_nodes_per_txn" { seen = 1; ok = ($3 < 4); print "    " $0 }
      END { if (!seen || !ok) { print "ycsb_contended_host net.msgs_to_nodes_per_txn must be reported and < 4"; exit 1 } }' "$REPO_BENCH_SMOKE"
+# Also a count: with no snapshot reader every commit folds the version it
+# displaces, so a written row keeps one version (11 when chains grew to a
+# 64-entry cap before they were trimmed).
+awk '$1 == "ycsb_cold" && $2 == "storage.mvcc.chain_len_p99" { seen = 1; ok = ($3 <= 1); print "    " $0 }
+     END { if (!seen || !ok) { print "ycsb_cold storage.mvcc.chain_len_p99 must be reported and <= 1"; exit 1 } }' "$REPO_BENCH_SMOKE"
 
 echo "==> rustdoc: public API docs must build warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

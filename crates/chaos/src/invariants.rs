@@ -570,11 +570,10 @@ fn pre_epoch_money_delta(
 /// Snapshot-read ground truth: every retained version-chain entry must be
 /// explained by exactly one committed transaction's *net* cold-write
 /// transition on that tuple (first before-image → last after-image), chain
-/// timestamps must be strictly increasing, and an untrimmed chain must
-/// ground its first entry in the row's base value. A chain GC trimmed keeps
-/// an unknown predecessor for its first retained entry only; everything
-/// after it is still fully checked. The `single_latch` seed arm installs no
-/// versions by design and is skipped.
+/// timestamps must be strictly increasing, and every chain grounds its
+/// first entry in the row's base — the exact predecessor of the first
+/// retained version, however many versions were folded into it. The
+/// `single_latch` seed arm installs no versions by design and is skipped.
 fn check_version_chains(cluster: &Cluster, node_logs: &[Vec<LogRecord>], report: &mut InvariantReport) {
     if cluster.config().single_latch {
         return;
@@ -604,7 +603,7 @@ fn check_version_chains(cluster: &Cluster, node_logs: &[Vec<LogRecord>], report:
     for storage in cluster.shared().nodes.iter() {
         for table in storage.tables() {
             table.for_each(|key, row| {
-                let (entries, trimmed) = row.version_chain();
+                let (entries, base) = row.version_chain();
                 if entries.is_empty() {
                     return;
                 }
@@ -620,10 +619,10 @@ fn check_version_chains(cluster: &Cluster, node_logs: &[Vec<LogRecord>], report:
                     // `base`: degraded-mode reconstruction raw-writes the
                     // live word without installing a version, so its first
                     // chain entry grounds in that reconstructed word — an
-                    // unknown predecessor, exactly like a GC-trimmed chain.
+                    // unknown predecessor.
                     let before = match i {
-                        0 if trimmed > 0 || owned.contains_key(&tuple) => None,
-                        0 => Some(row.base_word().unwrap_or(0)),
+                        0 if owned.contains_key(&tuple) => None,
+                        0 => Some(base.unwrap_or(0)),
                         _ => Some(entries[i - 1].1),
                     };
                     report.version_entries_checked += 1;

@@ -180,21 +180,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Cap on each row's version-chain length (clamped to at least 1). A
-    /// commit that grows a chain past the cap trims that row's versions
-    /// below the cluster low-watermark inline; the default of
-    /// [`p4db_storage::DEFAULT_VERSION_CAP`] keeps chains short without
-    /// making writers chase the watermark on every commit.
-    pub fn version_cap(mut self, cap: usize) -> Self {
-        self.config.version_cap = cap.max(1);
-        self
-    }
-
     /// Background version-GC cadence for [`Cluster::run_for`]: a collector
     /// thread sweeps every row's version chain below the cluster
     /// low-watermark at this interval (per-shard latches, no global pause).
-    /// Without it, reclamation happens only at the commit-time cap and on
-    /// explicit [`Cluster::collect_versions`] calls.
+    /// Without it, reclamation happens only at install (each commit folds
+    /// the versions it displaces) and on explicit
+    /// [`Cluster::collect_versions`] calls.
     pub fn gc_interval(mut self, interval: std::time::Duration) -> Self {
         self.config.gc_interval = Some(interval);
         self

@@ -98,15 +98,10 @@ pub struct ClusterConfig {
     /// since its last complete checkpoint. `None` (the default) disables the
     /// automatic cadence; [`Cluster::checkpoint_node`] still works.
     pub checkpoint_interval: Option<u64>,
-    /// Cap on each row's version-chain length (clamped to ≥ 1). A commit
-    /// that grows a chain past the cap triggers an inline trim of that row's
-    /// versions below the cluster low-watermark; [`Cluster::collect_versions`]
-    /// sweeps every row on demand.
-    pub version_cap: usize,
     /// Background version-GC cadence for [`Cluster::run_for`]: when set, a
     /// collector thread sweeps every node's version chains below the cluster
     /// low-watermark at this interval — per-shard latches only, no global
-    /// pause. `None` (the default) leaves reclamation to the commit-time cap
+    /// pause. `None` (the default) leaves reclamation to commit-time folding
     /// and explicit [`Cluster::collect_versions`] calls.
     pub gc_interval: Option<Duration>,
     /// RNG seed (workers derive their own seeds from it).
@@ -155,7 +150,6 @@ impl ClusterConfig {
             wal_codec: WalCodec::Binary,
             wal_segment_records: DEFAULT_SEGMENT_RECORDS,
             checkpoint_interval: None,
-            version_cap: p4db_storage::DEFAULT_VERSION_CAP,
             gc_interval: None,
             seed: 42,
             faults: None,
@@ -449,7 +443,7 @@ impl Cluster {
             fabric,
             hot_index: HotIndexCell::new(hot_index),
             config: engine_config,
-            mvcc: p4db_txn::MvccState::new(config.version_cap),
+            mvcc: p4db_txn::MvccState::new(),
             health: SwitchHealth::new(num_switches, config.num_nodes as usize, config.breaker),
         });
 
@@ -750,8 +744,9 @@ impl Cluster {
         self.shared.mvcc.low_watermark()
     }
 
-    /// Sweeps every node's row store and trims each row's version chain
-    /// below the cluster [`Cluster::low_watermark`] — one shard latch at a
+    /// Sweeps every node's row store and folds each row's displaced
+    /// versions at or below the cluster [`Cluster::low_watermark`] into its
+    /// base (commits already fold what they displace) — one shard latch at a
     /// time, concurrent traffic keeps running, no global pause. Returns the
     /// number of version entries reclaimed.
     pub fn collect_versions(&self) -> usize {

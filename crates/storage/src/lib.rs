@@ -20,7 +20,7 @@ pub mod wal;
 pub use checkpoint::{decode_checkpoint, take_fuzzy_checkpoint, Checkpoint, CheckpointStore, ShardRows};
 pub use index::SecondaryIndex;
 pub use locks::{LockMode, LockTable, LockWaitStats};
-pub use mvcc::{CommitClock, MvccState, SnapshotRegistry, SnapshotSlot, DEFAULT_VERSION_CAP, IDLE_SNAPSHOT};
+pub use mvcc::{CommitClock, MvccState, SnapshotRegistry, SnapshotSlot, IDLE_SNAPSHOT};
 pub use node::NodeStorage;
 pub use recovery::{
     recover_cold_records, recover_cold_state, recover_switch_state, replay_logged_op, replay_logged_txn,

@@ -26,6 +26,18 @@
 //!    `<= bound <= s`) — so no version a completed `begin()` can still see
 //!    is ever reclaimed.
 //!
+//! Reclamation is folding, and it mostly happens at install: a row keeps
+//! its newest version inline, and a committing writer — which reads the
+//! watermark once per transaction — folds the version it displaces into
+//! the row's base when that version is at or below the watermark, dropping
+//! everything older. Only a displaced version above the watermark (one an
+//! active snapshot may still resolve to) spills to the heap, and GC
+//! ([`crate::table::Table::collect_versions`]) folds spilled versions the
+//! same way once the watermark passes them. A workload with no snapshot
+//! readers therefore keeps one inline version per written row and no
+//! version heap (a displaced version whose publish is still parked behind
+//! a slower predecessor spills until the next install or sweep).
+//!
 //! Timestamps are drawn from one logical clock for the whole cluster: the
 //! simulator's nodes share an address space, which models the
 //! synchronized-clock assumption the paper's epoch machinery already makes
@@ -38,10 +50,6 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Slot value of a worker with no read-only transaction in flight. Folds
 /// away naturally in the watermark minimum.
 pub const IDLE_SNAPSHOT: u64 = u64::MAX;
-
-/// Default cap on a row's version-chain length before the installing writer
-/// trims it inline against the current low-watermark.
-pub const DEFAULT_VERSION_CAP: usize = 64;
 
 /// The cluster commit clock. `reserve()` is called exactly once per
 /// committing transaction that installed at least one host write — *after*
@@ -193,31 +201,23 @@ impl SnapshotRegistry {
     }
 }
 
-/// Everything the engine shares for MVCC: the commit clock, the snapshot
-/// registry, and the version-chain cap that triggers inline writer-side
-/// trimming.
-#[derive(Debug)]
+/// Everything the engine shares for MVCC: the commit clock and the snapshot
+/// registry.
+#[derive(Debug, Default)]
 pub struct MvccState {
     pub clock: CommitClock,
     pub snapshots: SnapshotRegistry,
-    /// A committing writer that grows a chain past this length trims it
-    /// against the current low-watermark before releasing its locks.
-    pub version_cap: usize,
-}
-
-impl Default for MvccState {
-    fn default() -> Self {
-        Self::new(DEFAULT_VERSION_CAP)
-    }
 }
 
 impl MvccState {
-    pub fn new(version_cap: usize) -> Self {
-        MvccState { clock: CommitClock::new(), snapshots: SnapshotRegistry::new(), version_cap: version_cap.max(1) }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The minimum active snapshot merged with the stable timestamp — the
-    /// bound below which versions may be reclaimed.
+    /// bound at or below which a displaced version may be folded. A
+    /// committing writer reads it once per transaction and installs every
+    /// row against it.
     pub fn low_watermark(&self) -> u64 {
         self.snapshots.low_watermark(&self.clock)
     }
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn watermark_tracks_minimum_active_snapshot() {
-        let state = MvccState::new(8);
+        let state = MvccState::new();
         // No readers: watermark == stable.
         assert_eq!(state.low_watermark(), 0);
         let ts = state.clock.reserve();

@@ -35,35 +35,128 @@ use std::sync::{Arc, RwLock, RwLockWriteGuard};
 /// per-shard iteration stays cheap.
 pub const DEFAULT_TABLE_SHARDS: usize = 64;
 
-/// A single row: the live value behind a latch, plus (since PR 9) a chain
-/// of committed versions for lock-free snapshot readers.
+/// A single row: the live value behind a latch, plus (since PR 9) the
+/// committed versions lock-free snapshot readers resolve against.
 ///
 /// The live `value` is what the 2PL path reads and writes; it can hold
 /// uncommitted data while the writer's locks pin it. Snapshot readers never
-/// touch it. They see only `base` (the row's pre-history: the load-time
-/// switch word, or `None` for rows created by an inserting transaction) and
-/// `versions`, which committing writers append to *while still holding
-/// their exclusive locks* — so per-row version timestamps are strictly
-/// increasing and consistent with the 2PL serialization order.
+/// touch it. They see only the row's `VersionChain`, which committing
+/// writers install into *while still holding their exclusive locks* — so
+/// per-row version timestamps are strictly increasing and consistent with
+/// the 2PL serialization order.
 #[derive(Debug)]
 pub struct Row {
     value: RwLock<Value>,
-    /// What a snapshot older than every committed version sees: the
-    /// load-time switch word, or `None` when the row did not exist before
-    /// the transaction that inserted it (such a snapshot gets
-    /// tuple-not-found, exactly like a 2PL read would have).
-    base: Option<u64>,
     versions: RwLock<VersionChain>,
 }
 
-/// A row's committed version history, oldest first. `entries` holds
-/// `(commit_ts, switch_word)` pairs; `trimmed` counts versions reclaimed
-/// from the front by GC (the invariant checker uses it to know whether the
-/// `base -> first entry` transition is still checkable).
+/// A row's committed history — only as much of it as a snapshot can still
+/// resolve to. A row written while no snapshot older than its newest
+/// version is active costs no heap at all.
+///
+/// * `versions` is the retained versions, `(commit_ts, switch_word)`,
+///   oldest first: none yet, the newest alone (inline), or — only while a
+///   displaced version is *above* the low watermark, i.e. some snapshot
+///   announced now or later may still need it — a heap list ending in the
+///   newest. Folding the list back to one version frees it.
+/// * `base` is the exact predecessor of the first retained version — the
+///   load-time switch word, the last version folded away, or `None` for a
+///   row an inserting transaction created (a snapshot older than the
+///   insert gets tuple-not-found, exactly like a 2PL read would have). A
+///   snapshot older than every retained version reads it.
+///
+/// **Folding.** A displaced version at or below the low watermark becomes
+/// `base`, and everything older is dropped. This is the guarantee the
+/// mvcc module's "guarded reclamation" gives: every snapshot announced now
+/// or later is at or above the watermark, so one that could resolve to the
+/// folded version (or anything older) reads it from `base` instead.
 #[derive(Debug, Default)]
 struct VersionChain {
-    entries: Vec<(u64, u64)>,
-    trimmed: u64,
+    base: Option<u64>,
+    versions: Versions,
+}
+
+#[derive(Debug, Default)]
+enum Versions {
+    #[default]
+    None,
+    Newest((u64, u64)),
+    /// At least two versions, the newest last.
+    Spilled(Vec<(u64, u64)>),
+}
+
+impl VersionChain {
+    /// Every retained version, oldest first.
+    fn entries(&self) -> &[(u64, u64)] {
+        match &self.versions {
+            Versions::None => &[],
+            Versions::Newest(version) => std::slice::from_ref(version),
+            Versions::Spilled(versions) => versions,
+        }
+    }
+
+    /// The newest committed word at or below `snap`, else `base`. Scans
+    /// from the newest version, which answers every snapshot taken since it
+    /// committed.
+    fn resolve(&self, snap: u64) -> Option<u64> {
+        self.entries().iter().rev().find(|&&(ts, _)| ts <= snap).map_or(self.base, |&(_, word)| Some(word))
+    }
+
+    /// Makes `(ts, word)` the newest version. Every retained version is
+    /// displaced by it: those at or below `watermark` fold into `base`,
+    /// the rest spill (see the type docs). Returns the retained count.
+    fn install(&mut self, ts: u64, word: u64, watermark: u64) -> usize {
+        let displaced = self.entries();
+        if let Some(&(last, _)) = displaced.last() {
+            debug_assert!(last <= ts, "version timestamps must be non-decreasing per row");
+            if last == ts {
+                // The same transaction wrote the row again: one net version.
+                let len = displaced.len();
+                match &mut self.versions {
+                    Versions::Newest(newest) => newest.1 = word,
+                    Versions::Spilled(versions) => versions[len - 1].1 = word,
+                    Versions::None => {}
+                }
+                return len;
+            }
+        }
+        let folded = displaced.partition_point(|&(ts, _)| ts <= watermark);
+        let all_folded = folded == displaced.len();
+        if folded > 0 {
+            self.base = Some(displaced[folded - 1].1);
+        }
+        match &mut self.versions {
+            Versions::Spilled(kept) if !all_folded => {
+                kept.drain(..folded);
+                kept.push((ts, word));
+            }
+            Versions::Newest(kept) if !all_folded => {
+                let kept = *kept;
+                self.versions = Versions::Spilled(vec![kept, (ts, word)]);
+            }
+            _ => self.versions = Versions::Newest((ts, word)),
+        }
+        self.entries().len()
+    }
+
+    /// GC: folds the newest displaced version at or below `watermark` into
+    /// `base` and drops everything older; the newest version stays.
+    /// Returns the number of versions reclaimed.
+    fn fold(&mut self, watermark: u64) -> usize {
+        let Versions::Spilled(versions) = &mut self.versions else { return 0 };
+        let newest = versions.len() - 1;
+        let folded = versions[..newest].partition_point(|&(ts, _)| ts <= watermark);
+        if folded == 0 {
+            return 0;
+        }
+        self.base = Some(versions[folded - 1].1);
+        if folded == newest {
+            self.versions = Versions::Newest(versions[newest]);
+        } else {
+            versions.drain(..folded);
+        }
+        folded
+    }
 }
 
 /// A stable reference to one row. Cloning is one atomic increment; the
@@ -74,14 +167,14 @@ pub type RowHandle = Arc<Row>;
 impl Row {
     fn new(value: Value) -> Self {
         let base = Some(value.switch_word());
-        Row { value: RwLock::new(value), base, versions: RwLock::new(VersionChain::default()) }
+        Row { value: RwLock::new(value), versions: RwLock::new(VersionChain { base, ..VersionChain::default() }) }
     }
 
     /// A row created by an inserting *transaction* (as opposed to a loader):
     /// it has no pre-history, so snapshots older than the insert's commit
     /// timestamp must not see it.
     fn new_fresh(value: Value) -> Self {
-        Row { value: RwLock::new(value), base: None, versions: RwLock::new(VersionChain::default()) }
+        Row { value: RwLock::new(value), versions: RwLock::new(VersionChain::default()) }
     }
 
     /// Reads the row.
@@ -112,71 +205,52 @@ impl Row {
     /// or `None` when the row did not yet exist at `snap`. Never touches
     /// the live `value`, so it can run with zero lock-table interaction.
     ///
-    /// Falling back to `base` when every retained entry is newer than
-    /// `snap` is sound because GC only reclaims entries *dominated by a
-    /// retained entry at or below the low-watermark* — and any snapshot a
-    /// live reader holds is at least that watermark, so "all retained
-    /// entries above `snap`" implies the chain never had an entry at or
-    /// below `snap` at all.
+    /// Falling back to `base` when every retained version is newer than
+    /// `snap` is sound because only versions at or below the low watermark
+    /// are ever folded, and any snapshot a live reader holds is at least
+    /// that watermark (see `VersionChain`).
     pub fn read_at(&self, snap: u64) -> Option<u64> {
-        let chain = unpoison(self.versions.read());
-        for &(ts, word) in chain.entries.iter().rev() {
-            if ts <= snap {
-                return Some(word);
-            }
-        }
-        self.base
+        unpoison(self.versions.read()).resolve(snap)
     }
 
-    /// Appends a committed version. Called at commit time while the writer
-    /// still holds the tuple's exclusive 2PL lock, which serializes
-    /// installers and keeps per-row timestamps strictly increasing. A
-    /// transaction that wrote the row more than once installs under one
-    /// timestamp — the later install overwrites the earlier word, so the
-    /// chain holds the transaction's *net* effect. Returns the chain length
-    /// so the caller can decide to trim.
+    /// Installs a committed version at commit time, while the writer still
+    /// holds the tuple's exclusive 2PL lock (which serializes installers and
+    /// keeps per-row timestamps strictly increasing), folding the version
+    /// it displaces if that is at or below `watermark` — the committing
+    /// transaction's one reading of the low watermark. `ts` must be above
+    /// the clock's stable timestamp, so the new version itself never folds.
+    /// A transaction that wrote the row more than once installs under one
+    /// timestamp: the later install overwrites the earlier word, so the
+    /// chain holds the transaction's *net* effect. Returns the retained
+    /// chain length.
+    pub fn install_version_folding(&self, ts: u64, word: u64, watermark: u64) -> usize {
+        unpoison(self.versions.write()).install(ts, word, watermark)
+    }
+
+    /// [`Row::install_version_folding`] at watermark 0: retains every
+    /// version (timestamps start at 1).
     pub fn install_version(&self, ts: u64, word: u64) -> usize {
-        let mut chain = unpoison(self.versions.write());
-        if let Some(last) = chain.entries.last_mut() {
-            debug_assert!(last.0 <= ts, "version timestamps must be non-decreasing per row");
-            if last.0 == ts {
-                last.1 = word;
-                return chain.entries.len();
-            }
-        }
-        chain.entries.push((ts, word));
-        chain.entries.len()
+        self.install_version_folding(ts, word, 0)
     }
 
-    /// Reclaims versions strictly dominated by a newer version at or below
-    /// `watermark`: the newest entry with `ts <= watermark` is kept (some
-    /// active snapshot may still resolve to it), everything older goes.
-    /// Returns the number of versions reclaimed.
+    /// GC: folds the newest displaced version at or below `watermark` into
+    /// the base and drops everything older. The newest version stays
+    /// inline. Returns the number of versions reclaimed.
     pub fn trim_versions_below(&self, watermark: u64) -> usize {
-        let mut chain = unpoison(self.versions.write());
-        let keep_from = match chain.entries.iter().rposition(|&(ts, _)| ts <= watermark) {
-            Some(index) => index,
-            None => return 0, // nothing at or below the watermark: nothing is dominated
-        };
-        chain.trimmed += keep_from as u64;
-        chain.entries.drain(..keep_from).count()
+        unpoison(self.versions.write()).fold(watermark)
     }
 
-    /// The row's pre-history word (`None` for transaction-inserted rows).
-    pub fn base_word(&self) -> Option<u64> {
-        self.base
-    }
-
-    /// A consistent copy of the version chain plus the count of versions GC
-    /// has reclaimed from its front — the invariant checker's view.
-    pub fn version_chain(&self) -> (Vec<(u64, u64)>, u64) {
+    /// A consistent copy of the retained versions, oldest first, and the
+    /// base word they start from — the invariant checker's view. The base
+    /// is the exact predecessor of the first entry.
+    pub fn version_chain(&self) -> (Vec<(u64, u64)>, Option<u64>) {
         let chain = unpoison(self.versions.read());
-        (chain.entries.clone(), chain.trimmed)
+        (chain.entries().to_vec(), chain.base)
     }
 
     /// Retained chain length (diagnostic).
     pub fn version_count(&self) -> usize {
-        unpoison(self.versions.read()).entries.len()
+        unpoison(self.versions.read()).entries().len()
     }
 }
 
@@ -305,8 +379,9 @@ impl Table {
         handle
     }
 
-    /// Version-chain GC sweep: trims every row's chain against `watermark`,
-    /// one shard latch at a time — no global pause, concurrent readers and
+    /// Version-chain GC sweep: folds every row's chain against `watermark`
+    /// ([`Row::trim_versions_below`]), one shard latch at a time — no
+    /// global pause, concurrent readers and
     /// writers in other shards keep moving. Returns the number of versions
     /// reclaimed. The caller supplies the cluster low-watermark
     /// (`min(active snapshots, stable clock)`); see
