@@ -29,6 +29,10 @@ cargo test --offline --release -q --test batching batched_chaos -- --nocapture
 echo "==> pool gate: an executor drains its fair share of the submission queue (channel share rule, 8 queued jobs on 8 executors finish in one round trip, a single executor still drains whole batches in order)"
 cargo test --offline --release -q -p p4db-core -p p4db-common -- recv_share queued_jobs_spread_over_idle_executors a_single_executor_drains_the_whole_queue_in_order
 
+echo "==> session gate: one reply queue per session (a dropped ticket's statistics still count, a batchmate's retry does not hold committed replies, a parked waiter is woken only by its own ticket, the channel's wake rule under stress, allocations per session round trip)"
+cargo test --offline --release -q -p p4db-core -p p4db-common -- a_dropped_tickets_statistics_still_count a_batchmates_retry_does_not_hold_committed_replies a_parked_waiter_is_woken_only_by_its_own_ticket wake_rule_stress
+cargo test --offline --release -q --test session_alloc
+
 echo "==> round-trip gate: one node round trip per participant, not per remote operation (4 remote ops = 2 RTTs and 4 messages, 2 participants asked concurrently, snapshot read = 1 RTT, remote NO_WAIT abort = 1 RTT with no lock leaked, Chiller late set = 1 more RTT)"
 cargo test --offline --release -q -p p4db-txn -p p4db-net -- round_trip participant
 
@@ -42,7 +46,7 @@ echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC
 cargo test --offline --release -q --test mvcc -- --nocapture
 cargo test --offline --release -q --test mvcc_memory a_write_only_stream_retains_its_log_and_no_versions
 
-echo "==> bench smoke gate: BENCH json emission, schema validity, regression band vs BENCH_baseline.json"
+echo "==> bench smoke gate: BENCH json emission, schema validity, every point commits, speedup floors"
 # Absolute path: cargo runs bench binaries with the package dir as CWD.
 # fig_node_scaling, fig_read_mix, fig_switch_scaling, fig_recovery and
 # fig_outage ride along so the gate can floor the sharded-vs-single-latch

@@ -6,8 +6,8 @@
 //! path for the machine-readable datapoints, default `BENCH_23.json` at the
 //! workspace root). Stdout is markdown; redirect it into a file to update
 //! `EXPERIMENTS.md`. The figures that ran are additionally serialised as
-//! `BenchPoint`s, merged by figure into the JSON file, which the CI
-//! regression gate diffs against `BENCH_baseline.json`.
+//! `BenchPoint`s, merged by figure into the JSON file, whose smoke emission
+//! the CI regression gate holds to its speedup floors.
 
 use p4db_bench::*;
 

@@ -6,8 +6,8 @@
 //! functions are used to produce `EXPERIMENTS.md`. Every function also
 //! records its raw measurements as [`BenchPoint`]s on the returned
 //! [`FigureTable`], which the bench targets serialise into `BENCH_23.json`
-//! (see [`json`]) — the machine-readable perf trajectory that the CI
-//! regression gate diffs against `BENCH_baseline.json`.
+//! (see [`json`]) — the machine-readable perf trajectory whose smoke
+//! emission the CI regression gate holds to its speedup floors.
 //!
 //! Scale: the harness runs the cluster in the slow-motion latency profile
 //! (see `LatencyConfig::bench_profile`) so that it produces meaningful

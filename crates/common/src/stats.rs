@@ -69,10 +69,12 @@ impl Phase {
 
 /// A fixed-bucket log-scale latency histogram (nanoseconds). Buckets are
 /// powers of two from 64 ns to ~8 s, which covers everything from a switch
-/// pass to a pathological multi-second stall.
-#[derive(Clone, Debug)]
+/// pass to a pathological multi-second stall. The buckets are an inline
+/// array, so a fresh histogram (and the [`WorkerStats`] every executor
+/// reply carries) allocates nothing.
+#[derive(Clone, Debug, Default)]
 pub struct LatencyHistogram {
-    buckets: Vec<u64>,
+    buckets: [u64; HIST_BUCKETS],
     count: u64,
     sum_ns: u64,
     max_ns: u64,
@@ -80,12 +82,6 @@ pub struct LatencyHistogram {
 
 const HIST_BUCKETS: usize = 28;
 const HIST_BASE_SHIFT: u32 = 6; // first bucket: < 2^6 = 64 ns
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { buckets: vec![0; HIST_BUCKETS], count: 0, sum_ns: 0, max_ns: 0 }
-    }
-}
 
 impl LatencyHistogram {
     pub fn new() -> Self {

@@ -11,26 +11,38 @@
 //!
 //! The pool is **work-conserving**: an executor that wakes on a queue holding
 //! `q` jobs takes its fair share, `⌈q ÷ executors⌉` of them (at least 1, at
-//! most `batch_size`), not everything it can carry. A drained batch replies
-//! only when all of it is done and runs its cold and warm jobs one after the
-//! other, so a job in a hoarded batch would wait behind its batchmates while
-//! the sibling executors sleep on an empty queue — with `W` executors and at
-//! most `W` jobs queued every job gets its own thread instead. With one
-//! executor per node the share *is* the queue, which keeps the batches (and
-//! [`Worker::execute_batch`]'s pipelining of the all-hot ones) as deep as the
-//! clients' in-flight window allows.
+//! most `batch_size`), not everything it can carry. A drained share runs its
+//! cold and warm jobs one after the other, so a job in a hoarded batch would
+//! wait behind its batchmates' execution while the sibling executors sleep on
+//! an empty queue — with `W` executors and at most `W` jobs queued every job
+//! gets its own thread instead. With one executor per node the share *is* the
+//! queue, which keeps the batches (and [`Worker::execute_batch`]'s pipelining
+//! of the all-hot ones) as deep as the clients' in-flight window allows.
+//!
+//! **Replies travel per session, not per job.** Each [`Session`] owns one
+//! `ReplyQueue` (a mutex, a condvar and a short vec of `(ticket, reply)`),
+//! and every job it submits carries a `ReplyTo` naming that queue and the
+//! job's ticket, so a submission allocates no channel. An executor files the
+//! replies of a drained share together once the share is done: one lock and
+//! at most one wake-up per distinct session. A job whose first attempt must
+//! retry first files every batchmate reply already settled, so a commit never
+//! waits out a sibling's backoff schedule. A waiter parks with its ticket
+//! recorded, and a filing wakes the queue only when it carries a ticket
+//! somebody is parked on: a FIFO client of an 8-executor node is not woken by
+//! every reply that overtakes the one it waits for.
 
-use p4db_common::channel::{unbounded, Receiver, SendError, Sender};
+use p4db_common::channel::{unbounded, Receiver, Sender};
 use p4db_common::rand_util::FastRng;
 use p4db_common::simtime::wait_for;
 use p4db_common::stats::WorkerStats;
+use p4db_common::sync::unpoison;
 use p4db_common::{Error, NodeId, Result, SystemMode, WorkerId};
 use p4db_net::{EndpointId, RecvOutcome};
 use p4db_switch::{IntentStatusRequest, SwitchMessage};
 use p4db_txn::{EngineShared, OpKind, Txn, TxnOp, TxnOutcome, TxnRequest, Worker};
 use p4db_workloads::PartitionMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,24 +56,27 @@ pub const DEFAULT_MAX_ATTEMPTS: u32 = 1000;
 /// one-way hop), which is zero at zero modelled latency: without a floor a
 /// conflict with a lock holder that lost its CPU burns a whole retry budget
 /// in microseconds. From 2 µs the jittered exponential schedule of
-/// `serve_job` spends at least 350 µs over a budget of 16 attempts.
+/// `retry_until_settled` spends at least 350 µs over a budget of 16 attempts.
 const MIN_BACKOFF: Duration = Duration::from_micros(2);
 
 /// One unit of work travelling from a session to a pool executor.
 pub(crate) enum Job {
-    Execute {
-        req: TxnRequest,
-        max_attempts: u32,
-        /// Cooperative cancellation: checked between retry attempts so a
-        /// closed-loop driver's stop signal ends a retry storm promptly.
-        cancel: Option<Arc<AtomicBool>>,
-        reply: Sender<JobReply>,
-    },
+    Execute(ExecJob),
     /// Poison pill: the receiving executor exits without re-queueing it.
     Shutdown,
 }
 
-/// What an executor sends back for one job: the outcome plus everything the
+/// A submitted transaction and where its reply goes.
+pub(crate) struct ExecJob {
+    req: TxnRequest,
+    max_attempts: u32,
+    /// Cooperative cancellation: checked between retry attempts so a
+    /// closed-loop driver's stop signal ends a retry storm promptly.
+    cancel: Option<Arc<AtomicBool>>,
+    reply: ReplyTo,
+}
+
+/// What an executor files for one job: the outcome plus everything the
 /// engine recorded while producing it (phases, switch passes, aborts, the
 /// commit itself). The waiting session folds the stats into its own counters,
 /// which is how `run_for` assembles a complete [`p4db_common::stats::RunStats`]
@@ -69,6 +84,146 @@ pub(crate) enum Job {
 pub(crate) struct JobReply {
     pub result: Result<TxnOutcome>,
     pub stats: WorkerStats,
+}
+
+/// The reply queue one [`Session`] owns. Executors file its jobs' replies
+/// here, [`Session::wait`] takes them out by ticket, and a dropped
+/// [`Pending`] has its reply discarded on arrival, so nothing accumulates.
+pub(crate) struct ReplyQueue {
+    state: Mutex<ReplyState>,
+    /// Signalled by a filing that carries a ticket in `ReplyState::parked`.
+    filed: Condvar,
+    /// Returns from the condvar wait, so a test can count wake-ups.
+    #[cfg(test)]
+    wakeups: std::sync::atomic::AtomicUsize,
+}
+
+#[derive(Default)]
+struct ReplyState {
+    /// Filed replies not taken yet, in no particular order.
+    replies: Vec<(u64, JobReply)>,
+    /// Tickets a thread is parked on in [`ReplyQueue::take`].
+    parked: Vec<u64>,
+    /// Tickets whose [`Pending`] was dropped before their reply arrived.
+    abandoned: Vec<u64>,
+    /// Statistics of dropped tickets' replies, folded into the owning
+    /// session at its next `wait` / `take_stats`.
+    abandoned_stats: Option<WorkerStats>,
+}
+
+impl ReplyState {
+    /// Files one reply, or discards it (keeping its statistics) when its
+    /// ticket was dropped. Returns whether a thread is parked on it.
+    fn deliver(&mut self, ticket: u64, reply: JobReply) -> bool {
+        if let Some(i) = self.abandoned.iter().position(|&t| t == ticket) {
+            self.abandoned.swap_remove(i);
+            self.abandoned_stats.get_or_insert_with(WorkerStats::new).merge(&reply.stats);
+            return false;
+        }
+        self.replies.push((ticket, reply));
+        self.parked.contains(&ticket)
+    }
+}
+
+impl ReplyQueue {
+    fn new() -> Self {
+        ReplyQueue {
+            state: Mutex::new(ReplyState::default()),
+            filed: Condvar::new(),
+            #[cfg(test)]
+            wakeups: Default::default(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ReplyState> {
+        // Every critical section leaves the vecs consistent between pushes
+        // and removals, so a poisoned state is safe to adopt.
+        unpoison(self.state.lock())
+    }
+
+    /// Blocks until `ticket`'s reply is filed and takes it. `adopt` receives
+    /// the statistics of dropped tickets filed so far.
+    fn take(&self, ticket: u64, adopt: Option<&mut WorkerStats>) -> JobReply {
+        let mut state = self.lock();
+        let reply = loop {
+            if let Some(i) = state.replies.iter().position(|(t, _)| *t == ticket) {
+                break state.replies.swap_remove(i).1;
+            }
+            state.parked.push(ticket);
+            state = unpoison(self.filed.wait(state));
+            #[cfg(test)]
+            self.wakeups.fetch_add(1, AtomicOrdering::Relaxed);
+            if let Some(i) = state.parked.iter().position(|&t| t == ticket) {
+                state.parked.swap_remove(i);
+            }
+        };
+        if let (Some(stats), Some(abandoned)) = (adopt, state.abandoned_stats.take()) {
+            stats.merge(&abandoned);
+        }
+        reply
+    }
+
+    /// Records a dropped ticket: a reply already filed is discarded now, a
+    /// later one on arrival; either way its statistics are kept.
+    fn abandon(&self, ticket: u64) {
+        let mut state = self.lock();
+        match state.replies.iter().position(|(t, _)| *t == ticket) {
+            Some(i) => {
+                let (_, reply) = state.replies.swap_remove(i);
+                state.abandoned_stats.get_or_insert_with(WorkerStats::new).merge(&reply.stats);
+            }
+            None => state.abandoned.push(ticket),
+        }
+    }
+
+    fn take_abandoned_stats(&self) -> Option<WorkerStats> {
+        self.lock().abandoned_stats.take()
+    }
+}
+
+/// Where one job's reply goes: its session's queue and its ticket. Dropped
+/// unfiled — the pool shut down with the job still queued — it files
+/// `Err(Disconnected)` instead, so the ticket's `wait` still returns.
+pub(crate) struct ReplyTo {
+    /// `None` once the reply is filed.
+    queue: Option<Arc<ReplyQueue>>,
+    ticket: u64,
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        if let Some(queue) = self.queue.take() {
+            let reply = JobReply { result: Err(Error::Disconnected), stats: WorkerStats::new() };
+            if queue.lock().deliver(self.ticket, reply) {
+                queue.filed.notify_all();
+            }
+        }
+    }
+}
+
+/// Files every settled reply, grouped by session: one lock per distinct
+/// queue, and one wake-up only if the queue has a waiter parked on one of
+/// the tickets filed. Leaves `settled` empty (its capacity is reused).
+fn file_replies(settled: &mut Vec<(ReplyTo, JobReply)>) {
+    while let Some((mut to, reply)) = settled.pop() {
+        let Some(queue) = to.queue.take() else { continue };
+        let mut state = queue.lock();
+        let mut wake = state.deliver(to.ticket, reply);
+        let mut i = 0;
+        while i < settled.len() {
+            if settled[i].0.queue.as_ref().is_some_and(|q| Arc::ptr_eq(q, &queue)) {
+                let (mut to, reply) = settled.swap_remove(i);
+                to.queue = None;
+                wake |= state.deliver(to.ticket, reply);
+            } else {
+                i += 1;
+            }
+        }
+        drop(state);
+        if wake {
+            queue.filed.notify_all();
+        }
+    }
 }
 
 /// Process-wide worker-endpoint allocator: every spawned executor gets a
@@ -164,16 +319,17 @@ impl Drop for SubmissionPool {
 /// node owns exactly one receiver, so the channel's receiver count is the
 /// executor count) — run the all-hot ones pipelined through
 /// [`Worker::execute_batch`] (intents group-committed, packets framed,
-/// replies drained together) and the rest one at a time — each to commit or
-/// to its retry budget (jittered exponential latency-proportional backoff
-/// between attempts, as the paper's closed-loop workers do) — then reply
-/// with the outcome and the recorded statistics.
+/// replies drained together) and the rest one at a time, take each job to
+/// commit or to its retry budget, then file the share's replies together:
+/// one lock and at most one wake-up per distinct session.
 ///
-/// The share, not the whole queue: no reply leaves before the batch is done
-/// and its cold and warm jobs run serially, so every job an executor takes
-/// beyond its share waits behind its batchmates while a sibling idles.
-/// With `batch_size <= 1`, or whenever the share is a single job, this is
-/// exactly the historical one-job-at-a-time loop.
+/// The share, not the whole queue: its cold and warm jobs run serially, so
+/// every job an executor takes beyond its share waits behind its batchmates'
+/// execution while a sibling idles. A retry does not hold the share's other
+/// replies: every job the first pass decides is settled before any retry
+/// starts, and each retrying job files what is settled before it backs off
+/// ([`retry_until_settled`]). With `batch_size <= 1`, or whenever the share
+/// is a single job, this is exactly the historical one-job-at-a-time loop.
 fn executor_loop(
     shared: Arc<EngineShared>,
     node: NodeId,
@@ -186,54 +342,50 @@ fn executor_loop(
     let batch_size = shared.config.batch_size.max(1) as usize;
     let mut worker = Worker::new(shared, node, wid);
     let mut rng = FastRng::new(seed);
-    while let Ok(jobs) = rx.recv_share(batch_size) {
+    // Reused across shares, so a steady stream of jobs allocates none of them.
+    let mut jobs = Vec::with_capacity(batch_size);
+    let mut work = Vec::with_capacity(batch_size);
+    let mut retrying = Vec::new();
+    let mut settled = Vec::with_capacity(batch_size);
+    while rx.recv_share(batch_size, &mut jobs).is_ok() {
         let mut pills = 0usize;
-        let mut work = Vec::with_capacity(jobs.len());
-        for job in jobs {
+        for job in jobs.drain(..) {
             match job {
-                Job::Execute { req, max_attempts, cancel, reply } => work.push((req, max_attempts, cancel, reply)),
+                Job::Execute(job) => work.push(job),
                 Job::Shutdown => pills += 1,
             }
         }
+        let started = Instant::now();
         if work.len() == 1 {
             // A drained batch can legally be all pills (leaving `work`
             // empty), and an executor must never panic over its batch
             // composition — a dead executor strands every job still queued
             // behind it. Serve the job if there is one, never assert.
-            if let Some((req, max_attempts, cancel, reply)) = work.pop() {
-                // A dropped ticket only abandons this job's own statistics,
-                // exactly as before batching.
-                let _ = serve_job(&mut worker, &mut rng, backoff, &req, max_attempts, &cancel, None, reply);
+            if let Some(job) = work.pop() {
+                let mut stats = WorkerStats::new();
+                let first = worker.execute(&job.req, &mut stats);
+                retrying.extend(settle(job, started, first, stats, 0, &mut settled));
             }
         } else if !work.is_empty() {
-            let started = Instant::now();
             // Borrowed, not cloned: the jobs keep ownership of their
             // requests for the per-job retry path below.
-            let reqs: Vec<&TxnRequest> = work.iter().map(|(req, ..)| req).collect();
+            let reqs: Vec<&TxnRequest> = work.iter().map(|job| &job.req).collect();
             let mut batch_stats = WorkerStats::new();
             let firsts = worker.execute_batch(&reqs, &mut batch_stats);
             drop(reqs);
             // The batch's engine-phase statistics ride with the first job
-            // whose session still listens (sessions are merged into one
-            // RunStats, so totals stay exact even when tickets are dropped);
-            // commits and latencies are recorded per job.
+            // (a dropped ticket's statistics still reach its session, so
+            // totals stay exact); commits and latencies are recorded per job.
             let mut carry = batch_stats;
-            for ((req, max_attempts, cancel, reply), first) in work.into_iter().zip(firsts) {
+            for (job, first) in work.drain(..).zip(firsts) {
                 let stats = std::mem::take(&mut carry);
-                if let Some(undelivered) = serve_job(
-                    &mut worker,
-                    &mut rng,
-                    backoff,
-                    &req,
-                    max_attempts,
-                    &cancel,
-                    Some((started, first, stats)),
-                    reply,
-                ) {
-                    carry = undelivered;
-                }
+                retrying.extend(settle(job, started, first, stats, 0, &mut settled));
             }
         }
+        for retry in retrying.drain(..) {
+            retry_until_settled(&mut worker, &mut rng, backoff, retry, started, &mut settled);
+        }
+        file_replies(&mut settled);
         if pills > 0 {
             // A drained share may have swallowed pills addressed to other
             // executors: keep one for ourselves, hand the rest back.
@@ -245,66 +397,73 @@ fn executor_loop(
     }
 }
 
-/// Runs one job to commit, to an abort no retry can change
-/// (`AbortReason::is_retryable`) or to its retry budget, and sends the
-/// reply. The batched path passes the already-obtained first attempt (plus its start
-/// instant and the statistics recorded while producing it); retries — only
+/// A job whose last attempt aborted with a retry left in its budget.
+struct Retry {
+    job: ExecJob,
+    stats: WorkerStats,
+    aborts: u32,
+}
+
+/// Settles a job on `attempt` — a commit, an abort no retry can change
+/// (`AbortReason::is_retryable`), an exhausted budget, a cancelled session
+/// or a shutting-down cluster — by adding its reply to `settled`, or hands
+/// it back as a [`Retry`]. `aborts` counts the job's earlier aborts.
+fn settle(
+    job: ExecJob,
+    started: Instant,
+    attempt: Result<TxnOutcome>,
+    mut stats: WorkerStats,
+    aborts: u32,
+    settled: &mut Vec<(ReplyTo, JobReply)>,
+) -> Option<Retry> {
+    let result = match attempt {
+        Ok(outcome) => {
+            stats.record_commit(outcome.class, started.elapsed());
+            Ok(outcome)
+        }
+        Err(Error::Abort(reason)) => {
+            let aborts = aborts + 1;
+            let cancelled = job.cancel.as_ref().is_some_and(|c| c.load(AtomicOrdering::Relaxed));
+            if reason.is_retryable() && aborts < job.max_attempts && !cancelled {
+                return Some(Retry { job, stats, aborts });
+            }
+            Err(Error::Abort(reason))
+        }
+        Err(e) => Err(e), // cluster shutting down
+    };
+    settled.push((job.reply, JobReply { result, stats }));
+    None
+}
+
+/// Re-runs an aborted job on the one-at-a-time engine — retries are only
 /// possible for host-path aborts, which the pipelined hot path cannot
-/// produce — fall back to the one-at-a-time engine. Returns the recorded
-/// statistics when the session has dropped its ticket (reply channel gone),
-/// so the batched caller can hand them to the next job instead of losing
-/// the whole batch's phase accounting.
-#[allow(clippy::too_many_arguments)]
-fn serve_job(
+/// produce — until [`settle`] settles it. Every reply already in `settled`
+/// is filed before the first backoff, so a batchmate's commit never waits
+/// out this job's retry schedule.
+fn retry_until_settled(
     worker: &mut Worker,
     rng: &mut FastRng,
     backoff: Duration,
-    req: &TxnRequest,
-    max_attempts: u32,
-    cancel: &Option<Arc<AtomicBool>>,
-    first: Option<(Instant, Result<TxnOutcome>, WorkerStats)>,
-    reply: Sender<JobReply>,
-) -> Option<WorkerStats> {
-    let cancelled = || cancel.as_ref().is_some_and(|c| c.load(AtomicOrdering::Relaxed));
-    let (started, mut pending, mut stats) = match first {
-        Some((started, result, stats)) => (started, Some(result), stats),
-        None => (Instant::now(), None, WorkerStats::new()),
-    };
-    let mut attempts = 0u32;
-    let result = loop {
-        let attempt = match pending.take() {
-            Some(result) => result,
-            None => worker.execute(req, &mut stats),
-        };
-        match attempt {
-            Ok(outcome) => {
-                stats.record_commit(outcome.class, started.elapsed());
-                break Ok(outcome);
-            }
-            Err(Error::Abort(reason)) => {
-                attempts += 1;
-                if !reason.is_retryable() || attempts >= max_attempts || cancelled() {
-                    break Err(Error::Abort(reason));
-                }
-                // Jittered exponential backoff, capped at 32× the base: a
-                // contended tuple (or a whole switch's traffic demoted to
-                // the host path) backs its retry storm off instead of
-                // hammering the lock table in lock-step. The yield lets a
-                // lock holder that shares this CPU run before the (short,
-                // busy-waited) backoff spins on it.
-                let scale = 1u32 << (attempts - 1).min(5);
-                std::thread::yield_now();
-                wait_for((backoff * scale).mul_f64(0.5 + rng.gen_f64()));
-                stats.retry_rounds += 1;
-            }
-            Err(e) => break Err(e), // cluster shutting down
+    mut retry: Retry,
+    started: Instant,
+    settled: &mut Vec<(ReplyTo, JobReply)>,
+) {
+    file_replies(settled);
+    loop {
+        // Jittered exponential backoff, capped at 32× the base: a contended
+        // tuple (or a whole switch's traffic demoted to the host path) backs
+        // its retry storm off instead of hammering the lock table in
+        // lock-step. The yield lets a lock holder that shares this CPU run
+        // before the (short, busy-waited) backoff spins on it.
+        let scale = 1u32 << (retry.aborts - 1).min(5);
+        std::thread::yield_now();
+        wait_for((backoff * scale).mul_f64(0.5 + rng.gen_f64()));
+        retry.stats.retry_rounds += 1;
+        let attempt = worker.execute(&retry.job.req, &mut retry.stats);
+        match settle(retry.job, started, attempt, retry.stats, retry.aborts, settled) {
+            Some(next) => retry = next,
+            None => return,
         }
-    };
-    // A session that stopped waiting is not an error, but its statistics
-    // are handed back so the caller can keep the totals exact.
-    match reply.send(JobReply { result, stats }) {
-        Ok(()) => None,
-        Err(SendError(undelivered)) => Some(undelivered.stats),
     }
 }
 
@@ -336,10 +495,21 @@ impl ResolverReport {
 
 /// A ticket for a transaction submitted open-loop; redeem it with
 /// [`Session::wait`]. Dropping the ticket abandons the result (the
-/// transaction still executes).
+/// transaction still executes, and its statistics still reach the
+/// submitting session's counters).
 #[must_use = "redeem the ticket with Session::wait to observe the outcome"]
 pub struct Pending {
-    reply: Receiver<JobReply>,
+    /// The submitting session's reply queue; `None` once redeemed.
+    queue: Option<Arc<ReplyQueue>>,
+    ticket: u64,
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        if let Some(queue) = self.queue.take() {
+            queue.abandon(self.ticket);
+        }
+    }
 }
 
 /// A client handle for submitting transactions to one node of a cluster.
@@ -377,6 +547,10 @@ pub struct Session {
     max_attempts: u32,
     cancel: Option<Arc<AtomicBool>>,
     stats: WorkerStats,
+    /// Where the executors file this session's replies.
+    replies: Arc<ReplyQueue>,
+    /// The ticket of the last submission.
+    ticket: u64,
 }
 
 impl Session {
@@ -394,6 +568,8 @@ impl Session {
             max_attempts: DEFAULT_MAX_ATTEMPTS,
             cancel: None,
             stats: WorkerStats::new(),
+            replies: Arc::new(ReplyQueue::new()),
+            ticket: 0,
         }
     }
 
@@ -426,13 +602,19 @@ impl Session {
     }
 
     /// Statistics accumulated over everything this session has waited on:
-    /// commits by class, latency, aborts, engine phases, switch passes.
+    /// commits by class, latency, aborts, engine phases, switch passes. A
+    /// ticket dropped unredeemed counts too: its statistics are folded in at
+    /// the session's next [`Session::wait`] or [`Session::take_stats`] after
+    /// its transaction finished.
     pub fn stats(&self) -> &WorkerStats {
         &self.stats
     }
 
     /// Takes the accumulated statistics, resetting the session's counters.
     pub fn take_stats(&mut self) -> WorkerStats {
+        if let Some(abandoned) = self.replies.take_abandoned_stats() {
+            self.stats.merge(&abandoned);
+        }
         std::mem::take(&mut self.stats)
     }
 
@@ -475,30 +657,34 @@ impl Session {
     /// Submits an already-placed request without waiting for it.
     pub fn submit_request(&mut self, req: &TxnRequest) -> Result<Pending> {
         self.validate(req)?;
-        let (reply_tx, reply_rx) = unbounded();
-        let job = Job::Execute {
+        self.ticket += 1;
+        let ticket = self.ticket;
+        // Made first, so a rejected job's disconnect reply (filed when the
+        // job drops) is discarded with the ticket.
+        let pending = Pending { queue: Some(Arc::clone(&self.replies)), ticket };
+        let job = Job::Execute(ExecJob {
             req: req.clone(),
             max_attempts: self.max_attempts,
             cancel: self.cancel.clone(),
-            reply: reply_tx,
-        };
+            reply: ReplyTo { queue: Some(Arc::clone(&self.replies)), ticket },
+        });
         if self.submit.send(job).is_err() {
             return Err(Error::Disconnected);
         }
-        Ok(Pending { reply: reply_rx })
+        Ok(pending)
     }
 
     /// Waits for a submitted transaction and folds the execution's
-    /// statistics into this session's counters.
-    pub fn wait(&mut self, pending: Pending) -> Result<TxnOutcome> {
-        match pending.reply.recv() {
-            Ok(reply) => {
-                self.stats.merge(&reply.stats);
-                reply.result
-            }
-            // Pool shut down with the job still queued.
-            Err(_) => Err(Error::Disconnected),
-        }
+    /// statistics into this session's counters. The ticket may come from
+    /// another session; its reply is taken from the queue it was filed on.
+    /// Returns [`Error::Disconnected`] when the pool shut down with the job
+    /// still queued.
+    pub fn wait(&mut self, mut pending: Pending) -> Result<TxnOutcome> {
+        let queue = pending.queue.take().expect("an unredeemed ticket names its queue");
+        let own = Arc::ptr_eq(&queue, &self.replies);
+        let reply = queue.take(pending.ticket, own.then_some(&mut self.stats));
+        self.stats.merge(&reply.stats);
+        reply.result
     }
 
     /// Drains the in-doubt ledger — switch sub-transactions whose intent was
@@ -788,6 +974,130 @@ mod tests {
         locks.release(holder, t(7));
         session.wait(pending).expect("a lock released 300 µs after the first conflict is within a budget of 16");
         assert!(session.stats().retry_rounds > 0);
+    }
+
+    /// A ticket dropped unredeemed still counts: its commit reaches the
+    /// session's statistics at the next `wait`.
+    #[test]
+    fn a_dropped_tickets_statistics_still_count() {
+        let cluster = Cluster::builder(ycsb()).test_profile().workers(1).mode(SystemMode::NoSwitch).build();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        let wal = cluster.shared().nodes[0].wal();
+        let logged = wal.len();
+        drop(session.submit(&Txn::new().add(t(3), 1)).unwrap());
+        while wal.len() == logged {
+            std::thread::yield_now();
+        }
+        session.execute(&Txn::new().add(t(4), 1)).unwrap();
+        assert_eq!(session.stats().committed_total(), 2, "the dropped ticket's commit must count");
+    }
+
+    /// A job that must retry does not hold its batchmates' replies: with
+    /// `t(7)` held by a foreign lock, job A (`add t(7)`) backs off again and
+    /// again, while job B — drained in the same share and committed by its
+    /// first attempt — is answered at once.
+    #[test]
+    fn a_batchmates_retry_does_not_hold_committed_replies() {
+        let cluster =
+            Cluster::builder(ycsb()).test_profile().workers(1).mode(SystemMode::NoSwitch).latency(slow_rack()).build();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        let locks = cluster.shared().nodes[0].locks();
+        let holder = TxnId::compose(1, NodeId(0), WorkerId(u16::MAX));
+        locks.acquire(holder, t(7), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let released = AtomicBool::new(false);
+        let (release_tx, release_rx) = unbounded::<()>();
+        std::thread::scope(|scope| {
+            // Releases the lock when told to, or after 2 s at the latest, so
+            // the test ends whatever happens.
+            scope.spawn(|| {
+                let _ = release_rx.recv_timeout(Duration::from_secs(2));
+                released.store(true, AtomicOrdering::SeqCst);
+                locks.release(holder, t(7));
+            });
+            // Park the executor on a remote read (taken alone), then queue
+            // A and B behind it so they drain as one share.
+            let blocker = session.submit(&remote_read(500)).unwrap();
+            while !session.submit.is_empty() {
+                std::thread::yield_now();
+            }
+            let a = session.submit(&Txn::new().add(t(7), 1)).unwrap();
+            let b = session.submit(&Txn::new().add(t(8), 1)).unwrap();
+            session.wait(blocker).unwrap();
+            assert_eq!(session.wait(b).unwrap().results[0], 1);
+            assert!(!released.load(AtomicOrdering::SeqCst), "B's reply waited out A's retries on the held lock");
+            release_tx.send(()).unwrap();
+            assert_eq!(session.wait(a).expect("A commits once the lock is released").results[0], 1);
+        });
+        assert!(session.stats().retry_rounds > 0, "A must have retried");
+    }
+
+    fn reply(ticket: u64) -> JobReply {
+        let outcome = TxnOutcome {
+            class: p4db_common::stats::TxnClass::Cold,
+            results: vec![ticket],
+            gid: None,
+            in_doubt: false,
+            snapshot: None,
+        };
+        JobReply { result: Ok(outcome), stats: WorkerStats::new() }
+    }
+
+    fn file(queue: &Arc<ReplyQueue>, tickets: impl IntoIterator<Item = u64>) {
+        let mut settled: Vec<_> = tickets
+            .into_iter()
+            .map(|ticket| (ReplyTo { queue: Some(Arc::clone(queue)), ticket }, reply(ticket)))
+            .collect();
+        file_replies(&mut settled);
+        assert!(settled.is_empty());
+    }
+
+    /// The wake rule: a FIFO waiter parked on ticket 1 sleeps through the
+    /// replies that overtake it, and is woken once, by its own.
+    #[test]
+    fn a_parked_waiter_is_woken_only_by_its_own_ticket() {
+        let queue = Arc::new(ReplyQueue::new());
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| queue.take(1, None));
+            while !queue.lock().parked.contains(&1) {
+                std::thread::yield_now();
+            }
+            for ticket in 2..=4 {
+                file(&queue, [ticket]);
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(queue.wakeups.load(AtomicOrdering::Relaxed), 0, "woken by another ticket's reply");
+            file(&queue, [1]);
+            assert_eq!(waiter.join().unwrap().result.unwrap().results, vec![1]);
+        });
+        assert_eq!(queue.wakeups.load(AtomicOrdering::Relaxed), 1);
+        // The overtaking replies wait, filed, for their own tickets.
+        for ticket in 2..=4 {
+            assert_eq!(queue.take(ticket, None).result.unwrap().results, vec![ticket]);
+        }
+        assert_eq!(queue.wakeups.load(AtomicOrdering::Relaxed), 1);
+    }
+
+    /// Drop semantics: a `ReplyTo` dropped unfiled answers its ticket with
+    /// `Disconnected`; a dropped ticket's reply is discarded — before or
+    /// after it arrives — with its statistics kept for the session.
+    #[test]
+    fn dropped_reply_handles_and_tickets_leave_nothing_behind() {
+        let queue = Arc::new(ReplyQueue::new());
+        drop(ReplyTo { queue: Some(Arc::clone(&queue)), ticket: 1 });
+        assert_eq!(queue.take(1, None).result.unwrap_err(), Error::Disconnected);
+
+        let committed = |ticket| {
+            let mut reply = reply(ticket);
+            reply.stats.record_commit(p4db_common::stats::TxnClass::Cold, Duration::from_micros(1));
+            (ReplyTo { queue: Some(Arc::clone(&queue)), ticket }, reply)
+        };
+        queue.abandon(2); // dropped before its reply arrives
+        file_replies(&mut vec![committed(2), committed(3)]);
+        queue.abandon(3); // dropped after
+        let state = queue.lock();
+        assert!(state.replies.is_empty() && state.abandoned.is_empty() && state.parked.is_empty());
+        drop(state);
+        assert_eq!(queue.take_abandoned_stats().map(|s| s.committed_total()), Some(2));
     }
 
     #[test]
