@@ -39,7 +39,7 @@ cargo test --offline --release -q -p p4db-txn -p p4db-net -- round_trip particip
 echo "==> topology gate: 1-switch vs 2-switch differential on one workload (full 12x3 sweep runs in tier-1)"
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
 
-echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, codec-arm agreement (full 12x3 differential sweep runs in tier-1)"
+echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, fuzzy-checkpoint crash, a checkpointed restart leaving ambiguous tuples alone (full 12x3 sweep runs in tier-1)"
 cargo test --offline --release -q --test durability smoke_recovery_ -- --nocapture
 
 echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC safety, doctored-chain detection (folded chains included), the fold-at-install reference model (property_fold_at_install_matches_the_reference_model), the Row size budget (a_row_stays_within_its_size_budget), and a write-only stream retaining only its log (mvcc_memory)"
@@ -48,15 +48,14 @@ cargo test --offline --release -q --test mvcc_memory a_write_only_stream_retains
 
 echo "==> bench smoke gate: BENCH json emission, schema validity, every point commits, speedup floors"
 # Absolute path: cargo runs bench binaries with the package dir as CWD.
-# fig_node_scaling, fig_read_mix, fig_switch_scaling, fig_recovery and
-# fig_outage ride along so the gate can floor the sharded-vs-single-latch
-# node hot-path speedup, the snapshot-vs-2PL read-mostly speedup, the
+# fig_read_mix, fig_switch_scaling, fig_recovery and fig_outage ride along
+# so the gate can floor the snapshot-vs-2PL read-mostly speedup, the
 # 2-switch-vs-1 topology speedup, the checkpointed-vs-genesis restart
 # speedup and the degraded-mode throughput floor across a switch blackhole
 # (alongside the batching tripwire).
 BENCH_SMOKE="$(pwd)/target/BENCH_smoke.json"
 rm -f "$BENCH_SMOKE"
-P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_MEASURE_MS=25 cargo bench --offline -p p4db-bench --bench figures -- fig01 fig13 fig_node_scaling fig_read_mix fig_switch_scaling fig_recovery fig_outage > /dev/null
+P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_MEASURE_MS=25 cargo bench --offline -p p4db-bench --bench figures -- fig01 fig13 fig_read_mix fig_switch_scaling fig_recovery fig_outage > /dev/null
 P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_MICRO_QUICK=1 cargo bench --offline -p p4db-bench --bench micro > /dev/null
 P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_BENCH_GATE=1 cargo test --offline -q -p p4db-bench --lib gate_
 

@@ -30,7 +30,6 @@ fn main() {
         ("fig17", fig17_capacity),
         ("fig18a", fig18a_latency_breakdown),
         ("fig18b", fig18b_existing_optimizations),
-        ("fig_node_scaling", fig_node_scaling),
         ("fig_read_mix", fig_read_mix),
         ("fig_switch_scaling", fig_switch_scaling),
         ("fig_recovery", fig_recovery),

@@ -10,11 +10,11 @@
 //! profile); `P4DB_BENCH_JSON` overrides the output path.
 
 use p4db_common::rand_util::FastRng;
-use p4db_common::{CcScheme, LatencyConfig, NodeId, SwitchId, TableId, TupleId, TxnId, Value, WorkerId};
+use p4db_common::{CcScheme, LatencyConfig, NodeId, SwitchId, TableId, TupleId, TxnId, WorkerId};
 use p4db_core::BenchPoint;
 use p4db_layout::{max_cut, AccessGraph, TraceAccess, TxnTrace};
 use p4db_net::{BatchRecvOutcome, EndpointId, Fabric, LatencyModel, RecvOutcome};
-use p4db_storage::{encode_segment, LockMode, LockTable, LogRecord, NodeStorage, Wal};
+use p4db_storage::{LockMode, LockTable, LogRecord, Wal};
 use p4db_switch::{
     start_switch, Instruction, RegisterMemory, RegisterSlot, SwitchConfig, SwitchMessage, SwitchTxn, TxnHeader,
 };
@@ -151,56 +151,6 @@ fn switch_pipeline_throughput(points: &mut Vec<BenchPoint>) {
     handle.shutdown();
 }
 
-/// The admission-resolution tripwire: resolving a tuple's lock *and* row
-/// handle with one hash (`NodeStorage::admit`-style, grouped batch release)
-/// vs the seed's shape — acquire, then a separate directory + map lookup,
-/// then a per-tuple release, each hashing again. The resulting speedup is
-/// the `micro` admission datapoint recorded in the BENCH json trajectory.
-fn admission_resolution(points: &mut Vec<BenchPoint>) {
-    const ROWS: u64 = 100_000;
-    let total = scaled(300_000);
-    let load = |storage: &NodeStorage| {
-        storage.table(TableId(0)).unwrap().bulk_load((0..ROWS).map(|k| (k, Value::scalar(k))));
-    };
-    let sharded = NodeStorage::new(NodeId(0), [TableId(0)]);
-    let seed = NodeStorage::seed_single_latch(NodeId(0), [TableId(0)]);
-    load(&sharded);
-    load(&seed);
-    // Pseudorandom key walk (Knuth multiplicative) over the loaded rows.
-    let key = |i: u64| (i.wrapping_mul(2654435761)) % ROWS;
-
-    // Best-of-two per arm: the per-op delta is tens of nanoseconds, so a
-    // single descheduling burst on a small machine can invert the ratio.
-    let best = |rate_a: f64, rate_b: f64| rate_a.max(rate_b);
-    let run_legacy = || {
-        bench("admission: seed lock + lookup + release per op", total, |i| {
-            let txn = TxnId::compose(i as u32, NodeId(0), WorkerId(0));
-            let tuple = TupleId::new(TableId(0), key(i));
-            seed.locks().acquire(txn, tuple, LockMode::Exclusive, CcScheme::NoWait).unwrap();
-            let _row = seed.table(TableId(0)).unwrap().get_or_err(tuple.key).unwrap();
-            seed.locks().release(txn, tuple);
-        })
-    };
-    let run_admit = || {
-        bench("admission: one-hash resolve + batch release", total, |i| {
-            let txn = TxnId::compose(i as u32, NodeId(0), WorkerId(0));
-            let tuple = TupleId::new(TableId(0), key(i));
-            let hash = tuple.mix();
-            sharded.locks().acquire_prehashed(hash, txn, tuple, LockMode::Exclusive, CcScheme::NoWait).unwrap();
-            let _row = sharded.table(TableId(0)).unwrap().get_prehashed(hash, tuple.key).unwrap();
-            sharded.locks().release_batch(txn, &[(hash, tuple)]);
-        })
-    };
-    let legacy = best(run_legacy(), run_legacy());
-    let admit = best(run_admit(), run_admit());
-    let speedup = admit / legacy;
-    println!(
-        "{:<48} {total:>9} ops    seed {legacy:>12.0} op/s   one-hash {admit:>12.0} op/s   {speedup:.2}x",
-        "admission resolution: one-hash vs seed"
-    );
-    points.push(BenchPoint::from_rates("micro", p4db_bench::json::ADMISSION_PARAMS, admit, 1e6 / admit, speedup));
-}
-
 fn lock_table_throughput(points: &mut Vec<BenchPoint>) {
     let table = LockTable::new();
     let rate = bench("host lock table: acquire+release", scaled(200_000), |i| {
@@ -266,61 +216,14 @@ fn wal_throughput(points: &mut Vec<BenchPoint>) {
     ));
 }
 
-/// The group-commit encode comparison: the same 512-record group rendered
-/// through the segmented binary codec (what appends write into the active
-/// segment) vs the versioned text format (the compatibility arm). Both arms
-/// re-encode the full group per iteration — and since the log holds only
-/// segment bytes, `Wal::serialize()` *decodes* the 512 records before it
-/// renders them, so the text arm's figure includes that decode (the arm is
-/// ROADMAP item 4(ii)'s to delete; it gets no new entry point). Recorded as
-/// the `micro` group-encode datapoint in the BENCH json trajectory (not
-/// gated — the recovery floor covers the end-to-end durability path).
-fn wal_group_encode(points: &mut Vec<BenchPoint>) {
-    const GROUP: usize = 512;
-    let records: Vec<LogRecord> = (0..GROUP as u32)
-        .map(|i| {
-            let txn = TxnId::compose(i, NodeId(0), WorkerId(0));
-            match i % 3 {
-                0 => LogRecord::ColdWrite {
-                    txn,
-                    tuple: TupleId::new(TableId(0), i as u64),
-                    before: Value::scalar(i as u64),
-                    after: Value::scalar(i as u64 + 1),
-                },
-                1 => LogRecord::Commit { txn },
-                _ => LogRecord::Abort { txn },
-            }
-        })
-        .collect();
-    let text_wal = Wal::new();
-    for r in &records {
-        text_wal.append(r.clone());
-    }
-    let iters = scaled(20_000);
-    let binary = bench("WAL group encode: binary segment x512", iters, |_| {
-        std::hint::black_box(encode_segment(0, &records));
-    }) * GROUP as f64;
-    let text = bench("WAL group encode: text format x512", iters, |_| {
-        std::hint::black_box(text_wal.serialize());
-    }) * GROUP as f64;
-    let speedup = binary / text;
-    println!(
-        "{:<48} {GROUP:>9} recs   text {text:>12.0} rec/s   binary {binary:>12.0} rec/s   {speedup:.2}x",
-        "WAL group encode: binary vs text"
-    );
-    points.push(BenchPoint::from_rates("micro", p4db_bench::json::GROUP_ENCODE_PARAMS, binary, 1e6 / binary, speedup));
-}
-
 fn main() {
     println!("# P4DB component microbenchmarks\n");
     let mut points = Vec::new();
     switch_pipeline_throughput(&mut points);
     switch_hot_path_batched(&mut points);
-    admission_resolution(&mut points);
     lock_table_throughput(&mut points);
     maxcut_scaling();
     wal_throughput(&mut points);
-    wal_group_encode(&mut points);
 
     let path = p4db_bench::json::output_path();
     p4db_bench::json::write_merged(&path, &points).expect("writing BENCH json");

@@ -367,17 +367,6 @@ pub struct GateConfig {
     /// ~2x; anything under 1.3x on the smoke profile is a real regression,
     /// not noise).
     pub min_batch_speedup: f64,
-    /// Minimum speedup of the gated `fig_node_scaling` datapoint (the
-    /// sharded node hot path over the seed's single-latch engine, all-cold
-    /// YCSB-A at 8 workers) — the acceptance bar of the sharding work
-    /// (measured ~1.7x before versioned rows, ~1.4x since the sharded arm
-    /// started paying commit-time version installs the single-latch
-    /// baseline skips — with a noise tail down to ~1.2 on the single-core
-    /// runner, hence the 1.15 floor and the figure's own best-of-three
-    /// sampling on top of its 200 ms per-point floor. The regression class
-    /// this catches is real: a blocking commit-clock publish measured
-    /// 0.9–1.1x before it was fixed).
-    pub min_node_scaling_speedup: f64,
     /// Minimum speedup of the gated `fig_switch_scaling` datapoint (2
     /// switches over 1 switch at a fixed aggregate hot-set size, saturated
     /// pipeline) — the acceptance bar of the multi-switch topology work
@@ -413,7 +402,6 @@ impl Default for GateConfig {
     fn default() -> Self {
         GateConfig {
             min_batch_speedup: 1.3,
-            min_node_scaling_speedup: 1.15,
             min_switch_scaling_speedup: 1.25,
             min_recovery_speedup: 2.0,
             min_read_mostly_speedup: 1.3,
@@ -425,15 +413,8 @@ impl Default for GateConfig {
 /// The `params` key of the micro datapoint the batching tripwire checks.
 pub const BATCHING_PARAMS: &str = "switch hot path batched-vs-unbatched";
 
-/// The `params` key of the gated `fig_node_scaling` datapoint.
-pub const NODE_SCALING_PARAMS: &str = "YCSB-A all-cold workers=8";
-
 /// The `params` key of the gated `fig_switch_scaling` datapoint.
 pub const SWITCH_SCALING_PARAMS: &str = "switches=2";
-
-/// The `params` key of the micro admission-resolution datapoint (recorded,
-/// not gated: the node-scaling floor covers the end-to-end effect).
-pub const ADMISSION_PARAMS: &str = "admission one-hash resolution vs seed lock+lookup";
 
 /// The `params` key of the gated `fig_recovery` datapoint.
 pub const RECOVERY_PARAMS: &str = "checkpointed vs genesis restart";
@@ -445,10 +426,6 @@ pub const READ_MIX_PARAMS: &str = "YCSB-A 95% reads workers=4";
 /// field carries the degraded-throughput floor fraction (min window tps /
 /// max window tps across the outage timeline), not a speedup.
 pub const OUTAGE_PARAMS: &str = "SmallBank blackhole switch=0 supervised";
-
-/// The `params` key of the micro group-commit encode datapoint (recorded,
-/// not gated: the recovery floor covers the end-to-end durability effect).
-pub const GROUP_ENCODE_PARAMS: &str = "wal group encode binary-vs-text";
 
 /// Checks the emitted `current` points against the floors. Returns one
 /// human-readable line per violation; empty means the gate passes.
@@ -462,16 +439,6 @@ pub fn gate(current: &[BenchPoint], config: &GateConfig) -> Vec<String> {
             failures.push(format!(
                 "micro [{}]: batched hot path is only {:.2}x over unbatched (gate requires >= {:.2}x)",
                 cur.params, cur.speedup, config.min_batch_speedup
-            ));
-        }
-        if cur.figure == "fig_node_scaling"
-            && cur.params == NODE_SCALING_PARAMS
-            && cur.speedup < config.min_node_scaling_speedup
-        {
-            failures.push(format!(
-                "fig_node_scaling [{}]: sharded node hot path is only {:.2}x over the single-latch baseline (gate \
-                 requires >= {:.2}x)",
-                cur.params, cur.speedup, config.min_node_scaling_speedup
             ));
         }
         if cur.figure == "fig_switch_scaling"
@@ -507,7 +474,6 @@ pub fn gate(current: &[BenchPoint], config: &GateConfig) -> Vec<String> {
     // datapoint must be among the results — otherwise a sweep or label edit
     // could silently stop the floor from being enforced.
     for (figure, gated_params, what) in [
-        ("fig_node_scaling", NODE_SCALING_PARAMS, "node-scaling speedup floor"),
         ("fig_switch_scaling", SWITCH_SCALING_PARAMS, "switch-scaling speedup floor"),
         ("fig_recovery", RECOVERY_PARAMS, "recovery speedup floor"),
         ("fig_read_mix", READ_MIX_PARAMS, "read-mostly speedup floor"),
@@ -606,25 +572,6 @@ mod tests {
         assert!(failures[0].contains("batched hot path"));
         let strong = vec![point("micro", BATCHING_PARAMS, 1000.0, 1.6)];
         assert!(gate(&strong, &config).is_empty());
-        // Node-scaling tripwire.
-        let weak = vec![point("fig_node_scaling", NODE_SCALING_PARAMS, 1000.0, 1.05)];
-        let failures = gate(&weak, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("single-latch baseline"));
-        let strong = vec![point("fig_node_scaling", NODE_SCALING_PARAMS, 1000.0, 1.7)];
-        assert!(gate(&strong, &config).is_empty());
-        // Other fig_node_scaling params are not speedup-gated — but running
-        // the figure without the gated datapoint is itself a failure (the
-        // floor must not silently stop being enforced).
-        let other = vec![point("fig_node_scaling", "TPC-C 4WH workers=2", 1000.0, 0.9)];
-        let failures = gate(&other, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("without its gated datapoint"));
-        let both = vec![
-            point("fig_node_scaling", "TPC-C 4WH workers=2", 1000.0, 0.9),
-            point("fig_node_scaling", NODE_SCALING_PARAMS, 1000.0, 1.7),
-        ];
-        assert!(gate(&both, &config).is_empty());
         // Switch-scaling tripwire.
         let weak = vec![point("fig_switch_scaling", SWITCH_SCALING_PARAMS, 1000.0, 1.1)];
         let failures = gate(&weak, &config);
@@ -680,8 +627,8 @@ mod tests {
 
     /// The committed `BENCH_*.json` trajectory must always be schema-valid — this is the CI check that the emitted
     /// JSON parses and contains no missing/NaN fields, and that the
-    /// committed hot-path batching, node-scaling and switch-scaling
-    /// datapoints meet their acceptance bars. Each `BENCH_N.json` predates
+    /// committed hot-path batching and switch-scaling datapoints meet their
+    /// acceptance bars. Each `BENCH_N.json` predates
     /// the figures of later PRs, so only the newer files are held to the
     /// newer bars.
     #[test]
@@ -712,28 +659,8 @@ mod tests {
                 "{name}: committed batched hot path speedup {:.2}x is below the 1.3x acceptance bar",
                 batching.speedup
             );
-            if name == "BENCH_4.json" {
-                continue;
-            }
-            let node_scaling = points
-                .iter()
-                .find(|p| p.figure == "fig_node_scaling" && p.params == NODE_SCALING_PARAMS)
-                .unwrap_or_else(|| panic!("{name} is missing the node-scaling datapoint"));
-            // BENCH_5.json (the long-measure trajectory run) carries the
-            // 1.5x acceptance number; the later files are held to the CI
-            // gate floor.
-            let bar = if name == "BENCH_5.json" { 1.5 } else { GateConfig::default().min_node_scaling_speedup };
-            assert!(
-                node_scaling.speedup >= bar,
-                "{name}: committed node-scaling speedup {:.2}x is below the {bar}x bar",
-                node_scaling.speedup
-            );
-            assert!(
-                points.iter().any(|p| p.figure == "micro" && p.params == ADMISSION_PARAMS),
-                "{name} is missing the admission-resolution datapoint"
-            );
-            if name == "BENCH_5.json" {
-                continue; // predates the switch-scaling figure
+            if name == "BENCH_4.json" || name == "BENCH_5.json" {
+                continue; // predate the switch-scaling figure
             }
             let switch_scaling = points
                 .iter()
@@ -757,10 +684,6 @@ mod tests {
                 recovery.speedup >= bar,
                 "{name}: committed recovery speedup {:.2}x is below the {bar}x acceptance bar",
                 recovery.speedup
-            );
-            assert!(
-                points.iter().any(|p| p.figure == "micro" && p.params == GROUP_ENCODE_PARAMS),
-                "{name} is missing the group-commit encode datapoint"
             );
             if name == "BENCH_7.json" {
                 continue; // predates the read-mix figure

@@ -475,140 +475,6 @@ pub fn fig17_capacity(profile: &BenchProfile) -> FigureTable {
 }
 
 // ---------------------------------------------------------------------------
-// Node scaling (PR 5, not a paper figure): the node-local hot path.
-// ---------------------------------------------------------------------------
-
-/// Measures the raw node-local engine + storage hot path: `workers` threads
-/// each own a [`p4db_txn::Worker`] and drive generated transactions
-/// closed-loop against a single node — no sessions, no submission queues and
-/// (NoSwitch mode, everything cold) no switch traffic, with zero imposed
-/// latencies — so the measured cost is exactly the lock table, the row
-/// store, the executor and the WAL. `single_latch` selects the seed's
-/// pre-sharding engine (one map latch per table, per-op lock/lookup/release)
-/// as the baseline arm.
-pub fn measure_node_local(
-    workload: &Arc<dyn Workload>,
-    workers: u16,
-    single_latch: bool,
-    measure: Duration,
-) -> RunStats {
-    let storage = if single_latch {
-        NodeStorage::seed_single_latch(NodeId(0), workload.tables())
-    } else {
-        NodeStorage::new(NodeId(0), workload.tables())
-    };
-    workload.load_node(&storage, 1);
-    let latency = LatencyModel::new(LatencyConfig::zero());
-    let fabric: Fabric<SwitchMessage> = Fabric::new(latency.clone());
-    let mut config = EngineConfig::new(SystemMode::NoSwitch, CcScheme::NoWait, SwitchConfig::tiny());
-    config.single_latch = single_latch;
-    let shared = Arc::new(EngineShared {
-        nodes: vec![Arc::new(storage)],
-        latency,
-        fabric,
-        hot_index: HotIndexCell::new(HotSetIndex::empty()),
-        mvcc: p4db_txn::MvccState::default(),
-        health: p4db_txn::SwitchHealth::new(0, 1, p4db_txn::BreakerConfig::default()),
-        config,
-    });
-
-    let stop = Arc::new(AtomicBool::new(false));
-    // The measurement window opens only once every worker has finished its
-    // setup (request-pool generation is not the system under test).
-    let ready = Arc::new(std::sync::Barrier::new(workers as usize + 1));
-    let handles: Vec<_> = (0..workers)
-        .map(|w| {
-            let shared = Arc::clone(&shared);
-            let workload = Arc::clone(workload);
-            let stop = Arc::clone(&stop);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                let mut worker = Worker::new(shared, NodeId(0), WorkerId(w));
-                let ctx = WorkloadCtx::new(1, NodeId(0), 0.0);
-                let mut rng = FastRng::new(0xBEEF ^ ((w as u64) << 8));
-                // The engine, not the generator, is under test: pre-build a
-                // seeded request pool and replay it round-robin.
-                let pool: Vec<_> = (0..2048).map(|_| workload.generate(&ctx, &mut rng)).collect();
-                let mut at = 0usize;
-                let mut stats = WorkerStats::new();
-                ready.wait();
-                while !stop.load(Ordering::Relaxed) {
-                    let req = &pool[at & 2047];
-                    at += 1;
-                    let started = Instant::now();
-                    match worker.execute(req, &mut stats) {
-                        Ok(outcome) => stats.record_commit(outcome.class, started.elapsed()),
-                        // NO_WAIT conflicts on the (cold) hot set; the
-                        // closed loop just moves on, like the real drivers.
-                        Err(e) if e.is_abort() => {}
-                        Err(e) => panic!("node-local bench: engine error {e}"),
-                    }
-                }
-                stats
-            })
-        })
-        .collect();
-    ready.wait();
-    std::thread::sleep(measure);
-    stop.store(true, Ordering::Relaxed);
-    let worker_stats: Vec<WorkerStats> =
-        handles.into_iter().map(|h| h.join().expect("bench worker panicked")).collect();
-    RunStats::from_workers(worker_stats.iter(), measure)
-}
-
-/// Throughput vs worker count of the node-local hot path, sharded vs the
-/// seed's single latch, across all three workloads. The `YCSB-A all-cold
-/// workers=8` point is the acceptance datapoint of the sharding work: its
-/// speedup is floored by the CI gate ([`json::GateConfig`]).
-pub fn fig_node_scaling(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Node scaling — single-node host-path throughput: sharded store + admission-time resolution vs the seed's \
-         single-latch engine",
-        &["Workload", "Workers", "Single-latch [txn/s]", "Sharded [txn/s]", "Speedup"],
-    );
-    let workloads: Vec<(&str, Arc<dyn Workload>)> = vec![
-        // The gated arm: every access cold, so the storage path dominates.
-        (
-            "YCSB-A all-cold",
-            ycsb_with(YcsbConfig { keys_per_node: 20_000, hot_txn_prob: 0.0, ..YcsbConfig::new(YcsbMix::A) }),
-        ),
-        ("SmallBank 8x5", smallbank(5)),
-        ("TPC-C 4WH", tpcc(4)),
-    ];
-    let worker_sweep: Vec<u16> = if profile.full { vec![1, 2, 4, 8] } else { vec![2, 8] };
-    // This figure carries a gated speedup, so it resists scheduler noise
-    // harder than the others: a floor on the per-point measurement time, and
-    // best-of-three per arm (interference from other processes only ever
-    // lowers a closed-loop throughput, never raises it — extra samples only
-    // tighten the estimate). Three samples instead of two since versioned
-    // rows: the sharded arm now pays commit-time version installs the
-    // single-latch baseline skips, which thinned the gate's headroom.
-    let measure = profile.measure.max(Duration::from_millis(200));
-    let best = |single_latch: bool, w: &Arc<dyn Workload>, workers: u16| {
-        (0..3)
-            .map(|_| measure_node_local(w, workers, single_latch, measure))
-            .max_by(|a, b| a.throughput().total_cmp(&b.throughput()))
-            .expect("non-empty sample set")
-    };
-    for (name, w) in workloads {
-        for &workers in &worker_sweep {
-            let base = best(true, &w, workers);
-            let sharded = best(false, &w, workers);
-            table.push_row(vec![
-                name.to_string(),
-                workers.to_string(),
-                fmt_tps(base.throughput()),
-                fmt_tps(sharded.throughput()),
-                fmt_speedup(speedup(&sharded, &base)),
-            ]);
-            let params = format!("{name} workers={workers}");
-            table.push_point(BenchPoint::from_run("fig_node_scaling", params, &sharded, Some(&base)));
-        }
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
 // Read mix (PR 9, not a paper figure): the lock-free snapshot read path.
 // ---------------------------------------------------------------------------
 
@@ -714,8 +580,11 @@ pub fn fig_read_mix(profile: &BenchProfile) -> FigureTable {
     let w = ycsb_with(YcsbConfig { keys_per_node: 20_000, ..YcsbConfig::new(YcsbMix::A) });
     let fractions: Vec<u32> = if profile.full { vec![50, 80, 95] } else { vec![80, 95] };
     let workers = 4u16;
-    // Carries a gated speedup: same noise-resistance as fig_node_scaling —
-    // floored per-point measurement time, best-of-two per arm.
+    // Carries a gated speedup, so it resists scheduler noise harder than the
+    // ungated figures: a floor on the per-point measurement time, and
+    // best-of-two per arm (interference from other processes only ever
+    // lowers a closed-loop throughput, never raises it, so the better
+    // sample is the tighter estimate).
     let measure = profile.measure.max(Duration::from_millis(200));
     let best = |read_frac: f64, snapshot: bool| {
         let a = measure_read_mix(&w, workers, read_frac, snapshot, measure);
@@ -776,7 +645,7 @@ pub fn fig_switch_scaling(profile: &BenchProfile) -> FigureTable {
         &["Switches", "Throughput [txn/s]", "Class mix", "Speedup vs 1 switch"],
     );
     let w = smallbank(40);
-    // Carries a gated speedup: same noise-resistance as fig_node_scaling —
+    // Carries a gated speedup: same noise-resistance as fig_read_mix —
     // floored per-point measurement time and best-of-two per arm.
     let floored = BenchProfile { measure: profile.measure.max(Duration::from_millis(200)), ..*profile };
     let run = |switches: u16| {
@@ -1081,28 +950,6 @@ mod tests {
 
     fn quick_profile() -> BenchProfile {
         BenchProfile { measure: Duration::from_millis(60), full: false }
-    }
-
-    /// Ad-hoc profiling probe (not part of the suite): phase breakdown of
-    /// the node-local hot path. Run with
-    /// `cargo test --release -p p4db-bench --lib node_profile -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn node_profile_probe() {
-        let workers: u16 = std::env::var("PROBE_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(1);
-        let w = ycsb_with(YcsbConfig { keys_per_node: 20_000, hot_txn_prob: 0.0, ..YcsbConfig::new(YcsbMix::A) });
-        for single_latch in [true, false] {
-            let stats = measure_node_local(&w, workers, single_latch, Duration::from_millis(500));
-            println!(
-                "single_latch={single_latch}: {:.0} tps, committed {}, aborted {}",
-                stats.throughput(),
-                stats.merged.committed_total(),
-                stats.merged.aborts_total()
-            );
-            for (phase, d) in stats.phase_breakdown() {
-                println!("  {:<18} {:>8.0} ns/txn", phase.label(), d.as_nanos());
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use p4db_common::rand_util::FastRng;
 use p4db_common::{Error, NodeId, Result, SystemMode, TxnId};
 use p4db_core::{BreakerConfig, Cluster, NodeRecoveryReport, ResolverReport, SupervisorReport, SwitchRecoveryReport};
 use p4db_net::{EndpointId, RecvOutcome};
-use p4db_storage::{LogRecord, WalCodec};
+use p4db_storage::LogRecord;
 use p4db_switch::{Instruction, SwitchMessage, SwitchTxn, TxnHeader};
 use p4db_txn::{OpKind, TxnOp};
 use p4db_workloads::{SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, WorkloadCtx, Ycsb, YcsbConfig, YcsbMix};
@@ -99,16 +99,6 @@ pub struct ChaosOptions {
     /// queued, and a closed-loop driver queues one request at a time.
     /// `1` = unbatched, one request in flight per driver.
     pub batch: u16,
-    /// Runs the pre-sharding node hot path (`ClusterConfig::single_latch`):
-    /// single-shard storage plus the seed's per-op lock/lookup/release
-    /// engine. The known-good baseline arm of the sharding differential
-    /// suite in `tests/sharding.rs`.
-    pub single_latch: bool,
-    /// Round-trips the WALs through the line-oriented text codec instead of
-    /// the segmented binary default (`ClusterConfig::wal_codec`). The
-    /// differential suite in `tests/durability.rs` proves the two arms
-    /// verdict-equivalent.
-    pub text_wal: bool,
     /// Fuzzy-checkpoint cadence (`ClusterConfig::checkpoint_interval`). When
     /// set, a checkpointer thread races every traffic wave, checkpointing
     /// any node whose WAL grew by this many records — the scans are
@@ -160,8 +150,6 @@ impl ChaosOptions {
             reoffload: false,
             max_attempts: 30,
             batch: 16,
-            single_latch: false,
-            text_wal: false,
             checkpoint_interval: None,
             torn_checkpoint: false,
             read_only_frac: 0.0,
@@ -211,12 +199,6 @@ impl ChaosOptions {
         }
         if self.reoffload {
             env.push_str(" CHAOS_REOFFLOAD=1");
-        }
-        if self.single_latch {
-            env.push_str(" CHAOS_SINGLE_LATCH=1");
-        }
-        if self.text_wal {
-            env.push_str(" CHAOS_TEXT_WAL=1");
         }
         if let Some(interval) = self.checkpoint_interval {
             env.push_str(&format!(" CHAOS_CKPT={interval}"));
@@ -282,8 +264,6 @@ impl ChaosOptions {
         options.crash_node = parse("CHAOS_CRASH_NODE").map(|n| NodeId(n as u16));
         options.crash_switch = flag("CHAOS_CRASH_SWITCH");
         options.reoffload = flag("CHAOS_REOFFLOAD");
-        options.single_latch = flag("CHAOS_SINGLE_LATCH");
-        options.text_wal = flag("CHAOS_TEXT_WAL");
         options.checkpoint_interval = parse("CHAOS_CKPT").filter(|&n| n > 0);
         options.torn_checkpoint = flag("CHAOS_TORN_CKPT");
         if let Some(f) = var("CHAOS_RO_FRAC").and_then(|v| v.parse::<f64>().ok()) {
@@ -487,8 +467,6 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         .distributed_prob(options.distributed_prob)
         .seed(options.seed)
         .batch_size(options.batch)
-        .single_latch(options.single_latch)
-        .wal_codec(if options.text_wal { WalCodec::Text } else { WalCodec::Binary })
         .test_latencies();
     if let Some(interval) = options.checkpoint_interval {
         builder = builder.checkpoint_interval(interval);

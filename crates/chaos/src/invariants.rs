@@ -572,12 +572,8 @@ fn pre_epoch_money_delta(
 /// transition on that tuple (first before-image → last after-image), chain
 /// timestamps must be strictly increasing, and every chain grounds its
 /// first entry in the row's base — the exact predecessor of the first
-/// retained version, however many versions were folded into it. The
-/// `single_latch` seed arm installs no versions by design and is skipped.
+/// retained version, however many versions were folded into it.
 fn check_version_chains(cluster: &Cluster, node_logs: &[Vec<LogRecord>], report: &mut InvariantReport) {
-    if cluster.config().single_latch {
-        return;
-    }
     let owned = switch_owned(cluster);
     // Net committed transition per (txn, tuple): versions install at commit
     // time, so a transaction's several writes to one tuple collapse into a

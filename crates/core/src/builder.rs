@@ -10,7 +10,6 @@ use crate::cluster::{Cluster, ClusterConfig};
 use p4db_common::faults::FaultPlan;
 use p4db_common::{CcScheme, LatencyConfig, Result, SystemMode};
 use p4db_layout::LayoutStrategy;
-use p4db_storage::WalCodec;
 use p4db_switch::SwitchConfig;
 use p4db_workloads::Workload;
 use std::sync::Arc;
@@ -141,32 +140,14 @@ impl ClusterBuilder {
 
     /// Shard count of every node's row store and secondary indexes (rounded
     /// up to a power of two; values below 1 are clamped to 1). The default
-    /// of 64 matches the 2PL lock table; `1` is the seed's single-latch
-    /// layout without the seed's per-op engine path — see
-    /// [`ClusterBuilder::single_latch`] for the full pre-sharding baseline.
+    /// of 64 matches the 2PL lock table; `1` puts every row behind one
+    /// latch.
     pub fn storage_shards(mut self, shards: u16) -> Self {
         self.config.storage_shards = shards.max(1);
         self
     }
 
-    /// Rebuilds the pre-sharding node hot path exactly: single-shard
-    /// storage plus the seed's per-op lock/lookup/release engine path. The
-    /// baseline arm of the node-scaling benchmark and the sharding
-    /// differential suite.
-    pub fn single_latch(mut self, single_latch: bool) -> Self {
-        self.config.single_latch = single_latch;
-        self
-    }
-
-    /// Serialisation arm the durability paths round-trip the WAL through:
-    /// the segmented binary codec (the default) or the line-oriented text
-    /// codec kept as the compatibility/differential arm.
-    pub fn wal_codec(mut self, codec: WalCodec) -> Self {
-        self.config.wal_codec = codec;
-        self
-    }
-
-    /// Records per sealed WAL segment (binary arm; clamped to at least 1).
+    /// Records per sealed WAL segment (clamped to at least 1).
     pub fn wal_segment_records(mut self, records: usize) -> Self {
         self.config.wal_segment_records = records.max(1);
         self

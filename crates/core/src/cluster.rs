@@ -21,7 +21,7 @@ use p4db_layout::{assign_tuples_to_switches, DataLayout, LayoutPlanner, LayoutSt
 use p4db_net::{EndpointId, Fabric, LatencyModel, Mailbox, RecvOutcome};
 use p4db_storage::{
     decode_segment_tail, recover_cold_records, recover_switch_state, take_fuzzy_checkpoint, LogRecord, NodeStorage,
-    SwitchRecoveryOutcome, Wal, WalCodec, DEFAULT_SEGMENT_RECORDS,
+    SwitchRecoveryOutcome, Wal, DEFAULT_SEGMENT_RECORDS,
 };
 use p4db_switch::{
     start_switch_with_id, ControlPlane, ProbeRequest, RegisterMemory, SwitchConfig, SwitchHandle, SwitchMessage,
@@ -75,21 +75,9 @@ pub struct ClusterConfig {
     pub flush_us: u64,
     /// Shard count of every node's row store and secondary indexes (rounded
     /// up to a power of two). More shards spread unrelated tuple accesses
-    /// over independent latches; `1` is the seed's single-latch layout.
+    /// over independent latches; `1` puts every row behind one latch.
     pub storage_shards: u16,
-    /// Rebuilds the *pre-sharding* node hot path exactly: single-shard
-    /// storage plus the seed's per-op engine path (lock at access time, map
-    /// lookup per access, per-tuple release). Overrides `storage_shards`.
-    /// This is the baseline arm of `fig_node_scaling` and of the sharding
-    /// differential suite — not a configuration to run for performance.
-    pub single_latch: bool,
-    /// Serialisation arm the durability paths round-trip the WAL through:
-    /// the segmented binary codec (default) or the line-oriented text codec
-    /// kept as the differential/compatibility arm. Both enforce the same
-    /// torn-tail contract; `tests/durability.rs` proves them
-    /// verdict-equivalent.
-    pub wal_codec: WalCodec,
-    /// Records per sealed WAL segment (binary arm only; clamped to ≥ 1).
+    /// Records per sealed WAL segment (clamped to ≥ 1).
     /// Smaller segments seal — and checksum — more eagerly; larger ones
     /// amortise the encode.
     pub wal_segment_records: usize,
@@ -146,8 +134,6 @@ impl ClusterConfig {
             batch_size: 16,
             flush_us: 50,
             storage_shards: 64,
-            single_latch: false,
-            wal_codec: WalCodec::Binary,
             wal_segment_records: DEFAULT_SEGMENT_RECORDS,
             checkpoint_interval: None,
             gc_interval: None,
@@ -204,7 +190,7 @@ pub struct NodeRecoveryReport {
     pub divergences: Vec<(TupleId, u64, u64)>,
     /// Tuples written by more than one coordinator with disagreeing final
     /// images (cross-log ordering unknown — only possible with distributed
-    /// transactions, which crash scenarios avoid).
+    /// transactions). Recovery leaves these tuples at their live value.
     pub ambiguous: usize,
     /// Rows present in a log but absent from the live table (undone inserts;
     /// skipped rather than resurrected).
@@ -323,16 +309,12 @@ impl Cluster {
         // --- Host storage ----------------------------------------------------
         let nodes: Vec<Arc<NodeStorage>> = (0..config.num_nodes)
             .map(|n| {
-                let storage = if config.single_latch {
-                    NodeStorage::seed_single_latch(NodeId(n), workload.tables())
-                } else {
-                    NodeStorage::with_shards_and_segments(
-                        NodeId(n),
-                        workload.tables(),
-                        config.storage_shards.max(1) as usize,
-                        config.wal_segment_records,
-                    )
-                };
+                let storage = NodeStorage::with_shards_and_segments(
+                    NodeId(n),
+                    workload.tables(),
+                    config.storage_shards.max(1) as usize,
+                    config.wal_segment_records,
+                );
                 workload.load_node(&storage, config.num_nodes);
                 Arc::new(storage)
             })
@@ -429,7 +411,6 @@ impl Cluster {
         let mut engine_config = EngineConfig {
             chiller: config.chiller,
             batch_size: config.batch_size.max(1),
-            single_latch: config.single_latch,
             ..EngineConfig::new(config.mode, config.cc, config.switch)
         };
         if let Some(plan) = &config.faults {
@@ -677,22 +658,15 @@ impl Cluster {
         }
     }
 
-    /// Round-trips one node's log through the configured serialisation arm —
-    /// the crash model is that only the serialised form survives. Returns
-    /// the decoded log plus the torn-tail note, if the tail was torn.
-    /// Interior corruption (intact records after the failure) is a hard
-    /// error on both arms.
+    /// Round-trips one node's log through its segment bytes — the crash
+    /// model is that only the serialised form survives. Returns the decoded
+    /// log plus the torn-tail note, if the tail was torn. Interior corruption
+    /// (intact records after the failure) is a hard error.
     fn roundtrip_wal(&self, storage: &NodeStorage) -> Result<(Wal, Option<String>)> {
-        let round = match self.config.wal_codec {
-            WalCodec::Binary => {
-                let blobs = storage.wal().serialize_segments();
-                let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-                Wal::deserialize_segments(&views, self.config.wal_segment_records.max(1))
-            }
-            WalCodec::Text => Wal::deserialize_prefix(&storage.wal().serialize()),
-        };
-        let (wal, torn) =
-            round.map_err(|e| Error::InvalidConfig(format!("WAL round-trip failed during recovery: {e}")))?;
+        let blobs = storage.wal().serialize_segments();
+        let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
+        let (wal, torn) = Wal::deserialize_segments(&views, self.config.wal_segment_records.max(1))
+            .map_err(|e| Error::InvalidConfig(format!("WAL round-trip failed during recovery: {e}")))?;
         Ok((wal, torn.map(|t| t.to_string())))
     }
 
@@ -756,8 +730,8 @@ impl Cluster {
 
     /// Simulates a crash + restart of one database node: the node's volatile
     /// partition state is rebuilt from the *serialised* durability artifacts
-    /// (round-tripping the configured on-disk WAL format), compared against
-    /// the pre-crash state, and written back.
+    /// (decoding the WAL's segment bytes), compared against the pre-crash
+    /// state, and written back.
     ///
     /// With a complete checkpoint available, recovery loads it and replays
     /// only each coordinator's log suffix past the checkpoint's start fence
@@ -771,9 +745,9 @@ impl Cluster {
     /// Every coordinator logs its own cold writes, so the crashed node's
     /// tuples are recovered from all logs and filtered to its partition; a
     /// tuple written by several coordinators whose final images disagree has
-    /// no recoverable order and is reported as ambiguous (crash scenarios
-    /// run single-partition traffic, where this cannot happen). Call only
-    /// while the node's traffic is quiesced.
+    /// no recoverable order. It is reported as ambiguous and left as it is —
+    /// neither a log image nor a checkpoint row is written back over it, on
+    /// either path. Call only while the node's traffic is quiesced.
     pub fn crash_and_recover_node(&self, node: NodeId) -> Result<NodeRecoveryReport> {
         if node.index() >= self.shared.num_nodes() {
             return Err(Error::UnknownNode(node));
@@ -803,24 +777,15 @@ impl Cluster {
         for (n, coordinator) in self.shared.nodes.iter().enumerate() {
             let fence = checkpoint.as_ref().map(|c| c.start_fence.get(n).copied().unwrap_or(0));
             report.wal_records += coordinator.wal().len();
-            let (records, torn) = match self.config.wal_codec {
-                // Decode straight from the serialised segments. With a fence
-                // this is the O(tail) restart path: sealed segments wholly
-                // below it are skipped without being decoded.
-                WalCodec::Binary => {
-                    let blobs = coordinator.wal().serialize_segments();
-                    let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-                    let (records, torn) = decode_segment_tail(&views, fence.unwrap_or(0))
-                        .map_err(|e| Error::InvalidConfig(format!("WAL tail decode failed during recovery: {e}")))?;
-                    (records, torn.map(|t| t.to_string()))
-                }
-                WalCodec::Text => {
-                    let (wal, torn) = self.roundtrip_wal(coordinator)?;
-                    (wal.records_from(fence.unwrap_or(0)), torn)
-                }
-            };
+            // Decode straight from the serialised segments. With a fence this
+            // is the O(tail) restart path: sealed segments wholly below it
+            // are skipped without being decoded.
+            let blobs = coordinator.wal().serialize_segments();
+            let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
+            let (records, torn) = decode_segment_tail(&views, fence.unwrap_or(0))
+                .map_err(|e| Error::InvalidConfig(format!("WAL tail decode failed during recovery: {e}")))?;
             if let Some(note) = torn {
-                report.codec_error = Some(note);
+                report.codec_error = Some(note.to_string());
             }
             report.tail_records += records.len();
             for (tuple, value) in recover_cold_records(&records) {
@@ -832,13 +797,15 @@ impl Cluster {
 
         // Resolve cross-coordinator disagreements before write-back.
         let mut resolved: HashMap<TupleId, Value> = HashMap::new();
+        let mut ambiguous: HashSet<TupleId> = HashSet::new();
         for (tuple, images) in candidates {
             if images.iter().any(|v| *v != images[0]) {
-                report.ambiguous += 1;
+                ambiguous.insert(tuple);
                 continue;
             }
             resolved.insert(tuple, images[0]);
         }
+        report.ambiguous = ambiguous.len();
 
         let Some(c) = checkpoint else {
             // Genesis replay: write the log-derived images straight back.
@@ -866,11 +833,15 @@ impl Cluster {
         // Merge per (table, shard) cell: checkpoint rows first, tail images
         // on top (the tail is authoritative for anything written after the
         // fence, including whatever in-progress value the fuzzy scan caught).
+        // An ambiguous tuple keeps its live value, as on the genesis path:
+        // its checkpoint row predates tail writes whose order is unknown.
         let mut cells: HashMap<(p4db_common::TableId, u32), HashMap<u64, Value>> = HashMap::new();
         for shard_rows in &c.shards {
             let cell = cells.entry((shard_rows.table, shard_rows.shard)).or_default();
             for &(key, value) in &shard_rows.rows {
-                cell.insert(key, value);
+                if !ambiguous.contains(&TupleId::new(shard_rows.table, key)) {
+                    cell.insert(key, value);
+                }
             }
         }
         for (tuple, value) in &resolved {
@@ -1526,15 +1497,13 @@ mod tests {
         for storage in cluster.shared().nodes.iter() {
             assert_eq!(storage.table(p4db_workloads::ycsb::YCSB_TABLE).unwrap().shard_count(), 8);
         }
-        assert!(!cluster.shared().config.single_latch);
-        // single_latch rebuilds the seed layout and flips the engine path.
-        let seed = Cluster::builder(small_ycsb()).test_profile().single_latch(true).build();
-        for storage in seed.shared().nodes.iter() {
+        // One shard puts every row behind one latch and still serves traffic.
+        let single = Cluster::builder(small_ycsb()).test_profile().storage_shards(1).build();
+        for storage in single.shared().nodes.iter() {
             assert_eq!(storage.table(p4db_workloads::ycsb::YCSB_TABLE).unwrap().shard_count(), 1);
         }
-        assert!(seed.shared().config.single_latch);
-        let stats = seed.run_for(Duration::from_millis(100));
-        assert!(stats.merged.committed_total() > 0, "the seed engine still serves traffic");
+        let stats = single.run_for(Duration::from_millis(100));
+        assert!(stats.merged.committed_total() > 0, "a single-shard store still serves traffic");
     }
 
     #[test]
@@ -1811,7 +1780,6 @@ mod tests {
             .wal_segment_records(32)
             .checkpoint_interval(64)
             .build();
-        assert_eq!(cluster.config().wal_codec, WalCodec::Binary);
         for storage in cluster.shared().nodes.iter() {
             assert_eq!(storage.wal().segment_capacity(), 32, "segment knob must reach every node's WAL");
         }
@@ -1850,21 +1818,6 @@ mod tests {
         let report = cluster.crash_and_recover_node(NodeId(0)).unwrap();
         assert_eq!(report.from_checkpoint, Some(first), "recovery must fall back past the torn generation");
         assert!(report.divergences.is_empty(), "{:?}", report.divergences);
-        assert!(report.codec_error.is_none(), "{:?}", report.codec_error);
-    }
-
-    #[test]
-    fn text_codec_arm_recovers_equivalently() {
-        let cluster =
-            Cluster::builder(small_smallbank()).test_profile().distributed_prob(0.0).wal_codec(WalCodec::Text).build();
-        let _ = cluster.run_for(Duration::from_millis(100));
-        assert!(cluster.quiesce_switch(Duration::from_secs(5)));
-        cluster.checkpoint_node(NodeId(1)).unwrap();
-        let _ = cluster.run_for(Duration::from_millis(100));
-        assert!(cluster.quiesce_switch(Duration::from_secs(5)));
-        let report = cluster.crash_and_recover_node(NodeId(1)).unwrap();
-        assert!(report.from_checkpoint.is_some());
-        assert!(report.divergences.is_empty(), "text arm diverges: {:?}", report.divergences);
         assert!(report.codec_error.is_none(), "{:?}", report.codec_error);
     }
 

@@ -638,9 +638,9 @@ impl Session {
     /// returned outcome carries the snapshot timestamp in
     /// [`TxnOutcome::snapshot`]. Rejects transactions containing any
     /// non-read operation with [`Error::InvalidTxn`]; transactions the
-    /// snapshot path cannot serve (switch-resident hot tuples in P4DB mode,
-    /// or the `single_latch` seed arm) transparently fall back to the
-    /// locking path and return `snapshot: None`.
+    /// snapshot path cannot serve (switch-resident hot tuples in P4DB mode)
+    /// transparently fall back to the locking path and return
+    /// `snapshot: None`.
     pub fn read_only(&mut self, txn: &Txn) -> Result<TxnOutcome> {
         let req = txn.clone().read_only().resolve(&self.partition_map, self.node)?;
         self.execute_request(&req)

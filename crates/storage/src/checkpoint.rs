@@ -172,7 +172,7 @@ pub fn take_fuzzy_checkpoint(target: &NodeStorage, coordinator_wals: &[&Wal], ge
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WalCodecError> {
     let magic_len = CHECKPOINT_MAGIC.len();
     if bytes.len() < magic_len || &bytes[..magic_len] != CHECKPOINT_MAGIC {
-        return Err(WalCodecError { line: 0, message: "bad checkpoint magic (not a P4CK v1 checkpoint)".into() });
+        return Err(WalCodecError { record: 0, message: "bad checkpoint magic (not a P4CK v1 checkpoint)".into() });
     }
     let mut at = magic_len;
     let mut frame_no = 0usize;
@@ -181,7 +181,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WalCodecError> {
     let mut footer: Option<(u32, u64)> = None;
     while at < bytes.len() {
         frame_no += 1;
-        let err = |message: String| WalCodecError { line: frame_no, message };
+        let err = |message: String| WalCodecError { record: frame_no, message };
         if footer.is_some() {
             return Err(err("frame after the checkpoint footer".into()));
         }
@@ -245,13 +245,13 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WalCodecError> {
         at = frame_end;
     }
     let (node, generation, start_fence, end_fence) =
-        header.ok_or(WalCodecError { line: 0, message: "checkpoint has no header frame".into() })?;
+        header.ok_or(WalCodecError { record: 0, message: "checkpoint has no header frame".into() })?;
     let (frames, rows) = footer
-        .ok_or(WalCodecError { line: frame_no, message: "torn checkpoint: missing completeness footer".into() })?;
+        .ok_or(WalCodecError { record: frame_no, message: "torn checkpoint: missing completeness footer".into() })?;
     let total: u64 = shards.iter().map(|s| s.rows.len() as u64).sum();
     if frames as usize != shards.len() || rows != total {
         return Err(WalCodecError {
-            line: frame_no,
+            record: frame_no,
             message: format!(
                 "checkpoint footer disagrees with contents ({} shard frames / {total} rows seen, footer says \
                  {frames} / {rows})",

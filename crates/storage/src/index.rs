@@ -40,7 +40,7 @@ impl SecondaryIndex {
     }
 
     /// An index with an explicit shard count (rounded up to a power of two;
-    /// `1` reproduces the seed's single-latch layout).
+    /// `1` puts every entry behind one latch).
     pub fn with_shards(shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         SecondaryIndex {

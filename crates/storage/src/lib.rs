@@ -31,4 +31,4 @@ pub use segment::{
     SEGMENT_MAGIC,
 };
 pub use table::{Row, RowHandle, Table, DEFAULT_TABLE_SHARDS};
-pub use wal::{LogRecord, LoggedSwitchOp, Wal, WalCodec, WalCodecError, DEFAULT_SEGMENT_RECORDS};
+pub use wal::{LogRecord, LoggedSwitchOp, Wal, WalCodecError, DEFAULT_SEGMENT_RECORDS};

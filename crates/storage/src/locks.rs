@@ -16,11 +16,6 @@
 //! admission path of the transaction engine computes it once per tuple and
 //! feeds both structures ([`LockTable::acquire_prehashed`]).
 //!
-//! Two map flavors exist behind one API: the default fast word-mixer maps,
-//! and a *seed* flavor ([`LockTable::seed_flavor`]) with the std SipHash
-//! maps the pre-sharding engine used — the baseline arm of the node-scaling
-//! benchmark pays the seed's per-probe cost, not the new one.
-//!
 //! Waiting (WAIT_DIE only) uses bounded exponential backoff: short spin
 //! bursts that double up to a cap, then `yield_now`, so an older waiter
 //! neither hammers the shard mutex nor burns a full core while a lock-hold
@@ -31,7 +26,6 @@ use p4db_common::hash::FastBuildHasher;
 use p4db_common::sync::unpoison;
 use p4db_common::{CcScheme, Error, Result, TupleId, TxnId};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
 use std::hint;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -84,20 +78,12 @@ impl LockWaitStats {
     }
 }
 
-type Shard<S> = Mutex<HashMap<TupleId, LockEntry, S>>;
-
-/// The two map flavors: fast word-mixer probes (default) or the seed's
-/// SipHash probes (the single-latch baseline's lock table).
-#[derive(Debug)]
-enum ShardSet {
-    Fast(Box<[Shard<FastBuildHasher>]>),
-    Seed(Box<[Shard<RandomState>]>),
-}
+type ShardMap = HashMap<TupleId, LockEntry, FastBuildHasher>;
 
 /// The per-node lock table.
 #[derive(Debug)]
 pub struct LockTable {
-    shards: ShardSet,
+    shards: Box<[Mutex<ShardMap>]>,
     /// Upper bound on how long WAIT_DIE waits before giving up; prevents a
     /// simulation bug (an owner that never releases) from hanging a worker
     /// forever. Generously larger than any realistic lock hold time.
@@ -118,14 +104,10 @@ impl Default for LockTable {
     }
 }
 
-fn shards<S: BuildHasher + Default>() -> Box<[Shard<S>]> {
-    (0..SHARDS).map(|_| Mutex::new(HashMap::with_hasher(S::default()))).collect()
-}
-
 impl LockTable {
     pub fn new() -> Self {
         LockTable {
-            shards: ShardSet::Fast(shards()),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
             wait_timeout: Duration::from_millis(100),
             waits: AtomicU64::new(0),
             waited_ns: AtomicU64::new(0),
@@ -133,11 +115,10 @@ impl LockTable {
         }
     }
 
-    /// The seed's lock table: identical sharding and protocol, std SipHash
-    /// map probes. Used by the single-latch baseline configuration so the
-    /// node-scaling comparison measures the engine the seed actually had.
-    pub fn seed_flavor() -> Self {
-        LockTable { shards: ShardSet::Seed(shards()), ..Self::new() }
+    /// The shard mutex of a tuple with [`TupleId::mix`] hash `hash`.
+    #[inline]
+    fn shard(&self, hash: u64) -> &Mutex<ShardMap> {
+        &self.shards[(hash as usize) & (SHARDS - 1)]
     }
 
     /// Overrides the WAIT_DIE waiting timeout (tests use a small value).
@@ -182,21 +163,6 @@ impl LockTable {
         scheme: CcScheme,
     ) -> Result<()> {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        match &self.shards {
-            ShardSet::Fast(shards) => self.acquire_in(shards, hash, txn, tuple, mode, scheme),
-            ShardSet::Seed(shards) => self.acquire_in(shards, hash, txn, tuple, mode, scheme),
-        }
-    }
-
-    fn acquire_in<S: BuildHasher>(
-        &self,
-        shards: &[Shard<S>],
-        hash: u64,
-        txn: TxnId,
-        tuple: TupleId,
-        mode: LockMode,
-        scheme: CcScheme,
-    ) -> Result<()> {
         // The deadline (and its `Instant::now()` call) is only materialised
         // once a conflict forces a wait; the granted-first-try fast path
         // never reads the clock. One acquisition probes exactly one shard
@@ -208,7 +174,7 @@ impl LockTable {
         let mut spins: u32 = 1;
         loop {
             {
-                let mut shard = unpoison(shards[(hash as usize) & (SHARDS - 1)].lock());
+                let mut shard = unpoison(self.shard(hash).lock());
                 match shard.get_mut(&tuple) {
                     None => {
                         shard.insert(tuple, LockEntry { mode, owners: vec![txn] });
@@ -286,15 +252,8 @@ impl LockTable {
     /// no-op, which keeps abort paths simple (a transaction may abort halfway
     /// through its acquisition loop).
     pub fn release(&self, txn: TxnId, tuple: TupleId) {
-        let hash = tuple.mix();
-        match &self.shards {
-            ShardSet::Fast(shards) => {
-                release_in(&mut *unpoison(shards[(hash as usize) & (SHARDS - 1)].lock()), txn, tuple)
-            }
-            ShardSet::Seed(shards) => {
-                release_in(&mut *unpoison(shards[(hash as usize) & (SHARDS - 1)].lock()), txn, tuple)
-            }
-        }
+        let mut shard = unpoison(self.shard(tuple.mix()).lock());
+        release_in(&mut shard, txn, tuple);
     }
 
     /// Releases a whole footprint in per-shard groups: consecutive locks in
@@ -304,10 +263,19 @@ impl LockTable {
     /// shard changes. Contended footprints, whose tuples cluster in few
     /// shards, pay far fewer mutex round trips than a per-tuple release;
     /// spread footprints degrade to exactly one acquisition per tuple.
+    ///
+    /// At most one shard is locked at any moment — holding a shard while
+    /// acquiring the next would deadlock two transactions releasing their
+    /// footprints in opposite shard orders.
     pub fn release_batch(&self, txn: TxnId, locks: &[(u64, TupleId)]) {
-        match &self.shards {
-            ShardSet::Fast(shards) => release_batch_in(shards, txn, locks),
-            ShardSet::Seed(shards) => release_batch_in(shards, txn, locks),
+        let mut at = 0;
+        while at < locks.len() {
+            let index = (locks[at].0 as usize) & (SHARDS - 1);
+            let mut guard = unpoison(self.shards[index].lock());
+            while at < locks.len() && (locks[at].0 as usize) & (SHARDS - 1) == index {
+                release_in(&mut guard, txn, locks[at].1);
+                at += 1;
+            }
         }
     }
 
@@ -322,24 +290,17 @@ impl LockTable {
     /// Whether any transaction currently holds a lock on `tuple` (test /
     /// stats helper).
     pub fn is_locked(&self, tuple: TupleId) -> bool {
-        let hash = tuple.mix();
-        match &self.shards {
-            ShardSet::Fast(shards) => unpoison(shards[(hash as usize) & (SHARDS - 1)].lock()).contains_key(&tuple),
-            ShardSet::Seed(shards) => unpoison(shards[(hash as usize) & (SHARDS - 1)].lock()).contains_key(&tuple),
-        }
+        unpoison(self.shard(tuple.mix()).lock()).contains_key(&tuple)
     }
 
     /// Number of currently locked tuples (test / stats helper).
     pub fn locked_count(&self) -> usize {
-        match &self.shards {
-            ShardSet::Fast(shards) => shards.iter().map(|s| unpoison(s.lock()).len()).sum(),
-            ShardSet::Seed(shards) => shards.iter().map(|s| unpoison(s.lock()).len()).sum(),
-        }
+        self.shards.iter().map(|s| unpoison(s.lock()).len()).sum()
     }
 }
 
 /// Removes `txn` from the entry of `tuple` inside an already-locked shard.
-fn release_in<S: BuildHasher>(shard: &mut HashMap<TupleId, LockEntry, S>, txn: TxnId, tuple: TupleId) {
+fn release_in(shard: &mut ShardMap, txn: TxnId, tuple: TupleId) {
     if let Some(entry) = shard.get_mut(&tuple) {
         let before = entry.owners.len();
         entry.owners.retain(|o| *o != txn);
@@ -353,22 +314,6 @@ fn release_in<S: BuildHasher>(shard: &mut HashMap<TupleId, LockEntry, S>, txn: T
             // since re-acquired) must not downgrade that holder's
             // exclusive lock to shared.
             entry.mode = LockMode::Shared;
-        }
-    }
-}
-
-/// Grouped release: one shard mutex acquisition per consecutive same-shard
-/// run. At most one shard is locked at any moment — holding a shard while
-/// acquiring the next would deadlock two transactions releasing their
-/// footprints in opposite shard orders.
-fn release_batch_in<S: BuildHasher>(shards: &[Shard<S>], txn: TxnId, locks: &[(u64, TupleId)]) {
-    let mut at = 0;
-    while at < locks.len() {
-        let index = (locks[at].0 as usize) & (SHARDS - 1);
-        let mut guard = unpoison(shards[index].lock());
-        while at < locks.len() && (locks[at].0 as usize) & (SHARDS - 1) == index {
-            release_in(&mut guard, txn, locks[at].1);
-            at += 1;
         }
     }
 }
@@ -389,13 +334,12 @@ mod tests {
 
     #[test]
     fn exclusive_conflicts_under_no_wait() {
-        for lt in [LockTable::new(), LockTable::seed_flavor()] {
-            assert!(lt.acquire(txn(1), t(5), LockMode::Exclusive, CcScheme::NoWait).is_ok());
-            let err = lt.acquire(txn(2), t(5), LockMode::Exclusive, CcScheme::NoWait).unwrap_err();
-            assert!(err.is_abort());
-            lt.release(txn(1), t(5));
-            assert!(lt.acquire(txn(2), t(5), LockMode::Exclusive, CcScheme::NoWait).is_ok());
-        }
+        let lt = LockTable::new();
+        assert!(lt.acquire(txn(1), t(5), LockMode::Exclusive, CcScheme::NoWait).is_ok());
+        let err = lt.acquire(txn(2), t(5), LockMode::Exclusive, CcScheme::NoWait).unwrap_err();
+        assert!(err.is_abort());
+        lt.release(txn(1), t(5));
+        assert!(lt.acquire(txn(2), t(5), LockMode::Exclusive, CcScheme::NoWait).is_ok());
     }
 
     #[test]
@@ -531,29 +475,28 @@ mod tests {
 
     #[test]
     fn release_batch_clears_grouped_footprints() {
-        for lt in [LockTable::new(), LockTable::seed_flavor()] {
-            // Enough tuples that several share a shard (64 shards, 300
-            // tuples), in arbitrary order so guard reuse sees both same- and
-            // different-shard neighbours.
-            let locks: Vec<(u64, TupleId)> = (0..300)
-                .map(|k| {
-                    let tuple = t(k);
-                    lt.acquire_prehashed(tuple.mix(), txn(1), tuple, LockMode::Exclusive, CcScheme::NoWait).unwrap();
-                    (tuple.mix(), tuple)
-                })
-                .collect();
-            assert_eq!(lt.locked_count(), 300);
-            lt.release_batch(txn(1), &locks);
-            assert_eq!(lt.locked_count(), 0);
+        let lt = LockTable::new();
+        // Enough tuples that several share a shard (64 shards, 300 tuples),
+        // in arbitrary order so guard reuse sees both same- and
+        // different-shard neighbours.
+        let locks: Vec<(u64, TupleId)> = (0..300)
+            .map(|k| {
+                let tuple = t(k);
+                lt.acquire_prehashed(tuple.mix(), txn(1), tuple, LockMode::Exclusive, CcScheme::NoWait).unwrap();
+                (tuple.mix(), tuple)
+            })
+            .collect();
+        assert_eq!(lt.locked_count(), 300);
+        lt.release_batch(txn(1), &locks);
+        assert_eq!(lt.locked_count(), 0);
 
-            // Batch release only removes the given transaction's ownership.
-            lt.acquire(txn(1), t(0), LockMode::Shared, CcScheme::NoWait).unwrap();
-            lt.acquire(txn(2), t(0), LockMode::Shared, CcScheme::NoWait).unwrap();
-            lt.release_batch(txn(1), &[(t(0).mix(), t(0))]);
-            assert!(lt.is_locked(t(0)));
-            lt.release(txn(2), t(0));
-            assert!(!lt.is_locked(t(0)));
-        }
+        // Batch release only removes the given transaction's ownership.
+        lt.acquire(txn(1), t(0), LockMode::Shared, CcScheme::NoWait).unwrap();
+        lt.acquire(txn(2), t(0), LockMode::Shared, CcScheme::NoWait).unwrap();
+        lt.release_batch(txn(1), &[(t(0).mix(), t(0))]);
+        assert!(lt.is_locked(t(0)));
+        lt.release(txn(2), t(0));
+        assert!(!lt.is_locked(t(0)));
     }
 
     #[test]

@@ -21,12 +21,9 @@ pub struct NodeStorage {
     node: NodeId,
     /// Dense table directory indexed by `TableId`; `None` = undeclared.
     tables: Vec<Option<Table>>,
-    /// Seed flavor only: the pre-sharding engine resolved tables through a
-    /// SipHash map, so the baseline arm pays that probe per access too.
-    seed_directory: Option<HashMap<TableId, u16>>,
     secondary: HashMap<TableId, SecondaryIndex>,
     /// Shard count for secondary indexes created on this node (matches the
-    /// tables: the configured count, or 1 in the seed flavor).
+    /// tables).
     index_shards: usize,
     locks: LockTable,
     wal: Wal,
@@ -64,36 +61,10 @@ impl NodeStorage {
         NodeStorage {
             node,
             tables,
-            seed_directory: None,
             secondary: HashMap::new(),
             index_shards: shards,
             locks: LockTable::new(),
             wal: Wal::with_segment_capacity(segment_records),
-            checkpoints: CheckpointStore::new(),
-        }
-    }
-
-    /// Rebuilds the *seed's* storage exactly: one latch + one SipHash map
-    /// per table, a SipHash table directory, and the seed-flavor lock table.
-    /// The single-latch baseline arm of the node-scaling benchmark.
-    pub fn seed_single_latch(node: NodeId, table_ids: impl IntoIterator<Item = TableId>) -> Self {
-        let mut tables: Vec<Option<Table>> = Vec::new();
-        let mut directory = HashMap::new();
-        for id in table_ids {
-            if tables.len() <= id.index() {
-                tables.resize_with(id.index() + 1, || None);
-            }
-            tables[id.index()] = Some(Table::seed_single_latch(id));
-            directory.insert(id, id.0);
-        }
-        NodeStorage {
-            node,
-            tables,
-            seed_directory: Some(directory),
-            secondary: HashMap::new(),
-            index_shards: 1,
-            locks: LockTable::seed_flavor(),
-            wal: Wal::new(),
             checkpoints: CheckpointStore::new(),
         }
     }
@@ -105,13 +76,6 @@ impl NodeStorage {
     /// The node's partition of `table`.
     #[inline]
     pub fn table(&self, table: TableId) -> Result<&Table> {
-        if let Some(directory) = &self.seed_directory {
-            // Seed shape: one map probe per resolution, like the pre-sharding
-            // engine's `HashMap<TableId, Table>` directory.
-            if directory.get(&table).is_none() {
-                return Err(Error::InvalidConfig(format!("table {table:?} not declared on {}", self.node)));
-            }
-        }
         match self.tables.get(table.index()) {
             Some(Some(t)) => Ok(t),
             _ => Err(Error::InvalidConfig(format!("table {table:?} not declared on {}", self.node))),
@@ -267,8 +231,8 @@ mod tests {
     fn secondary_indexes_inherit_the_node_shard_layout() {
         let mut sharded = NodeStorage::with_shards(NodeId(0), [TableId(0)], 16);
         assert_eq!(sharded.secondary_index_mut(TableId(0)).shard_count(), 16);
-        let mut seed = NodeStorage::seed_single_latch(NodeId(0), [TableId(0)]);
-        assert_eq!(seed.secondary_index_mut(TableId(0)).shard_count(), 1);
+        let mut single = NodeStorage::with_shards(NodeId(0), [TableId(0)], 1);
+        assert_eq!(single.secondary_index_mut(TableId(0)).shard_count(), 1);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! This is the representation of [`crate::wal::Wal`] itself — appends encode
 //! into the active segment and the log keeps nothing but these bytes — and
-//! therefore its default crash-drill arm (the text format stays available as
-//! the compatibility/differential arm). It reuses the checksummed,
-//! truncation-safe wire idiom of `p4db_net::frame`: a 5-byte versioned magic,
-//! then length-prefixed records each closed by an FNV-1a-64 checksum over the
-//! record's own bytes, so a prefix of a segment decodes to a prefix of its
-//! records and a torn final record is detected rather than misparsed.
+//! the form every crash drill round-trips the log through. It reuses the
+//! checksummed, truncation-safe wire idiom of `p4db_net::frame`: a 5-byte
+//! versioned magic, then length-prefixed records each closed by an
+//! FNV-1a-64 checksum over the record's own bytes, so a prefix of a segment
+//! decodes to a prefix of its records and a torn final record is detected
+//! rather than misparsed.
 //!
 //! ## Wire format
 //!
@@ -27,15 +27,16 @@
 //!
 //! ## Torn tail vs. interior corruption
 //!
-//! The same contract as the text codec (see [`crate::wal`]), expressed in
-//! bytes: a record that fails **at the physical end of the final segment** —
-//! a truncated length header, a body or checksum cut short, or a checksum
-//! mismatch on a record ending exactly at the buffer's last byte — is a
-//! legitimate torn tail; [`decode_segments`] returns the intact prefix plus
-//! the tear as a note. A checksum mismatch with bytes *remaining after* the
-//! record, or any failure in a sealed (non-final) segment, is interior
-//! corruption — data loss that must not be silently truncated away — and is
-//! a hard [`WalCodecError`]. (One inherent limit of length-prefixed framing:
+//! The contract of [`crate::wal`], byte by byte: a record that fails **at
+//! the physical end of the final segment** — a truncated length header, a
+//! body or checksum cut short, or a checksum mismatch on a record ending
+//! exactly at the buffer's last byte — is a legitimate torn tail;
+//! [`decode_segments`] returns the intact prefix plus the tear as a note. A
+//! checksum mismatch with bytes *remaining after* the record, or any failure
+//! in a sealed (non-final) segment, is interior corruption — data loss that
+//! must not be silently truncated away — and is a hard [`WalCodecError`]. A
+//! record whose checksum holds but whose body does not decode is a hard
+//! error wherever it sits. (One inherent limit of length-prefixed framing:
 //! a corrupted length field that points past the end of the final segment is
 //! indistinguishable from a tear and is treated as one; in every other
 //! position the checksum, which covers the length bytes, catches it.)
@@ -50,8 +51,9 @@ pub const SEGMENT_MAGIC: &[u8; 5] = b"P4WS\x01";
 /// Byte length of the segment header (magic + base LSN).
 const HEADER_BYTES: usize = SEGMENT_MAGIC.len() + 8;
 
-/// FNV-1a 64-bit over raw bytes — the same function as the text codec's
-/// per-line checksum, applied to the binary record frame.
+/// FNV-1a 64-bit over raw bytes, the per-record checksum. Not cryptographic
+/// — it only needs to make it overwhelmingly unlikely that a torn or
+/// bit-flipped record still carries a matching checksum.
 pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {
@@ -90,7 +92,7 @@ pub(crate) fn put_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-/// Stable wire code of an opcode (the binary sibling of [`OpCode::name`]).
+/// Stable wire code of an opcode.
 fn opcode_code(op: OpCode) -> u8 {
     match op {
         OpCode::Read => 0,
@@ -202,7 +204,7 @@ pub(crate) struct BodyReader<'a> {
 
 impl<'a> BodyReader<'a> {
     pub(crate) fn err(&self, message: impl Into<String>) -> WalCodecError {
-        WalCodecError { line: self.record, message: message.into() }
+        WalCodecError { record: self.record, message: message.into() }
     }
 
     pub(crate) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WalCodecError> {
@@ -327,11 +329,11 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> Result<SegmentPrefix, WalCodecErro
         return Ok(SegmentPrefix {
             base_lsn: None,
             records: Vec::new(),
-            torn: Some(WalCodecError { line: 0, message }),
+            torn: Some(WalCodecError { record: 0, message }),
         });
     }
     if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Err(WalCodecError { line: 0, message: "bad segment magic (not a P4WS v1 segment)".into() });
+        return Err(WalCodecError { record: 0, message: "bad segment magic (not a P4WS v1 segment)".into() });
     }
     let base_lsn = u64::from_le_bytes(bytes[SEGMENT_MAGIC.len()..HEADER_BYTES].try_into().expect("8 bytes"));
     let mut records = Vec::new();
@@ -339,7 +341,7 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> Result<SegmentPrefix, WalCodecErro
     let mut torn = None;
     while at < bytes.len() {
         let record_no = records.len() + 1;
-        let torn_err = |message: String| WalCodecError { line: record_no, message };
+        let torn_err = |message: String| WalCodecError { record: record_no, message };
         if bytes.len() - at < 4 {
             torn = Some(torn_err(format!("torn record at byte {at}: truncated length header")));
             break;
@@ -387,7 +389,7 @@ pub fn decode_segments(blobs: &[impl AsRef<[u8]>]) -> Result<(Vec<LogRecord>, Op
         if let Some(note) = prefix.torn {
             if !last {
                 return Err(WalCodecError {
-                    line: note.line,
+                    record: note.record,
                     message: format!(
                         "segment {i} is torn but is not the final segment — interior data loss: {}",
                         note.message
@@ -399,7 +401,7 @@ pub fn decode_segments(blobs: &[impl AsRef<[u8]>]) -> Result<(Vec<LogRecord>, Op
         if let Some(base) = prefix.base_lsn {
             if base != records.len() as u64 {
                 return Err(WalCodecError {
-                    line: 0,
+                    record: 0,
                     message: format!(
                         "segment {i} starts at LSN {base} but {} records precede it — missing or reordered segment",
                         records.len()
@@ -420,7 +422,7 @@ pub fn peek_base_lsn(bytes: &[u8]) -> Result<Option<u64>, WalCodecError> {
         return Ok(None);
     }
     if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Err(WalCodecError { line: 0, message: "bad segment magic (not a P4WS v1 segment)".into() });
+        return Err(WalCodecError { record: 0, message: "bad segment magic (not a P4WS v1 segment)".into() });
     }
     Ok(Some(u64::from_le_bytes(bytes[SEGMENT_MAGIC.len()..HEADER_BYTES].try_into().expect("8 bytes"))))
 }
@@ -447,7 +449,7 @@ pub fn decode_segment_tail(
             Some(base) => {
                 if bases.last().is_some_and(|&prev| base <= prev) {
                     return Err(WalCodecError {
-                        line: 0,
+                        record: 0,
                         message: format!(
                             "segment {i} base LSN {base} does not increase — missing or reordered segment"
                         ),
@@ -458,7 +460,7 @@ pub fn decode_segment_tail(
             None if i + 1 == blobs.len() => break, // torn final header, handled below
             None => {
                 return Err(WalCodecError {
-                    line: 0,
+                    record: 0,
                     message: format!("segment {i} has a torn header but is not the final segment"),
                 })
             }
@@ -476,7 +478,7 @@ pub fn decode_segment_tail(
         if let Some(note) = prefix.torn {
             if !last {
                 return Err(WalCodecError {
-                    line: note.line,
+                    record: note.record,
                     message: format!(
                         "segment {i} is torn but is not the final segment — interior data loss: {}",
                         note.message
@@ -488,7 +490,7 @@ pub fn decode_segment_tail(
         if let (Some(base), Some(expected)) = (prefix.base_lsn, expected_next) {
             if base != expected {
                 return Err(WalCodecError {
-                    line: 0,
+                    record: 0,
                     message: format!(
                         "segment {i} starts at LSN {base} but LSN {expected} was expected — missing or reordered \
                          segment"
@@ -509,7 +511,6 @@ pub fn decode_segment_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::Wal;
     use p4db_common::{NodeId, WorkerId};
 
     fn txn(seq: u32) -> TxnId {
@@ -645,18 +646,62 @@ mod tests {
     }
 
     #[test]
-    fn wal_segment_arm_matches_text_arm() {
-        // The two serialisation arms of the same log decode to identical
-        // record vectors.
-        let wal = Wal::with_segment_capacity(2);
-        for r in sample_records() {
-            wal.append(r);
+    fn malformed_bodies_under_valid_checksums_are_hard_errors() {
+        // Each case frames a hand-built body with a *valid* checksum, so
+        // only `decode_body` can reject it; a good record precedes it, so
+        // the error must name record 2.
+        fn body(record: &LogRecord) -> Vec<u8> {
+            let mut out = Vec::new();
+            encode_body(&mut out, record);
+            out
         }
-        let from_text = Wal::deserialize(&wal.serialize()).unwrap();
-        let blobs = wal.serialize_segments();
-        let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-        let (from_binary, torn) = Wal::deserialize_segments(&views, 2).unwrap();
-        assert!(torn.is_none());
-        assert_eq!(from_text.records(), from_binary.records());
+        fn frame(out: &mut Vec<u8>, body: &[u8]) {
+            let start = out.len();
+            put_u32(out, body.len() as u32);
+            out.extend_from_slice(body);
+            let crc = fnv1a_bytes(&out[start..]);
+            put_u64(out, crc);
+        }
+        let records = sample_records();
+        let intent = body(&records[1]);
+        // SwitchIntent: tag, txn, op count, then per op table, key, opcode,
+        // operand, source flag, source.
+        let opcode_at = 1 + 8 + 2 + 2 + 8;
+        let flag_at = opcode_at + 1 + 8;
+        // ColdWrite: tag, txn, table, key, then the before image's width.
+        let width_at = 1 + 8 + 2 + 8;
+        let patched = |mut bytes: Vec<u8>, at: usize, byte: u8| {
+            bytes[at] = byte;
+            bytes
+        };
+        let mut trailing = body(&records[3]);
+        trailing.push(0);
+        let cases = [
+            (vec![9u8, 0, 0, 0, 0, 0, 0, 0, 0], "unknown record tag 9"),
+            (patched(intent.clone(), opcode_at, 6), "unknown opcode 6"),
+            (patched(intent, flag_at, 2), "invalid operand source flag 2"),
+            (patched(body(&records[0]), width_at, 0), "invalid before image width 0"),
+            (
+                patched(body(&records[0]), width_at, p4db_common::value::MAX_FIELDS as u8 + 1),
+                "invalid before image width",
+            ),
+            (trailing, "trailing garbage"),
+        ];
+        for (bad, expected) in cases {
+            let mut blob = encode_segment(0, &records[3..4]);
+            frame(&mut blob, &bad);
+            // Last in the segment or followed by intact records: hard error
+            // either way, never a torn tail.
+            for followed in [false, true] {
+                let mut blob = blob.clone();
+                if followed {
+                    encode_record(&mut blob, &records[4]);
+                }
+                let err = decode_segment_prefix(&blob).expect_err(expected);
+                assert_eq!(err.record, 2, "{err}");
+                assert!(err.message.contains(expected), "{err}");
+                assert!(err.to_string().contains("record 2"), "{err}");
+            }
+        }
     }
 }

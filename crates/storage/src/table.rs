@@ -2,15 +2,10 @@
 //!
 //! The host DBMS in the paper is a shared-nothing main-memory store; each
 //! node owns one horizontal partition per table. A [`Table`] here is one such
-//! partition — and, since PR 5, a *hash-sharded* one: the single map latch
-//! the seed engine funnelled every tuple access through is replaced by a
-//! fixed power-of-two array of shards (the same pattern the 2PL `LockTable`
-//! has always used), each an independent latch + fast word-mixer map, so
-//! unrelated accesses never touch the same cache line, let alone the same
-//! lock. The seed layout survives as an explicit flavor
-//! ([`Table::seed_single_latch`]): one latch, one std SipHash map — the
-//! baseline arm of the node-scaling benchmark pays exactly the seed's
-//! per-access cost.
+//! partition, hash-sharded: a fixed power-of-two array of shards (the same
+//! pattern the 2PL `LockTable` uses), each an independent latch + fast
+//! word-mixer map, so unrelated accesses never touch the same cache line,
+//! let alone the same lock.
 //!
 //! Lookups hand out [`RowHandle`]s (`Arc<Row>`): a handle stays valid for the
 //! life of the row — across concurrent inserts, shard-map growth and even
@@ -26,7 +21,6 @@ use p4db_common::hash::FastBuildHasher;
 use p4db_common::sync::unpoison;
 use p4db_common::{Error, Result, TableId, TupleId, Value};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
@@ -254,33 +248,18 @@ impl Row {
     }
 }
 
-type Shard<S> = RwLock<HashMap<u64, RowHandle, S>>;
-/// A held shard write-latch during a grouped bulk load, tagged with its
-/// shard index so consecutive same-shard keys reuse it.
-type HeldShard<'a, S> = Option<(usize, RwLockWriteGuard<'a, HashMap<u64, RowHandle, S>>)>;
-
-/// The two map flavors behind one `Table` API: the sharded fast word-mixer
-/// store, or the seed's latch + SipHash map layout.
-#[derive(Debug)]
-enum ShardSet {
-    Fast(Box<[Shard<FastBuildHasher>]>),
-    Seed(Box<[Shard<RandomState>]>),
-}
+type Shard = RwLock<HashMap<u64, RowHandle, FastBuildHasher>>;
 
 /// One partition of one table: a fixed array of latch-protected map shards.
 #[derive(Debug)]
 pub struct Table {
     id: TableId,
-    shards: ShardSet,
+    shards: Box<[Shard]>,
     /// Power-of-two shard mask; shard of key `k` is `mix(k) & mask`.
     mask: u64,
     /// Live row count, maintained on insert/remove so `len()` never has to
     /// sweep the shards.
     rows: AtomicUsize,
-}
-
-fn build_shards<S: BuildHasher + Default>(count: usize) -> Box<[Shard<S>]> {
-    (0..count).map(|_| RwLock::new(HashMap::with_hasher(S::default()))).collect()
 }
 
 impl Table {
@@ -292,19 +271,9 @@ impl Table {
     /// A partition with an explicit shard count. `shards` is rounded up to
     /// the next power of two (minimum 1).
     pub fn with_shards(id: TableId, shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        Table { id, shards: ShardSet::Fast(build_shards(shards)), mask: shards as u64 - 1, rows: AtomicUsize::new(0) }
-    }
-
-    /// The seed's layout, preserved as the node-scaling baseline: a single
-    /// latch in front of a single std SipHash map — the structure every
-    /// tuple access paid before the sharded store existed. (The shared code
-    /// path still computes the shard mix before masking it away, a few ns
-    /// per access the true seed did not pay; negligible against the SipHash
-    /// probes, and it biases the gated comparison *against* the seed arm by
-    /// well under the gate's tolerance.)
-    pub fn seed_single_latch(id: TableId) -> Self {
-        Table { id, shards: ShardSet::Seed(build_shards(1)), mask: 0, rows: AtomicUsize::new(0) }
+        let count = shards.max(1).next_power_of_two();
+        let shards = (0..count).map(|_| RwLock::new(HashMap::default())).collect();
+        Table { id, shards, mask: count as u64 - 1, rows: AtomicUsize::new(0) }
     }
 
     pub fn id(&self) -> TableId {
@@ -313,10 +282,13 @@ impl Table {
 
     /// Number of shards (a power of two).
     pub fn shard_count(&self) -> usize {
-        match &self.shards {
-            ShardSet::Fast(s) => s.len(),
-            ShardSet::Seed(s) => s.len(),
-        }
+        self.shards.len()
+    }
+
+    /// The shard latch that owns `key`.
+    #[inline]
+    fn shard(&self, key: u64) -> &Shard {
+        &self.shards[self.shard_of(key)]
     }
 
     /// The hash a key shards under: [`TupleId::mix`] of `(self.id, key)`,
@@ -340,22 +312,7 @@ impl Table {
     /// transactions (TPC-C NewOrder). Returns the handle of the fresh row so
     /// the caller can keep operating on it without a second lookup.
     pub fn insert(&self, key: u64, value: Value) -> RowHandle {
-        // The count moves while the shard latch is still held: updating it
-        // after the guard drops would let a concurrent remove of the same
-        // key decrement first and underflow the counter.
-        fn insert_in<S: BuildHasher>(table: &Table, shard: &Shard<S>, key: u64, handle: &RowHandle) {
-            let mut guard = unpoison(shard.write());
-            if guard.insert(key, Arc::clone(handle)).is_none() {
-                table.rows.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let handle = Arc::new(Row::new(value));
-        let index = (self.key_hash(key) & self.mask) as usize;
-        match &self.shards {
-            ShardSet::Fast(s) => insert_in(self, &s[index], key, &handle),
-            ShardSet::Seed(s) => insert_in(self, &s[index], key, &handle),
-        }
-        handle
+        self.insert_row(key, Row::new(value))
     }
 
     /// Like [`Table::insert`], but for rows created *by a transaction*
@@ -364,17 +321,17 @@ impl Table {
     /// instead of the load-time value. The 2PL path is unaffected (the live
     /// value is identical).
     pub fn insert_fresh(&self, key: u64, value: Value) -> RowHandle {
-        fn insert_in<S: BuildHasher>(table: &Table, shard: &Shard<S>, key: u64, handle: &RowHandle) {
-            let mut guard = unpoison(shard.write());
-            if guard.insert(key, Arc::clone(handle)).is_none() {
-                table.rows.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let handle = Arc::new(Row::new_fresh(value));
-        let index = (self.key_hash(key) & self.mask) as usize;
-        match &self.shards {
-            ShardSet::Fast(s) => insert_in(self, &s[index], key, &handle),
-            ShardSet::Seed(s) => insert_in(self, &s[index], key, &handle),
+        self.insert_row(key, Row::new_fresh(value))
+    }
+
+    fn insert_row(&self, key: u64, row: Row) -> RowHandle {
+        let handle = Arc::new(row);
+        // The count moves while the shard latch is still held: updating it
+        // after the guard drops would let a concurrent remove of the same
+        // key decrement first and underflow the counter.
+        let mut guard = unpoison(self.shard(key).write());
+        if guard.insert(key, Arc::clone(&handle)).is_none() {
+            self.rows.fetch_add(1, Ordering::Relaxed);
         }
         handle
     }
@@ -401,29 +358,23 @@ impl Table {
     /// latched at a time (holding one latch while acquiring another could
     /// deadlock against a concurrent multi-shard operation).
     pub fn bulk_load(&self, rows: impl IntoIterator<Item = (u64, Value)>) {
-        fn load<S: BuildHasher>(table: &Table, shards: &[Shard<S>], rows: impl IntoIterator<Item = (u64, Value)>) {
-            let mut held: HeldShard<'_, S> = None;
-            for (key, value) in rows {
-                let index = (table.key_hash(key) & table.mask) as usize;
-                let mut guard = match held.take() {
-                    Some((held_index, guard)) if held_index == index => guard,
-                    other => {
-                        // Release the previously held shard *before* locking
-                        // the next one.
-                        drop(other);
-                        unpoison(shards[index].write())
-                    }
-                };
-                if guard.insert(key, Arc::new(Row::new(value))).is_none() {
-                    // Under the latch, like `insert` — see the comment there.
-                    table.rows.fetch_add(1, Ordering::Relaxed);
+        let mut held: Option<(usize, RwLockWriteGuard<'_, _>)> = None;
+        for (key, value) in rows {
+            let index = self.shard_of(key);
+            let mut guard = match held.take() {
+                Some((held_index, guard)) if held_index == index => guard,
+                other => {
+                    // Release the previously held shard *before* locking the
+                    // next one.
+                    drop(other);
+                    unpoison(self.shards[index].write())
                 }
-                held = Some((index, guard));
+            };
+            if guard.insert(key, Arc::new(Row::new(value))).is_none() {
+                // Under the latch, like `insert` — see the comment there.
+                self.rows.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        match &self.shards {
-            ShardSet::Fast(s) => load(self, s, rows),
-            ShardSet::Seed(s) => load(self, s, rows),
+            held = Some((index, guard));
         }
     }
 
@@ -437,11 +388,7 @@ impl Table {
     /// resolution: the same hash already selected the lock-table shard).
     #[inline]
     pub fn get_prehashed(&self, hash: u64, key: u64) -> Option<RowHandle> {
-        let index = (hash & self.mask) as usize;
-        match &self.shards {
-            ShardSet::Fast(s) => unpoison(s[index].read()).get(&key).cloned(),
-            ShardSet::Seed(s) => unpoison(s[index].read()).get(&key).cloned(),
-        }
+        unpoison(self.shards[(hash & self.mask) as usize].read()).get(&key).cloned()
     }
 
     /// Looks up a row handle or returns a typed error.
@@ -463,39 +410,22 @@ impl Table {
     /// Removes a row; returns whether it existed. Handles already resolved
     /// to the row stay valid — the row is merely unreachable for new lookups.
     pub fn remove(&self, key: u64) -> bool {
-        fn remove_in<S: BuildHasher>(table: &Table, shard: &Shard<S>, key: u64) -> bool {
-            let mut guard = unpoison(shard.write());
-            let removed = guard.remove(&key).is_some();
-            if removed {
-                // Under the latch, like `insert` — see the comment there.
-                table.rows.fetch_sub(1, Ordering::Relaxed);
-            }
-            removed
+        let mut guard = unpoison(self.shard(key).write());
+        let removed = guard.remove(&key).is_some();
+        if removed {
+            // Under the latch, like `insert` — see the comment there.
+            self.rows.fetch_sub(1, Ordering::Relaxed);
         }
-        let index = (self.key_hash(key) & self.mask) as usize;
-        match &self.shards {
-            ShardSet::Fast(s) => remove_in(self, &s[index], key),
-            ShardSet::Seed(s) => remove_in(self, &s[index], key),
-        }
+        removed
     }
 
     /// Visits every row, one shard at a time, without materializing a key
     /// vector. Each shard's latch is held only while that shard is visited;
     /// rows inserted or removed concurrently in other shards may or may not
-    /// be seen (same non-snapshot semantics the seed's `keys()` had, minus
-    /// the full-table allocation).
+    /// be seen.
     pub fn for_each(&self, mut f: impl FnMut(u64, &Row)) {
-        fn visit<S: BuildHasher>(shards: &[Shard<S>], f: &mut impl FnMut(u64, &Row)) {
-            for shard in shards {
-                let guard = unpoison(shard.read());
-                for (&key, row) in guard.iter() {
-                    f(key, row);
-                }
-            }
-        }
-        match &self.shards {
-            ShardSet::Fast(s) => visit(s, &mut f),
-            ShardSet::Seed(s) => visit(s, &mut f),
+        for shard in 0..self.shard_count() {
+            self.for_each_in_shard(shard, &mut f);
         }
     }
 
@@ -505,15 +435,8 @@ impl Table {
     /// rows are physically consistent (the latch is held for the visit);
     /// rows in other shards keep moving.
     pub fn for_each_in_shard(&self, shard: usize, mut f: impl FnMut(u64, &Row)) {
-        fn visit<S: BuildHasher>(shard: &Shard<S>, f: &mut impl FnMut(u64, &Row)) {
-            let guard = unpoison(shard.read());
-            for (&key, row) in guard.iter() {
-                f(key, row);
-            }
-        }
-        match &self.shards {
-            ShardSet::Fast(s) => visit(&s[shard], &mut f),
-            ShardSet::Seed(s) => visit(&s[shard], &mut f),
+        for (&key, row) in unpoison(self.shards[shard].read()).iter() {
+            f(key, row);
         }
     }
 
@@ -596,20 +519,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         t.remove(1);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn seed_single_latch_flavor_behaves_identically() {
-        let t = Table::seed_single_latch(TableId(1));
-        assert_eq!(t.shard_count(), 1);
-        t.bulk_load((0..50).map(|k| (k, Value::scalar(k))));
-        assert_eq!(t.len(), 50);
-        assert_eq!(t.read(30).unwrap().switch_word(), 30);
-        assert!(t.remove(30));
-        assert_eq!(t.len(), 49);
-        let mut visited = 0;
-        t.for_each(|_, _| visited += 1);
-        assert_eq!(visited, 49);
     }
 
     #[test]

@@ -58,31 +58,6 @@ impl OpCode {
     pub fn is_write(self) -> bool {
         !matches!(self, OpCode::Read)
     }
-
-    /// Stable wire name, used by the WAL text encoding.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpCode::Read => "read",
-            OpCode::Write => "write",
-            OpCode::Add => "add",
-            OpCode::FetchAdd => "fetchadd",
-            OpCode::CondSub => "condsub",
-            OpCode::WriteIfGreater => "writeifgreater",
-        }
-    }
-
-    /// Inverse of [`OpCode::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "read" => OpCode::Read,
-            "write" => OpCode::Write,
-            "add" => OpCode::Add,
-            "fetchadd" => OpCode::FetchAdd,
-            "condsub" => OpCode::CondSub,
-            "writeifgreater" => OpCode::WriteIfGreater,
-            _ => return None,
-        })
-    }
 }
 
 /// One operation of a switch transaction.

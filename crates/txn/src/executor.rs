@@ -65,13 +65,6 @@ pub struct EngineConfig {
     /// group-committed again. `1` disables pipelining and reproduces the
     /// one-transaction-at-a-time behaviour exactly.
     pub batch_size: u16,
-    /// Runs the *seed's* node-local hot path instead of the sharded one:
-    /// locks acquired at access time, one table-map lookup per access, one
-    /// lock-table mutex acquisition per released tuple. Pair with
-    /// single-shard storage (`ClusterConfig::single_latch` sets both) to
-    /// reproduce the pre-sharding engine — the baseline arm of the
-    /// node-scaling benchmark and of the sharding differential suite.
-    pub single_latch: bool,
     /// In-doubt resolver retry budget: how many times a status query to the
     /// switch is retried before an entry is re-parked as unresolved.
     pub resolver_retries: u32,
@@ -88,7 +81,6 @@ impl EngineConfig {
             switch_timeout: Duration::from_secs(30),
             in_doubt_on_timeout: false,
             batch_size: 1,
-            single_latch: false,
             resolver_retries: 3,
         }
     }
@@ -161,8 +153,7 @@ struct HostTxnState {
     release_scratch: Vec<(u64, TupleId)>,
     /// `(row handle, after word)` of every host write, in operation order —
     /// the versions to install at commit, stamped with one reserved commit
-    /// timestamp while the exclusive locks are still held. (Sharded path
-    /// only; the single-latch seed arm stays version-free.)
+    /// timestamp while the exclusive locks are still held.
     installs: Vec<(RowHandle, u64)>,
     /// The transaction's remote participants — the distinct remote home
     /// nodes of *every* operation, switch-resident ones included, as
@@ -283,34 +274,23 @@ impl Worker {
             });
         }
         let index = self.shared.hot_index.load();
-        // Declared read-only: try the lock-free snapshot path first. The
-        // single-latch seed arm has no version chains, so it keeps the
-        // seed's locking reads; an ineligible request (a non-`Read`
-        // operation, or a tuple offloaded to a switch whose host row is
-        // therefore stale) falls through to the locking path below.
-        if req.read_only && !self.shared.config.single_latch {
+        // Declared read-only: try the lock-free snapshot path first. An
+        // ineligible request (a non-`Read` operation, or a tuple offloaded
+        // to a switch whose host row is therefore stale) falls through to
+        // the locking path below.
+        if req.read_only {
             if let Some(outcome) = self.try_execute_snapshot(req, &index, stats)? {
                 return Ok(outcome);
             }
         }
-        if self.shared.config.single_latch {
-            // Seed shape: classification buffers allocated per transaction.
-            let (hot, cold, demoted) = self.classify(req, &index);
-            stats.degraded_hot += demoted;
-            return match (hot.is_empty(), cold.is_empty()) {
-                // All-hot *and* single-owner: the abort-free switch path. A
-                // hot set spanning two switches has no single pipeline that
-                // can execute it, so it falls back to the host path below.
-                (false, true) if !Self::spans_switches(req, &hot, &index) => self.execute_hot(req, &hot, &index, stats),
-                (true, _) => self.execute_host(req, &[], &cold, &index, stats),
-                _ => self.execute_host(req, &hot, &cold, &index, stats),
-            };
-        }
-        // Sharded path: classification reuses the worker's buffers.
+        // Classification reuses the worker's buffers.
         let mut hot = std::mem::take(&mut self.scratch_hot);
         let mut cold = std::mem::take(&mut self.scratch_cold);
-        stats.degraded_hot += self.classify_into(req, &index, &mut hot, &mut cold);
+        stats.degraded_hot += self.classify(req, &index, &mut hot, &mut cold);
         let result = match (hot.is_empty(), cold.is_empty()) {
+            // All-hot *and* single-owner: the abort-free switch path. A hot
+            // set spanning two switches has no single pipeline that can
+            // execute it, so it falls back to the host path.
             (false, true) if !Self::spans_switches(req, &hot, &index) => self.execute_hot(req, &hot, &index, stats),
             (true, _) => self.execute_host(req, &[], &cold, &index, stats),
             _ => self.execute_host(req, &hot, &cold, &index, stats),
@@ -422,7 +402,7 @@ impl Worker {
         let mut hot = std::mem::take(&mut self.scratch_hot);
         let mut cold = std::mem::take(&mut self.scratch_cold);
         for (i, req) in reqs.iter().enumerate() {
-            self.classify_into(req, &index, &mut hot, &mut cold);
+            self.classify(req, &index, &mut hot, &mut cold);
             // Cross-switch requests are not pipelineable (they need the host
             // path's per-switch sub-transactions); they fall through to the
             // unbatched `execute` below like any mixed request.
@@ -640,21 +620,11 @@ impl Worker {
     }
 
     /// Splits the request's operation indices into hot (switch) and cold
-    /// (host) sets. Everything is cold unless the full P4DB mode is active.
-    /// The third element counts hot-eligible operations demoted to the host
-    /// path because their owning switch is in degraded mode.
-    fn classify(&self, req: &TxnRequest, index: &HotSetIndex) -> (Vec<usize>, Vec<usize>, u64) {
-        let mut hot = Vec::new();
-        let mut cold = Vec::new();
-        let demoted = self.classify_into(req, index, &mut hot, &mut cold);
-        (hot, cold, demoted)
-    }
-
-    /// [`Worker::classify`] into caller-provided buffers — the single
-    /// classification rule shared by both engine arms (the sharded path
-    /// passes its reusable scratch, everything else fresh vectors). Returns
-    /// the number of operations demoted because of a degraded switch.
-    fn classify_into(&self, req: &TxnRequest, index: &HotSetIndex, hot: &mut Vec<usize>, cold: &mut Vec<usize>) -> u64 {
+    /// (host) sets, in caller-provided buffers. Everything is cold unless the
+    /// full P4DB mode is active. Returns the number of hot-eligible
+    /// operations demoted to the host path because their owning switch is in
+    /// degraded mode.
+    fn classify(&self, req: &TxnRequest, index: &HotSetIndex, hot: &mut Vec<usize>, cold: &mut Vec<usize>) -> u64 {
         hot.clear();
         cold.clear();
         let mut demoted = 0u64;
@@ -850,14 +820,10 @@ impl Worker {
     /// transactions, the cold subset for warm ones), then — for warm
     /// transactions — triggers the switch sub-transaction before committing.
     ///
-    /// Two implementations share this entry point. The default runs
-    /// shared-nothing end to end: the whole cold footprint is resolved to
-    /// [`RowHandle`]s at *admission* (piggybacked on 2PL acquisition, one
-    /// tuple hash each), execution then touches no maps at all, and the
-    /// commit releases locks in grouped per-shard batches. With
-    /// [`EngineConfig::single_latch`] the seed's per-op path runs instead —
-    /// lock-at-access, map lookup per access, per-tuple release — as the
-    /// baseline arm of the node-scaling benchmark.
+    /// It runs shared-nothing end to end: the whole cold footprint is
+    /// resolved to [`RowHandle`]s at *admission* (piggybacked on 2PL
+    /// acquisition, one tuple hash each), execution then touches no maps at
+    /// all, and the commit releases locks in grouped per-shard batches.
     fn execute_host(
         &mut self,
         req: &TxnRequest,
@@ -868,21 +834,14 @@ impl Worker {
     ) -> Result<TxnOutcome> {
         let txn_id = self.next_txn_id();
         let mut results = vec![0u64; req.ops.len()];
-        let run = if self.shared.config.single_latch {
-            // Seed shape: fresh undo/lock vectors allocated per transaction.
-            let mut state = HostTxnState::default();
-            self.run_host_txn_single_latch(req, hot, cold, index, stats, txn_id, &mut state, &mut results)
-        } else {
-            // The scratch moves out of `self` for the duration of the
-            // transaction (so `&mut self` methods can run against it) and
-            // moves back afterwards, keeping its capacity across
-            // transactions: steady state allocates nothing per operation.
-            let mut state = std::mem::take(&mut self.scratch);
-            state.clear();
-            let run = self.run_host_txn(req, hot, cold, index, stats, txn_id, &mut state, &mut results);
-            self.scratch = state;
-            run
-        };
+        // The scratch moves out of `self` for the duration of the
+        // transaction (so `&mut self` methods can run against it) and moves
+        // back afterwards, keeping its capacity across transactions: steady
+        // state allocates nothing per operation.
+        let mut state = std::mem::take(&mut self.scratch);
+        state.clear();
+        let run = self.run_host_txn(req, hot, cold, index, stats, txn_id, &mut state, &mut results);
+        self.scratch = state;
         let (gid, in_doubt) = run?;
         let class = if hot.is_empty() { TxnClass::Cold } else { TxnClass::Warm };
         Ok(TxnOutcome { class, results, gid, in_doubt, snapshot: None })
@@ -990,7 +949,7 @@ impl Worker {
             // their locks now, at access time (late acquisition), and
             // resolve the handle under the same hash. The laps around the
             // acquisition keep its time (including any WAIT_DIE waiting) in
-            // the lock-acquisition phase, like the seed arm accounts it.
+            // the lock-acquisition phase.
             if late(op) && state.resolved[slot].is_none() {
                 stats.record_phase(Phase::LocalAccess, watch.lap());
                 // The late set is known as well as the admission set was:
@@ -1026,8 +985,8 @@ impl Worker {
             // Chiller: release the lock on a contended tuple as soon as its
             // *last* operation is done (early lock release). Releasing at
             // every occurrence would leave a later access of the same tuple
-            // running without its lock — unlike the seed, this path never
-            // re-acquires at access time for already-admitted tuples.
+            // running without its lock — this path never re-acquires at
+            // access time for already-admitted tuples.
             // LM-held tuples are not in `state.locks`, so the scan skips
             // them naturally.
             if self.shared.config.chiller
@@ -1051,9 +1010,8 @@ impl Worker {
     /// the table maps.
     ///
     /// Insert is a *replace*: aborting a transaction whose insert displaced
-    /// an existing row removes the key outright (before-image `0`), exactly
-    /// like the seed engine — the workloads only ever insert fresh keys, and
-    /// the differential suite holds both engine arms to the same behaviour.
+    /// an existing row removes the key outright (before-image `0`) — the
+    /// workloads only ever insert fresh keys.
     fn apply_resolved_op(
         &self,
         txn_id: TxnId,
@@ -1097,7 +1055,7 @@ impl Worker {
                 if state.resolved[slot].is_none() {
                     // Not found at admission: either an earlier operation of
                     // this transaction inserted the row since, or it is a
-                    // genuine miss — resolve now, erroring like the seed did.
+                    // genuine miss — resolve now, erroring on a miss.
                     let table = self.shared.node(op.home).table(op.tuple.table)?;
                     state.resolved[slot] = Some(table.get_or_err(op.tuple.key)?);
                 }
@@ -1137,143 +1095,7 @@ impl Worker {
         }
     }
 
-    /// The seed's host path, preserved verbatim as the *single-latch
-    /// baseline* ([`EngineConfig::single_latch`], benchmarked by
-    /// `fig_node_scaling`): locks acquired at access time, one map lookup
-    /// per access, one lock-table mutex acquisition per released tuple.
-    #[allow(clippy::too_many_arguments)]
-    fn run_host_txn_single_latch(
-        &mut self,
-        req: &TxnRequest,
-        hot: &[usize],
-        cold: &[usize],
-        index: &HotSetIndex,
-        stats: &mut WorkerStats,
-        txn_id: TxnId,
-        state: &mut HostTxnState,
-        results: &mut [u64],
-    ) -> Result<(Option<GlobalTxnId>, bool)> {
-        let mut watch = Stopwatch::start();
-
-        state.order.extend_from_slice(cold);
-        if self.shared.config.chiller {
-            let ops = &req.ops;
-            state.order.sort_by_key(|&i| index.is_hot(ops[i].tuple));
-        }
-
-        for slot in 0..state.order.len() {
-            let i = state.order[slot];
-            match self.execute_cold_op_single_latch(txn_id, req, i, index, results, state, stats, &mut watch) {
-                Ok(()) => {}
-                Err(e) => {
-                    self.fail_host(txn_id, state, stats, &e);
-                    return Err(e);
-                }
-            }
-        }
-
-        self.commit_host_txn(req, hot, index, stats, txn_id, state, results, &mut watch)
-    }
-
-    /// One cold operation of the single-latch baseline: lock, look up, access
-    /// — the per-op shape (and cost) of the pre-sharding engine.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_cold_op_single_latch(
-        &mut self,
-        txn_id: TxnId,
-        req: &TxnRequest,
-        op_index: usize,
-        index: &HotSetIndex,
-        results: &mut [u64],
-        state: &mut HostTxnState,
-        stats: &mut WorkerStats,
-        watch: &mut Stopwatch,
-    ) -> Result<()> {
-        let op = &req.ops[op_index];
-        let remote = op.home != self.node;
-        let storage = Arc::clone(self.shared.node(op.home));
-        let lock_mode = if op.kind.is_write() { LockMode::Exclusive } else { LockMode::Shared };
-
-        if remote {
-            self.shared.latency.impose_node_round_trip(1);
-            stats.record_phase(Phase::RemoteAccess, watch.lap());
-        }
-
-        let lm_lock = self.shared.config.mode == SystemMode::LmSwitch && index.is_hot(op.tuple);
-        if lm_lock {
-            self.lm_lock_once(req, op.tuple, state)?;
-            stats.record_phase(Phase::LockAcquisition, watch.lap());
-        } else {
-            storage.locks().acquire(txn_id, op.tuple, lock_mode, self.shared.config.cc)?;
-            state.locks.push((op.home, op.tuple, op.tuple.mix()));
-            stats.record_phase(Phase::LockAcquisition, watch.lap());
-        }
-
-        // Data access on the owning node, resolved through the maps per op.
-        let table = storage.table(op.tuple.table)?;
-        let operand_override = op.operand_from.map(|src| results[src as usize]);
-        let value = match op.kind {
-            OpKind::Insert(v) => {
-                let v = operand_override.unwrap_or(v);
-                table.insert(op.tuple.key, Value::scalar(v));
-                state.inserted.push((op.home, op.tuple));
-                state.cold_writes.push(LogRecord::ColdWrite {
-                    txn: txn_id,
-                    tuple: op.tuple,
-                    before: Value::scalar(0),
-                    after: Value::scalar(v),
-                });
-                v
-            }
-            OpKind::Read => table.read(op.tuple.key)?.switch_word(),
-            _ => {
-                let row = table.get_or_err(op.tuple.key)?;
-                let before = row.read();
-                let current = before.switch_word();
-                let new = match op.kind {
-                    OpKind::Write(v) => operand_override.unwrap_or(v),
-                    OpKind::Add(d) => {
-                        let delta = operand_override.map(|v| v as i64).unwrap_or(d);
-                        (current as i64).wrapping_add(delta) as u64
-                    }
-                    OpKind::FetchAdd(d) => {
-                        let delta = operand_override.map(|v| v as i64).unwrap_or(d);
-                        (current as i64).wrapping_add(delta) as u64
-                    }
-                    OpKind::CondSub(a) => {
-                        let amount = operand_override.unwrap_or(a);
-                        if amount > i64::MAX as u64 || (current as i64) < amount as i64 {
-                            return Err(Error::Abort(AbortReason::ConstraintViolation));
-                        }
-                        ((current as i64) - amount as i64) as u64
-                    }
-                    OpKind::Read | OpKind::Insert(_) => unreachable!("handled above"),
-                };
-                let mut after = before;
-                after.set_switch_word(new);
-                row.write(after);
-                state.undo.push((Arc::clone(&row), before));
-                state.cold_writes.push(LogRecord::ColdWrite { txn: txn_id, tuple: op.tuple, before, after });
-                if matches!(op.kind, OpKind::FetchAdd(_)) {
-                    current
-                } else {
-                    new
-                }
-            }
-        };
-        results[op_index] = value;
-        stats.record_phase(if remote { Phase::RemoteAccess } else { Phase::LocalAccess }, watch.lap());
-
-        if self.shared.config.chiller && index.is_hot(op.tuple) && !lm_lock {
-            if let Some(pos) = state.locks.iter().position(|&(n, t, _)| n == op.home && t == op.tuple) {
-                let (home, tuple, _) = state.locks.remove(pos);
-                self.shared.node(home).locks().release(txn_id, tuple);
-            }
-        }
-        Ok(())
-    }
-
-    /// The common tail of both host paths: 2PC vote, the warm switch
+    /// The commit tail of the host path: 2PC vote, the warm switch
     /// sub-transaction, the group commit and the lock release.
     #[allow(clippy::too_many_arguments)]
     fn commit_host_txn(
@@ -1291,12 +1113,7 @@ impl Worker {
         // the 2PC voting phase now (participants hold their locks and have
         // validated constraints, so they vote yes): one prepare/vote pair
         // per remote participant, all in flight together, one wait.
-        let remote_participants = if self.shared.config.single_latch {
-            // Seed shape: materialise the deduplicated participant list.
-            req.participant_nodes().iter().filter(|&&n| n != self.node).count()
-        } else {
-            state.participants.len()
-        };
+        let remote_participants = state.participants.len();
         let distributed = remote_participants > 0;
         if distributed {
             self.shared.latency.impose_node_round_trip(remote_participants);
@@ -1410,17 +1227,10 @@ impl Worker {
         // Commit: persist cold writes + commit record as one group commit
         // (the transaction's records were staged in `state.cold_writes`; one
         // log write makes them durable together), then release locks.
+        // The staged records drain straight into the log under its one lock
+        // acquisition — no intermediate vector.
         let wal = self.coordinator_storage().wal();
-        if self.shared.config.single_latch {
-            // Seed shape: the group travels through an intermediate vector.
-            let mut group: Vec<LogRecord> = state.cold_writes.drain(..).collect();
-            group.push(LogRecord::Commit { txn: txn_id });
-            wal.append_group(group);
-        } else {
-            // The staged records drain straight into the log under its one
-            // lock acquisition — no intermediate vector.
-            wal.append_group(state.cold_writes.drain(..).chain(std::iter::once(LogRecord::Commit { txn: txn_id })));
-        }
+        wal.append_group(state.cold_writes.drain(..).chain(std::iter::once(LogRecord::Commit { txn: txn_id })));
         // Version installation: one commit timestamp for the whole
         // transaction, reserved only *after* the commit group is durable (a
         // reserved timestamp is always published) and installed while the
@@ -1430,8 +1240,7 @@ impl Worker {
         // timestamp is fully installed. One low-watermark reading serves
         // every row: a displaced version at or below it folds into the
         // row's base, so without snapshot readers no install touches the
-        // heap. Sharded path only: the single-latch seed arm never fills
-        // `installs`.
+        // heap.
         if !state.installs.is_empty() {
             let mvcc = &self.shared.mvcc;
             let ts = mvcc.clock.reserve();
@@ -1568,30 +1377,23 @@ impl Worker {
     }
 
     /// Releases every lock still held by the transaction (host lock tables
-    /// and, in LM-Switch mode, the switch lock manager). On the sharded path
-    /// host locks go out in grouped per-shard batches — one lock-table mutex
-    /// acquisition per touched shard, reusing the admission-time hashes; the
-    /// single-latch baseline releases one tuple at a time like the seed.
+    /// and, in LM-Switch mode, the switch lock manager). Host locks go out
+    /// in grouped per-shard batches — one lock-table mutex acquisition per
+    /// touched shard, reusing the admission-time hashes.
     fn release_all(&mut self, txn_id: TxnId, state: &mut HostTxnState) {
-        if self.shared.config.single_latch {
-            for &(home, tuple, _) in &state.locks {
-                self.shared.node(home).locks().release(txn_id, tuple);
+        // Batch per run of same-node locks (footprints are usually
+        // single-node, so this is one batch; an interleaved multi-node
+        // footprint just produces a few more, which is still correct).
+        let mut at = 0;
+        while at < state.locks.len() {
+            let home = state.locks[at].0;
+            state.release_scratch.clear();
+            while at < state.locks.len() && state.locks[at].0 == home {
+                let (_, tuple, hash) = state.locks[at];
+                state.release_scratch.push((hash, tuple));
+                at += 1;
             }
-        } else {
-            // Batch per run of same-node locks (footprints are usually
-            // single-node, so this is one batch; an interleaved multi-node
-            // footprint just produces a few more, which is still correct).
-            let mut at = 0;
-            while at < state.locks.len() {
-                let home = state.locks[at].0;
-                state.release_scratch.clear();
-                while at < state.locks.len() && state.locks[at].0 == home {
-                    let (_, tuple, hash) = state.locks[at];
-                    state.release_scratch.push((hash, tuple));
-                    at += 1;
-                }
-                self.shared.node(home).locks().release_batch(txn_id, &state.release_scratch);
-            }
+            self.shared.node(home).locks().release_batch(txn_id, &state.release_scratch);
         }
         for &(lock_id, exclusive) in &state.switch_locks {
             // Releases are asynchronous (no grant to wait for); the switch
@@ -1923,24 +1725,21 @@ mod tests {
     fn lm_switch_read_then_write_of_one_hot_tuple_commits_on_the_first_attempt() {
         // The switch lock manager is ownerless: asked per operation, the
         // write's exclusive request would be denied by the read's own shared
-        // grant. Both engine arms ask once per lock id, at the strongest mode.
-        for single_latch in [false, true] {
-            let mut rig = rig(SystemMode::LmSwitch, CcScheme::NoWait);
-            Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config.single_latch = single_latch;
-            let mut w = worker(&rig, 0, 0);
-            let mut stats = WorkerStats::new();
-            // Amalgamate's shape: read a hot balance, then overwrite it.
-            let req = TxnRequest::new(vec![op(1, OpKind::Read), op(1, OpKind::Write(0)), op(2, OpKind::Read)]);
-            let out = w.execute(&req, &mut stats).expect("no self-conflict");
-            assert_eq!(out.results, vec![100, 0, 100]);
-            assert_eq!(stats.aborts_lock_conflict, 0, "single_latch={single_latch}");
-            // One request per lock id (tuples 1 and 2), not one per operation.
-            assert_eq!(rig._switch.stats().lm_requests, 2, "single_latch={single_latch}");
-            // The one exclusive grant was released once: a rival gets the lock.
-            let mut rival = worker(&rig, 1, 0);
-            rival.execute(&TxnRequest::new(vec![op(1, OpKind::Add(5))]), &mut stats).expect("lock was released");
-            assert_eq!(rig.shared.node(home(1)).table(TBL).unwrap().read(1).unwrap().switch_word(), 5);
-        }
+        // grant. The engine asks once per lock id, at the strongest mode.
+        let rig = rig(SystemMode::LmSwitch, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        // Amalgamate's shape: read a hot balance, then overwrite it.
+        let req = TxnRequest::new(vec![op(1, OpKind::Read), op(1, OpKind::Write(0)), op(2, OpKind::Read)]);
+        let out = w.execute(&req, &mut stats).expect("no self-conflict");
+        assert_eq!(out.results, vec![100, 0, 100]);
+        assert_eq!(stats.aborts_lock_conflict, 0);
+        // One request per lock id (tuples 1 and 2), not one per operation.
+        assert_eq!(rig._switch.stats().lm_requests, 2);
+        // The one exclusive grant was released once: a rival gets the lock.
+        let mut rival = worker(&rig, 1, 0);
+        rival.execute(&TxnRequest::new(vec![op(1, OpKind::Add(5))]), &mut stats).expect("lock was released");
+        assert_eq!(rig.shared.node(home(1)).table(TBL).unwrap().read(1).unwrap().switch_word(), 5);
     }
 
     #[test]

@@ -283,49 +283,79 @@ fn wal_segments_are_the_chunkwise_encoding_of_the_appended_stream() {
     });
 }
 
-/// Truncating a serialised log at *every* byte offset recovers exactly the
-/// records whose lines are fully intact before the cut — never fewer, never
-/// a corrupted extra one. This is the crash-mid-flush contract
-/// `deserialize_prefix` gives recovery.
+/// Rebuilds `wal` from its segments with the final segment cut at *every*
+/// byte offset, and checks that recovery keeps exactly the sealed segments'
+/// records plus the final segment's intact record prefix, with a torn-tail
+/// note iff the cut lands strictly inside a header or record frame.
+fn assert_torn_tail_recovers_the_intact_prefix(wal: &Wal, records: &[LogRecord]) {
+    let capacity = wal.segment_capacity();
+    let blobs: Vec<Vec<u8>> = wal.serialize_segments().iter().map(|blob| blob.to_vec()).collect();
+    let (last, sealed) = blobs.split_last().expect("a non-empty log has a segment");
+    let sealed_records = sealed.len() * capacity;
+    let tail = &records[sealed_records..];
+    let base = sealed_records as u64;
+    // boundary[i] = encoded length of the final segment's first i records
+    // (boundary[0] covers just the header).
+    let boundaries: Vec<usize> = (0..=tail.len()).map(|i| encode_segment(base, &tail[..i]).len()).collect();
+    assert_eq!(*boundaries.last().unwrap(), last.len());
+    for cut in 0..=last.len() {
+        let mut torn_blobs = sealed.to_vec();
+        torn_blobs.push(last[..cut].to_vec());
+        let (rebuilt, torn) = Wal::deserialize_segments(&torn_blobs, capacity)
+            .expect("a truncation is a torn tail, not interior corruption");
+        let intact = boundaries.iter().skip(1).filter(|&&end| cut >= end).count();
+        assert_eq!(
+            rebuilt.records(),
+            records[..sealed_records + intact].to_vec(),
+            "cut at byte {cut}/{} of the final segment",
+            last.len()
+        );
+        assert_eq!(torn.is_none(), boundaries.contains(&cut), "cut at byte {cut}: torn={torn:?}");
+    }
+}
+
+/// Truncating a log's final segment at *every* byte offset recovers exactly
+/// the records whose frames are fully intact before the cut — never fewer,
+/// never a corrupted extra one. This is the crash-mid-flush contract
+/// `Wal::deserialize_segments` gives recovery.
 #[test]
 fn wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
     check("wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix", |rng| {
-        let wal = random_wal(rng);
-        let records = wal.records();
-        let data = wal.serialize();
+        let records = random_wal(rng).records();
+        let wal = Wal::with_segment_capacity(1 + rng.gen_range(4) as usize);
+        for record in &records {
+            wal.append(record.clone());
+        }
+        assert_torn_tail_recovers_the_intact_prefix(&wal, &records);
+    });
+}
 
-        // (start, content_end) of every line; the line's '\n' sits at
-        // content_end, so the line parses once `cut >= content_end`.
-        let mut lines = Vec::new();
-        let mut start = 0usize;
-        for (i, b) in data.bytes().enumerate() {
-            if b == b'\n' {
-                lines.push((start, i));
-                start = i + 1;
-            }
+/// `Wal::append_group` preserves the torn-tail contract: a log written in
+/// groups (some straddling segment boundaries) has segments byte-identical
+/// to the same records appended singly, and cutting its final segment at
+/// every offset still recovers exactly the intact record prefix.
+#[test]
+fn wal_append_group_torn_tail_recovers_exactly_the_intact_prefix() {
+    check("wal_append_group_torn_tail_recovers_exactly_the_intact_prefix", |rng| {
+        let records = random_wal(rng).records();
+        let capacity = 1 + rng.gen_range(4) as usize;
+        let singles = Wal::with_segment_capacity(capacity);
+        for record in &records {
+            singles.append(record.clone());
         }
-        // lines[0] is the header; record r is lines[r + 1].
-        for cut in 0..=data.len() {
-            let torn = &data[..cut];
-            // A pure truncation always tears the *final* line, so this is the
-            // torn-tail arm of the contract — never interior corruption.
-            let (prefix, error) =
-                Wal::deserialize_prefix(torn).expect("a truncation is a torn tail, not interior corruption");
-            let intact = lines.iter().skip(1).filter(|&&(_, content_end)| cut >= content_end).count();
-            let expected: Vec<LogRecord> = records[..intact].to_vec();
-            assert_eq!(
-                prefix.records(),
-                expected,
-                "cut at byte {cut}/{} recovered {} records, expected {intact}",
-                data.len(),
-                prefix.records().len(),
-            );
-            // An error is reported iff the cut strictly tears a line's
-            // content (cutting at a line boundary or right before a newline
-            // leaves only fully-parseable text).
-            let torn_mid_line = lines.iter().any(|&(start, content_end)| start < cut && cut < content_end);
-            assert_eq!(error.is_none(), !torn_mid_line, "cut at byte {cut}: error={error:?}");
+        let grouped = Wal::with_segment_capacity(capacity);
+        let mut rest = records.as_slice();
+        while !rest.is_empty() {
+            let take = (1 + rng.gen_range(4) as usize).min(rest.len());
+            grouped.append_group(rest[..take].to_vec());
+            rest = &rest[take..];
         }
+        assert_eq!(
+            grouped.serialize_segments(),
+            singles.serialize_segments(),
+            "group-written log must encode identically"
+        );
+        assert_torn_tail_recovers_the_intact_prefix(&grouped, &records);
     });
 }
 
@@ -333,8 +363,8 @@ fn wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
 /// a batch of k envelopes and truncating the bytes at any boundary decodes
 /// exactly the intact envelope prefix — never fewer, never a corrupted extra
 /// one — with an error reported iff the cut tears a record or the header.
-/// This is the mirror of the WAL truncation property for the fabric's frame
-/// batching.
+/// This is the mirror of the segment truncation property for the fabric's
+/// frame batching.
 #[test]
 fn frame_codec_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
     check("frame_codec_truncation_at_every_offset_recovers_exactly_the_intact_prefix", |rng| {
@@ -365,51 +395,8 @@ fn frame_codec_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
     });
 }
 
-/// `Wal::append_group` preserves the torn-tail contract: a log written in
-/// groups serialises byte-identically to the same records appended singly,
-/// and truncating it at every offset still recovers exactly the intact
-/// record prefix.
-#[test]
-fn wal_append_group_torn_tail_recovers_exactly_the_intact_prefix() {
-    check("wal_append_group_torn_tail_recovers_exactly_the_intact_prefix", |rng| {
-        let singles = random_wal(rng);
-        let records = singles.records();
-        let grouped = Wal::new();
-        // Re-append the same records in random-sized groups.
-        let mut rest = records.as_slice();
-        while !rest.is_empty() {
-            let take = (1 + rng.gen_range(4) as usize).min(rest.len());
-            grouped.append_group(rest[..take].to_vec());
-            rest = &rest[take..];
-        }
-        let data = grouped.serialize();
-        assert_eq!(data, singles.serialize(), "group-written log must serialise identically");
-
-        // Truncation sweep over line-content boundaries (the full every-byte
-        // sweep runs in the singles-based property above; the group property
-        // asserts the same contract holds for group-written logs).
-        let mut lines = Vec::new();
-        let mut start = 0usize;
-        for (i, b) in data.bytes().enumerate() {
-            if b == b'\n' {
-                lines.push((start, i));
-                start = i + 1;
-            }
-        }
-        for cut in 0..=data.len() {
-            let torn = &data[..cut];
-            let (prefix, error) =
-                Wal::deserialize_prefix(torn).expect("a truncation is a torn tail, not interior corruption");
-            let intact = lines.iter().skip(1).filter(|&&(_, content_end)| cut >= content_end).count();
-            assert_eq!(prefix.records(), records[..intact].to_vec(), "cut at byte {cut}/{}", data.len());
-            let torn_mid_line = lines.iter().any(|&(line_start, content_end)| line_start < cut && cut < content_end);
-            assert_eq!(error.is_none(), !torn_mid_line, "cut at byte {cut}: error={error:?}");
-        }
-    });
-}
-
-/// The binary segment codec holds the same every-byte-offset truncation
-/// contract as the text WAL: cutting a segment at *any* byte recovers
+/// The binary segment codec holds the WAL's every-byte-offset truncation
+/// contract: cutting a segment at *any* byte recovers
 /// exactly the records whose frames are fully intact before the cut — never
 /// fewer, never a corrupted extra one — with a torn-tail note iff the cut
 /// strictly tears the header or a record frame.

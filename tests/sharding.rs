@@ -1,114 +1,75 @@
-//! Differential sharding suite: the shared-nothing node hot path (sharded
-//! row store, admission-time row-handle resolution, grouped lock release)
-//! must be *invariant-equivalent* to the pre-sharding engine — same
-//! serializability, exactly-once and conservation verdicts from
-//! `p4db_chaos::invariants::check` for the same seeded workload, with and
-//! without message faults.
-//!
-//! `single_latch = true` rebuilds the seed engine exactly (one latch + one
-//! SipHash map per table, per-op lock/lookup/release), so every
-//! `single_latch` arm below is the known-good pre-sharding behaviour; the
-//! sharded arm runs the same seed on the new engine.
+//! Sharding suite: the shared-nothing node hot path (sharded row store,
+//! admission-time row-handle resolution, grouped lock release) must keep the
+//! serializability, exactly-once and conservation verdicts of
+//! `p4db_chaos::invariants::check` clean for every seeded workload, with and
+//! without message faults, and must settle every transaction it was given.
 
-use p4db::chaos::{run_chaos, ChaosOptions, ChaosReport, ChaosWorkload};
+use p4db::chaos::{run_chaos, ChaosOptions, ChaosWorkload};
 use p4db::storage::{NodeStorage, RowHandle, Table};
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
 use p4db::{Cluster, NodeId, TableId};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Seeds per workload for the differential sweep (12 seeds, matching the
-/// chaos suite's faulty sweep).
+/// Seeds per workload for the sweep (12 seeds, matching the chaos suite's
+/// faulty sweep).
 const SEEDS: std::ops::Range<u64> = 1..13;
 
-/// Runs one seeded scenario on one engine arm: one traffic wave, full
-/// invariant checking; `faults` selects the faults-on or faults-off arm.
-fn run(workload: ChaosWorkload, seed: u64, single_latch: bool, faults: bool) -> ChaosReport {
-    let mut options = ChaosOptions::new(workload, seed);
-    options.single_latch = single_latch;
-    options.waves = 1;
-    options.txns_per_wave = 60;
-    if !faults {
-        options.faults = None;
-    }
-    run_chaos(&options).expect("chaos run failed to execute")
-}
-
-/// The differential assertion: both engine arms of a seed must reach the
-/// *same* invariant verdict — and since `single_latch` is the known-good
-/// pre-sharding engine, that verdict must be clean.
-fn assert_equivalent(workload: ChaosWorkload, seed: u64, faults: bool, seed_arm: &ChaosReport, sharded: &ChaosReport) {
-    assert_eq!(
-        seed_arm.invariants.is_clean(),
-        sharded.invariants.is_clean(),
-        "{workload:?} seed {seed} faults={faults}: verdicts diverge between single-latch and sharded\nsingle-latch: \
-         {:?}\nsharded: {}",
-        seed_arm.invariants.violations,
-        sharded.failure_summary(),
-    );
-    assert!(seed_arm.invariants.is_clean(), "{workload:?} seed {seed} single-latch: {}", seed_arm.failure_summary());
-    assert!(sharded.invariants.is_clean(), "{workload:?} seed {seed} sharded: {}", sharded.failure_summary());
-    assert!(seed_arm.committed > 0 && sharded.committed > 0, "{workload:?} seed {seed}: empty run");
-    if !faults {
-        // Same closed-loop drivers, same seed, no faults: both arms attempt
-        // the same transactions — sharding must not lose or invent work.
+/// Every seed runs one traffic wave under full invariant checking; a third
+/// of them run with message faults. The drivers settle every request as a
+/// commit or an abort, so the attempted count is known up front: sharding
+/// must not lose or invent work, faults or not.
+fn sweep(workload: ChaosWorkload) {
+    for seed in SEEDS {
+        let faults = seed % 3 == 0;
+        let mut options = ChaosOptions::new(workload, seed);
+        options.waves = 1;
+        options.txns_per_wave = 60;
+        if !faults {
+            options.faults = None;
+        }
+        let report = run_chaos(&options).expect("chaos run failed to execute");
+        assert!(report.invariants.is_clean(), "{workload:?} seed {seed} faults={faults}: {}", report.failure_summary());
+        assert!(report.committed > 0, "{workload:?} seed {seed}: empty run");
+        let attempted =
+            options.nodes as u64 * options.workers as u64 * options.waves as u64 * options.txns_per_wave as u64;
         assert_eq!(
-            seed_arm.committed + seed_arm.aborted,
-            sharded.committed + sharded.aborted,
-            "{workload:?} seed {seed}: attempted-transaction counts diverge"
+            report.committed + report.aborted,
+            attempted,
+            "{workload:?} seed {seed} faults={faults}: attempted-transaction count drifted"
         );
     }
 }
 
-/// Fault-free differential sweep over every seed; faulty runs for a third of
-/// them (drops/delays/reorders make timing nondeterministic, so the faulty
-/// arms assert verdict equality, not transaction-count equality).
-fn differential_sweep(workload: ChaosWorkload) {
-    for seed in SEEDS {
-        let faults = seed % 3 == 0;
-        let seed_arm = run(workload, seed, true, faults);
-        let sharded = run(workload, seed, false, faults);
-        assert_equivalent(workload, seed, faults, &seed_arm, &sharded);
-    }
+#[test]
+fn sharding_sweep_ycsb() {
+    sweep(ChaosWorkload::Ycsb);
 }
 
 #[test]
-fn differential_sweep_ycsb() {
-    differential_sweep(ChaosWorkload::Ycsb);
+fn sharding_sweep_smallbank() {
+    sweep(ChaosWorkload::SmallBank);
 }
 
 #[test]
-fn differential_sweep_smallbank() {
-    differential_sweep(ChaosWorkload::SmallBank);
+fn sharding_sweep_tpcc() {
+    sweep(ChaosWorkload::Tpcc);
 }
 
+/// A full cluster serves session traffic at every storage shard count, down
+/// to one latch per table (smoke over the cluster-level knob rather than the
+/// chaos harness).
 #[test]
-fn differential_sweep_tpcc() {
-    differential_sweep(ChaosWorkload::Tpcc);
-}
-
-/// The repro line of a single-latch scenario round-trips the knob, so a
-/// failing differential seed is reproducible with one command.
-#[test]
-fn single_latch_repro_env_names_the_knob() {
-    let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, 3);
-    options.single_latch = true;
-    assert!(options.repro_env().contains("CHAOS_SINGLE_LATCH=1"), "{}", options.repro_env());
-}
-
-/// A full cluster built single-latch serves the same session traffic as a
-/// sharded one (smoke over the cluster-level knob rather than the chaos
-/// harness).
-#[test]
-fn single_latch_cluster_commits_like_a_sharded_one() {
+fn cluster_commits_at_every_storage_shard_count() {
     let workload: Arc<dyn Workload> =
         Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
-    for single_latch in [true, false] {
-        let cluster = Cluster::builder(Arc::clone(&workload)).test_profile().single_latch(single_latch).build();
+    for shards in [1u16, 64] {
+        let cluster = Cluster::builder(Arc::clone(&workload)).test_profile().storage_shards(shards).build();
+        assert_eq!(cluster.config().storage_shards, shards);
         let stats = cluster.run_for(Duration::from_millis(150));
         assert!(
             stats.merged.committed_total() > 50,
-            "single_latch={single_latch} committed only {}",
+            "shards={shards} committed only {}",
             stats.merged.committed_total()
         );
     }
