@@ -4,10 +4,10 @@
 //! `P4DB_MEASURE_MS` (per-point measurement time, default 250 ms),
 //! `P4DB_FULL=1` (wider parameter sweeps) and `P4DB_BENCH_JSON` (output
 //! path for the machine-readable datapoints, default `BENCH_23.json` at the
-//! workspace root). Stdout is markdown; redirect it into a file to update
-//! `EXPERIMENTS.md`. The figures that ran are additionally serialised as
-//! `BenchPoint`s, merged by figure into the JSON file, whose smoke emission
-//! the CI regression gate holds to its speedup floors.
+//! workspace root). Stdout is markdown. The figures that ran are
+//! additionally serialised as `BenchPoint`s, merged by figure into the JSON
+//! file, whose smoke emission the CI regression gate holds to its speedup
+//! floors.
 
 use p4db_bench::*;
 

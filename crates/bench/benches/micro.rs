@@ -104,11 +104,14 @@ fn switch_hot_path_rate(batch_size: u16, total: u64) -> f64 {
 }
 
 /// The batching tripwire: the same open-loop hot path, unbatched vs. frames
-/// of 16. The resulting speedup is the `micro` datapoint the CI gate checks.
+/// of 16. The resulting speedup is the `micro` datapoint the CI gate checks,
+/// so each arm takes the best of two runs, as `fig_read_mix` does:
+/// interference from other processes only ever lowers a rate.
 fn switch_hot_path_batched(points: &mut Vec<BenchPoint>) {
     let total = scaled(40_000);
-    let unbatched = switch_hot_path_rate(1, total);
-    let batched = switch_hot_path_rate(16, total);
+    let best = |batch_size| switch_hot_path_rate(batch_size, total).max(switch_hot_path_rate(batch_size, total));
+    let unbatched = best(1);
+    let batched = best(16);
     let speedup = batched / unbatched;
     println!(
         "{:<48} {total:>9} txns   unbatched {unbatched:>10.0} txn/s   batch=16 {batched:>10.0} txn/s   {speedup:.2}x",

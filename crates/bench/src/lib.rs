@@ -2,9 +2,8 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (§7). Each `benches/` target calls the `figXX_*`
-//! functions below and prints the resulting markdown table; the same
-//! functions are used to produce `EXPERIMENTS.md`. Every function also
-//! records its raw measurements as [`BenchPoint`]s on the returned
+//! functions below and prints the resulting markdown table. Every function
+//! also records its raw measurements as [`BenchPoint`]s on the returned
 //! [`FigureTable`], which the bench targets serialise into `BENCH_23.json`
 //! (see [`json`]) — the machine-readable perf trajectory whose smoke
 //! emission the CI regression gate holds to its speedup floors.

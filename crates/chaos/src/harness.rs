@@ -475,7 +475,7 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         builder = builder.with_faults(plan.clone());
     }
     if options.supervised {
-        builder = builder.breaker(BreakerConfig::enabled()).supervisor(true);
+        builder = builder.breaker(BreakerConfig::enabled());
     }
     let mut cluster = builder.try_build()?;
 

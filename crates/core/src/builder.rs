@@ -123,10 +123,10 @@ impl ClusterBuilder {
     /// Hot-path batching degree for both the switch engine (packets dequeued
     /// and replies coalesced per scheduling quantum) and the executor pool:
     /// the upper bound on an executor's share of the node's submission queue
-    /// (`⌈queued ÷ workers⌉` jobs), whose all-hot transactions are pipelined
-    /// per frame, intents and results group-committed. `1` disables batching
-    /// and reproduces the unbatched behaviour exactly; values below 1 are
-    /// clamped to 1.
+    /// (`⌈queued ÷ workers⌉` jobs), whose all-hot transactions share one
+    /// switch exchange, intents and results group-committed. `1` disables
+    /// batching and reproduces the unbatched behaviour exactly; values below
+    /// 1 are clamped to 1.
     pub fn batch_size(mut self, batch_size: u16) -> Self {
         self.config.batch_size = batch_size.max(1);
         self
@@ -204,14 +204,6 @@ impl ClusterBuilder {
     /// in degraded mode).
     pub fn probe_interval(mut self, interval: std::time::Duration) -> Self {
         self.config.probe_interval = interval;
-        self
-    }
-
-    /// Whether drivers should run under the self-healing supervisor
-    /// ([`Cluster::supervise_until`]): detect trips, degrade, probe, resolve
-    /// in-doubt transactions and re-admit — no manual recovery calls.
-    pub fn supervisor(mut self, supervisor: bool) -> Self {
-        self.config.supervisor = supervisor;
         self
     }
 

@@ -62,10 +62,11 @@ pub struct ClusterConfig {
     pub offload_limit: Option<usize>,
     /// Hot-path batching degree, applied to both ends of the switch path:
     /// an executor drains at most this many queued jobs at a time (the
-    /// upper bound on its share, `⌈queued ÷ workers⌉`) and pipelines the
-    /// all-hot ones per frame (group-committed intents, one fabric frame),
-    /// and the switch dequeues/executes up to this many packets per
-    /// scheduling quantum, coalescing their replies into per-worker frames.
+    /// upper bound on its share, `⌈queued ÷ workers⌉`) and sends the
+    /// all-hot ones through one switch exchange (group-committed intents,
+    /// one fabric frame per switch), and the switch dequeues/executes up to
+    /// this many packets per scheduling quantum, coalescing their replies
+    /// into per-worker frames.
     /// `1` reproduces the unbatched behaviour exactly; the differential
     /// suite in `tests/batching.rs` proves the histories are
     /// invariant-equivalent across batch sizes.
@@ -106,10 +107,6 @@ pub struct ClusterConfig {
     /// Supervisor heartbeat cadence: how long [`Cluster::supervise_until`]
     /// sleeps between probe rounds.
     pub probe_interval: Duration,
-    /// Opt-in for harnesses that run the self-healing supervisor alongside
-    /// their drivers (the cluster itself never spawns it — supervision needs
-    /// `&mut Cluster` and runs on the caller's thread).
-    pub supervisor: bool,
     /// In-doubt resolver retry budget per switch status query.
     pub resolver_retries: u32,
 }
@@ -141,7 +138,6 @@ impl ClusterConfig {
             faults: None,
             breaker: BreakerConfig::default(),
             probe_interval: Duration::from_millis(2),
-            supervisor: false,
             resolver_retries: 3,
         }
     }
@@ -408,11 +404,8 @@ impl Cluster {
             // even though the data stays on the nodes.
             SystemMode::LmSwitch | SystemMode::NoSwitch => HotSetIndex::from_tuples(hot_tuples.iter().map(|h| h.tuple)),
         };
-        let mut engine_config = EngineConfig {
-            chiller: config.chiller,
-            batch_size: config.batch_size.max(1),
-            ..EngineConfig::new(config.mode, config.cc, config.switch)
-        };
+        let mut engine_config =
+            EngineConfig { chiller: config.chiller, ..EngineConfig::new(config.mode, config.cc, config.switch) };
         if let Some(plan) = &config.faults {
             engine_config.switch_timeout = plan.switch_timeout;
             engine_config.in_doubt_on_timeout = true;
@@ -499,11 +492,6 @@ impl Cluster {
         self.switches.len()
     }
 
-    /// The planned data layout of switch 0 (for layout-quality reporting).
-    pub fn layout(&self) -> &DataLayout {
-        &self.layouts[0]
-    }
-
     /// The planned data layout of one switch.
     ///
     /// # Panics
@@ -536,12 +524,6 @@ impl Cluster {
     /// Panics when `switch` is outside the topology.
     pub fn switch_stats_at(&self, switch: SwitchId) -> SwitchStatsSnapshot {
         self.switches[switch.index()].stats()
-    }
-
-    /// The control plane of switch 0 (recovery experiments and tests; the
-    /// whole topology in the default single-switch configuration).
-    pub fn control_plane(&self) -> &ControlPlane {
-        &self.control_planes[0]
     }
 
     /// The control plane of one switch.
@@ -594,26 +576,16 @@ impl Cluster {
         self.shared.fabric.flush_faults();
     }
 
-    /// The data-plane audit log of switch 0 (`(TxnId, GID)` in serial
+    /// The data-plane audit log of one switch (`(TxnId, GID)` in serial
     /// execution order). Empty unless the switch profile enables
     /// `audit_data_plane` (the test profile and every fault-injection
-    /// cluster do). GIDs are per-switch serial, so a merged multi-switch
-    /// audit has no meaning — use [`Cluster::switch_audit_at`] per switch.
-    pub fn switch_audit(&self) -> Vec<(TxnId, GlobalTxnId)> {
-        self.switches[0].audit_log()
-    }
-
-    /// The data-plane audit log of one switch.
+    /// cluster do). GIDs are per-switch serial, so there is no merged
+    /// multi-switch audit.
     ///
     /// # Panics
     /// Panics when `switch` is outside the topology.
     pub fn switch_audit_at(&self, switch: SwitchId) -> Vec<(TxnId, GlobalTxnId)> {
         self.switches[switch.index()].audit_log()
-    }
-
-    /// The checker baseline of switch 0's current epoch.
-    pub fn switch_epoch(&self) -> &SwitchEpoch {
-        &self.epochs[0]
     }
 
     /// The checker baseline of one switch's current epoch.
@@ -1481,7 +1453,6 @@ mod tests {
         assert_eq!(cluster.config().batch_size, 8);
         assert_eq!(cluster.config().switch.batch_size, 8);
         assert_eq!(cluster.config().switch.flush_us, 25);
-        assert_eq!(cluster.shared().config.batch_size, 8);
         // batch_size(0) clamps to the unbatched behaviour instead of failing
         // validation.
         let unbatched = Cluster::builder(small_ycsb()).test_profile().batch_size(0).build();
@@ -1623,14 +1594,14 @@ mod tests {
         let _ = cluster.run_for(Duration::from_millis(150));
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
 
-        let live: Vec<(TupleId, u64)> = cluster.control_plane().snapshot();
+        let live: Vec<(TupleId, u64)> = cluster.control_plane_at(SwitchId(0)).snapshot();
         let old_slots: HashMap<TupleId, _> = cluster.shared().hot_index.load().iter().collect();
 
         // Plain restore first: values come back into the same placements.
         let report = cluster.crash_and_recover_switch(None).unwrap();
         assert!(!report.reoffloaded);
         assert!(report.unexplained_divergences.is_empty(), "{:?}", report.unexplained_divergences);
-        assert_eq!(cluster.control_plane().snapshot(), live);
+        assert_eq!(cluster.control_plane_at(SwitchId(0)).snapshot(), live);
 
         // Re-offload: same values, fresh placements, index swapped.
         let report = cluster.crash_and_recover_switch(Some(7)).unwrap();
@@ -1646,7 +1617,7 @@ mod tests {
             "a seeded re-offload should move at least one tuple"
         );
         // The epoch moved: the checker baseline is the restored state.
-        assert_eq!(cluster.switch_epoch().audit_start, cluster.switch_audit().len());
+        assert_eq!(cluster.switch_epoch_at(SwitchId(0)).audit_start, cluster.switch_audit_at(SwitchId(0)).len());
 
         // The cluster still serves transactions against the new layout.
         let stats = cluster.run_for(Duration::from_millis(100));
@@ -1665,7 +1636,7 @@ mod tests {
         cluster.flush_network();
         // The audit log was forced on and tracks executions.
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
-        assert_eq!(cluster.switch_audit().len() as u64, cluster.switch_stats().txns_executed);
+        assert_eq!(cluster.switch_audit_at(SwitchId(0)).len() as u64, cluster.switch_stats().txns_executed);
     }
 
     #[test]

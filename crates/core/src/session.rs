@@ -16,8 +16,9 @@
 //! wait behind its batchmates' execution while the sibling executors sleep on
 //! an empty queue — with `W` executors and at most `W` jobs queued every job
 //! gets its own thread instead. With one executor per node the share *is* the
-//! queue, which keeps the batches (and [`Worker::execute_batch`]'s pipelining
-//! of the all-hot ones) as deep as the clients' in-flight window allows.
+//! queue, which keeps the batches (and the one switch exchange
+//! [`Worker::execute_batch`] gives their all-hot jobs) as deep as the
+//! clients' in-flight window allows.
 //!
 //! **Replies travel per session, not per job.** Each [`Session`] owns one
 //! `ReplyQueue` (a mutex, a condvar and a short vec of `(ticket, reply)`),
@@ -269,22 +270,23 @@ impl SubmissionPool {
     /// registered fabric endpoint.
     pub(crate) fn spawn(shared: &Arc<EngineShared>, config: &ClusterConfig) -> Result<SubmissionPool> {
         let backoff = Duration::from_nanos(config.latency.one_way_ns / 2).max(MIN_BACKOFF);
+        let batch_size = config.batch_size.max(1) as usize;
         let mut queues = Vec::with_capacity(config.num_nodes as usize);
         let mut handles = Vec::new();
         for node in 0..config.num_nodes {
             let (tx, rx) = unbounded();
             for slot in 0..config.workers_per_node {
                 let wid = next_worker_slot()?;
-                let shared = Arc::clone(shared);
+                let worker = Worker::new(Arc::clone(shared), NodeId(node), wid);
                 let rx = rx.clone();
                 // Executors drain jobs in batches; a drained share can
                 // contain other executors' poison pills, which are
                 // re-forwarded through this sender (see `executor_loop`).
                 let pill_tx = tx.clone();
-                let seed = config.seed ^ ((wid.0 as u64) << 32) ^ 0xC0FF_EE00;
+                let rng = FastRng::new(config.seed ^ ((wid.0 as u64) << 32) ^ 0xC0FF_EE00);
                 let thread = std::thread::Builder::new()
                     .name(format!("p4db-exec-{node}.{slot}"))
-                    .spawn(move || executor_loop(shared, NodeId(node), wid, rx, pill_tx, backoff, seed))
+                    .spawn(move || executor_loop(worker, rx, pill_tx, batch_size, backoff, rng))
                     .expect("spawn executor thread");
                 handles.push(thread);
             }
@@ -317,9 +319,9 @@ impl Drop for SubmissionPool {
 /// queued jobs — `⌈queued ÷ executors⌉`, at most `batch_size`, decided by
 /// [`Receiver::recv_share`] under the queue's lock (every executor of the
 /// node owns exactly one receiver, so the channel's receiver count is the
-/// executor count) — run the all-hot ones pipelined through
-/// [`Worker::execute_batch`] (intents group-committed, packets framed,
-/// replies drained together) and the rest one at a time, take each job to
+/// executor count) — run it through [`Worker::execute_batch`] (the all-hot
+/// jobs in one switch exchange: intents group-committed, packets framed,
+/// replies drained together; the rest one at a time), take each job to
 /// commit or to its retry budget, then file the share's replies together:
 /// one lock and at most one wake-up per distinct session.
 ///
@@ -328,23 +330,21 @@ impl Drop for SubmissionPool {
 /// execution while a sibling idles. A retry does not hold the share's other
 /// replies: every job the first pass decides is settled before any retry
 /// starts, and each retrying job files what is settled before it backs off
-/// ([`retry_until_settled`]). With `batch_size <= 1`, or whenever the share
-/// is a single job, this is exactly the historical one-job-at-a-time loop.
+/// ([`retry_until_settled`]). A drained share can legally be all pills,
+/// leaving no work: an executor must never panic over its share's
+/// composition, since a dead executor strands every job queued behind it.
 fn executor_loop(
-    shared: Arc<EngineShared>,
-    node: NodeId,
-    wid: WorkerId,
+    mut worker: Worker,
     rx: Receiver<Job>,
     pill_tx: Sender<Job>,
+    batch_size: usize,
     backoff: Duration,
-    seed: u64,
+    mut rng: FastRng,
 ) {
-    let batch_size = shared.config.batch_size.max(1) as usize;
-    let mut worker = Worker::new(shared, node, wid);
-    let mut rng = FastRng::new(seed);
     // Reused across shares, so a steady stream of jobs allocates none of them.
     let mut jobs = Vec::with_capacity(batch_size);
     let mut work = Vec::with_capacity(batch_size);
+    let mut firsts = Vec::with_capacity(batch_size);
     let mut retrying = Vec::new();
     let mut settled = Vec::with_capacity(batch_size);
     while rx.recv_share(batch_size, &mut jobs).is_ok() {
@@ -356,31 +356,16 @@ fn executor_loop(
             }
         }
         let started = Instant::now();
-        if work.len() == 1 {
-            // A drained batch can legally be all pills (leaving `work`
-            // empty), and an executor must never panic over its batch
-            // composition — a dead executor strands every job still queued
-            // behind it. Serve the job if there is one, never assert.
-            if let Some(job) = work.pop() {
-                let mut stats = WorkerStats::new();
-                let first = worker.execute(&job.req, &mut stats);
-                retrying.extend(settle(job, started, first, stats, 0, &mut settled));
-            }
-        } else if !work.is_empty() {
-            // Borrowed, not cloned: the jobs keep ownership of their
-            // requests for the per-job retry path below.
-            let reqs: Vec<&TxnRequest> = work.iter().map(|job| &job.req).collect();
-            let mut batch_stats = WorkerStats::new();
-            let firsts = worker.execute_batch(&reqs, &mut batch_stats);
-            drop(reqs);
-            // The batch's engine-phase statistics ride with the first job
-            // (a dropped ticket's statistics still reach its session, so
-            // totals stay exact); commits and latencies are recorded per job.
-            let mut carry = batch_stats;
-            for (job, first) in work.drain(..).zip(firsts) {
-                let stats = std::mem::take(&mut carry);
-                retrying.extend(settle(job, started, first, stats, 0, &mut settled));
-            }
+        // Borrowed, not cloned: the jobs keep ownership of their requests
+        // for the per-job retry path below.
+        let mut stats = WorkerStats::new();
+        worker.execute_batch(work.iter().map(|job: &ExecJob| &job.req), &mut stats, &mut firsts);
+        // The share's engine-phase statistics ride with the first job (a
+        // dropped ticket's statistics still reach its session, so totals
+        // stay exact); commits and latencies are recorded per job.
+        for (job, first) in work.drain(..).zip(firsts.drain(..)) {
+            let stats = std::mem::take(&mut stats);
+            retrying.extend(settle(job, started, first, stats, 0, &mut settled));
         }
         for retry in retrying.drain(..) {
             retry_until_settled(&mut worker, &mut rng, backoff, retry, started, &mut settled);
@@ -435,9 +420,8 @@ fn settle(
     None
 }
 
-/// Re-runs an aborted job on the one-at-a-time engine — retries are only
-/// possible for host-path aborts, which the pipelined hot path cannot
-/// produce — until [`settle`] settles it. Every reply already in `settled`
+/// Re-runs an aborted job through [`Worker::execute`], a share of one, until
+/// [`settle`] settles it. Every reply already in `settled`
 /// is filed before the first backoff, so a batchmate's commit never waits
 /// out this job's retry schedule.
 fn retry_until_settled(

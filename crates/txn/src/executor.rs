@@ -1,19 +1,26 @@
 //! The distributed transaction engine of the host DBMS, integrating the
 //! switch as an "additional database node" (§6).
 //!
-//! Every worker thread owns a [`Worker`] handle and calls [`Worker::execute`]
-//! for each transaction. The engine classifies the request's operations into
-//! hot (offloaded to the switch) and cold (host) sets and runs one of three
+//! Every worker thread owns a [`Worker`] handle and runs each share of its
+//! node's queue through [`Worker::execute_batch`] ([`Worker::execute`] is the
+//! share of one). The engine classifies each request's operations into hot
+//! (offloaded to the switch) and cold (host) sets and runs one of three
 //! flows:
 //!
-//! * **hot** — all operations hot: a single switch transaction, no host locks
-//!   at all (§6.1);
+//! * **hot** — all operations hot on one switch: a switch sub-transaction, no
+//!   host locks at all (§6.1); the hot requests of a share travel in one
+//!   exchange;
 //! * **cold** — no hot operations: classic 2PL (NO_WAIT / WAIT_DIE) with 2PC
 //!   for distributed transactions (§3.2);
 //! * **warm** — a mix: the cold part runs under 2PL up to the point where it
-//!   can no longer abort, then the switch sub-transaction is sent, then the
-//!   cold part commits; the switch multicasts the decision for distributed
-//!   warm transactions (§6.2, Fig 8/10).
+//!   can no longer abort, then one exchange per owning switch carries the hot
+//!   part, then the cold part commits; the switch multicasts the decision for
+//!   distributed warm transactions (§6.2, Fig 8/10).
+//!
+//! Both switch flows go through the one worker-to-switch exchange
+//! (`Worker::run_exchange`): every intent group-committed before any packet
+//! leaves, one frame per destination switch, replies awaited by token, a lost
+//! reply parked in the in-doubt ledger, every result group-committed.
 //!
 //! The LM-Switch baseline (switch as central lock manager) and the
 //! Chiller-style contention-centric re-ordering (Fig 18b) are variations of
@@ -28,10 +35,10 @@ use p4db_common::stats::{Phase, TxnClass, WorkerStats};
 use p4db_common::{
     AbortReason, CcScheme, Error, GlobalTxnId, NodeId, Result, SwitchId, SystemMode, TupleId, TxnId, Value, WorkerId,
 };
-use p4db_net::{BatchRecvOutcome, EndpointId, Fabric, LatencyModel, Mailbox, RecvOutcome};
+use p4db_net::{EndpointId, Fabric, LatencyModel, Mailbox, RecvOutcome};
 use p4db_storage::{LockMode, LogRecord, MvccState, NodeStorage, RowHandle, SnapshotSlot};
-use p4db_switch::{SwitchConfig, SwitchMessage, TxnHeader, TxnReply};
-use std::collections::{HashMap, HashSet};
+use p4db_switch::{SwitchConfig, SwitchMessage, SwitchTxn, TxnHeader, TxnReply};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,9 +52,6 @@ pub struct EngineConfig {
     /// contended (hot-set) tuples are accessed last and their locks released
     /// first (used only by the Fig 18b comparison).
     pub chiller: bool,
-    /// Whether switch transactions are logged to the WAL (§6.1). On by
-    /// default; the microbenchmarks can disable it to isolate data-path cost.
-    pub log_switch_txns: bool,
     /// How long a worker waits for a switch reply before giving up on it.
     /// Generous by default; fault-injection runs shrink it so dropped
     /// packets surface quickly.
@@ -58,13 +62,6 @@ pub struct EngineConfig {
     /// faults nothing can be lost on the wire, so a timeout is a wedged
     /// switch and surfaces loudly as [`p4db_common::Error::Disconnected`].
     pub in_doubt_on_timeout: bool,
-    /// Hot-path batching on the worker side: up to this many queued all-hot
-    /// transactions are pipelined per [`Worker::execute_batch`] call — their
-    /// intents group-committed in one WAL write, their packets sent as one
-    /// fabric frame, their replies collected together, and their results
-    /// group-committed again. `1` disables pipelining and reproduces the
-    /// one-transaction-at-a-time behaviour exactly.
-    pub batch_size: u16,
     /// In-doubt resolver retry budget: how many times a status query to the
     /// switch is retried before an entry is re-parked as unresolved.
     pub resolver_retries: u32,
@@ -77,10 +74,8 @@ impl EngineConfig {
             cc,
             switch_config,
             chiller: false,
-            log_switch_txns: true,
             switch_timeout: Duration::from_secs(30),
             in_doubt_on_timeout: false,
-            batch_size: 1,
             resolver_retries: 3,
         }
     }
@@ -118,14 +113,73 @@ impl EngineShared {
     }
 }
 
-/// Result of one switch sub-transaction as seen by the issuing worker.
-enum SwitchSubTxn {
-    /// The reply arrived: GID plus per-original-op result values.
-    Completed { gid: GlobalTxnId, values: HashMap<usize, u64> },
-    /// No reply within the timeout: the packet or its reply was lost. The
-    /// intent is logged, so the transaction counts as committed; recovery
-    /// orders it from the logs.
-    InDoubt,
+/// Where [`Worker::route`] sent a request.
+enum Route {
+    /// It ran to this result on the empty, snapshot or host path.
+    Ran(Result<TxnOutcome>),
+    /// It is all-hot on this one switch and waits for the share's exchange.
+    Hot(SwitchId),
+}
+
+/// The queued sub-transactions of the worker-to-switch exchange and its
+/// buffers. One instance lives inside each [`Worker`] as reusable scratch,
+/// like [`HostTxnState`]: a steady stream of exchanges allocates none of
+/// them. The queue is a stack: a warm transaction runs while its share's hot
+/// requests wait queued, so it pushes its sub-transaction on top, runs the
+/// exchange over that alone and truncates it away again.
+#[derive(Default)]
+struct Exchange {
+    subs: Vec<SubTxn>,
+    /// Every sub-transaction's `(request index, operation)` pairs, back to
+    /// back; [`SubTxn::ops`] is one sub-transaction's range.
+    ops: Vec<(usize, TxnOp)>,
+    /// The records of one group commit: the intents, then the results.
+    log: Vec<LogRecord>,
+}
+
+impl Exchange {
+    /// Drops the sub-transactions from index `from` on, with their
+    /// operations.
+    fn truncate(&mut self, from: usize) {
+        if let Some(sub) = self.subs.get(from) {
+            self.ops.truncate(sub.ops.start);
+        }
+        self.subs.truncate(from);
+    }
+
+    /// Queues a sub-transaction of `ops` for `switch`, whose values scatter
+    /// into the caller's result slot `slot`.
+    fn push(&mut self, slot: usize, switch: SwitchId, txn: TxnId, ops: impl IntoIterator<Item = (usize, TxnOp)>) {
+        let start = self.ops.len();
+        self.ops.extend(ops);
+        let ops = start..self.ops.len();
+        let (packet, orig_index, reply, outcome) = (None, Vec::new(), None, Ok(None));
+        self.subs.push(SubTxn { slot, switch, txn, ops, token: 0, packet, orig_index, reply, outcome });
+    }
+}
+
+/// One switch sub-transaction: the hot operations of one request that one
+/// switch owns.
+struct SubTxn {
+    slot: usize,
+    switch: SwitchId,
+    txn: TxnId,
+    /// This sub-transaction's operations: a range of [`Exchange::ops`].
+    ops: Range<usize>,
+    /// The reply's correlation token.
+    token: u64,
+    /// The built packet, until its frame leaves.
+    packet: Option<SwitchTxn>,
+    /// `orig_index[i]`: the request index of the operation instruction `i`
+    /// implements.
+    orig_index: Vec<usize>,
+    reply: Option<TxnReply>,
+    /// How the exchange ended for this sub-transaction: `Ok(Some(gid))`
+    /// completed, `Ok(None)` in doubt (the intent is logged and the switch
+    /// cannot abort, so it counts as committed; recovery orders it from the
+    /// logs), or `Err` when its breaker was open or it did not build —
+    /// nothing logged, nothing sent.
+    outcome: Result<Option<GlobalTxnId>>,
 }
 
 /// Undo and footprint state of one host (sub-)transaction. One instance
@@ -207,9 +261,13 @@ pub struct Worker {
     token: u64,
     /// Reusable host-transaction scratch (see [`HostTxnState`]).
     scratch: HostTxnState,
+    /// Reusable switch-exchange scratch (see [`Exchange`]).
+    exchange: Exchange,
     /// Reusable classification buffers (hot / cold operation indices).
     scratch_hot: Vec<usize>,
     scratch_cold: Vec<usize>,
+    /// The result buffer of [`Worker::execute`], a share of one.
+    scratch_outcome: Vec<Result<TxnOutcome>>,
     /// This worker's slot in the snapshot registry: announces the snapshot
     /// of an in-flight read-only transaction to the version-chain GC.
     snapshot_slot: SnapshotSlot,
@@ -230,8 +288,10 @@ impl Worker {
             seq: 0,
             token: 0,
             scratch: HostTxnState::default(),
+            exchange: Exchange::default(),
             scratch_hot: Vec::new(),
             scratch_cold: Vec::new(),
+            scratch_outcome: Vec::new(),
             snapshot_slot,
         }
     }
@@ -258,46 +318,105 @@ impl Worker {
         self.token
     }
 
-    /// Executes one transaction attempt. Aborts are returned as
-    /// `Err(Error::Abort(_))`; the caller (worker loop) decides whether to
-    /// retry. The hot-set index is snapshotted once here, so classification,
-    /// packet construction and Chiller ordering always agree even if a
-    /// re-offload swaps the index mid-transaction.
+    /// Executes one transaction attempt: [`Worker::execute_batch`] over a
+    /// share of one. Aborts are returned as `Err(Error::Abort(_))`; the caller
+    /// (worker loop) decides whether to retry.
     pub fn execute(&mut self, req: &TxnRequest, stats: &mut WorkerStats) -> Result<TxnOutcome> {
-        if req.is_empty() {
-            return Ok(TxnOutcome {
-                class: TxnClass::Cold,
-                results: Vec::new(),
-                gid: None,
-                in_doubt: false,
-                snapshot: None,
-            });
-        }
+        let mut out = std::mem::take(&mut self.scratch_outcome);
+        self.execute_batch([req], stats, &mut out);
+        let result = out.pop().expect("one result per request");
+        self.scratch_outcome = out;
+        result
+    }
+
+    /// Executes a share of requests into `out`: one result per request, in
+    /// request order. The hot-set index is snapshotted once here, so
+    /// classification, packet construction and Chiller ordering always agree
+    /// even if a re-offload swaps the index mid-share.
+    ///
+    /// Requests that are all-hot on one switch wait for the share's one
+    /// exchange: their intents group-committed in one WAL write, one fabric
+    /// frame per destination switch, their replies drained together and their
+    /// results group-committed again — the engine-side half of the switch's
+    /// frame batching. The rest run one at a time as the share is scanned.
+    /// Hot transactions cannot abort on a conflict, so only host-path results
+    /// ever need the caller's retry loop.
+    pub fn execute_batch<'r>(
+        &mut self,
+        reqs: impl IntoIterator<Item = &'r TxnRequest>,
+        stats: &mut WorkerStats,
+        out: &mut Vec<Result<TxnOutcome>>,
+    ) {
+        out.clear();
         let index = self.shared.hot_index.load();
+        self.exchange.truncate(0);
+        for (slot, req) in reqs.into_iter().enumerate() {
+            let result = match self.route(req, &index, stats) {
+                Route::Ran(result) => result,
+                Route::Hot(switch) => {
+                    let txn = self.next_txn_id();
+                    self.exchange.push(slot, switch, txn, req.ops.iter().copied().enumerate());
+                    let results = vec![0; req.ops.len()];
+                    Ok(TxnOutcome { class: TxnClass::Hot, results, gid: None, in_doubt: false, snapshot: None })
+                }
+            };
+            out.push(result);
+        }
+        if self.exchange.subs.is_empty() {
+            return;
+        }
+        let scatter = |slot: usize, i: usize, value| {
+            if let Ok(outcome) = &mut out[slot] {
+                outcome.results[i] = value;
+            }
+        };
+        let run = self.run_exchange(0, &index, false, scatter, stats);
+        for sub in &self.exchange.subs {
+            match (&run, &sub.outcome) {
+                // A wedged or shutting-down cluster fails the whole exchange.
+                (Err(e), _) | (_, Err(e)) => out[sub.slot] = Err(e.clone()),
+                (Ok(()), Ok(gid)) => {
+                    if let Ok(outcome) = &mut out[sub.slot] {
+                        outcome.gid = *gid;
+                        outcome.in_doubt = gid.is_none();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `req` to its result, unless it is all-hot on one switch: that
+    /// abort-free switch path (§6.1) is left to the share's exchange.
+    fn route(&mut self, req: &TxnRequest, index: &HotSetIndex, stats: &mut WorkerStats) -> Route {
+        if req.is_empty() {
+            let outcome =
+                TxnOutcome { class: TxnClass::Cold, results: Vec::new(), gid: None, in_doubt: false, snapshot: None };
+            return Route::Ran(Ok(outcome));
+        }
         // Declared read-only: try the lock-free snapshot path first. An
         // ineligible request (a non-`Read` operation, or a tuple offloaded
         // to a switch whose host row is therefore stale) falls through to
         // the locking path below.
         if req.read_only {
-            if let Some(outcome) = self.try_execute_snapshot(req, &index, stats)? {
-                return Ok(outcome);
+            if let Some(ran) = self.try_execute_snapshot(req, index, stats).transpose() {
+                return Route::Ran(ran);
             }
         }
         // Classification reuses the worker's buffers.
         let mut hot = std::mem::take(&mut self.scratch_hot);
         let mut cold = std::mem::take(&mut self.scratch_cold);
-        stats.degraded_hot += self.classify(req, &index, &mut hot, &mut cold);
-        let result = match (hot.is_empty(), cold.is_empty()) {
-            // All-hot *and* single-owner: the abort-free switch path. A hot
-            // set spanning two switches has no single pipeline that can
-            // execute it, so it falls back to the host path.
-            (false, true) if !Self::spans_switches(req, &hot, &index) => self.execute_hot(req, &hot, &index, stats),
-            (true, _) => self.execute_host(req, &[], &cold, &index, stats),
-            _ => self.execute_host(req, &hot, &cold, &index, stats),
+        stats.degraded_hot += self.classify(req, index, &mut hot, &mut cold);
+        // All-hot *and* single-owner: the abort-free switch path. A hot set
+        // spanning two switches has no single pipeline that can execute it,
+        // so it falls back to the host path.
+        let owner = if cold.is_empty() { Self::single_owner(req, &hot, index) } else { None };
+        let route = match owner {
+            Some(switch) => Route::Hot(switch),
+            None => Route::Ran(self.execute_host(req, &hot, &cold, index, stats)),
         };
         self.scratch_hot = hot;
         self.scratch_cold = cold;
-        result
+        route
     }
 
     /// The lock-free snapshot read path (read-only transactions): picks a
@@ -363,260 +482,15 @@ impl Worker {
         Ok(Some(TxnOutcome { class: TxnClass::Cold, results, gid: None, in_doubt: false, snapshot: Some(snap) }))
     }
 
-    /// Whether the hot operations resolve to more than one owning switch —
-    /// the *cross-switch* class. No single switch can execute such a
-    /// transaction abort-free, so it runs through the host path, which sends
-    /// at most one sub-transaction per owning switch (see
-    /// [`Worker::commit_host_txn`]). Single-switch topologies never produce
-    /// it.
-    fn spans_switches(req: &TxnRequest, hot: &[usize], index: &HotSetIndex) -> bool {
-        let mut first = None;
-        for &i in hot {
-            match (first, index.owner(req.ops[i].tuple)) {
-                (None, owner @ Some(_)) => first = owner,
-                (Some(f), Some(o)) if o != f => return true,
-                _ => {}
-            }
-        }
-        false
-    }
-
-    /// Executes a batch of transactions, pipelining the all-hot ones: their
-    /// intents are group-committed in one WAL write, their packets leave as
-    /// one fabric frame, and their replies are drained together — the
-    /// per-transaction overheads of the hot path amortised over the batch
-    /// (the engine-side half of the switch's frame batching). Transactions
-    /// with any cold operation, and everything when
-    /// [`EngineConfig::batch_size`] is 1, run through the unbatched
-    /// [`Worker::execute`] path unchanged. Returns one result per request,
-    /// in request order; hot transactions cannot abort, so batched results
-    /// never need the caller's retry loop.
-    pub fn execute_batch(&mut self, reqs: &[&TxnRequest], stats: &mut WorkerStats) -> Vec<Result<TxnOutcome>> {
-        if reqs.len() <= 1 || self.shared.config.batch_size <= 1 {
-            return reqs.iter().map(|r| self.execute(r, stats)).collect();
-        }
-        let index = self.shared.hot_index.load();
-        let mut pipeline = Vec::new();
-        // Eligibility scan through the reusable classification buffers — no
-        // allocations per scanned request.
-        let mut hot = std::mem::take(&mut self.scratch_hot);
-        let mut cold = std::mem::take(&mut self.scratch_cold);
-        for (i, req) in reqs.iter().enumerate() {
-            self.classify(req, &index, &mut hot, &mut cold);
-            // Cross-switch requests are not pipelineable (they need the host
-            // path's per-switch sub-transactions); they fall through to the
-            // unbatched `execute` below like any mixed request.
-            if !req.is_empty() && cold.is_empty() && !hot.is_empty() && !Self::spans_switches(req, &hot, &index) {
-                pipeline.push(i);
-            }
-        }
-        self.scratch_hot = hot;
-        self.scratch_cold = cold;
-        let mut results: Vec<Option<Result<TxnOutcome>>> = reqs.iter().map(|_| None).collect();
-        if pipeline.len() > 1 {
-            match self.run_hot_pipeline(reqs, &pipeline, &index, stats) {
-                Ok(outcomes) => {
-                    for (&slot, outcome) in pipeline.iter().zip(outcomes) {
-                        results[slot] = Some(outcome);
-                    }
-                }
-                // A wedged or shutting-down cluster fails the whole frame,
-                // exactly as each transaction would fail individually.
-                Err(e) => {
-                    for &slot in &pipeline {
-                        results[slot] = Some(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        for (i, req) in reqs.iter().enumerate() {
-            if results[i].is_none() {
-                results[i] = Some(self.execute(req, stats));
-            }
-        }
-        results.into_iter().map(|r| r.expect("every request resolved")).collect()
-    }
-
-    /// The pipelined hot path: build every packet, group-commit every intent
-    /// *before* the frame leaves the node (the durability point of §6.1 is
-    /// unchanged — all intents are on stable storage before any packet is on
-    /// the wire), send one frame, await all replies, group-commit all
-    /// results. Returns one result per entry of `idxs`, in order: a request
-    /// that fails to build gets its own [`Error::InvalidTxn`] — exactly what
-    /// the unbatched path would return it — without failing its batchmates;
-    /// replies lost to the wire surface as in-doubt outcomes exactly like
-    /// the unbatched path. The outer `Err` is reserved for batch-wide
-    /// failures (cluster shutdown, wedged switch).
-    #[allow(clippy::type_complexity)]
-    fn run_hot_pipeline(
-        &mut self,
-        reqs: &[&TxnRequest],
-        idxs: &[usize],
-        index: &HotSetIndex,
-        stats: &mut WorkerStats,
-    ) -> Result<Vec<Result<TxnOutcome>>> {
-        let mut watch = Stopwatch::start();
-        let mut results: Vec<Result<TxnOutcome>> = Vec::with_capacity(idxs.len());
-        let mut batch = Vec::with_capacity(idxs.len());
-        let mut intents = Vec::with_capacity(idxs.len());
-        for (slot, &i) in idxs.iter().enumerate() {
-            let req = &reqs[i];
-            // Every operation is hot and the eligibility scan rejected
-            // cross-switch requests, so the first operation's owner is the
-            // whole transaction's owner.
-            let switch = index.owner(req.ops[0].tuple).unwrap_or(SwitchId(0));
-            // Breaker open: fast-fail before anything is logged or sent (no
-            // intent in flight), without failing the batchmates.
-            if self.shared.health.is_open(switch) {
-                results.push(Err(Error::Abort(AbortReason::SwitchUnavailable { switch })));
-                continue;
-            }
-            let txn_id = self.next_txn_id();
-            let token = self.next_token();
-            let mut header = TxnHeader::new(self.endpoint, token);
-            header.txn_id = txn_id;
-            let hot_ops: Vec<(usize, TxnOp)> = req.ops.iter().copied().enumerate().collect();
-            // A malformed transaction fails alone, never its batchmates.
-            let built = match build_switch_txn(&hot_ops, index, &self.shared.config.switch_config, header) {
-                Ok(built) => built,
-                Err(e) => {
-                    results.push(Err(e));
-                    continue;
-                }
-            };
-            if built.txn.header.is_multipass {
-                stats.switch_multi_pass += 1;
-            } else {
-                stats.switch_single_pass += 1;
-            }
-            if self.shared.config.log_switch_txns {
-                intents.push(LogRecord::SwitchIntent { txn: txn_id, ops: built.logged_ops.clone() });
-            }
-            // Placeholder, overwritten once the reply (or its loss) is known.
-            results.push(Err(Error::Disconnected));
-            batch.push((slot, i, txn_id, token, switch, built));
-        }
-        // Durability: one group commit covers every intent of the frame.
-        if !intents.is_empty() {
-            self.coordinator_storage().wal().append_group(intents);
-        }
-        // The in-doubt ledger fence: every intent of this frame is in the
-        // coordinator WAL at or below this index.
-        let logged_at = self.coordinator_storage().wal().len();
-        stats.record_phase(Phase::TxnEngine, watch.lap());
-
-        if batch.is_empty() {
-            stats.record_phase(Phase::SwitchTxn, watch.lap());
-            return Ok(results);
-        }
-
-        // One frame *per destination switch*, one imposed wire latency each:
-        // the transactions bound for one switch share the NIC doorbell and
-        // the ½ RTT to it. Single-switch topologies produce exactly one
-        // frame, as before.
-        let mut frames: Vec<(SwitchId, Vec<SwitchMessage>)> = Vec::new();
-        for (_, _, _, _, switch, b) in &batch {
-            let payload = SwitchMessage::Txn(b.txn.clone());
-            match frames.iter_mut().find(|(s, _)| s == switch) {
-                Some((_, payloads)) => payloads.push(payload),
-                None => frames.push((*switch, vec![payload])),
-            }
-        }
-        for (switch, payloads) in frames {
-            if !self.shared.fabric.send_frame(self.endpoint, EndpointId::Switch(switch), payloads) {
-                return Err(Error::Disconnected);
-            }
-        }
-        let wanted: HashSet<u64> = batch.iter().map(|&(_, _, _, token, _, _)| token).collect();
-        let mut replies: HashMap<u64, TxnReply> = HashMap::with_capacity(batch.len());
-        let deadline = Instant::now() + self.shared.config.switch_timeout;
-        while replies.len() < batch.len() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.mailbox.recv_batch_timeout(remaining, batch.len()) {
-                BatchRecvOutcome::Frame(envs) => {
-                    for env in envs {
-                        // Stale replies (from previous, timed-out attempts)
-                        // and unrelated messages are dropped.
-                        if let SwitchMessage::TxnReply(r) = env.payload {
-                            if wanted.contains(&r.token) {
-                                replies.insert(r.token, r);
-                            }
-                        }
-                    }
-                }
-                BatchRecvOutcome::TimedOut => {
-                    if !self.shared.config.in_doubt_on_timeout {
-                        return Err(Error::Disconnected);
-                    }
-                    // Under fault injection the missing packets or replies
-                    // were lost: their transactions commit in doubt below.
-                    break;
-                }
-                BatchRecvOutcome::Disconnected => return Err(Error::Disconnected),
-            }
-        }
-        // A full wire RTT on top of the outbound ½ RTT the fabric imposed
-        // (1.5 in all — ROADMAP item 13), once per reply frame; not imposed
-        // when the whole frame was lost (the unbatched TimedOut arm imposes
-        // none either).
-        if !replies.is_empty() {
-            self.shared.latency.impose_switch_rtt_wire();
-        }
-        stats.record_phase(Phase::SwitchTxn, watch.lap());
-
-        let mut result_records = Vec::with_capacity(batch.len());
-        for (slot, i, txn_id, token, switch, built) in batch {
-            let mut values = vec![0u64; reqs[i].ops.len()];
-            results[slot] = match replies.remove(&token) {
-                Some(reply) => {
-                    self.shared.health.record_success(switch);
-                    let mut logged_results = Vec::with_capacity(reply.results.len());
-                    for (instr_idx, res) in reply.results.iter().enumerate() {
-                        let orig = built.orig_index[instr_idx];
-                        values[orig] = res.value;
-                        logged_results.push((reqs[i].ops[orig].tuple, res.value));
-                    }
-                    if self.shared.config.log_switch_txns {
-                        result_records.push(LogRecord::SwitchResult {
-                            txn: txn_id,
-                            gid: reply.gid,
-                            results: logged_results,
-                        });
-                    }
-                    Ok(TxnOutcome {
-                        class: TxnClass::Hot,
-                        results: values,
-                        gid: Some(reply.gid),
-                        in_doubt: false,
-                        snapshot: None,
-                    })
-                }
-                // Intent logged, switch cannot abort: committed in doubt.
-                None => {
-                    stats.switch_timeouts += 1;
-                    if self.shared.health.record_failure(switch) {
-                        stats.breaker_trips += 1;
-                    }
-                    if self.shared.config.log_switch_txns {
-                        // All-hot by construction: the footprint is the whole
-                        // request, operand indices already self-contained.
-                        self.shared.health.note_in_doubt(InDoubtEntry {
-                            switch,
-                            txn: txn_id,
-                            node: self.node,
-                            logged_at,
-                            ops: reqs[i].ops.clone(),
-                        });
-                    }
-                    Ok(TxnOutcome { class: TxnClass::Hot, results: values, gid: None, in_doubt: true, snapshot: None })
-                }
-            };
-        }
-        if !result_records.is_empty() {
-            self.coordinator_storage().wal().append_group(result_records);
-        }
-        stats.record_phase(Phase::TxnEngine, watch.lap());
-        Ok(results)
+    /// The one switch that owns every hot operation, or `None` for the
+    /// *cross-switch* class. No single switch can execute such a transaction
+    /// abort-free, so it runs through the host path, which sends at most one
+    /// sub-transaction per owning switch (see [`Worker::commit_host_txn`]).
+    /// Single-switch topologies never produce it.
+    fn single_owner(req: &TxnRequest, hot: &[usize], index: &HotSetIndex) -> Option<SwitchId> {
+        let mut owners = hot.iter().filter_map(|&i| index.owner(req.ops[i].tuple));
+        let first = owners.next().unwrap_or(SwitchId(0));
+        owners.all(|owner| owner == first).then_some(first)
     }
 
     /// Splits the request's operation indices into hot (switch) and cold
@@ -649,165 +523,164 @@ impl Worker {
         demoted
     }
 
-    // --- Hot transactions -------------------------------------------------
+    // --- The worker-to-switch exchange --------------------------------------
 
-    fn execute_hot(
+    /// The switch-transaction protocol (§6.1) over the sub-transactions
+    /// queued in `self.exchange` from index `from` on, in order:
+    ///
+    /// 1. a sub-transaction whose breaker is open fast-fails, and one that
+    ///    does not build fails, neither touching its batchmates;
+    /// 2. every intent is group-committed *before* any packet leaves the node
+    ///    — from here the sub-transactions count as committed, the switch
+    ///    cannot abort;
+    /// 3. one frame per destination switch;
+    /// 4. the replies are awaited by token until the deadline;
+    /// 5. a lost one is parked in the in-doubt ledger;
+    /// 6. the values are scattered through `scatter(slot, request index,
+    ///    value)` and the results group-committed.
+    ///
+    /// Each sub-transaction's fate is left in [`SubTxn::outcome`]. `Err` is
+    /// reserved for the exchange as a whole: a cluster shutting down or a
+    /// wedged switch. `multicast_decision` asks the switch to multicast the
+    /// decision to every node (distributed warm transactions, Fig 10).
+    fn run_exchange(
         &mut self,
-        req: &TxnRequest,
-        hot: &[usize],
-        index: &HotSetIndex,
-        stats: &mut WorkerStats,
-    ) -> Result<TxnOutcome> {
-        let txn_id = self.next_txn_id();
-        let mut results = vec![0u64; req.ops.len()];
-        // The dispatcher rejected cross-switch requests, so every hot
-        // operation shares the first one's owning switch.
-        let switch = index.owner(req.ops[hot[0]].tuple).unwrap_or(SwitchId(0));
-        let hot_ops: Vec<(usize, TxnOp)> = hot.iter().map(|&i| (i, req.ops[i])).collect();
-        match self.run_switch_subtxn(txn_id, switch, req, &hot_ops, index, false, stats)? {
-            SwitchSubTxn::Completed { gid, values } => {
-                for (idx, value) in values {
-                    results[idx] = value;
-                }
-                Ok(TxnOutcome { class: TxnClass::Hot, results, gid: Some(gid), in_doubt: false, snapshot: None })
-            }
-            // The intent is logged, the switch cannot abort: the transaction
-            // counts as committed even though its reply is lost (§6.1).
-            SwitchSubTxn::InDoubt => {
-                Ok(TxnOutcome { class: TxnClass::Hot, results, gid: None, in_doubt: true, snapshot: None })
-            }
-        }
-    }
-
-    /// Builds, logs, sends and awaits one switch sub-transaction. Every
-    /// operation of `hot_ops` must be owned by `switch`; the caller groups
-    /// per owner before calling (and patches cross-group operand
-    /// dependencies into literals — the switches cannot forward values to
-    /// each other).
-    #[allow(clippy::too_many_arguments)]
-    fn run_switch_subtxn(
-        &mut self,
-        txn_id: TxnId,
-        switch: SwitchId,
-        req: &TxnRequest,
-        hot_ops: &[(usize, TxnOp)],
+        from: usize,
         index: &HotSetIndex,
         multicast_decision: bool,
+        mut scatter: impl FnMut(usize, usize, u64),
         stats: &mut WorkerStats,
-    ) -> Result<SwitchSubTxn> {
-        // Breaker open: fast-fail before anything is logged or sent, so no
-        // intent is in flight and the abort is clean to retry. The retry
-        // re-classifies and lands on the host path once degraded mode is up.
-        if self.shared.health.is_open(switch) {
-            return Err(Error::Abort(AbortReason::SwitchUnavailable { switch }));
-        }
+    ) -> Result<()> {
+        let Worker { shared, node, endpoint, mailbox, token, exchange, .. } = self;
+        let Exchange { subs, ops: queued_ops, log } = exchange;
+        let subs = &mut subs[from..];
         let mut watch = Stopwatch::start();
-        let token = self.next_token();
-        let mut header = TxnHeader::new(self.endpoint, token);
-        header.txn_id = txn_id;
-        header.multicast_decision = multicast_decision;
-        let built = build_switch_txn(hot_ops, index, &self.shared.config.switch_config, header)?;
-
-        if built.txn.header.is_multipass {
-            stats.switch_multi_pass += 1;
-        } else {
-            stats.switch_single_pass += 1;
+        for sub in subs.iter_mut() {
+            // Breaker open: nothing is logged or sent, so the abort is clean
+            // to retry. The retry re-classifies and lands on the host path
+            // once degraded mode is up.
+            if shared.health.is_open(sub.switch) {
+                sub.outcome = Err(Error::Abort(AbortReason::SwitchUnavailable { switch: sub.switch }));
+                continue;
+            }
+            *token = token.wrapping_add(1);
+            let mut header = TxnHeader::new(*endpoint, *token);
+            header.txn_id = sub.txn;
+            header.multicast_decision = multicast_decision;
+            let built =
+                match build_switch_txn(&queued_ops[sub.ops.clone()], index, &shared.config.switch_config, header) {
+                    Ok(built) => built,
+                    Err(e) => {
+                        sub.outcome = Err(e);
+                        continue;
+                    }
+                };
+            if built.txn.header.is_multipass {
+                stats.switch_multi_pass += 1;
+            } else {
+                stats.switch_single_pass += 1;
+            }
+            log.push(LogRecord::SwitchIntent { txn: sub.txn, ops: built.logged_ops });
+            sub.token = *token;
+            sub.packet = Some(built.txn);
+            sub.orig_index = built.orig_index;
         }
-
-        // Durability: the intent is logged *before* the packet leaves the
-        // node; from this moment the transaction counts as committed (§6.1).
-        if self.shared.config.log_switch_txns {
-            self.coordinator_storage()
-                .wal()
-                .append(LogRecord::SwitchIntent { txn: txn_id, ops: built.logged_ops.clone() });
+        if log.is_empty() {
+            return Ok(());
         }
-        // The in-doubt ledger fence: the intent is in the coordinator WAL at
-        // or below this index.
-        let logged_at = self.coordinator_storage().wal().len();
+        let wal = shared.node(*node).wal();
+        wal.append_group(log.drain(..));
+        // The in-doubt ledger fence: every intent is in the coordinator WAL
+        // at or below this index.
+        let logged_at = wal.len();
         stats.record_phase(Phase::TxnEngine, watch.lap());
 
-        // ½ RTT to the switch (imposed by the fabric), execution, ½ RTT back.
-        let sent =
-            self.shared.fabric.send(self.endpoint, EndpointId::Switch(switch), SwitchMessage::Txn(built.txn.clone()));
-        if !sent {
-            return Err(Error::Disconnected);
-        }
-        let deadline = Instant::now() + self.shared.config.switch_timeout;
-        let reply = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.mailbox.recv_timeout(remaining) {
-                RecvOutcome::Msg(env) => match env.payload {
-                    SwitchMessage::TxnReply(r) if r.token == token => break r,
-                    // Stale replies (from a previous, timed-out attempt) and
-                    // unrelated messages are dropped.
-                    _ => continue,
-                },
-                // Under fault injection the request or its reply was lost on
-                // the wire: the transaction is in doubt. Its intent is
-                // already logged, so recovery will account for it (§A.3,
-                // Fig 9); the live run simply proceeds without the results.
-                // Without faults nothing can be lost, so a timeout means the
-                // switch is wedged — fail loudly instead.
-                RecvOutcome::TimedOut => {
-                    if !self.shared.config.in_doubt_on_timeout {
-                        return Err(Error::Disconnected);
-                    }
-                    stats.switch_timeouts += 1;
-                    if self.shared.health.record_failure(switch) {
-                        stats.breaker_trips += 1;
-                    }
-                    if self.shared.config.log_switch_txns {
-                        // Self-contained footprint: operand references are
-                        // remapped from request indices to positions within
-                        // this sub-transaction (cross-group dependencies were
-                        // already patched into literals by the caller).
-                        let pos: HashMap<usize, u8> =
-                            hot_ops.iter().enumerate().map(|(p, &(orig, _))| (orig, p as u8)).collect();
-                        let ops = hot_ops
-                            .iter()
-                            .map(|&(_, mut op)| {
-                                op.operand_from = op.operand_from.and_then(|src| pos.get(&(src as usize)).copied());
-                                op
-                            })
-                            .collect();
-                        self.shared.health.note_in_doubt(InDoubtEntry {
-                            switch,
-                            txn: txn_id,
-                            node: self.node,
-                            logged_at,
-                            ops,
-                        });
-                    }
-                    stats.record_phase(Phase::SwitchTxn, watch.lap());
-                    return Ok(SwitchSubTxn::InDoubt);
-                }
-                RecvOutcome::Disconnected => return Err(Error::Disconnected),
+        // The sub-transactions bound for one switch share the NIC doorbell
+        // and the ½ RTT to it (a frame of one is the same wire event as a
+        // single send).
+        let mut in_flight = 0;
+        for k in 0..subs.len() {
+            let switch = subs[k].switch;
+            let frame: Vec<SwitchMessage> = subs[k..]
+                .iter_mut()
+                .filter(|s| s.switch == switch)
+                .filter_map(|s| s.packet.take())
+                .map(SwitchMessage::Txn)
+                .collect();
+            in_flight += frame.len();
+            if !shared.fabric.send_frame(*endpoint, EndpointId::Switch(switch), frame) {
+                return Err(Error::Disconnected);
             }
-        };
-        self.shared.health.record_success(switch);
-        // A full wire RTT on top of the outbound ½ RTT the fabric imposed:
-        // a switch exchange costs 1.5 wire RTTs (ROADMAP item 13).
-        self.shared.latency.impose_switch_rtt_wire();
+        }
+        let deadline = Instant::now() + shared.config.switch_timeout;
+        let mut replies = 0;
+        while replies < in_flight {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match mailbox.recv_timeout(remaining) {
+                RecvOutcome::Msg(env) => {
+                    // Stale replies (from earlier, timed-out exchanges) and
+                    // unrelated messages are dropped.
+                    let SwitchMessage::TxnReply(reply) = env.payload else { continue };
+                    if let Some(sub) = subs.iter_mut().find(|s| s.token == reply.token && s.reply.is_none()) {
+                        sub.reply = Some(reply);
+                        replies += 1;
+                    }
+                }
+                // Under fault injection the missing packets or replies were
+                // lost on the wire: their sub-transactions commit in doubt
+                // below. Without faults nothing can be lost, so a timeout
+                // means the switch is wedged — fail loudly instead.
+                RecvOutcome::TimedOut if shared.config.in_doubt_on_timeout => break,
+                RecvOutcome::TimedOut | RecvOutcome::Disconnected => return Err(Error::Disconnected),
+            }
+        }
+        // A full wire RTT on top of the outbound ½ RTT the fabric imposed
+        // (1.5 in all — ROADMAP item 13), once per exchange; none when every
+        // reply was lost.
+        if replies > 0 {
+            shared.latency.impose_switch_rtt_wire();
+        }
         stats.record_phase(Phase::SwitchTxn, watch.lap());
 
-        // Scatter results back to the original operation indices and log the
-        // switch's reply (GID + read/write results) for recovery.
-        let mut values = HashMap::with_capacity(reply.results.len());
-        let mut logged_results = Vec::with_capacity(reply.results.len());
-        for (instr_idx, res) in reply.results.iter().enumerate() {
-            let orig = built.orig_index[instr_idx];
-            values.insert(orig, res.value);
-            logged_results.push((req.ops[orig].tuple, res.value));
+        for sub in subs.iter_mut().filter(|s| s.outcome.is_ok()) {
+            let ops = &queued_ops[sub.ops.clone()];
+            let position = |orig: usize| ops.iter().position(|&(o, _)| o == orig);
+            let Some(reply) = sub.reply.take() else {
+                // Intent logged, switch cannot abort: committed in doubt.
+                // Recovery orders it from the logs (§A.3, Fig 9). The ledger
+                // entry is self-contained: operand references are remapped
+                // to positions within the sub-transaction (the caller has
+                // patched dependencies on other operations into literals).
+                stats.switch_timeouts += 1;
+                if shared.health.record_failure(sub.switch) {
+                    stats.breaker_trips += 1;
+                }
+                let remap = |&(_, mut op): &(usize, TxnOp)| {
+                    op.operand_from = op.operand_from.and_then(|src| position(src as usize)).map(|p| p as u8);
+                    op
+                };
+                let ops = ops.iter().map(remap).collect();
+                shared.health.note_in_doubt(InDoubtEntry {
+                    switch: sub.switch,
+                    txn: sub.txn,
+                    node: *node,
+                    logged_at,
+                    ops,
+                });
+                continue;
+            };
+            shared.health.record_success(sub.switch);
+            let mut results = Vec::with_capacity(reply.results.len());
+            for (result, &orig) in reply.results.iter().zip(&sub.orig_index) {
+                scatter(sub.slot, orig, result.value);
+                results.push((ops[position(orig).expect("built from these operations")].1.tuple, result.value));
+            }
+            log.push(LogRecord::SwitchResult { txn: sub.txn, gid: reply.gid, results });
+            sub.outcome = Ok(Some(reply.gid));
         }
-        if self.shared.config.log_switch_txns {
-            self.coordinator_storage().wal().append(LogRecord::SwitchResult {
-                txn: txn_id,
-                gid: reply.gid,
-                results: logged_results,
-            });
-        }
+        wal.append_group(log.drain(..));
         stats.record_phase(Phase::TxnEngine, watch.lap());
-        Ok(SwitchSubTxn::Completed { gid: reply.gid, values })
+        Ok(())
     }
 
     fn coordinator_storage(&self) -> &Arc<NodeStorage> {
@@ -1173,51 +1046,50 @@ impl Worker {
                 // the already-known value as a literal operand. The logged
                 // intent carries the same literal, so replay and recovery
                 // reproduce exactly what the switch executed.
-                let mut hot_ops: Vec<(usize, TxnOp)> = Vec::with_capacity(group.len());
-                for &i in &group {
+                let patched = group.iter().map(|&i| {
                     let mut op = req.ops[i];
-                    if let Some(src) = op.operand_from {
-                        if !group.contains(&(src as usize)) {
-                            op.kind = Self::patch_operand(op.kind, results[src as usize]);
-                            op.operand_from = None;
-                        }
+                    if let Some(src) = op.operand_from.filter(|&src| !group.contains(&(src as usize))) {
+                        op.kind = Self::patch_operand(op.kind, results[src as usize]);
+                        op.operand_from = None;
                     }
-                    hot_ops.push((i, op));
-                }
-                // The sub-transaction records its own engine and switch
-                // laps: close the outer lap before it and re-base it after,
-                // or its whole span would be counted twice.
+                    (i, op)
+                });
+                // On top of the share's queued hot requests (see `Exchange`).
+                let from = self.exchange.subs.len();
+                self.exchange.push(0, switch, txn_id, patched);
+                // The exchange records its own engine and switch laps: close
+                // the outer lap before it and re-base it after, or its whole
+                // span would be counted twice.
                 stats.record_phase(Phase::TxnEngine, watch.lap());
-                let sub = self.run_switch_subtxn(txn_id, switch, req, &hot_ops, index, distributed, stats);
+                let scatter = |_, i: usize, value| {
+                    results[i] = value;
+                    have[i] = true;
+                };
+                let run = self.run_exchange(from, index, distributed, scatter, stats);
                 watch.reset();
-                match sub {
-                    Ok(SwitchSubTxn::Completed { gid: g, values }) => {
-                        for (idx, value) in values {
-                            results[idx] = value;
-                            have[idx] = true;
-                        }
-                        // The first completed sub-transaction's GID stands
-                        // in for the transaction (GIDs are per-switch serial
-                        // numbers, so there is no single global one).
-                        gid = gid.or(Some(g));
+                let outcome = self.exchange.subs[from].outcome.clone();
+                self.exchange.truncate(from);
+                // Any error of the exchange as a whole means the fabric or
+                // switch is gone mid-shutdown: propagate it.
+                run?;
+                match outcome {
+                    // The first completed sub-transaction's GID stands in for
+                    // the transaction (GIDs are per-switch serial numbers, so
+                    // there is no single global one).
+                    Ok(sub_gid) => {
+                        in_doubt |= sub_gid.is_none();
+                        gid = gid.or(sub_gid);
                     }
-                    Ok(SwitchSubTxn::InDoubt) => in_doubt = true,
+                    // A sub-transaction that failed to build — or was fast-
+                    // failed by an open circuit breaker — never logged an
+                    // intent and never left the node, so — although the cold
+                    // part is past its conflict-abort point — rolling it back
+                    // is still sound, and the only way not to leak its locks.
+                    // Sub-transactions already sent to other switches stay
+                    // committed through their logged intents, exactly like
+                    // any in-doubt outcome.
                     Err(e) => {
-                        // A packet that failed to *build* — or was fast-
-                        // failed by an open circuit breaker — never logged
-                        // an intent and never left the node, so — although
-                        // the cold part is past its conflict-abort point —
-                        // rolling it back is still sound, and the only way
-                        // not to leak its locks. Sub-transactions already
-                        // sent to other switches stay committed through
-                        // their logged intents, exactly like any in-doubt
-                        // outcome. Any other error means the fabric or
-                        // switch is gone mid-shutdown; propagate as before.
-                        if matches!(e, Error::InvalidTxn(_))
-                            || matches!(e, Error::Abort(AbortReason::SwitchUnavailable { .. }))
-                        {
-                            self.fail_host(txn_id, state, stats, &e);
-                        }
+                        self.fail_host(txn_id, state, stats, &e);
                         return Err(e);
                     }
                 }
@@ -1411,9 +1283,11 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::health::BreakerConfig;
+    use p4db_common::faults::{BlackholeFault, FaultInjector, FaultPlan};
     use p4db_common::{LatencyConfig, TableId};
     use p4db_storage::recover_switch_state;
     use p4db_switch::{start_switch, ControlPlane, RegisterMemory, SwitchHandle};
+    use std::collections::HashMap;
 
     const TBL: TableId = TableId(0);
 
@@ -1442,9 +1316,37 @@ mod tests {
     /// The rig on `num_nodes` nodes under `latency`: key k lives on node
     /// (k % num_nodes).
     fn rig_on(mode: SystemMode, cc: CcScheme, num_nodes: u16, latency: LatencyConfig) -> Rig {
+        rig_with(mode, cc, num_nodes, latency, None)
+    }
+
+    /// The P4DB rig with switch 0 dark from the first packet: every
+    /// switch-bound message is dropped, so every switch sub-transaction times
+    /// out (after 20 ms) and commits in doubt.
+    fn dark_rig() -> Rig {
+        let plan = FaultPlan {
+            blackhole: Some(BlackholeFault { switch: 0, after_messages: 1, heal_after_drops: 0 }),
+            ..FaultPlan::quiet(1)
+        };
+        let mut rig = rig_with(SystemMode::P4db, CcScheme::NoWait, 2, LatencyConfig::zero(), Some(plan));
+        let config = &mut Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config;
+        config.in_doubt_on_timeout = true;
+        config.switch_timeout = Duration::from_millis(20);
+        rig
+    }
+
+    fn rig_with(
+        mode: SystemMode,
+        cc: CcScheme,
+        num_nodes: u16,
+        latency: LatencyConfig,
+        faults: Option<FaultPlan>,
+    ) -> Rig {
         let switch_config = p4db_switch::SwitchConfig::tiny();
         let latency = LatencyModel::new(latency);
-        let fabric: Fabric<SwitchMessage> = Fabric::new(latency.clone());
+        let fabric: Fabric<SwitchMessage> = match faults {
+            Some(plan) => Fabric::with_faults(latency.clone(), Arc::new(FaultInjector::new(&plan))),
+            None => Fabric::new(latency.clone()),
+        };
         let memory = Arc::new(RegisterMemory::new(switch_config));
         let mut control_plane = ControlPlane::new(switch_config, Arc::clone(&memory));
 
@@ -1520,11 +1422,7 @@ mod tests {
 
     #[test]
     fn execute_batch_pipelines_all_hot_requests() {
-        let mut rig = rig(SystemMode::P4db, CcScheme::NoWait);
-        // Enable worker-side batching (the rig's default EngineConfig is
-        // unbatched); the switch stays unbatched — the two knobs compose but
-        // are independent.
-        Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config.batch_size = 8;
+        let rig = rig(SystemMode::P4db, CcScheme::NoWait);
         let mut w = worker(&rig, 0, 0);
         let mut stats = WorkerStats::new();
         // Mixed batch: two all-hot requests (pipelined), one cold, one empty.
@@ -1534,7 +1432,8 @@ mod tests {
             TxnRequest::new(vec![op(3, OpKind::FetchAdd(10))]),
             TxnRequest::new(vec![]),
         ];
-        let results = w.execute_batch(&reqs.iter().collect::<Vec<_>>(), &mut stats);
+        let mut results = Vec::new();
+        w.execute_batch(&reqs, &mut stats, &mut results);
         assert_eq!(results.len(), 4);
         let hot_a = results[0].as_ref().unwrap();
         assert_eq!(hot_a.class, TxnClass::Hot);
@@ -1564,14 +1463,116 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_with_batching_disabled_matches_execute() {
+    fn a_warm_txn_in_a_share_leaves_its_queued_batchmates_alone() {
         let rig = rig(SystemMode::P4db, CcScheme::NoWait);
         let mut w = worker(&rig, 0, 0);
         let mut stats = WorkerStats::new();
-        let reqs = [TxnRequest::new(vec![op(1, OpKind::Add(1))]), TxnRequest::new(vec![op(1, OpKind::Add(2))])];
-        let results = w.execute_batch(&reqs.iter().collect::<Vec<_>>(), &mut stats);
-        assert_eq!(results[0].as_ref().unwrap().results, vec![101]);
-        assert_eq!(results[1].as_ref().unwrap().results, vec![103]);
+        // The warm request runs its own exchange while the first hot request
+        // waits queued for the share's exchange.
+        let reqs = [
+            TxnRequest::new(vec![op(1, OpKind::Add(5))]),
+            TxnRequest::new(vec![op(3, OpKind::Add(10)), op(100, OpKind::Add(1))]),
+            TxnRequest::new(vec![op(2, OpKind::Add(7))]),
+        ];
+        let mut out = Vec::new();
+        w.execute_batch(&reqs, &mut stats, &mut out);
+        let out: Vec<TxnOutcome> = out.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(out.iter().map(|o| o.class).collect::<Vec<_>>(), [TxnClass::Hot, TxnClass::Warm, TxnClass::Hot]);
+        assert_eq!(out.iter().map(|o| o.results.clone()).collect::<Vec<_>>(), [vec![105], vec![110, 101], vec![107]]);
+        // Each sub-transaction executed exactly once.
+        assert_eq!(rig._switch.stats().txns_executed, 3);
+        assert_eq!(rig.control_plane.read_tuple(t(1)), Some(105));
+        assert_eq!(rig.control_plane.read_tuple(t(3)), Some(110));
+        assert_eq!(rig.control_plane.read_tuple(t(2)), Some(107));
+    }
+
+    // --- The in-doubt ledger: every switch-bound message is lost ----------
+
+    /// Takes the ledger, asserting one entry per lost sub-transaction, each
+    /// fenced past its intent's index in the coordinator WAL and carrying no
+    /// result.
+    fn parked(rig: &Rig, entries: usize) -> Vec<InDoubtEntry> {
+        let ledger = rig.shared.health.take_ledger();
+        assert_eq!(ledger.len(), entries, "one entry per sub-transaction");
+        let log = rig.shared.node(NodeId(0)).wal().records();
+        for entry in &ledger {
+            let logged = |r: &LogRecord| matches!(r, LogRecord::SwitchIntent { txn, .. } if *txn == entry.txn);
+            let intent = log.iter().position(logged).expect("the intent is logged");
+            assert!(entry.logged_at > intent, "fence {} is below the intent at {intent}", entry.logged_at);
+            assert!(!log.iter().any(|r| matches!(r, LogRecord::SwitchResult { txn, .. } if *txn == entry.txn)));
+        }
+        ledger
+    }
+
+    /// Replays a ledger entry's operations on their own, as the resolver
+    /// does: an ordinary transaction, here on a fresh host-only rig.
+    fn assert_replays(ops: &[TxnOp], expected: &[u64]) {
+        let host = rig(SystemMode::NoSwitch, CcScheme::NoWait);
+        let out = worker(&host, 0, 0).execute(&TxnRequest::new(ops.to_vec()), &mut WorkerStats::new());
+        assert_eq!(out.expect("the entry replays on its own").results, expected);
+    }
+
+    #[test]
+    fn a_lost_hot_txn_parks_one_self_contained_entry() {
+        let rig = dark_rig();
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        let req = TxnRequest::new(vec![op(1, OpKind::Read), op(2, OpKind::Add(0)).with_operand_from(0)]);
+        let out = w.execute(&req, &mut stats).unwrap();
+        assert!(out.in_doubt && out.gid.is_none());
+        assert_eq!(stats.switch_timeouts, 1);
+        let ledger = parked(&rig, 1);
+        assert_eq!(ledger[0].ops, req.ops, "all-hot: operand sources are already positions");
+        assert_replays(&ledger[0].ops, &[100, 200]);
+    }
+
+    #[test]
+    fn a_lost_share_of_three_parks_one_entry_each() {
+        let rig = dark_rig();
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        let reqs = [
+            TxnRequest::new(vec![op(1, OpKind::Add(5))]),
+            TxnRequest::new(vec![op(2, OpKind::Read), op(3, OpKind::Add(0)).with_operand_from(0)]),
+            TxnRequest::new(vec![op(4, OpKind::FetchAdd(1))]),
+        ];
+        let mut out = Vec::new();
+        w.execute_batch(&reqs, &mut stats, &mut out);
+        assert!(out.iter().all(|r| r.as_ref().is_ok_and(|o| o.in_doubt)), "{out:?}");
+        assert_eq!(stats.switch_timeouts, 3);
+        let ledger = parked(&rig, 3);
+        assert!(ledger.iter().all(|e| e.logged_at == ledger[0].logged_at), "one group commit, one fence");
+        for (entry, req) in ledger.iter().zip(&reqs) {
+            assert_eq!(entry.ops, req.ops);
+        }
+        assert_replays(&ledger[0].ops, &[105]);
+        assert_replays(&ledger[1].ops, &[100, 200]);
+        assert_replays(&ledger[2].ops, &[100]);
+    }
+
+    #[test]
+    fn a_lost_warm_txn_parks_its_patched_literal() {
+        let rig = dark_rig();
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        // The first hot add takes its operand from a cold read: the exchange
+        // carries the read's value as a literal. The second takes it from a
+        // hot read, which sits at position 1 of the sub-transaction.
+        let req = TxnRequest::new(vec![
+            op(100, OpKind::Read),
+            op(1, OpKind::Add(0)).with_operand_from(0),
+            op(2, OpKind::Read),
+            op(3, OpKind::Add(0)).with_operand_from(2),
+        ]);
+        let out = w.execute(&req, &mut stats).unwrap();
+        assert_eq!(out.class, TxnClass::Warm);
+        assert!(out.in_doubt && out.gid.is_none());
+        let ledger = parked(&rig, 1);
+        let expected = [op(1, OpKind::Add(100)), op(2, OpKind::Read), op(3, OpKind::Add(0)).with_operand_from(1)];
+        assert_eq!(ledger[0].ops, expected, "the patched literal, and operand sources as positions");
+        assert_replays(&ledger[0].ops, &[200, 100, 200]);
+        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(1)).locks().locked_count(), 0);
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! the job owns and the outcome's result vector, plus a lock-table entry and
 //! the log's amortised segment growth for a write. A reply channel per
 //! transaction (three allocations), a heap-allocated histogram in every
-//! reply or a fresh executor buffer per share would each show.
+//! reply or a fresh executor buffer per share would each show. A second,
+//! P4DB cluster pins the hot and warm paths through the switch exchange the
+//! same way.
 //!
 //! This file holds exactly one test: the allocator is process-wide, and a
 //! second test running on another thread would be counted too.
 
+use p4db::common::stats::TxnClass;
 use p4db::workloads::ycsb::YCSB_TABLE;
 use p4db::workloads::{Workload, Ycsb, YcsbConfig, YcsbMix};
 use p4db::{Cluster, NodeId, Session, SystemMode, TupleId, Txn, TxnRequest};
@@ -65,7 +68,8 @@ fn allocations_per_round_trip(session: &mut Session, req: &TxnRequest, rounds: u
 fn a_session_round_trip_allocates_only_what_the_transaction_needs() {
     let workload: Arc<dyn Workload> =
         Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 1_000, ..YcsbConfig::new(YcsbMix::A) }));
-    let cluster = Cluster::builder(workload).test_profile().nodes(1).workers(1).mode(SystemMode::NoSwitch).build();
+    let cluster =
+        Cluster::builder(Arc::clone(&workload)).test_profile().nodes(1).workers(1).mode(SystemMode::NoSwitch).build();
     let mut session = cluster.session(NodeId(0)).unwrap();
     let t = |key| TupleId::new(YCSB_TABLE, key);
 
@@ -78,4 +82,25 @@ fn a_session_round_trip_allocates_only_what_the_transaction_needs() {
     // Measured: 2 and 3.01 (7 and 8.01 with a reply channel per transaction).
     assert!(snapshot_reads <= 2.0, "a two-row snapshot read allocates {snapshot_reads:.2} times per round trip");
     assert!(cold_writes <= 3.05, "a one-row cold write allocates {cold_writes:.2} times per round trip");
+    drop(session);
+    drop(cluster);
+
+    // The switch exchange, on a cluster whose switch holds the hot set (the
+    // first 50 keys). Both sides count: the packet and its log records, the
+    // reply, the audit log's amortised growth.
+    let cluster = Cluster::builder(workload).test_profile().nodes(1).workers(1).mode(SystemMode::P4db).build();
+    let mut session = cluster.session(NodeId(0)).unwrap();
+    let hot = Txn::new().add(t(3), 1).resolve(session.partition_map(), NodeId(0)).unwrap();
+    let warm = Txn::new().add(t(3), 1).add(t(500), 1).resolve(session.partition_map(), NodeId(0)).unwrap();
+    for (req, class) in [(&hot, TxnClass::Hot), (&warm, TxnClass::Warm)] {
+        let pending = session.submit_request(req).unwrap();
+        assert_eq!(session.wait(pending).unwrap().class, class);
+    }
+    let hot_adds = allocations_per_round_trip(&mut session, &hot, 8_000);
+    let warm_adds = allocations_per_round_trip(&mut session, &warm, 8_000);
+
+    // Measured: 21.01 and 25.02 (23.01 and 27.02 before the hot and warm
+    // paths shared one exchange). A per-call map or vector would show.
+    assert!(hot_adds <= 23.05, "a one-row hot add allocates {hot_adds:.2} times per round trip");
+    assert!(warm_adds <= 27.05, "a hot-and-cold warm add allocates {warm_adds:.2} times per round trip");
 }
