@@ -74,6 +74,11 @@ awk '$1 == "ycsb_contended_host" && $2 == "net.msgs_to_nodes_per_txn" { seen = 1
 # 64-entry cap before they were trimmed).
 awk '$1 == "ycsb_cold" && $2 == "storage.mvcc.chain_len_p99" { seen = 1; ok = ($3 <= 1); print "    " $0 }
      END { if (!seen || !ok) { print "ycsb_cold storage.mvcc.chain_len_p99 must be reported and <= 1"; exit 1 } }' "$REPO_BENCH_SMOKE"
+# A count too: a warm transaction's hot part rides its share's switch frame
+# (~0.8 messages per transaction; 2 when each warm transaction paid its own
+# round trip).
+awk '$1 == "tpcc_warm" && $2 == "net.msgs_to_switch_per_txn" { seen = 1; ok = ($3 < 1.5); print "    " $0 }
+     END { if (!seen || !ok) { print "tpcc_warm net.msgs_to_switch_per_txn must be reported and < 1.5"; exit 1 } }' "$REPO_BENCH_SMOKE"
 
 echo "==> rustdoc: public API docs must build warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

@@ -17,7 +17,7 @@
 //! an empty queue — with `W` executors and at most `W` jobs queued every job
 //! gets its own thread instead. With one executor per node the share *is* the
 //! queue, which keeps the batches (and the one switch exchange
-//! [`Worker::execute_batch`] gives their all-hot jobs) as deep as the
+//! [`Worker::execute_batch`] gives their hot and warm jobs) as deep as the
 //! clients' in-flight window allows.
 //!
 //! **Replies travel per session, not per job.** Each [`Session`] owns one
@@ -319,9 +319,10 @@ impl Drop for SubmissionPool {
 /// queued jobs — `⌈queued ÷ executors⌉`, at most `batch_size`, decided by
 /// [`Receiver::recv_share`] under the queue's lock (every executor of the
 /// node owns exactly one receiver, so the channel's receiver count is the
-/// executor count) — run it through [`Worker::execute_batch`] (the all-hot
-/// jobs in one switch exchange: intents group-committed, packets framed,
-/// replies drained together; the rest one at a time), take each job to
+/// executor count) — run it through [`Worker::execute_batch`] (the hot
+/// parts of the all-hot and warm jobs in one switch exchange: intents
+/// group-committed, packets framed, replies drained together; the host work
+/// one job at a time), take each job to
 /// commit or to its retry budget, then file the share's replies together:
 /// one lock and at most one wake-up per distinct session.
 ///

@@ -13,9 +13,11 @@
 //! * **cold** — no hot operations: classic 2PL (NO_WAIT / WAIT_DIE) with 2PC
 //!   for distributed transactions (§3.2);
 //! * **warm** — a mix: the cold part runs under 2PL up to the point where it
-//!   can no longer abort, then one exchange per owning switch carries the hot
-//!   part, then the cold part commits; the switch multicasts the decision for
-//!   distributed warm transactions (§6.2, Fig 8/10).
+//!   can no longer abort, then the share's exchange carries the hot part
+//!   beside its batchmates' sub-transactions, then the cold part commits; the
+//!   switch multicasts the decision for distributed warm transactions (§6.2,
+//!   Fig 8/10). A warm transaction whose hot part spans several switches runs
+//!   one exchange per owning switch in place, in dependency order.
 //!
 //! Both switch flows go through the one worker-to-switch exchange
 //! (`Worker::run_exchange`): every intent group-committed before any packet
@@ -113,20 +115,27 @@ impl EngineShared {
     }
 }
 
-/// Where [`Worker::route`] sent a request.
-enum Route {
-    /// It ran to this result on the empty, snapshot or host path.
-    Ran(Result<TxnOutcome>),
-    /// It is all-hot on this one switch and waits for the share's exchange.
-    Hot(SwitchId),
+/// Where the host path left a transaction.
+enum HostEnd {
+    /// Committed, with the GID of its first completed switch
+    /// sub-transaction, if any, and whether one ended in doubt.
+    Committed(Option<GlobalTxnId>, bool),
+    /// A warm transaction whose hot part this one switch owns: its cold part
+    /// has voted and waits, locks held, for the share's exchange.
+    Voted(SwitchId),
 }
 
-/// The queued sub-transactions of the worker-to-switch exchange and its
-/// buffers. One instance lives inside each [`Worker`] as reusable scratch,
-/// like [`HostTxnState`]: a steady stream of exchanges allocates none of
-/// them. The queue is a stack: a warm transaction runs while its share's hot
-/// requests wait queued, so it pushes its sub-transaction on top, runs the
-/// exchange over that alone and truncates it away again.
+/// The queued sub-transactions of the share's worker-to-switch exchange and
+/// its buffers. One instance lives inside each [`Worker`] as reusable
+/// scratch, like [`HostTxnState`]: a steady stream of exchanges allocates
+/// none of them.
+///
+/// A warm transaction whose hot part one switch owns queues its
+/// sub-transaction here beside the share's hot requests and parks its voted
+/// host state in `parked` until the exchange has run. A warm transaction
+/// spanning several switches cannot wait: each group's values may feed the
+/// next, so it pushes one sub-transaction at a time on top of the queue,
+/// runs the exchange over that alone and truncates it away again.
 #[derive(Default)]
 struct Exchange {
     subs: Vec<SubTxn>,
@@ -135,6 +144,10 @@ struct Exchange {
     ops: Vec<(usize, TxnOp)>,
     /// The records of one group commit: the intents, then the results.
     log: Vec<LogRecord>,
+    /// `(index into subs, host state)` of each voted warm transaction.
+    parked: Vec<(usize, HostTxnState)>,
+    /// Host states whose transactions have finished, for reuse.
+    spare: Vec<HostTxnState>,
 }
 
 impl Exchange {
@@ -149,12 +162,30 @@ impl Exchange {
 
     /// Queues a sub-transaction of `ops` for `switch`, whose values scatter
     /// into the caller's result slot `slot`.
-    fn push(&mut self, slot: usize, switch: SwitchId, txn: TxnId, ops: impl IntoIterator<Item = (usize, TxnOp)>) {
+    fn push(
+        &mut self,
+        slot: usize,
+        switch: SwitchId,
+        txn: TxnId,
+        multicast_decision: bool,
+        ops: impl IntoIterator<Item = (usize, TxnOp)>,
+    ) {
         let start = self.ops.len();
         self.ops.extend(ops);
         let ops = start..self.ops.len();
         let (packet, orig_index, reply, outcome) = (None, Vec::new(), None, Ok(None));
-        self.subs.push(SubTxn { slot, switch, txn, ops, token: 0, packet, orig_index, reply, outcome });
+        self.subs.push(SubTxn {
+            slot,
+            switch,
+            txn,
+            multicast_decision,
+            ops,
+            token: 0,
+            packet,
+            orig_index,
+            reply,
+            outcome,
+        });
     }
 }
 
@@ -164,6 +195,9 @@ struct SubTxn {
     slot: usize,
     switch: SwitchId,
     txn: TxnId,
+    /// Asks the switch to multicast the decision to every node: the hot part
+    /// of a distributed warm transaction (Fig 10).
+    multicast_decision: bool,
     /// This sub-transaction's operations: a range of [`Exchange::ops`].
     ops: Range<usize>,
     /// The reply's correlation token.
@@ -334,13 +368,23 @@ impl Worker {
     /// classification, packet construction and Chiller ordering always agree
     /// even if a re-offload swaps the index mid-share.
     ///
-    /// Requests that are all-hot on one switch wait for the share's one
-    /// exchange: their intents group-committed in one WAL write, one fabric
-    /// frame per destination switch, their replies drained together and their
-    /// results group-committed again — the engine-side half of the switch's
-    /// frame batching. The rest run one at a time as the share is scanned.
-    /// Hot transactions cannot abort on a conflict, so only host-path results
-    /// ever need the caller's retry loop.
+    /// The requests are scanned in order. Empty, snapshot and cold requests
+    /// run to their result as they come. An all-hot request queues its
+    /// sub-transaction on the share's one exchange. A warm request whose hot
+    /// part one switch owns runs its cold part through admission, execution
+    /// and the 2PC vote, then queues its sub-transaction beside the hot ones
+    /// and waits. The exchange then carries them all: their intents
+    /// group-committed in one WAL write, one fabric frame per destination
+    /// switch, their replies drained together and their results
+    /// group-committed again — the engine-side half of the switch's frame
+    /// batching. Each waiting warm transaction finishes last, from its own
+    /// sub-transaction's fate: it commits if the sub-transaction completed or
+    /// ended in doubt, and rolls back if it never left the node.
+    ///
+    /// A waiting warm transaction holds its locks until its commit, so a
+    /// later batchmate that conflicts with it aborts and retries after the
+    /// share, like any lock conflict. Hot transactions cannot abort on a
+    /// conflict, so only host-path results ever need the caller's retry loop.
     pub fn execute_batch<'r>(
         &mut self,
         reqs: impl IntoIterator<Item = &'r TxnRequest>,
@@ -351,15 +395,7 @@ impl Worker {
         let index = self.shared.hot_index.load();
         self.exchange.truncate(0);
         for (slot, req) in reqs.into_iter().enumerate() {
-            let result = match self.route(req, &index, stats) {
-                Route::Ran(result) => result,
-                Route::Hot(switch) => {
-                    let txn = self.next_txn_id();
-                    self.exchange.push(slot, switch, txn, req.ops.iter().copied().enumerate());
-                    let results = vec![0; req.ops.len()];
-                    Ok(TxnOutcome { class: TxnClass::Hot, results, gid: None, in_doubt: false, snapshot: None })
-                }
-            };
+            let result = self.route(slot, req, &index, stats);
             out.push(result);
         }
         if self.exchange.subs.is_empty() {
@@ -370,7 +406,10 @@ impl Worker {
                 outcome.results[i] = value;
             }
         };
-        let run = self.run_exchange(0, &index, false, scatter, stats);
+        let run = self.run_exchange(0, &index, scatter, stats);
+        if !self.exchange.parked.is_empty() {
+            self.finish_parked(run.is_ok(), stats);
+        }
         for sub in &self.exchange.subs {
             match (&run, &sub.outcome) {
                 // A wedged or shutting-down cluster fails the whole exchange.
@@ -385,13 +424,25 @@ impl Worker {
         }
     }
 
-    /// Runs `req` to its result, unless it is all-hot on one switch: that
-    /// abort-free switch path (§6.1) is left to the share's exchange.
-    fn route(&mut self, req: &TxnRequest, index: &HotSetIndex, stats: &mut WorkerStats) -> Route {
+    /// Runs `req`, the share's request `slot`, as far as it goes before the
+    /// share's exchange: to its result, unless it has a sub-transaction to
+    /// queue. An all-hot request on one switch takes the abort-free switch
+    /// path (§6.1) and queues all of itself.
+    fn route(
+        &mut self,
+        slot: usize,
+        req: &TxnRequest,
+        index: &HotSetIndex,
+        stats: &mut WorkerStats,
+    ) -> Result<TxnOutcome> {
         if req.is_empty() {
-            let outcome =
-                TxnOutcome { class: TxnClass::Cold, results: Vec::new(), gid: None, in_doubt: false, snapshot: None };
-            return Route::Ran(Ok(outcome));
+            return Ok(TxnOutcome {
+                class: TxnClass::Cold,
+                results: Vec::new(),
+                gid: None,
+                in_doubt: false,
+                snapshot: None,
+            });
         }
         // Declared read-only: try the lock-free snapshot path first. An
         // ineligible request (a non-`Read` operation, or a tuple offloaded
@@ -399,7 +450,7 @@ impl Worker {
         // the locking path below.
         if req.read_only {
             if let Some(ran) = self.try_execute_snapshot(req, index, stats).transpose() {
-                return Route::Ran(ran);
+                return ran;
             }
         }
         // Classification reuses the worker's buffers.
@@ -410,13 +461,18 @@ impl Worker {
         // spanning two switches has no single pipeline that can execute it,
         // so it falls back to the host path.
         let owner = if cold.is_empty() { Self::single_owner(req, &hot, index) } else { None };
-        let route = match owner {
-            Some(switch) => Route::Hot(switch),
-            None => Route::Ran(self.execute_host(req, &hot, &cold, index, stats)),
+        let result = match owner {
+            Some(switch) => {
+                let txn = self.next_txn_id();
+                self.exchange.push(slot, switch, txn, false, req.ops.iter().copied().enumerate());
+                let results = vec![0; req.ops.len()];
+                Ok(TxnOutcome { class: TxnClass::Hot, results, gid: None, in_doubt: false, snapshot: None })
+            }
+            None => self.execute_host(slot, req, &hot, &cold, index, stats),
         };
         self.scratch_hot = hot;
         self.scratch_cold = cold;
-        route
+        result
     }
 
     /// The lock-free snapshot read path (read-only transactions): picks a
@@ -541,18 +597,16 @@ impl Worker {
     ///
     /// Each sub-transaction's fate is left in [`SubTxn::outcome`]. `Err` is
     /// reserved for the exchange as a whole: a cluster shutting down or a
-    /// wedged switch. `multicast_decision` asks the switch to multicast the
-    /// decision to every node (distributed warm transactions, Fig 10).
+    /// wedged switch.
     fn run_exchange(
         &mut self,
         from: usize,
         index: &HotSetIndex,
-        multicast_decision: bool,
         mut scatter: impl FnMut(usize, usize, u64),
         stats: &mut WorkerStats,
     ) -> Result<()> {
         let Worker { shared, node, endpoint, mailbox, token, exchange, .. } = self;
-        let Exchange { subs, ops: queued_ops, log } = exchange;
+        let Exchange { subs, ops: queued_ops, log, .. } = exchange;
         let subs = &mut subs[from..];
         let mut watch = Stopwatch::start();
         for sub in subs.iter_mut() {
@@ -566,7 +620,7 @@ impl Worker {
             *token = token.wrapping_add(1);
             let mut header = TxnHeader::new(*endpoint, *token);
             header.txn_id = sub.txn;
-            header.multicast_decision = multicast_decision;
+            header.multicast_decision = sub.multicast_decision;
             let built =
                 match build_switch_txn(&queued_ops[sub.ops.clone()], index, &shared.config.switch_config, header) {
                     Ok(built) => built,
@@ -683,6 +737,34 @@ impl Worker {
         Ok(())
     }
 
+    /// Finishes the share's voted warm transactions after its exchange, each
+    /// from its own sub-transaction's fate. The switch cannot abort, so an
+    /// `Ok` outcome — completed or in doubt — decides the transaction: the
+    /// cold part is beyond its abort point and the logged intent makes the
+    /// switch part durable, so it commits rather than rolling back half of
+    /// itself. An `Err` outcome (breaker open, or the packet did not build)
+    /// logged and sent nothing, so rolling the cold part back is sound and the
+    /// only way not to leak its locks. When the exchange failed as a whole
+    /// (`exchanged` false: the cluster is shutting down or a switch is
+    /// wedged) a cold part whose intent is logged is neither rolled back nor
+    /// committed; the transaction fails with the exchange's error.
+    fn finish_parked(&mut self, exchanged: bool, stats: &mut WorkerStats) {
+        let mut watch = Stopwatch::start();
+        let mut parked = std::mem::take(&mut self.exchange.parked);
+        for (k, mut state) in parked.drain(..) {
+            let sub = &self.exchange.subs[k];
+            let (txn, failed) = (sub.txn, sub.outcome.as_ref().err().cloned());
+            match failed {
+                Some(e) => self.fail_host(txn, &mut state, stats, &e),
+                None if exchanged => self.commit_cold(txn, &mut state),
+                None => {}
+            }
+            self.exchange.spare.push(state);
+        }
+        self.exchange.parked = parked;
+        stats.record_phase(Phase::TxnEngine, watch.lap());
+    }
+
     fn coordinator_storage(&self) -> &Arc<NodeStorage> {
         self.shared.node(self.node)
     }
@@ -690,8 +772,12 @@ impl Worker {
     // --- Cold / warm transactions ------------------------------------------
 
     /// Executes the host part of a transaction (all of it for cold
-    /// transactions, the cold subset for warm ones), then — for warm
-    /// transactions — triggers the switch sub-transaction before committing.
+    /// transactions, the cold subset for warm ones), the share's request
+    /// `slot`. A warm transaction whose hot part one switch owns stops after
+    /// its vote: its sub-transaction is queued on the share's exchange and
+    /// its host state parked until [`Worker::finish_parked`]. A warm
+    /// transaction spanning several switches runs its sub-transactions in
+    /// place before committing.
     ///
     /// It runs shared-nothing end to end: the whole cold footprint is
     /// resolved to [`RowHandle`]s at *admission* (piggybacked on 2PL
@@ -699,6 +785,7 @@ impl Worker {
     /// all, and the commit releases locks in grouped per-shard batches.
     fn execute_host(
         &mut self,
+        slot: usize,
         req: &TxnRequest,
         hot: &[usize],
         cold: &[usize],
@@ -713,9 +800,34 @@ impl Worker {
         // state allocates nothing per operation.
         let mut state = std::mem::take(&mut self.scratch);
         state.clear();
-        let run = self.run_host_txn(req, hot, cold, index, stats, txn_id, &mut state, &mut results);
-        self.scratch = state;
-        let (gid, in_doubt) = run?;
+        let end = self.run_host_txn(req, hot, cold, index, stats, txn_id, &mut state, &mut results);
+        let (gid, in_doubt) = match end {
+            Ok(HostEnd::Voted(switch)) => {
+                // Parked, the transaction holds its locks until its commit
+                // group after the exchange. A later batchmate that conflicts
+                // aborts under NO_WAIT. Under WAIT_DIE it dies instead of
+                // waiting: this worker's later `TxnId` is always younger,
+                // and only an older requester waits, so no batchmate ever
+                // waits on a parked transaction and no wait cycle can form
+                // across the share. (The sequence wraps once in 2^32
+                // transactions; there the wait ends at the lock table's
+                // timeout, as a conflict.)
+                let distributed = !state.participants.is_empty();
+                let k = self.exchange.subs.len();
+                self.exchange.push(slot, switch, txn_id, distributed, Self::patched(req, hot, &results));
+                self.exchange.parked.push((k, state));
+                self.scratch = self.exchange.spare.pop().unwrap_or_default();
+                (None, false)
+            }
+            Ok(HostEnd::Committed(gid, in_doubt)) => {
+                self.scratch = state;
+                (gid, in_doubt)
+            }
+            Err(e) => {
+                self.scratch = state;
+                return Err(e);
+            }
+        };
         let class = if hot.is_empty() { TxnClass::Cold } else { TxnClass::Warm };
         Ok(TxnOutcome { class, results, gid, in_doubt, snapshot: None })
     }
@@ -733,7 +845,7 @@ impl Worker {
         txn_id: TxnId,
         state: &mut HostTxnState,
         results: &mut [u64],
-    ) -> Result<(Option<GlobalTxnId>, bool)> {
+    ) -> Result<HostEnd> {
         let mut watch = Stopwatch::start();
 
         // Chiller-style ordering: contended tuples last, so their locks are
@@ -968,8 +1080,10 @@ impl Worker {
         }
     }
 
-    /// The commit tail of the host path: 2PC vote, the warm switch
-    /// sub-transaction, the group commit and the lock release.
+    /// The commit tail of the host path: the 2PC vote, then a warm
+    /// transaction's switch sub-transactions, then the commit. A warm
+    /// transaction whose hot part one switch owns stops after the vote
+    /// ([`HostEnd::Voted`]): the share's exchange carries its hot part.
     #[allow(clippy::too_many_arguments)]
     fn commit_host_txn(
         &mut self,
@@ -981,7 +1095,7 @@ impl Worker {
         state: &mut HostTxnState,
         results: &mut [u64],
         watch: &mut Stopwatch,
-    ) -> Result<(Option<GlobalTxnId>, bool)> {
+    ) -> Result<HostEnd> {
         // The cold part can no longer abort. For distributed transactions run
         // the 2PC voting phase now (participants hold their locks and have
         // validated constraints, so they vote yes): one prepare/vote pair
@@ -993,7 +1107,7 @@ impl Worker {
             stats.record_phase(Phase::RemoteAccess, watch.lap());
         }
 
-        // Warm transactions: trigger the switch sub-transaction between the
+        // Warm transactions: the switch sub-transactions run between the
         // voting phase and the commit (Fig 8 / Fig 10). The switch cannot
         // abort, so the outcome is already decided — even a lost reply does
         // not change it: the cold part is beyond its abort point and the
@@ -1002,11 +1116,14 @@ impl Worker {
         let mut gid = None;
         let mut in_doubt = false;
         if !hot.is_empty() {
-            // Group the hot operations by owning switch: at most one
-            // sub-transaction per switch per transaction (a second one under
-            // the same TxnId would double-apply during recovery). A
-            // single-switch topology yields exactly one group — the
-            // pre-multi-switch behaviour.
+            if let Some(switch) = Self::single_owner(req, hot, index) {
+                stats.record_phase(Phase::TxnEngine, watch.lap());
+                return Ok(HostEnd::Voted(switch));
+            }
+            // Cross-switch: group the hot operations by owning switch, at
+            // most one sub-transaction per switch per transaction (a second
+            // one under the same TxnId would double-apply during recovery).
+            stats.cross_switch_fallback += 1;
             let mut groups: Vec<(SwitchId, Vec<usize>)> = Vec::new();
             for &i in hot {
                 let owner = index.owner(req.ops[i].tuple).unwrap_or(SwitchId(0));
@@ -1014,9 +1131,6 @@ impl Worker {
                     Some((_, group)) => group.push(i),
                     None => groups.push((owner, vec![i])),
                 }
-            }
-            if groups.len() > 1 {
-                stats.cross_switch_fallback += 1;
             }
             // `have[i]`: `results[i]` already holds operation i's final value
             // (cold operations ran above; hot ones as their group's reply
@@ -1041,22 +1155,10 @@ impl Worker {
                     })
                     .unwrap_or(0);
                 let (switch, group) = groups.remove(next);
-                // Dependencies crossing a sub-transaction boundary are
-                // resolved here on the host: the dependent instruction gets
-                // the already-known value as a literal operand. The logged
-                // intent carries the same literal, so replay and recovery
-                // reproduce exactly what the switch executed.
-                let patched = group.iter().map(|&i| {
-                    let mut op = req.ops[i];
-                    if let Some(src) = op.operand_from.filter(|&src| !group.contains(&(src as usize))) {
-                        op.kind = Self::patch_operand(op.kind, results[src as usize]);
-                        op.operand_from = None;
-                    }
-                    (i, op)
-                });
-                // On top of the share's queued hot requests (see `Exchange`).
+                // On top of the share's queued sub-transactions (see
+                // `Exchange`).
                 let from = self.exchange.subs.len();
-                self.exchange.push(0, switch, txn_id, patched);
+                self.exchange.push(0, switch, txn_id, distributed, Self::patched(req, &group, results));
                 // The exchange records its own engine and switch laps: close
                 // the outer lap before it and re-base it after, or its whole
                 // span would be counted twice.
@@ -1065,7 +1167,7 @@ impl Worker {
                     results[i] = value;
                     have[i] = true;
                 };
-                let run = self.run_exchange(from, index, distributed, scatter, stats);
+                let run = self.run_exchange(from, index, scatter, stats);
                 watch.reset();
                 let outcome = self.exchange.subs[from].outcome.clone();
                 self.exchange.truncate(from);
@@ -1095,12 +1197,39 @@ impl Worker {
                 }
             }
         }
+        self.commit_cold(txn_id, state);
+        stats.record_phase(Phase::TxnEngine, watch.lap());
+        Ok(HostEnd::Committed(gid, in_doubt))
+    }
 
-        // Commit: persist cold writes + commit record as one group commit
-        // (the transaction's records were staged in `state.cold_writes`; one
-        // log write makes them durable together), then release locks.
-        // The staged records drain straight into the log under its one lock
-        // acquisition — no intermediate vector.
+    /// The operations `group` of `req` as one switch sub-transaction.
+    /// Dependencies crossing the sub-transaction's boundary are resolved here
+    /// on the host: the dependent instruction gets the already-known value
+    /// from `results` as a literal operand. The logged intent carries the
+    /// same literal, so replay and recovery reproduce exactly what the switch
+    /// executed.
+    fn patched<'a>(
+        req: &'a TxnRequest,
+        group: &'a [usize],
+        results: &'a [u64],
+    ) -> impl Iterator<Item = (usize, TxnOp)> + 'a {
+        group.iter().map(move |&i| {
+            let mut op = req.ops[i];
+            if let Some(src) = op.operand_from.filter(|&src| !group.contains(&(src as usize))) {
+                op.kind = Self::patch_operand(op.kind, results[src as usize]);
+                op.operand_from = None;
+            }
+            (i, op)
+        })
+    }
+
+    /// Commits the host part of a transaction: its cold writes and commit
+    /// record as one group commit, its versions installed, its locks
+    /// released.
+    fn commit_cold(&mut self, txn_id: TxnId, state: &mut HostTxnState) {
+        // The transaction's records were staged in `state.cold_writes`; one
+        // log write makes them durable together. They drain straight into
+        // the log under its one lock acquisition — no intermediate vector.
         let wal = self.coordinator_storage().wal();
         wal.append_group(state.cold_writes.drain(..).chain(std::iter::once(LogRecord::Commit { txn: txn_id })));
         // Version installation: one commit timestamp for the whole
@@ -1123,8 +1252,6 @@ impl Worker {
             mvcc.clock.publish(ts);
         }
         self.release_all(txn_id, state);
-        stats.record_phase(Phase::TxnEngine, watch.lap());
-        Ok((gid, in_doubt))
     }
 
     /// The one-hash admission step for a single cold operation: acquires the
@@ -1467,8 +1594,8 @@ mod tests {
         let rig = rig(SystemMode::P4db, CcScheme::NoWait);
         let mut w = worker(&rig, 0, 0);
         let mut stats = WorkerStats::new();
-        // The warm request runs its own exchange while the first hot request
-        // waits queued for the share's exchange.
+        // The warm request's sub-transaction rides the share's exchange
+        // between its batchmates' hot ones.
         let reqs = [
             TxnRequest::new(vec![op(1, OpKind::Add(5))]),
             TxnRequest::new(vec![op(3, OpKind::Add(10)), op(100, OpKind::Add(1))]),
@@ -1479,11 +1606,129 @@ mod tests {
         let out: Vec<TxnOutcome> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(out.iter().map(|o| o.class).collect::<Vec<_>>(), [TxnClass::Hot, TxnClass::Warm, TxnClass::Hot]);
         assert_eq!(out.iter().map(|o| o.results.clone()).collect::<Vec<_>>(), [vec![105], vec![110, 101], vec![107]]);
+        assert!(out.iter().all(|o| o.gid.is_some() && !o.in_doubt));
         // Each sub-transaction executed exactly once.
         assert_eq!(rig._switch.stats().txns_executed, 3);
         assert_eq!(rig.control_plane.read_tuple(t(1)), Some(105));
         assert_eq!(rig.control_plane.read_tuple(t(3)), Some(110));
         assert_eq!(rig.control_plane.read_tuple(t(2)), Some(107));
+        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
+    }
+
+    /// Switch messages so far: a frame out and its reply charge one each.
+    fn switch_messages(rig: &Rig) -> u64 {
+        rig.shared.latency.stats().snapshot().0
+    }
+
+    #[test]
+    fn a_share_of_three_warm_requests_travels_in_one_frame() {
+        let rig = rig(SystemMode::P4db, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        let reqs = [
+            TxnRequest::new(vec![op(1, OpKind::Add(1)), op(100, OpKind::Add(1))]),
+            TxnRequest::new(vec![op(102, OpKind::Add(2)), op(2, OpKind::Add(2))]),
+            TxnRequest::new(vec![op(3, OpKind::Add(3)), op(104, OpKind::Add(3))]),
+        ];
+        let mut out = Vec::new();
+        w.execute_batch(&reqs, &mut stats, &mut out);
+        let out: Vec<TxnOutcome> = out.into_iter().map(|r| r.unwrap()).collect();
+        assert!(out.iter().all(|o| o.class == TxnClass::Warm && o.gid.is_some() && !o.in_doubt));
+        assert_eq!(out.iter().map(|o| o.results.clone()).collect::<Vec<_>>(), [[101, 101], [102, 102], [103, 103]]);
+        assert_eq!(switch_messages(&rig), 2, "one frame out, one reply");
+        assert_eq!(rig._switch.stats().txns_executed, 3);
+        // The log: three intents, three results, then each cold part's
+        // writes and commit record.
+        let log = rig.shared.node(NodeId(0)).wal().records();
+        let kinds: Vec<&str> = log
+            .iter()
+            .map(|r| match r {
+                LogRecord::SwitchIntent { .. } => "intent",
+                LogRecord::SwitchResult { .. } => "result",
+                LogRecord::ColdWrite { .. } => "write",
+                LogRecord::Commit { .. } => "commit",
+                _ => "other",
+            })
+            .collect();
+        let expected = ["intent", "intent", "intent", "result", "result", "result"]
+            .into_iter()
+            .chain(["write", "commit"].repeat(3))
+            .collect::<Vec<_>>();
+        assert_eq!(kinds, expected);
+        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
+        let cold = |k| rig.shared.node(NodeId(0)).table(TBL).unwrap().read(k).unwrap().switch_word();
+        assert_eq!([cold(100), cold(102), cold(104)], [101, 102, 103]);
+    }
+
+    #[test]
+    fn a_distributed_warm_and_a_local_hot_request_multicast_once() {
+        let rig = rig(SystemMode::P4db, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        // The warm request's cold tuple lives on node 1: it is distributed,
+        // so the switch multicasts its decision. The hot one is local.
+        let reqs = [
+            TxnRequest::new(vec![op(1, OpKind::Add(5))]),
+            TxnRequest::new(vec![op(3, OpKind::Add(10)), op(101, OpKind::Add(1))]),
+        ];
+        let mut out = Vec::new();
+        w.execute_batch(&reqs, &mut stats, &mut out);
+        assert!(out.iter().all(|r| r.is_ok()), "{out:?}");
+        assert_eq!(switch_messages(&rig), 2, "one frame out, one reply");
+        // The switch multicasts after it replies: stop it so every decision
+        // it made is counted.
+        let Rig { shared, _switch: switch, .. } = rig;
+        switch.shutdown();
+        assert_eq!(shared.latency.stats().snapshot().2, 1, "exactly one multicast");
+    }
+
+    /// Two warm requests of one share write cold tuple 100. The first parks
+    /// holding its lock; the second conflicts with it. Returns the second's
+    /// error and how long the share took.
+    fn warm_batchmates_on_one_cold_tuple(rig: &Rig, w: &mut Worker) -> (Error, Duration) {
+        let reqs = [
+            TxnRequest::new(vec![op(1, OpKind::Add(1)), op(100, OpKind::Add(1))]),
+            TxnRequest::new(vec![op(2, OpKind::Add(2)), op(100, OpKind::Add(2))]),
+        ];
+        let mut stats = WorkerStats::new();
+        let mut out = Vec::new();
+        let started = Instant::now();
+        w.execute_batch(&reqs, &mut stats, &mut out);
+        let took = started.elapsed();
+        let first = out[0].as_ref().expect("the first commits");
+        assert_eq!(first.results, [101, 101]);
+        assert!(first.gid.is_some());
+        let err = out[1].clone().expect_err("the second conflicts with its parked batchmate");
+        assert_eq!(stats.aborts_total(), 1);
+        for n in 0..2 {
+            assert_eq!(rig.shared.node(NodeId(n)).locks().locked_count(), 0, "node {n} holds a lock");
+        }
+        // Its retry runs after the share, like the session's.
+        let retry = w.execute(&reqs[1], &mut stats).expect("the retry commits");
+        assert_eq!(retry.results, [102, 103]);
+        assert_eq!(rig.control_plane.read_tuple(t(2)), Some(102), "the aborted attempt never reached the switch");
+        assert_eq!(rig.shared.node(NodeId(0)).table(TBL).unwrap().read(100).unwrap().switch_word(), 103);
+        (err, took)
+    }
+
+    #[test]
+    fn a_warm_batchmate_conflicting_with_a_parked_one_aborts_under_no_wait() {
+        let rig = rig(SystemMode::P4db, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let (err, _) = warm_batchmates_on_one_cold_tuple(&rig, &mut w);
+        assert_eq!(err.abort_reason(), Some(AbortReason::LockConflict { tuple: t(100) }));
+    }
+
+    #[test]
+    fn a_warm_batchmate_conflicting_with_a_parked_one_dies_under_wait_die() {
+        let rig = rig(SystemMode::P4db, CcScheme::WaitDie);
+        let mut w = worker(&rig, 0, 0);
+        let (err, took) = warm_batchmates_on_one_cold_tuple(&rig, &mut w);
+        assert!(matches!(err.abort_reason(), Some(AbortReason::WaitDieDied { tuple, .. }) if tuple == t(100)), "{err}");
+        // The younger batchmate died at once: it never waited for the lock
+        // table's 100 ms timeout on a transaction its own thread parked.
+        assert_eq!(rig.shared.node(NodeId(0)).locks().wait_stats().waits, 0);
+        assert!(took < Duration::from_millis(50), "the share took {took:?}");
     }
 
     // --- The in-doubt ledger: every switch-bound message is lost ----------

@@ -99,8 +99,10 @@ fn a_session_round_trip_allocates_only_what_the_transaction_needs() {
     let hot_adds = allocations_per_round_trip(&mut session, &hot, 8_000);
     let warm_adds = allocations_per_round_trip(&mut session, &warm, 8_000);
 
-    // Measured: 21.01 and 25.02 (23.01 and 27.02 before the hot and warm
-    // paths shared one exchange). A per-call map or vector would show.
+    // Measured: 21.01 and 22.02 (23.01 and 27.02 before the hot and warm
+    // paths shared one exchange; the warm add read 25.02 while it still
+    // grouped its hot operations by switch in fresh vectors). A per-call
+    // map or vector would show.
     assert!(hot_adds <= 23.05, "a one-row hot add allocates {hot_adds:.2} times per round trip");
-    assert!(warm_adds <= 27.05, "a hot-and-cold warm add allocates {warm_adds:.2} times per round trip");
+    assert!(warm_adds <= 22.05, "a hot-and-cold warm add allocates {warm_adds:.2} times per round trip");
 }
