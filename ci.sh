@@ -52,7 +52,9 @@ echo "==> bench smoke gate: BENCH json emission, schema validity, every point co
 # so the gate can floor the snapshot-vs-2PL read-mostly speedup, the
 # 2-switch-vs-1 topology speedup, the checkpointed-vs-genesis restart
 # speedup and the degraded-mode throughput floor across a switch blackhole
-# (alongside the batching tripwire).
+# (alongside micro's batching tripwire, a count of transactions per switch
+# message). The gate requires every row of json::FLOORS, so dropping one of
+# these figures from the list fails it.
 BENCH_SMOKE="$(pwd)/target/BENCH_smoke.json"
 rm -f "$BENCH_SMOKE"
 P4DB_BENCH_JSON="$BENCH_SMOKE" P4DB_MEASURE_MS=25 cargo bench --offline -p p4db-bench --bench figures -- fig01 fig13 fig_read_mix fig_switch_scaling fig_recovery fig_outage > /dev/null

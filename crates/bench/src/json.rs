@@ -25,7 +25,7 @@
 //! untouched, so `figures` and `micro` can update the same `BENCH_23.json`
 //! independently.
 
-use p4db_core::BenchPoint;
+use crate::BenchPoint;
 use std::fmt;
 use std::path::Path;
 
@@ -352,141 +352,62 @@ pub fn output_path() -> std::path::PathBuf {
 // Regression gate
 // ---------------------------------------------------------------------------
 
-/// Floors of the CI regression gate. The smoke profile measures for a few
-/// milliseconds per point on a loaded runner, so the gate compares no
-/// absolute throughput against a recorded baseline (that band tripped on
-/// whatever machine it was not recorded on): it checks that every point
-/// committed something and that each gated ratio, taken between two arms of
-/// the same run, holds its floor. It is a tripwire for collapses and schema
-/// drift, not a microbenchmark judge; the committed `BENCH_23.json` and the
-/// repo benchmark (`benchmark/`) carry the trend.
-#[derive(Clone, Debug)]
-pub struct GateConfig {
-    /// Minimum speedup the `micro` "switch hot path batched-vs-unbatched"
-    /// point must show — the acceptance bar of the batching work (measured
-    /// ~2x; anything under 1.3x on the smoke profile is a real regression,
-    /// not noise).
-    pub min_batch_speedup: f64,
-    /// Minimum speedup of the gated `fig_switch_scaling` datapoint (2
-    /// switches over 1 switch at a fixed aggregate hot-set size, saturated
-    /// pipeline) — the acceptance bar of the multi-switch topology work
-    /// (measured ~1.8x; under 1.25x even on the smoke profile means the
-    /// second switch is not relieving the pipeline bottleneck).
-    pub min_switch_scaling_speedup: f64,
-    /// Minimum speedup of the gated `fig_recovery` datapoint (checkpoint +
-    /// segment-tail restart over genesis replay of the whole log) — the
-    /// acceptance bar of the durability work. The figure grows the log until
-    /// it dwarfs the table, so a checkpointed restart that is not at least
-    /// 2x faster means the tail-skip read path or the shard-parallel
-    /// write-back regressed.
-    pub min_recovery_speedup: f64,
-    /// Minimum speedup of the gated `fig_read_mix` datapoint (the lock-free
-    /// snapshot read path over 2PL on the same pooled schedule, hot-skewed
-    /// YCSB-A at 95% whole-transaction reads) — the acceptance bar of the
-    /// versioned-rows work (measured ~2x; under 1.3x on the smoke profile
-    /// means read-only transactions are paying lock-table costs again).
-    pub min_read_mostly_speedup: f64,
-    /// Minimum degraded-throughput floor of the gated `fig_outage`
-    /// datapoint, expressed as min-window/max-window committed throughput
-    /// across the blackhole → breaker-trip → degraded → re-admit timeline.
-    /// The self-healing acceptance criterion is liveness, not speed: every
-    /// window must keep committing (the figure itself asserts non-zero
-    /// windows), and this floor catches a degraded mode that technically
-    /// commits but has collapsed to a trickle. Measured ~0.3–0.7 depending
-    /// on how much of the trip window is spent inside switch timeouts; 0.02
-    /// is the collapse tripwire, far below any healthy run.
-    pub min_degraded_floor_frac: f64,
-}
+/// The floors of the CI regression gate, one row each: `(figure, params,
+/// floor, what, since)`. The `speedup` field of datapoint `(figure,
+/// params)`, which measures `what`, must reach `floor` in an emission that
+/// ran `figure`, and in every committed `BENCH_N.json` with `N >= since`.
+///
+/// The smoke profile measures for a few milliseconds per point on a loaded
+/// runner, so the gate compares no absolute throughput against a recorded
+/// baseline (that band tripped on whatever machine it was not recorded on):
+/// each floor is a ratio between two arms of the same run, or a count. It is
+/// a tripwire for collapses and schema drift, not a microbenchmark judge;
+/// the committed `BENCH_23.json` and the repo benchmark (`benchmark/`) carry
+/// the trend.
+pub const FLOORS: &[(&str, &str, f64, &str, u32)] = &[
+    // The batching tripwire. One unbatched message carries one switch
+    // transaction, so 1.0 means frames are no longer shared (~20 measured).
+    // A count, so a loaded host cannot trip it; the files up to BENCH_23
+    // carry the batched-over-unbatched rate here (1.5-2.4x).
+    ("micro", "switch hot path batched-vs-unbatched", 1.3, "switch txns per message, batched over unbatched", 4),
+    // ~1.5-1.8x measured; under 1.25x the second switch is not relieving
+    // the pipeline bottleneck.
+    ("fig_switch_scaling", "switches=2", 1.25, "throughput of two switches over one", 6),
+    // The figure grows the log until it dwarfs the table: under 2x, the
+    // tail-skip read path or the shard-parallel write-back regressed.
+    ("fig_recovery", "checkpointed vs genesis restart", 2.0, "checkpointed restart speed over genesis replay", 7),
+    // ~2-3.5x measured; under 1.3x read-only transactions pay lock-table
+    // costs again.
+    ("fig_read_mix", "YCSB-A 95% reads workers=4", 1.3, "snapshot read path throughput over 2PL", 9),
+    // Liveness, not speed: the figure asserts every window commits, and this
+    // catches a degraded mode that commits a trickle (0.1-0.7 measured).
+    ("fig_outage", "SmallBank blackhole switch=0 supervised", 0.02, "degraded-mode throughput as a share of peak", 10),
+];
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            min_batch_speedup: 1.3,
-            min_switch_scaling_speedup: 1.25,
-            min_recovery_speedup: 2.0,
-            min_read_mostly_speedup: 1.3,
-            min_degraded_floor_frac: 0.02,
+/// Checks `points` against the gate: every point committed something, and
+/// every due floor has its datapoint at or above the floor. A floor is due
+/// when its figure ran, and whenever its `since <= through`: the committed
+/// `BENCH_N.json` passes `N`, and the CI smoke emission, which runs every
+/// gated figure, [`u32::MAX`]. A due floor without its datapoint fails, so a
+/// sweep or label edit, or a figure dropped from the smoke run, cannot
+/// silently stop it from being enforced. Returns one line per violation;
+/// empty means the gate passes.
+pub fn gate(points: &[BenchPoint], through: u32) -> Vec<String> {
+    let mut failures: Vec<String> = points
+        .iter()
+        .filter(|p| p.tps <= 0.0)
+        .map(|p| format!("{} [{}]: throughput collapsed to {:.0} tps", p.figure, p.params, p.tps))
+        .collect();
+    for &(figure, params, floor, what, since) in FLOORS {
+        if since > through && !points.iter().any(|p| p.figure == figure) {
+            continue;
         }
-    }
-}
-
-/// The `params` key of the micro datapoint the batching tripwire checks.
-pub const BATCHING_PARAMS: &str = "switch hot path batched-vs-unbatched";
-
-/// The `params` key of the gated `fig_switch_scaling` datapoint.
-pub const SWITCH_SCALING_PARAMS: &str = "switches=2";
-
-/// The `params` key of the gated `fig_recovery` datapoint.
-pub const RECOVERY_PARAMS: &str = "checkpointed vs genesis restart";
-
-/// The `params` key of the gated `fig_read_mix` datapoint.
-pub const READ_MIX_PARAMS: &str = "YCSB-A 95% reads workers=4";
-
-/// The `params` key of the gated `fig_outage` datapoint. Its `speedup`
-/// field carries the degraded-throughput floor fraction (min window tps /
-/// max window tps across the outage timeline), not a speedup.
-pub const OUTAGE_PARAMS: &str = "SmallBank blackhole switch=0 supervised";
-
-/// Checks the emitted `current` points against the floors. Returns one
-/// human-readable line per violation; empty means the gate passes.
-pub fn gate(current: &[BenchPoint], config: &GateConfig) -> Vec<String> {
-    let mut failures = Vec::new();
-    for cur in current {
-        if cur.tps <= 0.0 {
-            failures.push(format!("{} [{}]: throughput collapsed to {:.0} tps", cur.figure, cur.params, cur.tps));
+        let gated: Vec<&BenchPoint> = points.iter().filter(|p| p.figure == figure && p.params == params).collect();
+        if gated.is_empty() {
+            failures.push(format!("{figure} is missing its gated datapoint [{params}]; {what} was not checked"));
         }
-        if cur.figure == "micro" && cur.params == BATCHING_PARAMS && cur.speedup < config.min_batch_speedup {
-            failures.push(format!(
-                "micro [{}]: batched hot path is only {:.2}x over unbatched (gate requires >= {:.2}x)",
-                cur.params, cur.speedup, config.min_batch_speedup
-            ));
-        }
-        if cur.figure == "fig_switch_scaling"
-            && cur.params == SWITCH_SCALING_PARAMS
-            && cur.speedup < config.min_switch_scaling_speedup
-        {
-            failures.push(format!(
-                "fig_switch_scaling [{}]: two switches are only {:.2}x over one switch (gate requires >= {:.2}x)",
-                cur.params, cur.speedup, config.min_switch_scaling_speedup
-            ));
-        }
-        if cur.figure == "fig_recovery" && cur.params == RECOVERY_PARAMS && cur.speedup < config.min_recovery_speedup {
-            failures.push(format!(
-                "fig_recovery [{}]: checkpointed restart is only {:.2}x over genesis replay (gate requires >= {:.2}x)",
-                cur.params, cur.speedup, config.min_recovery_speedup
-            ));
-        }
-        if cur.figure == "fig_read_mix" && cur.params == READ_MIX_PARAMS && cur.speedup < config.min_read_mostly_speedup
-        {
-            failures.push(format!(
-                "fig_read_mix [{}]: the snapshot read path is only {:.2}x over 2PL (gate requires >= {:.2}x)",
-                cur.params, cur.speedup, config.min_read_mostly_speedup
-            ));
-        }
-        if cur.figure == "fig_outage" && cur.params == OUTAGE_PARAMS && cur.speedup < config.min_degraded_floor_frac {
-            failures.push(format!(
-                "fig_outage [{}]: degraded-mode throughput floor is only {:.3} of peak (gate requires >= {:.3})",
-                cur.params, cur.speedup, config.min_degraded_floor_frac
-            ));
-        }
-    }
-    // Anti-vacuity: if a figure with a gated datapoint ran at all, that
-    // datapoint must be among the results — otherwise a sweep or label edit
-    // could silently stop the floor from being enforced.
-    for (figure, gated_params, what) in [
-        ("fig_switch_scaling", SWITCH_SCALING_PARAMS, "switch-scaling speedup floor"),
-        ("fig_recovery", RECOVERY_PARAMS, "recovery speedup floor"),
-        ("fig_read_mix", READ_MIX_PARAMS, "read-mostly speedup floor"),
-        ("fig_outage", OUTAGE_PARAMS, "degraded-throughput floor"),
-        ("micro", BATCHING_PARAMS, "batching speedup floor"),
-    ] {
-        if current.iter().any(|p| p.figure == figure)
-            && !current.iter().any(|p| p.figure == figure && p.params == gated_params)
-        {
-            failures.push(format!(
-                "{figure} ran without its gated datapoint [{gated_params}]; the {what} was not \
-                                   checked"
-            ));
+        for p in gated.into_iter().filter(|p| p.speedup < floor) {
+            failures.push(format!("{figure} [{params}]: {what} is {:.3} (gate requires >= {floor})", p.speedup));
         }
     }
     failures
@@ -555,167 +476,58 @@ mod tests {
     }
 
     #[test]
-    fn gate_flags_collapses_and_weak_batching_only() {
-        let config = GateConfig::default();
+    fn gate_flags_collapses_and_every_floor() {
         // Any throughput that committed something: quiet, whatever it is.
         let ok = vec![point("fig01", "YCSB-A", 400.0, 1.2), point("fig99", "new", 5.0, 1.0)];
-        assert!(gate(&ok, &config).is_empty());
-        // Collapse: flagged.
-        let collapsed = vec![point("fig01", "YCSB-A", 0.0, 1.2)];
-        let failures = gate(&collapsed, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("collapsed"));
-        // Batching tripwire.
-        let weak = vec![point("micro", BATCHING_PARAMS, 1000.0, 1.2)];
-        let failures = gate(&weak, &config);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("batched hot path"));
-        let strong = vec![point("micro", BATCHING_PARAMS, 1000.0, 1.6)];
-        assert!(gate(&strong, &config).is_empty());
-        // Switch-scaling tripwire.
-        let weak = vec![point("fig_switch_scaling", SWITCH_SCALING_PARAMS, 1000.0, 1.1)];
-        let failures = gate(&weak, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("two switches"));
-        let strong = vec![point("fig_switch_scaling", SWITCH_SCALING_PARAMS, 1000.0, 1.8)];
-        assert!(gate(&strong, &config).is_empty());
-        let missing_gated = vec![point("fig_switch_scaling", "switches=4", 1000.0, 2.0)];
-        let failures = gate(&missing_gated, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("switch-scaling speedup floor"));
-        // Recovery tripwire.
-        let weak = vec![point("fig_recovery", RECOVERY_PARAMS, 1000.0, 1.4)];
-        let failures = gate(&weak, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("checkpointed restart"));
-        let strong = vec![point("fig_recovery", RECOVERY_PARAMS, 1000.0, 4.0)];
-        assert!(gate(&strong, &config).is_empty());
-        let missing_gated = vec![point("fig_recovery", "genesis only", 1000.0, 1.0)];
-        let failures = gate(&missing_gated, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("recovery speedup floor"));
-        // Read-mix tripwire.
-        let weak = vec![point("fig_read_mix", READ_MIX_PARAMS, 1000.0, 1.1)];
-        let failures = gate(&weak, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("snapshot read path"));
-        let strong = vec![point("fig_read_mix", READ_MIX_PARAMS, 1000.0, 2.0)];
-        assert!(gate(&strong, &config).is_empty());
-        let missing_gated = vec![point("fig_read_mix", "YCSB-A 50% reads workers=4", 1000.0, 2.0)];
-        let failures = gate(&missing_gated, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("read-mostly speedup floor"));
-        // Outage tripwire: the `speedup` slot carries the degraded floor
-        // fraction, gated against collapse.
-        let weak = vec![point("fig_outage", OUTAGE_PARAMS, 1000.0, 0.005)];
-        let failures = gate(&weak, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("degraded-mode throughput floor"));
-        let strong = vec![point("fig_outage", OUTAGE_PARAMS, 1000.0, 0.4)];
-        assert!(gate(&strong, &config).is_empty());
-        let missing_gated = vec![point("fig_outage", "unsupervised", 1000.0, 0.4)];
-        let failures = gate(&missing_gated, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("degraded-throughput floor"));
-        // Same protection for the batching tripwire: a micro run that lost
-        // its gated datapoint fails rather than passing vacuously.
-        let missing = vec![point("micro", "wal append", 1000.0, 1.0)];
-        let failures = gate(&missing, &config);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("batching speedup floor"));
+        assert!(gate(&ok, 0).is_empty());
+        let failures = gate(&[point("fig01", "YCSB-A", 0.0, 1.2)], 0);
+        assert!(failures.len() == 1 && failures[0].contains("collapsed"), "{failures:?}");
+        for &(figure, params, floor, what, _) in FLOORS {
+            let below = gate(&[point(figure, params, 1000.0, floor * 0.5)], 0);
+            assert!(below.len() == 1 && below[0].contains(what), "{figure}: {below:?}");
+            assert!(gate(&[point(figure, params, 1000.0, floor * 2.0)], 0).is_empty(), "{figure}");
+            let missing = gate(&[point(figure, "another datapoint", 1000.0, floor * 2.0)], 0);
+            assert!(missing.len() == 1 && missing[0].contains("missing its gated datapoint"), "{missing:?}");
+        }
+        // Ran or not, a floor is due from its `since` on: BENCH_6 is held to
+        // the batching and switch-scaling floors, the smoke run to all.
+        assert_eq!(gate(&[], 6).len(), 2);
+        assert_eq!(gate(&[], u32::MAX).len(), FLOORS.len());
     }
 
-    /// The committed `BENCH_*.json` trajectory must always be schema-valid — this is the CI check that the emitted
-    /// JSON parses and contains no missing/NaN fields, and that the
-    /// committed hot-path batching and switch-scaling datapoints meet their
-    /// acceptance bars. Each `BENCH_N.json` predates
-    /// the figures of later PRs, so only the newer files are held to the
-    /// newer bars.
+    /// The committed `BENCH_*.json` trajectory must always be schema-valid —
+    /// the emitted JSON parses and has no missing or NaN fields — and each
+    /// file must hold every floor from the file the floor's datapoint first
+    /// appeared in.
     #[test]
     fn gate_committed_bench_files_are_schema_valid() {
-        for name in [
-            "BENCH_4.json",
-            "BENCH_5.json",
-            "BENCH_6.json",
-            "BENCH_7.json",
-            "BENCH_9.json",
-            "BENCH_10.json",
-            "BENCH_22.json",
-            "BENCH_23.json",
-        ] {
-            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name);
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {name}: {e}"));
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files: Vec<(u32, String)> = std::fs::read_dir(&root)
+            .expect("listing the workspace root")
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                let n = name.strip_prefix("BENCH_")?.strip_suffix(".json")?.parse().ok()?;
+                Some((n, name))
+            })
+            .collect();
+        files.sort();
+        assert!(files.len() >= 8, "committed BENCH files: {files:?}");
+        for &(figure, .., since) in FLOORS {
+            assert!(files.iter().any(|(n, _)| *n >= since), "no committed file holds the {figure} floor");
+        }
+        for (n, name) in &files {
+            let text = std::fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"));
             let points = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert!(!points.is_empty(), "{name} has no datapoints");
             for figure in ["fig01", "fig13", "micro"] {
                 assert!(points.iter().any(|p| p.figure == figure), "{name} is missing {figure} datapoints");
             }
-            let batching = points
-                .iter()
-                .find(|p| p.figure == "micro" && p.params == BATCHING_PARAMS)
-                .unwrap_or_else(|| panic!("{name} is missing the batching datapoint"));
-            assert!(
-                batching.speedup >= 1.3,
-                "{name}: committed batched hot path speedup {:.2}x is below the 1.3x acceptance bar",
-                batching.speedup
-            );
-            if name == "BENCH_4.json" || name == "BENCH_5.json" {
-                continue; // predate the switch-scaling figure
-            }
-            let switch_scaling = points
-                .iter()
-                .find(|p| p.figure == "fig_switch_scaling" && p.params == SWITCH_SCALING_PARAMS)
-                .unwrap_or_else(|| panic!("{name} is missing the switch-scaling datapoint"));
-            let bar = GateConfig::default().min_switch_scaling_speedup;
-            assert!(
-                switch_scaling.speedup >= bar,
-                "{name}: committed switch-scaling speedup {:.2}x is below the {bar}x acceptance bar",
-                switch_scaling.speedup
-            );
-            if name == "BENCH_6.json" {
-                continue; // predates the recovery figure
-            }
-            let recovery = points
-                .iter()
-                .find(|p| p.figure == "fig_recovery" && p.params == RECOVERY_PARAMS)
-                .unwrap_or_else(|| panic!("{name} is missing the recovery datapoint"));
-            let bar = GateConfig::default().min_recovery_speedup;
-            assert!(
-                recovery.speedup >= bar,
-                "{name}: committed recovery speedup {:.2}x is below the {bar}x acceptance bar",
-                recovery.speedup
-            );
-            if name == "BENCH_7.json" {
-                continue; // predates the read-mix figure
-            }
-            let read_mix = points
-                .iter()
-                .find(|p| p.figure == "fig_read_mix" && p.params == READ_MIX_PARAMS)
-                .unwrap_or_else(|| panic!("{name} is missing the read-mix datapoint"));
-            let bar = GateConfig::default().min_read_mostly_speedup;
-            assert!(
-                read_mix.speedup >= bar,
-                "{name}: committed read-mostly speedup {:.2}x is below the {bar}x acceptance bar",
-                read_mix.speedup
-            );
-            if name == "BENCH_9.json" {
-                continue; // predates the outage figure
-            }
-            let outage = points
-                .iter()
-                .find(|p| p.figure == "fig_outage" && p.params == OUTAGE_PARAMS)
-                .unwrap_or_else(|| panic!("{name} is missing the outage datapoint"));
-            let bar = GateConfig::default().min_degraded_floor_frac;
-            assert!(
-                outage.speedup >= bar,
-                "{name}: committed degraded-throughput floor {:.3} is below the {bar} acceptance bar",
-                outage.speedup
-            );
+            let failures = gate(&points, *n);
+            assert!(failures.is_empty(), "{name}:\n  {}", failures.join("\n  "));
         }
     }
 
     /// The CI regression gate: checks the freshly emitted smoke
-    /// `BENCH_*.json` (path in `$P4DB_BENCH_JSON`) against the floors. Only
+    /// `BENCH_*.json` (path in `$P4DB_BENCH_JSON`) against every floor. Only
     /// active when `P4DB_BENCH_GATE=1` — the file does not exist during
     /// plain `cargo test` runs.
     #[test]
@@ -727,7 +539,7 @@ mod tests {
         let text = std::fs::read_to_string(&current_path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", current_path.display()));
         let current = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", current_path.display()));
-        let failures = gate(&current, &GateConfig::default());
+        let failures = gate(&current, u32::MAX);
         assert!(failures.is_empty(), "bench regression gate failed:\n  {}", failures.join("\n  "));
     }
 }

@@ -1,12 +1,17 @@
 //! # p4db-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (§7). Each `benches/` target calls the `figXX_*`
-//! functions below and prints the resulting markdown table. Every function
-//! also records its raw measurements as [`BenchPoint`]s on the returned
-//! [`FigureTable`], which the bench targets serialise into `BENCH_23.json`
-//! (see [`json`]) — the machine-readable perf trajectory whose smoke
-//! emission the CI regression gate holds to its speedup floors.
+//! paper's evaluation (§7). A paper figure is a declaration, a `Figure`:
+//! the rows of its swept axis, the arms (systems) measured on every row, the
+//! columns it prints and the arm its speedups are taken over. One body,
+//! `run_figure`, builds every cluster, measures it, and fills both the
+//! markdown table and the [`BenchPoint`]s of the returned [`FigureTable`].
+//! Three drills that are not a sweep of cluster runs keep their own bodies:
+//! [`fig_read_mix`], [`fig_recovery`] and [`fig_outage`]. The `figures`
+//! bench target picks entries of [`FIGURES`] with [`select`] and serialises
+//! their points into `BENCH_23.json` (see [`json`]) — the machine-readable
+//! perf trajectory whose smoke emission the CI gate holds to the floors of
+//! [`json::FLOORS`].
 //!
 //! Scale: the harness runs the cluster in the slow-motion latency profile
 //! (see `LatencyConfig::bench_profile`) so that it produces meaningful
@@ -19,14 +24,15 @@
 //! * `P4DB_FULL=1`     — wider sweeps (all thread counts, both CC schemes).
 
 pub mod json;
+pub mod report;
+
+pub use report::{fmt_class_mix, fmt_speedup, fmt_tps, speedup, BenchPoint, FigureTable};
 
 use p4db_common::faults::BlackholeFault;
 use p4db_common::rand_util::FastRng;
-use p4db_common::stats::{Phase, RunStats, WorkerStats};
+use p4db_common::stats::{RunStats, WorkerStats, PHASES};
 use p4db_common::{CcScheme, FaultPlan, LatencyConfig, NodeId, SwitchId, SystemMode, WorkerId};
-use p4db_core::{
-    fmt_class_mix, fmt_speedup, fmt_tps, speedup, BenchPoint, BreakerConfig, Cluster, ClusterConfig, FigureTable,
-};
+use p4db_core::{BreakerConfig, Cluster, ClusterConfig};
 use p4db_layout::LayoutStrategy;
 use p4db_net::{Fabric, LatencyModel};
 use p4db_storage::NodeStorage;
@@ -45,39 +51,39 @@ pub struct BenchProfile {
 }
 
 impl BenchProfile {
-    pub fn from_env() -> Self {
-        let ms = std::env::var("P4DB_MEASURE_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(250u64);
-        let full = std::env::var("P4DB_FULL").map(|v| v == "1").unwrap_or(false);
-        BenchProfile { measure: Duration::from_millis(ms), full }
+    /// Reads `P4DB_MEASURE_MS` (default 250) and `P4DB_FULL`. A measure time
+    /// that is not a whole number of milliseconds is an error, not the
+    /// default.
+    pub fn from_env() -> Result<Self, String> {
+        let ms = match std::env::var("P4DB_MEASURE_MS") {
+            Err(std::env::VarError::NotPresent) => 250,
+            Ok(v) => v.parse().map_err(|_| format!("P4DB_MEASURE_MS={v:?} is not a whole number of milliseconds"))?,
+            Err(e) => return Err(format!("P4DB_MEASURE_MS: {e}")),
+        };
+        let full = std::env::var("P4DB_FULL").as_deref() == Ok("1");
+        Ok(BenchProfile { measure: Duration::from_millis(ms), full })
     }
 
-    pub fn workers_sweep(&self) -> Vec<u16> {
+    /// The `full` sweep under `P4DB_FULL=1`, the `quick` one otherwise.
+    fn sweep<T>(&self, full: Vec<T>, quick: Vec<T>) -> Vec<T> {
         if self.full {
-            vec![2, 3, 4, 5]
+            full
         } else {
-            vec![2, 4]
+            quick
         }
     }
 
-    pub fn cc_sweep(&self) -> Vec<CcScheme> {
-        if self.full {
-            vec![CcScheme::NoWait, CcScheme::WaitDie]
-        } else {
-            vec![CcScheme::NoWait]
-        }
+    fn workers_sweep(&self) -> Vec<u16> {
+        self.sweep(vec![2, 3, 4, 5], vec![2, 4])
     }
 
-    pub fn distributed_sweep(&self) -> Vec<f64> {
-        if self.full {
-            vec![0.0, 0.25, 0.5, 0.75, 1.0]
-        } else {
-            vec![0.25, 0.75]
-        }
+    fn distributed_sweep(&self) -> Vec<f64> {
+        self.sweep(vec![0.0, 0.25, 0.5, 0.75, 1.0], vec![0.25, 0.75])
     }
 }
 
 fn ycsb(mix: YcsbMix) -> Arc<dyn Workload> {
-    Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 20_000, ..YcsbConfig::new(mix) }))
+    ycsb_with(YcsbConfig { keys_per_node: 20_000, ..YcsbConfig::new(mix) })
 }
 
 fn ycsb_with(config: YcsbConfig) -> Arc<dyn Workload> {
@@ -96,385 +102,515 @@ fn tpcc(warehouses: u64) -> Arc<dyn Workload> {
     Arc::new(Tpcc::new(TpccConfig { items_loaded: 5_000, ..TpccConfig::new(warehouses) }))
 }
 
-/// Builds a cluster for one data point and measures it.
-pub fn measure(
-    workload: &Arc<dyn Workload>,
-    mode: SystemMode,
-    cc: CcScheme,
-    workers_per_node: u16,
-    distributed_prob: f64,
-    profile: &BenchProfile,
-    tweak: impl FnOnce(&mut ClusterConfig),
-) -> RunStats {
-    let mut config = ClusterConfig::new(mode, cc);
-    config.workers_per_node = workers_per_node;
-    config.distributed_prob = distributed_prob;
-    tweak(&mut config);
-    let cluster = Cluster::build(config, Arc::clone(workload));
-    cluster.run_for(profile.measure)
+/// The three benchmarks at their Figure 1 configuration.
+fn headline_workloads() -> Vec<(&'static str, Arc<dyn Workload>)> {
+    vec![("YCSB-A", ycsb(YcsbMix::A)), ("SmallBank 8x5", smallbank(5)), ("TPC-C 8WH", tpcc(8))]
 }
 
-fn no_tweak(_: &mut ClusterConfig) {}
+const MIXES: [YcsbMix; 3] = [YcsbMix::A, YcsbMix::B, YcsbMix::C];
 
-// ---------------------------------------------------------------------------
-// Figure 1: headline throughput + speedup for the three benchmarks.
-// ---------------------------------------------------------------------------
+fn pct(fraction: f64) -> String {
+    format!("{:.0}%", fraction * 100.0)
+}
 
-pub fn fig01_headline(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
+/// The best of `n` samples by `score`: interference from other processes
+/// only ever slows a run down, so the best sample is the tightest estimate.
+fn best_of<T>(n: usize, mut sample: impl FnMut() -> T, score: impl Fn(&T) -> f64) -> T {
+    (1..n).fold(sample(), |best, _| {
+        let next = sample();
+        if score(&next) > score(&best) {
+            next
+        } else {
+            best
+        }
+    })
+}
+
+/// One system a figure measures on every row of its sweep.
+#[derive(Copy, Clone, Debug)]
+struct Arm {
+    /// The arm's part of a [`Layout::Down`] datapoint's `params` key; the
+    /// table cell naming the arm is the key's value after any `=`.
+    key: &'static str,
+    mode: SystemMode,
+    /// Applied to the cluster config after the row's tweak.
+    tweak: fn(&mut ClusterConfig),
+}
+
+const NO_SWITCH: Arm = Arm { key: "No-Switch", mode: SystemMode::NoSwitch, tweak: |_| {} };
+const LM_SWITCH: Arm = Arm { key: "LM-Switch", mode: SystemMode::LmSwitch, tweak: |_| {} };
+const P4DB: Arm = Arm { key: "P4DB", mode: SystemMode::P4db, tweak: |_| {} };
+
+impl Arm {
+    fn label(&self) -> &'static str {
+        self.key.rsplit_once('=').map_or(self.key, |(_, value)| value)
+    }
+}
+
+/// One point of a figure's swept axis.
+struct Row {
+    /// The leading table cells.
+    labels: Vec<String>,
+    /// The datapoint's `params` key (a [`Layout::Down`] figure appends the
+    /// arm's key).
+    params: String,
+    workload: Arc<dyn Workload>,
+    workers: u16,
+    distributed: f64,
+    cc: CcScheme,
+    /// Applied to every arm's cluster config of this row.
+    tweak: Box<dyn Fn(&mut ClusterConfig)>,
+}
+
+/// A row at the figures' common operating point: 4 workers per node, 20%
+/// distributed transactions, NO_WAIT.
+fn row(labels: Vec<String>, params: impl Into<String>, workload: &Arc<dyn Workload>) -> Row {
+    let (workload, tweak) = (Arc::clone(workload), Box::new(|_: &mut ClusterConfig| {}));
+    Row { labels, params: params.into(), workload, workers: 4, distributed: 0.2, cc: CcScheme::NoWait, tweak }
+}
+
+/// What a table cell shows of one measured arm.
+#[derive(Copy, Clone, Debug)]
+enum Metric {
+    Tps,
+    /// Throughput over the figure's baseline arm on the same row.
+    Speedup,
+    /// Hot and cold shares of the commits (two cells).
+    HotCold,
+    AbortRate,
+    MeanLatencyUs,
+    /// Share of switch transactions that took a single pipeline pass.
+    SinglePass,
+    /// Hot tuples the build offloaded to the switch.
+    Offloaded,
+    ClassMix,
+    /// Mean time per phase and their total (six cells).
+    Phases,
+}
+
+/// How a figure lays its arms out in the table.
+#[derive(Copy, Clone, Debug)]
+enum Layout {
+    /// One table row per sweep row; each cell reads a metric of the arm at
+    /// the given index. The row's datapoint is its last arm.
+    Across(&'static [(usize, Metric)]),
+    /// One table row per arm of each sweep row, labelled with the arm; every
+    /// cell reads that arm, and every arm is a datapoint.
+    Down(&'static [Metric]),
+}
+
+/// A regular paper figure as data, measured by [`run_figure`].
+struct Figure {
+    /// The datapoints' `figure` id.
+    name: &'static str,
+    title: &'static str,
+    headers: &'static [&'static str],
+    rows: Vec<Row>,
+    arms: &'static [Arm],
+    layout: Layout,
+    /// Index of the arm speedups are taken over; `None` records 1.0.
+    baseline: Option<usize>,
+    /// Runs per arm, the best kept. A figure with a gated datapoint takes
+    /// two, each at least 200 ms long, so scheduler noise cannot fail it.
+    best_of: usize,
+}
+
+/// One arm measured on one row.
+struct Run {
+    stats: RunStats,
+    single_pass: f64,
+    offloaded: usize,
+}
+
+fn measure(row: &Row, arm: &Arm, time: Duration) -> Run {
+    let mut config = ClusterConfig::new(arm.mode, row.cc);
+    config.workers_per_node = row.workers;
+    config.distributed_prob = row.distributed;
+    (row.tweak)(&mut config);
+    (arm.tweak)(&mut config);
+    let cluster = Cluster::build(config, Arc::clone(&row.workload));
+    let offloaded = cluster.offloaded_tuples();
+    let stats = cluster.run_for(time);
+    Run { stats, single_pass: cluster.switch_stats().single_pass_fraction(), offloaded }
+}
+
+impl Metric {
+    fn cells(self, run: &Run, base: Option<&RunStats>) -> Vec<String> {
+        let stats = &run.stats;
+        let share = |fraction: f64| format!("{:.1}%", fraction * 100.0);
+        match self {
+            Metric::Tps => vec![fmt_tps(stats.throughput())],
+            Metric::Speedup => vec![fmt_speedup(base.map_or(1.0, |b| speedup(stats, b)))],
+            Metric::HotCold => vec![share(stats.hot_fraction()), share(1.0 - stats.hot_fraction())],
+            Metric::AbortRate => vec![share(stats.abort_rate())],
+            Metric::MeanLatencyUs => vec![format!("{:.0}", stats.mean_latency().as_secs_f64() * 1e6)],
+            Metric::SinglePass => vec![share(run.single_pass)],
+            Metric::Offloaded => vec![run.offloaded.to_string()],
+            Metric::ClassMix => vec![fmt_class_mix(stats)],
+            Metric::Phases => {
+                let breakdown = stats.phase_breakdown();
+                let us =
+                    |phase| breakdown.iter().find(|(p, _)| *p == phase).map_or(0.0, |(_, d)| d.as_secs_f64() * 1e6);
+                let mut cells: Vec<String> = PHASES.iter().map(|&phase| format!("{:.0}µs", us(phase))).collect();
+                cells.push(format!("{:.0}", breakdown.iter().map(|(_, d)| d.as_secs_f64() * 1e6).sum::<f64>()));
+                cells
+            }
+        }
+    }
+}
+
+/// The one measuring body of every regular figure: builds and runs every
+/// arm of every row (in declaration order), and tabulates the runs.
+fn run_figure(fig: &Figure, profile: &BenchProfile) -> FigureTable {
+    let time = if fig.best_of > 1 { profile.measure.max(Duration::from_millis(200)) } else { profile.measure };
+    let mut table = FigureTable::new(fig.title, fig.headers);
+    for row in &fig.rows {
+        let measured = |arm| best_of(fig.best_of, || measure(row, arm, time), |run| run.stats.throughput());
+        let runs: Vec<Run> = fig.arms.iter().map(measured).collect();
+        // The speedup base of arm `i`: the baseline arm, except for itself.
+        let base = |i: usize| fig.baseline.filter(|&b| b != i).map(|b| &runs[b].stats);
+        match fig.layout {
+            Layout::Across(columns) => {
+                let cells = columns.iter().flat_map(|&(arm, metric)| metric.cells(&runs[arm], base(arm)));
+                table.push_row(row.labels.iter().cloned().chain(cells).collect());
+                let last = runs.len() - 1;
+                table.push_point(BenchPoint::from_run(fig.name, row.params.as_str(), &runs[last].stats, base(last)));
+            }
+            Layout::Down(columns) => {
+                for (i, (arm, run)) in fig.arms.iter().zip(&runs).enumerate() {
+                    let cells = columns.iter().flat_map(|metric| metric.cells(run, base(i)));
+                    table.push_row(row.labels.iter().cloned().chain([arm.label().to_string()]).chain(cells).collect());
+                    // A single-row figure's empty row key leaves the arm's.
+                    let params = format!("{} {}", row.params, arm.key);
+                    table.push_point(BenchPoint::from_run(fig.name, params.trim_start(), &run.stats, base(i)));
+                }
+            }
+        }
+    }
+    table
+}
+
+/// A No-Switch vs P4DB figure: both throughputs and the speedup, per row.
+/// The other declarations override what they change.
+fn versus(name: &'static str, title: &'static str, headers: &'static [&'static str], rows: Vec<Row>) -> Figure {
+    let layout = Layout::Across(&[(0, Metric::Tps), (1, Metric::Tps), (1, Metric::Speedup)]);
+    Figure { name, title, headers, rows, arms: &[NO_SWITCH, P4DB], layout, baseline: Some(0), best_of: 1 }
+}
+
+fn fig01(_: &BenchProfile) -> Figure {
+    versus(
+        "fig01",
         "Figure 1 — OLTP throughput with and without the switch (20% distributed, high load)",
         &["Workload", "No-Switch [txn/s]", "P4DB [txn/s]", "Speedup"],
-    );
-    let workloads: Vec<(&str, Arc<dyn Workload>)> =
-        vec![("YCSB-A", ycsb(YcsbMix::A)), ("SmallBank 8x5", smallbank(5)), ("TPC-C 8WH", tpcc(8))];
-    for (name, w) in workloads {
-        let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-        let p4db = measure(&w, SystemMode::P4db, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-        table.push_row(vec![
-            name.to_string(),
-            fmt_tps(base.throughput()),
-            fmt_tps(p4db.throughput()),
-            fmt_speedup(speedup(&p4db, &base)),
-        ]);
-        table.push_point(BenchPoint::from_run("fig01", name, &p4db, Some(&base)));
-    }
-    table
+        headline_workloads().into_iter().map(|(name, w)| row(vec![name.into()], name, &w)).collect(),
+    )
 }
 
-// ---------------------------------------------------------------------------
-// Figure 11 (and Figure 19): YCSB — contention and distributed sweeps.
-// ---------------------------------------------------------------------------
-
-pub fn fig11_ycsb_contention(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
+fn fig11_contention(profile: &BenchProfile) -> Figure {
+    let mut rows = Vec::new();
+    for mix in MIXES {
+        let w = ycsb(mix);
+        for cc in profile.sweep(vec![CcScheme::NoWait, CcScheme::WaitDie], vec![CcScheme::NoWait]) {
+            for workers in profile.workers_sweep() {
+                let labels = vec![mix.label().into(), cc.label().into(), workers.to_string()];
+                let params = format!("{} {} workers={workers}", mix.label(), cc.label());
+                rows.push(Row { workers, cc, ..row(labels, params, &w) });
+            }
+        }
+    }
+    with_lm_switch(versus(
+        "fig11_contention",
         "Figure 11 (upper) / Figure 19 — YCSB speedup over No-Switch vs. worker threads",
         &["Mix", "CC", "Workers/node", "No-Switch [txn/s]", "LM-Switch speedup", "P4DB speedup"],
-    );
-    for mix in [YcsbMix::A, YcsbMix::B, YcsbMix::C] {
-        let w = ycsb(mix);
-        for cc in profile.cc_sweep() {
-            for workers in profile.workers_sweep() {
-                let base = measure(&w, SystemMode::NoSwitch, cc, workers, 0.2, profile, no_tweak);
-                let lm = measure(&w, SystemMode::LmSwitch, cc, workers, 0.2, profile, no_tweak);
-                let p4 = measure(&w, SystemMode::P4db, cc, workers, 0.2, profile, no_tweak);
-                table.push_row(vec![
-                    mix.label().to_string(),
-                    cc.label().to_string(),
-                    workers.to_string(),
-                    fmt_tps(base.throughput()),
-                    fmt_speedup(speedup(&lm, &base)),
-                    fmt_speedup(speedup(&p4, &base)),
-                ]);
-                let params = format!("{} {} workers={workers}", mix.label(), cc.label());
-                table.push_point(BenchPoint::from_run("fig11_contention", params, &p4, Some(&base)));
-            }
-        }
-    }
-    table
+        rows,
+    ))
 }
 
-pub fn fig11_ycsb_distributed(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
+/// A Figure 11 figure: LM-Switch joins the arms, and both speedups show.
+fn with_lm_switch(fig: Figure) -> Figure {
+    let layout = Layout::Across(&[(0, Metric::Tps), (1, Metric::Speedup), (2, Metric::Speedup)]);
+    Figure { arms: &[NO_SWITCH, LM_SWITCH, P4DB], layout, ..fig }
+}
+
+fn fig11_distributed(profile: &BenchProfile) -> Figure {
+    let mut rows = Vec::new();
+    for mix in MIXES {
+        let w = ycsb(mix);
+        for distributed in profile.distributed_sweep() {
+            let params = format!("{} dist={}", mix.label(), pct(distributed));
+            rows.push(Row { distributed, ..row(vec![mix.label().into(), pct(distributed)], params, &w) });
+        }
+    }
+    with_lm_switch(versus(
+        "fig11_distributed",
         "Figure 11 (lower) / Figure 19 — YCSB speedup over No-Switch vs. % distributed transactions",
         &["Mix", "% distributed", "No-Switch [txn/s]", "LM-Switch speedup", "P4DB speedup"],
-    );
-    for mix in [YcsbMix::A, YcsbMix::B, YcsbMix::C] {
-        let w = ycsb(mix);
-        for dist in profile.distributed_sweep() {
-            let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, dist, profile, no_tweak);
-            let lm = measure(&w, SystemMode::LmSwitch, CcScheme::NoWait, 4, dist, profile, no_tweak);
-            let p4 = measure(&w, SystemMode::P4db, CcScheme::NoWait, 4, dist, profile, no_tweak);
-            table.push_row(vec![
-                mix.label().to_string(),
-                format!("{:.0}%", dist * 100.0),
-                fmt_tps(base.throughput()),
-                fmt_speedup(speedup(&lm, &base)),
-                fmt_speedup(speedup(&p4, &base)),
-            ]);
-            let params = format!("{} dist={:.0}%", mix.label(), dist * 100.0);
-            table.push_point(BenchPoint::from_run("fig11_distributed", params, &p4, Some(&base)));
-        }
-    }
-    table
+        rows,
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// Figure 12: hot/cold commit breakdown for YCSB.
-// ---------------------------------------------------------------------------
-
-pub fn fig12_hot_cold_breakdown(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Figure 12 — committed hot vs. cold transactions (YCSB, 20% distributed, high load)",
-        &["Mix", "System", "Throughput [txn/s]", "Hot share", "Cold share", "Abort rate"],
-    );
-    for mix in [YcsbMix::A, YcsbMix::B, YcsbMix::C] {
-        let w = ycsb(mix);
-        for mode in [SystemMode::NoSwitch, SystemMode::P4db] {
-            let stats = measure(&w, mode, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-            let hot = stats.hot_fraction();
-            table.push_row(vec![
-                mix.label().to_string(),
-                mode.label().to_string(),
-                fmt_tps(stats.throughput()),
-                format!("{:.1}%", hot * 100.0),
-                format!("{:.1}%", (1.0 - hot) * 100.0),
-                format!("{:.1}%", stats.abort_rate() * 100.0),
-            ]);
-            let params = format!("{} {}", mix.label(), mode.label());
-            table.push_point(BenchPoint::from_run("fig12", params, &stats, None));
-        }
+fn fig12(_: &BenchProfile) -> Figure {
+    Figure {
+        layout: Layout::Down(&[Metric::Tps, Metric::HotCold, Metric::AbortRate]),
+        baseline: None,
+        ..versus(
+            "fig12",
+            "Figure 12 — committed hot vs. cold transactions (YCSB, 20% distributed, high load)",
+            &["Mix", "System", "Throughput [txn/s]", "Hot share", "Cold share", "Abort rate"],
+            MIXES.iter().map(|mix| row(vec![mix.label().into()], mix.label(), &ycsb(*mix))).collect(),
+        )
     }
-    table
 }
 
-// ---------------------------------------------------------------------------
-// Figure 13 / Figure 20: SmallBank.
-// ---------------------------------------------------------------------------
+/// The Figure 13 / 14 rows of one workload: the worker sweep at 20%
+/// distributed, then the distribution sweep at 4 workers per node.
+fn sweep_rows(profile: &BenchProfile, group: String, key: String, w: &Arc<dyn Workload>) -> Vec<Row> {
+    let by_workers = profile.workers_sweep().into_iter().map(|workers| {
+        let labels = vec![group.clone(), "workers/node".into(), workers.to_string()];
+        Row { workers, ..row(labels, format!("{key} workers={workers}"), w) }
+    });
+    let by_distribution = profile.distributed_sweep().into_iter().map(|distributed| {
+        let labels = vec![group.clone(), "% distributed".into(), pct(distributed)];
+        Row { distributed, ..row(labels, format!("{key} dist={}", pct(distributed)), w) }
+    });
+    by_workers.chain(by_distribution).collect()
+}
 
-pub fn fig13_smallbank(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
+fn fig13(profile: &BenchProfile) -> Figure {
+    versus(
+        "fig13",
         "Figure 13 / Figure 20 — SmallBank speedup over No-Switch (contention and distribution sweeps)",
         &["Hot/node", "Sweep", "Value", "No-Switch [txn/s]", "P4DB [txn/s]", "Speedup"],
-    );
-    for hot in [5u64, 10, 15] {
-        let w = smallbank(hot);
-        for workers in profile.workers_sweep() {
-            let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, workers, 0.2, profile, no_tweak);
-            let p4 = measure(&w, SystemMode::P4db, CcScheme::NoWait, workers, 0.2, profile, no_tweak);
-            table.push_row(vec![
-                hot.to_string(),
-                "workers/node".into(),
-                workers.to_string(),
-                fmt_tps(base.throughput()),
-                fmt_tps(p4.throughput()),
-                fmt_speedup(speedup(&p4, &base)),
-            ]);
-            let params = format!("hot={hot} workers={workers}");
-            table.push_point(BenchPoint::from_run("fig13", params, &p4, Some(&base)));
-        }
-        for dist in profile.distributed_sweep() {
-            let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, dist, profile, no_tweak);
-            let p4 = measure(&w, SystemMode::P4db, CcScheme::NoWait, 4, dist, profile, no_tweak);
-            table.push_row(vec![
-                hot.to_string(),
-                "% distributed".into(),
-                format!("{:.0}%", dist * 100.0),
-                fmt_tps(base.throughput()),
-                fmt_tps(p4.throughput()),
-                fmt_speedup(speedup(&p4, &base)),
-            ]);
-            let params = format!("hot={hot} dist={:.0}%", dist * 100.0);
-            table.push_point(BenchPoint::from_run("fig13", params, &p4, Some(&base)));
-        }
-    }
-    table
+        [5, 10, 15]
+            .into_iter()
+            .flat_map(|hot| sweep_rows(profile, hot.to_string(), format!("hot={hot}"), &smallbank(hot)))
+            .collect(),
+    )
 }
 
-// ---------------------------------------------------------------------------
-// Figure 14 / Figure 21: TPC-C.
-// ---------------------------------------------------------------------------
-
-pub fn fig14_tpcc(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
+fn fig14(profile: &BenchProfile) -> Figure {
+    let warehouses = profile.sweep(vec![8, 16, 32], vec![8, 32]).into_iter();
+    versus(
+        "fig14",
         "Figure 14 / Figure 21 — TPC-C speedup over No-Switch (warm transactions)",
         &["Warehouses", "Sweep", "Value", "No-Switch [txn/s]", "P4DB [txn/s]", "Speedup"],
-    );
-    let warehouse_sweep: Vec<u64> = if profile.full { vec![8, 16, 32] } else { vec![8, 32] };
-    for wh in warehouse_sweep {
-        let w = tpcc(wh);
-        for workers in profile.workers_sweep() {
-            let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, workers, 0.2, profile, no_tweak);
-            let p4 = measure(&w, SystemMode::P4db, CcScheme::NoWait, workers, 0.2, profile, no_tweak);
-            table.push_row(vec![
-                wh.to_string(),
-                "workers/node".into(),
-                workers.to_string(),
-                fmt_tps(base.throughput()),
-                fmt_tps(p4.throughput()),
-                fmt_speedup(speedup(&p4, &base)),
-            ]);
-            let params = format!("wh={wh} workers={workers}");
-            table.push_point(BenchPoint::from_run("fig14", params, &p4, Some(&base)));
-        }
-        for dist in profile.distributed_sweep() {
-            let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, dist, profile, no_tweak);
-            let p4 = measure(&w, SystemMode::P4db, CcScheme::NoWait, 4, dist, profile, no_tweak);
-            table.push_row(vec![
-                wh.to_string(),
-                "% distributed".into(),
-                format!("{:.0}%", dist * 100.0),
-                fmt_tps(base.throughput()),
-                fmt_tps(p4.throughput()),
-                fmt_speedup(speedup(&p4, &base)),
-            ]);
-            let params = format!("wh={wh} dist={:.0}%", dist * 100.0);
-            table.push_point(BenchPoint::from_run("fig14", params, &p4, Some(&base)));
-        }
-    }
-    table
+        warehouses.flat_map(|wh| sweep_rows(profile, wh.to_string(), format!("wh={wh}"), &tpcc(wh))).collect(),
+    )
 }
 
-// ---------------------------------------------------------------------------
-// Figure 15a/b: varying the hot/cold transaction ratio.
-// ---------------------------------------------------------------------------
-
-pub fn fig15ab_hot_ratio(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
+fn fig15ab(profile: &BenchProfile) -> Figure {
+    let rows = profile.sweep(vec![0.0, 0.25, 0.5, 0.75, 1.0], vec![0.0, 0.5, 1.0]).into_iter().map(|ratio| {
+        let w = ycsb_with(YcsbConfig { keys_per_node: 20_000, hot_txn_prob: ratio, ..YcsbConfig::new(YcsbMix::A) });
+        row(vec![pct(ratio)], format!("hot={}", pct(ratio)), &w)
+    });
+    versus(
+        "fig15ab",
         "Figure 15a/b — varying the fraction of hot transactions (YCSB-A, 20% distributed)",
         &["% hot txns", "No-Switch [txn/s]", "P4DB [txn/s]", "Speedup"],
-    );
-    let ratios = if profile.full { vec![0.0, 0.25, 0.5, 0.75, 1.0] } else { vec![0.0, 0.5, 1.0] };
-    for ratio in ratios {
-        let w = ycsb_with(YcsbConfig { keys_per_node: 20_000, hot_txn_prob: ratio, ..YcsbConfig::new(YcsbMix::A) });
-        let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-        let p4 = measure(&w, SystemMode::P4db, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-        table.push_row(vec![
-            format!("{:.0}%", ratio * 100.0),
-            fmt_tps(base.throughput()),
-            fmt_tps(p4.throughput()),
-            fmt_speedup(speedup(&p4, &base)),
-        ]);
-        table.push_point(BenchPoint::from_run("fig15ab", format!("hot={:.0}%", ratio * 100.0), &p4, Some(&base)));
-    }
-    table
+        rows.collect(),
+    )
 }
 
-// ---------------------------------------------------------------------------
-// Figure 15c: switch-processing optimizations ablation.
-// ---------------------------------------------------------------------------
-
-pub fn fig15c_optimizations(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Figure 15c — multi-pass optimizations (hot-only YCSB-A, speedup over Unoptimized)",
-        &["Configuration", "Throughput [txn/s]", "Speedup vs Unoptimized", "Single-pass fraction"],
-    );
-    // Hot-only workload: 100% hot transactions.
+fn fig15c(_: &BenchProfile) -> Figure {
     let w = ycsb_with(YcsbConfig { keys_per_node: 20_000, hot_txn_prob: 1.0, ..YcsbConfig::new(YcsbMix::A) });
-    let configs: Vec<(&str, SwitchConfig, LayoutStrategy)> = vec![
-        ("Unoptimized", SwitchConfig::unoptimized(), LayoutStrategy::Random { seed: 7 }),
-        (
-            "+Fast-Recirculate",
-            SwitchConfig { fast_recirculation: true, ..SwitchConfig::unoptimized() },
-            LayoutStrategy::Random { seed: 7 },
-        ),
-        (
-            "+Fine-Locking",
-            SwitchConfig {
-                fast_recirculation: true,
-                lock_granularity: LockGranularity::FineGrained,
-                ..SwitchConfig::unoptimized()
-            },
-            LayoutStrategy::Random { seed: 7 },
-        ),
-        ("+Declustered", SwitchConfig::tofino_defaults(), LayoutStrategy::Declustered),
-    ];
-    let mut baseline: Option<RunStats> = None;
-    for (name, switch, layout) in configs {
-        let (stats, single_pass) = {
-            let mut config = ClusterConfig::new(SystemMode::P4db, CcScheme::NoWait);
-            config.workers_per_node = 4;
-            config.distributed_prob = 0.2;
-            config.switch = switch;
-            config.layout = layout;
-            let cluster = Cluster::build(config, Arc::clone(&w));
-            let stats = cluster.run_for(profile.measure);
-            let single_pass = cluster.switch_stats().single_pass_fraction();
-            (stats, single_pass)
-        };
-        let speedup_factor = baseline.as_ref().map(|b| speedup(&stats, b)).unwrap_or(1.0);
-        table.push_row(vec![
-            name.to_string(),
-            fmt_tps(stats.throughput()),
-            fmt_speedup(speedup_factor),
-            format!("{:.1}%", single_pass * 100.0),
-        ]);
-        table.push_point(BenchPoint::from_run("fig15c", name, &stats, baseline.as_ref()));
-        if baseline.is_none() {
-            baseline = Some(stats);
-        }
+    // Each step adds one switch optimisation to the one before; the last is
+    // the default switch with the declustered layout.
+    fn random_layout(c: &mut ClusterConfig, lock_granularity: LockGranularity, fast_recirculation: bool) {
+        c.switch = SwitchConfig { lock_granularity, fast_recirculation, ..SwitchConfig::tofino_defaults() };
+        c.layout = LayoutStrategy::Random { seed: 7 };
     }
-    table
+    Figure {
+        arms: &[
+            Arm { key: "Unoptimized", tweak: |c| random_layout(c, LockGranularity::Coarse, false), ..P4DB },
+            Arm { key: "+Fast-Recirculate", tweak: |c| random_layout(c, LockGranularity::Coarse, true), ..P4DB },
+            Arm { key: "+Fine-Locking", tweak: |c| random_layout(c, LockGranularity::FineGrained, true), ..P4DB },
+            Arm { key: "+Declustered", ..P4DB },
+        ],
+        layout: Layout::Down(&[Metric::Tps, Metric::Speedup, Metric::SinglePass]),
+        ..versus(
+            "fig15c",
+            "Figure 15c — multi-pass optimizations (hot-only YCSB-A, speedup over Unoptimized)",
+            &["Configuration", "Throughput [txn/s]", "Speedup vs Unoptimized", "Single-pass fraction"],
+            vec![row(vec![], "", &w)],
+        )
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Figure 16: optimal vs. worst data layout (throughput + latency).
-// ---------------------------------------------------------------------------
-
-pub fn fig16_data_layout(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Figure 16 — optimal (declustered) vs. worst data layout",
-        &["Workload", "Workers/node", "Layout", "Throughput [txn/s]", "Mean latency [µs]"],
-    );
-    let workloads: Vec<(&str, Arc<dyn Workload>)> =
-        vec![("YCSB-A", ycsb(YcsbMix::A)), ("SmallBank 8x5", smallbank(5)), ("TPC-C 8WH", tpcc(8))];
-    for (name, w) in workloads {
+fn fig16(profile: &BenchProfile) -> Figure {
+    let mut rows = Vec::new();
+    for (name, w) in headline_workloads() {
         for workers in profile.workers_sweep() {
-            for (label, layout) in [("optimal", LayoutStrategy::Declustered), ("worst", LayoutStrategy::Worst)] {
-                let stats = measure(&w, SystemMode::P4db, CcScheme::NoWait, workers, 0.2, profile, |c| {
-                    c.layout = layout;
-                });
-                table.push_row(vec![
-                    name.to_string(),
-                    workers.to_string(),
-                    label.to_string(),
-                    fmt_tps(stats.throughput()),
-                    format!("{:.0}", stats.mean_latency().as_secs_f64() * 1e6),
-                ]);
-                let params = format!("{name} workers={workers} layout={label}");
-                table.push_point(BenchPoint::from_run("fig16", params, &stats, None));
-            }
+            let params = format!("{name} workers={workers}");
+            rows.push(Row { workers, ..row(vec![name.into(), workers.to_string()], params, &w) });
         }
     }
-    table
+    Figure {
+        arms: &[
+            Arm { key: "layout=optimal", ..P4DB },
+            Arm { key: "layout=worst", tweak: |c| c.layout = LayoutStrategy::Worst, ..P4DB },
+        ],
+        layout: Layout::Down(&[Metric::Tps, Metric::MeanLatencyUs]),
+        baseline: None,
+        ..versus(
+            "fig16",
+            "Figure 16 — optimal (declustered) vs. worst data layout",
+            &["Workload", "Workers/node", "Layout", "Throughput [txn/s]", "Mean latency [µs]"],
+            rows,
+        )
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Figure 17: hot set exceeding the switch capacity.
-// ---------------------------------------------------------------------------
-
-pub fn fig17_capacity(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Figure 17 — throughput while the hot set outgrows the switch capacity (YCSB-A)",
-        &["Switch capacity [rows]", "Hot-set size", "Offloaded", "No-Switch [txn/s]", "P4DB [txn/s]", "Speedup"],
-    );
-    let capacities: Vec<u64> = if profile.full { vec![1_000, 10_000, 65_000, 650_000] } else { vec![1_000, 65_000] };
-    let hot_sizes: Vec<u64> =
-        if profile.full { vec![400, 1_000, 10_000, 66_000, 655_000] } else { vec![400, 10_000, 66_000] };
-    for capacity in capacities {
-        for &hot_total in &hot_sizes {
+fn fig17(profile: &BenchProfile) -> Figure {
+    let mut rows = Vec::new();
+    for capacity in profile.sweep(vec![1_000, 10_000, 65_000, 650_000], vec![1_000, 65_000]) {
+        for hot_total in profile.sweep(vec![400, 1_000, 10_000, 66_000, 655_000], vec![400, 10_000, 66_000]) {
             let hot_per_node = (hot_total / 4).max(1);
             let w = ycsb_with(YcsbConfig {
                 keys_per_node: (hot_per_node * 4).max(20_000),
                 hot_keys_per_node: hot_per_node,
                 ..YcsbConfig::new(YcsbMix::A)
             });
-            let base = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-            let (p4, offloaded) = {
-                let mut config = ClusterConfig::new(SystemMode::P4db, CcScheme::NoWait);
-                config.workers_per_node = 4;
-                config.distributed_prob = 0.2;
-                config.switch = SwitchConfig::tofino_defaults().with_total_rows(capacity);
-                let cluster = Cluster::build(config, Arc::clone(&w));
-                let offloaded = cluster.offloaded_tuples();
-                (cluster.run_for(profile.measure), offloaded)
-            };
-            table.push_row(vec![
-                capacity.to_string(),
-                hot_total.to_string(),
-                offloaded.to_string(),
-                fmt_tps(base.throughput()),
-                fmt_tps(p4.throughput()),
-                fmt_speedup(speedup(&p4, &base)),
-            ]);
-            let params = format!("cap={capacity} hot={hot_total}");
-            table.push_point(BenchPoint::from_run("fig17", params, &p4, Some(&base)));
+            let labels = vec![capacity.to_string(), hot_total.to_string()];
+            let tweak = Box::new(move |c: &mut ClusterConfig| {
+                if c.mode == SystemMode::P4db {
+                    c.switch = SwitchConfig::tofino_defaults().with_total_rows(capacity);
+                }
+            });
+            rows.push(Row { tweak, ..row(labels, format!("cap={capacity} hot={hot_total}"), &w) });
         }
     }
-    table
+    Figure {
+        layout: Layout::Across(&[(1, Metric::Offloaded), (0, Metric::Tps), (1, Metric::Tps), (1, Metric::Speedup)]),
+        ..versus(
+            "fig17",
+            "Figure 17 — throughput while the hot set outgrows the switch capacity (YCSB-A)",
+            &["Switch capacity [rows]", "Hot-set size", "Offloaded", "No-Switch [txn/s]", "P4DB [txn/s]", "Speedup"],
+            rows,
+        )
+    }
+}
+
+fn fig18a(_: &BenchProfile) -> Figure {
+    Figure {
+        layout: Layout::Down(&[Metric::Phases]),
+        baseline: None,
+        ..versus(
+            "fig18a",
+            "Figure 18a — per-transaction latency breakdown (TPC-C 8WH, high load)",
+            &["System", "Lock acquisition", "Local access", "Remote access", "Switch txn", "Txn engine", "Total [µs]"],
+            vec![row(vec![], "", &tpcc(8))],
+        )
+    }
+}
+
+fn fig18b(_: &BenchProfile) -> Figure {
+    Figure {
+        arms: &[
+            // Plain 2PL/2PC with poor locality (80% distributed); optimal
+            // partitioning brings that to 20%; Chiller-style
+            // contention-centric execution on top; then P4DB.
+            Arm { key: "Plain 2PL", tweak: |c| c.distributed_prob = 0.8, ..NO_SWITCH },
+            Arm { key: "+Opt. Part.", ..NO_SWITCH },
+            Arm { key: "+Chiller", tweak: |c| c.chiller = true, ..NO_SWITCH },
+            Arm { key: "+P4DB", ..P4DB },
+        ],
+        layout: Layout::Down(&[Metric::Tps, Metric::Speedup]),
+        ..versus(
+            "fig18b",
+            "Figure 18b — existing optimizations vs. P4DB (TPC-C 8WH)",
+            &["Configuration", "Throughput [txn/s]", "Speedup vs Plain 2PL"],
+            vec![row(vec![], "", &tpcc(8))],
+        )
+    }
+}
+
+/// Per-pass pipeline delay for the switch-scaling arms, in nanoseconds.
+///
+/// The slow-motion fabric profile keeps the switch pass negligible next to
+/// the wire RTT (5µs vs ~555µs), which is the single-switch paper regime:
+/// the pipeline forwards at line rate and is never the bottleneck. The
+/// scaling figure asks the opposite question — what happens once the hot
+/// load *saturates* one pipeline — so its arms raise the per-pass delay to
+/// the same slow-motion scale as the fabric latencies. At 100µs/pass one
+/// switch caps out near 10K hot txn/s while the closed-loop drivers demand
+/// ~25K, so the switch count is the scarce resource being swept.
+const SCALING_PASS_NS: u64 = 100_000;
+
+/// Throughput vs switch count (1, 2, 4) at a fixed aggregate hot-set size
+/// (hot-heavy SmallBank, 40 hot customers/node). All arms run the unbatched
+/// hot path with the pipeline delay of `SCALING_PASS_NS` (100µs), so the 1-switch
+/// arm is pipeline-saturated and adding switches adds usable capacity. The
+/// maxcut assignment keeps each customer's savings/checking pair on one
+/// switch, so only the two-customer transfers (`Amalgamate`/`SendPayment`
+/// across the switch boundary) pay the cross-switch host fallback; the class
+/// mix column makes that share visible next to the speedup. The `switches=2`
+/// datapoint is the acceptance bar of the multi-switch work: its speedup
+/// over the 1-switch arm is floored by the CI gate ([`json::FLOORS`]).
+fn fig_switch_scaling(_: &BenchProfile) -> Figure {
+    let tweak = Box::new(|c: &mut ClusterConfig| {
+        c.batch_size = 1;
+        c.switch.pass_latency_ns = SCALING_PASS_NS;
+    });
+    Figure {
+        arms: &[
+            Arm { key: "switches=1", tweak: |c| c.num_switches = 1, ..P4DB },
+            Arm { key: "switches=2", tweak: |c| c.num_switches = 2, ..P4DB },
+            Arm { key: "switches=4", tweak: |c| c.num_switches = 4, ..P4DB },
+        ],
+        layout: Layout::Down(&[Metric::Tps, Metric::ClassMix, Metric::Speedup]),
+        best_of: 2,
+        ..versus(
+            "fig_switch_scaling",
+            "Switch scaling — throughput vs switch count at a fixed aggregate hot-set size (SmallBank 4x40, saturated \
+             pipeline)",
+            &["Switches", "Throughput [txn/s]", "Class mix", "Speedup vs 1 switch"],
+            vec![Row { tweak, ..row(vec![], "", &smallbank(40)) }],
+        )
+    }
+}
+
+/// A figure's body: a declared figure measured by `run_figure`, or a drill.
+pub type FigureFn = fn(&BenchProfile) -> FigureTable;
+
+/// Every figure the `figures` target knows, in run order.
+pub const FIGURES: &[(&str, FigureFn)] = &[
+    ("fig01", |p| run_figure(&fig01(p), p)),
+    ("fig11_contention", |p| run_figure(&fig11_contention(p), p)),
+    ("fig11_distributed", |p| run_figure(&fig11_distributed(p), p)),
+    ("fig12", |p| run_figure(&fig12(p), p)),
+    ("fig13", |p| run_figure(&fig13(p), p)),
+    ("fig14", |p| run_figure(&fig14(p), p)),
+    ("fig15ab", |p| run_figure(&fig15ab(p), p)),
+    ("fig15c", |p| run_figure(&fig15c(p), p)),
+    ("fig16", |p| run_figure(&fig16(p), p)),
+    ("fig17", |p| run_figure(&fig17(p), p)),
+    ("fig18a", |p| run_figure(&fig18a(p), p)),
+    ("fig18b", |p| run_figure(&fig18b(p), p)),
+    ("fig_read_mix", fig_read_mix),
+    ("fig_switch_scaling", |p| run_figure(&fig_switch_scaling(p), p)),
+    ("fig_recovery", fig_recovery),
+    ("fig_outage", fig_outage),
+];
+
+/// The entries of [`FIGURES`] whose names start with one of `filters`
+/// (every figure when there are none), in run order. A filter that matches
+/// no figure is an error naming the known figures: a typo must not silently
+/// drop a figure, and with it a gated datapoint.
+pub fn select(filters: &[String]) -> Result<Vec<(&'static str, FigureFn)>, String> {
+    let matches = |name: &str, filter: &String| name.starts_with(filter.as_str());
+    if let Some(unknown) = filters.iter().find(|f| !FIGURES.iter().any(|(name, _)| matches(name, f))) {
+        let known: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        return Err(format!("no figure matches {unknown:?}; known figures: {}", known.join(" ")));
+    }
+    Ok(FIGURES
+        .iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+        .copied()
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
-// Read mix (PR 9, not a paper figure): the lock-free snapshot read path.
+// Read mix (not a paper figure): the lock-free snapshot read path.
 // ---------------------------------------------------------------------------
 
 /// Measures the node-local engine at a given whole-transaction read
@@ -568,33 +704,23 @@ pub fn measure_read_mix(
 /// Throughput vs read fraction of the snapshot read path over 2PL on the
 /// same pooled schedule (hot-skewed YCSB-A, host-only). The `95% reads`
 /// datapoint is the acceptance bar of the versioned-rows work: read-mostly
-/// traffic must be at least `min_read_mostly_speedup` faster lock-free than
-/// through the lock table ([`json::GateConfig`]).
+/// traffic must be faster lock-free than through the lock table by the
+/// floor of [`json::FLOORS`].
 pub fn fig_read_mix(profile: &BenchProfile) -> FigureTable {
     let mut table = FigureTable::new(
         "Read mix — node-local throughput of the lock-free snapshot read path vs 2PL on the same pooled schedule \
          (YCSB-A, host-only)",
         &["Read fraction", "Workers", "2PL [txn/s]", "Snapshot [txn/s]", "Speedup"],
     );
-    let w = ycsb_with(YcsbConfig { keys_per_node: 20_000, ..YcsbConfig::new(YcsbMix::A) });
-    let fractions: Vec<u32> = if profile.full { vec![50, 80, 95] } else { vec![80, 95] };
+    let w = ycsb(YcsbMix::A);
     let workers = 4u16;
-    // Carries a gated speedup, so it resists scheduler noise harder than the
-    // ungated figures: a floor on the per-point measurement time, and
-    // best-of-two per arm (interference from other processes only ever
-    // lowers a closed-loop throughput, never raises it, so the better
-    // sample is the tighter estimate).
+    // Carries a gated speedup, so it resists scheduler noise like a gated
+    // declared figure: a floored measurement time and best-of-two per arm.
     let measure = profile.measure.max(Duration::from_millis(200));
     let best = |read_frac: f64, snapshot: bool| {
-        let a = measure_read_mix(&w, workers, read_frac, snapshot, measure);
-        let b = measure_read_mix(&w, workers, read_frac, snapshot, measure);
-        if a.throughput() >= b.throughput() {
-            a
-        } else {
-            b
-        }
+        best_of(2, || measure_read_mix(&w, workers, read_frac, snapshot, measure), RunStats::throughput)
     };
-    for pct in fractions {
+    for pct in profile.sweep(vec![50, 80, 95], vec![80, 95]) {
         let frac = pct as f64 / 100.0;
         let locking = best(frac, false);
         let snap = best(frac, true);
@@ -612,78 +738,7 @@ pub fn fig_read_mix(profile: &BenchProfile) -> FigureTable {
 }
 
 // ---------------------------------------------------------------------------
-// Switch scaling (PR 6, not a paper figure): multi-switch topologies.
-// ---------------------------------------------------------------------------
-
-/// Per-pass pipeline delay for the switch-scaling arms, in nanoseconds.
-///
-/// The slow-motion fabric profile keeps the switch pass negligible next to
-/// the wire RTT (5µs vs ~555µs), which is the single-switch paper regime:
-/// the pipeline forwards at line rate and is never the bottleneck. The
-/// scaling figure asks the opposite question — what happens once the hot
-/// load *saturates* one pipeline — so its arms raise the per-pass delay to
-/// the same slow-motion scale as the fabric latencies. At 100µs/pass one
-/// switch caps out near 10K hot txn/s while the closed-loop drivers demand
-/// ~25K, so the switch count is the scarce resource being swept.
-const SCALING_PASS_NS: u64 = 100_000;
-
-/// Throughput vs switch count (1, 2, 4) at a fixed aggregate hot-set size
-/// (hot-heavy SmallBank, 40 hot customers/node). All arms run the unbatched
-/// hot path with the pipeline delay of `SCALING_PASS_NS` (100µs), so the 1-switch
-/// arm is pipeline-saturated and adding switches adds usable capacity. The
-/// maxcut assignment keeps each customer's savings/checking pair on one
-/// switch, so only the two-customer transfers (`Amalgamate`/`SendPayment`
-/// across the switch boundary) pay the cross-switch host fallback; the class
-/// mix column makes that share visible next to the speedup. The `switches=2`
-/// datapoint is the acceptance bar of the multi-switch work: its speedup
-/// over the 1-switch arm is floored by the CI gate ([`json::GateConfig`]).
-pub fn fig_switch_scaling(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Switch scaling — throughput vs switch count at a fixed aggregate hot-set size (SmallBank 4x40, saturated \
-         pipeline)",
-        &["Switches", "Throughput [txn/s]", "Class mix", "Speedup vs 1 switch"],
-    );
-    let w = smallbank(40);
-    // Carries a gated speedup: same noise-resistance as fig_read_mix —
-    // floored per-point measurement time and best-of-two per arm.
-    let floored = BenchProfile { measure: profile.measure.max(Duration::from_millis(200)), ..*profile };
-    let run = |switches: u16| {
-        let arm = || {
-            measure(&w, SystemMode::P4db, CcScheme::NoWait, 4, 0.2, &floored, |c| {
-                c.num_switches = switches;
-                c.batch_size = 1;
-                c.switch.pass_latency_ns = SCALING_PASS_NS;
-            })
-        };
-        let a = arm();
-        let b = arm();
-        if a.throughput() >= b.throughput() {
-            a
-        } else {
-            b
-        }
-    };
-    let mut baseline: Option<RunStats> = None;
-    for switches in [1u16, 2, 4] {
-        let stats = run(switches);
-        let speedup_factor = baseline.as_ref().map(|b| speedup(&stats, b)).unwrap_or(1.0);
-        table.push_row(vec![
-            switches.to_string(),
-            fmt_tps(stats.throughput()),
-            fmt_class_mix(&stats),
-            fmt_speedup(speedup_factor),
-        ]);
-        let params = format!("switches={switches}");
-        table.push_point(BenchPoint::from_run("fig_switch_scaling", params, &stats, baseline.as_ref()));
-        if baseline.is_none() {
-            baseline = Some(stats);
-        }
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
-// Recovery time (PR 7, not a paper figure): checkpointed vs genesis restart.
+// Recovery time (not a paper figure): checkpointed vs genesis restart.
 // ---------------------------------------------------------------------------
 
 /// Restart-time figure of the durability work: the same crashed node
@@ -693,7 +748,7 @@ pub fn fig_switch_scaling(profile: &BenchProfile) -> FigureTable {
 /// replay the suffix, write back shard-parallel). Traffic is grown until the
 /// log dwarfs the table, which is the regime checkpoints exist for; the
 /// `checkpointed vs genesis restart` datapoint's speedup is floored by the
-/// CI gate ([`json::GateConfig::min_recovery_speedup`]).
+/// CI gate ([`json::FLOORS`]).
 pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
     let mut table = FigureTable::new(
         "Recovery — node restart time: genesis replay vs latest complete checkpoint + segment-tail replay \
@@ -733,13 +788,7 @@ pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
             let report = cluster.crash_and_recover_node(node).expect("recovery failed");
             (start.elapsed(), report)
         };
-        let (ta, ra) = timed();
-        let (tb, rb) = timed();
-        if ta <= tb {
-            (ta, ra)
-        } else {
-            (tb, rb)
-        }
+        best_of(2, timed, |(elapsed, _)| -elapsed.as_secs_f64())
     };
 
     // Arm 1: genesis replay — no checkpoint exists yet.
@@ -757,29 +806,26 @@ pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
     assert!(ckpt.divergences.is_empty(), "checkpoint+tail replay diverged: {:?}", ckpt.divergences);
 
     let speedup = genesis_time.as_secs_f64() / ckpt_time.as_secs_f64().max(1e-9);
-    let ms = |d: Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
-    table.push_row(vec![
-        "genesis replay".into(),
-        genesis.wal_records.to_string(),
-        genesis.tail_records.to_string(),
-        genesis.restored_tuples.to_string(),
-        ms(genesis_time),
-        fmt_speedup(1.0),
-    ]);
-    table.push_row(vec![
-        "checkpoint + tail".into(),
-        ckpt.wal_records.to_string(),
-        ckpt.tail_records.to_string(),
-        ckpt.restored_tuples.to_string(),
-        ms(ckpt_time),
-        fmt_speedup(speedup),
-    ]);
+    for (arm, time, report, factor) in
+        [("genesis replay", genesis_time, &genesis, 1.0), ("checkpoint + tail", ckpt_time, &ckpt, speedup)]
+    {
+        let (records, replayed, restored) = (report.wal_records, report.tail_records, report.restored_tuples);
+        let ms = format!("{:.2}", time.as_secs_f64() * 1e3);
+        table.push_row(vec![
+            arm.into(),
+            records.to_string(),
+            replayed.to_string(),
+            restored.to_string(),
+            ms,
+            fmt_speedup(factor),
+        ]);
+    }
     // tps = genesis replay rate in records/s (stable across machines);
     // p50_us = the checkpointed restart's wall time.
     let replay_rate = genesis.tail_records as f64 / genesis_time.as_secs_f64().max(1e-9);
     table.push_point(BenchPoint::from_rates(
         "fig_recovery",
-        json::RECOVERY_PARAMS,
+        "checkpointed vs genesis restart",
         replay_rate,
         ckpt_time.as_secs_f64() * 1e6,
         speedup,
@@ -799,8 +845,8 @@ pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
 /// and the final windows measure the recovered switch path. The datapoint's
 /// `speedup` column carries min-window/max-window throughput: the fraction
 /// of peak the cluster retains at its worst moment, floored by the CI gate
-/// ([`json::GateConfig::min_degraded_floor_frac`]). Every window must commit
-/// transactions — a zero window is a liveness failure, not a slow figure.
+/// ([`json::FLOORS`]). Every window must commit transactions — a zero
+/// window is a liveness failure, not a slow figure.
 pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
     let mut table = FigureTable::new(
         "Outage — committed throughput timeline across a switch blackhole (SmallBank, breaker + supervisor)",
@@ -878,68 +924,11 @@ pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
     // window; speedup = the gated floor fraction.
     table.push_point(BenchPoint::from_rates(
         "fig_outage",
-        json::OUTAGE_PARAMS,
+        "SmallBank blackhole switch=0 supervised",
         peak,
         1e6 / floor.max(1e-9),
         floor_frac,
     ));
-    table
-}
-
-// ---------------------------------------------------------------------------
-// Figure 18a: latency breakdown for TPC-C.
-// ---------------------------------------------------------------------------
-
-pub fn fig18a_latency_breakdown(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Figure 18a — per-transaction latency breakdown (TPC-C 8WH, high load)",
-        &["System", "Lock acquisition", "Local access", "Remote access", "Switch txn", "Txn engine", "Total [µs]"],
-    );
-    let w = tpcc(8);
-    for mode in [SystemMode::NoSwitch, SystemMode::P4db] {
-        let stats = measure(&w, mode, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-        let breakdown = stats.phase_breakdown();
-        let us =
-            |p: Phase| breakdown.iter().find(|(ph, _)| *ph == p).map(|(_, d)| d.as_secs_f64() * 1e6).unwrap_or(0.0);
-        let total: f64 = breakdown.iter().map(|(_, d)| d.as_secs_f64() * 1e6).sum();
-        table.push_row(vec![
-            mode.label().to_string(),
-            format!("{:.0}µs", us(Phase::LockAcquisition)),
-            format!("{:.0}µs", us(Phase::LocalAccess)),
-            format!("{:.0}µs", us(Phase::RemoteAccess)),
-            format!("{:.0}µs", us(Phase::SwitchTxn)),
-            format!("{:.0}µs", us(Phase::TxnEngine)),
-            format!("{total:.0}"),
-        ]);
-        table.push_point(BenchPoint::from_run("fig18a", mode.label(), &stats, None));
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
-// Figure 18b: existing optimizations for distributed/contended transactions.
-// ---------------------------------------------------------------------------
-
-pub fn fig18b_existing_optimizations(profile: &BenchProfile) -> FigureTable {
-    let mut table = FigureTable::new(
-        "Figure 18b — existing optimizations vs. P4DB (TPC-C 8WH)",
-        &["Configuration", "Throughput [txn/s]", "Speedup vs Plain 2PL"],
-    );
-    let w = tpcc(8);
-    // Plain 2PL/2PC with poor locality (80% distributed).
-    let plain = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, 0.8, profile, no_tweak);
-    // + optimal partitioning: locality brings distributed transactions down
-    //   to 20%.
-    let opt_part = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-    // + Chiller-style contention-centric execution on top of the locality.
-    let chiller = measure(&w, SystemMode::NoSwitch, CcScheme::NoWait, 4, 0.2, profile, |c| c.chiller = true);
-    // + P4DB.
-    let p4db = measure(&w, SystemMode::P4db, CcScheme::NoWait, 4, 0.2, profile, no_tweak);
-
-    for (name, stats) in [("Plain 2PL", &plain), ("+Opt. Part.", &opt_part), ("+Chiller", &chiller), ("+P4DB", &p4db)] {
-        table.push_row(vec![name.to_string(), fmt_tps(stats.throughput()), fmt_speedup(speedup(stats, &plain))]);
-        table.push_point(BenchPoint::from_run("fig18b", name, stats, Some(&plain)));
-    }
     table
 }
 
@@ -953,16 +942,35 @@ mod tests {
 
     #[test]
     fn fig01_produces_one_row_per_workload() {
-        let t = fig01_headline(&quick_profile());
+        let fig = fig01(&quick_profile());
+        assert_eq!(fig.rows.len(), 3);
+        let t = run_figure(&fig, &quick_profile());
         assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.points.len(), 3);
         assert!(t.to_markdown().contains("YCSB-A"));
     }
 
     #[test]
     fn fig15c_has_four_ablation_steps() {
-        let t = fig15c_optimizations(&quick_profile());
+        let fig = fig15c(&quick_profile());
+        let steps: Vec<&str> = fig.arms.iter().map(|arm| arm.label()).collect();
+        assert_eq!(steps, ["Unoptimized", "+Fast-Recirculate", "+Fine-Locking", "+Declustered"]);
+        let t = run_figure(&fig, &quick_profile());
         assert_eq!(t.rows.len(), 4);
         assert_eq!(t.rows[0][0], "Unoptimized");
         assert_eq!(t.rows[3][0], "+Declustered");
+    }
+
+    #[test]
+    fn select_rejects_a_filter_that_matches_no_figure() {
+        let names = |filters: &[&str]| {
+            let filters: Vec<String> = filters.iter().map(|f| f.to_string()).collect();
+            select(&filters).map(|chosen| chosen.into_iter().map(|(name, _)| name).collect::<Vec<_>>())
+        };
+        assert_eq!(names(&[]).unwrap().len(), FIGURES.len());
+        assert_eq!(names(&["fig13"]).unwrap(), ["fig13"]);
+        assert_eq!(names(&["fig11", "fig_outage"]).unwrap(), ["fig11_contention", "fig11_distributed", "fig_outage"]);
+        let err = names(&["fig13", "fig_outgae"]).unwrap_err();
+        assert!(err.contains("\"fig_outgae\"") && err.contains("fig_outage"), "{err}");
     }
 }

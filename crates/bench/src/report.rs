@@ -1,8 +1,9 @@
-//! Tabular reporting for the benchmark harness: every bench target prints the
-//! rows/series of the paper figure it reproduces through a [`FigureTable`],
-//! and additionally records each measured data point as a machine-readable
-//! [`BenchPoint`] — the raw numbers behind the formatted cells — which the
-//! bench targets serialise into `BENCH_*.json` for regression tracking.
+//! Tabular reporting and the `BENCH_*.json` datapoint: every bench target
+//! prints the rows/series of the paper figure it reproduces through a
+//! [`FigureTable`], and additionally records each measured data point as a
+//! machine-readable [`BenchPoint`] — the raw numbers behind the formatted
+//! cells — which the bench targets serialise into `BENCH_*.json` (see
+//! [`crate::json`]) for regression tracking.
 
 use p4db_common::stats::RunStats;
 

@@ -114,12 +114,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Caps how many hot tuples are offloaded (Fig 17 capacity experiment).
-    pub fn offload_limit(mut self, limit: usize) -> Self {
-        self.config.offload_limit = Some(limit);
-        self
-    }
-
     /// Hot-path batching degree for both the switch engine (packets dequeued
     /// and replies coalesced per scheduling quantum) and the executor pool:
     /// the upper bound on an executor's share of the node's submission queue

@@ -57,9 +57,6 @@ pub struct ClusterConfig {
     pub distributed_prob: f64,
     /// Chiller-style contention-centric host execution (Fig 18b only).
     pub chiller: bool,
-    /// Cap on how many hot tuples are offloaded (None = switch capacity).
-    /// Used by the Fig 17 capacity experiment.
-    pub offload_limit: Option<usize>,
     /// Hot-path batching degree, applied to both ends of the switch path:
     /// an executor drains at most this many queued jobs at a time (the
     /// upper bound on its share, `⌈queued ÷ workers⌉`) and sends the
@@ -127,7 +124,6 @@ impl ClusterConfig {
             layout: LayoutStrategy::Declustered,
             distributed_prob: 0.2,
             chiller: false,
-            offload_limit: None,
             batch_size: 16,
             flush_us: 50,
             storage_shards: 64,
@@ -333,19 +329,17 @@ impl Cluster {
         let num_switches = config.num_switches as usize;
         let per_switch_slots = config.switch.total_slots() as usize;
         let aggregate_slots = per_switch_slots.saturating_mul(num_switches);
-        let requested = config.offload_limit.unwrap_or(usize::MAX).min(hot_total);
         // A single switch keeps the documented Fig-17 semantics: a hot set
         // larger than the register file is silently capped. The multi-switch
         // assignment pass has no partial-offload notion, so there an
         // oversized hot set is a configuration error rather than a cap.
-        if num_switches > 1 && requested > aggregate_slots {
+        if num_switches > 1 && hot_total > aggregate_slots {
             return Err(Error::InvalidConfig(format!(
-                "hot set of {requested} tuples exceeds the aggregate register capacity of {num_switches} \
+                "hot set of {hot_total} tuples exceeds the aggregate register capacity of {num_switches} \
                  switches ({aggregate_slots} cells); shrink the hot set, deepen the arrays or add switches"
             )));
         }
-        let offload_candidates: Vec<TupleId> =
-            hot_tuples.iter().map(|h| h.tuple).take(requested.min(aggregate_slots)).collect();
+        let offload_candidates: Vec<TupleId> = hot_tuples.iter().map(|h| h.tuple).take(aggregate_slots).collect();
         // Partition the candidates over the switches. The balanced capacity
         // (rather than the full per-switch register file) forces the
         // assignment to spread load: with slack capacity the co-access
@@ -1553,18 +1547,6 @@ mod tests {
         use p4db_txn::{OpKind, TxnOp, TxnRequest};
         let bad = TxnRequest::new(vec![TxnOp::new(t(0), OpKind::Read, NodeId(7))]);
         assert!(matches!(session.execute_request(&bad), Err(Error::UnknownNode(_))));
-    }
-
-    #[test]
-    fn offload_limit_caps_the_switch_resident_hot_set() {
-        let mut config = ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait);
-        config.offload_limit = Some(10);
-        let cluster = Cluster::build(config, small_ycsb());
-        assert_eq!(cluster.offloaded_tuples(), 10);
-        let stats = cluster.run_for(Duration::from_millis(100));
-        // Hot transactions over non-offloaded tuples fall back to the host
-        // path, so both hot and cold/warm commits appear.
-        assert!(stats.merged.committed_total() > 0);
     }
 
     #[test]

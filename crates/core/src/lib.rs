@@ -4,16 +4,13 @@
 //! the paper's evaluation (nodes + switch + hot-set offload + executor pool)
 //! for one configuration, serves ad-hoc transactions through [`Session`]s,
 //! and runs fixed-duration closed-loop measurements on top of the same
-//! session API, producing the data points behind every figure of the
-//! committed `BENCH_*.json` series.
+//! session API.
 
 pub mod builder;
 pub mod cluster;
-pub mod report;
 pub mod session;
 
 pub use builder::ClusterBuilder;
 pub use cluster::{Cluster, ClusterConfig, NodeRecoveryReport, SupervisorReport, SwitchEpoch, SwitchRecoveryReport};
 pub use p4db_txn::{BreakerConfig, BreakerState};
-pub use report::{fmt_class_mix, fmt_speedup, fmt_tps, speedup, BenchPoint, FigureTable};
 pub use session::{Pending, ResolverReport, Session, DEFAULT_MAX_ATTEMPTS};
