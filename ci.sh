@@ -13,11 +13,11 @@ cargo fmt --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> tier-1 verify: cargo build --release && cargo test -q"
+echo "==> tier-1 verify: cargo build --release && cargo test -q (its doctests are the README's code blocks)"
 cargo build --offline --release
 cargo test --offline -q
 
-echo "==> member-crate unit tests (root package already covered by tier-1)"
+echo "==> member-crate unit tests and doctests (root package already covered by tier-1)"
 cargo test --offline --workspace --exclude p4db -q
 
 echo "==> chaos smoke gate: fixed-seed fault + crash paths (incl. 2-switch per-switch crash/recovery, supervised blackhole outage liveness) with invariant checking"
@@ -84,10 +84,6 @@ awk '$1 == "tpcc_warm" && $2 == "net.msgs_to_switch_per_txn" { seen = 1; ok = ($
 
 echo "==> rustdoc: public API docs must build warning-free"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
-
-echo "==> doctests: README + rustdoc examples of the client API"
-cargo test --offline --doc -q
-cargo test --offline --doc -q --workspace --exclude p4db
 
 echo "==> examples"
 cargo run --offline --release --example quickstart

@@ -32,7 +32,7 @@ use p4db_common::faults::BlackholeFault;
 use p4db_common::rand_util::FastRng;
 use p4db_common::stats::{RunStats, WorkerStats, PHASES};
 use p4db_common::{CcScheme, FaultPlan, LatencyConfig, NodeId, SwitchId, SystemMode, WorkerId};
-use p4db_core::{BreakerConfig, Cluster, ClusterConfig};
+use p4db_core::{Cluster, ClusterConfig};
 use p4db_layout::LayoutStrategy;
 use p4db_net::{Fabric, LatencyModel};
 use p4db_storage::NodeStorage;
@@ -526,8 +526,9 @@ fn fig18b(_: &BenchProfile) -> Figure {
 
 /// Per-pass pipeline delay for the switch-scaling arms, in nanoseconds.
 ///
-/// The slow-motion fabric profile keeps the switch pass negligible next to
-/// the wire RTT (5µs vs ~555µs), which is the single-switch paper regime:
+/// The slow-motion fabric profile scales only the wire hops, so the
+/// Tofino-default pass stays negligible next to the wire RTT (60 ns vs
+/// 0.55 ms), which is the single-switch paper regime:
 /// the pipeline forwards at line rate and is never the bottleneck. The
 /// scaling figure asks the opposite question — what happens once the hot
 /// load *saturates* one pipeline — so its arms raise the per-pass delay to
@@ -638,7 +639,7 @@ pub fn measure_read_mix(
         fabric,
         hot_index: HotIndexCell::new(HotSetIndex::empty()),
         mvcc: p4db_txn::MvccState::default(),
-        health: p4db_txn::SwitchHealth::new(0, 1, p4db_txn::BreakerConfig::default()),
+        health: p4db_txn::SwitchHealth::new(0, 1, false),
         config,
     });
 
@@ -865,7 +866,7 @@ pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
     plan.switch_timeout = Duration::from_millis(4);
     plan.blackhole = Some(BlackholeFault { switch: 0, after_messages: 64, heal_after_drops: 120 });
     config.faults = Some(plan);
-    config.breaker = BreakerConfig::enabled();
+    config.breaker = true;
     let mut cluster = Cluster::build(config, Arc::clone(&w));
     let switch = SwitchId(0);
 

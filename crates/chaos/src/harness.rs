@@ -18,7 +18,7 @@ use crate::invariants::{self, InvariantReport, SemanticChecks};
 use p4db_common::faults::{BlackholeFault, FaultEvent, FaultPlan};
 use p4db_common::rand_util::FastRng;
 use p4db_common::{Error, NodeId, Result, SystemMode, TxnId};
-use p4db_core::{BreakerConfig, Cluster, NodeRecoveryReport, ResolverReport, SupervisorReport, SwitchRecoveryReport};
+use p4db_core::{Cluster, NodeRecoveryReport, ResolverReport, SupervisorReport, SwitchRecoveryReport};
 use p4db_net::{EndpointId, RecvOutcome};
 use p4db_storage::LogRecord;
 use p4db_switch::{Instruction, SwitchMessage, SwitchTxn, TxnHeader};
@@ -475,7 +475,7 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         builder = builder.with_faults(plan.clone());
     }
     if options.supervised {
-        builder = builder.breaker(BreakerConfig::enabled());
+        builder = builder.breaker(true);
     }
     let mut cluster = builder.try_build()?;
 

@@ -126,21 +126,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Flush deadline (µs) for partially filled switch reply frames.
-    pub fn flush_us(mut self, flush_us: u64) -> Self {
-        self.config.flush_us = flush_us;
-        self
-    }
-
-    /// Shard count of every node's row store and secondary indexes (rounded
-    /// up to a power of two; values below 1 are clamped to 1). The default
-    /// of 64 matches the 2PL lock table; `1` puts every row behind one
-    /// latch.
-    pub fn storage_shards(mut self, shards: u16) -> Self {
-        self.config.storage_shards = shards.max(1);
-        self
-    }
-
     /// Records per sealed WAL segment (clamped to at least 1).
     pub fn wal_segment_records(mut self, records: usize) -> Self {
         self.config.wal_segment_records = records.max(1);
@@ -152,17 +137,6 @@ impl ClusterBuilder {
     /// last complete checkpoint.
     pub fn checkpoint_interval(mut self, records: u64) -> Self {
         self.config.checkpoint_interval = Some(records.max(1));
-        self
-    }
-
-    /// Background version-GC cadence for [`Cluster::run_for`]: a collector
-    /// thread sweeps every row's version chain below the cluster
-    /// low-watermark at this interval (per-shard latches, no global pause).
-    /// Without it, reclamation happens only at install (each commit folds
-    /// the versions it displaces) and on explicit
-    /// [`Cluster::collect_versions`] calls.
-    pub fn gc_interval(mut self, interval: std::time::Duration) -> Self {
-        self.config.gc_interval = Some(interval);
         self
     }
 
@@ -182,29 +156,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-switch circuit-breaker thresholds for the self-healing path.
-    /// Disabled by default (the byte-compatible PR-9 behaviour): switch
-    /// timeouts surface as in-doubt commits but never demote traffic. With
-    /// an enabled config, `failure_threshold` consecutive timeouts open the
-    /// breaker (hot transactions on that switch fast-fail to the host 2PL
-    /// path) and `close_threshold` consecutive answered probes re-admit it.
-    pub fn breaker(mut self, breaker: p4db_txn::BreakerConfig) -> Self {
-        self.config.breaker = breaker;
-        self
-    }
-
-    /// Heartbeat cadence of the supervisor loop: how often every
-    /// open-breaker switch is probed (and freshly tripped breakers stood up
-    /// in degraded mode).
-    pub fn probe_interval(mut self, interval: std::time::Duration) -> Self {
-        self.config.probe_interval = interval;
-        self
-    }
-
-    /// Retry budget for each in-doubt intent-status query
-    /// ([`crate::Session::resolve_in_doubt`]); clamped to at least 1 at use.
-    pub fn resolver_retries(mut self, retries: u32) -> Self {
-        self.config.resolver_retries = retries;
+    /// Per-switch circuit breakers for the self-healing path. Off by
+    /// default: switch timeouts surface as in-doubt commits but never demote
+    /// traffic. On, [`p4db_txn::health::TRIP_THRESHOLD`] consecutive
+    /// timeouts open a switch's breaker (its hot transactions fast-fail to
+    /// the host 2PL path) and [`p4db_txn::health::CLOSE_THRESHOLD`]
+    /// consecutive answered probes re-admit it.
+    pub fn breaker(mut self, enabled: bool) -> Self {
+        self.config.breaker = enabled;
         self
     }
 

@@ -17,17 +17,17 @@ use p4db_common::stats::{RunStats, WorkerStats};
 use p4db_common::{
     CcScheme, Error, GlobalTxnId, LatencyConfig, NodeId, Result, SwitchId, SystemMode, TupleId, TxnId, Value,
 };
-use p4db_layout::{assign_tuples_to_switches, DataLayout, LayoutPlanner, LayoutStrategy};
+use p4db_layout::{assign_tuples_to_switches, LayoutPlanner, LayoutStrategy};
 use p4db_net::{EndpointId, Fabric, LatencyModel, Mailbox, RecvOutcome};
 use p4db_storage::{
     decode_segment_tail, recover_cold_records, recover_switch_state, take_fuzzy_checkpoint, LogRecord, NodeStorage,
-    SwitchRecoveryOutcome, Wal, DEFAULT_SEGMENT_RECORDS,
+    SwitchRecoveryOutcome, Wal, DEFAULT_SEGMENT_RECORDS, DEFAULT_TABLE_SHARDS,
 };
 use p4db_switch::{
     start_switch_with_id, ControlPlane, ProbeRequest, RegisterMemory, SwitchConfig, SwitchHandle, SwitchMessage,
     SwitchStatsSnapshot,
 };
-use p4db_txn::{BreakerConfig, EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth};
+use p4db_txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth};
 use p4db_workloads::{PartitionMap, Workload, WorkloadCtx};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,13 +68,6 @@ pub struct ClusterConfig {
     /// suite in `tests/batching.rs` proves the histories are
     /// invariant-equivalent across batch sizes.
     pub batch_size: u16,
-    /// Flush deadline in microseconds for partially filled reply frames on
-    /// the switch (bounds reply latency while a burst keeps the engine busy).
-    pub flush_us: u64,
-    /// Shard count of every node's row store and secondary indexes (rounded
-    /// up to a power of two). More shards spread unrelated tuple accesses
-    /// over independent latches; `1` puts every row behind one latch.
-    pub storage_shards: u16,
     /// Records per sealed WAL segment (clamped to ≥ 1).
     /// Smaller segments seal — and checksum — more eagerly; larger ones
     /// amortise the encode.
@@ -84,12 +77,6 @@ pub struct ClusterConfig {
     /// since its last complete checkpoint. `None` (the default) disables the
     /// automatic cadence; [`Cluster::checkpoint_node`] still works.
     pub checkpoint_interval: Option<u64>,
-    /// Background version-GC cadence for [`Cluster::run_for`]: when set, a
-    /// collector thread sweeps every node's version chains below the cluster
-    /// low-watermark at this interval — per-shard latches only, no global
-    /// pause. `None` (the default) leaves reclamation to commit-time folding
-    /// and explicit [`Cluster::collect_versions`] calls.
-    pub gc_interval: Option<Duration>,
     /// RNG seed (workers derive their own seeds from it).
     pub seed: u64,
     /// Seeded fault-injection plan (chaos testing). When set, the fabric
@@ -97,15 +84,10 @@ pub struct ClusterConfig {
     /// plan's short switch timeout, and the switch keeps its data-plane
     /// audit log for the invariant checker.
     pub faults: Option<FaultPlan>,
-    /// Per-switch circuit-breaker thresholds. Disabled by default: every
-    /// health check short-circuits to "healthy" and the engine behaves
-    /// byte-for-byte like the breaker-less build.
-    pub breaker: BreakerConfig,
-    /// Supervisor heartbeat cadence: how long [`Cluster::supervise_until`]
-    /// sleeps between probe rounds.
-    pub probe_interval: Duration,
-    /// In-doubt resolver retry budget per switch status query.
-    pub resolver_retries: u32,
+    /// Per-switch circuit breakers (thresholds in [`p4db_txn::health`]).
+    /// Off by default: every health check short-circuits to "healthy" and
+    /// the engine behaves byte-for-byte like the breaker-less build.
+    pub breaker: bool,
 }
 
 impl ClusterConfig {
@@ -125,16 +107,11 @@ impl ClusterConfig {
             distributed_prob: 0.2,
             chiller: false,
             batch_size: 16,
-            flush_us: 50,
-            storage_shards: 64,
             wal_segment_records: DEFAULT_SEGMENT_RECORDS,
             checkpoint_interval: None,
-            gc_interval: None,
             seed: 42,
             faults: None,
-            breaker: BreakerConfig::default(),
-            probe_interval: Duration::from_millis(2),
-            resolver_retries: 3,
+            breaker: false,
         }
     }
 
@@ -216,6 +193,10 @@ pub struct SwitchRecoveryReport {
     pub unexplained_divergences: Vec<(TupleId, u64, u64)>,
 }
 
+/// Heartbeat cadence of [`Cluster::supervise_until`]: how long it sleeps
+/// between degrade/probe rounds.
+const PROBE_INTERVAL: Duration = Duration::from_millis(2);
+
 /// What one [`Cluster::supervise_until`] run observed and did.
 #[derive(Clone, Debug, Default)]
 pub struct SupervisorReport {
@@ -255,7 +236,6 @@ pub struct Cluster {
     pool: SubmissionPool,
     switches: Vec<SwitchHandle>,
     control_planes: Vec<ControlPlane>,
-    layouts: Vec<DataLayout>,
     offloaded: usize,
     hot_total: usize,
     epochs: Vec<SwitchEpoch>,
@@ -295,7 +275,6 @@ impl Cluster {
         // The cluster-level batching knobs are authoritative: the switch
         // engine and the executor pool always agree on the batching degree.
         config.switch.batch_size = config.batch_size.max(1);
-        config.switch.flush_us = config.flush_us;
         config.switch.validate().map_err(Error::InvalidConfig)?;
 
         // --- Host storage ----------------------------------------------------
@@ -304,7 +283,7 @@ impl Cluster {
                 let storage = NodeStorage::with_shards_and_segments(
                     NodeId(n),
                     workload.tables(),
-                    config.storage_shards.max(1) as usize,
+                    DEFAULT_TABLE_SHARDS,
                     config.wal_segment_records,
                 );
                 workload.load_node(&storage, config.num_nodes);
@@ -358,7 +337,6 @@ impl Cluster {
             hot_tuples.iter().map(|h| (h.tuple, (h.byte_width, h.initial))).collect();
         let mut memories = Vec::with_capacity(num_switches);
         let mut control_planes = Vec::with_capacity(num_switches);
-        let mut layouts = Vec::with_capacity(num_switches);
         let mut offloaded = 0usize;
         for tuples in &assignment {
             let memory = Arc::new(RegisterMemory::new(config.switch));
@@ -375,7 +353,6 @@ impl Cluster {
             }
             memories.push(memory);
             control_planes.push(control_plane);
-            layouts.push(layout);
         }
 
         let latency = LatencyModel::new(config.latency);
@@ -398,13 +375,11 @@ impl Cluster {
             // even though the data stays on the nodes.
             SystemMode::LmSwitch | SystemMode::NoSwitch => HotSetIndex::from_tuples(hot_tuples.iter().map(|h| h.tuple)),
         };
-        let mut engine_config =
-            EngineConfig { chiller: config.chiller, ..EngineConfig::new(config.mode, config.cc, config.switch) };
-        if let Some(plan) = &config.faults {
-            engine_config.switch_timeout = plan.switch_timeout;
-            engine_config.in_doubt_on_timeout = true;
-        }
-        engine_config.resolver_retries = config.resolver_retries;
+        let engine_config = EngineConfig {
+            chiller: config.chiller,
+            switch_timeout: config.faults.as_ref().map(|plan| plan.switch_timeout),
+            ..EngineConfig::new(config.mode, config.cc, config.switch)
+        };
         let shared = Arc::new(EngineShared {
             nodes,
             latency,
@@ -438,7 +413,6 @@ impl Cluster {
             pool,
             switches,
             control_planes,
-            layouts,
             offloaded,
             hot_total,
             epochs,
@@ -484,14 +458,6 @@ impl Cluster {
     /// Number of switches in the topology.
     pub fn num_switches(&self) -> usize {
         self.switches.len()
-    }
-
-    /// The planned data layout of one switch.
-    ///
-    /// # Panics
-    /// Panics when `switch` is outside the topology.
-    pub fn layout_at(&self, switch: SwitchId) -> &DataLayout {
-        &self.layouts[switch.index()]
     }
 
     /// Data-plane statistics summed over every switch of the topology.
@@ -1245,9 +1211,8 @@ impl Cluster {
     /// returns true *and* every breaker is closed:
     ///
     /// 1. a tripped breaker stands up degraded mode ([`Cluster::degrade_switch`]),
-    /// 2. every open breaker is heartbeat-probed each
-    ///    [`ClusterConfig::probe_interval`] (probe outcomes walk the breaker
-    ///    Open → Half-Open → ready-to-close),
+    /// 2. every open breaker is heartbeat-probed every 2 ms (probe outcomes
+    ///    walk the breaker Open → Half-Open → ready-to-close),
     /// 3. once the drivers are done, a ready switch is re-admitted — quiesce,
     ///    resolve the in-doubt ledger while host rows are authoritative,
     ///    then [`Cluster::readmit_switch`].
@@ -1316,7 +1281,7 @@ impl Cluster {
                     break;
                 }
             }
-            std::thread::sleep(self.config.probe_interval);
+            std::thread::sleep(PROBE_INTERVAL);
         }
         report.trips_seen = self.shared.health.trips();
         Ok(report)
@@ -1329,26 +1294,6 @@ impl Cluster {
     /// *not* reloaded between calls).
     pub fn run_for(&self, duration: Duration) -> RunStats {
         let stop = Arc::new(AtomicBool::new(false));
-        // Background version GC: sweeps chains below the low-watermark at
-        // the configured cadence. Short sleep quanta keep shutdown prompt
-        // even with a cadence longer than the measurement window.
-        let gc_handle = self.config.gc_interval.map(|interval| {
-            let stop = Arc::clone(&stop);
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let mut next = Instant::now() + interval;
-                while !stop.load(Ordering::Relaxed) {
-                    if Instant::now() >= next {
-                        let watermark = shared.mvcc.low_watermark();
-                        for node in shared.nodes.iter() {
-                            node.collect_versions(watermark);
-                        }
-                        next = Instant::now() + interval;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-        });
         let mut handles = Vec::new();
         for node in 0..self.config.num_nodes {
             for wid in 0..self.config.workers_per_node {
@@ -1388,9 +1333,6 @@ impl Cluster {
         std::thread::sleep(duration);
         stop.store(true, Ordering::Relaxed);
         let worker_stats: Vec<WorkerStats> = handles.into_iter().map(|h| h.join().expect("driver panicked")).collect();
-        if let Some(handle) = gc_handle {
-            handle.join().expect("version-GC thread panicked");
-        }
         RunStats::from_workers(worker_stats.iter(), duration)
     }
 }
@@ -1443,10 +1385,9 @@ mod tests {
 
     #[test]
     fn batching_knobs_propagate_to_switch_and_engine() {
-        let cluster = Cluster::builder(small_ycsb()).test_profile().batch_size(8).flush_us(25).build();
+        let cluster = Cluster::builder(small_ycsb()).test_profile().batch_size(8).build();
         assert_eq!(cluster.config().batch_size, 8);
         assert_eq!(cluster.config().switch.batch_size, 8);
-        assert_eq!(cluster.config().switch.flush_us, 25);
         // batch_size(0) clamps to the unbatched behaviour instead of failing
         // validation.
         let unbatched = Cluster::builder(small_ycsb()).test_profile().batch_size(0).build();
@@ -1457,18 +1398,32 @@ mod tests {
 
     #[test]
     fn storage_knobs_propagate_to_node_storage_and_engine() {
-        // storage_shards reaches every table of every node.
-        let cluster = Cluster::builder(small_ycsb()).test_profile().storage_shards(8).build();
+        // Every table of every node is split into DEFAULT_TABLE_SHARDS shards.
+        let cluster = Cluster::builder(small_ycsb()).test_profile().build();
         for storage in cluster.shared().nodes.iter() {
-            assert_eq!(storage.table(p4db_workloads::ycsb::YCSB_TABLE).unwrap().shard_count(), 8);
+            for table in storage.tables() {
+                assert_eq!(table.shard_count(), DEFAULT_TABLE_SHARDS);
+            }
         }
-        // One shard puts every row behind one latch and still serves traffic.
-        let single = Cluster::builder(small_ycsb()).test_profile().storage_shards(1).build();
-        for storage in single.shared().nodes.iter() {
-            assert_eq!(storage.table(p4db_workloads::ycsb::YCSB_TABLE).unwrap().shard_count(), 1);
-        }
-        let stats = single.run_for(Duration::from_millis(100));
-        assert!(stats.merged.committed_total() > 0, "a single-shard store still serves traffic");
+        let stats = cluster.run_for(Duration::from_millis(100));
+        assert!(stats.merged.committed_total() > 0, "the sharded store serves traffic");
+    }
+
+    #[test]
+    fn a_fault_plan_sets_the_switch_timeout_and_keeps_the_audit_log() {
+        let quiet_switch = SwitchConfig { audit_data_plane: false, ..SwitchConfig::tiny() };
+        // Without faults a missing reply means a wedged switch: no in-doubt
+        // timeout, and the switch keeps no audit log.
+        let plain = Cluster::builder(small_ycsb()).test_profile().switch(quiet_switch).build();
+        assert_eq!(plain.shared().config.switch_timeout, None);
+        assert!(!plain.config().switch.audit_data_plane);
+        // With faults a missing reply is a lost packet: the plan's timeout
+        // commits in doubt, and the checker's audit log is on.
+        let plan = FaultPlan::quiet(3);
+        let faulty =
+            Cluster::builder(small_ycsb()).test_profile().switch(quiet_switch).with_faults(plan.clone()).build();
+        assert_eq!(faulty.shared().config.switch_timeout, Some(plan.switch_timeout));
+        assert!(faulty.config().switch.audit_data_plane);
     }
 
     #[test]

@@ -12,5 +12,5 @@ pub mod session;
 
 pub use builder::ClusterBuilder;
 pub use cluster::{Cluster, ClusterConfig, NodeRecoveryReport, SupervisorReport, SwitchEpoch, SwitchRecoveryReport};
-pub use p4db_txn::{BreakerConfig, BreakerState};
+pub use p4db_txn::BreakerState;
 pub use session::{Pending, ResolverReport, Session, DEFAULT_MAX_ATTEMPTS};

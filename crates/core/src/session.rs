@@ -680,10 +680,9 @@ impl Session {
     ///    recovery fence is already folded into the degraded-mode WAL
     ///    reconstruction: *resolved committed*, no network needed.
     /// 2. **Audit query.** Otherwise the switch's audit log is queried (up
-    ///    to the builder's `resolver_retries` budget). Confirmed executed →
-    ///    *resolved committed*; confirmed never-executed → the entry's
-    ///    operation footprint is re-run as an ordinary host transaction
-    ///    under 2PL → *resolved retried*.
+    ///    to 3 times). Confirmed executed → *resolved committed*; confirmed
+    ///    never-executed → the entry's operation footprint is re-run as an
+    ///    ordinary host transaction under 2PL → *resolved retried*.
     /// 3. Entries whose status cannot be learned are re-parked on the
     ///    ledger and counted `unresolved`.
     ///
@@ -702,8 +701,10 @@ impl Session {
         // A status query is a single round trip; don't let the engine's
         // (deliberately generous) switch timeout stall a resolution pass
         // over an unreachable switch for seconds per entry.
-        let per_try = self.shared.config.switch_timeout.min(Duration::from_millis(20));
-        let retries = self.shared.config.resolver_retries.max(1);
+        const MAX_TRY: Duration = Duration::from_millis(20);
+        // Status queries per entry before it is re-parked as unresolved.
+        const TRIES: u32 = 3;
+        let per_try = self.shared.config.switch_timeout.map_or(MAX_TRY, |t| t.min(MAX_TRY));
         let mut token = 0u64;
         let mut reparked = Vec::new();
         for entry in entries {
@@ -712,7 +713,7 @@ impl Session {
                 continue;
             }
             let mut executed = None;
-            'query: for _ in 0..retries {
+            'query: for _ in 0..TRIES {
                 token += 1;
                 let sent = self.shared.fabric.send(
                     origin,
@@ -855,7 +856,7 @@ mod tests {
     /// A latency profile whose node round trip (8 ms) dwarfs every software
     /// cost and every scheduling hiccup of a loaded test machine.
     fn slow_rack() -> LatencyConfig {
-        LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0, switch_pass_ns: 0 }
+        LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0 }
     }
 
     /// Reads one row of node 1 through a session of node 0.

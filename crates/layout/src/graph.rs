@@ -176,21 +176,6 @@ impl AccessGraph {
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         self.edges.iter().map(|(&(u, v), &w)| (u, v, w))
     }
-
-    /// Total undirected co-access weight of the graph (each unordered pair
-    /// counted once).
-    pub fn total_coaccess_weight(&self) -> u64 {
-        let mut total = 0;
-        for (&(u, v), &w) in &self.edges {
-            if u < v {
-                total += w + self.weight(v, u);
-            } else if !self.edges.contains_key(&(v, u)) {
-                // Asymmetric edge stored only as (u, v) with u > v.
-                total += w;
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]

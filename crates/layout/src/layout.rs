@@ -166,11 +166,6 @@ impl LayoutPlanner {
         LayoutPlanner { num_stages, arrays_per_stage, slots_per_array }
     }
 
-    /// Planner matching a switch configuration.
-    pub fn for_switch(num_stages: u8, arrays_per_stage: u8, slots_per_array: u32) -> Self {
-        Self::new(num_stages, arrays_per_stage, slots_per_array)
-    }
-
     fn num_arrays(&self) -> usize {
         self.num_stages as usize * self.arrays_per_stage as usize
     }

@@ -243,11 +243,6 @@ impl<M> Fabric<M> {
         Mailbox { id, rx }
     }
 
-    /// Whether an endpoint exists.
-    pub fn is_registered(&self, id: EndpointId) -> bool {
-        unpoison(self.registry.read()).endpoints.contains_key(&id)
-    }
-
     /// Sends `payload` from `src` to `dst`, imposing the one-way wire latency
     /// on the *caller* (the sending thread models the NIC serialisation +
     /// propagation delay; the receiver does not pay it again).

@@ -98,14 +98,14 @@ impl LatencyModel {
     }
 
     /// Counts one switch message and blocks the caller for a **full** wire
-    /// round trip to the switch (2 × `to_switch()`), excluding the pipeline
-    /// pass (the switch simulator accounts for its own pass delay). Callers
+    /// round trip to the switch ([`LatencyConfig::switch_rtt`]), excluding
+    /// the pipeline pass (the switch simulator accounts for its own). Callers
     /// impose it when a reply arrives, *after* `Fabric::send` already
     /// imposed the outbound ½ RTT — so a switch exchange costs 1.5 wire
     /// RTTs, not 1 (ROADMAP item 13, which owns the re-basing).
     pub fn impose_switch_rtt_wire(&self) {
         self.stats.messages_to_switch.fetch_add(1, Ordering::Relaxed);
-        wait_for(Duration::from_nanos(2 * (self.config.one_way_ns + self.config.sw_overhead_ns)));
+        wait_for(self.config.switch_rtt());
     }
 
     /// Counts a multicast (switch → all nodes) without blocking: the multicast
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn switch_hop_is_half_of_node_hop() {
-        let lat = LatencyModel::new(LatencyConfig { one_way_ns: 1_000, sw_overhead_ns: 0, switch_pass_ns: 0 });
+        let lat = LatencyModel::new(LatencyConfig { one_way_ns: 1_000, sw_overhead_ns: 0 });
         let (n0, n1, _, sw) = endpoints();
         let to_switch = lat.one_way(n0, sw);
         let to_node = lat.one_way(n0, n1);
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn impose_actually_waits() {
-        let lat = LatencyModel::new(LatencyConfig { one_way_ns: 100_000, sw_overhead_ns: 0, switch_pass_ns: 0 });
+        let lat = LatencyModel::new(LatencyConfig { one_way_ns: 100_000, sw_overhead_ns: 0 });
         let (n0, n1, _, _) = endpoints();
         let start = Instant::now();
         lat.impose(n0, n1);
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn a_round_trip_counts_per_participant_and_waits_once() {
-        let lat = LatencyModel::new(LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0, switch_pass_ns: 0 });
+        let lat = LatencyModel::new(LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0 });
         let rtt = lat.config().node_rtt();
         let start = Instant::now();
         lat.impose_node_round_trip(0);

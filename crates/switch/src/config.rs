@@ -50,10 +50,6 @@ pub struct SwitchConfig {
     /// preserved — and recorded in the data-plane audit log — so batching is
     /// invisible to the isolation argument of §5.1.
     pub batch_size: u16,
-    /// Flush deadline (µs) for partially filled reply frames. The engine
-    /// flushes at every quantum boundary anyway; the deadline bounds reply
-    /// latency if a quantum ever stalls mid-burst.
-    pub flush_us: u64,
 }
 
 impl SwitchConfig {
@@ -70,7 +66,6 @@ impl SwitchConfig {
             pass_latency_ns: 60,
             audit_data_plane: false,
             batch_size: 1,
-            flush_us: 50,
         }
     }
 
@@ -86,7 +81,6 @@ impl SwitchConfig {
             pass_latency_ns: 0,
             audit_data_plane: true,
             batch_size: 1,
-            flush_us: 50,
         }
     }
 

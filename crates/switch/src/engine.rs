@@ -33,6 +33,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Flush deadline for partially filled reply frames. The engine flushes at
+/// every quantum boundary anyway; the deadline bounds reply latency if a
+/// quantum ever stalls mid-burst.
+const REPLY_FLUSH_DEADLINE: Duration = Duration::from_micros(50);
+
 /// A packet currently inside the switch (being processed or recirculating).
 struct Inflight {
     txn: SwitchTxn,
@@ -159,7 +164,7 @@ pub fn start_switch_with_id(
         lock_table: SwitchLockTable::new(),
         owner_queue: VecDeque::new(),
         waiting_queue: VecDeque::new(),
-        reply_batcher: FrameBatcher::new(config.batch_size as usize, Duration::from_micros(config.flush_us)),
+        reply_batcher: FrameBatcher::new(config.batch_size as usize, REPLY_FLUSH_DEADLINE),
         audit_buf: Vec::new(),
         frame_pipelined: 0,
     };

@@ -54,32 +54,23 @@ pub struct EngineConfig {
     /// contended (hot-set) tuples are accessed last and their locks released
     /// first (used only by the Fig 18b comparison).
     pub chiller: bool,
-    /// How long a worker waits for a switch reply before giving up on it.
-    /// Generous by default; fault-injection runs shrink it so dropped
-    /// packets surface quickly.
-    pub switch_timeout: Duration,
-    /// What a switch-reply timeout means. With message faults active a
-    /// timeout is an expected lost packet: the transaction commits *in
-    /// doubt* (its intent is logged, the switch cannot abort). Without
-    /// faults nothing can be lost on the wire, so a timeout is a wedged
-    /// switch and surfaces loudly as [`p4db_common::Error::Disconnected`].
-    pub in_doubt_on_timeout: bool,
-    /// In-doubt resolver retry budget: how many times a status query to the
-    /// switch is retried before an entry is re-parked as unresolved.
-    pub resolver_retries: u32,
+    /// How long a worker waits for a switch reply, and what running out
+    /// means. `None` (the default): nothing can be lost on the wire, so a
+    /// reply still missing after 30 s is a wedged switch and surfaces loudly
+    /// as [`p4db_common::Error::Disconnected`]. `Some(d)` (fault injection):
+    /// a reply missing after `d` is an expected lost packet, and the
+    /// transaction commits *in doubt* (its intent is logged, the switch
+    /// cannot abort).
+    pub switch_timeout: Option<Duration>,
 }
+
+/// How long a worker without fault injection waits for a switch reply
+/// before it declares the switch wedged.
+const WEDGED_SWITCH_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl EngineConfig {
     pub fn new(mode: SystemMode, cc: CcScheme, switch_config: SwitchConfig) -> Self {
-        EngineConfig {
-            mode,
-            cc,
-            switch_config,
-            chiller: false,
-            switch_timeout: Duration::from_secs(30),
-            in_doubt_on_timeout: false,
-            resolver_retries: 3,
-        }
+        EngineConfig { mode, cc, switch_config, chiller: false, switch_timeout: None }
     }
 }
 
@@ -666,7 +657,7 @@ impl Worker {
                 return Err(Error::Disconnected);
             }
         }
-        let deadline = Instant::now() + shared.config.switch_timeout;
+        let deadline = Instant::now() + shared.config.switch_timeout.unwrap_or(WEDGED_SWITCH_TIMEOUT);
         let mut replies = 0;
         while replies < in_flight {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -684,7 +675,7 @@ impl Worker {
                 // lost on the wire: their sub-transactions commit in doubt
                 // below. Without faults nothing can be lost, so a timeout
                 // means the switch is wedged — fail loudly instead.
-                RecvOutcome::TimedOut if shared.config.in_doubt_on_timeout => break,
+                RecvOutcome::TimedOut if shared.config.switch_timeout.is_some() => break,
                 RecvOutcome::TimedOut | RecvOutcome::Disconnected => return Err(Error::Disconnected),
             }
         }
@@ -1323,7 +1314,7 @@ impl Worker {
         if !self.shared.fabric.send(self.endpoint, EndpointId::Switch(SwitchId(0)), SwitchMessage::LockRequest(req)) {
             return Err(Error::Disconnected);
         }
-        let deadline = Instant::now() + self.shared.config.switch_timeout;
+        let deadline = Instant::now() + self.shared.config.switch_timeout.unwrap_or(WEDGED_SWITCH_TIMEOUT);
         let reply = loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.mailbox.recv_timeout(remaining) {
@@ -1337,13 +1328,8 @@ impl Worker {
                 // lost the switch-side lock leaks — contention on that tuple
                 // then shows up as repeated denials, a degradation the chaos
                 // harness tolerates.) Without faults, fail loudly.
-                RecvOutcome::TimedOut => {
-                    if !self.shared.config.in_doubt_on_timeout {
-                        return Err(Error::Disconnected);
-                    }
-                    return Ok(false);
-                }
-                RecvOutcome::Disconnected => return Err(Error::Disconnected),
+                RecvOutcome::TimedOut if self.shared.config.switch_timeout.is_some() => return Ok(false),
+                RecvOutcome::TimedOut | RecvOutcome::Disconnected => return Err(Error::Disconnected),
             }
         };
         // The grant/deny message: a full wire RTT on top of the request's
@@ -1409,7 +1395,6 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::BreakerConfig;
     use p4db_common::faults::{BlackholeFault, FaultInjector, FaultPlan};
     use p4db_common::{LatencyConfig, TableId};
     use p4db_storage::recover_switch_state;
@@ -1437,7 +1422,7 @@ mod tests {
     /// A latency profile whose node round trip (8 ms) dwarfs every software
     /// cost and every scheduling hiccup of a loaded test machine.
     fn slow_rack() -> LatencyConfig {
-        LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0, switch_pass_ns: 0 }
+        LatencyConfig { one_way_ns: 2_000_000, sw_overhead_ns: 0 }
     }
 
     /// The rig on `num_nodes` nodes under `latency`: key k lives on node
@@ -1456,8 +1441,7 @@ mod tests {
         };
         let mut rig = rig_with(SystemMode::P4db, CcScheme::NoWait, 2, LatencyConfig::zero(), Some(plan));
         let config = &mut Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config;
-        config.in_doubt_on_timeout = true;
-        config.switch_timeout = Duration::from_millis(20);
+        config.switch_timeout = Some(Duration::from_millis(20));
         rig
     }
 
@@ -1510,7 +1494,7 @@ mod tests {
             hot_index: HotIndexCell::new(hot_index),
             config: EngineConfig::new(mode, cc, switch_config),
             mvcc: MvccState::default(),
-            health: SwitchHealth::new(1, num_nodes as usize, BreakerConfig::default()),
+            health: SwitchHealth::new(1, num_nodes as usize, false),
         });
         Rig { shared, _switch: switch, control_plane }
     }
@@ -2044,7 +2028,7 @@ mod tests {
                 ..EngineConfig::new(SystemMode::NoSwitch, CcScheme::NoWait, cfg_rig.shared.config.switch_config)
             },
             mvcc: MvccState::default(),
-            health: SwitchHealth::new(1, 2, BreakerConfig::default()),
+            health: SwitchHealth::new(1, 2, false),
         });
         let mut w = Worker::new(shared.clone(), NodeId(0), WorkerId(7));
         let mut stats = WorkerStats::new();

@@ -6,7 +6,7 @@
 //! of the hot set. This module is the detection half of the self-healing
 //! story: workers feed per-switch success/failure observations into a
 //! deterministic Closed → Open → Half-Open breaker
-//! ([`BreakerCore`]), and every in-doubt outcome (intent logged, reply
+//! ([`BreakerState`]), and every in-doubt outcome (intent logged, reply
 //! lost) is parked in a ledger ([`InDoubtEntry`]) for definitive
 //! resolution against the switch's audit log later.
 //!
@@ -26,33 +26,14 @@ use p4db_common::{NodeId, SwitchId, TxnId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Circuit-breaker knobs. Deterministic thresholds — no wall-clock decay —
+/// Consecutive switch failures (timeouts / in-doubt outcomes) that trip a
+/// breaker Closed → Open. Deterministic thresholds — no wall-clock decay —
 /// so chaos runs reproduce bit-for-bit from a seed.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct BreakerConfig {
-    /// Master switch. Disabled (the default) short-circuits every check to
-    /// "healthy": byte-compatible with the pre-breaker behaviour.
-    pub enabled: bool,
-    /// Consecutive switch failures (timeouts / in-doubt outcomes) that trip
-    /// the breaker Closed → Open.
-    pub trip_threshold: u32,
-    /// Consecutive successful probes in Half-Open required before the
-    /// supervisor may close the breaker and re-admit traffic.
-    pub close_threshold: u32,
-}
+pub const TRIP_THRESHOLD: u32 = 4;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig { enabled: false, trip_threshold: 4, close_threshold: 3 }
-    }
-}
-
-impl BreakerConfig {
-    /// Enabled with the default thresholds.
-    pub fn enabled() -> Self {
-        BreakerConfig { enabled: true, ..BreakerConfig::default() }
-    }
-}
+/// Consecutive successful probes in Half-Open required before the
+/// supervisor may close a breaker and re-admit traffic.
+pub const CLOSE_THRESHOLD: u32 = 3;
 
 /// The three breaker states.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -69,8 +50,7 @@ pub enum BreakerState {
 /// Pure breaker state machine. All transitions are driven by explicit
 /// observations — no timers — so the whole space is enumerable in tests.
 #[derive(Clone, Debug)]
-pub struct BreakerCore {
-    config: BreakerConfig,
+pub(crate) struct BreakerCore {
     state: BreakerState,
     consecutive_failures: u32,
     consecutive_probe_oks: u32,
@@ -80,14 +60,8 @@ pub struct BreakerCore {
 }
 
 impl BreakerCore {
-    pub fn new(config: BreakerConfig) -> Self {
-        BreakerCore {
-            config,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            consecutive_probe_oks: 0,
-            generation: 0,
-        }
+    pub fn new() -> Self {
+        BreakerCore { state: BreakerState::Closed, consecutive_failures: 0, consecutive_probe_oks: 0, generation: 0 }
     }
 
     pub fn state(&self) -> BreakerState {
@@ -102,13 +76,10 @@ impl BreakerCore {
     /// exactly when this observation trips the breaker (a transition into
     /// `Open` from a non-`Open` state).
     pub fn on_failure(&mut self) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.config.trip_threshold {
+                if self.consecutive_failures >= TRIP_THRESHOLD {
                     self.state = BreakerState::Open;
                     self.consecutive_failures = 0;
                     self.consecutive_probe_oks = 0;
@@ -159,7 +130,7 @@ impl BreakerCore {
 
     /// Whether the half-open streak has reached the close threshold.
     pub fn ready_to_close(&self) -> bool {
-        self.state == BreakerState::HalfOpen && self.consecutive_probe_oks >= self.config.close_threshold
+        self.state == BreakerState::HalfOpen && self.consecutive_probe_oks >= CLOSE_THRESHOLD
     }
 
     /// Closes the breaker (re-admission complete) and starts a new
@@ -198,7 +169,9 @@ pub struct InDoubtEntry {
 /// (`is_open` / `is_degraded`) are single atomic loads; state transitions
 /// take the per-switch breaker mutex.
 pub struct SwitchHealth {
-    config: BreakerConfig,
+    /// Whether the breakers run at all. Disabled, every check short-circuits
+    /// to "healthy": byte-compatible with the pre-breaker behaviour.
+    enabled: bool,
     breakers: Vec<Mutex<BreakerCore>>,
     /// Lock-free mirror of `state == Open || state == HalfOpen` per switch —
     /// consulted before every hot send.
@@ -218,10 +191,10 @@ pub struct SwitchHealth {
 }
 
 impl SwitchHealth {
-    pub fn new(num_switches: usize, num_nodes: usize, config: BreakerConfig) -> Self {
+    pub fn new(num_switches: usize, num_nodes: usize, enabled: bool) -> Self {
         SwitchHealth {
-            config,
-            breakers: (0..num_switches).map(|_| Mutex::new(BreakerCore::new(config))).collect(),
+            enabled,
+            breakers: (0..num_switches).map(|_| Mutex::new(BreakerCore::new())).collect(),
             open: (0..num_switches).map(|_| AtomicBool::new(false)).collect(),
             degraded: (0..num_switches).map(|_| AtomicBool::new(false)).collect(),
             in_doubt: (0..num_switches).map(|_| AtomicU64::new(0)).collect(),
@@ -231,23 +204,19 @@ impl SwitchHealth {
         }
     }
 
-    pub fn config(&self) -> BreakerConfig {
-        self.config
-    }
-
     pub fn num_switches(&self) -> usize {
         self.breakers.len()
     }
 
     /// Whether the breaker is open (or half-open): hot sends must fast-fail.
     pub fn is_open(&self, switch: SwitchId) -> bool {
-        self.config.enabled && self.open[switch.index()].load(Ordering::Acquire)
+        self.enabled && self.open[switch.index()].load(Ordering::Acquire)
     }
 
     /// Whether degraded mode is up for this switch: classification demotes
     /// its tuples to the host path.
     pub fn is_degraded(&self, switch: SwitchId) -> bool {
-        self.config.enabled && self.degraded[switch.index()].load(Ordering::Acquire)
+        self.enabled && self.degraded[switch.index()].load(Ordering::Acquire)
     }
 
     pub fn set_degraded(&self, switch: SwitchId, value: bool) {
@@ -258,7 +227,7 @@ impl SwitchHealth {
     /// observation trips the breaker (the caller owns the open→degrade
     /// follow-up).
     pub fn record_failure(&self, switch: SwitchId) -> bool {
-        if !self.config.enabled {
+        if !self.enabled {
             return false;
         }
         let mut breaker = unpoison(self.breakers[switch.index()].lock());
@@ -272,7 +241,7 @@ impl SwitchHealth {
 
     /// Records a healthy switch reply (clears the failure streak).
     pub fn record_success(&self, switch: SwitchId) {
-        if !self.config.enabled {
+        if !self.enabled {
             return;
         }
         unpoison(self.breakers[switch.index()].lock()).on_success();
@@ -357,23 +326,22 @@ impl SwitchHealth {
 mod tests {
     use super::*;
 
-    fn cfg(trip: u32, close: u32) -> BreakerConfig {
-        BreakerConfig { enabled: true, trip_threshold: trip, close_threshold: close }
-    }
-
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
-        let mut b = BreakerCore::new(cfg(3, 2));
+        let mut b = BreakerCore::new();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert!(!b.on_failure());
-        assert!(!b.on_failure());
-        assert!(b.on_failure(), "third consecutive failure trips");
+        for _ in 1..TRIP_THRESHOLD {
+            assert!(!b.on_failure());
+        }
+        assert!(b.on_failure(), "the TRIP_THRESHOLD-th consecutive failure trips");
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.on_failure(), "already open: no second trip signal");
 
-        b.probe_ok();
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.ready_to_close(), "one probe, close threshold two");
+        for _ in 1..CLOSE_THRESHOLD {
+            b.probe_ok();
+            assert_eq!(b.state(), BreakerState::HalfOpen);
+            assert!(!b.ready_to_close(), "fewer than CLOSE_THRESHOLD answered probes");
+        }
         b.probe_ok();
         assert!(b.ready_to_close());
         b.close();
@@ -383,21 +351,26 @@ mod tests {
 
     #[test]
     fn successes_reset_the_failure_streak() {
-        let mut b = BreakerCore::new(cfg(3, 1));
+        let mut b = BreakerCore::new();
         for _ in 0..100 {
-            assert!(!b.on_failure());
-            assert!(!b.on_failure());
+            for _ in 1..TRIP_THRESHOLD {
+                assert!(!b.on_failure());
+            }
             b.on_success();
         }
-        assert_eq!(b.state(), BreakerState::Closed, "never three in a row: never trips");
+        assert_eq!(b.state(), BreakerState::Closed, "never TRIP_THRESHOLD in a row: never trips");
     }
 
     #[test]
     fn halfopen_failure_or_failed_probe_reopens_and_resets_the_streak() {
-        let mut b = BreakerCore::new(cfg(1, 3));
+        let mut b = BreakerCore::new();
+        for _ in 1..TRIP_THRESHOLD {
+            b.on_failure();
+        }
         assert!(b.on_failure());
-        b.probe_ok();
-        b.probe_ok();
+        for _ in 1..CLOSE_THRESHOLD {
+            b.probe_ok();
+        }
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.probe_failed();
         assert_eq!(b.state(), BreakerState::Open, "failed probe loses all half-open progress");
@@ -405,15 +378,17 @@ mod tests {
         b.probe_ok();
         assert!(b.on_failure(), "a real txn failure during half-open re-trips");
         assert_eq!(b.state(), BreakerState::Open);
-        b.probe_ok();
-        assert!(!b.ready_to_close(), "streak restarted from one");
-        b.probe_ok();
+        for _ in 1..CLOSE_THRESHOLD {
+            b.probe_ok();
+            assert!(!b.ready_to_close(), "streak restarted from one");
+        }
         b.probe_ok();
         assert!(b.ready_to_close());
     }
 
-    /// Exhaustive property sweep: for every (trip, close) in a grid and every
-    /// observation sequence of length 8 drawn from a 4-symbol alphabet, the
+    /// Exhaustive property sweep: for every observation sequence of length 9
+    /// drawn from a 4-symbol alphabet — long enough to trip at
+    /// `TRIP_THRESHOLD` and earn re-admission at `CLOSE_THRESHOLD` — the
     /// breaker obeys its invariants. Deterministic — no randomness.
     #[test]
     fn breaker_property_sweep_holds_invariants() {
@@ -425,68 +400,59 @@ mod tests {
             ProbeFail,
         }
         const ALPHABET: [Obs; 4] = [Obs::Fail, Obs::Ok, Obs::ProbeOk, Obs::ProbeFail];
-        const LEN: usize = 8;
+        const LEN: usize = 9;
 
-        for trip in 1..=3u32 {
-            for close in 1..=3u32 {
-                // Enumerate all 4^LEN observation sequences via counting.
-                for seq_id in 0..4usize.pow(LEN as u32) {
-                    let mut b = BreakerCore::new(cfg(trip, close));
-                    let mut trips = 0u64;
-                    let mut id = seq_id;
-                    for _ in 0..LEN {
-                        let obs = ALPHABET[id % 4];
-                        id /= 4;
-                        let before = b.state();
-                        match obs {
-                            Obs::Fail => {
-                                let tripped = b.on_failure();
-                                // The trip signal fires iff we entered Open.
-                                assert_eq!(tripped, before != BreakerState::Open && b.state() == BreakerState::Open);
-                                if tripped {
-                                    trips += 1;
-                                }
-                            }
-                            Obs::Ok => {
-                                b.on_success();
-                                assert_eq!(b.state(), before, "on_success never changes state");
-                            }
-                            Obs::ProbeOk => {
-                                b.probe_ok();
-                                match before {
-                                    BreakerState::Open => assert_eq!(b.state(), BreakerState::HalfOpen),
-                                    s => assert_eq!(b.state(), s),
-                                }
-                            }
-                            Obs::ProbeFail => {
-                                b.probe_failed();
-                                match before {
-                                    BreakerState::HalfOpen => assert_eq!(b.state(), BreakerState::Open),
-                                    s => assert_eq!(b.state(), s),
-                                }
-                            }
-                        }
-                        // ready_to_close implies HalfOpen, always.
-                        if b.ready_to_close() {
-                            assert_eq!(b.state(), BreakerState::HalfOpen);
-                        }
-                        // Generation only moves on close().
-                        assert_eq!(b.generation(), 0);
+        // Enumerate all 4^LEN observation sequences via counting.
+        for seq_id in 0..4usize.pow(LEN as u32) {
+            let mut b = BreakerCore::new();
+            let mut id = seq_id;
+            for _ in 0..LEN {
+                let obs = ALPHABET[id % 4];
+                id /= 4;
+                let before = b.state();
+                match obs {
+                    Obs::Fail => {
+                        let tripped = b.on_failure();
+                        // The trip signal fires iff we entered Open.
+                        assert_eq!(tripped, before != BreakerState::Open && b.state() == BreakerState::Open);
                     }
-                    // Closing from any state is safe and lands Closed.
-                    let was_closed = b.state() == BreakerState::Closed;
-                    b.close();
-                    assert_eq!(b.state(), BreakerState::Closed);
-                    assert_eq!(b.generation(), if was_closed { 0 } else { 1 });
-                    let _ = trips;
+                    Obs::Ok => {
+                        b.on_success();
+                        assert_eq!(b.state(), before, "on_success never changes state");
+                    }
+                    Obs::ProbeOk => {
+                        b.probe_ok();
+                        match before {
+                            BreakerState::Open => assert_eq!(b.state(), BreakerState::HalfOpen),
+                            s => assert_eq!(b.state(), s),
+                        }
+                    }
+                    Obs::ProbeFail => {
+                        b.probe_failed();
+                        match before {
+                            BreakerState::HalfOpen => assert_eq!(b.state(), BreakerState::Open),
+                            s => assert_eq!(b.state(), s),
+                        }
+                    }
                 }
+                // ready_to_close implies HalfOpen, always.
+                if b.ready_to_close() {
+                    assert_eq!(b.state(), BreakerState::HalfOpen);
+                }
+                // Generation only moves on close().
+                assert_eq!(b.generation(), 0);
             }
+            // Closing from any state is safe and lands Closed.
+            let was_closed = b.state() == BreakerState::Closed;
+            b.close();
+            assert_eq!(b.state(), BreakerState::Closed);
+            assert_eq!(b.generation(), if was_closed { 0 } else { 1 });
         }
     }
 
     #[test]
     fn disabled_config_never_trips_or_opens() {
-        let health = SwitchHealth::new(2, 2, BreakerConfig::default());
+        let health = SwitchHealth::new(2, 2, false);
         let s = SwitchId(0);
         for _ in 0..1000 {
             assert!(!health.record_failure(s));
@@ -498,17 +464,21 @@ mod tests {
 
     #[test]
     fn switch_health_tracks_per_switch_state_independently() {
-        let health = SwitchHealth::new(2, 3, cfg(2, 1));
+        let health = SwitchHealth::new(2, 3, true);
         let (a, b) = (SwitchId(0), SwitchId(1));
-        assert!(!health.record_failure(a));
+        for _ in 1..TRIP_THRESHOLD {
+            assert!(!health.record_failure(a));
+        }
         assert!(health.record_failure(a));
         assert!(health.is_open(a));
         assert!(!health.is_open(b), "switch 1 unaffected");
         assert_eq!(health.trips(), 1);
 
-        health.probe_outcome(a, true);
-        assert_eq!(health.state(a), BreakerState::HalfOpen);
-        assert!(health.is_open(a), "half-open still fast-fails real traffic");
+        for _ in 0..CLOSE_THRESHOLD {
+            health.probe_outcome(a, true);
+            assert_eq!(health.state(a), BreakerState::HalfOpen);
+            assert!(health.is_open(a), "half-open still fast-fails real traffic");
+        }
         assert!(health.ready_to_close(a));
         health.close(a);
         assert!(!health.is_open(a));
@@ -517,7 +487,7 @@ mod tests {
 
     #[test]
     fn ledger_and_fences_round_trip() {
-        let health = SwitchHealth::new(1, 2, cfg(1, 1));
+        let health = SwitchHealth::new(1, 2, true);
         let entry =
             InDoubtEntry { switch: SwitchId(0), txn: TxnId(7), node: NodeId(1), logged_at: 42, ops: Vec::new() };
         health.note_in_doubt(entry.clone());

@@ -17,7 +17,7 @@ pub mod switch_client;
 
 pub use builder::{Placement, Txn};
 pub use executor::{EngineConfig, EngineShared, Worker};
-pub use health::{BreakerConfig, BreakerCore, BreakerState, InDoubtEntry, SwitchHealth};
+pub use health::{BreakerState, InDoubtEntry, SwitchHealth};
 pub use hotset::{HotIndexCell, HotSetIndex};
 pub use p4db_storage::mvcc::MvccState;
 pub use request::{OpKind, TxnOp, TxnOutcome, TxnRequest};

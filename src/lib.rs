@@ -37,9 +37,7 @@ pub use p4db_workloads as workloads;
 // The client-facing API at the crate root: build a cluster, open sessions,
 // submit typed transactions. See README.md § "Using P4DB as a library".
 pub use p4db_common::{CcScheme, Error, NodeId, Result, SwitchId, SystemMode, TableId, TupleId};
-pub use p4db_core::{
-    BreakerConfig, Cluster, ClusterBuilder, ClusterConfig, Pending, ResolverReport, Session, SupervisorReport,
-};
+pub use p4db_core::{Cluster, ClusterBuilder, ClusterConfig, Pending, ResolverReport, Session, SupervisorReport};
 pub use p4db_txn::{OpKind, Placement, Txn, TxnOutcome, TxnRequest};
 pub use p4db_workloads::{PartitionMap, Workload};
 

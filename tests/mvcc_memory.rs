@@ -16,9 +16,7 @@ use p4db::common::{LatencyConfig, NodeId, TableId, TupleId, Value, WorkerId};
 use p4db::net::{Fabric, LatencyModel};
 use p4db::storage::{MvccState, NodeStorage};
 use p4db::switch::SwitchConfig;
-use p4db::txn::{
-    BreakerConfig, EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth, TxnOp, TxnRequest, Worker,
-};
+use p4db::txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth, TxnOp, TxnRequest, Worker};
 use p4db::{CcScheme, OpKind, SystemMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -72,7 +70,7 @@ fn a_write_only_stream_retains_its_log_and_no_versions() {
         hot_index: HotIndexCell::new(HotSetIndex::empty()),
         config: EngineConfig::new(SystemMode::NoSwitch, CcScheme::NoWait, SwitchConfig::tiny()),
         mvcc: MvccState::default(),
-        health: SwitchHealth::new(1, 1, BreakerConfig::default()),
+        health: SwitchHealth::new(1, 1, false),
     });
     let mut worker = Worker::new(Arc::clone(&shared), NodeId(0), WorkerId(0));
     let mut stats = WorkerStats::new();

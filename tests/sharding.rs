@@ -6,7 +6,7 @@
 
 use p4db::chaos::{run_chaos, ChaosOptions, ChaosWorkload};
 use p4db::storage::{NodeStorage, RowHandle, Table};
-use p4db::workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
+use p4db::workloads::{SmallBank, SmallBankConfig, Workload};
 use p4db::{Cluster, NodeId, TableId};
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,25 +54,6 @@ fn sharding_sweep_smallbank() {
 #[test]
 fn sharding_sweep_tpcc() {
     sweep(ChaosWorkload::Tpcc);
-}
-
-/// A full cluster serves session traffic at every storage shard count, down
-/// to one latch per table (smoke over the cluster-level knob rather than the
-/// chaos harness).
-#[test]
-fn cluster_commits_at_every_storage_shard_count() {
-    let workload: Arc<dyn Workload> =
-        Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
-    for shards in [1u16, 64] {
-        let cluster = Cluster::builder(Arc::clone(&workload)).test_profile().storage_shards(shards).build();
-        assert_eq!(cluster.config().storage_shards, shards);
-        let stats = cluster.run_for(Duration::from_millis(150));
-        assert!(
-            stats.merged.committed_total() > 50,
-            "shards={shards} committed only {}",
-            stats.merged.committed_total()
-        );
-    }
 }
 
 /// Property test (FastRng case harness): row handles resolved before an
