@@ -5,8 +5,8 @@
 //! without message faults, and must settle every transaction it was given.
 
 use p4db::chaos::{run_chaos, ChaosOptions, ChaosWorkload};
-use p4db::storage::{NodeStorage, RowHandle, Table};
-use p4db::workloads::{SmallBank, SmallBankConfig, Workload};
+use p4db::storage::{NodeStorage, RowHandle, Table, DEFAULT_TABLE_SHARDS};
+use p4db::workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
 use p4db::{Cluster, NodeId, TableId};
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,6 +54,29 @@ fn sharding_sweep_smallbank() {
 #[test]
 fn sharding_sweep_tpcc() {
     sweep(ChaosWorkload::Tpcc);
+}
+
+/// A full cluster serves session traffic at the storage shard count every
+/// cluster is built with: each table of each node is split into
+/// `DEFAULT_TABLE_SHARDS` shards (smoke over the cluster's store rather than
+/// the chaos harness; `Table::with_shards(1)` is covered by the churn
+/// property below).
+#[test]
+fn cluster_commits_at_every_storage_shard_count() {
+    let workload: Arc<dyn Workload> =
+        Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
+    let cluster = Cluster::builder(workload).test_profile().build();
+    for storage in cluster.shared().nodes.iter() {
+        for table in storage.tables() {
+            assert_eq!(table.shard_count(), DEFAULT_TABLE_SHARDS);
+        }
+    }
+    let stats = cluster.run_for(Duration::from_millis(150));
+    assert!(
+        stats.merged.committed_total() > 50,
+        "shards={DEFAULT_TABLE_SHARDS} committed only {}",
+        stats.merged.committed_total()
+    );
 }
 
 /// Property test (FastRng case harness): row handles resolved before an
