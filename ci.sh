@@ -29,8 +29,8 @@ cargo test --offline --release -q --test batching batched_chaos -- --nocapture
 echo "==> pool gate: an executor drains its fair share of the submission queue (channel share rule, 8 queued jobs on 8 executors finish in one round trip, a single executor still drains whole batches in order)"
 cargo test --offline --release -q -p p4db-core -p p4db-common -- recv_share queued_jobs_spread_over_idle_executors a_single_executor_drains_the_whole_queue_in_order
 
-echo "==> session gate: one reply queue per session (a dropped ticket's statistics still count, a batchmate's retry does not hold committed replies, a parked waiter is woken only by its own ticket, the channel's wake rule under stress, allocations per session round trip)"
-cargo test --offline --release -q -p p4db-core -p p4db-common -- a_dropped_tickets_statistics_still_count a_batchmates_retry_does_not_hold_committed_replies a_parked_waiter_is_woken_only_by_its_own_ticket wake_rule_stress
+echo "==> session gate: one reply queue per session (a dropped ticket's statistics still count, a batchmate's retry does not hold committed replies, a parked waiter is woken only by its own ticket, the channel's wake rule under stress), node-local snapshot reads on the caller's thread (answered before submit returns, remote-home and switch-resident reads still pooled, a dropped inline read's statistics still count, a dropped cluster refuses reads), snapshot slots given back by dropped readers, allocations per session round trip"
+cargo test --offline --release -q -p p4db-core -p p4db-common -p p4db-storage -- a_dropped_tickets_statistics_still_count a_batchmates_retry_does_not_hold_committed_replies a_parked_waiter_is_woken_only_by_its_own_ticket wake_rule_stress a_node_local_snapshot_read_is_answered_before_submit_returns remote_and_switch_resident_reads_still_go_to_the_pool a_dropped_inline_reads_statistics_still_count a_read_after_the_cluster_is_dropped_is_disconnected dropped_sessions_give_their_snapshot_slots_back a_dropped_slot_is_handed_to_the_next_registration
 cargo test --offline --release -q --test session_alloc
 
 echo "==> round-trip gate: one node round trip per participant, not per remote operation (4 remote ops = 2 RTTs and 4 messages, 2 participants asked concurrently, snapshot read = 1 RTT, remote NO_WAIT abort = 1 RTT with no lock leaked, Chiller late set = 1 more RTT)"

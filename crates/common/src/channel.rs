@@ -168,6 +168,11 @@ impl<T> Sender<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether every receiver has been dropped, so that a send would fail.
+    pub fn is_disconnected(&self) -> bool {
+        self.shared.lock().receivers == 0
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -445,7 +450,9 @@ mod tests {
     fn dropping_all_receivers_fails_sends() {
         let (tx, rx) = unbounded();
         tx.send(1).unwrap();
+        assert!(!tx.is_disconnected());
         drop(rx);
+        assert!(tx.is_disconnected());
         assert_eq!(tx.send(2), Err(SendError(2)));
     }
 

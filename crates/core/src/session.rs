@@ -9,6 +9,15 @@
 //! (`Cluster::run_for`) is itself a session client, so the closed-loop
 //! measurement path and the ad-hoc client path are the same code.
 //!
+//! **A node-local snapshot read runs where it is submitted.** A read-only
+//! request whose rows are all homed on the session's node takes no lock,
+//! cannot abort and crosses no wire, so [`Session::submit_request`] serves it
+//! on the caller's thread through the session's own [`SnapshotReader`] — the
+//! one body a pool [`Worker`] runs too — and files its reply into the
+//! session's queue before returning. Every other request (writes,
+//! remote-home reads, a read of a switch-resident tuple in P4DB mode) goes
+//! to the pool.
+//!
 //! The pool is **work-conserving**: an executor that wakes on a queue holding
 //! `q` jobs takes its fair share, `⌈q ÷ executors⌉` of them (at least 1, at
 //! most `batch_size`), not everything it can carry. A drained share runs its
@@ -40,7 +49,7 @@ use p4db_common::sync::unpoison;
 use p4db_common::{Error, NodeId, Result, SystemMode, WorkerId};
 use p4db_net::{EndpointId, RecvOutcome};
 use p4db_switch::{IntentStatusRequest, SwitchMessage};
-use p4db_txn::{EngineShared, OpKind, Txn, TxnOp, TxnOutcome, TxnRequest, Worker};
+use p4db_txn::{EngineShared, HotSetIndex, OpKind, SnapshotReader, Txn, TxnOp, TxnOutcome, TxnRequest, Worker};
 use p4db_workloads::PartitionMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -500,10 +509,14 @@ impl Drop for Pending {
 /// A client handle for submitting transactions to one node of a cluster.
 ///
 /// Sessions are cheap (a queue handle plus a partition map) and independent:
-/// create as many as needed, move them across threads freely. Each submitted
+/// create as many as needed, move them across threads freely. A submitted
 /// transaction is executed by the node's executor pool through the full
-/// hot/cold/warm classification, switch path and 2PC of the engine; the
-/// session accumulates the statistics of everything it has waited on.
+/// hot/cold/warm classification, switch path and 2PC of the engine — unless
+/// it is a read-only transaction whose rows all live on the session's node,
+/// which the session reads at a snapshot on the caller's thread (see
+/// [`Session::submit_request`]). Either way its reply reaches the caller
+/// through the session's reply queue, and the session accumulates the
+/// statistics of everything it has waited on.
 ///
 /// ```
 /// use p4db_common::{NodeId, TupleId};
@@ -536,6 +549,10 @@ pub struct Session {
     replies: Arc<ReplyQueue>,
     /// The ticket of the last submission.
     ticket: u64,
+    /// Serves node-local snapshot reads on the caller's thread. Registered
+    /// on the first one, so a session that only writes holds no slot in
+    /// the snapshot registry.
+    reader: Option<SnapshotReader>,
 }
 
 impl Session {
@@ -555,6 +572,7 @@ impl Session {
             stats: WorkerStats::new(),
             replies: Arc::new(ReplyQueue::new()),
             ticket: 0,
+            reader: None,
         }
     }
 
@@ -621,11 +639,13 @@ impl Session {
     /// operation reads the newest committed version at one snapshot
     /// timestamp, with zero lock-table interaction and zero 2PC. The
     /// returned outcome carries the snapshot timestamp in
-    /// [`TxnOutcome::snapshot`]. Rejects transactions containing any
-    /// non-read operation with [`Error::InvalidTxn`]; transactions the
-    /// snapshot path cannot serve (switch-resident hot tuples in P4DB mode)
-    /// transparently fall back to the locking path and return
-    /// `snapshot: None`.
+    /// [`TxnOutcome::snapshot`]. When every row lives on this session's
+    /// node the read runs on the caller's thread; otherwise an executor
+    /// runs it, paying one node round trip for its remote rows. Rejects
+    /// transactions containing any non-read operation with
+    /// [`Error::InvalidTxn`]; transactions the snapshot path cannot serve
+    /// (switch-resident hot tuples in P4DB mode) transparently fall back to
+    /// the locking path on an executor and return `snapshot: None`.
     pub fn read_only(&mut self, txn: &Txn) -> Result<TxnOutcome> {
         let req = txn.clone().read_only().resolve(&self.partition_map, self.node)?;
         self.execute_request(&req)
@@ -640,10 +660,24 @@ impl Session {
     }
 
     /// Submits an already-placed request without waiting for it.
+    ///
+    /// A read-only request whose rows are all homed on this session's node
+    /// is read at a snapshot right here, on the caller's thread: its reply
+    /// is filed before this returns, and [`Session::wait`] takes it without
+    /// blocking. Every other request is queued for the node's executor pool.
+    /// Either way, once the cluster is dropped this returns
+    /// [`Error::Disconnected`].
     pub fn submit_request(&mut self, req: &TxnRequest) -> Result<Pending> {
-        self.validate(req)?;
+        let index = self.shared.hot_index.load();
+        self.validate(req, &index)?;
         self.ticket += 1;
         let ticket = self.ticket;
+        if let Some(reply) = self.read_here(req, &index)? {
+            // A fresh ticket: nobody can be parked on it, so no wake-up.
+            let parked = self.replies.lock().deliver(ticket, reply);
+            debug_assert!(!parked, "a thread parked on a ticket not handed out yet");
+            return Ok(Pending { queue: Some(Arc::clone(&self.replies)), ticket });
+        }
         // Made first, so a rejected job's disconnect reply (filed when the
         // job drops) is discarded with the ticket.
         let pending = Pending { queue: Some(Arc::clone(&self.replies)), ticket };
@@ -657,6 +691,31 @@ impl Session {
             return Err(Error::Disconnected);
         }
         Ok(pending)
+    }
+
+    /// Serves `req` on the snapshot read path on the caller's thread if it
+    /// is a non-empty read-only request homed wholly on this node, recording
+    /// its commit as an executor would. `Ok(None)` sends it to the pool: it
+    /// is not such a request, or the snapshot path refuses it.
+    fn read_here(&mut self, req: &TxnRequest, index: &HotSetIndex) -> Result<Option<JobReply>> {
+        if !req.read_only || req.is_empty() || req.ops.iter().any(|op| op.home != self.node) {
+            return Ok(None);
+        }
+        // The pool's contract holds here too: a dropped cluster answers
+        // nothing, even though its rows are still in reach.
+        if self.submit.is_disconnected() {
+            return Err(Error::Disconnected);
+        }
+        let started = Instant::now();
+        let mut stats = WorkerStats::new();
+        let reader = self.reader.get_or_insert_with(|| SnapshotReader::new(&self.shared.mvcc));
+        let Some(result) = reader.try_read(&self.shared, self.node, req, index, &mut stats).transpose() else {
+            return Ok(None);
+        };
+        if let Ok(outcome) = &result {
+            stats.record_commit(outcome.class, started.elapsed());
+        }
+        Ok(Some(JobReply { result, stats }))
     }
 
     /// Waits for a submitted transaction and folds the execution's
@@ -764,8 +823,7 @@ impl Session {
     /// read-dependencies that cross the hot/cold split (the switch cannot
     /// consume a host-produced operand mid-transaction, §6.2), and
     /// read-only-declared requests containing a write.
-    fn validate(&self, req: &TxnRequest) -> Result<()> {
-        let hot_index = self.shared.hot_index.load();
+    fn validate(&self, req: &TxnRequest, hot_index: &HotSetIndex) -> Result<()> {
         let is_hot = |op: &TxnOp| {
             self.shared.config.mode == SystemMode::P4db && op.kind.switch_executable() && hot_index.is_hot(op.tuple)
         };
@@ -813,6 +871,7 @@ impl std::fmt::Debug for Session {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
+    use p4db_common::stats::TxnClass;
     use p4db_common::{AbortReason, CcScheme, LatencyConfig, SystemMode, TupleId, TxnId};
     use p4db_storage::LockMode;
     use p4db_workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
@@ -1097,6 +1156,149 @@ mod tests {
 
         let err = session.read_only(&Txn::new().add(t(7), 1)).unwrap_err();
         assert!(matches!(err, Error::InvalidTxn(_)), "got {err:?}");
+    }
+
+    /// A read-only request of `keys`, coordinated by the session's node.
+    fn reads(session: &Session, keys: &[u64]) -> TxnRequest {
+        let txn = keys.iter().fold(Txn::new(), |txn, &key| txn.read(t(key)));
+        txn.read_only().resolve(session.partition_map(), session.node()).unwrap()
+    }
+
+    /// Runs `body` while the one executor of the session's node is held in
+    /// a retry loop: it retries a write of `row`, which a foreign
+    /// transaction holds locked, until `body` returns. A job `body` queues
+    /// meanwhile stays queued, and a reply filed meanwhile was filed by
+    /// somebody else.
+    fn with_the_executor_held(cluster: &Cluster, session: &mut Session, row: TupleId, body: impl FnOnce(&mut Session)) {
+        let locks = cluster.shared().nodes[session.node().index()].locks();
+        let holder = TxnId::compose(1, session.node(), WorkerId(u16::MAX));
+        locks.acquire(holder, row, LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        session.set_max_attempts(u32::MAX);
+        let held = session.submit(&Txn::new().add(row, 1)).unwrap();
+        while !session.submit.is_empty() {
+            std::thread::yield_now();
+        }
+        // A failed assertion must still release the row: the executor
+        // would otherwise retry forever and the cluster's drop would hang.
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(session)));
+        locks.release(holder, row);
+        if let Err(panic) = ran {
+            std::panic::resume_unwind(panic);
+        }
+        session.wait(held).expect("the held write commits once the row is released");
+        session.set_max_attempts(DEFAULT_MAX_ATTEMPTS);
+    }
+
+    /// A read-only request homed wholly on the session's node runs on the
+    /// caller's thread: its reply is filed before `submit_request` returns,
+    /// while the node's one executor is busy, and nothing is queued.
+    #[test]
+    fn a_node_local_snapshot_read_is_answered_before_submit_returns() {
+        let cluster = Cluster::builder(ycsb()).test_profile().workers(1).mode(SystemMode::NoSwitch).build();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        session.execute(&Txn::new().write(t(8), 41)).unwrap();
+        let local = reads(&session, &[8, 9]);
+        with_the_executor_held(&cluster, &mut session, t(7), |session| {
+            let woken = session.replies.wakeups.load(AtomicOrdering::Relaxed);
+            let pending = session.submit_request(&local).unwrap();
+            let filed = session.replies.lock().replies.iter().any(|(ticket, _)| *ticket == pending.ticket);
+            assert!(filed, "the reply must be filed before submit_request returns");
+            assert!(session.submit.is_empty(), "a node-local snapshot read must not reach the pool");
+            let outcome = session.wait(pending).unwrap();
+            assert_eq!(outcome.results[0], 41);
+            assert!(outcome.snapshot.is_some());
+            let woken = session.replies.wakeups.load(AtomicOrdering::Relaxed) - woken;
+            assert_eq!(woken, 0, "a reply filed before its wait needs no wake-up");
+        });
+        assert_eq!(session.stats().snapshot_reads, 1);
+    }
+
+    /// What the snapshot path must not serve inline still goes to the pool:
+    /// a read with a remote-home row (one node round trip, paid by an
+    /// executor) and, in P4DB mode, a read of a switch-resident tuple.
+    #[test]
+    fn remote_and_switch_resident_reads_still_go_to_the_pool() {
+        let cluster = Cluster::builder(ycsb()).test_profile().workers(1).mode(SystemMode::NoSwitch).build();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        let remote = reads(&session, &[8, 1_005, 1_006]);
+        let to_nodes = || cluster.shared().latency.stats().snapshot().1;
+        let before = to_nodes();
+        let mut pending = None;
+        with_the_executor_held(&cluster, &mut session, t(7), |session| {
+            pending = Some(session.submit_request(&remote).unwrap());
+            assert_eq!(session.submit.len(), 1, "a read with a remote-home row must queue for the pool");
+        });
+        let outcome = session.wait(pending.unwrap()).unwrap();
+        assert!(outcome.snapshot.is_some(), "still served by the lock-free snapshot path");
+        assert_eq!(to_nodes() - before, 2, "one node round trip: one request to node 1 and its reply");
+        assert!(session.reader.is_none(), "a session that never read inline holds no snapshot slot");
+
+        let cluster = Cluster::builder(ycsb()).test_profile().workers(1).mode(SystemMode::P4db).build();
+        let index = cluster.shared().hot_index.load();
+        assert!(index.is_hot(t(3)) && !index.is_hot(t(500)));
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        let hot = reads(&session, &[3]);
+        let mut pending = None;
+        with_the_executor_held(&cluster, &mut session, t(500), |session| {
+            pending = Some(session.submit_request(&hot).unwrap());
+            assert_eq!(session.submit.len(), 1, "a read of a switch-resident tuple must queue for the pool");
+        });
+        let outcome = session.wait(pending.unwrap()).unwrap();
+        assert_eq!((outcome.class, outcome.snapshot), (TxnClass::Hot, None), "served by the switch");
+        assert_eq!(session.stats().snapshot_reads, 0);
+    }
+
+    /// An inline read's reply is filed before its ticket can be dropped;
+    /// dropping the ticket discards the reply and keeps its statistics.
+    #[test]
+    fn a_dropped_inline_reads_statistics_still_count() {
+        let cluster = small_cluster();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        drop(session.submit_request(&reads(&session, &[3, 4])).unwrap());
+        let stats = session.take_stats();
+        assert_eq!(stats.snapshot_reads, 1);
+        assert_eq!(stats.committed_total(), 1, "the dropped ticket's commit must count");
+        let state = session.replies.lock();
+        assert!(state.replies.is_empty() && state.abandoned.is_empty(), "the dropped reply must not linger");
+    }
+
+    /// A dropped cluster answers nothing: a read the session could still
+    /// serve on its own thread is refused like any other request.
+    #[test]
+    fn a_read_after_the_cluster_is_dropped_is_disconnected() {
+        let cluster = small_cluster();
+        let mut session = cluster.session(NodeId(0)).unwrap();
+        let local = reads(&session, &[3]);
+        let remote = reads(&session, &[1_003]);
+        let write = Txn::new().add(t(3), 1).resolve(session.partition_map(), NodeId(0)).unwrap();
+        session.execute_request(&local).unwrap();
+        drop(cluster);
+        for req in [&local, &remote, &write] {
+            assert!(matches!(session.submit_request(req), Err(Error::Disconnected)), "{req:?}");
+        }
+        let state = session.replies.lock();
+        assert!(state.replies.is_empty() && state.abandoned.is_empty(), "a refused request leaves nothing behind");
+    }
+
+    /// A session registers its snapshot slot on its first inline read and
+    /// gives it back when dropped, so a stream of short-lived sessions does
+    /// not grow the registry every committing writer scans.
+    #[test]
+    fn dropped_sessions_give_their_snapshot_slots_back() {
+        let cluster = small_cluster();
+        let executors = cluster.config().num_nodes as usize * cluster.config().workers_per_node as usize;
+        let snapshots = &cluster.shared().mvcc.snapshots;
+        let mut writer = cluster.session(NodeId(0)).unwrap();
+        writer.execute(&Txn::new().add(t(3), 1)).unwrap();
+        assert!(writer.reader.is_none(), "a session that only writes registers no slot");
+        assert_eq!(snapshots.len(), executors);
+        for _ in 0..1_000 {
+            let mut session = cluster.session(NodeId(0)).unwrap();
+            session.execute_request(&reads(&session, &[3])).unwrap();
+            assert_eq!(session.stats().snapshot_reads, 1);
+        }
+        let slots = snapshots.len();
+        assert!(slots <= executors + 2, "{slots} snapshot slots after 1,000 sessions on {executors} executors");
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! for switch epochs.
 
 use p4db_common::sync::unpoison;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Slot value of a worker with no read-only transaction in flight. Folds
@@ -120,10 +120,10 @@ impl CommitClock {
     }
 }
 
-/// One worker's published snapshot: `IDLE_SNAPSHOT` when no read-only
+/// One reader's published snapshot: `IDLE_SNAPSHOT` when no read-only
 /// transaction is in flight, the active snapshot timestamp otherwise.
-/// Registered once per worker (never by slot-index arithmetic — a shared
-/// slot would let one worker's `end()` hide another's active snapshot from
+/// Registered once per reader (never by slot-index arithmetic — a shared
+/// slot would let one reader's `end()` hide another's active snapshot from
 /// the watermark).
 #[derive(Debug, Clone)]
 pub struct SnapshotSlot(Arc<AtomicU64>);
@@ -159,10 +159,10 @@ impl SnapshotSlot {
     }
 }
 
-/// The cluster-wide set of snapshot slots. Slots are only ever added (a
-/// departed worker's slot stays `IDLE_SNAPSHOT` forever, which costs one
-/// atomic load per watermark computation and can never hold the watermark
-/// back).
+/// The cluster-wide set of snapshot slots. A slot whose every handle was
+/// dropped is handed to the next registration, so the set is as large as
+/// the most readers ever alive at once, not the number ever created: every
+/// committing writer scans it once per transaction.
 #[derive(Debug, Default)]
 pub struct SnapshotRegistry {
     slots: RwLock<Vec<Arc<AtomicU64>>>,
@@ -173,10 +173,27 @@ impl SnapshotRegistry {
         Self::default()
     }
 
-    /// Registers a fresh idle slot for one worker.
+    /// Registers an idle slot for one reader: a slot no handle refers to any
+    /// more, or a fresh one. The registry's own reference is the only one
+    /// left to such a slot, and no handle can be cloned from it except here,
+    /// under the write lock, so it cannot be handed out twice.
     pub fn register(&self) -> SnapshotSlot {
-        let slot = Arc::new(AtomicU64::new(IDLE_SNAPSHOT));
-        unpoison(self.slots.write()).push(Arc::clone(&slot));
+        let mut slots = unpoison(self.slots.write());
+        let slot = match slots.iter().find(|slot| Arc::strong_count(slot) == 1) {
+            Some(orphan) => {
+                // Pairs with the Release decrement of the last handle's
+                // drop: that handle's stores are ordered before this one.
+                fence(Ordering::Acquire);
+                // Idle already unless its last handle was dropped mid-read.
+                orphan.store(IDLE_SNAPSHOT, Ordering::SeqCst);
+                Arc::clone(orphan)
+            }
+            None => {
+                let slot = Arc::new(AtomicU64::new(IDLE_SNAPSHOT));
+                slots.push(Arc::clone(&slot));
+                slot
+            }
+        };
         SnapshotSlot(slot)
     }
 
@@ -296,6 +313,25 @@ mod tests {
             state.clock.publish(ts);
         }
         assert_eq!(state.low_watermark(), 5);
+    }
+
+    #[test]
+    fn a_dropped_slot_is_handed_to_the_next_registration() {
+        let state = MvccState::default();
+        let held = state.snapshots.register();
+        for _ in 0..1_000 {
+            let slot = state.snapshots.register();
+            slot.begin(&state.clock);
+            // Dropped mid-read: the next registration still starts idle.
+        }
+        assert_eq!(state.snapshots.len(), 2, "one slot held, one reused");
+        let again = state.snapshots.register();
+        assert_eq!(again.active(), None);
+        assert_eq!(held.active(), None);
+        assert_eq!(state.snapshots.len(), 2);
+        // Both handles alive: the next registration needs a slot of its own.
+        let _third = state.snapshots.register();
+        assert_eq!(state.snapshots.len(), 3);
     }
 
     #[test]

@@ -240,7 +240,7 @@ struct HostTxnState {
     /// Collected once at admission; the 2PC vote addresses exactly these.
     participants: Vec<NodeId>,
     /// The participants of the lock-and-resolve round being sent (see
-    /// [`remote_homes`]); also the snapshot read path's scratch.
+    /// [`remote_homes`]).
     round: Vec<NodeId>,
 }
 
@@ -275,6 +275,93 @@ fn remote_homes<'a>(coordinator: NodeId, ops: impl IntoIterator<Item = &'a TxnOp
     }
 }
 
+/// The lock-free snapshot read path (read-only transactions), owned by the
+/// thread that runs it: a [`Worker`] keeps one for the read-only requests of
+/// its shares, and a client session keeps one to serve a node-local read on
+/// the caller's thread. Such a read takes no lock, cannot abort and crosses
+/// no wire, so nothing is gained by handing it to another thread.
+///
+/// It picks a snapshot timestamp at admission, announces it in its
+/// [`SnapshotSlot`] (so GC never reclaims a version it still needs), and
+/// reads each tuple's newest version at or below the snapshot — **zero
+/// lock-table interaction, zero 2PC, zero per-op allocations** (the one
+/// allocation is the per-transaction results vector, exactly like the
+/// locking path). Remote-home reads travel as one request per remote
+/// participant, all sent with the snapshot timestamp before the first
+/// read: one node round trip however many rows are remote.
+#[derive(Debug)]
+pub struct SnapshotReader {
+    /// Announces the snapshot of the read in flight to the version-chain GC.
+    slot: SnapshotSlot,
+    /// The remote participants of the read in flight (see [`remote_homes`]).
+    round: Vec<NodeId>,
+}
+
+impl SnapshotReader {
+    /// A reader with a slot of its own in `mvcc`'s snapshot registry; the
+    /// slot goes back to the registry when the reader is dropped.
+    pub fn new(mvcc: &MvccState) -> Self {
+        SnapshotReader { slot: mvcc.snapshots.register(), round: Vec::new() }
+    }
+
+    /// Reads `req` at one snapshot, coordinated by `node`.
+    ///
+    /// Returns `Ok(None)`, having recorded nothing, when the request is not
+    /// eligible: an operation is not a plain `Read`, or a tuple is offloaded
+    /// to a switch (its host row is stale while the switch owns it) — those
+    /// fall back to the locking path, still correct, just not lock-free.
+    pub fn try_read(
+        &mut self,
+        shared: &EngineShared,
+        node: NodeId,
+        req: &TxnRequest,
+        index: &HotSetIndex,
+        stats: &mut WorkerStats,
+    ) -> Result<Option<TxnOutcome>> {
+        for op in &req.ops {
+            let offloaded = shared.config.mode == SystemMode::P4db && index.is_hot(op.tuple);
+            if op.kind != OpKind::Read || offloaded {
+                return Ok(None);
+            }
+        }
+        let mut watch = Stopwatch::start();
+        let mut results = vec![0u64; req.ops.len()];
+        let snap = self.slot.begin(&shared.mvcc.clock);
+        remote_homes(node, &req.ops, &mut self.round);
+        if !self.round.is_empty() {
+            shared.latency.impose_node_round_trip(self.round.len());
+            stats.record_phase(Phase::RemoteAccess, watch.lap());
+        }
+        let mut run = Ok(());
+        for (i, op) in req.ops.iter().enumerate() {
+            let visible = match shared.node(op.home).peek(op.tuple) {
+                Ok(row) => row.and_then(|r| r.read_at(snap)),
+                Err(e) => {
+                    run = Err(e);
+                    break;
+                }
+            };
+            match visible {
+                Some(word) => results[i] = word,
+                None => {
+                    // No version at or below the snapshot: the row did not
+                    // exist (yet) in this transaction's consistent view —
+                    // the same error a locking read of a missing row raises.
+                    run = Err(Error::TupleNotFound(op.tuple));
+                    break;
+                }
+            }
+        }
+        // The slot is cleared on *every* exit, error paths included — a
+        // leaked announcement would pin the GC watermark forever.
+        self.slot.end();
+        stats.record_phase(Phase::LocalAccess, watch.lap());
+        run?;
+        stats.snapshot_reads += 1;
+        Ok(Some(TxnOutcome { class: TxnClass::Cold, results, gid: None, in_doubt: false, snapshot: Some(snap) }))
+    }
+}
+
 /// A per-thread handle into the transaction engine.
 pub struct Worker {
     shared: Arc<EngineShared>,
@@ -293,9 +380,8 @@ pub struct Worker {
     scratch_cold: Vec<usize>,
     /// The result buffer of [`Worker::execute`], a share of one.
     scratch_outcome: Vec<Result<TxnOutcome>>,
-    /// This worker's slot in the snapshot registry: announces the snapshot
-    /// of an in-flight read-only transaction to the version-chain GC.
-    snapshot_slot: SnapshotSlot,
+    /// The snapshot read path of this worker's read-only requests.
+    snapshot: SnapshotReader,
 }
 
 impl Worker {
@@ -303,7 +389,7 @@ impl Worker {
     pub fn new(shared: Arc<EngineShared>, node: NodeId, id: WorkerId) -> Self {
         let endpoint = EndpointId::Worker(node, id);
         let mailbox = shared.fabric.register(endpoint);
-        let snapshot_slot = shared.mvcc.snapshots.register();
+        let snapshot = SnapshotReader::new(&shared.mvcc);
         Worker {
             shared,
             node,
@@ -317,7 +403,7 @@ impl Worker {
             scratch_hot: Vec::new(),
             scratch_cold: Vec::new(),
             scratch_outcome: Vec::new(),
-            snapshot_slot,
+            snapshot,
         }
     }
 
@@ -440,7 +526,7 @@ impl Worker {
         // to a switch whose host row is therefore stale) falls through to
         // the locking path below.
         if req.read_only {
-            if let Some(ran) = self.try_execute_snapshot(req, index, stats).transpose() {
+            if let Some(ran) = self.snapshot.try_read(&self.shared, self.node, req, index, stats).transpose() {
                 return ran;
             }
         }
@@ -464,69 +550,6 @@ impl Worker {
         self.scratch_hot = hot;
         self.scratch_cold = cold;
         result
-    }
-
-    /// The lock-free snapshot read path (read-only transactions): picks a
-    /// snapshot timestamp at admission, announces it in the worker's
-    /// [`SnapshotSlot`] (so GC never reclaims a version it still needs), and
-    /// reads each tuple's newest version at or below the snapshot — **zero
-    /// lock-table interaction, zero 2PC, zero per-op allocations** (the one
-    /// allocation is the per-transaction results vector, exactly like the
-    /// locking path). Remote-home reads travel as one request per remote
-    /// participant, all sent with the snapshot timestamp before the first
-    /// read: one node round trip however many rows are remote.
-    ///
-    /// Returns `Ok(None)` when the request is not eligible: an operation is
-    /// not a plain `Read`, or a tuple is offloaded to a switch (its host row
-    /// is stale while the switch owns it) — those fall back to the locking
-    /// path, still correct, just not lock-free.
-    fn try_execute_snapshot(
-        &mut self,
-        req: &TxnRequest,
-        index: &HotSetIndex,
-        stats: &mut WorkerStats,
-    ) -> Result<Option<TxnOutcome>> {
-        for op in &req.ops {
-            let offloaded = self.shared.config.mode == SystemMode::P4db && index.is_hot(op.tuple);
-            if op.kind != OpKind::Read || offloaded {
-                return Ok(None);
-            }
-        }
-        let mut watch = Stopwatch::start();
-        let mut results = vec![0u64; req.ops.len()];
-        let snap = self.snapshot_slot.begin(&self.shared.mvcc.clock);
-        remote_homes(self.node, &req.ops, &mut self.scratch.round);
-        if !self.scratch.round.is_empty() {
-            self.shared.latency.impose_node_round_trip(self.scratch.round.len());
-            stats.record_phase(Phase::RemoteAccess, watch.lap());
-        }
-        let mut run = Ok(());
-        for (i, op) in req.ops.iter().enumerate() {
-            let visible = match self.shared.node(op.home).peek(op.tuple) {
-                Ok(row) => row.and_then(|r| r.read_at(snap)),
-                Err(e) => {
-                    run = Err(e);
-                    break;
-                }
-            };
-            match visible {
-                Some(word) => results[i] = word,
-                None => {
-                    // No version at or below the snapshot: the row did not
-                    // exist (yet) in this transaction's consistent view —
-                    // the same error a locking read of a missing row raises.
-                    run = Err(Error::TupleNotFound(op.tuple));
-                    break;
-                }
-            }
-        }
-        // The slot is cleared on *every* exit, error paths included — a
-        // leaked announcement would pin the GC watermark forever.
-        self.snapshot_slot.end();
-        stats.record_phase(Phase::LocalAccess, watch.lap());
-        run?;
-        stats.snapshot_reads += 1;
-        Ok(Some(TxnOutcome { class: TxnClass::Cold, results, gid: None, in_doubt: false, snapshot: Some(snap) }))
     }
 
     /// The one switch that owns every hot operation, or `None` for the

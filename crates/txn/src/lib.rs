@@ -16,7 +16,7 @@ pub mod request;
 pub mod switch_client;
 
 pub use builder::{Placement, Txn};
-pub use executor::{EngineConfig, EngineShared, Worker};
+pub use executor::{EngineConfig, EngineShared, SnapshotReader, Worker};
 pub use health::{BreakerState, InDoubtEntry, SwitchHealth};
 pub use hotset::{HotIndexCell, HotSetIndex};
 pub use p4db_storage::mvcc::MvccState;
