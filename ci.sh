@@ -36,6 +36,10 @@ cargo test --offline --release -q --test session_alloc
 echo "==> round-trip gate: one node round trip per participant, not per remote operation (4 remote ops = 2 RTTs and 4 messages, 2 participants asked concurrently, snapshot read = 1 RTT, remote NO_WAIT abort = 1 RTT with no lock leaked, Chiller late set = 1 more RTT)"
 cargo test --offline --release -q -p p4db-txn -p p4db-net -- round_trip participant
 
+echo "==> switch gate: the pipeline runs on the delivering thread (a frame is answered before its send returns, no frame is stranded behind a busy pipeline, a reply addressed to the switch itself is ignored, the fabric pumps on every delivery and on no undelivered message), the audit order and replies of a serial script match those recorded from the threaded engine, and the 1-switch vs 2-switch differential"
+cargo test --offline --release -q -p p4db-switch -p p4db-net -- a_frame_is_answered_before_its_send_returns no_frame_is_stranded_behind_a_busy_pipeline a_reply_addressed_to_the_switch_itself_is_ignored a_serial_script_keeps_its_audit_order_and_replies every_delivery_to_a_pumped_endpoint_runs_its_pump_after_queueing undelivered_messages_do_not_pump_and_released_ones_do
+cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
+
 echo "==> topology gate: 1-switch vs 2-switch differential on one workload (full 12x3 sweep runs in tier-1)"
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
 

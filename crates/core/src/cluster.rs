@@ -231,9 +231,13 @@ pub struct Cluster {
     /// *recaptured on every recovery / re-offload* of that switch, so
     /// recovery never replays against a stale placement map.
     offload_snapshots: Vec<HashMap<TupleId, u64>>,
-    /// Declared before `switches` so the executors drain and stop while the
-    /// switches are still alive (struct fields drop in declaration order).
+    /// Declared before `switches` so the executors — the threads that run
+    /// the switch pipelines when they send to them — drain and stop while
+    /// the switches are still alive (struct fields drop in declaration
+    /// order).
     pool: SubmissionPool,
+    /// One per switch. A switch has no thread: its pipeline runs on the
+    /// threads that deliver to it, and dropping its handle detaches it.
     switches: Vec<SwitchHandle>,
     control_planes: Vec<ControlPlane>,
     offloaded: usize,
@@ -557,9 +561,10 @@ impl Cluster {
     }
 
     /// Waits until every switch has gone quiet: no execution progress across
-    /// several consecutive polls (so a briefly descheduled switch thread or
-    /// a still-recirculating multi-pass packet is not mistaken for silence)
-    /// and no held-back messages. Returns `false` if a switch is still
+    /// several consecutive polls (so a pipeline still running on a briefly
+    /// descheduled sender's thread is not mistaken for silence) and no
+    /// held-back messages. Flushing the network delivers the held-back
+    /// messages, so their pipeline work runs on this thread. Returns `false` if a switch is still
     /// moving when `timeout` expires. Call after the chaos drivers stopped
     /// submitting (flushes the network first so stranded reordered packets
     /// get executed rather than lost).

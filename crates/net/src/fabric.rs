@@ -6,6 +6,12 @@
 //! worker's response port, and every node's 2PC control port are fabric
 //! endpoints.
 //!
+//! An endpoint registered with a [`Pump`] ([`Fabric::register_pumped`]) is
+//! served by whoever delivers to it: every delivery queues the message and
+//! then runs the pump on the delivering thread, outside the registry lock.
+//! The switch uses this to run its pipeline on the sender's thread instead
+//! of waking a thread of its own for every exchange.
+//!
 //! The fabric is also the chaos-testing injection point for network faults:
 //! when constructed with [`Fabric::with_faults`], every unicast send consults
 //! a seeded [`FaultInjector`] which may drop the message (the sender still
@@ -138,8 +144,19 @@ impl<M> Mailbox<M> {
     }
 }
 
+/// Serves a pumped endpoint's queue; runs on the delivering thread after
+/// every delivery to that endpoint.
+pub type Pump = Arc<dyn Fn() + Send + Sync>;
+
+/// One registered endpoint: its queue, plus the pump that serves it if it
+/// has one.
+struct Endpoint<M> {
+    tx: Sender<Envelope<M>>,
+    pump: Option<Pump>,
+}
+
 struct Registry<M> {
-    endpoints: HashMap<EndpointId, Sender<Envelope<M>>>,
+    endpoints: HashMap<EndpointId, Endpoint<M>>,
     /// Cached senders of every `EndpointId::Node(_)` endpoint, maintained by
     /// [`Fabric::register`], so the warm-decision multicast does not allocate
     /// (or filter the whole registry) on every call.
@@ -154,8 +171,8 @@ struct ChaosState<M> {
 }
 
 /// The fabric: a registry of endpoints plus the latency model. Cloning is
-/// cheap and shares the registry, so every worker and the switch thread hold
-/// their own handle.
+/// cheap and shares the registry, so every worker and every switch engine
+/// hold their own handle.
 pub struct Fabric<M> {
     registry: Arc<RwLock<Registry<M>>>,
     latency: LatencyModel,
@@ -231,9 +248,24 @@ impl<M> Fabric<M> {
     /// Panics if the endpoint is already registered — endpoint identity is a
     /// construction-time invariant of the cluster.
     pub fn register(&self, id: EndpointId) -> Mailbox<M> {
+        self.register_endpoint(id, None)
+    }
+
+    /// Registers an endpoint served by `pump`: every delivery to it — a
+    /// unicast, a frame, a released held-back message — runs `pump` on the
+    /// delivering thread once the message is queued. A message that is
+    /// dropped, blackholed or held back is not delivered and does not pump.
+    ///
+    /// # Panics
+    /// Panics if the endpoint is already registered.
+    pub fn register_pumped(&self, id: EndpointId, pump: Pump) -> Mailbox<M> {
+        self.register_endpoint(id, Some(pump))
+    }
+
+    fn register_endpoint(&self, id: EndpointId, pump: Option<Pump>) -> Mailbox<M> {
         let (tx, rx) = unbounded();
         let mut reg = unpoison(self.registry.write());
-        let prev = reg.endpoints.insert(id, tx.clone());
+        let prev = reg.endpoints.insert(id, Endpoint { tx: tx.clone(), pump });
         assert!(prev.is_none(), "endpoint {id} registered twice");
         // Keep the multicast cache in sync: registering a node endpoint is
         // the only event that can change the node sender set.
@@ -353,20 +385,32 @@ impl<M> Fabric<M> {
     }
 
     fn deliver(&self, src: EndpointId, dst: EndpointId, payload: M) -> bool {
-        let reg = unpoison(self.registry.read());
-        match reg.endpoints.get(&dst) {
-            Some(tx) => tx.send(Envelope::new(src, dst, payload)).is_ok(),
-            None => false,
-        }
+        self.deliver_with(dst, |tx| tx.send(Envelope::new(src, dst, payload)).is_ok())
     }
 
     /// Delivers a whole frame in one registry lookup + one channel operation.
     fn deliver_frame(&self, src: EndpointId, dst: EndpointId, payloads: Vec<M>) -> bool {
-        let reg = unpoison(self.registry.read());
-        match reg.endpoints.get(&dst) {
-            Some(tx) => tx.send_batch(payloads.into_iter().map(|p| Envelope::new(src, dst, p)).collect()).is_ok(),
-            None => false,
+        self.deliver_with(dst, |tx| {
+            tx.send_batch(payloads.into_iter().map(|p| Envelope::new(src, dst, p)).collect()).is_ok()
+        })
+    }
+
+    /// Looks `dst` up once, queues through `send`, and — if the message was
+    /// queued and the endpoint has a pump — runs the pump after the registry
+    /// lock is released (a pump sends too, and must not nest the lock).
+    fn deliver_with(&self, dst: EndpointId, send: impl FnOnce(&Sender<Envelope<M>>) -> bool) -> bool {
+        let pump = {
+            let reg = unpoison(self.registry.read());
+            let Some(endpoint) = reg.endpoints.get(&dst) else { return false };
+            if !send(&endpoint.tx) {
+                return false;
+            }
+            endpoint.pump.clone()
+        };
+        if let Some(pump) = pump {
+            pump();
         }
+        true
     }
 
     /// All currently registered endpoints (used by the switch multicast).
@@ -534,6 +578,81 @@ mod tests {
         }
         assert_eq!(mb.drain_batch(100).len(), 6);
         assert!(mb.drain_batch(100).is_empty());
+    }
+
+    /// One entry per pump run: `(messages queued at SW, registry unlocked)`.
+    type PumpLog = Arc<Mutex<Vec<(usize, bool)>>>;
+
+    /// Registers `SW` with a pump that records, on every run, how many
+    /// messages were queued at `SW` and whether it could take the registry's
+    /// write lock (it can only outside the registry lock).
+    fn pumped(f: &Fabric<u64>) -> (Mailbox<u64>, PumpLog) {
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let (fabric, log) = (f.clone(), Arc::clone(&runs));
+        let mb = f.register_pumped(
+            SW,
+            Arc::new(move || {
+                let unlocked = fabric.registry.try_write().is_ok();
+                let queued = fabric.registry.read().unwrap().endpoints[&SW].tx.len();
+                log.lock().unwrap().push((queued, unlocked));
+            }),
+        );
+        (mb, runs)
+    }
+
+    #[test]
+    fn every_delivery_to_a_pumped_endpoint_runs_its_pump_after_queueing() {
+        let f = fabric();
+        let (mb, runs) = pumped(&f);
+        let node = EndpointId::Node(NodeId(0));
+        let node_mb = f.register(node);
+        assert!(f.send(node, SW, 1));
+        assert!(f.send_frame(node, SW, vec![2, 3]));
+        assert!(f.send_no_latency(node, SW, 4));
+        assert_eq!(
+            *runs.lock().unwrap(),
+            vec![(1, true), (3, true), (4, true)],
+            "one run per delivery, message queued"
+        );
+        assert_eq!(mb.drain_batch(16).len(), 4);
+        // Traffic to other endpoints, and multicasts, never pump.
+        assert!(f.send(SW, node, 5));
+        assert_eq!(f.multicast_to_nodes(SW, 6), 1);
+        assert!(f.send_frame(node, SW, Vec::new()));
+        assert_eq!(runs.lock().unwrap().len(), 3);
+        assert_eq!(node_mb.drain_batch(16).len(), 2);
+    }
+
+    #[test]
+    fn undelivered_messages_do_not_pump_and_released_ones_do() {
+        let f = chaos_fabric(NetFaultConfig { reorder_prob: 1.0, max_faults: 2, ..NetFaultConfig::none() });
+        let (mb, runs) = pumped(&f);
+        let node = EndpointId::Node(NodeId(0));
+        let _n = f.register(node);
+        // Both held back: nothing delivered, no pump.
+        assert!(f.send(node, SW, 1));
+        assert!(f.send_frame(node, SW, vec![2, 3]));
+        assert!(runs.lock().unwrap().is_empty());
+        // The fresh message pumps, then each released one pumps again.
+        assert!(f.send(node, SW, 4));
+        assert_eq!(runs.lock().unwrap().iter().map(|r| r.0).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        assert_eq!(mb.drain_batch(16).iter().map(|e| e.payload).collect::<Vec<_>>(), vec![4, 1, 2, 3]);
+
+        let f = chaos_fabric(NetFaultConfig { reorder_prob: 1.0, max_faults: 1, ..NetFaultConfig::none() });
+        let (mb, runs) = pumped(&f);
+        let _n = f.register(node);
+        assert!(f.send(node, SW, 7));
+        assert!(runs.lock().unwrap().is_empty());
+        f.flush_faults();
+        assert_eq!(*runs.lock().unwrap(), vec![(1, true)], "flush_faults delivers, so it pumps");
+        assert_eq!(mb.try_recv().unwrap().payload, 7);
+
+        let f = chaos_fabric(NetFaultConfig { drop_prob: 1.0, max_faults: u64::MAX, ..NetFaultConfig::none() });
+        let (mb, runs) = pumped(&f);
+        let _n = f.register(node);
+        assert!(f.send(node, SW, 8));
+        assert!(f.send_frame(node, SW, vec![9]));
+        assert!(mb.is_empty() && runs.lock().unwrap().is_empty(), "a dropped message does not pump");
     }
 
     fn chaos_fabric(net: NetFaultConfig) -> Fabric<u64> {

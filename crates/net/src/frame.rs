@@ -5,10 +5,11 @@
 //! live here:
 //!
 //! * [`FrameBatcher`] — a per-destination accumulation buffer with a size
-//!   trigger (`batch_size`) and a flush deadline (`flush_after`), used by the
-//!   switch reply path and available to any fabric client. It never sends by
-//!   itself; it hands full frames back to the caller, which routes them
-//!   through [`crate::Fabric::send_frame_no_latency`].
+//!   trigger (`batch_size`), used by the switch reply path and available to
+//!   any fabric client. It never sends by itself; it hands full frames back
+//!   to the caller, which routes them through
+//!   [`crate::Fabric::send_frame_no_latency`], and the caller flushes the
+//!   partial ones when it runs out of work.
 //! * [`encode_frame`] / [`decode_frame_prefix`] — the versioned, checksummed
 //!   byte encoding a frame would have on a real wire. The simulator fabric
 //!   passes typed messages and does not need it to function, but the codec
@@ -22,30 +23,24 @@ use crate::message::Envelope;
 use p4db_common::{NodeId, SwitchId, WorkerId};
 use std::collections::HashMap;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // FrameBatcher
 // ---------------------------------------------------------------------------
 
 /// Accumulates payloads per destination and releases them as frames of up to
-/// `batch_size`, or whenever the oldest buffered payload exceeds the flush
-/// deadline. `batch_size <= 1` degenerates to pass-through: every push
-/// immediately returns a one-payload frame, reproducing unbatched behaviour
-/// exactly.
+/// `batch_size`; [`FrameBatcher::flush_all`] takes the partial ones.
+/// `batch_size <= 1` degenerates to pass-through: every push immediately
+/// returns a one-payload frame, reproducing unbatched behaviour exactly.
 #[derive(Debug)]
 pub struct FrameBatcher<M> {
     batch_size: usize,
-    flush_after: Duration,
     buffers: HashMap<EndpointId, Vec<M>>,
-    /// Instant of the oldest buffered payload (drives the flush deadline).
-    oldest: Option<Instant>,
-    buffered: usize,
 }
 
 impl<M> FrameBatcher<M> {
-    pub fn new(batch_size: usize, flush_after: Duration) -> Self {
-        FrameBatcher { batch_size: batch_size.max(1), flush_after, buffers: HashMap::new(), oldest: None, buffered: 0 }
+    pub fn new(batch_size: usize) -> Self {
+        FrameBatcher { batch_size: batch_size.max(1), buffers: HashMap::new() }
     }
 
     pub fn batch_size(&self) -> usize {
@@ -61,42 +56,13 @@ impl<M> FrameBatcher<M> {
         let buffer = self.buffers.entry(dst).or_default();
         buffer.push(payload);
         if buffer.len() >= self.batch_size {
-            let frame = std::mem::take(buffer);
-            self.buffered -= frame.len() - 1; // the payload just pushed was never counted
-            if self.buffered == 0 {
-                // Nothing left waiting: a stale deadline would force the
-                // *next* buffered payload out as a premature singleton frame.
-                // (With several destinations still buffered the timestamp
-                // stays — possibly older than their true oldest payload,
-                // which only ever flushes early, never late.)
-                self.oldest = None;
-            }
-            return Some((dst, frame));
-        }
-        self.buffered += 1;
-        if self.oldest.is_none() {
-            self.oldest = Some(Instant::now());
+            return Some((dst, std::mem::take(buffer)));
         }
         None
     }
 
-    /// Whether the oldest buffered payload has waited longer than the flush
-    /// deadline. Callers check this once per scheduling quantum.
-    pub fn deadline_expired(&self, now: Instant) -> bool {
-        match self.oldest {
-            Some(oldest) => now.duration_since(oldest) >= self.flush_after,
-            None => false,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buffered == 0
-    }
-
     /// Takes every partially filled frame, emptying the batcher.
     pub fn flush_all(&mut self) -> Vec<(EndpointId, Vec<M>)> {
-        self.oldest = None;
-        self.buffered = 0;
         let mut frames: Vec<(EndpointId, Vec<M>)> =
             self.buffers.drain().filter(|(_, frame)| !frame.is_empty()).collect();
         // Deterministic flush order keeps batched runs reproducible per seed.
@@ -321,51 +287,22 @@ mod tests {
 
     #[test]
     fn batcher_passthrough_at_batch_size_one() {
-        let mut b: FrameBatcher<u64> = FrameBatcher::new(1, Duration::from_micros(50));
+        let mut b: FrameBatcher<u64> = FrameBatcher::new(1);
         let dst = EndpointId::Node(NodeId(0));
         assert_eq!(b.push(dst, 7), Some((dst, vec![7])));
-        assert!(b.is_empty());
         assert!(b.flush_all().is_empty());
     }
 
     #[test]
     fn batcher_releases_full_frames_and_flushes_partials() {
-        let mut b: FrameBatcher<u64> = FrameBatcher::new(3, Duration::from_secs(10));
+        let mut b: FrameBatcher<u64> = FrameBatcher::new(3);
         let a = EndpointId::Node(NodeId(0));
         let c = EndpointId::Node(NodeId(1));
         assert_eq!(b.push(a, 1), None);
         assert_eq!(b.push(c, 10), None);
         assert_eq!(b.push(a, 2), None);
         assert_eq!(b.push(a, 3), Some((a, vec![1, 2, 3])));
-        assert!(!b.is_empty(), "c still has a partial frame");
-        assert_eq!(b.flush_all(), vec![(c, vec![10])]);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn full_frame_release_clears_the_deadline_when_batcher_empties() {
-        let mut b: FrameBatcher<u64> = FrameBatcher::new(2, Duration::from_millis(1));
-        let dst = EndpointId::Switch(SwitchId(0));
-        let t0 = Instant::now();
-        b.push(dst, 1);
-        assert!(b.push(dst, 2).is_some(), "second push completes the frame");
-        // Emptied by the full frame: no stale deadline may linger, and a
-        // fresh payload must start its own deadline rather than inherit one.
-        assert!(!b.deadline_expired(t0 + Duration::from_secs(10)));
-        b.push(dst, 3);
-        assert!(!b.deadline_expired(Instant::now()), "fresh payload inherited a stale deadline");
-    }
-
-    #[test]
-    fn batcher_deadline_tracks_the_oldest_payload() {
-        let mut b: FrameBatcher<u64> = FrameBatcher::new(8, Duration::from_millis(1));
-        let dst = EndpointId::Switch(SwitchId(0));
-        let now = Instant::now();
-        assert!(!b.deadline_expired(now));
-        b.push(dst, 1);
-        assert!(!b.deadline_expired(now), "deadline counts from the push");
-        assert!(b.deadline_expired(now + Duration::from_millis(5)));
-        b.flush_all();
-        assert!(!b.deadline_expired(now + Duration::from_secs(1)), "flushing clears the deadline");
+        assert_eq!(b.flush_all(), vec![(c, vec![10])], "c still had a partial frame");
+        assert!(b.flush_all().is_empty());
     }
 }

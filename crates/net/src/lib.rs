@@ -28,7 +28,7 @@ pub mod latency;
 pub mod message;
 
 pub use endpoint::EndpointId;
-pub use fabric::{BatchRecvOutcome, Fabric, Mailbox, RecvOutcome};
+pub use fabric::{BatchRecvOutcome, Fabric, Mailbox, Pump, RecvOutcome};
 pub use frame::{decode_frame, decode_frame_prefix, encode_frame, FrameBatcher, FrameCodecError};
 pub use latency::{LatencyModel, NetStats};
 pub use message::Envelope;

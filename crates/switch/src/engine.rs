@@ -14,6 +14,18 @@
 //! last pass completes. Transactions whose admission is blocked by a held
 //! lock are recirculated through the waiting port, incrementing the
 //! `nb_recircs` counter in their header.
+//!
+//! A switch has no thread of its own. Its ingress endpoint is registered on
+//! the fabric with a pump, so the pipeline runs on whichever thread delivers
+//! a packet to it. The pump is flat combining (Hendler, Incze, Shavit and
+//! Tzafrir, SPAA 2010): the thread that finds the pipeline free serves every
+//! packet queued at ingress, its own and everyone else's, until the switch is
+//! quiet, and flushes the replies before it lets go. A thread that finds the
+//! pipeline busy leaves its packet to the holder, which looks at ingress again
+//! after it lets go — so no packet is stranded, and no sender blocks on
+//! another sender's pipeline. The modelled costs do not change: the sender
+//! pays the ½ RTT to the switch before its packet arrives, and the pass
+//! latency is charged while the pipeline is held, so packets queue behind it.
 
 use crate::config::SwitchConfig;
 use crate::instruction::{plan_passes, InstrResult};
@@ -25,18 +37,12 @@ use crate::stats::{SwitchStats, SwitchStatsSnapshot};
 use p4db_common::simtime::wait_for;
 use p4db_common::sync::unpoison;
 use p4db_common::{GlobalTxnId, SwitchId, TxnId};
-use p4db_net::{BatchRecvOutcome, EndpointId, Fabric, FrameBatcher, Mailbox};
+use p4db_net::{EndpointId, Fabric, FrameBatcher, Mailbox, Pump};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Flush deadline for partially filled reply frames. The engine flushes at
-/// every quantum boundary anyway; the deadline bounds reply latency if a
-/// quantum ever stalls mid-burst.
-const REPLY_FLUSH_DEADLINE: Duration = Duration::from_micros(50);
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Duration;
 
 /// A packet currently inside the switch (being processed or recirculating).
 struct Inflight {
@@ -61,14 +67,15 @@ impl Inflight {
     }
 }
 
-/// Handle to a running switch. Dropping it shuts the pipeline thread down.
+/// Handle to a running switch. Dropping it shuts the switch down.
 pub struct SwitchHandle {
     stats: Arc<SwitchStats>,
     memory: Arc<RegisterMemory>,
     gid_counter: Arc<AtomicU64>,
     audit: Arc<Mutex<Vec<(TxnId, GlobalTxnId)>>>,
-    shutdown: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
+    /// The only strong reference: the fabric's pump holds a weak one, so
+    /// dropping the handle drops the ingress queue and later sends fail.
+    pipeline: Arc<Pipeline>,
 }
 
 impl SwitchHandle {
@@ -102,23 +109,17 @@ impl SwitchHandle {
         unpoison(self.audit.lock()).len()
     }
 
-    /// Stops the pipeline thread and waits for it to exit. Queued packets
-    /// that have not started execution are dropped.
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
-    }
-
-    fn shutdown_impl(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
+    /// Shuts the switch down: waits for a pump in progress to let go of the
+    /// pipeline, drops the engine and detaches the pump, so a later send to
+    /// the switch fails. Queued packets that have not started execution are
+    /// dropped.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for SwitchHandle {
     fn drop(&mut self) {
-        self.shutdown_impl();
+        let engine = unpoison(self.pipeline.engine.lock()).take();
+        drop(engine);
     }
 }
 
@@ -129,9 +130,9 @@ pub fn start_switch(config: SwitchConfig, memory: Arc<RegisterMemory>, fabric: F
 }
 
 /// Starts one switch data plane: registers its [`EndpointId::Switch`]
-/// endpoint on the fabric and spawns the pipeline thread. A multi-switch
-/// topology calls this once per switch, each with its own register memory;
-/// the engines share nothing but the fabric.
+/// endpoint on the fabric with the pump that runs the pipeline. A
+/// multi-switch topology calls this once per switch, each with its own
+/// register memory; the engines share nothing but the fabric.
 ///
 /// # Panics
 /// Panics if this switch's endpoint is already registered on the fabric.
@@ -144,36 +145,66 @@ pub fn start_switch_with_id(
     config.validate().expect("invalid switch configuration");
     assert_eq!(memory.config(), &config, "switch engine and memory must share a configuration");
     let endpoint = EndpointId::Switch(id);
-    let ingress = fabric.register(endpoint);
     let stats = Arc::new(SwitchStats::default());
     let gid_counter = Arc::new(AtomicU64::new(0));
     let audit = Arc::new(Mutex::new(Vec::new()));
-    let shutdown = Arc::new(AtomicBool::new(false));
 
     let engine = Engine {
         config,
         endpoint,
         memory: Arc::clone(&memory),
-        fabric,
-        ingress,
+        fabric: fabric.clone(),
         stats: Arc::clone(&stats),
         gid_counter: Arc::clone(&gid_counter),
         audit: Arc::clone(&audit),
-        shutdown: Arc::clone(&shutdown),
         locks: PipelineLocks::new(),
         lock_table: SwitchLockTable::new(),
         owner_queue: VecDeque::new(),
         waiting_queue: VecDeque::new(),
-        reply_batcher: FrameBatcher::new(config.batch_size as usize, REPLY_FLUSH_DEADLINE),
+        reply_batcher: FrameBatcher::new(config.batch_size as usize),
         audit_buf: Vec::new(),
         frame_pipelined: 0,
     };
-    let join = std::thread::Builder::new()
-        .name(format!("p4db-switch-pipeline-{}", id.0))
-        .spawn(move || engine.run())
-        .expect("failed to spawn switch pipeline thread");
+    let pipeline = Arc::new_cyclic(|pipeline: &Weak<Pipeline>| {
+        let pipeline = pipeline.clone();
+        let pump: Pump = Arc::new(move || {
+            if let Some(pipeline) = pipeline.upgrade() {
+                pipeline.pump();
+            }
+        });
+        Pipeline { ingress: fabric.register_pumped(endpoint, pump), engine: Mutex::new(Some(engine)) }
+    });
+    // Serve anything delivered before the pump could reach the pipeline.
+    pipeline.pump();
 
-    SwitchHandle { stats, memory, gid_counter, audit, shutdown, join: Some(join) }
+    SwitchHandle { stats, memory, gid_counter, audit, pipeline }
+}
+
+/// One switch: its ingress queue and its engine behind a mutex.
+struct Pipeline {
+    ingress: Mailbox<SwitchMessage>,
+    /// `None` once the switch is shut down.
+    engine: Mutex<Option<Engine>>,
+}
+
+impl Pipeline {
+    /// The flat-combining pump, run by every thread that delivers to the
+    /// switch once its message is queued. It never blocks: a busy pipeline is
+    /// left to its holder, which looks at ingress again after it lets go, so
+    /// a packet queued while it ran is served by it or by the next pump. A
+    /// pipeline poisoned by a panic mid-pass serves nobody, like a dead
+    /// switch.
+    fn pump(&self) {
+        loop {
+            let Ok(mut guard) = self.engine.try_lock() else { return };
+            let Some(engine) = guard.as_mut() else { return };
+            engine.run_until_quiet(&self.ingress);
+            drop(guard);
+            if self.ingress.is_empty() {
+                return;
+            }
+        }
+    }
 }
 
 struct Engine {
@@ -183,11 +214,9 @@ struct Engine {
     endpoint: EndpointId,
     memory: Arc<RegisterMemory>,
     fabric: Fabric<SwitchMessage>,
-    ingress: Mailbox<SwitchMessage>,
     stats: Arc<SwitchStats>,
     gid_counter: Arc<AtomicU64>,
     audit: Arc<Mutex<Vec<(TxnId, GlobalTxnId)>>>,
-    shutdown: Arc<AtomicBool>,
     locks: PipelineLocks,
     lock_table: SwitchLockTable,
     /// Recirculation port reserved for packets that own a pipeline lock
@@ -197,9 +226,9 @@ struct Engine {
     /// recirculation is disabled, also for lock owners between passes).
     waiting_queue: VecDeque<Inflight>,
     /// Egress frame batching for [`TxnReply`]s: replies accumulate per origin
-    /// and leave as one fabric frame when full, when the flush deadline
-    /// expires, or — at the latest — when the ingress queue runs dry and the
-    /// engine is about to block. Pass-through when `batch_size <= 1`.
+    /// and leave as one fabric frame when full or, at the latest, when the
+    /// switch goes quiet and the pump lets go of the pipeline. Pass-through
+    /// when `batch_size <= 1`.
     reply_batcher: FrameBatcher<SwitchMessage>,
     /// Audit entries of the current quantum, appended to the shared audit log
     /// in one lock acquisition per flush (order preserved).
@@ -211,75 +240,51 @@ struct Engine {
 }
 
 impl Engine {
-    fn run(mut self) {
-        let idle_wait = Duration::from_micros(200);
+    /// Runs the pipeline until the switch is quiet — both recirculation
+    /// ports and the ingress queue empty — then flushes every buffered reply
+    /// and audit entry, so nothing waits for a later pump.
+    fn run_until_quiet(&mut self, ingress: &Mailbox<SwitchMessage>) {
         let batch = self.config.batch_size.max(1) as usize;
         loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-
             // 1. Fast path: a lock owner recirculating between passes has the
             //    shortest queue and therefore the lowest waiting time (§5.3).
+            // 2. Waiting port: the first admissible waiting packet.
+            // 3. Ingress: the next frame off the wire — up to `batch_size`
+            //    packets in one channel operation. A waiting packet is only
+            //    ever blocked by a lock owner that is itself recirculating,
+            //    so an empty frame here means the switch is quiet.
             if let Some(pkt) = self.owner_queue.pop_front() {
                 self.execute_pass(pkt);
-                self.end_frame();
-                self.flush_if_due();
-                continue;
-            }
-
-            // 2. Waiting port: rotate until an admissible packet is found.
-            //    Every rotation of a blocked packet is one recirculation.
-            let mut admitted = false;
-            for _ in 0..self.waiting_queue.len() {
-                let mut pkt = match self.waiting_queue.pop_front() {
-                    Some(p) => p,
-                    None => break,
-                };
-                if self.try_admit(&mut pkt) {
-                    self.execute_pass(pkt);
-                    admitted = true;
+            } else if !self.admit_waiting() {
+                let frame = ingress.drain_batch(batch);
+                if frame.is_empty() {
+                    debug_assert!(self.waiting_queue.is_empty(), "a waiting packet outlived every lock owner");
                     break;
-                } else {
-                    pkt.txn.header.nb_recircs += 1;
-                    SwitchStats::bump(&self.stats.recirc_waiting);
-                    self.waiting_queue.push_back(pkt);
                 }
-            }
-            if admitted {
-                self.end_frame();
-                self.flush_if_due();
-                continue;
-            }
-
-            // 3. Ingress: pull the next frame off the wire — up to
-            //    `batch_size` packets in one channel operation. While a burst
-            //    lasts, the engine never blocks and partial reply frames wait
-            //    (bounded by the flush deadline) so they can fill; once the
-            //    queue runs dry, everything pending is flushed *before*
-            //    blocking, so an idle switch never sits on a reply. A timeout
-            //    just loops back around; a disconnect means the cluster is
-            //    being torn down and the shutdown flag will be observed
-            //    shortly.
-            let frame = self.ingress.drain_batch(batch);
-            if !frame.is_empty() {
                 for env in frame {
                     self.handle_ingress(env.payload);
                 }
-                self.end_frame();
-                self.flush_if_due();
-                continue;
             }
-            self.flush_pending();
-            if let BatchRecvOutcome::Frame(envs) = self.ingress.recv_batch_timeout(idle_wait, batch) {
-                for env in envs {
-                    self.handle_ingress(env.payload);
-                }
-                self.end_frame();
-                self.flush_if_due();
-            }
+            self.end_frame();
         }
         self.flush_pending();
+    }
+
+    /// Rotates the waiting port until an admissible packet is found and runs
+    /// its pass; every rotation of a blocked packet is one recirculation.
+    /// Returns whether a packet was admitted.
+    fn admit_waiting(&mut self) -> bool {
+        for _ in 0..self.waiting_queue.len() {
+            let Some(mut pkt) = self.waiting_queue.pop_front() else { break };
+            if self.try_admit(&mut pkt) {
+                self.execute_pass(pkt);
+                return true;
+            }
+            pkt.txn.header.nb_recircs += 1;
+            SwitchStats::bump(&self.stats.recirc_waiting);
+            self.waiting_queue.push_back(pkt);
+        }
+        false
     }
 
     /// Ends one ingress frame: the frame's single-pass packets traversed the
@@ -290,14 +295,6 @@ impl Engine {
                 wait_for(Duration::from_nanos(self.config.pass_latency_ns));
             }
             self.frame_pipelined = 0;
-        }
-    }
-
-    /// Flushes buffered replies and audit entries if the oldest buffered
-    /// reply has exceeded the flush deadline.
-    fn flush_if_due(&mut self) {
-        if !self.reply_batcher.is_empty() && self.reply_batcher.deadline_expired(Instant::now()) {
-            self.flush_pending();
         }
     }
 
@@ -839,6 +836,270 @@ mod tests {
         assert_eq!(reply.results.len(), 2);
         assert!(reply.recirculations >= 1);
         assert_eq!(rig.handle.stats().multi_pass, 1);
+    }
+
+    /// A reply as the script observes it: `(token, gid, result values,
+    /// recirculations)`.
+    type ScriptReply = (u64, u64, Vec<u64>, u32);
+
+    /// What a script run observes: every reply in arrival order, the audit
+    /// log as `(TxnId, GID)` pairs and the multicast decisions as `(token,
+    /// GID)` pairs.
+    type ScriptRun = (Vec<ScriptReply>, Vec<(u64, u64)>, Vec<(u64, u64)>);
+
+    /// One worker drives a fixed script through the switch: two hot
+    /// single-pass transactions in one frame; a frame holding a multi-pass
+    /// transaction (it recirculates through the owner port), a single-pass
+    /// packet that conflicts with its pipeline lock (it recirculates through
+    /// the waiting port) and one that does not; then a warm transaction
+    /// whose decision is multicast.
+    fn serial_script(config: SwitchConfig) -> ScriptRun {
+        let rig = rig(config);
+        let node = rig.fabric.register(EndpointId::Node(NodeId(0)));
+        let memory = rig.handle.memory();
+        memory.write(slot(1, 0, 4), 40);
+        memory.write(slot(0, 0, 5), 7);
+        memory.write(slot(3, 1, 6), 100);
+        let txn = |id: u64, instructions: Vec<Instruction>, edit: &dyn Fn(&mut TxnHeader)| {
+            let mut header = TxnHeader::new(rig.worker_ep, id);
+            header.txn_id = TxnId(id);
+            edit(&mut header);
+            SwitchMessage::Txn(SwitchTxn::new(header, instructions))
+        };
+        let mut replies = Vec::new();
+        let mut collect = |n: usize| {
+            for _ in 0..n {
+                match rig.worker.recv_timeout(Duration::from_secs(10)).msg().expect("switch reply").payload {
+                    SwitchMessage::TxnReply(r) => {
+                        replies.push((r.token, r.gid.0, r.results.iter().map(|x| x.value).collect(), r.recirculations))
+                    }
+                    other => panic!("unexpected message {other:?}"),
+                }
+            }
+        };
+
+        let hot = vec![
+            txn(1, vec![Instruction::add(slot(0, 0, 0), 3), Instruction::read(slot(1, 0, 4))], &|_| {}),
+            txn(2, vec![Instruction::add(slot(0, 0, 0), 4), Instruction::add(slot(2, 1, 1), 9)], &|_| {}),
+        ];
+        rig.fabric.send_frame(rig.worker_ep, SW, hot);
+        collect(2);
+
+        // Read stage 1, then add the value read into stage 0: two passes,
+        // both under the left pipeline lock.
+        let multi = vec![
+            txn(
+                3,
+                vec![Instruction::read(slot(1, 0, 4)), Instruction::with_operand_from(slot(0, 0, 5), OpCode::Add, 0)],
+                &|h| {
+                    h.is_multipass = true;
+                    h.locks = locks_for_stages([1u8, 0u8], &config);
+                },
+            ),
+            txn(4, vec![Instruction::add(slot(0, 0, 5), 1)], &|h| h.locks = locks_for_stages([0u8], &config)),
+            txn(5, vec![Instruction::add(slot(3, 1, 6), 2)], &|h| h.locks = locks_for_stages([3u8], &config)),
+        ];
+        rig.fabric.send_frame(rig.worker_ep, SW, multi);
+        collect(3);
+
+        let warm = txn(6, vec![Instruction::add(slot(0, 0, 0), 10), Instruction::read(slot(2, 1, 1))], &|h| {
+            h.multicast_decision = true
+        });
+        rig.fabric.send(rig.worker_ep, SW, warm);
+        collect(1);
+
+        let mut decisions = Vec::new();
+        while let Some(env) = node.try_recv() {
+            match env.payload {
+                SwitchMessage::WarmDecision(d) => decisions.push((d.token, d.gid.0)),
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+        let audit = rig.handle.audit_log().iter().map(|(t, g)| (t.0, g.0)).collect();
+        (replies, audit, decisions)
+    }
+
+    #[test]
+    fn a_serial_script_keeps_its_audit_order_and_replies() {
+        // Recorded from the engine when it still ran on a pipeline thread of
+        // its own; running it inline must leave the schedule byte-identical.
+        // Batched, the conflicting packet (4) waits while the unrelated one
+        // (5) overtakes the multi-pass transaction (3) inside their frame.
+        let batched = serial_script(SwitchConfig { batch_size: 16, ..SwitchConfig::tiny() });
+        assert_eq!(
+            batched.0,
+            vec![
+                (1, 0, vec![3, 40], 0),
+                (2, 1, vec![7, 9], 0),
+                (5, 2, vec![102], 0),
+                (3, 3, vec![40, 47], 1),
+                (4, 4, vec![48], 1),
+                (6, 5, vec![17, 9], 0),
+            ]
+        );
+        assert_eq!(batched.1, vec![(1, 0), (2, 1), (5, 2), (3, 3), (4, 4), (6, 5)]);
+        assert_eq!(batched.2, vec![(6, 5)]);
+
+        // Unbatched, every packet is its own quantum: the multi-pass
+        // transaction finishes before the next packet is admitted.
+        let unbatched = serial_script(SwitchConfig { batch_size: 1, ..SwitchConfig::tiny() });
+        assert_eq!(
+            unbatched.0,
+            vec![
+                (1, 0, vec![3, 40], 0),
+                (2, 1, vec![7, 9], 0),
+                (3, 2, vec![40, 47], 1),
+                (4, 3, vec![48], 0),
+                (5, 4, vec![102], 0),
+                (6, 5, vec![17, 9], 0),
+            ]
+        );
+        assert_eq!(unbatched.1, vec![(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5)]);
+        assert_eq!(unbatched.2, vec![(6, 5)]);
+    }
+
+    #[test]
+    fn a_frame_is_answered_before_its_send_returns() {
+        // The pipeline runs on the sending thread: by the time the send
+        // returns, every reply is already in the worker's mailbox.
+        for batch_size in [1, 16] {
+            let rig = rig(SwitchConfig { batch_size, ..SwitchConfig::tiny() });
+            let frame = (0..4u64)
+                .map(|i| {
+                    SwitchMessage::Txn(SwitchTxn::new(
+                        TxnHeader::new(rig.worker_ep, i),
+                        vec![Instruction::add(slot(0, 0, 0), 1)],
+                    ))
+                })
+                .collect();
+            assert!(rig.fabric.send_frame(rig.worker_ep, SW, frame));
+            let tokens: Vec<u64> = std::iter::from_fn(|| rig.worker.try_recv())
+                .map(|env| match env.payload {
+                    SwitchMessage::TxnReply(r) => r.token,
+                    other => panic!("unexpected message {other:?}"),
+                })
+                .collect();
+            assert_eq!(tokens, vec![0, 1, 2, 3], "batch {batch_size}");
+
+            let txn = SwitchTxn::new(TxnHeader::new(rig.worker_ep, 9), vec![Instruction::read(slot(0, 0, 0))]);
+            assert!(rig.fabric.send(rig.worker_ep, SW, SwitchMessage::Txn(txn)));
+            match rig.worker.try_recv().expect("reply queued before the send returned").payload {
+                SwitchMessage::TxnReply(r) => assert_eq!((r.token, r.results[0].value), (9, 4)),
+                other => panic!("unexpected message {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn no_frame_is_stranded_behind_a_busy_pipeline() {
+        // Eight senders race for one pipeline that holds each pass for a
+        // while, so most deliveries find it busy and leave their frame to
+        // the holder. Every frame must still be answered, and the schedule
+        // must be serial: dense audit GIDs, and replies and registers equal
+        // to a replay of the audit order.
+        for batch_size in [1, 16] {
+            let config = SwitchConfig { batch_size, pass_latency_ns: 20_000, ..SwitchConfig::tiny() };
+            let fabric = Fabric::new(LatencyModel::new(LatencyConfig::zero()));
+            let handle = start_switch(config, Arc::new(RegisterMemory::new(config)), fabric.clone());
+            let (clients, rounds) = (8u16, 12u64);
+            let joins: Vec<_> = (0..clients)
+                .map(|c| {
+                    let fabric = fabric.clone();
+                    std::thread::spawn(move || {
+                        let ep = EndpointId::Worker(NodeId(0), WorkerId(c));
+                        let mb = fabric.register(ep);
+                        let lane = (c % 4) as u32;
+                        let mut sent = Vec::new();
+                        let mut replies = Vec::new();
+                        for r in 0..rounds {
+                            // Token and TxnId are the same unique number.
+                            let header = |k: u64, stages: &[u8]| {
+                                let id = c as u64 * 1_000 + r * 3 + k + 1;
+                                let mut header = TxnHeader::new(ep, id);
+                                header.txn_id = TxnId(id);
+                                header.is_multipass = stages.len() > 1;
+                                header.locks = locks_for_stages(stages.iter().copied(), &config);
+                                header
+                            };
+                            let frame = [
+                                SwitchTxn::new(header(0, &[2]), vec![Instruction::add(slot(2, 0, lane), c as i64 + 1)]),
+                                SwitchTxn::new(
+                                    header(1, &[2, 0]),
+                                    vec![
+                                        Instruction::read(slot(2, 0, (lane + 1) % 4)),
+                                        Instruction::with_operand_from(slot(0, 0, lane), OpCode::Add, 0),
+                                    ],
+                                ),
+                                SwitchTxn::new(
+                                    header(2, &[1]),
+                                    vec![Instruction::new(slot(1, 1, 0), OpCode::Write, c as u64 * 1_000 + r)],
+                                ),
+                            ];
+                            let n = frame.len();
+                            sent.extend(frame.iter().cloned());
+                            assert!(fabric.send_frame(ep, SW, frame.into_iter().map(SwitchMessage::Txn).collect()));
+                            for _ in 0..n {
+                                match mb.recv_timeout(Duration::from_secs(10)).msg().expect("stranded frame").payload {
+                                    SwitchMessage::TxnReply(r) => replies.push(r),
+                                    other => panic!("unexpected {other:?}"),
+                                }
+                            }
+                        }
+                        (sent, replies)
+                    })
+                })
+                .collect();
+            let mut sent = std::collections::HashMap::new();
+            let mut replies = std::collections::HashMap::new();
+            for join in joins {
+                let (txns, rs) = join.join().unwrap();
+                sent.extend(txns.into_iter().map(|t| (t.header.txn_id, t)));
+                replies.extend(rs.into_iter().map(|r| (TxnId(r.token), r)));
+            }
+
+            let audit = handle.audit_log();
+            assert_eq!(audit.len(), sent.len(), "batch {batch_size}");
+            assert!(audit.iter().enumerate().all(|(i, (_, gid))| gid.0 == i as u64), "audit GIDs must be dense");
+            let replay = RegisterMemory::new(config);
+            for (txn_id, gid) in &audit {
+                let txn = &sent[txn_id];
+                let mut results: Vec<InstrResult> = Vec::new();
+                for instr in &txn.instructions {
+                    let operand = instr.operand_from.map_or(instr.operand, |src| results[src as usize].value);
+                    results.push(replay.execute_resolved(instr, operand));
+                }
+                let reply = &replies[txn_id];
+                assert_eq!(reply.gid, *gid);
+                assert_eq!(reply.results, results, "{txn_id:?} saw a non-serial schedule");
+            }
+            for (stage, array, index) in (0..4).map(|i| (0, 0, i)).chain((0..4).map(|i| (2, 0, i))).chain([(1, 1, 0)]) {
+                let at = slot(stage, array, index);
+                assert_eq!(handle.memory().read(at), replay.read(at), "register {at:?}");
+            }
+            handle.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_reply_addressed_to_the_switch_itself_is_ignored() {
+        // A transaction whose origin is the switch's own endpoint makes the
+        // pipeline send its reply to itself while it holds itself: the send
+        // must return, and the switch must go on serving.
+        for batch_size in [1, 16] {
+            let rig = rig(SwitchConfig { batch_size, ..SwitchConfig::tiny() });
+            let (fabric, worker_ep) = (rig.fabric.clone(), rig.worker_ep);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let txn = SwitchTxn::new(TxnHeader::new(SW, 1), vec![Instruction::add(slot(0, 0, 0), 1)]);
+                done_tx.send(fabric.send(worker_ep, SW, SwitchMessage::Txn(txn))).unwrap();
+            });
+            assert_eq!(done_rx.recv_timeout(Duration::from_secs(10)), Ok(true), "send to the switch hung");
+            assert!(rig.worker.try_recv().is_none(), "the misaddressed reply reached no worker");
+            let txn = SwitchTxn::new(TxnHeader::new(rig.worker_ep, 2), vec![Instruction::read(slot(0, 0, 0))]);
+            let reply = send_and_wait(&rig, txn);
+            assert_eq!((reply.token, reply.gid.0, reply.results[0].value), (2, 1, 1));
+            assert_eq!(rig.handle.stats().txns_executed, 2);
+        }
     }
 
     #[test]

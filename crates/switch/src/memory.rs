@@ -1,10 +1,10 @@
 //! The switch's stateful memory: register arrays partitioned over MAU stages.
 //!
 //! Cells are `AtomicU64` so that the control plane (offload, recovery,
-//! snapshots) can inspect memory while the pipeline thread owns the data
-//! path; during normal processing the pipeline thread is the only writer, so
-//! all accesses use relaxed ordering and there is no cross-thread contention
-//! on the hot path.
+//! snapshots) can inspect memory while the engine owns the data path; during
+//! normal processing the engine is the only writer — whichever thread runs
+//! the pipeline holds it exclusively — so all accesses use relaxed ordering
+//! and there is no cross-thread contention on the hot path.
 
 use crate::config::SwitchConfig;
 use crate::instruction::{apply_op, InstrResult, Instruction, RegisterSlot};
@@ -70,7 +70,7 @@ impl RegisterMemory {
 
     /// Executes one instruction against its register cell and returns the
     /// result reported to the issuing node. This is the data-path operation;
-    /// the pipeline thread is its only caller during normal operation.
+    /// the engine is its only caller during normal operation.
     ///
     /// Operand forwarding (`operand_from`) is resolved by the caller (the
     /// pipeline engine), which passes the effective operand via

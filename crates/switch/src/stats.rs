@@ -2,8 +2,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters maintained by the pipeline thread. Shared via `Arc` so the
-/// experiment driver and tests can observe them while the switch runs.
+/// Counters maintained by the engine, on whichever thread runs the pipeline.
+/// Shared via `Arc` so the experiment driver and tests can observe them while
+/// the switch runs.
 #[derive(Debug, Default)]
 pub struct SwitchStats {
     /// Transactions executed to completion.
