@@ -1004,9 +1004,10 @@ mod tests {
         let cluster = small_cluster();
         let mut session = cluster.session(NodeId(0)).unwrap();
         session.set_max_attempts(16);
-        let locks = cluster.shared().nodes[0].locks();
+        let node = &cluster.shared().nodes[0];
+        let locks = node.locks();
         let holder = TxnId::compose(1, NodeId(0), WorkerId(u16::MAX));
-        locks.acquire(holder, t(7), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let grant = node.admit(holder, t(7), LockMode::Exclusive, CcScheme::NoWait).unwrap();
         let held = locks.acquisition_count();
         let pending = session.submit(&Txn::new().add(t(7), 1)).unwrap();
         // The clock starts at the job's first denied attempt. Even with the
@@ -1016,7 +1017,7 @@ mod tests {
             std::thread::yield_now();
         }
         p4db_common::simtime::spin_for(Duration::from_micros(300));
-        locks.release(holder, t(7));
+        node.release(holder, &grant);
         session.wait(pending).expect("a lock released 300 µs after the first conflict is within a budget of 16");
         assert!(session.stats().retry_rounds > 0);
     }
@@ -1046,9 +1047,9 @@ mod tests {
         let cluster =
             Cluster::builder(ycsb()).test_profile().workers(1).mode(SystemMode::NoSwitch).latency(slow_rack()).build();
         let mut session = cluster.session(NodeId(0)).unwrap();
-        let locks = cluster.shared().nodes[0].locks();
+        let node = &cluster.shared().nodes[0];
         let holder = TxnId::compose(1, NodeId(0), WorkerId(u16::MAX));
-        locks.acquire(holder, t(7), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let grant = node.admit(holder, t(7), LockMode::Exclusive, CcScheme::NoWait).unwrap();
         let released = AtomicBool::new(false);
         let (release_tx, release_rx) = unbounded::<()>();
         std::thread::scope(|scope| {
@@ -1057,7 +1058,7 @@ mod tests {
             scope.spawn(|| {
                 let _ = release_rx.recv_timeout(Duration::from_secs(2));
                 released.store(true, AtomicOrdering::SeqCst);
-                locks.release(holder, t(7));
+                node.release(holder, &grant);
             });
             // Park the executor on a remote read (taken alone), then queue
             // A and B behind it so they drain as one share.
@@ -1170,9 +1171,9 @@ mod tests {
     /// meanwhile stays queued, and a reply filed meanwhile was filed by
     /// somebody else.
     fn with_the_executor_held(cluster: &Cluster, session: &mut Session, row: TupleId, body: impl FnOnce(&mut Session)) {
-        let locks = cluster.shared().nodes[session.node().index()].locks();
+        let node = &cluster.shared().nodes[session.node().index()];
         let holder = TxnId::compose(1, session.node(), WorkerId(u16::MAX));
-        locks.acquire(holder, row, LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let grant = node.admit(holder, row, LockMode::Exclusive, CcScheme::NoWait).unwrap();
         session.set_max_attempts(u32::MAX);
         let held = session.submit(&Txn::new().add(row, 1)).unwrap();
         while !session.submit.is_empty() {
@@ -1181,7 +1182,7 @@ mod tests {
         // A failed assertion must still release the row: the executor
         // would otherwise retry forever and the cluster's drop would hang.
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(session)));
-        locks.release(holder, row);
+        node.release(holder, &grant);
         if let Err(panic) = ran {
             std::panic::resume_unwind(panic);
         }

@@ -1,8 +1,9 @@
 //! # p4db-storage
 //!
 //! Host-side storage of the shared-nothing distributed DBMS that P4DB is
-//! integrated into (§6): per-node in-memory tables, the row-granularity 2PL
-//! lock manager with the NO_WAIT and WAIT_DIE deadlock-prevention variants,
+//! integrated into (§6): per-node in-memory tables, row-granularity 2PL
+//! locks (each held in its row) with the NO_WAIT and WAIT_DIE
+//! deadlock-prevention variants,
 //! secondary indexes, the per-node write-ahead log with the switch-GID
 //! protocol, and the recovery procedures for both switch state and node
 //! state.
@@ -19,9 +20,9 @@ pub mod wal;
 
 pub use checkpoint::{decode_checkpoint, take_fuzzy_checkpoint, Checkpoint, CheckpointStore, ShardRows};
 pub use index::SecondaryIndex;
-pub use locks::{LockMode, LockTable, LockWaitStats};
+pub use locks::{LockMode, LockTable, LockWaitStats, RowLock};
 pub use mvcc::{CommitClock, MvccState, SnapshotRegistry, SnapshotSlot, IDLE_SNAPSHOT};
-pub use node::NodeStorage;
+pub use node::{Grant, NodeStorage};
 pub use recovery::{
     recover_cold_records, recover_cold_state, recover_switch_state, replay_logged_op, replay_logged_txn,
     LoggedOpEffect, SwitchRecoveryOutcome,

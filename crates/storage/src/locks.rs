@@ -1,4 +1,4 @@
-//! The row-granularity 2PL lock manager of the host DBMS.
+//! The row-granularity 2PL locks of the host DBMS.
 //!
 //! Two deadlock-prevention variants are implemented, matching §7.1:
 //!
@@ -9,22 +9,28 @@
 //!   ("dies"). Waiting is deadlock-free because waits only ever go from older
 //!   to younger transactions.
 //!
-//! The table is sharded by tuple hash so that unrelated lock requests never
-//! contend on the same mutex; contention on the *same* tuple (the hot set) is
-//! exactly the effect the paper measures. The shard hash is
-//! [`TupleId::mix`] — the same value the sharded row store uses — so the
-//! admission path of the transaction engine computes it once per tuple and
-//! feeds both structures ([`LockTable::acquire_prehashed`]).
+//! **The lock lives in the row.** The lock of a key that has a row is that
+//! row's [`RowLock`]: one word, changed by a single CAS, as main-memory
+//! engines keep a tuple's lock in the tuple's header. Admission already
+//! resolves each tuple's row, so locking it costs no second probe and no
+//! allocation, and releasing it is one atomic step through the handle the
+//! transaction kept.
+//!
+//! The [`LockTable`]'s sharded map is left with one job: keys that have no
+//! row yet, i.e. inserts. It is sharded by [`TupleId::mix`] — the same value
+//! the sharded row store uses — so unrelated requests never contend on the
+//! same mutex. Both kinds of lock are taken through the node's one
+//! `LockTable`, which counts every acquisition and folds every wait into
+//! [`LockTable::wait_stats`].
 //!
 //! Waiting (WAIT_DIE only) uses bounded exponential backoff: short spin
 //! bursts that double up to a cap, then `yield_now`, so an older waiter
-//! neither hammers the shard mutex nor burns a full core while a lock-hold
-//! of microseconds drains. Cumulative wait time is recorded per node
-//! ([`LockTable::wait_stats`]) for the perf pipeline.
+//! neither hammers a shard mutex or a row's cache line nor burns a full core
+//! while a lock-hold of microseconds drains.
 
 use p4db_common::hash::FastBuildHasher;
 use p4db_common::sync::unpoison;
-use p4db_common::{CcScheme, Error, Result, TupleId, TxnId};
+use p4db_common::{CcScheme, Error, NodeId, Result, TupleId, TxnId, WorkerId};
 use std::collections::HashMap;
 use std::hint;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,18 +50,132 @@ pub enum LockMode {
     Exclusive,
 }
 
+// The bits of a `RowLock` word, high to low: exclusive, retired, a 14-bit
+// shared count, and the 48-bit WAIT_DIE age of the oldest owner since the
+// lock was last free.
+const EXCLUSIVE: u64 = 1 << 63;
+const RETIRED: u64 = 1 << 62;
+const SHARED_ONE: u64 = 1 << 48;
+const SHARED_MASK: u64 = ((1 << 14) - 1) * SHARED_ONE;
+const AGE_MASK: u64 = SHARED_ONE - 1;
+
+/// The WAIT_DIE age of `txn` in 48 bits: its sequence, then the low bytes of
+/// its node and worker. Ages order exactly like [`TxnId::is_older_than`]
+/// while node and worker ids stay below 256; beyond that two transactions
+/// can share an age, and an equal age dies rather than waits, so waits still
+/// cannot form a cycle.
+fn age(txn: TxnId) -> u64 {
+    ((txn.sequence() as u64) << 16) | ((txn.node().0 as u64 & 0xff) << 8) | (txn.worker().0 as u64 & 0xff)
+}
+
+/// The transaction an age was taken from (exact while node and worker ids
+/// stay below 256), for the abort it reports.
+fn owner_of(age: u64) -> TxnId {
+    TxnId::compose((age >> 16) as u32, NodeId((age >> 8) as u16 & 0xff), WorkerId(age as u16 & 0xff))
+}
+
+/// The 2PL lock of one row, held in the row: an exclusive bit, a retired
+/// bit, a shared count and the WAIT_DIE age of the oldest owner since the
+/// lock was last free, in one word that every acquisition changes by a
+/// single CAS. It has no owner list: a transaction locks each row once, in
+/// the strongest mode it needs, and releases it through the mode it was
+/// granted, so it never re-enters or upgrades a row lock.
+///
+/// A **retired** row has left its table — replaced by an insert over its
+/// key, or removed by an aborted insert. Acquiring it is a lock conflict:
+/// the requester aborts, and its retry resolves the key again.
+///
+/// Orderings: a granting CAS is `Acquire` and a release is `Release`, so
+/// what one holder wrote under the lock happens-before the next holder's
+/// grant; `retire` is `Release` and every probe loads with `Acquire`.
+#[derive(Debug, Default)]
+pub struct RowLock(AtomicU64);
+
+/// What one probe of a lock found.
+enum Probe {
+    Granted,
+    /// Held in a conflicting mode; `may_wait` when the requester is older
+    /// than every owner.
+    Held {
+        owner: TxnId,
+        may_wait: bool,
+    },
+    /// Never grantable as it stands: a retired row, or a saturated shared
+    /// count.
+    Unavailable,
+}
+
+impl RowLock {
+    /// A lock held exclusively by `txn` from the start: the lock of a row
+    /// that `txn` inserts, so no rival can lock the row before `txn` ends.
+    pub(crate) fn held_by(txn: TxnId) -> Self {
+        RowLock(AtomicU64::new(EXCLUSIVE | age(txn)))
+    }
+
+    fn try_acquire(&self, txn: TxnId, mode: LockMode) -> Probe {
+        let age = age(txn);
+        let mut word = self.0.load(Ordering::Acquire);
+        loop {
+            if word & RETIRED != 0 {
+                return Probe::Unavailable;
+            }
+            let next = if word & (EXCLUSIVE | SHARED_MASK) == 0 {
+                age | if mode == LockMode::Exclusive { EXCLUSIVE } else { SHARED_ONE }
+            } else if mode == LockMode::Shared && word & EXCLUSIVE == 0 {
+                if word & SHARED_MASK == SHARED_MASK {
+                    return Probe::Unavailable;
+                }
+                ((word & !AGE_MASK) + SHARED_ONE) | (word & AGE_MASK).min(age)
+            } else {
+                let oldest = word & AGE_MASK;
+                return Probe::Held { owner: owner_of(oldest), may_wait: age < oldest };
+            };
+            match self.0.compare_exchange_weak(word, next, Ordering::Acquire, Ordering::Acquire) {
+                Ok(_) => return Probe::Granted,
+                Err(now) => word = now,
+            }
+        }
+    }
+
+    /// Gives back one hold granted in `mode`, in one atomic step. A retired
+    /// lock stays retired.
+    pub fn release(&self, mode: LockMode) {
+        match mode {
+            LockMode::Exclusive => self.0.fetch_and(RETIRED, Ordering::Release),
+            LockMode::Shared => self.0.fetch_sub(SHARED_ONE, Ordering::Release),
+        };
+    }
+
+    /// Marks the row as gone from its table: every later acquisition is a
+    /// conflict. Current holders keep their hold until they release it.
+    pub(crate) fn retire(&self) {
+        self.0.fetch_or(RETIRED, Ordering::Release);
+    }
+
+    /// Whether any transaction holds the lock.
+    pub fn is_locked(&self) -> bool {
+        self.0.load(Ordering::Acquire) & (EXCLUSIVE | SHARED_MASK) != 0
+    }
+
+    /// Whether the row has left its table (see [`RowLock::retire`]).
+    #[cfg(test)]
+    fn is_retired(&self) -> bool {
+        self.0.load(Ordering::Acquire) & RETIRED != 0
+    }
+}
+
 #[derive(Debug)]
 struct LockEntry {
     mode: LockMode,
     owners: Vec<TxnId>,
 }
 
-/// Cumulative waiting behaviour of one node's lock table.
+/// Cumulative waiting behaviour of one node's locks.
 ///
 /// **Accounting contract** (pinned by `wait_accounting_counts_once_per_
 /// contended_acquisition`): one *acquisition* is one `acquire` /
-/// `acquire_prehashed` call, and it targets exactly **one** tuple in exactly
-/// **one** shard (`mix(tuple) & (SHARDS-1)`) — a multi-tuple footprint is
+/// `acquire_prehashed` / `acquire_row` call, and it targets exactly **one**
+/// lock — a row's, or one key in one shard — so a multi-tuple footprint is
 /// multiple acquisitions, each with its own wait clock. Per acquisition the
 /// clock starts lazily at the acquisition's *first* conflict and stops when
 /// the acquisition resolves (grant, WAIT_DIE death after a wait, or
@@ -80,7 +200,8 @@ impl LockWaitStats {
 
 type ShardMap = HashMap<TupleId, LockEntry, FastBuildHasher>;
 
-/// The per-node lock table.
+/// The per-node lock table: the entry point of every lock acquisition, and
+/// the map that locks keys without a row.
 #[derive(Debug)]
 pub struct LockTable {
     shards: Box<[Mutex<ShardMap>]>,
@@ -91,10 +212,10 @@ pub struct LockTable {
     /// Cumulative WAIT_DIE waiting, for the node-stats surface.
     waits: AtomicU64,
     waited_ns: AtomicU64,
-    /// Total `acquire`/`acquire_prehashed` calls, contended or not. The
-    /// snapshot read path's "zero lock-table interaction" claim is asserted
-    /// against this counter (it is deliberately *not* part of
-    /// [`LockWaitStats`], which only describes waiting).
+    /// Total acquisitions, of keys and rows, contended or not. The snapshot
+    /// read path's "zero lock interaction" claim is asserted against this
+    /// counter (it is deliberately *not* part of [`LockWaitStats`], which
+    /// only describes waiting).
     acquisitions: AtomicU64,
 }
 
@@ -127,9 +248,9 @@ impl LockTable {
         self
     }
 
-    /// Total number of lock acquisitions attempted since construction
-    /// (each `acquire`/`acquire_prehashed` call counts once, whatever its
-    /// outcome). Read-only snapshot transactions must leave this unchanged.
+    /// Total number of lock acquisitions attempted since construction, of
+    /// keys and rows alike (each call counts once, whatever its outcome).
+    /// Read-only snapshot transactions must leave this unchanged.
     pub fn acquisition_count(&self) -> u64 {
         self.acquisitions.load(Ordering::Relaxed)
     }
@@ -143,10 +264,10 @@ impl LockTable {
         }
     }
 
-    /// Attempts to acquire `tuple` in `mode` for `txn` under the given
-    /// concurrency-control scheme. Re-acquisition by the same transaction is
-    /// idempotent (upgrades from shared to exclusive are treated as a
-    /// conflict with other shared owners, as in standard 2PL).
+    /// Attempts to lock the key `tuple` in the map, in `mode`, for `txn`
+    /// under the given concurrency-control scheme. Re-acquisition by the
+    /// same transaction is idempotent (upgrades from shared to exclusive are
+    /// treated as a conflict with other shared owners, as in standard 2PL).
     pub fn acquire(&self, txn: TxnId, tuple: TupleId, mode: LockMode, scheme: CcScheme) -> Result<()> {
         self.acquire_prehashed(tuple.mix(), txn, tuple, mode, scheme)
     }
@@ -162,68 +283,73 @@ impl LockTable {
         mode: LockMode,
         scheme: CcScheme,
     ) -> Result<()> {
+        self.acquire_with(tuple, scheme, || {
+            let mut shard = unpoison(self.shard(hash).lock());
+            let Some(entry) = shard.get_mut(&tuple) else {
+                shard.insert(tuple, LockEntry { mode, owners: vec![txn] });
+                return Probe::Granted;
+            };
+            if entry.owners.contains(&txn) {
+                if entry.mode == LockMode::Exclusive || mode == LockMode::Shared {
+                    // Already held in a sufficient mode.
+                    return Probe::Granted;
+                }
+                if entry.owners.len() == 1 {
+                    // Sole shared owner upgrading to exclusive.
+                    entry.mode = LockMode::Exclusive;
+                    return Probe::Granted;
+                }
+            } else if entry.mode == LockMode::Shared && mode == LockMode::Shared {
+                entry.owners.push(txn);
+                return Probe::Granted;
+            }
+            let owner = entry.owners.iter().copied().filter(|o| *o != txn).min().unwrap_or(txn);
+            Probe::Held { owner, may_wait: txn.is_older_than(owner) }
+        })
+    }
+
+    /// Attempts to lock a row through its [`RowLock`] — `tuple` names the
+    /// row in the abort a conflict reports. A retired row, or a shared
+    /// count at its limit, is a lock conflict under both schemes.
+    pub fn acquire_row(
+        &self,
+        lock: &RowLock,
+        txn: TxnId,
+        tuple: TupleId,
+        mode: LockMode,
+        scheme: CcScheme,
+    ) -> Result<()> {
+        self.acquire_with(tuple, scheme, || lock.try_acquire(txn, mode))
+    }
+
+    /// One acquisition: probes until granted, or until the scheme says to
+    /// give up. The wait clock (and its `Instant::now()` call) is only
+    /// started once a conflict forces a wait; the granted-first-try fast
+    /// path never reads it. One acquisition probes exactly one lock, so this
+    /// single clock covers its whole first-conflict-to-resolution span, and
+    /// every decision is folded into the totals exactly once by `note_wait`
+    /// (see the `LockWaitStats` contract).
+    fn acquire_with(&self, tuple: TupleId, scheme: CcScheme, mut probe: impl FnMut() -> Probe) -> Result<()> {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        // The deadline (and its `Instant::now()` call) is only materialised
-        // once a conflict forces a wait; the granted-first-try fast path
-        // never reads the clock. One acquisition probes exactly one shard
-        // (the tuple's), so this single clock covers the acquisition's whole
-        // first-conflict-to-resolution span — every return path below runs
-        // through `note_wait`, which folds it into the totals exactly once
-        // (see the `LockWaitStats` contract).
         let mut wait_started: Option<Instant> = None;
         let mut spins: u32 = 1;
         loop {
-            {
-                let mut shard = unpoison(self.shard(hash).lock());
-                match shard.get_mut(&tuple) {
-                    None => {
-                        shard.insert(tuple, LockEntry { mode, owners: vec![txn] });
-                        self.note_wait(wait_started);
-                        return Ok(());
-                    }
-                    Some(entry) => {
-                        if entry.owners.contains(&txn) {
-                            if entry.mode == LockMode::Exclusive || mode == LockMode::Shared {
-                                // Already held in a sufficient mode.
-                                self.note_wait(wait_started);
-                                return Ok(());
-                            }
-                            if entry.owners.len() == 1 {
-                                // Sole shared owner upgrading to exclusive.
-                                entry.mode = LockMode::Exclusive;
-                                self.note_wait(wait_started);
-                                return Ok(());
-                            }
-                        } else if entry.mode == LockMode::Shared && mode == LockMode::Shared {
-                            entry.owners.push(txn);
-                            self.note_wait(wait_started);
-                            return Ok(());
-                        }
-                        // Conflict.
-                        match scheme {
-                            CcScheme::NoWait => return Err(Error::lock_conflict(tuple)),
-                            CcScheme::WaitDie => {
-                                // Wait only if older than *every* owner,
-                                // otherwise die.
-                                let oldest_owner =
-                                    entry.owners.iter().copied().filter(|o| *o != txn).min().unwrap_or(txn);
-                                if !txn.is_older_than(oldest_owner) {
-                                    drop(shard);
-                                    self.note_wait(wait_started);
-                                    return Err(Error::wait_die(tuple, oldest_owner));
-                                }
-                                // Older than every owner: fall through to wait.
-                            }
-                        }
-                    }
+            let decided = match probe() {
+                Probe::Granted => Some(Ok(())),
+                Probe::Unavailable => Some(Err(Error::lock_conflict(tuple))),
+                Probe::Held { .. } if matches!(scheme, CcScheme::NoWait) => Some(Err(Error::lock_conflict(tuple))),
+                Probe::Held { owner, may_wait: false } => Some(Err(Error::wait_die(tuple, owner))),
+                // Older than every owner: wait, until the timeout.
+                Probe::Held { may_wait: true, .. } => {
+                    let started = *wait_started.get_or_insert_with(Instant::now);
+                    (started.elapsed() >= self.wait_timeout).then(|| Err(Error::lock_conflict(tuple)))
                 }
-            }
-            let started = *wait_started.get_or_insert_with(Instant::now);
-            if started.elapsed() >= self.wait_timeout {
+            };
+            if let Some(result) = decided {
                 self.note_wait(wait_started);
-                return Err(Error::lock_conflict(tuple));
+                return result;
             }
-            // Bounded exponential backoff outside the shard mutex: bursts of
+            // Bounded exponential backoff, holding nothing: bursts of
             // busy-spins that double up to a cap — owners release within
             // microseconds in this system, so early retries should be nearly
             // instant — then yield the core on every retry so a descheduled
@@ -248,8 +374,8 @@ impl LockTable {
         }
     }
 
-    /// Releases `tuple` for `txn`. Releasing a lock that is not held is a
-    /// no-op, which keeps abort paths simple (a transaction may abort halfway
+    /// Releases the key `tuple` for `txn`. Releasing a lock that is not
+    /// held is a no-op, which keeps abort paths simple (a transaction may abort halfway
     /// through its acquisition loop).
     pub fn release(&self, txn: TxnId, tuple: TupleId) {
         let mut shard = unpoison(self.shard(tuple.mix()).lock());
@@ -287,13 +413,15 @@ impl LockTable {
         }
     }
 
-    /// Whether any transaction currently holds a lock on `tuple` (test /
-    /// stats helper).
+    /// Whether any transaction currently holds the key `tuple` in the map
+    /// (test / stats helper). Row locks live in the rows:
+    /// `NodeStorage::is_locked` sees both.
     pub fn is_locked(&self, tuple: TupleId) -> bool {
         unpoison(self.shard(tuple.mix()).lock()).contains_key(&tuple)
     }
 
-    /// Number of currently locked tuples (test / stats helper).
+    /// Number of keys currently locked in the map (test / stats helper).
+    /// Row locks live in the rows: `NodeStorage::locked_count` counts both.
     pub fn locked_count(&self) -> usize {
         self.shards.iter().map(|s| unpoison(s.lock()).len()).sum()
     }
@@ -552,5 +680,152 @@ mod tests {
         }
         assert!(successes.load(std::sync::atomic::Ordering::Relaxed) > 0);
         assert_eq!(lt.locked_count(), 0);
+    }
+
+    // --- Row locks ---------------------------------------------------------
+
+    /// A free row lock and the lock table that acquires it.
+    fn row() -> (LockTable, RowLock) {
+        (LockTable::new(), RowLock::default())
+    }
+
+    #[test]
+    fn no_wait_under_concurrency_never_grants_conflicting_row_locks() {
+        let lt = Arc::new(LockTable::new());
+        let lock = Arc::new(RowLock::default());
+        let successes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let in_cs = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let threads: Vec<_> = (0..8)
+            .map(|i| {
+                let (lt, lock) = (Arc::clone(&lt), Arc::clone(&lock));
+                let successes = Arc::clone(&successes);
+                let in_cs = Arc::clone(&in_cs);
+                std::thread::spawn(move || {
+                    for s in 0..2000u32 {
+                        let id = TxnId::compose(s, NodeId(0), WorkerId(i as u16));
+                        if lt.acquire_row(&lock, id, t(0), LockMode::Exclusive, CcScheme::NoWait).is_ok() {
+                            let now = in_cs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            assert_eq!(now, 0, "two holders of an exclusive row lock");
+                            successes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            in_cs.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                            lock.release(LockMode::Exclusive);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for th in threads {
+            th.join().unwrap();
+        }
+        assert!(successes.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        assert!(!lock.is_locked());
+        assert_eq!(lt.acquisition_count(), 8 * 2000);
+    }
+
+    #[test]
+    fn shared_row_holders_count_up_and_down_and_the_last_release_frees_the_lock() {
+        let (lt, lock) = row();
+        for seq in 1..=3 {
+            lt.acquire_row(&lock, txn(seq), t(1), LockMode::Shared, CcScheme::NoWait).unwrap();
+        }
+        assert!(lt.acquire_row(&lock, txn(9), t(1), LockMode::Exclusive, CcScheme::NoWait).is_err());
+        lock.release(LockMode::Shared);
+        lock.release(LockMode::Shared);
+        assert!(lock.is_locked(), "one shared holder is left");
+        assert!(lt.acquire_row(&lock, txn(9), t(1), LockMode::Exclusive, CcScheme::NoWait).is_err());
+        lock.release(LockMode::Shared);
+        assert!(!lock.is_locked());
+        lt.acquire_row(&lock, txn(9), t(1), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        assert!(lt.acquire_row(&lock, txn(10), t(1), LockMode::Shared, CcScheme::NoWait).is_err());
+        lock.release(LockMode::Exclusive);
+        assert!(!lock.is_locked());
+    }
+
+    #[test]
+    fn a_retired_row_conflicts_under_both_schemes() {
+        for scheme in [CcScheme::NoWait, CcScheme::WaitDie] {
+            for mode in [LockMode::Shared, LockMode::Exclusive] {
+                let (lt, lock) = row();
+                lock.retire();
+                let err = lt.acquire_row(&lock, txn(1), t(4), mode, scheme).unwrap_err();
+                assert_eq!(err.abort_reason(), Some(p4db_common::AbortReason::LockConflict { tuple: t(4) }));
+                assert!(!lock.is_locked() && lock.is_retired());
+            }
+        }
+        // A holder's release keeps the row retired.
+        let lt = LockTable::new();
+        let lock = RowLock::held_by(txn(1));
+        lock.retire();
+        lock.release(LockMode::Exclusive);
+        assert!(!lock.is_locked() && lock.is_retired());
+        assert!(lt.acquire_row(&lock, txn(2), t(4), LockMode::Shared, CcScheme::NoWait).is_err());
+        // Nobody waited for it.
+        assert_eq!(lt.wait_stats(), LockWaitStats::default());
+    }
+
+    #[test]
+    fn under_wait_die_an_older_row_requester_waits_and_a_younger_or_equal_one_dies() {
+        let lt = Arc::new(LockTable::new());
+        let lock = Arc::new(RowLock::default());
+        let holder = TxnId::compose(5, NodeId(1), WorkerId(2));
+        lt.acquire_row(&lock, holder, t(3), LockMode::Exclusive, CcScheme::WaitDie).unwrap();
+        // Younger dies at once, naming the holder.
+        let younger = TxnId::compose(6, NodeId(0), WorkerId(0));
+        match lt.acquire_row(&lock, younger, t(3), LockMode::Shared, CcScheme::WaitDie) {
+            Err(Error::Abort(p4db_common::AbortReason::WaitDieDied { owner, .. })) => assert_eq!(owner, holder),
+            other => panic!("unexpected {other:?}"),
+        }
+        // An equal age dies too: node and worker ids agree in their low
+        // bytes, so the two transactions cannot be told apart.
+        let twin = TxnId::compose(5, NodeId(257), WorkerId(258));
+        assert!(lt.acquire_row(&lock, twin, t(3), LockMode::Exclusive, CcScheme::WaitDie).is_err());
+        assert_eq!(lt.wait_stats(), LockWaitStats::default(), "neither waited");
+        // Older waits, and is granted once the holder releases.
+        let older = TxnId::compose(4, NodeId(3), WorkerId(3));
+        let waiter = {
+            let (lt, lock) = (Arc::clone(&lt), Arc::clone(&lock));
+            std::thread::spawn(move || lt.acquire_row(&lock, older, t(3), LockMode::Exclusive, CcScheme::WaitDie))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        lock.release(LockMode::Exclusive);
+        waiter.join().unwrap().expect("the older requester waits and succeeds");
+        assert!(lock.is_locked());
+        let stats = lt.wait_stats();
+        assert_eq!(stats.waits, 1, "{stats:?}");
+        assert!(stats.total_wait() >= Duration::from_millis(5), "{stats:?}");
+    }
+
+    #[test]
+    fn under_wait_die_a_shared_row_remembers_its_oldest_owner() {
+        let (lt, lock) = row();
+        lt.acquire_row(&lock, txn(5), t(2), LockMode::Shared, CcScheme::WaitDie).unwrap();
+        lt.acquire_row(&lock, txn(3), t(2), LockMode::Shared, CcScheme::WaitDie).unwrap();
+        lt.acquire_row(&lock, txn(7), t(2), LockMode::Shared, CcScheme::WaitDie).unwrap();
+        // A writer of age 4 is younger than the oldest owner (3): it dies.
+        match lt.acquire_row(&lock, txn(4), t(2), LockMode::Exclusive, CcScheme::WaitDie) {
+            Err(Error::Abort(p4db_common::AbortReason::WaitDieDied { owner, .. })) => assert_eq!(owner, txn(3)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_saturated_shared_count_conflicts_instead_of_overflowing() {
+        let (lt, lock) = row();
+        let limit = (SHARED_MASK / SHARED_ONE) as u32;
+        for seq in 0..limit {
+            lt.acquire_row(&lock, txn(seq), t(6), LockMode::Shared, CcScheme::NoWait).unwrap();
+        }
+        for scheme in [CcScheme::NoWait, CcScheme::WaitDie] {
+            let err = lt.acquire_row(&lock, txn(0), t(6), LockMode::Shared, scheme).unwrap_err();
+            assert_eq!(err.abort_reason(), Some(p4db_common::AbortReason::LockConflict { tuple: t(6) }));
+        }
+        // The count did not wrap into the retired or exclusive bits.
+        assert!(!lock.is_retired());
+        assert!(lt.acquire_row(&lock, txn(0), t(6), LockMode::Exclusive, CcScheme::NoWait).is_err());
+        for _ in 0..limit {
+            lock.release(LockMode::Shared);
+        }
+        assert!(!lock.is_locked());
+        lt.acquire_row(&lock, txn(0), t(6), LockMode::Exclusive, CcScheme::NoWait).unwrap();
     }
 }

@@ -1,19 +1,67 @@
 //! Per-node storage assembly: the tables of the node's partition, its lock
 //! table, secondary indexes and write-ahead log.
 //!
+//! [`NodeStorage::admit`] is the 2PL admission of one tuple: it resolves the
+//! tuple's row and locks it in one step, through the row's own lock when the
+//! row exists and through the lock table's map when it does not (an
+//! insert). The [`Grant`] it returns is what releasing takes.
+//!
 //! Table ids are small and dense in every workload, so the table directory
 //! is a plain vector indexed by `TableId` — the admission path resolves a
 //! tuple's table with one bounds-checked load instead of a map probe.
 
 use crate::checkpoint::CheckpointStore;
 use crate::index::SecondaryIndex;
-use crate::locks::LockTable;
+use crate::locks::{LockMode, LockTable};
 use crate::table::{RowHandle, Table};
 use crate::wal::Wal;
 use p4db_common::{CcScheme, Error, NodeId, Result, TableId, TupleId, TxnId};
 use std::collections::HashMap;
 
-use crate::locks::LockMode;
+/// The locks one transaction holds on one tuple of a node, as admission (or
+/// an insert) granted them: its row's lock in `mode`, the key's lock in the
+/// lock table's map, or — for a row that appeared between the two probes of
+/// an admission — both. Released through [`NodeStorage::release`], or by the
+/// holder one piece at a time ([`Grant::release_row`], [`Grant::key`]).
+#[derive(Clone, Debug)]
+pub struct Grant {
+    tuple: TupleId,
+    mode: LockMode,
+    /// The row, locked in `mode`; `None` when the key had no row.
+    row: Option<RowHandle>,
+    /// The tuple's [`TupleId::mix`] hash when the key is locked in the map.
+    key_hash: Option<u64>,
+}
+
+impl Grant {
+    /// The grant of a row the holder inserted: [`crate::Table::insert_fresh`]
+    /// creates it exclusively locked.
+    pub fn inserted(tuple: TupleId, row: RowHandle) -> Self {
+        Grant { tuple, mode: LockMode::Exclusive, row: Some(row), key_hash: None }
+    }
+
+    pub fn tuple(&self) -> TupleId {
+        self.tuple
+    }
+
+    /// The locked row, if the key had one.
+    pub fn row(&self) -> Option<&RowHandle> {
+        self.row.as_ref()
+    }
+
+    /// `(hash, tuple)` when the key is locked in the lock table's map — the
+    /// shape [`LockTable::release_batch`] takes.
+    pub fn key(&self) -> Option<(u64, TupleId)> {
+        self.key_hash.map(|hash| (hash, self.tuple))
+    }
+
+    /// Gives back the row lock, if any: one atomic step.
+    pub fn release_row(&self) {
+        if let Some(row) = &self.row {
+            row.lock().release(self.mode);
+        }
+    }
+}
 
 /// All storage owned by one database node.
 #[derive(Debug)]
@@ -116,31 +164,67 @@ impl NodeStorage {
         &self.checkpoints
     }
 
-    /// Admission-time footprint resolution: acquires the 2PL lock on `tuple`
-    /// and resolves its [`RowHandle`] in one step, hashing the tuple exactly
-    /// once — the mix feeds both the lock-table shard and the row-store
-    /// shard. Returns `Ok(None)` when the lock was granted but no row exists
-    /// under the key (an inserting operation, or a caller-level
-    /// tuple-not-found); lock conflicts and WAIT_DIE deaths surface as the
-    /// usual abort errors *without* a granted lock.
+    /// Admission-time footprint resolution: resolves `tuple`'s row and
+    /// acquires its 2PL lock in one step, hashing the tuple exactly once.
+    ///
+    /// A row found by the first probe is locked through its own
+    /// [`crate::RowLock`]; the map is not touched. A key without a row (an
+    /// inserting operation, or a caller-level tuple-not-found) is locked in
+    /// the lock table's map and probed again: a row inserted in between is
+    /// row-locked as well. Lock conflicts and WAIT_DIE deaths — a retired
+    /// row among them — surface as the usual abort errors *without* a
+    /// granted lock.
     #[inline]
-    pub fn admit(&self, txn: TxnId, tuple: TupleId, mode: LockMode, scheme: CcScheme) -> Result<Option<RowHandle>> {
+    pub fn admit(&self, txn: TxnId, tuple: TupleId, mode: LockMode, scheme: CcScheme) -> Result<Grant> {
+        let table = self.table(tuple.table)?;
         let hash = tuple.mix();
-        self.locks.acquire_prehashed(hash, txn, tuple, mode, scheme)?;
-        match self.table(tuple.table) {
-            Ok(table) => Ok(table.get_prehashed(hash, tuple.key)),
-            Err(e) => {
-                // An undeclared table must not leak the just-granted lock
-                // (the error contract promises no lock on any `Err`).
-                self.locks.release(txn, tuple);
-                Err(e)
+        let mut grant = Grant { tuple, mode, row: table.get_prehashed(hash, tuple.key), key_hash: None };
+        if grant.row.is_none() {
+            self.locks.acquire_prehashed(hash, txn, tuple, mode, scheme)?;
+            grant.key_hash = Some(hash);
+            grant.row = table.get_prehashed(hash, tuple.key);
+        }
+        if let Some(row) = &grant.row {
+            if let Err(e) = self.locks.acquire_row(row.lock(), txn, tuple, mode, scheme) {
+                // The error contract promises no lock on any `Err`.
+                if grant.key_hash.is_some() {
+                    self.locks.release(txn, tuple);
+                }
+                return Err(e);
             }
+        }
+        Ok(grant)
+    }
+
+    /// Gives back every lock of `grant`, held by `txn`.
+    pub fn release(&self, txn: TxnId, grant: &Grant) {
+        grant.release_row();
+        if let Some((_, tuple)) = grant.key() {
+            self.locks.release(txn, tuple);
         }
     }
 
+    /// Whether any transaction holds a lock on `tuple`: its key in the lock
+    /// table's map, or the row the table holds under it (test / stats
+    /// helper).
+    pub fn is_locked(&self, tuple: TupleId) -> bool {
+        self.locks.is_locked(tuple) || self.peek(tuple).ok().flatten().is_some_and(|row| row.lock().is_locked())
+    }
+
+    /// Number of locks held on this node: keys locked in the lock table's
+    /// map plus locked rows, found by sweeping every table (test / stats
+    /// helper). A retired row has left its table and is not counted.
+    pub fn locked_count(&self) -> usize {
+        let mut rows = 0;
+        for table in self.tables() {
+            table.for_each(|_, row| rows += row.lock().is_locked() as usize);
+        }
+        self.locks.locked_count() + rows
+    }
+
     /// Snapshot-path resolution: resolves a tuple's [`RowHandle`] with the
-    /// same single hash the 2PL admission path uses, but with **zero
-    /// lock-table interaction** — the read-only fast path. Returns
+    /// same single hash the 2PL admission path uses, but with **zero lock
+    /// interaction** — the read-only fast path. Returns
     /// `Ok(None)` when no row exists under the key.
     #[inline]
     pub fn peek(&self, tuple: TupleId) -> Result<Option<RowHandle>> {
@@ -206,25 +290,64 @@ mod tests {
         let txn = TxnId::compose(1, NodeId(0), WorkerId(0));
         let tuple = TupleId::new(TableId(0), 7);
 
-        let handle = storage.admit(txn, tuple, LockMode::Exclusive, CcScheme::NoWait).unwrap();
-        assert_eq!(handle.expect("row exists").read().switch_word(), 70);
-        assert!(storage.locks().is_locked(tuple));
+        // An existing row is locked in the row: no map entry.
+        let row = storage.admit(txn, tuple, LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        assert_eq!(row.row().expect("row exists").read().switch_word(), 70);
+        assert!(storage.is_locked(tuple));
+        assert!(!storage.locks().is_locked(tuple), "a key with a row got a map entry");
+        assert_eq!(storage.locks().locked_count(), 0);
 
-        // Missing row: lock granted, no handle (the Insert admission shape).
+        // Missing row: the key is locked in the map, no handle (the Insert
+        // admission shape).
         let missing = TupleId::new(TableId(0), 999);
-        let none = storage.admit(txn, missing, LockMode::Exclusive, CcScheme::NoWait).unwrap();
-        assert!(none.is_none());
+        let key = storage.admit(txn, missing, LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        assert!(key.row().is_none());
         assert!(storage.locks().is_locked(missing));
+        assert_eq!(storage.locked_count(), 2);
 
-        // A conflicting admission aborts without resolving.
+        // A conflicting admission aborts without resolving, on either path.
         let other = TxnId::compose(2, NodeId(0), WorkerId(1));
         assert!(storage.admit(other, tuple, LockMode::Exclusive, CcScheme::NoWait).is_err());
-        storage.locks().release_all(txn, &[tuple, missing]);
+        assert!(storage.admit(other, missing, LockMode::Shared, CcScheme::NoWait).is_err());
+        storage.release(txn, &row);
+        storage.release(txn, &key);
+        assert_eq!(storage.locked_count(), 0);
 
         // An undeclared table errors *and* leaves no lock behind.
         let foreign = TupleId::new(TableId(9), 1);
         assert!(storage.admit(txn, foreign, LockMode::Exclusive, CcScheme::NoWait).is_err());
-        assert!(!storage.locks().is_locked(foreign), "admit leaked a lock on an undeclared table");
+        assert!(!storage.is_locked(foreign), "admit leaked a lock on an undeclared table");
+    }
+
+    #[test]
+    fn a_row_inserted_between_the_two_probes_is_row_locked_too() {
+        use p4db_common::WorkerId;
+        let storage = NodeStorage::new(NodeId(0), [TableId(0)]);
+        let tuple = TupleId::new(TableId(0), 5);
+        // A younger rival holds the key in the map; the older admission
+        // finds no row and takes the key, waiting under WAIT_DIE while the
+        // rival holds it.
+        let older = TxnId::compose(1, NodeId(0), WorkerId(0));
+        let rival = TxnId::compose(2, NodeId(0), WorkerId(1));
+        storage.locks().acquire(rival, tuple, LockMode::Exclusive, CcScheme::WaitDie).unwrap();
+        let grant = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| storage.admit(older, tuple, LockMode::Exclusive, CcScheme::WaitDie));
+            // The rival's acquisition, then the waiter's of the key: its
+            // first probe of the table found no row.
+            while storage.locks().acquisition_count() < 2 {
+                std::thread::yield_now();
+            }
+            // Meanwhile the rival inserts the row and commits.
+            let row = storage.table(TableId(0)).unwrap().insert_fresh(5, Value::scalar(1), rival);
+            row.lock().release(LockMode::Exclusive);
+            storage.locks().release(rival, tuple);
+            waiter.join().unwrap().expect("the older admission is granted")
+        });
+        let row = grant.row().expect("the second probe finds the row");
+        assert!(grant.key().is_some(), "the key is locked in the map as well");
+        assert!(row.lock().is_locked(), "the row that appeared is row-locked too");
+        storage.release(older, &grant);
+        assert_eq!(storage.locked_count(), 0);
     }
 
     #[test]
@@ -239,6 +362,6 @@ mod tests {
     fn wal_and_locks_are_per_node() {
         let storage = NodeStorage::new(NodeId(0), [TableId(0)]);
         assert!(storage.wal().is_empty());
-        assert_eq!(storage.locks().locked_count(), 0);
+        assert_eq!(storage.locked_count(), 0);
     }
 }

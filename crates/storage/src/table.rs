@@ -2,10 +2,9 @@
 //!
 //! The host DBMS in the paper is a shared-nothing main-memory store; each
 //! node owns one horizontal partition per table. A [`Table`] here is one such
-//! partition, hash-sharded: a fixed power-of-two array of shards (the same
-//! pattern the 2PL `LockTable` uses), each an independent latch + fast
-//! word-mixer map, so unrelated accesses never touch the same cache line,
-//! let alone the same lock.
+//! partition, hash-sharded: a fixed power-of-two array of shards, each an
+//! independent latch + fast word-mixer map, so unrelated accesses never touch
+//! the same cache line, let alone the same lock.
 //!
 //! Lookups hand out [`RowHandle`]s (`Arc<Row>`): a handle stays valid for the
 //! life of the row — across concurrent inserts, shard-map growth and even
@@ -15,21 +14,27 @@
 //! touches the maps again for that transaction.
 //!
 //! Latches protect *physical* consistency only; *logical* (transactional)
-//! consistency is enforced by the 2PL lock table in [`crate::locks`].
+//! consistency comes from 2PL. Each row carries its own 2PL lock, a
+//! [`RowLock`] word beside the value; a key without a row is locked in the
+//! lock table's map (see [`crate::locks`]). A row that leaves the table —
+//! replaced by an insert over its key, or removed — is *retired*: a
+//! transaction still holding its handle can no longer lock it and must
+//! resolve the key again.
 
+use crate::locks::RowLock;
 use p4db_common::hash::FastBuildHasher;
 use p4db_common::sync::unpoison;
-use p4db_common::{Error, Result, TableId, TupleId, Value};
+use p4db_common::{Error, Result, TableId, TupleId, TxnId, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
-/// Default shard count of a table partition. Matches the 2PL lock table:
-/// large enough that a handful of workers rarely collide, small enough that
-/// per-shard iteration stays cheap.
+/// Default shard count of a table partition: large enough that a handful of
+/// workers rarely collide, small enough that per-shard iteration stays
+/// cheap.
 pub const DEFAULT_TABLE_SHARDS: usize = 64;
 
-/// A single row: the live value behind a latch, plus (since PR 9) the
+/// A single row: its 2PL lock, the live value behind a latch, and the
 /// committed versions lock-free snapshot readers resolve against.
 ///
 /// The live `value` is what the 2PL path reads and writes; it can hold
@@ -40,6 +45,7 @@ pub const DEFAULT_TABLE_SHARDS: usize = 64;
 /// the 2PL serialization order.
 #[derive(Debug)]
 pub struct Row {
+    lock: RowLock,
     value: RwLock<Value>,
     versions: RwLock<VersionChain>,
 }
@@ -161,14 +167,25 @@ pub type RowHandle = Arc<Row>;
 impl Row {
     fn new(value: Value) -> Self {
         let base = Some(value.switch_word());
-        Row { value: RwLock::new(value), versions: RwLock::new(VersionChain { base, ..VersionChain::default() }) }
+        Row {
+            lock: RowLock::default(),
+            value: RwLock::new(value),
+            versions: RwLock::new(VersionChain { base, ..VersionChain::default() }),
+        }
     }
 
-    /// A row created by an inserting *transaction* (as opposed to a loader):
-    /// it has no pre-history, so snapshots older than the insert's commit
-    /// timestamp must not see it.
-    fn new_fresh(value: Value) -> Self {
-        Row { value: RwLock::new(value), versions: RwLock::new(VersionChain::default()) }
+    /// A row created by the inserting *transaction* `txn` (as opposed to a
+    /// loader): born exclusively locked by `txn`, and with no pre-history,
+    /// so snapshots older than the insert's commit timestamp must not see
+    /// it.
+    fn new_fresh(value: Value, txn: TxnId) -> Self {
+        Row { lock: RowLock::held_by(txn), value: RwLock::new(value), versions: RwLock::new(VersionChain::default()) }
+    }
+
+    /// The row's 2PL lock.
+    #[inline]
+    pub fn lock(&self) -> &RowLock {
+        &self.lock
     }
 
     /// Reads the row.
@@ -315,23 +332,25 @@ impl Table {
         self.insert_row(key, Row::new(value))
     }
 
-    /// Like [`Table::insert`], but for rows created *by a transaction*
-    /// rather than a loader: the row has no pre-history, so snapshot reads
-    /// older than the inserting transaction's commit see tuple-not-found
-    /// instead of the load-time value. The 2PL path is unaffected (the live
-    /// value is identical).
-    pub fn insert_fresh(&self, key: u64, value: Value) -> RowHandle {
-        self.insert_row(key, Row::new_fresh(value))
+    /// Like [`Table::insert`], but for rows created *by the transaction*
+    /// `txn` rather than a loader: the row is born exclusively locked by
+    /// `txn` (no rival can lock it before `txn` releases it), and it has no
+    /// pre-history, so snapshot reads older than the inserting transaction's
+    /// commit see tuple-not-found instead of the load-time value.
+    pub fn insert_fresh(&self, key: u64, value: Value, txn: TxnId) -> RowHandle {
+        self.insert_row(key, Row::new_fresh(value, txn))
     }
 
+    /// Puts `row` under `key`, retiring the row it replaces.
     fn insert_row(&self, key: u64, row: Row) -> RowHandle {
         let handle = Arc::new(row);
         // The count moves while the shard latch is still held: updating it
         // after the guard drops would let a concurrent remove of the same
         // key decrement first and underflow the counter.
         let mut guard = unpoison(self.shard(key).write());
-        if guard.insert(key, Arc::clone(&handle)).is_none() {
-            self.rows.fetch_add(1, Ordering::Relaxed);
+        match guard.insert(key, Arc::clone(&handle)) {
+            Some(replaced) => replaced.lock.retire(),
+            None => _ = self.rows.fetch_add(1, Ordering::Relaxed),
         }
         handle
     }
@@ -370,9 +389,10 @@ impl Table {
                     unpoison(self.shards[index].write())
                 }
             };
-            if guard.insert(key, Arc::new(Row::new(value))).is_none() {
+            match guard.insert(key, Arc::new(Row::new(value))) {
+                Some(replaced) => replaced.lock.retire(),
                 // Under the latch, like `insert` — see the comment there.
-                self.rows.fetch_add(1, Ordering::Relaxed);
+                None => _ = self.rows.fetch_add(1, Ordering::Relaxed),
             }
             held = Some((index, guard));
         }
@@ -385,7 +405,8 @@ impl Table {
     }
 
     /// Looks up a row handle with a precomputed tuple hash (admission-time
-    /// resolution: the same hash already selected the lock-table shard).
+    /// resolution: the tuple is hashed once, and a key with no row locks
+    /// its lock-table shard with the same hash).
     #[inline]
     pub fn get_prehashed(&self, hash: u64, key: u64) -> Option<RowHandle> {
         unpoison(self.shards[(hash & self.mask) as usize].read()).get(&key).cloned()
@@ -408,15 +429,15 @@ impl Table {
     }
 
     /// Removes a row; returns whether it existed. Handles already resolved
-    /// to the row stay valid — the row is merely unreachable for new lookups.
+    /// to the row stay valid — the row is merely unreachable for new lookups,
+    /// and retired, so it can no longer be locked.
     pub fn remove(&self, key: u64) -> bool {
         let mut guard = unpoison(self.shard(key).write());
-        let removed = guard.remove(&key).is_some();
-        if removed {
-            // Under the latch, like `insert` — see the comment there.
-            self.rows.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
+        let Some(removed) = guard.remove(&key) else { return false };
+        removed.lock.retire();
+        // Under the latch, like `insert` — see the comment there.
+        self.rows.fetch_sub(1, Ordering::Relaxed);
+        true
     }
 
     /// Visits every row, one shard at a time, without materializing a key

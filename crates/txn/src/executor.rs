@@ -38,7 +38,7 @@ use p4db_common::{
     AbortReason, CcScheme, Error, GlobalTxnId, NodeId, Result, SwitchId, SystemMode, TupleId, TxnId, Value, WorkerId,
 };
 use p4db_net::{EndpointId, Fabric, LatencyModel, Mailbox, RecvOutcome};
-use p4db_storage::{LockMode, LogRecord, MvccState, NodeStorage, RowHandle, SnapshotSlot};
+use p4db_storage::{Grant, LockMode, LogRecord, MvccState, NodeStorage, RowHandle, SnapshotSlot};
 use p4db_switch::{SwitchConfig, SwitchMessage, SwitchTxn, TxnHeader, TxnReply};
 use std::ops::Range;
 use std::sync::Arc;
@@ -213,9 +213,11 @@ struct SubTxn {
 /// per operation.
 #[derive(Default)]
 struct HostTxnState {
-    /// Every held host lock: home node, tuple, and the admission-time
-    /// [`TupleId::mix`] hash (reused by the grouped per-shard release).
-    locks: Vec<(NodeId, TupleId, u64)>,
+    /// Every held host lock, one [`Grant`] per `(home node, tuple)`: the
+    /// row locks admission took (with the handles that release them), the
+    /// keys without a row it locked in the map, and the rows this
+    /// transaction inserted.
+    locks: Vec<(NodeId, Grant)>,
     /// `(row handle, before image)` pairs, undone in reverse on abort — no
     /// table lookups on the rollback path.
     undo: Vec<(RowHandle, Value)>,
@@ -228,7 +230,7 @@ struct HostTxnState {
     resolved: Vec<Option<RowHandle>>,
     /// Cold operation indices in execution order (Chiller may reorder).
     order: Vec<usize>,
-    /// Per-node `(hash, tuple)` scratch of the grouped lock release.
+    /// Per-node `(hash, tuple)` scratch of the grouped release of keys.
     release_scratch: Vec<(u64, TupleId)>,
     /// `(row handle, after word)` of every host write, in operation order —
     /// the versions to install at commit, stamped with one reserved commit
@@ -794,9 +796,10 @@ impl Worker {
     /// place before committing.
     ///
     /// It runs shared-nothing end to end: the whole cold footprint is
-    /// resolved to [`RowHandle`]s at *admission* (piggybacked on 2PL
-    /// acquisition, one tuple hash each), execution then touches no maps at
-    /// all, and the commit releases locks in grouped per-shard batches.
+    /// resolved to [`RowHandle`]s at *admission* and locked in the rows
+    /// themselves (one tuple hash each, one lock per tuple), execution then
+    /// touches no maps at all, and the commit releases each row lock through
+    /// its handle.
     fn execute_host(
         &mut self,
         slot: usize,
@@ -894,9 +897,9 @@ impl Worker {
             }
         }
 
-        // --- Admission: lock + resolve the whole footprint, one hash per
-        // tuple. The `TupleId::mix` value selects the lock-table shard, the
-        // row-store shard, and is kept for the grouped release at commit.
+        // --- Admission: resolve + lock the whole footprint, one hash and
+        // one lock per tuple. A row is locked through its own lock word; a
+        // key without a row (an insert) through the lock table's map.
         for slot in 0..state.order.len() {
             let i = state.order[slot];
             let op = &req.ops[i];
@@ -922,7 +925,7 @@ impl Worker {
                     }
                 }
             } else {
-                match self.admit_op(txn_id, op, state) {
+                match self.admit_op(txn_id, &req.ops, op, state) {
                     Ok(handle) => handle,
                     Err(e) => {
                         self.fail_host(txn_id, state, stats, &e);
@@ -965,7 +968,7 @@ impl Worker {
                         stats.record_phase(Phase::RemoteAccess, watch.lap());
                     }
                 }
-                match self.admit_op(txn_id, op, state) {
+                match self.admit_op(txn_id, &req.ops, op, state) {
                     Ok(handle) => state.resolved[slot] = handle,
                     Err(e) => {
                         self.fail_host(txn_id, state, stats, &e);
@@ -992,9 +995,9 @@ impl Worker {
                 && index.is_hot(op.tuple)
                 && !state.order[slot + 1..].iter().any(|&later| req.ops[later].tuple == op.tuple)
             {
-                if let Some(pos) = state.locks.iter().position(|&(n, t, _)| n == op.home && t == op.tuple) {
-                    let (home, tuple, _) = state.locks.remove(pos);
-                    self.shared.node(home).locks().release(txn_id, tuple);
+                if let Some(pos) = state.locks.iter().position(|(n, g)| *n == op.home && g.tuple() == op.tuple) {
+                    let (home, grant) = state.locks.remove(pos);
+                    self.shared.node(home).release(txn_id, &grant);
                 }
             }
         }
@@ -1027,8 +1030,12 @@ impl Worker {
                 let table = self.shared.node(op.home).table(op.tuple.table)?;
                 // `insert_fresh`: the row is created *by this transaction*,
                 // so snapshot readers older than its commit must see
-                // tuple-not-found rather than the uncommitted value.
-                let handle = table.insert_fresh(op.tuple.key, Value::scalar(v));
+                // tuple-not-found rather than the uncommitted value. It is
+                // born locked by this transaction and joins its locks; a
+                // live row it replaces is retired, so a rival still holding
+                // that row's handle conflicts and resolves the key again.
+                let handle = table.insert_fresh(op.tuple.key, Value::scalar(v), txn_id);
+                state.locks.push((op.home, Grant::inserted(op.tuple, Arc::clone(&handle))));
                 // The insert may have *replaced* a live row with a fresh
                 // one: every later operation of this transaction on the
                 // same tuple was admission-resolved to the old row and must
@@ -1268,20 +1275,37 @@ impl Worker {
         self.release_all(txn_id, state);
     }
 
-    /// The one-hash admission step for a single cold operation: acquires the
-    /// 2PL lock and resolves the row handle with one [`TupleId::mix`]
-    /// (mirroring [`NodeStorage::admit`], but recording the granted lock —
-    /// with its hash, for the grouped release — into `state.locks` *before*
-    /// the table lookup, so every error path cleans up through
-    /// [`Worker::abort_host`]). Both the admission loop and the Chiller
+    /// The admission step for a single cold operation: resolves and locks
+    /// its tuple through [`NodeStorage::admit`] and records the [`Grant`] in
+    /// `state.locks`, so every later error path releases it through
+    /// [`Worker::abort_host`]. Both the admission loop and the Chiller
     /// late-acquisition path go through here.
-    fn admit_op(&self, txn_id: TxnId, op: &TxnOp, state: &mut HostTxnState) -> Result<Option<RowHandle>> {
-        let storage = self.shared.node(op.home);
-        let mode = if op.kind.is_write() { LockMode::Exclusive } else { LockMode::Shared };
-        let hash = op.tuple.mix();
-        storage.locks().acquire_prehashed(hash, txn_id, op.tuple, mode, self.shared.config.cc)?;
-        state.locks.push((op.home, op.tuple, hash));
-        Ok(storage.table(op.tuple.table)?.get_prehashed(hash, op.tuple.key))
+    ///
+    /// Each `(home, tuple)` is locked **once**, in the strongest mode any
+    /// cold operation of the footprint `ops` needs (as [`Worker::lm_lock_once`]
+    /// does for the switch lock manager); a later operation on the tuple
+    /// reuses the held grant's handle. So a row lock is never re-entered or
+    /// upgraded.
+    fn admit_op(
+        &self,
+        txn_id: TxnId,
+        ops: &[TxnOp],
+        op: &TxnOp,
+        state: &mut HostTxnState,
+    ) -> Result<Option<RowHandle>> {
+        if let Some((_, held)) = state.locks.iter().rev().find(|(home, g)| *home == op.home && g.tuple() == op.tuple) {
+            return Ok(held.row().cloned());
+        }
+        let exclusive = op.kind.is_write()
+            || state
+                .order
+                .iter()
+                .any(|&i| ops[i].kind.is_write() && ops[i].tuple == op.tuple && ops[i].home == op.home);
+        let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
+        let grant = self.shared.node(op.home).admit(txn_id, op.tuple, mode, self.shared.config.cc)?;
+        let row = grant.row().cloned();
+        state.locks.push((op.home, grant));
+        Ok(row)
     }
 
     /// Replaces an operation's operand with an already-known value — the
@@ -1384,25 +1408,32 @@ impl Worker {
         self.release_all(txn_id, state);
     }
 
-    /// Releases every lock still held by the transaction (host lock tables
-    /// and, in LM-Switch mode, the switch lock manager). Host locks go out
-    /// in grouped per-shard batches — one lock-table mutex acquisition per
-    /// touched shard, reusing the admission-time hashes.
+    /// Releases every lock still held by the transaction (host locks and,
+    /// in LM-Switch mode, the switch lock manager). A row lock goes back in
+    /// one atomic step through the handle recorded at admission; keys
+    /// without a row go back to their node's lock table in grouped
+    /// per-shard batches, reusing the admission-time hashes.
     fn release_all(&mut self, txn_id: TxnId, state: &mut HostTxnState) {
-        // Batch per run of same-node locks (footprints are usually
-        // single-node, so this is one batch; an interleaved multi-node
-        // footprint just produces a few more, which is still correct).
+        // Keys are batched per run of same-node grants (footprints are
+        // usually single-node, so this is one batch; an interleaved
+        // multi-node footprint just produces a few more).
         let mut at = 0;
         while at < state.locks.len() {
             let home = state.locks[at].0;
             state.release_scratch.clear();
             while at < state.locks.len() && state.locks[at].0 == home {
-                let (_, tuple, hash) = state.locks[at];
-                state.release_scratch.push((hash, tuple));
+                let grant = &state.locks[at].1;
+                grant.release_row();
+                state.release_scratch.extend(grant.key());
                 at += 1;
             }
-            self.shared.node(home).locks().release_batch(txn_id, &state.release_scratch);
+            if !state.release_scratch.is_empty() {
+                self.shared.node(home).locks().release_batch(txn_id, &state.release_scratch);
+            }
         }
+        // A row lock has no owner list to check a second release against:
+        // each grant goes back exactly once.
+        state.locks.clear();
         for &(lock_id, exclusive) in &state.switch_locks {
             // Releases are asynchronous (no grant to wait for); the switch
             // processes them at line rate.
@@ -1549,8 +1580,8 @@ mod tests {
         assert_eq!(rig.shared.node(home(1)).table(TBL).unwrap().read(1).unwrap().switch_word(), 100);
         assert_eq!(rig.control_plane.read_tuple(t(1)), Some(105));
         // No host locks were taken.
-        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
-        assert_eq!(rig.shared.node(NodeId(1)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(1)).locked_count(), 0);
         assert_eq!(stats.switch_single_pass, 1);
     }
 
@@ -1619,7 +1650,7 @@ mod tests {
         assert_eq!(rig.control_plane.read_tuple(t(1)), Some(105));
         assert_eq!(rig.control_plane.read_tuple(t(3)), Some(110));
         assert_eq!(rig.control_plane.read_tuple(t(2)), Some(107));
-        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
     }
 
     /// Switch messages so far: a frame out and its reply charge one each.
@@ -1662,7 +1693,7 @@ mod tests {
             .chain(["write", "commit"].repeat(3))
             .collect::<Vec<_>>();
         assert_eq!(kinds, expected);
-        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
         let cold = |k| rig.shared.node(NodeId(0)).table(TBL).unwrap().read(k).unwrap().switch_word();
         assert_eq!([cold(100), cold(102), cold(104)], [101, 102, 103]);
     }
@@ -1708,7 +1739,7 @@ mod tests {
         let err = out[1].clone().expect_err("the second conflicts with its parked batchmate");
         assert_eq!(stats.aborts_total(), 1);
         for n in 0..2 {
-            assert_eq!(rig.shared.node(NodeId(n)).locks().locked_count(), 0, "node {n} holds a lock");
+            assert_eq!(rig.shared.node(NodeId(n)).locked_count(), 0, "node {n} holds a lock");
         }
         // Its retry runs after the share, like the session's.
         let retry = w.execute(&reqs[1], &mut stats).expect("the retry commits");
@@ -1823,8 +1854,8 @@ mod tests {
         let expected = [op(1, OpKind::Add(100)), op(2, OpKind::Read), op(3, OpKind::Add(0)).with_operand_from(1)];
         assert_eq!(ledger[0].ops, expected, "the patched literal, and operand sources as positions");
         assert_replays(&ledger[0].ops, &[200, 100, 200]);
-        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
-        assert_eq!(rig.shared.node(NodeId(1)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(1)).locked_count(), 0);
     }
 
     #[test]
@@ -1839,8 +1870,8 @@ mod tests {
         assert_eq!(out.results[1], 100);
         assert_eq!(rig.shared.node(home(100)).table(TBL).unwrap().read(100).unwrap().switch_word(), 107);
         // All locks released after commit.
-        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
-        assert_eq!(rig.shared.node(NodeId(1)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(1)).locked_count(), 0);
         // WAL has the cold write and the commit record.
         let records = rig.shared.node(NodeId(0)).wal().records();
         assert!(records.iter().any(|r| matches!(r, LogRecord::ColdWrite { .. })));
@@ -1874,8 +1905,8 @@ mod tests {
         assert_eq!(rig.control_plane.read_tuple(t(3)), Some(110));
         assert_eq!(rig.shared.node(home(100)).table(TBL).unwrap().read(100).unwrap().switch_word(), 101);
         assert_eq!(rig.shared.node(home(101)).table(TBL).unwrap().read(101).unwrap().switch_word(), 55);
-        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
-        assert_eq!(rig.shared.node(NodeId(1)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(1)).locked_count(), 0);
     }
 
     #[test]
@@ -1887,7 +1918,7 @@ mod tests {
 
         // w1 manually holds an exclusive lock on tuple 101 (node 1).
         let blocker = TxnId::compose(1, NodeId(1), WorkerId(9));
-        rig.shared.node(NodeId(1)).locks().acquire(blocker, t(101), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let held = rig.shared.node(NodeId(1)).admit(blocker, t(101), LockMode::Exclusive, CcScheme::NoWait).unwrap();
 
         // w2's transaction writes 100 first (succeeds) then 101 (conflicts).
         let req = TxnRequest::new(vec![op(100, OpKind::Add(5)), op(101, OpKind::Add(5))]);
@@ -1896,10 +1927,10 @@ mod tests {
         assert_eq!(stats.aborts_total(), 1);
         // The write to 100 was rolled back and its lock released.
         assert_eq!(rig.shared.node(home(100)).table(TBL).unwrap().read(100).unwrap().switch_word(), 100);
-        assert!(!rig.shared.node(NodeId(0)).locks().is_locked(t(100)));
+        assert!(!rig.shared.node(NodeId(0)).is_locked(t(100)));
 
         // Cleanup so w1 is not reported unused.
-        rig.shared.node(NodeId(1)).locks().release(blocker, t(101));
+        rig.shared.node(NodeId(1)).release(blocker, &held);
         let _ = &mut w1;
     }
 
@@ -1942,7 +1973,112 @@ mod tests {
         let out = w.execute(&req, &mut stats).unwrap();
         assert_eq!(out.results, vec![7, 8]);
         assert_eq!(rig.shared.node(home(100)).table(TBL).unwrap().read(100).unwrap().switch_word(), 8);
-        assert_eq!(rig.shared.node(NodeId(0)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
+    }
+
+    // --- Inserts and the row lock -----------------------------------------
+
+    #[test]
+    fn a_row_inserted_by_an_open_transaction_is_locked_to_others() {
+        let rig = rig(SystemMode::P4db, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        // The warm inserter parks, still open, until the share's exchange;
+        // its batchmate reads the row the insert created meanwhile.
+        let reqs = [
+            TxnRequest::new(vec![op(1, OpKind::Add(1)), op(5000, OpKind::Insert(42))]),
+            TxnRequest::new(vec![op(5000, OpKind::Read)]),
+        ];
+        let mut out = Vec::new();
+        w.execute_batch(&reqs, &mut stats, &mut out);
+        assert_eq!(out[0].as_ref().expect("the inserter commits").results, [101, 42]);
+        let err = out[1].clone().expect_err("the uncommitted row is born locked");
+        assert_eq!(err.abort_reason(), Some(AbortReason::LockConflict { tuple: t(5000) }));
+        for n in 0..2 {
+            assert_eq!(rig.shared.node(NodeId(n)).locked_count(), 0, "node {n} holds a lock");
+        }
+        assert_eq!(w.execute(&reqs[1], &mut stats).expect("the retry commits").results, [42]);
+    }
+
+    #[test]
+    fn the_row_of_an_aborted_insert_cannot_be_locked() {
+        // Chiller acquires the contended tuple 3 late, after the insert ran.
+        // A younger rival holds it, so the older inserter waits under
+        // WAIT_DIE with its inserted row in the table, until the row it
+        // waits for is replaced (retired): then it aborts.
+        let mut rig = rig(SystemMode::NoSwitch, CcScheme::WaitDie);
+        Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config.chiller = true;
+        rig.shared.hot_index.swap(Arc::new(HotSetIndex::from_tuples((0..10).map(t))));
+        let rival = TxnId::compose(1000, NodeId(1), WorkerId(9));
+        let held = rig.shared.node(NodeId(1)).admit(rival, t(3), LockMode::Exclusive, CcScheme::WaitDie).unwrap();
+        let table = rig.shared.node(NodeId(0)).table(TBL).unwrap();
+        let req = TxnRequest::new(vec![op(5000, OpKind::Insert(7)), op(3, OpKind::Add(1))]);
+        let (handle, result) = std::thread::scope(|scope| {
+            let mut w = worker(&rig, 0, 0);
+            let inserter = scope.spawn(move || w.execute(&req, &mut WorkerStats::new()));
+            let handle = loop {
+                if let Some(row) = table.get(5000) {
+                    break row;
+                }
+                assert!(!inserter.is_finished(), "the inserted row was never seen");
+                std::thread::yield_now();
+            };
+            rig.shared.node(NodeId(1)).table(TBL).unwrap().insert(3, Value::scalar(100));
+            (handle, inserter.join().unwrap())
+        });
+        assert_eq!(result.unwrap_err().abort_reason(), Some(AbortReason::LockConflict { tuple: t(3) }));
+        assert!(table.get(5000).is_none(), "the abort removed the row");
+        // A rival that resolved the row before the abort cannot lock it.
+        let late = TxnId::compose(1, NodeId(0), WorkerId(8));
+        let locks = rig.shared.node(NodeId(0)).locks();
+        let err = locks.acquire_row(handle.lock(), late, t(5000), LockMode::Shared, CcScheme::WaitDie).unwrap_err();
+        assert_eq!(err.abort_reason(), Some(AbortReason::LockConflict { tuple: t(5000) }));
+        rig.shared.node(NodeId(1)).release(rival, &held);
+        for n in 0..2 {
+            assert_eq!(rig.shared.node(NodeId(n)).locked_count(), 0, "node {n} holds a lock");
+        }
+    }
+
+    #[test]
+    fn an_insert_over_a_live_key_retires_the_old_row() {
+        let rig = rig(SystemMode::NoSwitch, CcScheme::NoWait);
+        let storage = rig.shared.node(NodeId(0));
+        // A rival resolved key 100 before the insert replaced its row.
+        let old = storage.table(TBL).unwrap().get(100).unwrap();
+        let mut w = worker(&rig, 0, 0);
+        w.execute(&TxnRequest::new(vec![op(100, OpKind::Insert(7))]), &mut WorkerStats::new()).unwrap();
+        let rival = TxnId::compose(1, NodeId(0), WorkerId(9));
+        let err = storage.locks().acquire_row(old.lock(), rival, t(100), LockMode::Exclusive, CcScheme::NoWait);
+        assert_eq!(err.unwrap_err().abort_reason(), Some(AbortReason::LockConflict { tuple: t(100) }));
+        // Its retry resolves the key again, to the fresh row.
+        let grant = storage.admit(rival, t(100), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let fresh = grant.row().expect("the fresh row");
+        assert!(Arc::ptr_eq(fresh, &storage.table(TBL).unwrap().get(100).unwrap()));
+        assert_eq!(fresh.read().switch_word(), 7);
+        storage.release(rival, &grant);
+        assert_eq!(storage.locked_count(), 0);
+    }
+
+    #[test]
+    fn a_footprint_locks_each_tuple_once_in_its_strongest_mode() {
+        let rig = rig(SystemMode::P4db, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        let locks = rig.shared.node(NodeId(0)).locks();
+        let before = locks.acquisition_count();
+        // The warm transaction reads, then writes, tuple 100, and parks
+        // holding its lock; its batchmate only reads the tuple.
+        let reqs = [
+            TxnRequest::new(vec![op(100, OpKind::Read), op(1, OpKind::Add(1)), op(100, OpKind::Add(1))]),
+            TxnRequest::new(vec![op(100, OpKind::Read)]),
+        ];
+        let mut out = Vec::new();
+        w.execute_batch(&reqs, &mut stats, &mut out);
+        assert_eq!(out[0].as_ref().expect("no self-conflict").results, [100, 101, 101]);
+        assert_eq!(locks.acquisition_count() - before, 2, "one acquisition per transaction, not per operation");
+        let err = out[1].clone().expect_err("the parked lock is exclusive from the read on");
+        assert_eq!(err.abort_reason(), Some(AbortReason::LockConflict { tuple: t(100) }));
+        assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
     }
 
     #[test]
@@ -2002,12 +2138,12 @@ mod tests {
         // A younger transaction holds the lock briefly on another thread; the
         // older transaction (smaller sequence from worker 0, seq 1) waits.
         let blocker = TxnId::compose(1000, NodeId(0), WorkerId(5));
-        shared.node(NodeId(1)).locks().acquire(blocker, t(101), LockMode::Exclusive, CcScheme::WaitDie).unwrap();
+        let held = shared.node(NodeId(1)).admit(blocker, t(101), LockMode::Exclusive, CcScheme::WaitDie).unwrap();
         let release = std::thread::spawn({
             let shared = Arc::clone(&shared);
             move || {
                 std::thread::sleep(Duration::from_millis(20));
-                shared.node(NodeId(1)).locks().release(blocker, t(101));
+                shared.node(NodeId(1)).release(blocker, &held);
             }
         });
         let mut w = worker(&rig, 0, 0);
@@ -2059,7 +2195,7 @@ mod tests {
         let out = w.execute(&req, &mut stats).unwrap();
         assert_eq!(out.class, TxnClass::Cold);
         assert_eq!(shared.node(home(1)).table(TBL).unwrap().read(1).unwrap().switch_word(), 105);
-        assert_eq!(shared.node(NodeId(0)).locks().locked_count(), 0);
+        assert_eq!(shared.node(NodeId(0)).locked_count(), 0);
 
         // A contended tuple touched twice: the early release must wait for
         // the *last* access (releasing after the first would let the second
@@ -2069,8 +2205,8 @@ mod tests {
         assert_eq!(out.results[0], 105);
         assert_eq!(out.results[2], 112);
         assert_eq!(shared.node(home(3)).table(TBL).unwrap().read(3).unwrap().switch_word(), 112);
-        assert_eq!(shared.node(NodeId(0)).locks().locked_count(), 0);
-        assert_eq!(shared.node(NodeId(1)).locks().locked_count(), 0);
+        assert_eq!(shared.node(NodeId(0)).locked_count(), 0);
+        assert_eq!(shared.node(NodeId(1)).locked_count(), 0);
     }
 
     // --- The wire: one round trip per participant --------------------------
@@ -2125,7 +2261,7 @@ mod tests {
         assert_eq!(msgs, 8, "a request + reply and a prepare + vote per participant");
         assert!((2.0..3.0).contains(&rtts), "two participants still cost two round trips, took {rtts:.2}");
         for n in 0..3 {
-            assert_eq!(rig.shared.node(NodeId(n)).locks().locked_count(), 0);
+            assert_eq!(rig.shared.node(NodeId(n)).locked_count(), 0);
         }
     }
 
@@ -2155,7 +2291,7 @@ mod tests {
         // A rival holds the participant's *third* tuple: the first two remote
         // locks and the local one are granted, then admission is denied.
         let rival = TxnId::compose(1, NodeId(1), WorkerId(9));
-        rig.shared.node(NodeId(1)).locks().acquire(rival, t(105), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let held = rig.shared.node(NodeId(1)).admit(rival, t(105), LockMode::Exclusive, CcScheme::NoWait).unwrap();
         let req = TxnRequest::new(vec![
             op(100, OpKind::Add(1)),
             op(101, OpKind::Add(1)),
@@ -2167,9 +2303,9 @@ mod tests {
         assert!(result.unwrap_err().is_abort());
         assert_eq!(msgs, 2, "the denial rides the one admission reply; nothing is voted on");
         assert!((1.0..2.0).contains(&rtts), "took {rtts:.2} round trips");
-        rig.shared.node(NodeId(1)).locks().release(rival, t(105));
+        rig.shared.node(NodeId(1)).release(rival, &held);
         for n in 0..2 {
-            assert_eq!(rig.shared.node(NodeId(n)).locks().locked_count(), 0, "node {n} leaked a lock");
+            assert_eq!(rig.shared.node(NodeId(n)).locked_count(), 0, "node {n} leaked a lock");
         }
         let log = rig.shared.node(NodeId(0)).wal().records();
         assert!(matches!(log.last(), Some(LogRecord::Abort { .. })), "the coordinator logs the abort");
@@ -2189,7 +2325,7 @@ mod tests {
         assert_eq!(result.unwrap().results, vec![101, 101, 101]);
         assert_eq!(msgs, 6, "admission, one late round for both contended tuples, vote");
         assert!((3.0..4.0).contains(&rtts), "took {rtts:.2} round trips");
-        assert_eq!(rig.shared.node(NodeId(1)).locks().locked_count(), 0);
+        assert_eq!(rig.shared.node(NodeId(1)).locked_count(), 0);
     }
 
     #[test]

@@ -304,7 +304,7 @@ fn property_fold_at_install_matches_the_reference_model() {
         let mvcc = MvccState::new();
         let table = Table::with_shards(TableId(0), 4);
         table.bulk_load((0..ROWS as u64 - 1).map(|k| (k, Value::scalar(k))));
-        table.insert_fresh(ROWS as u64 - 1, Value::scalar(0));
+        table.insert_fresh(ROWS as u64 - 1, Value::scalar(0), p4db::common::TxnId(1));
         let rows: Vec<_> = (0..ROWS as u64).map(|k| table.get(k).expect("row exists")).collect();
         // Committed (ts, word) history per row; ts 0 is the loaded image.
         let mut history: Vec<Vec<(u64, u64)>> = (0..ROWS as u64 - 1).map(|k| vec![(0, k)]).collect();
