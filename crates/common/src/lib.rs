@@ -17,6 +17,7 @@ pub mod error;
 pub mod faults;
 pub mod hash;
 pub mod ids;
+pub mod prefetch;
 pub mod rand_util;
 pub mod simtime;
 pub mod stats;

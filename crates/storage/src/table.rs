@@ -13,6 +13,15 @@
 //! a transaction's whole footprint into handles once at admission and never
 //! touches the maps again for that transaction.
 //!
+//! Admission resolves that footprint in two passes. Cloning a handle is the
+//! row's *first touch*: on a table larger than the cache, the `Arc`
+//! increment misses, and being a locked read-modify-write it waits for the
+//! miss before the next lookup can start — a footprint's misses would run
+//! one after another. So pass 1 ([`Table::prefetch_prehashed`]) probes
+//! every tuple's shard and prefetches its row's cache lines, taking no
+//! handle and no lock; pass 2 ([`crate::NodeStorage::admit`]: the clone of
+//! [`Table::get_prehashed`], then the row lock) finds each row in cache.
+//!
 //! Latches protect *physical* consistency only; *logical* (transactional)
 //! consistency comes from 2PL. Each row carries its own 2PL lock, a
 //! [`RowLock`] word beside the value; a key without a row is locked in the
@@ -23,6 +32,7 @@
 
 use crate::locks::RowLock;
 use p4db_common::hash::FastBuildHasher;
+use p4db_common::prefetch::prefetch;
 use p4db_common::sync::unpoison;
 use p4db_common::{Error, Result, TableId, TupleId, TxnId, Value};
 use std::collections::HashMap;
@@ -410,6 +420,24 @@ impl Table {
     #[inline]
     pub fn get_prehashed(&self, hash: u64, key: u64) -> Option<RowHandle> {
         unpoison(self.shards[(hash & self.mask) as usize].read()).get(&key).cloned()
+    }
+
+    /// Pass 1 of a batch of lookups (see the module docs): probes the
+    /// shard map under its read latch and prefetches every cache line of
+    /// the row's allocation, the `Arc` counts before the row included.
+    /// Takes no handle, no lock and allocates nothing; a missing key does
+    /// nothing.
+    #[inline]
+    pub fn prefetch_prehashed(&self, hash: u64, key: u64) {
+        if let Some(row) = unpoison(self.shards[(hash & self.mask) as usize].read()).get(&key) {
+            // `ArcInner` is `#[repr(C)]` `{ strong, weak, data }`: the two
+            // counts sit right before `Arc::as_ptr`, which is the word the
+            // clone of `get_prehashed` increments. Were the layout ever
+            // to differ, a hint at the wrong line costs only the hint.
+            let header = (2 * std::mem::size_of::<usize>()).next_multiple_of(std::mem::align_of::<Row>());
+            let start = Arc::as_ptr(row).cast::<u8>().wrapping_sub(header);
+            prefetch(start, header + std::mem::size_of::<Row>());
+        }
     }
 
     /// Looks up a row handle or returns a typed error.

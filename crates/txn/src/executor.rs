@@ -897,9 +897,22 @@ impl Worker {
             }
         }
 
-        // --- Admission: resolve + lock the whole footprint, one hash and
-        // one lock per tuple. A row is locked through its own lock word; a
-        // key without a row (an insert) through the lock table's map.
+        // --- Admission, pass 1: probe and prefetch every admitted row, so
+        // the footprint's cache misses overlap instead of each waiting in
+        // pass 2's handle clone, the row's first touch (see
+        // `p4db_storage::table`). It runs after the round trip above, so no
+        // line goes cold while that sleeps.
+        for &i in &state.order {
+            let op = &req.ops[i];
+            if !late(op) {
+                self.shared.node(op.home).prefetch(op.tuple);
+            }
+        }
+
+        // --- Admission, pass 2: resolve + lock the whole footprint, one
+        // hash and one lock per tuple. A row is locked through its own lock
+        // word; a key without a row (an insert) through the lock table's
+        // map.
         for slot in 0..state.order.len() {
             let i = state.order[slot];
             let op = &req.ops[i];
@@ -2023,6 +2036,13 @@ mod tests {
                 assert!(!inserter.is_finished(), "the inserted row was never seen");
                 std::thread::yield_now();
             };
+            // The rival's acquisition, then the inserter's of tuple 3: it
+            // holds the handle of the row it waits for. Replacing the row
+            // any earlier would hand the inserter the fresh, free row.
+            while rig.shared.node(NodeId(1)).locks().acquisition_count() < 2 {
+                assert!(!inserter.is_finished(), "the inserter never asked for tuple 3");
+                std::thread::yield_now();
+            }
             rig.shared.node(NodeId(1)).table(TBL).unwrap().insert(3, Value::scalar(100));
             (handle, inserter.join().unwrap())
         });
@@ -2079,6 +2099,37 @@ mod tests {
         let err = out[1].clone().expect_err("the parked lock is exclusive from the read on");
         assert_eq!(err.abort_reason(), Some(AbortReason::LockConflict { tuple: t(100) }));
         assert_eq!(rig.shared.node(NodeId(0)).locked_count(), 0);
+    }
+
+    #[test]
+    fn the_prefetch_pass_adds_no_acquisition() {
+        let rig = rig(SystemMode::P4db, CcScheme::NoWait);
+        let mut w = worker(&rig, 0, 0);
+        let (local, remote) = (rig.shared.node(NodeId(0)), rig.shared.node(NodeId(1)));
+        // A rival holds keys 100 and 101 in the lock table's map. Both have
+        // rows, so admission locks them in the row and never sees the map.
+        let rival = TxnId::compose(1, NodeId(0), WorkerId(9));
+        local.locks().acquire(rival, t(100), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        remote.locks().acquire(rival, t(101), LockMode::Exclusive, CcScheme::NoWait).unwrap();
+        let before = [local.locks().acquisition_count(), remote.locks().acquisition_count()];
+        // A remote-home read, a read-then-write of one local tuple and a
+        // local insert: three distinct `(home, tuple)`s over two nodes.
+        let req = TxnRequest::new(vec![
+            op(101, OpKind::Read),
+            op(100, OpKind::Read),
+            op(5000, OpKind::Insert(7)),
+            op(100, OpKind::Add(1)),
+        ]);
+        let out = w.execute(&req, &mut WorkerStats::new()).expect("no map entry for a key with a row");
+        assert_eq!(out.results[..2], [100, 100]);
+        let after = [local.locks().acquisition_count(), remote.locks().acquisition_count()];
+        assert_eq!(after[0] - before[0], 2, "tuples 100 and 5000 once each on the home node");
+        assert_eq!(after[1] - before[1], 1, "tuple 101 once on the remote node");
+        assert_eq!(local.table(TBL).unwrap().read(100).unwrap().switch_word(), 101);
+        assert_eq!(local.table(TBL).unwrap().read(5000).unwrap().switch_word(), 7);
+        local.locks().release(rival, t(100));
+        remote.locks().release(rival, t(101));
+        assert_eq!(local.locked_count() + remote.locked_count(), 0);
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //!   node and switch crashes with WAL-driven recovery) plus the
 //!   cluster-wide invariant checker.
 
+#![deny(unsafe_code)]
+
 pub use p4db_chaos as chaos;
 pub use p4db_common as common;
 pub use p4db_core as core;
