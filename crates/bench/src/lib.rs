@@ -32,13 +32,15 @@ use p4db_common::faults::BlackholeFault;
 use p4db_common::rand_util::FastRng;
 use p4db_common::stats::{RunStats, WorkerStats, PHASES};
 use p4db_common::{CcScheme, FaultPlan, LatencyConfig, NodeId, SwitchId, SystemMode, WorkerId};
-use p4db_core::{Cluster, ClusterConfig};
+use p4db_core::{Cluster, ClusterConfig, Load, Stop};
 use p4db_layout::LayoutStrategy;
 use p4db_net::{Fabric, LatencyModel};
 use p4db_storage::NodeStorage;
 use p4db_switch::{LockGranularity, SwitchConfig, SwitchMessage};
 use p4db_txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, Worker};
-use p4db_workloads::{SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, WorkloadCtx, Ycsb, YcsbConfig, YcsbMix};
+use p4db_workloads::{
+    ReadMix, SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, WorkloadCtx, Ycsb, YcsbConfig, YcsbMix,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -230,7 +232,7 @@ fn measure(row: &Row, arm: &Arm, time: Duration) -> Run {
     (arm.tweak)(&mut config);
     let cluster = Cluster::build(config, Arc::clone(&row.workload));
     let offloaded = cluster.offloaded_tuples();
-    let stats = cluster.run_for(time);
+    let stats = cluster.drive(Load::new(Stop::For(time))).expect("figure: drive failed");
     Run { stats, single_pass: cluster.switch_stats().single_pass_fraction(), offloaded }
 }
 
@@ -615,11 +617,12 @@ pub fn select(filters: &[String]) -> Result<Vec<(&'static str, FigureFn)>, Strin
 // ---------------------------------------------------------------------------
 
 /// Measures the node-local engine at a given whole-transaction read
-/// fraction: `read_frac` of the pooled transactions are converted to
-/// all-reads (inserts dropped — an insert's key has no pre-image to read),
-/// and the `snapshot` arm additionally marks them read-only so they take
-/// the lock-free snapshot path. The locking arm executes the *same* seeded
-/// pool through 2PL, so the two arms differ only in the read path.
+/// fraction: [`ReadMix`] converts `read_frac` of the pooled transactions to
+/// all-reads, and the `snapshot` arm additionally marks them read-only so
+/// they take the lock-free snapshot path. The locking arm executes the
+/// *same* seeded pool through 2PL, so the two arms differ only in the read
+/// path. Workers call the engine directly: this measures the engine without
+/// the session layer.
 pub fn measure_read_mix(
     workload: &Arc<dyn Workload>,
     workers: u16,
@@ -627,7 +630,7 @@ pub fn measure_read_mix(
     snapshot: bool,
     measure: Duration,
 ) -> RunStats {
-    use p4db_txn::{OpKind, TxnOp};
+    let workload = Arc::new(ReadMix::new(Arc::clone(workload), read_frac, snapshot));
     let storage = NodeStorage::new(NodeId(0), workload.tables());
     workload.load_node(&storage, 1);
     let latency = LatencyModel::new(LatencyConfig::zero());
@@ -648,7 +651,7 @@ pub fn measure_read_mix(
     let handles: Vec<_> = (0..workers)
         .map(|w| {
             let shared = Arc::clone(&shared);
-            let workload = Arc::clone(workload);
+            let workload = Arc::clone(&workload);
             let stop = Arc::clone(&stop);
             let ready = Arc::clone(&ready);
             std::thread::spawn(move || {
@@ -657,26 +660,7 @@ pub fn measure_read_mix(
                 let mut rng = FastRng::new(0xF00D ^ ((w as u64) << 8));
                 // Identical pools in both arms: the conversion draw happens
                 // whether or not the snapshot flag is set.
-                let pool: Vec<_> = (0..2048)
-                    .map(|_| {
-                        let mut req = workload.generate(&ctx, &mut rng);
-                        if rng.gen_f64() < read_frac {
-                            let reads: Vec<TxnOp> = req
-                                .ops
-                                .iter()
-                                .filter(|op| !matches!(op.kind, OpKind::Insert(_)))
-                                .map(|op| TxnOp::new(op.tuple, OpKind::Read, op.home))
-                                .collect();
-                            if !reads.is_empty() {
-                                req.ops = reads;
-                                if snapshot {
-                                    req = req.into_read_only();
-                                }
-                            }
-                        }
-                        req
-                    })
-                    .collect();
+                let pool: Vec<_> = (0..2048).map(|_| workload.generate(&ctx, &mut rng)).collect();
                 let mut at = 0usize;
                 let mut stats = WorkerStats::new();
                 ready.wait();
@@ -777,7 +761,7 @@ pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
         if cluster.shared().node(node).wal().len() >= target {
             break;
         }
-        cluster.run_for(slice);
+        cluster.drive(Load::new(Stop::For(slice))).expect("recovery figure: drive failed");
     }
     assert!(cluster.quiesce_switch(Duration::from_secs(10)), "recovery figure: cluster failed to quiesce");
 
@@ -800,7 +784,7 @@ pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
     // Arm 2: checkpoint, a short burst of post-checkpoint traffic (the
     // tail), then a checkpoint + tail restart.
     cluster.checkpoint_node(node).expect("checkpointing failed");
-    cluster.run_for(Duration::from_millis(20));
+    cluster.drive(Load::new(Stop::For(Duration::from_millis(20)))).expect("recovery figure: drive failed");
     assert!(cluster.quiesce_switch(Duration::from_secs(10)), "recovery figure: cluster failed to quiesce");
     let (ckpt_time, ckpt) = time_restart();
     assert!(ckpt.from_checkpoint.is_some(), "recovery figure: restart did not use the checkpoint");
@@ -878,17 +862,14 @@ pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
     // 2 ms probe cadence. Degrading only at window boundaries would leave a
     // long window mostly in fail-fast limbo and understate the floor.
     let run_window = |cluster: &Cluster| -> RunStats {
-        let mut merged = WorkerStats::new();
-        let mut wall = Duration::ZERO;
+        let mut run = RunStats::default();
         for _ in 0..5 {
-            let stats = cluster.run_for(window / 5);
-            merged.merge(&stats.merged);
-            wall += stats.wall_time;
+            run.merge(&cluster.drive(Load::new(Stop::For(window / 5))).expect("outage figure: drive failed"));
             if cluster.health().is_open(switch) && !cluster.health().is_degraded(switch) {
                 cluster.degrade_switch(switch).expect("outage figure: degrade failed");
             }
         }
-        RunStats { merged, wall_time: wall }
+        run
     };
     let mut windows: Vec<(&'static str, RunStats)> = Vec::new();
     // Outage + floor windows: traffic runs while the blackhole swallows the

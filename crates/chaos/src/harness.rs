@@ -16,16 +16,13 @@
 
 use crate::invariants::{self, InvariantReport, SemanticChecks};
 use p4db_common::faults::{BlackholeFault, FaultEvent, FaultPlan};
-use p4db_common::rand_util::FastRng;
+use p4db_common::stats::RunStats;
 use p4db_common::{Error, NodeId, Result, SystemMode, TxnId};
-use p4db_core::{Cluster, NodeRecoveryReport, ResolverReport, SupervisorReport, SwitchRecoveryReport};
+use p4db_core::{Cluster, Load, NodeRecoveryReport, ResolverReport, Stop, SupervisorReport, SwitchRecoveryReport};
 use p4db_net::{EndpointId, RecvOutcome};
 use p4db_storage::LogRecord;
 use p4db_switch::{Instruction, SwitchMessage, SwitchTxn, TxnHeader};
-use p4db_txn::{OpKind, TxnOp};
-use p4db_workloads::{SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, WorkloadCtx, Ycsb, YcsbConfig, YcsbMix};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use p4db_workloads::{ReadMix, SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,15 +89,12 @@ pub struct ChaosOptions {
     pub reoffload: bool,
     /// Retry budget per transaction (aborts only; in-doubt is never retried).
     pub max_attempts: u32,
-    /// Hot-path batching degree (`ClusterConfig::batch_size`): the switch
-    /// dequeues/replies in frames of up to this many packets and the
-    /// executors pipeline queued all-hot transactions. It is also each
-    /// driver's in-flight window — an executor only ever batches what is
-    /// queued, and a closed-loop driver queues one request at a time.
-    /// `1` = unbatched, one request in flight per driver.
+    /// Hot-path batching degree (`ClusterConfig::batch_size`), and each
+    /// session's in-flight window (`Load::window`): an executor only batches
+    /// what is queued. `1` = unbatched, one request in flight per session.
     pub batch: u16,
     /// Fuzzy-checkpoint cadence (`ClusterConfig::checkpoint_interval`). When
-    /// set, a checkpointer thread races every traffic wave, checkpointing
+    /// set, the harness thread races every traffic wave, checkpointing
     /// any node whose WAL grew by this many records — the scans are
     /// genuinely fuzzy, racing live writers — and the invariant checker
     /// verifies checkpoint+tail reconstruction against the live tables.
@@ -111,11 +105,8 @@ pub struct ChaosOptions {
     /// the complete one; [`ChaosReport::is_clean`] enforces it.
     pub torn_checkpoint: bool,
     /// Fraction of generated transactions converted to all-reads over the
-    /// same tuples and homes (the read-mostly traffic of the MVCC
-    /// differential suite). The conversion decision consumes exactly one
-    /// rng draw per transaction in *both* arms, so a snapshot-arm run and a
-    /// 2PL-arm run with the same seed drive identical schedules; `0.0`
-    /// skips the draw entirely and keeps legacy scenarios byte-identical.
+    /// same tuples and homes by [`ReadMix`] (the read-mostly traffic of the
+    /// MVCC differential suite); `0.0` keeps legacy schedules.
     pub read_only_frac: f64,
     /// Marks the converted all-read transactions `read_only`, steering them
     /// onto the lock-free snapshot path. `false` runs the same schedule
@@ -459,7 +450,8 @@ pub fn run_chaos(options: &ChaosOptions) -> Result<ChaosReport> {
 
 fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
     let (workload, semantics) = build_workload(options);
-    let mut builder = Cluster::builder(Arc::clone(&workload))
+    let workload = Arc::new(ReadMix::new(workload, options.read_only_frac, options.snapshot_arm));
+    let mut builder = Cluster::builder(workload)
         .nodes(options.nodes)
         .workers(options.workers)
         .switches(options.switches)
@@ -479,10 +471,7 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
     }
     let mut cluster = builder.try_build()?;
 
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut in_doubt = 0u64;
-    let mut snapshot_reads = 0u64;
+    let mut traffic = RunStats::default();
     let mut quiesced = true;
     let mut node_recovery = None;
     let mut switch_recovery = None;
@@ -492,57 +481,38 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
     let mut supervisor: Option<SupervisorReport> = None;
     let mut resolver = ResolverReport::default();
 
+    // Each wave is one drive of the cluster, so wave `w` draws the seeds of
+    // the cluster's `w`-th drive.
+    let load = Load {
+        window: options.batch.into(),
+        stop: Stop::Txns(options.txns_per_wave),
+        max_attempts: options.max_attempts,
+    };
     for wave in 0..options.waves.max(1) {
-        let (c, a, d, s) = if options.supervised {
-            // The drivers run detached while the supervisor loop owns this
-            // thread: trip detection, degraded mode, probes, in-doubt
-            // resolution and re-admission all happen *during* the wave, with
-            // no manual recovery calls anywhere.
-            let (handles, active) = spawn_wave_drivers(&cluster, &workload, options, wave)?;
-            let sup = cluster.supervise_until(|| active.load(Ordering::Acquire) == 0, Duration::from_secs(20))?;
+        let driving = cluster.start(load);
+        if options.supervised {
+            // The supervisor loop owns this thread while the wave runs: trip
+            // detection, degraded mode, probes, in-doubt resolution and
+            // re-admission all happen *during* the wave, with no manual
+            // recovery calls anywhere.
+            let sup = cluster.supervise_until(|| driving.is_done(), Duration::from_secs(20))?;
             resolver.merge(&sup.resolver);
-            match supervisor.as_mut() {
-                Some(total) => {
-                    total.degraded.extend(sup.degraded);
-                    total.recovered.extend(sup.recovered);
-                    total.probes_sent += sup.probes_sent;
-                    total.probes_answered += sup.probes_answered;
-                    total.resolver.merge(&sup.resolver);
-                    total.deadline_forced |= sup.deadline_forced;
-                    total.trips_seen = sup.trips_seen;
-                }
-                None => supervisor = Some(sup),
-            }
-            join_wave(handles)?
+            supervisor.get_or_insert_with(SupervisorReport::default).merge(sup);
         } else if options.checkpoint_interval.is_some() {
             // The checkpointer races the wave's live traffic on purpose:
             // the scans are fuzzy, and the invariant checker later proves
             // checkpoint+tail reconstruction still matches the live state.
-            let stop = std::sync::atomic::AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                let stop = &stop;
-                let cluster = &cluster;
-                let checkpointer = scope.spawn(|| {
-                    let mut taken = 0usize;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        taken += cluster.maybe_checkpoint();
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    taken
-                });
-                let result = drive_wave(cluster, &workload, options, wave);
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
-                checkpoints_taken += checkpointer.join().expect("checkpointer panicked");
-                result
-            })?
-        } else {
-            drive_wave(&cluster, &workload, options, wave)?
-        };
-        committed += c;
-        aborted += a;
-        in_doubt += d;
-        snapshot_reads += s;
-        wave_committed.push(c);
+            loop {
+                checkpoints_taken += cluster.maybe_checkpoint();
+                if driving.is_done() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        let run = driving.join()?;
+        wave_committed.push(run.merged.committed_total());
+        traffic.merge(&run);
         quiesced &= cluster.quiesce_switch(Duration::from_secs(10));
 
         if wave == 0 {
@@ -595,13 +565,13 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
     Ok(ChaosReport {
         workload: options.workload.name(),
         seed: options.seed,
-        committed,
-        aborted,
-        in_doubt,
+        committed: traffic.merged.committed_total(),
+        aborted: traffic.failed,
+        in_doubt: traffic.in_doubt,
         in_doubt_per_switch: cluster.health().in_doubt_per_switch(),
         wave_committed,
         supervisor,
-        snapshot_reads,
+        snapshot_reads: traffic.merged.snapshot_reads,
         messages_to_switch: cluster.shared().latency.stats().snapshot().0,
         switch_txns_executed: cluster.switch_stats().txns_executed,
         faults_injected: cluster.faults_injected(),
@@ -615,142 +585,6 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         minimized_faults: Vec::new(),
         repro,
     })
-}
-
-/// One traffic wave: every `(node, worker)` pair drives its session through
-/// `txns_per_wave` generated transactions, `batch` of them in flight at a
-/// time. Returns (committed, aborted, in-doubt, snapshot-read) counts.
-fn drive_wave(
-    cluster: &Cluster,
-    workload: &Arc<dyn Workload>,
-    options: &ChaosOptions,
-    wave: usize,
-) -> Result<(u64, u64, u64, u64)> {
-    let (handles, _active) = spawn_wave_drivers(cluster, workload, options, wave)?;
-    join_wave(handles)
-}
-
-type WaveCounts = (u64, u64, u64, u64);
-type WaveHandle = std::thread::JoinHandle<Result<WaveCounts>>;
-
-/// Spawns one driver thread per `(node, worker)` pair and returns the
-/// handles plus a live-driver counter. Sessions are self-contained (they own
-/// their engine handle and submission queue), so the threads do not borrow
-/// the cluster — the caller's thread is free to run the self-healing
-/// supervisor while the wave is in flight, watching the counter to know when
-/// the drivers are done.
-fn spawn_wave_drivers(
-    cluster: &Cluster,
-    workload: &Arc<dyn Workload>,
-    options: &ChaosOptions,
-    wave: usize,
-) -> Result<(Vec<WaveHandle>, Arc<AtomicUsize>)> {
-    let active = Arc::new(AtomicUsize::new((options.nodes as usize) * (options.workers as usize)));
-    let mut handles = Vec::new();
-    for node in 0..options.nodes {
-        for worker in 0..options.workers {
-            let mut session = cluster.session(NodeId(node))?;
-            session.set_max_attempts(options.max_attempts);
-            let workload = Arc::clone(workload);
-            let ctx = WorkloadCtx::new(options.nodes, NodeId(node), options.distributed_prob);
-            let seed = options
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((wave as u64) << 40 | (node as u64) << 20 | worker as u64);
-            let count = options.txns_per_wave;
-            let window = options.batch.max(1) as usize;
-            let (ro_frac, snapshot_arm) = (options.read_only_frac, options.snapshot_arm);
-            let active = Arc::clone(&active);
-            handles.push(std::thread::spawn(move || {
-                // Decrement on every exit path — return, error, or panic
-                // unwind — so the supervisor always learns the wave ended.
-                struct Done(Arc<AtomicUsize>);
-                impl Drop for Done {
-                    fn drop(&mut self) {
-                        self.0.fetch_sub(1, Ordering::Release);
-                    }
-                }
-                let _done = Done(active);
-                let mut rng = FastRng::new(seed);
-                let mut generate = || {
-                    let mut req = workload.generate(&ctx, &mut rng);
-                    // The conversion decision costs one rng draw in every
-                    // arm (schedules stay seed-identical whichever arm
-                    // executes them); frac 0.0 skips the draw so legacy
-                    // scenarios keep their historical schedules. Inserts
-                    // are dropped rather than converted — an insert's key
-                    // has no pre-image, so reading it would be a guaranteed
-                    // TupleNotFound (TPC-C NewOrder/Payment). The transform
-                    // is keyed on the generated ops alone, so both arms
-                    // execute the same converted footprint.
-                    if ro_frac > 0.0 && rng.gen_f64() < ro_frac {
-                        let reads: Vec<TxnOp> = req
-                            .ops
-                            .iter()
-                            .filter(|op| !matches!(op.kind, OpKind::Insert(_)))
-                            .map(|op| TxnOp::new(op.tuple, OpKind::Read, op.home))
-                            .collect();
-                        if !reads.is_empty() {
-                            req.ops = reads;
-                            if snapshot_arm {
-                                req = req.into_read_only();
-                            }
-                        }
-                    }
-                    req
-                };
-                let (mut committed, mut aborted, mut in_doubt) = (0u64, 0u64, 0u64);
-                // Each driver keeps `min(batch, remaining)` requests in
-                // flight and redeems them in submission order, so an
-                // executor's share of the queue holds several transactions
-                // and the batched paths (pipelined frames, group commit) are
-                // exercised by construction. A window of 1 is the closed
-                // loop of `execute_request`, schedule included.
-                let mut in_flight = VecDeque::with_capacity(window);
-                let mut remaining = count;
-                loop {
-                    while remaining > 0 && in_flight.len() < window {
-                        in_flight.push_back(session.submit_request(&generate())?);
-                        remaining -= 1;
-                    }
-                    let Some(pending) = in_flight.pop_front() else { break };
-                    match session.wait(pending) {
-                        Ok(outcome) => {
-                            committed += 1;
-                            if outcome.in_doubt {
-                                in_doubt += 1;
-                            }
-                        }
-                        Err(e) if e.is_abort() => aborted += 1,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok((committed, aborted, in_doubt, session.take_stats().snapshot_reads))
-            }));
-        }
-    }
-    Ok((handles, active))
-}
-
-/// Joins every driver of a wave and sums the counts.
-///
-/// Joins *every* driver before propagating any error, so no driver thread
-/// outlives the wave and keeps submitting into a cluster the caller
-/// believes is quiet. A driver panic is re-raised with its own payload —
-/// it carries the seed-specific diagnostic the repro workflow needs.
-fn join_wave(handles: Vec<WaveHandle>) -> Result<WaveCounts> {
-    let joined: Vec<std::thread::Result<Result<WaveCounts>>> = handles.into_iter().map(|h| h.join()).collect();
-    let results: Vec<Result<WaveCounts>> =
-        joined.into_iter().map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload))).collect();
-    let (mut committed, mut aborted, mut in_doubt, mut snapshot_reads) = (0u64, 0u64, 0u64, 0u64);
-    for result in results {
-        let (c, a, d, s) = result?;
-        committed += c;
-        aborted += a;
-        in_doubt += d;
-        snapshot_reads += s;
-    }
-    Ok((committed, aborted, in_doubt, snapshot_reads))
 }
 
 /// Re-sends an already-executed logged intent to the switch, byte for byte —

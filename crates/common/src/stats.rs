@@ -263,10 +263,16 @@ impl WorkerStats {
 
 /// Aggregated statistics for one experiment run (one bar / one data point in
 /// the paper's figures).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunStats {
     pub merged: WorkerStats,
     pub wall_time: Duration,
+    /// Transactions that settled without committing: an abort no retry
+    /// could change, an exhausted retry budget or a cancelled retry loop.
+    pub failed: u64,
+    /// Committed transactions whose switch reply was lost (committed in
+    /// doubt, settled later by the resolver).
+    pub in_doubt: u64,
 }
 
 impl RunStats {
@@ -275,7 +281,22 @@ impl RunStats {
         for w in workers {
             merged.merge(w);
         }
-        RunStats { merged, wall_time }
+        RunStats { merged, wall_time, failed: 0, in_doubt: 0 }
+    }
+
+    /// Adds another run's counts and wall time to this one (back-to-back
+    /// runs read as one).
+    pub fn merge(&mut self, other: &RunStats) {
+        self.merged.merge(&other.merged);
+        self.wall_time += other.wall_time;
+        self.failed += other.failed;
+        self.in_doubt += other.in_doubt;
+    }
+
+    /// Execution attempts (commits plus aborted attempts) per commit.
+    pub fn attempts_per_commit(&self) -> f64 {
+        let commits = self.merged.committed_total().max(1) as f64;
+        (self.merged.committed_total() + self.merged.aborts_total()) as f64 / commits
     }
 
     /// Committed transactions per second.

@@ -5,7 +5,7 @@
 //! `parking_lot`, the std locks poison on panic. Everywhere the guarded
 //! state is kept valid across the critical section — append-only vectors,
 //! insert-only maps, single-word updates — a panicked worker thread must not
-//! cascade `PoisonError` panics through `Cluster::run_for`, so those sites
+//! cascade `PoisonError` panics through `Cluster::drive`, so those sites
 //! adopt the state behind the poisoned lock instead of unwrapping.
 
 use std::sync::PoisonError;

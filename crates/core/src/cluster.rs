@@ -6,14 +6,16 @@
 //! offloaded hot set with its declustered layout, and the per-node executor
 //! pool that runs submitted transactions. The cluster is a *database first*:
 //! any code can open a [`Session`] and execute ad-hoc
-//! transactions; [`Cluster::run_for`] is merely the built-in closed-loop
+//! transactions; [`Cluster::drive`] is merely the built-in closed-loop
 //! client that drives the workload generators through the same session API
-//! to produce one data point of one figure.
+//! (see [`crate::driver`]) to produce one data point of one figure, one chaos
+//! wave or one test's traffic.
 
+use crate::driver::{Driving, Load};
 use crate::session::{ResolverReport, Session, SubmissionPool};
 use p4db_common::faults::{FaultEvent, FaultInjector, FaultPlan};
 use p4db_common::rand_util::FastRng;
-use p4db_common::stats::{RunStats, WorkerStats};
+use p4db_common::stats::RunStats;
 use p4db_common::{
     CcScheme, Error, GlobalTxnId, LatencyConfig, NodeId, Result, SwitchId, SystemMode, TupleId, TxnId, Value,
 };
@@ -28,9 +30,9 @@ use p4db_switch::{
     SwitchStatsSnapshot,
 };
 use p4db_txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth};
-use p4db_workloads::{PartitionMap, Workload, WorkloadCtx};
+use p4db_workloads::{PartitionMap, Workload};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -217,6 +219,19 @@ pub struct SupervisorReport {
     pub trips_seen: u64,
 }
 
+impl SupervisorReport {
+    /// Folds a later run's report into this one.
+    pub fn merge(&mut self, later: SupervisorReport) {
+        self.degraded.extend(later.degraded);
+        self.recovered.extend(later.recovered);
+        self.probes_sent += later.probes_sent;
+        self.probes_answered += later.probes_answered;
+        self.resolver.merge(&later.resolver);
+        self.deadline_forced |= later.deadline_forced;
+        self.trips_seen = later.trips_seen;
+    }
+}
+
 /// A fully assembled cluster, ready to serve sessions and run measurements.
 pub struct Cluster {
     config: ClusterConfig,
@@ -226,11 +241,6 @@ pub struct Cluster {
     /// Offload-time initial values of the full hot set, captured once at
     /// build time (the conservation checker's run-wide reference).
     initial_values: HashMap<TupleId, u64>,
-    /// Per-switch offload snapshot: the values each switch's registers held
-    /// at the start of its current epoch. Captured at offload time and
-    /// *recaptured on every recovery / re-offload* of that switch, so
-    /// recovery never replays against a stale placement map.
-    offload_snapshots: Vec<HashMap<TupleId, u64>>,
     /// Declared before `switches` so the executors — the threads that run
     /// the switch pipelines when they send to them — drain and stop while
     /// the switches are still alive (struct fields drop in declaration
@@ -242,7 +252,11 @@ pub struct Cluster {
     control_planes: Vec<ControlPlane>,
     offloaded: usize,
     hot_total: usize,
+    /// One per switch, started at offload time and on every recovery or
+    /// re-admission of that switch.
     epochs: Vec<SwitchEpoch>,
+    /// Drives started on this cluster: the next one's seed salt.
+    drives: AtomicU64,
 }
 
 impl Cluster {
@@ -398,29 +412,22 @@ impl Cluster {
         let pool = SubmissionPool::spawn(&shared, &config)?;
         let partition_map = PartitionMap::new(Arc::clone(&workload), config.num_nodes);
 
-        let epochs: Vec<SwitchEpoch> = control_planes
-            .iter()
-            .map(|cp| SwitchEpoch {
-                baseline: cp.snapshot().into_iter().collect(),
-                audit_start: 0,
-                wal_start: vec![0; config.num_nodes as usize],
-            })
-            .collect();
-        let offload_snapshots: Vec<HashMap<TupleId, u64>> = epochs.iter().map(|e| e.baseline.clone()).collect();
-        Ok(Cluster {
+        let mut cluster = Cluster {
             config,
             workload,
             shared,
             partition_map,
             initial_values,
-            offload_snapshots,
             pool,
             switches,
             control_planes,
             offloaded,
             hot_total,
-            epochs,
-        })
+            epochs: Vec::new(),
+            drives: AtomicU64::new(0),
+        };
+        cluster.epochs = (0..num_switches).map(|s| cluster.epoch_starting_now(s)).collect();
+        Ok(cluster)
     }
 
     pub fn config(&self) -> &ClusterConfig {
@@ -510,15 +517,14 @@ impl Cluster {
         &self.initial_values
     }
 
-    /// One switch's offload snapshot: the values its registers held at the
-    /// start of its current epoch. Recaptured (never stale) on every
-    /// recovery / re-offload of that switch; recovery replays the WAL suffix
-    /// of the epoch against exactly this baseline.
+    /// One switch's offload snapshot: the baseline of its current epoch,
+    /// the values its registers held when the epoch started. Recovery
+    /// replays the WAL suffix of the epoch against exactly this baseline.
     ///
     /// # Panics
     /// Panics when `switch` is outside the topology.
     pub fn offload_snapshot_at(&self, switch: SwitchId) -> &HashMap<TupleId, u64> {
-        &self.offload_snapshots[switch.index()]
+        &self.epochs[switch.index()].baseline
     }
 
     // --- Chaos-testing surface --------------------------------------------
@@ -902,7 +908,7 @@ impl Cluster {
             wals.push(filtered);
         }
         let wal_refs: Vec<&Wal> = wals.iter().collect();
-        let outcome = recover_switch_state(&self.offload_snapshots[s], &wal_refs);
+        let outcome = recover_switch_state(&self.epochs[s].baseline, &wal_refs);
         Ok((outcome, wals, consumed))
     }
 
@@ -1050,15 +1056,9 @@ impl Cluster {
         };
 
         // New epoch for this switch: the restored values are the checker's
-        // new baseline, and the offload snapshot is recaptured so the next
-        // recovery of this switch replays only the new epoch's WAL suffix
-        // against a never-stale baseline.
-        self.epochs[s] = SwitchEpoch {
-            baseline: self.control_planes[s].snapshot().into_iter().collect(),
-            audit_start: self.switches[s].audit_len(),
-            wal_start: self.shared.nodes.iter().map(|n| n.wal().len()).collect(),
-        };
-        self.offload_snapshots[s] = self.epochs[s].baseline.clone();
+        // new baseline, so the next recovery of this switch replays only the
+        // new epoch's WAL suffix against a never-stale baseline.
+        self.epochs[s] = self.epoch_starting_now(s);
 
         Ok(SwitchRecoveryReport {
             restored_tuples: self.epochs[s].baseline.len(),
@@ -1066,6 +1066,16 @@ impl Cluster {
             reoffloaded,
             unexplained_divergences,
         })
+    }
+
+    /// The epoch of switch `s` that starts now: its current registers are
+    /// the baseline.
+    fn epoch_starting_now(&self, s: usize) -> SwitchEpoch {
+        SwitchEpoch {
+            baseline: self.control_planes[s].snapshot().into_iter().collect(),
+            audit_start: self.switches[s].audit_len(),
+            wal_start: self.shared.nodes.iter().map(|n| n.wal().len()).collect(),
+        }
     }
 
     // --- Self-healing: degraded mode, probes, supervised recovery ----------
@@ -1106,7 +1116,7 @@ impl Cluster {
                 .values
                 .get(&tuple)
                 .copied()
-                .or_else(|| self.offload_snapshots[s].get(&tuple).copied())
+                .or_else(|| self.epochs[s].baseline.get(&tuple).copied())
                 .unwrap_or(0);
             let Some(home) = self.partition_map.home(tuple) else { continue };
             let Ok(table) = self.shared.node(home).table(tuple.table) else { continue };
@@ -1153,7 +1163,7 @@ impl Cluster {
                 .and_then(|home| self.shared.node(home).table(tuple.table).ok())
                 .and_then(|table| table.read(tuple.key).ok())
                 .map(|v| v.switch_word())
-                .or_else(|| self.offload_snapshots[s].get(&tuple).copied())
+                .or_else(|| self.epochs[s].baseline.get(&tuple).copied())
                 .unwrap_or(0);
             restore.push((tuple, value));
         }
@@ -1165,12 +1175,7 @@ impl Cluster {
             self.control_planes.iter().enumerate().map(|(i, cp)| (SwitchId(i as u16), cp)),
         )));
         // Fresh checker epoch: the re-seeded registers are the new baseline.
-        self.epochs[s] = SwitchEpoch {
-            baseline: self.control_planes[s].snapshot().into_iter().collect(),
-            audit_start: self.switches[s].audit_len(),
-            wal_start: self.shared.nodes.iter().map(|n| n.wal().len()).collect(),
-        };
-        self.offload_snapshots[s] = self.epochs[s].baseline.clone();
+        self.epochs[s] = self.epoch_starting_now(s);
         // Open the road back up.
         self.shared.fabric.heal_switch(switch.0);
         self.shared.health.close(switch);
@@ -1292,53 +1297,20 @@ impl Cluster {
         Ok(report)
     }
 
-    /// Runs the workload generators closed-loop for `duration` and returns
-    /// the merged statistics. Each node contributes `workers_per_node` driver
-    /// threads, each owning a [`Session`] — the measurement exercises exactly
-    /// the code path ad-hoc clients use. Can be called repeatedly (data is
-    /// *not* reloaded between calls).
-    pub fn run_for(&self, duration: Duration) -> RunStats {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for node in 0..self.config.num_nodes {
-            for wid in 0..self.config.workers_per_node {
-                let mut session = self.session(NodeId(node)).expect("driver node exists");
-                // The stop signal doubles as the retry-loop cancellation so
-                // an aborting transaction cannot drag the measurement past
-                // its window.
-                session.set_cancel_flag(Arc::clone(&stop));
-                let workload = Arc::clone(&self.workload);
-                let stop = Arc::clone(&stop);
-                let config = self.config.clone();
-                let seed =
-                    config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add((node as u64) << 20 | wid as u64);
-                handles.push(std::thread::spawn(move || {
-                    let ctx = WorkloadCtx::new(config.num_nodes, NodeId(node), config.distributed_prob);
-                    let mut rng = FastRng::new(seed);
-                    while !stop.load(Ordering::Relaxed) {
-                        let req = workload.generate(&ctx, &mut rng);
-                        // A transaction that exhausts its retry budget (or a
-                        // cluster shutting down) just moves the closed loop
-                        // on to the next generated request; the aborts are
-                        // already in the session's statistics. A *rejected*
-                        // request, however, is a generator bug — fail loudly
-                        // instead of silently skewing the workload mix.
-                        if let Err(e) = session.execute_request(&req) {
-                            assert!(
-                                !matches!(e, Error::InvalidTxn(_) | Error::UnknownNode(_)),
-                                "workload generator produced an invalid transaction: {e}"
-                            );
-                        }
-                    }
-                    session.take_stats()
-                }));
-            }
-        }
+    /// Drives the workload's generators with `load` (see [`crate::driver`])
+    /// and returns the merged statistics. Data is *not* reloaded between
+    /// drives, and each drive on a cluster draws a new stream.
+    pub fn drive(&self, load: Load) -> Result<RunStats> {
+        self.start(load).join()
+    }
 
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-        let worker_stats: Vec<WorkerStats> = handles.into_iter().map(|h| h.join().expect("driver panicked")).collect();
-        RunStats::from_workers(worker_stats.iter(), duration)
+    /// Starts `load` and returns without waiting: poll
+    /// [`Driving::is_done`], then [`Driving::join`]. The sessions borrow
+    /// nothing, so the caller may take `&mut self` meanwhile (the
+    /// supervised chaos wave runs [`Cluster::supervise_until`]).
+    pub fn start(&self, load: Load) -> Driving {
+        let call = self.drives.fetch_add(1, Ordering::Relaxed);
+        Driving::spawn(self, &self.workload, call, load)
     }
 }
 
@@ -1351,6 +1323,16 @@ mod tests {
 
     fn small_ycsb() -> Arc<dyn Workload> {
         Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }))
+    }
+
+    /// Drives `n` transactions per session at a window of 1 and checks that
+    /// every one settled, at fewer than 3 execution attempts per commit.
+    fn drive_n(cluster: &Cluster, n: usize) -> RunStats {
+        let stats = cluster.drive(Load::new(crate::Stop::Txns(n))).unwrap();
+        let sessions = u64::from(cluster.config().num_nodes) * u64::from(cluster.config().workers_per_node);
+        assert_eq!(stats.merged.committed_total() + stats.failed, sessions * n as u64, "every transaction settles");
+        assert!(stats.attempts_per_commit() < 3.0, "{:.2} attempts per commit", stats.attempts_per_commit());
+        stats
     }
 
     #[test]
@@ -1397,8 +1379,7 @@ mod tests {
         // validation.
         let unbatched = Cluster::builder(small_ycsb()).test_profile().batch_size(0).build();
         assert_eq!(unbatched.config().batch_size, 1);
-        let stats = unbatched.run_for(Duration::from_millis(100));
-        assert!(stats.merged.committed_total() > 0);
+        drive_n(&unbatched, 50);
     }
 
     #[test]
@@ -1410,8 +1391,7 @@ mod tests {
                 assert_eq!(table.shard_count(), DEFAULT_TABLE_SHARDS);
             }
         }
-        let stats = cluster.run_for(Duration::from_millis(100));
-        assert!(stats.merged.committed_total() > 0, "the sharded store serves traffic");
+        drive_n(&cluster, 50);
     }
 
     #[test]
@@ -1440,16 +1420,10 @@ mod tests {
     }
 
     #[test]
-    fn run_for_commits_transactions_in_all_modes() {
+    fn drive_settles_every_transaction_in_all_modes() {
         for mode in [SystemMode::NoSwitch, SystemMode::LmSwitch, SystemMode::P4db] {
             let cluster = Cluster::build(ClusterConfig::test_profile(mode, CcScheme::NoWait), small_ycsb());
-            let stats = cluster.run_for(Duration::from_millis(200));
-            assert!(
-                stats.merged.committed_total() > 100,
-                "{:?} committed only {}",
-                mode,
-                stats.merged.committed_total()
-            );
+            let stats = drive_n(&cluster, 100);
             if mode == SystemMode::P4db {
                 assert!(stats.merged.committed_hot > 0, "P4DB must execute hot transactions on the switch");
                 assert!(cluster.switch_stats().txns_executed > 0);
@@ -1516,7 +1490,7 @@ mod tests {
         let mut config = ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait);
         config.distributed_prob = 0.0; // single-partition traffic: unambiguous recovery
         let cluster = Cluster::build(config, workload);
-        let _ = cluster.run_for(Duration::from_millis(150));
+        drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
         let report = cluster.crash_and_recover_node(NodeId(0)).unwrap();
         assert!(report.wal_records > 0, "the run must have logged something");
@@ -1533,7 +1507,7 @@ mod tests {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
         let mut cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), workload);
-        let _ = cluster.run_for(Duration::from_millis(150));
+        drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
 
         let live: Vec<(TupleId, u64)> = cluster.control_plane_at(SwitchId(0)).snapshot();
@@ -1562,8 +1536,7 @@ mod tests {
         assert_eq!(cluster.switch_epoch_at(SwitchId(0)).audit_start, cluster.switch_audit_at(SwitchId(0)).len());
 
         // The cluster still serves transactions against the new layout.
-        let stats = cluster.run_for(Duration::from_millis(100));
-        assert!(stats.merged.committed_total() > 0);
+        let stats = drive_n(&cluster, 50);
         assert!(stats.merged.committed_hot > 0, "hot path must survive the re-offload");
     }
 
@@ -1571,8 +1544,8 @@ mod tests {
     fn faulty_cluster_still_commits_and_records_its_fault_trace() {
         use p4db_common::faults::FaultPlan;
         let cluster = Cluster::builder(small_ycsb()).test_profile().with_faults(FaultPlan::seeded(11)).build();
-        let stats = cluster.run_for(Duration::from_millis(200));
-        assert!(stats.merged.committed_total() > 10, "faults must degrade, not stop, the cluster");
+        // Faults degrade, not stop, the cluster.
+        drive_n(&cluster, 100);
         assert!(cluster.faults_injected() > 0, "the seeded plan should have fired");
         assert!(!cluster.fault_trace().is_empty());
         cluster.flush_network();
@@ -1596,8 +1569,7 @@ mod tests {
         for (tuple, _) in index.iter() {
             assert!(cluster.switch_value(tuple).is_some(), "{tuple} unreadable");
         }
-        let stats = cluster.run_for(Duration::from_millis(200));
-        assert!(stats.merged.committed_total() > 100);
+        let stats = drive_n(&cluster, 100);
         assert!(stats.merged.committed_hot > 0, "hot transactions execute on the switches");
         for s in 0..2u16 {
             assert!(
@@ -1636,7 +1608,7 @@ mod tests {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
         let mut cluster = Cluster::builder(workload).test_profile().switches(2).build();
-        let _ = cluster.run_for(Duration::from_millis(150));
+        drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
 
         let live0 = cluster.control_plane_at(SwitchId(0)).snapshot();
@@ -1677,7 +1649,7 @@ mod tests {
         assert!(matches!(cluster.crash_and_recover_switch_at(SwitchId(7), None), Err(Error::InvalidConfig(_))));
 
         // The cluster still serves hot traffic on both switches.
-        let stats = cluster.run_for(Duration::from_millis(150));
+        let stats = drive_n(&cluster, 50);
         assert!(stats.merged.committed_hot > 0);
     }
 
@@ -1696,10 +1668,10 @@ mod tests {
         for storage in cluster.shared().nodes.iter() {
             assert_eq!(storage.wal().segment_capacity(), 32, "segment knob must reach every node's WAL");
         }
-        let _ = cluster.run_for(Duration::from_millis(150));
+        drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
         assert!(cluster.maybe_checkpoint() > 0, "the run must have crossed the checkpoint interval");
-        let _ = cluster.run_for(Duration::from_millis(100));
+        drive_n(&cluster, 50);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
         let report = cluster.crash_and_recover_node(NodeId(0)).unwrap();
         assert!(report.from_checkpoint.is_some(), "a complete checkpoint must be used");
@@ -1718,10 +1690,10 @@ mod tests {
     #[test]
     fn torn_checkpoint_generations_fall_back_to_the_previous_complete_one() {
         let cluster = Cluster::builder(small_smallbank()).test_profile().distributed_prob(0.0).build();
-        let _ = cluster.run_for(Duration::from_millis(100));
+        drive_n(&cluster, 50);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
         let first = cluster.checkpoint_node(NodeId(0)).unwrap();
-        let _ = cluster.run_for(Duration::from_millis(100));
+        drive_n(&cluster, 50);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
         let second = cluster.checkpoint_node(NodeId(0)).unwrap();
         assert!(second > first);
@@ -1739,7 +1711,7 @@ mod tests {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
         let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), workload);
-        let _ = cluster.run_for(Duration::from_millis(200));
+        drive_n(&cluster, 100);
         for (tuple, _) in cluster.shared().hot_index.load().iter() {
             let value = cluster.switch_value(tuple).unwrap();
             assert!((value as i64) >= 0, "balance of {tuple} went negative: {value}");

@@ -5,9 +5,9 @@
 //! in-house `p4db_common::channel`), so any number of lightweight [`Session`]
 //! handles can drive the cluster concurrently — closed-loop via
 //! [`Session::execute`], or open-loop via [`Session::submit`] +
-//! [`Session::wait`] — without owning a worker thread. The benchmark driver
-//! (`Cluster::run_for`) is itself a session client, so the closed-loop
-//! measurement path and the ad-hoc client path are the same code.
+//! [`Session::wait`] — without owning a worker thread. The load driver
+//! ([`crate::Cluster::drive`]) is itself a session client, so the measured
+//! path and the ad-hoc client path are the same code.
 //!
 //! **A node-local snapshot read runs where it is submitted.** A read-only
 //! request whose rows are all homed on the session's node takes no lock,
@@ -89,8 +89,8 @@ pub(crate) struct ExecJob {
 /// What an executor files for one job: the outcome plus everything the
 /// engine recorded while producing it (phases, switch passes, aborts, the
 /// commit itself). The waiting session folds the stats into its own counters,
-/// which is how `run_for` assembles a complete [`p4db_common::stats::RunStats`]
-/// without workers that outlive the measurement window.
+/// which is how [`crate::Cluster::drive`] assembles a complete
+/// [`p4db_common::stats::RunStats`] without workers that outlive the drive.
 pub(crate) struct JobReply {
     pub result: Result<TxnOutcome>,
     pub stats: WorkerStats,

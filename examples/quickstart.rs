@@ -5,15 +5,15 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use p4db::common::{CcScheme, SystemMode};
-use p4db::core::Cluster;
+use p4db::core::{Cluster, Load, Stop};
 use p4db::workloads::{Workload, Ycsb, YcsbConfig, YcsbMix};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let workload: Arc<dyn Workload> =
         Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 20_000, ..YcsbConfig::new(YcsbMix::A) }));
-    let measure = Duration::from_millis(500);
+    // Transactions each of the 16 closed-loop sessions settles.
+    let per_session = 150;
 
     println!("P4DB quickstart — YCSB-A, 4 nodes x 4 workers, 20% distributed transactions\n");
 
@@ -27,7 +27,7 @@ fn main() {
             cluster.hot_set_size(),
             cluster.offloaded_tuples()
         );
-        let stats = cluster.run_for(measure);
+        let stats = cluster.drive(Load::new(Stop::Txns(per_session))).expect("drive failed");
         println!(
             "[{}] throughput = {:.0} txn/s, abort rate = {:.1}%, hot share = {:.0}%, mean latency = {:.0}µs",
             mode.label(),
@@ -45,11 +45,11 @@ fn main() {
                 sw.single_pass_fraction() * 100.0
             );
         }
-        assert!(
-            stats.merged.committed_total() > 100,
-            "{} committed only {} transactions in {measure:?} — the cluster is not making progress",
-            mode.label(),
-            stats.merged.committed_total()
+        assert_eq!(
+            stats.merged.committed_total() + stats.failed,
+            16 * per_session as u64,
+            "{}: every submitted transaction settles",
+            mode.label()
         );
         results.push((mode, stats));
         println!();

@@ -10,11 +10,10 @@
 //! Run with: `cargo run --release --example smallbank_recovery`
 
 use p4db::common::{CcScheme, SystemMode};
-use p4db::core::Cluster;
+use p4db::core::{Cluster, Load, Stop};
 use p4db::storage::recover_switch_state;
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let workload: Arc<dyn Workload> = Arc::new(SmallBank::new(SmallBankConfig {
@@ -26,18 +25,14 @@ fn main() {
     let cluster = Cluster::builder(Arc::clone(&workload)).mode(SystemMode::P4db).cc(CcScheme::NoWait).build();
     println!("SmallBank cluster: {} hot account balances offloaded to the switch", cluster.offloaded_tuples());
 
-    let stats = cluster.run_for(Duration::from_millis(500));
+    let stats = cluster.drive(Load::new(Stop::Txns(200))).expect("drive failed");
     println!(
         "ran {} transactions ({:.0} txn/s), abort rate {:.1}%",
         stats.merged.committed_total(),
         stats.throughput(),
         stats.abort_rate() * 100.0
     );
-    assert!(
-        stats.merged.committed_total() > 100,
-        "cluster committed only {} transactions — not enough work to exercise recovery",
-        stats.merged.committed_total()
-    );
+    assert_eq!(stats.merged.committed_total() + stats.failed, 16 * 200, "every submitted transaction settles");
 
     // Capture the live switch state, then "crash" and recover from the logs.
     let live: Vec<(p4db::common::TupleId, u64)> = cluster

@@ -12,14 +12,14 @@
 
 use p4db::common::stats::PHASES;
 use p4db::common::{CcScheme, SystemMode};
-use p4db::core::Cluster;
+use p4db::core::{Cluster, Load, Stop};
 use p4db::workloads::{Tpcc, TpccConfig, Workload};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let workload: Arc<dyn Workload> = Arc::new(Tpcc::new(TpccConfig { items_loaded: 5_000, ..TpccConfig::new(8) }));
-    let measure = Duration::from_millis(500);
+    // Transactions each of the 16 closed-loop sessions settles.
+    let per_session = 100;
 
     for distributed in [0.2, 0.75] {
         println!("== TPC-C 8 warehouses, {:.0}% distributed ==", distributed * 100.0);
@@ -30,12 +30,18 @@ fn main() {
                 .cc(CcScheme::NoWait)
                 .distributed_prob(distributed)
                 .build();
-            let stats = cluster.run_for(measure);
+            let stats = cluster.drive(Load::new(Stop::Txns(per_session))).expect("drive failed");
+            assert_eq!(
+                stats.merged.committed_total() + stats.failed,
+                16 * per_session as u64,
+                "{}: every submitted transaction settles",
+                mode.label()
+            );
             assert!(
-                stats.merged.committed_total() > 100,
-                "{} committed only {} transactions in {measure:?} — the cluster is not making progress",
+                stats.attempts_per_commit() < 3.0,
+                "{}: {:.2} attempts per commit",
                 mode.label(),
-                stats.merged.committed_total()
+                stats.attempts_per_commit()
             );
             println!(
                 "  {:<10} {:>9.0} txn/s   abort rate {:>5.1}%   warm share {:>5.1}%",

@@ -9,11 +9,21 @@
 //! gate.
 
 use p4db::chaos::{check, run_chaos, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks};
+use p4db::common::stats::RunStats;
 use p4db::common::NodeId;
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
-use p4db::Cluster;
+use p4db::{Cluster, Load, Stop};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Drives `n` transactions per session of the 2x2 test-profile cluster and
+/// checks that every one settled, at fewer than 3 attempts per commit.
+fn drive_n(cluster: &Cluster, n: usize) -> RunStats {
+    let stats = cluster.drive(Load::new(Stop::Txns(n))).expect("drive failed");
+    assert_eq!(stats.merged.committed_total() + stats.failed, 4 * n as u64, "every transaction settles");
+    assert!(stats.attempts_per_commit() < 3.0, "{:.2} attempts per commit", stats.attempts_per_commit());
+    stats
+}
 
 /// Seeds per workload for the sweep (faults enabled).
 const SWEEP_SEEDS: std::ops::Range<u64> = 1..13;
@@ -93,7 +103,7 @@ fn smoke_recovery_checkpoint_tail_matches_genesis_verdict() {
     let workload: Arc<dyn Workload> =
         Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
     let cluster = Cluster::builder(workload).test_profile().distributed_prob(0.0).wal_segment_records(64).build();
-    let _ = cluster.run_for(Duration::from_millis(150));
+    drive_n(&cluster, 100);
     assert!(cluster.quiesce_switch(Duration::from_secs(5)));
 
     // Genesis-replay restart: no checkpoint exists yet.
@@ -108,7 +118,7 @@ fn smoke_recovery_checkpoint_tail_matches_genesis_verdict() {
 
     // Checkpoint, run more traffic, then a checkpoint+tail restart.
     let generation = cluster.checkpoint_node(NodeId(0)).unwrap();
-    let _ = cluster.run_for(Duration::from_millis(100));
+    drive_n(&cluster, 50);
     assert!(cluster.quiesce_switch(Duration::from_secs(5)));
     let ckpt = cluster.crash_and_recover_node(NodeId(0)).unwrap();
     assert_eq!(ckpt.from_checkpoint, Some(generation), "recovery must use the checkpoint");
@@ -136,10 +146,10 @@ fn smoke_recovery_checkpointed_restart_leaves_ambiguous_tuples_alone() {
     let workload: Arc<dyn Workload> =
         Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
     let cluster = Cluster::builder(workload).test_profile().distributed_prob(0.5).build();
-    let _ = cluster.run_for(Duration::from_millis(150));
+    drive_n(&cluster, 100);
     assert!(cluster.quiesce_switch(Duration::from_secs(5)));
     let generation = cluster.checkpoint_node(NodeId(0)).unwrap();
-    let _ = cluster.run_for(Duration::from_millis(150));
+    drive_n(&cluster, 100);
     assert!(cluster.quiesce_switch(Duration::from_secs(5)));
     let report = cluster.crash_and_recover_node(NodeId(0)).unwrap();
     assert_eq!(report.from_checkpoint, Some(generation), "recovery must use the checkpoint");

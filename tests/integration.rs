@@ -1,16 +1,15 @@
 //! Cross-crate integration tests: full clusters (nodes + switch + engine +
 //! workloads) exercised end to end in the zero-latency test profile.
 
-use p4db::common::stats::TxnClass;
+use p4db::common::stats::{RunStats, TxnClass};
 use p4db::common::{AbortReason, CcScheme, Error, NodeId, SystemMode, TupleId};
-use p4db::core::{Cluster, ClusterConfig};
+use p4db::core::{Cluster, ClusterConfig, Load, Stop};
 use p4db::storage::recover_switch_state;
 use p4db::workloads::smallbank::{CHECKING, INITIAL_BALANCE, SAVINGS};
 use p4db::workloads::{SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
 use p4db::Txn;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn ycsb() -> Arc<dyn Workload> {
     Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }))
@@ -24,22 +23,29 @@ fn tpcc() -> Arc<dyn Workload> {
     Arc::new(Tpcc::new(TpccConfig { items_loaded: 500, ..TpccConfig::new(4) }))
 }
 
+/// Drives `n` transactions per session at a window of 1 and checks that
+/// every one settled, at fewer than 3 execution attempts per commit.
+fn drive_n(cluster: &Cluster, n: usize) -> RunStats {
+    let stats = cluster.drive(Load::new(Stop::Txns(n))).expect("drive failed");
+    let (nodes, workers) = (cluster.config().num_nodes as u64, cluster.config().workers_per_node as u64);
+    let cell = format!("{} in {:?}", cluster.workload_name(), cluster.config().mode);
+    assert_eq!(
+        stats.merged.committed_total() + stats.failed,
+        nodes * workers * n as u64,
+        "{cell}: every transaction settles"
+    );
+    assert!(stats.attempts_per_commit() < 3.0, "{cell}: {:.2} attempts per commit", stats.attempts_per_commit());
+    stats
+}
+
+/// The mode x workload matrix: every cell settles every transaction it is
+/// given without a retry storm.
 #[test]
 fn all_workloads_commit_in_all_modes() {
     for workload in [ycsb(), smallbank(), tpcc()] {
         for mode in [SystemMode::NoSwitch, SystemMode::LmSwitch, SystemMode::P4db] {
             let cluster = Cluster::build(ClusterConfig::test_profile(mode, CcScheme::NoWait), Arc::clone(&workload));
-            let stats = cluster.run_for(Duration::from_millis(200));
-            // The test machine may have a single core shared by all
-            // concurrently running test clusters, so the bar is deliberately
-            // low: the system must make progress in every mode.
-            assert!(
-                stats.merged.committed_total() > 10,
-                "{} in {:?} committed only {}",
-                cluster.workload_name(),
-                mode,
-                stats.merged.committed_total()
-            );
+            drive_n(&cluster, 100);
         }
     }
 }
@@ -51,7 +57,7 @@ fn p4db_executes_hot_transactions_on_the_switch_and_keeps_hosts_consistent() {
     let mut config = ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait);
     config.switch = p4db::switch::SwitchConfig::tofino_defaults();
     let cluster = Cluster::build(config, ycsb());
-    let stats = cluster.run_for(Duration::from_millis(200));
+    let stats = drive_n(&cluster, 100);
     assert!(stats.merged.committed_hot > 0, "hot transactions must run on the switch");
     let sw = cluster.switch_stats();
     assert!(sw.txns_executed >= stats.merged.committed_hot);
@@ -61,14 +67,13 @@ fn p4db_executes_hot_transactions_on_the_switch_and_keeps_hosts_consistent() {
 #[test]
 fn wait_die_also_makes_progress_under_contention() {
     let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::NoSwitch, CcScheme::WaitDie), ycsb());
-    let stats = cluster.run_for(Duration::from_millis(200));
-    assert!(stats.merged.committed_total() > 50);
+    drive_n(&cluster, 100);
 }
 
 #[test]
 fn tpcc_produces_warm_transactions_in_p4db_mode() {
     let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), tpcc());
-    let stats = cluster.run_for(Duration::from_millis(300));
+    let stats = drive_n(&cluster, 100);
     assert!(stats.merged.committed_warm > 0, "TPC-C must produce warm transactions");
     assert!(cluster.switch_stats().multicasts > 0 || stats.merged.committed_warm > 0);
 }
@@ -83,7 +88,7 @@ fn tpcc_money_is_conserved_between_customers_and_ytd_counters() {
     let workload = tpcc();
     let cluster =
         Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), Arc::clone(&workload));
-    let _ = cluster.run_for(Duration::from_millis(300));
+    drive_n(&cluster, 100);
 
     let mut ytd_total: i128 = 0;
     for w in 0..4u64 {
@@ -108,7 +113,7 @@ fn tpcc_money_is_conserved_between_customers_and_ytd_counters() {
 #[test]
 fn switch_state_recovers_from_node_logs_after_a_crash() {
     let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), smallbank());
-    let _ = cluster.run_for(Duration::from_millis(200));
+    drive_n(&cluster, 100);
 
     let live: HashMap<TupleId, u64> =
         cluster.shared().hot_index.load().iter().map(|(t, _)| (t, cluster.switch_value(t).unwrap())).collect();
@@ -126,8 +131,7 @@ fn switch_state_recovers_from_node_logs_after_a_crash() {
 #[test]
 fn lm_switch_keeps_data_on_the_hosts() {
     let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::LmSwitch, CcScheme::NoWait), ycsb());
-    let stats = cluster.run_for(Duration::from_millis(150));
-    assert!(stats.merged.committed_total() > 0);
+    drive_n(&cluster, 100);
     assert_eq!(cluster.switch_stats().txns_executed, 0, "LM-Switch must not execute data-plane transactions");
     assert!(cluster.switch_stats().lm_requests > 0, "LM-Switch must process lock requests");
 }
@@ -249,8 +253,7 @@ fn capacity_overflow_degrades_gracefully() {
     let cluster = Cluster::build(config, workload);
     assert!(cluster.offloaded_tuples() > 0);
     assert!(cluster.offloaded_tuples() < cluster.hot_set_size());
-    let stats = cluster.run_for(Duration::from_millis(200));
-    assert!(stats.merged.committed_total() > 10);
+    let stats = drive_n(&cluster, 100);
     // With only part of the hot set on the switch, transactions over the hot
     // keys become warm (or hot if all their keys happen to be offloaded) —
     // the switch is still involved, throughput degrades gracefully.

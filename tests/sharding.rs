@@ -7,9 +7,8 @@
 use p4db::chaos::{run_chaos, ChaosOptions, ChaosWorkload};
 use p4db::storage::{NodeStorage, RowHandle, Table, DEFAULT_TABLE_SHARDS};
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
-use p4db::{Cluster, NodeId, TableId};
+use p4db::{Cluster, Load, NodeId, Stop, TableId};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Seeds per workload for the sweep (12 seeds, matching the chaos suite's
 /// faulty sweep).
@@ -71,12 +70,9 @@ fn cluster_commits_at_every_storage_shard_count() {
             assert_eq!(table.shard_count(), DEFAULT_TABLE_SHARDS);
         }
     }
-    let stats = cluster.run_for(Duration::from_millis(150));
-    assert!(
-        stats.merged.committed_total() > 50,
-        "shards={DEFAULT_TABLE_SHARDS} committed only {}",
-        stats.merged.committed_total()
-    );
+    let stats = cluster.drive(Load::new(Stop::Txns(100))).expect("drive failed");
+    assert_eq!(stats.merged.committed_total() + stats.failed, 4 * 100, "every transaction settles");
+    assert!(stats.attempts_per_commit() < 3.0, "{:.2} attempts per commit", stats.attempts_per_commit());
 }
 
 /// Property test (FastRng case harness): row handles resolved before an
@@ -185,7 +181,9 @@ fn lock_wait_time_is_recorded_under_wait_die_contention() {
     // actually contends on them.
     let cluster =
         Cluster::builder(workload).test_profile().workers(4).mode(SystemMode::NoSwitch).cc(CcScheme::WaitDie).build();
-    let _ = cluster.run_for(Duration::from_millis(250));
+    let stats = cluster.drive(Load::new(Stop::Txns(100))).expect("drive failed");
+    assert_eq!(stats.merged.committed_total() + stats.failed, 2 * 4 * 100, "every transaction settles");
+    assert!(stats.attempts_per_commit() < 3.0, "{:.2} attempts per commit", stats.attempts_per_commit());
     let waits: u64 = cluster.shared().nodes.iter().map(|n| n.locks().wait_stats().waits).sum();
     let waited: u64 = cluster.shared().nodes.iter().map(|n| n.locks().wait_stats().total_wait_ns).sum();
     assert!(waits > 0, "a contended WAIT_DIE run must record waits");
