@@ -50,9 +50,10 @@ cargo test --offline --release -q --test wal_identity
 echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, fuzzy-checkpoint crash, a checkpointed restart leaving ambiguous tuples alone (full 12x3 sweep runs in tier-1)"
 cargo test --offline --release -q --test durability smoke_recovery_ -- --nocapture
 
-echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC safety, doctored-chain detection (folded chains included), the fold-at-install reference model (property_fold_at_install_matches_the_reference_model), the Row size budget (a_row_stays_within_its_size_budget), and a write-only stream retaining only its log (mvcc_memory)"
+echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC safety, doctored-chain detection (folded chains included), the fold-at-install reference model (property_fold_at_install_matches_the_reference_model), the 72 B Row size budget (a_row_stays_within_its_size_budget), a write-only stream retaining only its log (mvcc_memory), and an inserted row retaining at most 128 B of heap (row_memory)"
 cargo test --offline --release -q --test mvcc -- --nocapture
 cargo test --offline --release -q --test mvcc_memory a_write_only_stream_retains_its_log_and_no_versions
+cargo test --offline --release -q --test row_memory an_inserted_row_retains_at_most_128_bytes_of_heap
 
 echo "==> bench smoke gate: BENCH json emission, schema validity, every point commits, speedup floors"
 # Absolute path: cargo runs bench binaries with the package dir as CWD.

@@ -1,7 +1,7 @@
 //! # p4db-common
 //!
 //! Shared foundation types for the P4DB reproduction: identifiers for nodes,
-//! tables, tuples and transactions, the fixed-width value representation used
+//! tables, tuples and transactions, the one-word value representation used
 //! both on host nodes and in the (simulated) switch register arrays, error
 //! types, workload randomness (Zipf / hot-set generators), throughput and
 //! latency statistics, and a calibrated simulated-latency primitive used by

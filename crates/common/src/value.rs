@@ -2,108 +2,36 @@
 //!
 //! P4DB's switch stores hot tuples in register arrays whose cells are
 //! fixed-width machine words (8 bytes on the Tofino generation used in the
-//! paper, §2.3). The host DBMS in the paper is a main-memory store with
-//! fixed-size rows. We mirror both: a [`Value`] is a small fixed-capacity
-//! vector of 64-bit fields. Field 0 is the field that gets offloaded to a
-//! switch register when the tuple is hot (the "switch column" of §7.5, e.g.
-//! `d_next_o_id`, `w_ytd` or an account balance); the remaining fields model
-//! the payload that stays on the host node and determines the tuple width
-//! used in the capacity experiment (Fig 17).
+//! paper, §2.3), and the host DBMS is a main-memory store with fixed-size
+//! rows. A [`Value`] is one 64-bit word: the tuple's "switch column" (§7.5,
+//! e.g. `d_next_o_id`, `w_ytd` or an account balance), the word that is
+//! offloaded to a switch register when the tuple is hot. Every workload
+//! here reads and writes only that column, so the host keeps nothing else:
+//! a row's live value fits one atomic word, which lets the row store it
+//! without a latch (see `p4db_storage::Row`).
 
-/// Maximum number of 8-byte fields a row can carry. TPC-C's widest offloaded
-/// rows in the paper (stock quantity + payload) fit comfortably; workloads
-/// that need wider rows (the Fig 17 tuple-width sweep) use multiple logical
-/// fields up to this cap.
-pub const MAX_FIELDS: usize = 16;
-
-/// A fixed-width row value: `width` live 64-bit fields.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Value {
-    fields: [u64; MAX_FIELDS],
-    width: u8,
-}
+/// A row value: one 64-bit word.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Value(u64);
 
 impl Value {
-    /// Creates a single-field value, the common case for YCSB and for switch
-    /// registers.
+    /// Creates a value holding `v`.
     #[inline]
     pub fn scalar(v: u64) -> Self {
-        let mut fields = [0u64; MAX_FIELDS];
-        fields[0] = v;
-        Self { fields, width: 1 }
+        Self(v)
     }
 
-    /// Creates a zero-initialised value with `width` fields.
-    ///
-    /// # Panics
-    /// Panics if `width` is zero or exceeds [`MAX_FIELDS`].
-    #[inline]
-    pub fn zeroed(width: usize) -> Self {
-        assert!((1..=MAX_FIELDS).contains(&width), "invalid value width {width}");
-        Self { fields: [0u64; MAX_FIELDS], width: width as u8 }
-    }
-
-    /// Creates a value from a slice of fields.
-    ///
-    /// # Panics
-    /// Panics if the slice is empty or longer than [`MAX_FIELDS`].
-    pub fn from_fields(fields: &[u64]) -> Self {
-        assert!(!fields.is_empty() && fields.len() <= MAX_FIELDS, "invalid value width {}", fields.len());
-        let mut buf = [0u64; MAX_FIELDS];
-        buf[..fields.len()].copy_from_slice(fields);
-        Self { fields: buf, width: fields.len() as u8 }
-    }
-
-    /// Number of live fields.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width as usize
-    }
-
-    /// Width in bytes (8 bytes per field), used by the switch control plane
-    /// when computing how many rows fit into the register SRAM (Fig 17).
-    #[inline]
-    pub fn byte_width(&self) -> usize {
-        self.width() * 8
-    }
-
-    /// Reads a field.
-    ///
-    /// # Panics
-    /// Panics if `idx >= self.width()`.
-    #[inline]
-    pub fn field(&self, idx: usize) -> u64 {
-        assert!(idx < self.width(), "field index {idx} out of range (width {})", self.width);
-        self.fields[idx]
-    }
-
-    /// Writes a field.
-    ///
-    /// # Panics
-    /// Panics if `idx >= self.width()`.
-    #[inline]
-    pub fn set_field(&mut self, idx: usize, v: u64) {
-        assert!(idx < self.width(), "field index {idx} out of range (width {})", self.width);
-        self.fields[idx] = v;
-    }
-
-    /// The switch column (field 0): the single 64-bit word that is offloaded
-    /// to a switch register when this tuple is in the hot set.
+    /// The switch column: the 64-bit word that is offloaded to a switch
+    /// register when this tuple is in the hot set.
     #[inline]
     pub fn switch_word(&self) -> u64 {
-        self.fields[0]
+        self.0
     }
 
     /// Overwrites the switch column.
     #[inline]
     pub fn set_switch_word(&mut self, v: u64) {
-        self.fields[0] = v;
-    }
-
-    /// Live fields as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[u64] {
-        &self.fields[..self.width()]
+        self.0 = v;
     }
 
     /// Interprets the switch column as a signed balance (SmallBank stores
@@ -111,19 +39,13 @@ impl Value {
     /// is how the paper's constrained-writes check `balance >= 0`).
     #[inline]
     pub fn signed(&self) -> i64 {
-        self.fields[0] as i64
+        self.0 as i64
     }
 
     /// Sets the switch column from a signed quantity.
     #[inline]
     pub fn set_signed(&mut self, v: i64) {
-        self.fields[0] = v as u64;
-    }
-}
-
-impl Default for Value {
-    fn default() -> Self {
-        Value::scalar(0)
+        self.0 = v as u64;
     }
 }
 
@@ -132,26 +54,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_has_width_one() {
+    fn scalar_is_one_word() {
         let v = Value::scalar(17);
-        assert_eq!(v.width(), 1);
-        assert_eq!(v.field(0), 17);
-        assert_eq!(v.byte_width(), 8);
+        assert_eq!(v.switch_word(), 17);
+        assert_eq!(std::mem::size_of::<Value>(), 8);
+        assert_eq!(Value::default(), Value::scalar(0));
     }
 
     #[test]
-    fn from_fields_preserves_contents() {
-        let v = Value::from_fields(&[1, 2, 3, 4]);
-        assert_eq!(v.width(), 4);
-        assert_eq!(v.as_slice(), &[1, 2, 3, 4]);
-        assert_eq!(v.byte_width(), 32);
-    }
-
-    #[test]
-    fn set_field_updates_only_target() {
-        let mut v = Value::zeroed(3);
-        v.set_field(1, 42);
-        assert_eq!(v.as_slice(), &[0, 42, 0]);
+    fn set_switch_word_overwrites() {
+        let mut v = Value::scalar(1);
+        v.set_switch_word(42);
+        assert_eq!(v, Value::scalar(42));
     }
 
     #[test]
@@ -161,24 +75,5 @@ mod tests {
         assert_eq!(v.signed(), -1234);
         v.set_signed(99);
         assert_eq!(v.signed(), 99);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn field_out_of_range_panics() {
-        let v = Value::scalar(1);
-        let _ = v.field(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid value width")]
-    fn zeroed_rejects_zero_width() {
-        let _ = Value::zeroed(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid value width")]
-    fn from_fields_rejects_too_wide() {
-        let _ = Value::from_fields(&[0u64; MAX_FIELDS + 1]);
     }
 }

@@ -342,7 +342,7 @@ mod tests {
         for key in 0..100u64 {
             storage.table(TableId(0)).unwrap().insert(key, Value::scalar(key * 2));
         }
-        storage.table(TableId(3)).unwrap().insert(7, Value::from_fields(&[1, 2, 3]));
+        storage.table(TableId(3)).unwrap().insert(7, Value::scalar(u64::MAX));
         storage
     }
 
@@ -366,7 +366,7 @@ mod tests {
             ckpt.shards.iter().flat_map(|s| s.rows.iter().map(move |(k, v)| (s.table, *k, v.switch_word()))).collect();
         recovered.sort();
         let mut expected: Vec<(TableId, u64, u64)> = (0..100).map(|k| (TableId(0), k, k * 2)).collect();
-        expected.push((TableId(3), 7, 1));
+        expected.push((TableId(3), 7, u64::MAX));
         expected.sort();
         assert_eq!(recovered, expected);
         // Shard routing matches the table's own: every row sits in the shard

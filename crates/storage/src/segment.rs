@@ -20,7 +20,7 @@
 //! ```
 //!
 //! Record bodies: `1` ColdWrite (txn, table:u16, key, before, after — values
-//! as `n:u8` + `n × u64`), `2` SwitchIntent (txn, `n:u16` ops of table:u16,
+//! as width:u8 = 1 + u64), `2` SwitchIntent (txn, `n:u16` ops of table:u16,
 //! key, opcode:u8, operand, from-flag:u8 + from:u8), `3` SwitchResult (txn,
 //! gid, `n:u16` results of table:u16, key, value), `4` Commit (txn), `5`
 //! Abort (txn).
@@ -84,12 +84,12 @@ fn put_tuple(out: &mut Vec<u8>, tuple: TupleId) {
     put_u64(out, tuple.key);
 }
 
+/// A value's wire form: a width byte, always 1, then the word. The byte
+/// keeps the established log and checkpoint format; `BodyReader::value`
+/// rejects any other width.
 pub(crate) fn put_value(out: &mut Vec<u8>, value: &Value) {
-    let fields = value.as_slice();
-    out.push(fields.len() as u8);
-    for &f in fields {
-        put_u64(out, f);
-    }
+    out.push(1);
+    put_u64(out, value.switch_word());
 }
 
 /// Stable wire code of an opcode.
@@ -236,15 +236,11 @@ impl<'a> BodyReader<'a> {
     }
 
     pub(crate) fn value(&mut self, what: &str) -> Result<Value, WalCodecError> {
-        let n = self.u8(what)? as usize;
-        if n == 0 || n > p4db_common::value::MAX_FIELDS {
-            return Err(self.err(format!("invalid {what} width {n}")));
+        let width = self.u8(what)?;
+        if width != 1 {
+            return Err(self.err(format!("invalid {what} width {width}")));
         }
-        let mut fields = [0u64; p4db_common::value::MAX_FIELDS];
-        for field in fields.iter_mut().take(n) {
-            *field = self.u64(what)?;
-        }
-        Ok(Value::from_fields(&fields[..n]))
+        Ok(Value::scalar(self.u64(what)?))
     }
 
     fn finish(self) -> Result<(), WalCodecError> {
@@ -523,12 +519,7 @@ mod tests {
 
     fn sample_records() -> Vec<LogRecord> {
         vec![
-            LogRecord::ColdWrite {
-                txn: txn(3),
-                tuple: tuple(9),
-                before: Value::from_fields(&[1, 7, 9]),
-                after: Value::from_fields(&[2, 7, 9]),
-            },
+            LogRecord::ColdWrite { txn: txn(3), tuple: tuple(9), before: Value::scalar(1), after: Value::scalar(2) },
             LogRecord::SwitchIntent {
                 txn: txn(3),
                 ops: vec![
@@ -681,10 +672,7 @@ mod tests {
             (patched(intent.clone(), opcode_at, 6), "unknown opcode 6"),
             (patched(intent, flag_at, 2), "invalid operand source flag 2"),
             (patched(body(&records[0]), width_at, 0), "invalid before image width 0"),
-            (
-                patched(body(&records[0]), width_at, p4db_common::value::MAX_FIELDS as u8 + 1),
-                "invalid before image width",
-            ),
+            (patched(body(&records[0]), width_at, 2), "invalid before image width 2"),
             (trailing, "trailing garbage"),
         ];
         for (bad, expected) in cases {

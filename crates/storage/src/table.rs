@@ -36,7 +36,7 @@ use p4db_common::prefetch::prefetch;
 use p4db_common::sync::unpoison;
 use p4db_common::{Error, Result, TableId, TupleId, TxnId, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 /// Default shard count of a table partition: large enough that a handful of
@@ -44,19 +44,23 @@ use std::sync::{Arc, RwLock, RwLockWriteGuard};
 /// cheap.
 pub const DEFAULT_TABLE_SHARDS: usize = 64;
 
-/// A single row: its 2PL lock, the live value behind a latch, and the
-/// committed versions lock-free snapshot readers resolve against.
+/// A single row: its 2PL lock, the live value word, and the committed
+/// versions lock-free snapshot readers resolve against.
 ///
 /// The live `value` is what the 2PL path reads and writes; it can hold
-/// uncommitted data while the writer's locks pin it. Snapshot readers never
-/// touch it. They see only the row's `VersionChain`, which committing
-/// writers install into *while still holding their exclusive locks* — so
-/// per-row version timestamps are strictly increasing and consistent with
-/// the 2PL serialization order.
+/// uncommitted data while the writer's locks pin it. It has no latch of its
+/// own: the 2PL row lock already serialises writers, and the value is one
+/// [`Value`] word, so a single atomic load or store moves it whole. The two
+/// readers that take no row lock — the fuzzy checkpoint scan and LM-Switch's
+/// resolve — therefore see either the old word or the new one, never a torn
+/// mix. Snapshot readers never touch it. They see only the row's
+/// `VersionChain`, which committing writers install into *while still
+/// holding their exclusive locks* — so per-row version timestamps are
+/// strictly increasing and consistent with the 2PL serialization order.
 #[derive(Debug)]
 pub struct Row {
     lock: RowLock,
-    value: RwLock<Value>,
+    value: AtomicU64,
     versions: RwLock<VersionChain>,
 }
 
@@ -179,7 +183,7 @@ impl Row {
         let base = Some(value.switch_word());
         Row {
             lock: RowLock::default(),
-            value: RwLock::new(value),
+            value: AtomicU64::new(value.switch_word()),
             versions: RwLock::new(VersionChain { base, ..VersionChain::default() }),
         }
     }
@@ -189,7 +193,11 @@ impl Row {
     /// so snapshots older than the insert's commit timestamp must not see
     /// it.
     fn new_fresh(value: Value, txn: TxnId) -> Self {
-        Row { lock: RowLock::held_by(txn), value: RwLock::new(value), versions: RwLock::new(VersionChain::default()) }
+        Row {
+            lock: RowLock::held_by(txn),
+            value: AtomicU64::new(value.switch_word()),
+            versions: RwLock::new(VersionChain::default()),
+        }
     }
 
     /// The row's 2PL lock.
@@ -198,28 +206,20 @@ impl Row {
         &self.lock
     }
 
-    /// Reads the row.
+    /// Reads the row. The Acquire pairs with [`Row::write`]'s Release, so a
+    /// reader that sees a word also sees what its writer did before storing
+    /// it.
+    #[inline]
     pub fn read(&self) -> Value {
-        *unpoison(self.value.read())
+        Value::scalar(self.value.load(Ordering::Acquire))
     }
 
-    /// Overwrites the row.
+    /// Overwrites the row. The caller holds the row's exclusive 2PL lock (or
+    /// owns the row outright, as a loader or recovery does), so there is no
+    /// racing writer to order against.
+    #[inline]
     pub fn write(&self, value: Value) {
-        *unpoison(self.value.write()) = value;
-    }
-
-    /// Applies a closure to the row under the write latch and returns its
-    /// result (used for read-modify-write operations like balance updates).
-    ///
-    /// Unlike the other `unpoison` sites, the closure here can panic halfway
-    /// through a multi-field mutation and leave a torn value behind.
-    /// Adopting that state anyway is deliberate: it matches the seed's
-    /// `parking_lot` semantics (no poisoning), and a worker that panics does
-    /// so while holding the tuple's *logical* 2PL lock, which is never
-    /// released — so no committing transaction can observe the torn row.
-    pub fn update<R>(&self, f: impl FnOnce(&mut Value) -> R) -> R {
-        let mut guard = unpoison(self.value.write());
-        f(&mut guard)
+        self.value.store(value.switch_word(), Ordering::Release);
     }
 
     /// Snapshot read: the newest committed switch word at or below `snap`,
@@ -528,20 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn update_applies_read_modify_write() {
-        let t = table();
-        t.insert(1, Value::scalar(100));
-        let row = t.get(1).unwrap();
-        let old = row.update(|v| {
-            let old = v.switch_word();
-            v.set_switch_word(old + 5);
-            old
-        });
-        assert_eq!(old, 100);
-        assert_eq!(t.read(1).unwrap().switch_word(), 105);
-    }
-
-    #[test]
     fn bulk_load_inserts_everything() {
         let t = table();
         t.bulk_load((0..100).map(|k| (k, Value::scalar(k))));
@@ -614,26 +600,5 @@ mod tests {
         assert_eq!(handle.read().switch_word(), 42);
         handle.write(Value::scalar(43));
         assert_eq!(handle.read().switch_word(), 43);
-    }
-
-    #[test]
-    fn concurrent_updates_do_not_lose_increments() {
-        let t = Arc::new(table());
-        t.insert(0, Value::scalar(0));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        let row = t.get(0).unwrap();
-                        row.update(|v| v.set_switch_word(v.switch_word() + 1));
-                    }
-                })
-            })
-            .collect();
-        for th in threads {
-            th.join().unwrap();
-        }
-        assert_eq!(t.read(0).unwrap().switch_word(), 8000);
     }
 }

@@ -312,8 +312,8 @@ mod tests {
         wal.append(LogRecord::ColdWrite {
             txn: txn(3),
             tuple: tuple(9),
-            before: Value::from_fields(&[1, 7, 9]),
-            after: Value::from_fields(&[2, 7, 9]),
+            before: Value::scalar(1),
+            after: Value::scalar(2),
         });
         wal.append(LogRecord::SwitchIntent {
             txn: txn(3),

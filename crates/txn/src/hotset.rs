@@ -140,7 +140,7 @@ impl HotIndexCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4db_common::{TableId, Value};
+    use p4db_common::TableId;
     use p4db_switch::{RegisterMemory, SwitchConfig};
     use std::sync::Arc;
 
@@ -153,7 +153,7 @@ mod tests {
         let config = SwitchConfig::tiny();
         let memory = Arc::new(RegisterMemory::new(config));
         let mut cp = ControlPlane::new(config, memory);
-        cp.offload_into(t(1), 0, 0, Value::scalar(0).byte_width(), 5).unwrap();
+        cp.offload_into(t(1), 0, 0, 8, 5).unwrap();
         cp.offload_into(t(2), 1, 1, 8, 7).unwrap();
         let idx = HotSetIndex::from_control_plane(&cp);
         assert_eq!(idx.len(), 2);

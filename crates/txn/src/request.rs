@@ -11,8 +11,7 @@ use p4db_common::stats::TxnClass;
 use p4db_common::{NodeId, TupleId};
 
 /// What an operation does to its tuple. All operations work on the tuple's
-/// 64-bit switch column (field 0 of the row); wider payload fields only
-/// matter for capacity accounting.
+/// 64-bit switch column, the row's one value word.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum OpKind {
     /// Read the value.

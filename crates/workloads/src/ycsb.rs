@@ -60,21 +60,11 @@ pub struct YcsbConfig {
     pub hot_txn_prob: f64,
     /// Operations per transaction.
     pub ops_per_txn: usize,
-    /// Row width in bytes (8 = the paper's 8-byte values; Fig 17 uses wider
-    /// rows to shrink the switch's row capacity).
-    pub value_bytes: usize,
 }
 
 impl YcsbConfig {
     pub fn new(mix: YcsbMix) -> Self {
-        YcsbConfig {
-            mix,
-            keys_per_node: 100_000,
-            hot_keys_per_node: 50,
-            hot_txn_prob: 0.75,
-            ops_per_txn: 8,
-            value_bytes: 8,
-        }
+        YcsbConfig { mix, keys_per_node: 100_000, hot_keys_per_node: 50, hot_txn_prob: 0.75, ops_per_txn: 8 }
     }
 }
 
@@ -153,21 +143,14 @@ impl Workload for Ycsb {
     fn load_node(&self, storage: &NodeStorage, _num_nodes: u16) {
         let table = storage.table(YCSB_TABLE).expect("YCSB table declared");
         let node = storage.node();
-        let width_fields = (self.config.value_bytes / 8).max(1);
-        table.bulk_load(
-            (0..self.config.keys_per_node).map(|local| (self.key(node, local), Value::zeroed(width_fields))),
-        );
+        table.bulk_load((0..self.config.keys_per_node).map(|local| (self.key(node, local), Value::scalar(0))));
     }
 
     fn hot_tuples(&self, num_nodes: u16) -> Vec<HotTuple> {
         let mut hot = Vec::new();
         for node in 0..num_nodes {
             for local in 0..self.config.hot_keys_per_node {
-                hot.push(HotTuple {
-                    tuple: self.tuple(self.key(NodeId(node), local)),
-                    initial: 0,
-                    byte_width: self.config.value_bytes,
-                });
+                hot.push(HotTuple { tuple: self.tuple(self.key(NodeId(node), local)), initial: 0, byte_width: 8 });
             }
         }
         hot

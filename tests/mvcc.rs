@@ -13,7 +13,7 @@ use p4db::chaos::invariants::{self, SemanticChecks, Violation};
 use p4db::chaos::{run_chaos, ChaosOptions, ChaosReport, ChaosWorkload};
 use p4db::common::rand_util::FastRng;
 use p4db::common::{SwitchId, Value};
-use p4db::storage::{MvccState, Row, Table};
+use p4db::storage::{LogRecord, MvccState, Row, Table};
 use p4db::workloads::{Workload, Ycsb, YcsbConfig, YcsbMix};
 use p4db::{Cluster, NodeId, SystemMode, TableId, TupleId, Txn};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -350,13 +350,17 @@ fn property_fold_at_install_matches_the_reference_model() {
     }
 }
 
-/// `Row` is most of a loaded table's memory (1M rows on `ycsb_cold`): the
-/// inline newest version must fit in 224 B. (The layout before it was
-/// 216 B; a 240 B prototype cost `ycsb_cold` 32 MB of RSS after setup.)
+/// `Row` is most of a loaded table's memory (1M rows on `ycsb_cold`): lock
+/// word, value word and version chain fit in 72 B. The value is one word,
+/// and a cold write logs two of them, so a `LogRecord` fits in 64 B. (A
+/// 16-word value behind its own latch made these 216 B, 136 B and 304 B.)
 #[test]
 fn a_row_stays_within_its_size_budget() {
     let size = std::mem::size_of::<Row>();
-    assert!(size <= 224, "size_of::<Row>() = {size} B, budget 224 B");
+    assert!(size <= 72, "size_of::<Row>() = {size} B, budget 72 B");
+    assert_eq!(std::mem::size_of::<Value>(), 8, "a value is one word");
+    let record = std::mem::size_of::<LogRecord>();
+    assert!(record <= 64, "size_of::<LogRecord>() = {record} B, budget 64 B");
 }
 
 /// GC safety under real concurrency: one writer commits increments while

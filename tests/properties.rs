@@ -194,8 +194,8 @@ fn random_record(rng: &mut FastRng, s: u64) -> LogRecord {
         0 => LogRecord::ColdWrite {
             txn,
             tuple,
-            before: Value::from_fields(&[rng.next_u64() % 1_000, 7]),
-            after: Value::from_fields(&[rng.next_u64() % 1_000, 7]),
+            before: Value::scalar(rng.next_u64() % 1_000),
+            after: Value::scalar(rng.next_u64() % 1_000),
         },
         1 => {
             let ops = (0..1 + rng.gen_range(3))

@@ -3,12 +3,13 @@
 //! A counting global allocator measures the live heap around 100k committed
 //! cold transactions' worth of appends: what the log keeps must stay within
 //! 1.25x of the segment bytes it reports. (A log that also kept its decoded
-//! records — a 304-byte slot each, whatever the record — would be ~8x over.)
+//! records — a 64-byte slot each plus each switch result's heap list — would
+//! be well over.)
 //!
 //! This file holds exactly one test: the allocator is process-wide, and a
 //! second test running on another thread would be counted too.
 
-use p4db::common::{NodeId, TableId, TupleId, TxnId, Value, WorkerId};
+use p4db::common::{GlobalTxnId, NodeId, TableId, TupleId, TxnId, Value, WorkerId};
 use p4db::storage::{LogRecord, Wal};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -57,19 +58,19 @@ fn the_log_retains_its_segment_bytes_and_little_else() {
     let mut appended = 0;
     for seq in 0..GROUPS {
         let txn = TxnId::compose(seq, NodeId(0), WorkerId(0));
-        // 1..=3 cold writes of 1..=4 fields, so segments differ in size and
-        // a buffer sized from the last one is sometimes too big, sometimes
-        // too small.
+        // 1..=3 cold writes and a switch result of 1..=4 results, so
+        // segments differ in size and a buffer sized from the last one is
+        // sometimes too big, sometimes too small.
         for w in 0..1 + seq % 3 {
-            let fields = [seq as u64, 7, 9, 11];
-            let width = 1 + ((seq + w) % 4) as usize;
             staged.push(LogRecord::ColdWrite {
                 txn,
                 tuple: TupleId::new(TableId(0), (seq + w) as u64),
-                before: Value::from_fields(&fields[..width]),
-                after: Value::from_fields(&fields[..width]),
+                before: Value::scalar(seq as u64),
+                after: Value::scalar(seq as u64 + 1),
             });
         }
+        let results = (0..1 + seq as u64 % 4).map(|k| (TupleId::new(TableId(1), k), seq as u64 + k)).collect();
+        staged.push(LogRecord::SwitchResult { txn, gid: GlobalTxnId(seq as u64), results });
         staged.push(LogRecord::Commit { txn });
         appended += staged.len();
         wal.append_group(staged.drain(..));
