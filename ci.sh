@@ -43,8 +43,8 @@ echo "==> switch gate: the pipeline runs on the delivering thread (a frame is an
 cargo test --offline --release -q -p p4db-switch -p p4db-net -- a_frame_is_answered_before_its_send_returns no_frame_is_stranded_behind_a_busy_pipeline a_reply_addressed_to_the_switch_itself_is_ignored a_serial_script_keeps_its_audit_order_and_replies every_delivery_to_a_pumped_endpoint_runs_its_pump_after_queueing undelivered_messages_do_not_pump_and_released_ones_do
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
 
-echo "==> lock gate: the lock lives in the row (under 8 threads never two exclusive holders of a row, shared holders count up and down, a retired row conflicts, WAIT_DIE lets an older requester wait and kills a younger or equal one, a saturated shared count conflicts), admission (no map entry for a key with a row, a row inserted between the two probes is row-locked too, a prefetch takes no lock and resolves nothing, the prefetch pass adds no acquisition), the insert lifecycle (a row inserted by an open transaction is locked to others, an aborted insert's row cannot be locked, an insert over a live key retires the old row, each tuple locked once in its strongest mode), and fixed serial YCSB/SmallBank/TPC-C runs logging the recorded WAL"
-cargo test --offline --release -q -p p4db-storage -p p4db-txn -- no_wait_under_concurrency_never_grants_conflicting_row_locks shared_row_holders_count_up_and_down a_retired_row_conflicts_under_both_schemes under_wait_die_an_older_row_requester_waits under_wait_die_a_shared_row_remembers_its_oldest_owner a_saturated_shared_count_conflicts_instead_of_overflowing admit_locks_and_resolves_in_one_step a_row_inserted_between_the_two_probes_is_row_locked_too a_prefetch_takes_no_lock_and_resolves_nothing the_prefetch_pass_adds_no_acquisition a_row_inserted_by_an_open_transaction_is_locked_to_others the_row_of_an_aborted_insert_cannot_be_locked an_insert_over_a_live_key_retires_the_old_row a_footprint_locks_each_tuple_once_in_its_strongest_mode
+echo "==> lock gate: the lock lives in the row (under 8 threads never two exclusive holders of a row, shared holders count up and down, a retired row conflicts, WAIT_DIE lets an older requester wait and kills a younger or equal one, a saturated shared count conflicts), the row index against a std map model (collisions, wrap-around, growth, backward-shift removal), admission (no map entry for a key with a row, a row inserted between the two probes is row-locked too, neither prefetch pass — slot or row — takes a lock, keeps a handle, inserts a row or grows the index, the prefetch passes add no acquisition), the insert lifecycle (a row inserted by an open transaction is locked to others, an aborted insert's row cannot be locked, an insert over a live key retires the old row, each tuple locked once in its strongest mode), and fixed serial YCSB/SmallBank/TPC-C runs logging the recorded WAL"
+cargo test --offline --release -q -p p4db-storage -p p4db-txn -- no_wait_under_concurrency_never_grants_conflicting_row_locks shared_row_holders_count_up_and_down a_retired_row_conflicts_under_both_schemes under_wait_die_an_older_row_requester_waits under_wait_die_a_shared_row_remembers_its_oldest_owner a_saturated_shared_count_conflicts_instead_of_overflowing property_the_row_index_matches_a_map_model admit_locks_and_resolves_in_one_step a_row_inserted_between_the_two_probes_is_row_locked_too a_prefetch_takes_no_lock_and_resolves_nothing the_prefetch_pass_adds_no_acquisition a_row_inserted_by_an_open_transaction_is_locked_to_others the_row_of_an_aborted_insert_cannot_be_locked an_insert_over_a_live_key_retires_the_old_row a_footprint_locks_each_tuple_once_in_its_strongest_mode
 cargo test --offline --release -q --test wal_identity
 
 echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, fuzzy-checkpoint crash, a checkpointed restart leaving ambiguous tuples alone (full 12x3 sweep runs in tier-1)"

@@ -23,6 +23,7 @@ use crate::latency::LatencyModel;
 use crate::message::Envelope;
 use p4db_common::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use p4db_common::faults::{FaultAction, FaultEvent, FaultInjector};
+use p4db_common::hash::FastMap;
 use p4db_common::simtime::wait_for;
 use p4db_common::sync::unpoison;
 use std::collections::HashMap;
@@ -156,7 +157,7 @@ struct Endpoint<M> {
 }
 
 struct Registry<M> {
-    endpoints: HashMap<EndpointId, Endpoint<M>>,
+    endpoints: FastMap<EndpointId, Endpoint<M>>,
     /// Cached senders of every `EndpointId::Node(_)` endpoint, maintained by
     /// [`Fabric::register`], so the warm-decision multicast does not allocate
     /// (or filter the whole registry) on every call.
@@ -188,7 +189,7 @@ impl<M> Clone for Fabric<M> {
 impl<M> Fabric<M> {
     pub fn new(latency: LatencyModel) -> Self {
         Fabric {
-            registry: Arc::new(RwLock::new(Registry { endpoints: HashMap::new(), node_senders: Vec::new() })),
+            registry: Arc::new(RwLock::new(Registry { endpoints: FastMap::default(), node_senders: Vec::new() })),
             latency,
             chaos: None,
         }
@@ -197,7 +198,7 @@ impl<M> Fabric<M> {
     /// A fabric that routes every unicast send through `injector`.
     pub fn with_faults(latency: LatencyModel, injector: Arc<FaultInjector>) -> Self {
         Fabric {
-            registry: Arc::new(RwLock::new(Registry { endpoints: HashMap::new(), node_senders: Vec::new() })),
+            registry: Arc::new(RwLock::new(Registry { endpoints: FastMap::default(), node_senders: Vec::new() })),
             latency,
             chaos: Some(Arc::new(ChaosState { injector, held: Mutex::new(HashMap::new()) })),
         }

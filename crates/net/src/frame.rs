@@ -20,8 +20,8 @@
 
 use crate::endpoint::EndpointId;
 use crate::message::Envelope;
+use p4db_common::hash::FastMap;
 use p4db_common::{NodeId, SwitchId, WorkerId};
-use std::collections::HashMap;
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -35,12 +35,12 @@ use std::fmt;
 #[derive(Debug)]
 pub struct FrameBatcher<M> {
     batch_size: usize,
-    buffers: HashMap<EndpointId, Vec<M>>,
+    buffers: FastMap<EndpointId, Vec<M>>,
 }
 
 impl<M> FrameBatcher<M> {
     pub fn new(batch_size: usize) -> Self {
-        FrameBatcher { batch_size: batch_size.max(1), buffers: HashMap::new() }
+        FrameBatcher { batch_size: batch_size.max(1), buffers: FastMap::default() }
     }
 
     pub fn batch_size(&self) -> usize {

@@ -3,13 +3,11 @@
 //! Host-side storage of the shared-nothing distributed DBMS that P4DB is
 //! integrated into (§6): per-node in-memory tables, row-granularity 2PL
 //! locks (each held in its row) with the NO_WAIT and WAIT_DIE
-//! deadlock-prevention variants,
-//! secondary indexes, the per-node write-ahead log with the switch-GID
-//! protocol, and the recovery procedures for both switch state and node
-//! state.
+//! deadlock-prevention variants, the per-node write-ahead log with the
+//! switch-GID protocol, and the recovery procedures for both switch state
+//! and node state.
 
 pub mod checkpoint;
-pub mod index;
 pub mod locks;
 pub mod mvcc;
 pub mod node;
@@ -19,7 +17,6 @@ pub mod table;
 pub mod wal;
 
 pub use checkpoint::{decode_checkpoint, take_fuzzy_checkpoint, Checkpoint, CheckpointStore, ShardRows};
-pub use index::SecondaryIndex;
 pub use locks::{LockMode, LockTable, LockWaitStats, RowLock};
 pub use mvcc::{CommitClock, MvccState, SnapshotRegistry, SnapshotSlot, IDLE_SNAPSHOT};
 pub use node::{Grant, NodeStorage};

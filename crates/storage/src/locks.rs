@@ -159,15 +159,25 @@ impl RowLock {
 
     /// Whether the row has left its table (see [`RowLock::retire`]).
     #[cfg(test)]
-    fn is_retired(&self) -> bool {
+    pub(crate) fn is_retired(&self) -> bool {
         self.0.load(Ordering::Acquire) & RETIRED != 0
     }
 }
 
+/// A key's lock in the map. The first owner is inline, so a key one
+/// transaction holds — every insert's — allocates nothing beyond its map
+/// slot; only further shared owners spill into `others`.
 #[derive(Debug)]
 struct LockEntry {
     mode: LockMode,
-    owners: Vec<TxnId>,
+    owner: TxnId,
+    others: Vec<TxnId>,
+}
+
+impl LockEntry {
+    fn owners(&self) -> impl Iterator<Item = TxnId> + '_ {
+        std::iter::once(self.owner).chain(self.others.iter().copied())
+    }
 }
 
 /// Cumulative waiting behaviour of one node's locks.
@@ -286,24 +296,24 @@ impl LockTable {
         self.acquire_with(tuple, scheme, || {
             let mut shard = unpoison(self.shard(hash).lock());
             let Some(entry) = shard.get_mut(&tuple) else {
-                shard.insert(tuple, LockEntry { mode, owners: vec![txn] });
+                shard.insert(tuple, LockEntry { mode, owner: txn, others: Vec::new() });
                 return Probe::Granted;
             };
-            if entry.owners.contains(&txn) {
+            if entry.owners().any(|o| o == txn) {
                 if entry.mode == LockMode::Exclusive || mode == LockMode::Shared {
                     // Already held in a sufficient mode.
                     return Probe::Granted;
                 }
-                if entry.owners.len() == 1 {
+                if entry.others.is_empty() {
                     // Sole shared owner upgrading to exclusive.
                     entry.mode = LockMode::Exclusive;
                     return Probe::Granted;
                 }
             } else if entry.mode == LockMode::Shared && mode == LockMode::Shared {
-                entry.owners.push(txn);
+                entry.others.push(txn);
                 return Probe::Granted;
             }
-            let owner = entry.owners.iter().copied().filter(|o| *o != txn).min().unwrap_or(txn);
+            let owner = entry.owners().filter(|o| *o != txn).min().unwrap_or(txn);
             Probe::Held { owner, may_wait: txn.is_older_than(owner) }
         })
     }
@@ -429,21 +439,24 @@ impl LockTable {
 
 /// Removes `txn` from the entry of `tuple` inside an already-locked shard.
 fn release_in(shard: &mut ShardMap, txn: TxnId, tuple: TupleId) {
-    if let Some(entry) = shard.get_mut(&tuple) {
-        let before = entry.owners.len();
-        entry.owners.retain(|o| *o != txn);
-        if entry.owners.is_empty() {
+    let Some(entry) = shard.get_mut(&tuple) else { return };
+    if entry.owner == txn {
+        let Some(next) = entry.others.pop() else {
             shard.remove(&tuple);
-        } else if entry.owners.len() != before && entry.mode == LockMode::Exclusive {
-            // An exclusive lock has exactly one owner; if owners remain
-            // after actually removing `txn`, the entry was shared all
-            // along. The `len` guard matters: a *spurious* release (e.g. a
-            // duplicate footprint entry whose lock another transaction
-            // since re-acquired) must not downgrade that holder's
-            // exclusive lock to shared.
-            entry.mode = LockMode::Shared;
-        }
+            return;
+        };
+        entry.owner = next;
+    } else if let Some(at) = entry.others.iter().position(|&o| o == txn) {
+        entry.others.swap_remove(at);
+    } else {
+        // A *spurious* release (e.g. a duplicate footprint entry whose lock
+        // another transaction since re-acquired) must not downgrade that
+        // holder's exclusive lock to shared.
+        return;
     }
+    // An exclusive lock has exactly one owner: owners remain after `txn`
+    // left, so the entry was shared all along.
+    entry.mode = LockMode::Shared;
 }
 
 #[cfg(test)]

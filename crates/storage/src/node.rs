@@ -1,29 +1,31 @@
 //! Per-node storage assembly: the tables of the node's partition, its lock
-//! table, secondary indexes and write-ahead log.
+//! table and write-ahead log.
 //!
 //! [`NodeStorage::admit`] is the 2PL admission of one tuple: it resolves the
 //! tuple's row and locks it in one step, through the row's own lock when the
 //! row exists and through the lock table's map when it does not (an
 //! insert). The [`Grant`] it returns is what releasing takes.
 //!
-//! A caller admitting a whole footprint first runs [`NodeStorage::prefetch`]
-//! over every tuple, then `admit` over them in order. The handle clone in
-//! `admit` is the row's first touch, and the `Arc` increment is a locked
-//! read-modify-write that waits for its cache miss, so without the first
-//! pass a footprint's row misses would serialize behind one another; with
-//! it they overlap, and `admit` finds each row in cache.
+//! A caller admitting a whole footprint runs three passes over it, each to
+//! the end before the next begins: [`NodeStorage::prefetch_slot`] over
+//! every tuple, then [`NodeStorage::prefetch`], then `admit` in order. Each
+//! pass takes the tuple's shard latch, a locked read-modify-write that on
+//! x86 waits for every earlier load, so a probe that misses under it holds
+//! up the next tuple's. Pass 1 reads only hot lines and prefetches each
+//! tuple's home slot in its table's index; pass 2 probes the slots, now in
+//! cache, and prefetches the rows; pass 3's handle clone, another locked
+//! increment, finds the row in cache. So a footprint's index misses
+//! overlap, and then its row misses do (see [`crate::table`]).
 //!
 //! Table ids are small and dense in every workload, so the table directory
 //! is a plain vector indexed by `TableId` — the admission path resolves a
 //! tuple's table with one bounds-checked load instead of a map probe.
 
 use crate::checkpoint::CheckpointStore;
-use crate::index::SecondaryIndex;
 use crate::locks::{LockMode, LockTable};
 use crate::table::{RowHandle, Table};
 use crate::wal::Wal;
 use p4db_common::{CcScheme, Error, NodeId, Result, TableId, TupleId, TxnId};
-use std::collections::HashMap;
 
 /// The locks one transaction holds on one tuple of a node, as admission (or
 /// an insert) granted them: its row's lock in `mode`, the key's lock in the
@@ -76,10 +78,6 @@ pub struct NodeStorage {
     node: NodeId,
     /// Dense table directory indexed by `TableId`; `None` = undeclared.
     tables: Vec<Option<Table>>,
-    secondary: HashMap<TableId, SecondaryIndex>,
-    /// Shard count for secondary indexes created on this node (matches the
-    /// tables).
-    index_shards: usize,
     locks: LockTable,
     wal: Wal,
     checkpoints: CheckpointStore,
@@ -116,8 +114,6 @@ impl NodeStorage {
         NodeStorage {
             node,
             tables,
-            secondary: HashMap::new(),
-            index_shards: shards,
             locks: LockTable::new(),
             wal: Wal::with_segment_capacity(segment_records),
             checkpoints: CheckpointStore::new(),
@@ -140,18 +136,6 @@ impl NodeStorage {
     /// All declared table ids.
     pub fn table_ids(&self) -> Vec<TableId> {
         self.tables.iter().flatten().map(Table::id).collect()
-    }
-
-    /// Registers (or returns) a secondary index for `table`, sharded like
-    /// the node's tables.
-    pub fn secondary_index_mut(&mut self, table: TableId) -> &mut SecondaryIndex {
-        let shards = self.index_shards;
-        self.secondary.entry(table).or_insert_with(|| SecondaryIndex::with_shards(shards))
-    }
-
-    /// Looks up a secondary index.
-    pub fn secondary_index(&self, table: TableId) -> Option<&SecondaryIndex> {
-        self.secondary.get(&table)
     }
 
     /// The node's 2PL lock table.
@@ -203,10 +187,21 @@ impl NodeStorage {
         Ok(grant)
     }
 
-    /// Pass 1 of a footprint's admission (see the module docs): probes
+    /// Pass 1 of a footprint's admission (see the module docs): prefetches
+    /// `tuple`'s home slot in its table's index without reading it,
+    /// resolving nothing and locking nothing. An undeclared table does
+    /// nothing; the pass 3 `admit` of the same tuple reports it.
+    #[inline]
+    pub fn prefetch_slot(&self, tuple: TupleId) {
+        if let Some(Some(table)) = self.tables.get(tuple.table.index()) {
+            table.prefetch_slot_prehashed(tuple.mix());
+        }
+    }
+
+    /// Pass 2 of a footprint's admission (see the module docs): probes
     /// `tuple`'s row and prefetches it, resolving nothing and locking
     /// nothing. A key with no row and an undeclared table do nothing; the
-    /// pass 2 `admit` of the same tuple reports what is wrong.
+    /// pass 3 `admit` of the same tuple reports what is wrong.
     #[inline]
     pub fn prefetch(&self, tuple: TupleId) {
         if let Some(Some(table)) = self.tables.get(tuple.table.index()) {
@@ -292,16 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_secondary_indexes_work_together() {
-        let mut storage = NodeStorage::new(NodeId(0), [TableId(0)]);
-        storage.table(TableId(0)).unwrap().insert(11, Value::scalar(100));
-        storage.secondary_index_mut(TableId(0)).insert(555, 11);
-        let primary = storage.secondary_index(TableId(0)).unwrap().lookup_unique(555).unwrap();
-        assert_eq!(storage.table(TableId(0)).unwrap().read(primary).unwrap().switch_word(), 100);
-        assert_eq!(storage.total_rows(), 1);
-    }
-
-    #[test]
     fn admit_locks_and_resolves_in_one_step() {
         use p4db_common::WorkerId;
         let storage = NodeStorage::new(NodeId(0), [TableId(0)]);
@@ -372,13 +357,18 @@ mod tests {
     #[test]
     fn a_prefetch_takes_no_lock_and_resolves_nothing() {
         let storage = NodeStorage::new(NodeId(0), [TableId(0)]);
-        let row = storage.table(TableId(0)).unwrap().insert(7, Value::scalar(70));
+        let table = storage.table(TableId(0)).unwrap();
+        let row = table.insert(7, Value::scalar(70));
         let acquisitions = storage.locks().acquisition_count();
         let locked = storage.locked_count();
         let handles = Arc::strong_count(&row);
+        let slots = table.slot_count();
 
-        storage.prefetch(TupleId::new(TableId(0), 7));
-        storage.prefetch(TupleId::new(TableId(0), 999));
+        for key in [7, 999] {
+            storage.prefetch_slot(TupleId::new(TableId(0), key));
+            storage.prefetch(TupleId::new(TableId(0), key));
+        }
+        storage.prefetch_slot(TupleId::new(TableId(9), 1));
         storage.prefetch(TupleId::new(TableId(9), 1));
 
         assert_eq!(storage.locks().acquisition_count(), acquisitions, "a prefetch acquired a lock");
@@ -386,14 +376,7 @@ mod tests {
         assert!(!row.lock().is_locked(), "the row's lock is still free");
         assert_eq!(Arc::strong_count(&row), handles, "a prefetch kept a handle");
         assert_eq!(storage.total_rows(), 1, "a prefetch inserted a row");
-    }
-
-    #[test]
-    fn secondary_indexes_inherit_the_node_shard_layout() {
-        let mut sharded = NodeStorage::with_shards(NodeId(0), [TableId(0)], 16);
-        assert_eq!(sharded.secondary_index_mut(TableId(0)).shard_count(), 16);
-        let mut single = NodeStorage::with_shards(NodeId(0), [TableId(0)], 1);
-        assert_eq!(single.secondary_index_mut(TableId(0)).shard_count(), 1);
+        assert_eq!(table.slot_count(), slots, "a prefetch grew the index");
     }
 
     #[test]

@@ -3,24 +3,32 @@
 //! The host DBMS in the paper is a shared-nothing main-memory store; each
 //! node owns one horizontal partition per table. A [`Table`] here is one such
 //! partition, hash-sharded: a fixed power-of-two array of shards, each an
-//! independent latch + fast word-mixer map, so unrelated accesses never touch
-//! the same cache line, let alone the same lock.
+//! independent latch over its own row index, so unrelated accesses never
+//! touch the same cache line, let alone the same lock.
+//!
+//! A shard's index is open addressing over 16-byte `(key, RowHandle)`
+//! slots: linear probing from a home slot taken from the top bits of the
+//! tuple's [`TupleId::mix`] (the shard took its low bits), a power-of-two
+//! slot array that doubles at ¾ load, and backward-shift deletion, so no
+//! tombstone lengthens a probe. A key's home slot is an address known
+//! before the probe, and a probe usually reads one cache line.
 //!
 //! Lookups hand out [`RowHandle`]s (`Arc<Row>`): a handle stays valid for the
-//! life of the row — across concurrent inserts, shard-map growth and even
+//! life of the row — across concurrent inserts, index growth and even
 //! removal of the row itself (the `Arc` keeps the storage alive; the row just
 //! stops being reachable through the table). The transaction engine resolves
-//! a transaction's whole footprint into handles once at admission and never
-//! touches the maps again for that transaction.
+//! a transaction's whole footprint into handles once at admission.
 //!
-//! Admission resolves that footprint in two passes. Cloning a handle is the
-//! row's *first touch*: on a table larger than the cache, the `Arc`
-//! increment misses, and being a locked read-modify-write it waits for the
-//! miss before the next lookup can start — a footprint's misses would run
-//! one after another. So pass 1 ([`Table::prefetch_prehashed`]) probes
-//! every tuple's shard and prefetches its row's cache lines, taking no
-//! handle and no lock; pass 2 ([`crate::NodeStorage::admit`]: the clone of
-//! [`Table::get_prehashed`], then the row lock) finds each row in cache.
+//! Admission resolves that footprint in three passes, so that its cache
+//! misses overlap. Each lookup takes its shard's read latch, a locked
+//! read-modify-write that on x86 waits for every earlier load: a probe
+//! that misses under the latch holds up the next tuple's probe until the
+//! miss lands. Pass 1 ([`Table::prefetch_slot_prehashed`]) reads only the
+//! latch and the slot array's header, lines it keeps hot, and prefetches
+//! each tuple's home slot. Pass 2 ([`Table::prefetch_prehashed`]) probes
+//! the slots, now in cache, and prefetches the rows. Pass 3
+//! ([`crate::NodeStorage::admit`]: the clone of [`Table::get_prehashed`],
+//! a locked increment on the row, then the row lock) finds both in cache.
 //!
 //! Latches protect *physical* consistency only; *logical* (transactional)
 //! consistency comes from 2PL. Each row carries its own 2PL lock, a
@@ -31,11 +39,9 @@
 //! resolve the key again.
 
 use crate::locks::RowLock;
-use p4db_common::hash::FastBuildHasher;
 use p4db_common::prefetch::prefetch;
 use p4db_common::sync::unpoison;
 use p4db_common::{Error, Result, TableId, TupleId, TxnId, Value};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
@@ -275,9 +281,89 @@ impl Row {
     }
 }
 
-type Shard = RwLock<HashMap<u64, RowHandle, FastBuildHasher>>;
+/// One slot of a shard's index: empty, or a key and its row. The handle's
+/// non-null pointer is the `None` niche, so a slot is two words.
+type Slot = Option<(u64, RowHandle)>;
 
-/// One partition of one table: a fixed array of latch-protected map shards.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+/// One shard's map from key to row (see the module docs): linear probing
+/// over a power-of-two slot array, at most ¾ full so every probe run ends
+/// at an empty slot.
+#[derive(Debug)]
+struct RowIndex {
+    /// The table the keys belong to: a key's hash is its [`TupleId::mix`].
+    table: TableId,
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl RowIndex {
+    fn new(table: TableId) -> Self {
+        RowIndex { table, slots: vec![None; 8], len: 0 }
+    }
+
+    /// The slot a probe for `hash` starts at: the hash's top bits, where
+    /// the shard took its low bits.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding `key`, else the empty slot that ends its probe run.
+    #[inline]
+    fn probe(&self, hash: u64, key: u64) -> usize {
+        let mut at = self.home(hash);
+        while self.slots[at].as_ref().is_some_and(|(k, _)| *k != key) {
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+        at
+    }
+
+    #[inline]
+    fn get(&self, hash: u64, key: u64) -> Option<&RowHandle> {
+        self.slots[self.probe(hash, key)].as_ref().map(|(_, row)| row)
+    }
+
+    /// Puts `row` under `key`, doubling the slot array first if that would
+    /// fill it past ¾; returns the row it replaced.
+    fn insert(&mut self, hash: u64, key: u64, row: RowHandle) -> Option<RowHandle> {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let grown = vec![None; self.slots.len() * 2];
+            for (key, row) in std::mem::replace(&mut self.slots, grown).into_iter().flatten() {
+                let at = self.probe(TupleId::new(self.table, key).mix(), key);
+                self.slots[at] = Some((key, row));
+            }
+        }
+        let at = self.probe(hash, key);
+        let replaced = self.slots[at].replace((key, row)).map(|(_, old)| old);
+        self.len += replaced.is_none() as usize;
+        replaced
+    }
+
+    /// Takes `key`'s row out, then shifts back each later entry of the run
+    /// whose probe passes the hole, so no key is cut off from its home.
+    fn remove(&mut self, hash: u64, key: u64) -> Option<RowHandle> {
+        let mut hole = self.probe(hash, key);
+        let (_, row) = self.slots[hole].take()?;
+        self.len -= 1;
+        let mask = self.slots.len() - 1;
+        let mut at = (hole + 1) & mask;
+        while let Some((next, _)) = &self.slots[at] {
+            let home = self.home(TupleId::new(self.table, *next).mix());
+            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
+                self.slots.swap(hole, at);
+                hole = at;
+            }
+            at = (at + 1) & mask;
+        }
+        Some(row)
+    }
+}
+
+type Shard = RwLock<RowIndex>;
+
+/// One partition of one table: a fixed array of latch-protected index shards.
 #[derive(Debug)]
 pub struct Table {
     id: TableId,
@@ -299,7 +385,7 @@ impl Table {
     /// the next power of two (minimum 1).
     pub fn with_shards(id: TableId, shards: usize) -> Self {
         let count = shards.max(1).next_power_of_two();
-        let shards = (0..count).map(|_| RwLock::new(HashMap::default())).collect();
+        let shards = (0..count).map(|_| RwLock::new(RowIndex::new(id))).collect();
         Table { id, shards, mask: count as u64 - 1, rows: AtomicUsize::new(0) }
     }
 
@@ -312,10 +398,10 @@ impl Table {
         self.shards.len()
     }
 
-    /// The shard latch that owns `key`.
+    /// The shard latch that owns the key hashing to `hash`.
     #[inline]
-    fn shard(&self, key: u64) -> &Shard {
-        &self.shards[self.shard_of(key)]
+    fn shard(&self, hash: u64) -> &Shard {
+        &self.shards[(hash & self.mask) as usize]
     }
 
     /// The hash a key shards under: [`TupleId::mix`] of `(self.id, key)`,
@@ -354,11 +440,12 @@ impl Table {
     /// Puts `row` under `key`, retiring the row it replaces.
     fn insert_row(&self, key: u64, row: Row) -> RowHandle {
         let handle = Arc::new(row);
+        let hash = self.key_hash(key);
         // The count moves while the shard latch is still held: updating it
         // after the guard drops would let a concurrent remove of the same
         // key decrement first and underflow the counter.
-        let mut guard = unpoison(self.shard(key).write());
-        match guard.insert(key, Arc::clone(&handle)) {
+        let mut guard = unpoison(self.shard(hash).write());
+        match guard.insert(hash, key, Arc::clone(&handle)) {
             Some(replaced) => replaced.lock.retire(),
             None => _ = self.rows.fetch_add(1, Ordering::Relaxed),
         }
@@ -389,7 +476,8 @@ impl Table {
     pub fn bulk_load(&self, rows: impl IntoIterator<Item = (u64, Value)>) {
         let mut held: Option<(usize, RwLockWriteGuard<'_, _>)> = None;
         for (key, value) in rows {
-            let index = self.shard_of(key);
+            let hash = self.key_hash(key);
+            let index = (hash & self.mask) as usize;
             let mut guard = match held.take() {
                 Some((held_index, guard)) if held_index == index => guard,
                 other => {
@@ -399,7 +487,7 @@ impl Table {
                     unpoison(self.shards[index].write())
                 }
             };
-            match guard.insert(key, Arc::new(Row::new(value))) {
+            match guard.insert(hash, key, Arc::new(Row::new(value))) {
                 Some(replaced) => replaced.lock.retire(),
                 // Under the latch, like `insert` — see the comment there.
                 None => _ = self.rows.fetch_add(1, Ordering::Relaxed),
@@ -419,17 +507,27 @@ impl Table {
     /// its lock-table shard with the same hash).
     #[inline]
     pub fn get_prehashed(&self, hash: u64, key: u64) -> Option<RowHandle> {
-        unpoison(self.shards[(hash & self.mask) as usize].read()).get(&key).cloned()
+        unpoison(self.shard(hash).read()).get(hash, key).cloned()
     }
 
-    /// Pass 1 of a batch of lookups (see the module docs): probes the
-    /// shard map under its read latch and prefetches every cache line of
-    /// the row's allocation, the `Arc` counts before the row included.
+    /// Pass 1 of a batch of lookups (see the module docs): prefetches the
+    /// home slot of `hash` in its shard's index under the shard's read
+    /// latch, without reading the slot. Takes no handle, no lock, resolves
+    /// no key and allocates nothing.
+    #[inline]
+    pub fn prefetch_slot_prehashed(&self, hash: u64) {
+        let index = unpoison(self.shard(hash).read());
+        prefetch(index.slots.as_ptr().wrapping_add(index.home(hash)).cast(), std::mem::size_of::<Slot>());
+    }
+
+    /// Pass 2 of a batch of lookups (see the module docs): probes the
+    /// shard's index under its read latch and prefetches every cache line
+    /// of the row's allocation, the `Arc` counts before the row included.
     /// Takes no handle, no lock and allocates nothing; a missing key does
     /// nothing.
     #[inline]
     pub fn prefetch_prehashed(&self, hash: u64, key: u64) {
-        if let Some(row) = unpoison(self.shards[(hash & self.mask) as usize].read()).get(&key) {
+        if let Some(row) = unpoison(self.shard(hash).read()).get(hash, key) {
             // `ArcInner` is `#[repr(C)]` `{ strong, weak, data }`: the two
             // counts sit right before `Arc::as_ptr`, which is the word the
             // clone of `get_prehashed` increments. Were the layout ever
@@ -460,8 +558,9 @@ impl Table {
     /// to the row stay valid — the row is merely unreachable for new lookups,
     /// and retired, so it can no longer be locked.
     pub fn remove(&self, key: u64) -> bool {
-        let mut guard = unpoison(self.shard(key).write());
-        let Some(removed) = guard.remove(&key) else { return false };
+        let hash = self.key_hash(key);
+        let mut guard = unpoison(self.shard(hash).write());
+        let Some(removed) = guard.remove(hash, key) else { return false };
         removed.lock.retire();
         // Under the latch, like `insert` — see the comment there.
         self.rows.fetch_sub(1, Ordering::Relaxed);
@@ -484,8 +583,8 @@ impl Table {
     /// rows are physically consistent (the latch is held for the visit);
     /// rows in other shards keep moving.
     pub fn for_each_in_shard(&self, shard: usize, mut f: impl FnMut(u64, &Row)) {
-        for (&key, row) in unpoison(self.shards[shard].read()).iter() {
-            f(key, row);
+        for (key, row) in unpoison(self.shards[shard].read()).slots.iter().flatten() {
+            f(*key, row);
         }
     }
 
@@ -495,6 +594,14 @@ impl Table {
     #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
         (self.key_hash(key) & self.mask) as usize
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Slots allocated over every shard's index (growth checks).
+    pub(crate) fn slot_count(&self) -> usize {
+        self.shards.iter().map(|shard| unpoison(shard.read()).slots.len()).sum()
     }
 }
 
@@ -588,6 +695,76 @@ mod tests {
             let b = t.get(k).expect("present");
             assert!(Arc::ptr_eq(&a, &b), "handles for key {k} disagree");
         }
+    }
+
+    /// The row index against a `std` map model: random inserts, replacing
+    /// inserts, removes, gets and iterations over one shard, through
+    /// several growths. Half the key pool hashes into the last eighth of
+    /// the slot array at every capacity, so those keys collide and their
+    /// probe runs wrap past the end to slot 0 — where backward-shift
+    /// deletion has to move entries across the wrap.
+    #[test]
+    fn property_the_row_index_matches_a_map_model() {
+        use p4db_common::rand_util::FastRng;
+        use std::collections::HashMap;
+        let t = Table::with_shards(TableId(3), 1);
+        let hash = |key: u64| TupleId::new(t.id(), key).mix();
+        let colliding = (0..).filter(|&key| hash(key) >> 61 == 0b111).take(300);
+        let pool: Vec<u64> = colliding.chain(1_000_000..1_000_300).collect();
+        let mut model: HashMap<u64, RowHandle> = HashMap::new();
+        let mut rng = FastRng::new(41);
+        let (mut slots, mut growths, mut wrapped) = (0, 0, false);
+        for step in 0..20_000u64 {
+            let key = pool[rng.gen_range(pool.len() as u64) as usize];
+            match rng.gen_range(8) {
+                0..=3 => {
+                    let row = t.insert(key, Value::scalar(step));
+                    if let Some(old) = model.insert(key, Arc::clone(&row)) {
+                        assert!(old.lock().is_retired(), "a replaced row is retired");
+                    }
+                }
+                4 | 5 => {
+                    let removed = model.remove(&key);
+                    assert_eq!(t.remove(key), removed.is_some(), "remove of key {key}");
+                    assert!(removed.is_none_or(|row| row.lock().is_retired()), "a removed row is retired");
+                }
+                _ => match (t.get(key), model.get(&key)) {
+                    (Some(got), Some(want)) => assert!(Arc::ptr_eq(&got, want), "get of key {key}"),
+                    (got, want) => assert_eq!(got.is_some(), want.is_some(), "get of key {key}"),
+                },
+            }
+            assert_eq!(t.len(), model.len());
+            if t.slot_count() != slots {
+                slots = t.slot_count();
+                growths += 1;
+            }
+            if step % 64 == 0 {
+                let index = unpoison(t.shards[0].read());
+                wrapped |= index
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .any(|(at, slot)| slot.as_ref().is_some_and(|(key, _)| index.home(hash(*key)) > at));
+                let flat = index.slots.iter().flatten();
+                let mut seen: Vec<(u64, *const Row)> = flat.map(|(k, row)| (*k, Arc::as_ptr(row))).collect();
+                let mut want: Vec<(u64, *const Row)> = model.iter().map(|(&k, row)| (k, Arc::as_ptr(row))).collect();
+                seen.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(seen, want, "iteration at step {step}");
+            }
+        }
+        assert!(growths >= 6, "the run passed {growths} growths");
+        assert!(wrapped, "no probe run wrapped past the end of the slot array");
+
+        let keys: Vec<u64> = model.keys().copied().collect();
+        for key in keys {
+            assert!(t.remove(key), "key {key} was reachable");
+            assert!(t.get(key).is_none());
+        }
+        assert!(t.is_empty());
+        let index = unpoison(t.shards[0].read());
+        assert_eq!(index.len, 0);
+        assert!(index.slots.iter().all(Option::is_none), "a removed key left its slot behind");
     }
 
     #[test]

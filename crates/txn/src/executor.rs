@@ -897,19 +897,21 @@ impl Worker {
             }
         }
 
-        // --- Admission, pass 1: probe and prefetch every admitted row, so
-        // the footprint's cache misses overlap instead of each waiting in
-        // pass 2's handle clone, the row's first touch (see
-        // `p4db_storage::table`). It runs after the round trip above, so no
-        // line goes cold while that sleeps.
-        for &i in &state.order {
-            let op = &req.ops[i];
-            if !late(op) {
-                self.shared.node(op.home).prefetch(op.tuple);
-            }
+        // --- Admission, passes 1 and 2: prefetch every admitted tuple's
+        // index slot, then probe the slots and prefetch the rows, so the
+        // footprint's index misses and then its row misses overlap instead
+        // of each waiting in turn behind a shard latch's locked RMW (see
+        // `p4db_storage::table`). They run after the round trip above, so
+        // no line goes cold while that sleeps.
+        let admitted = state.order.iter().map(|&i| &req.ops[i]).filter(|op| !late(op));
+        for op in admitted.clone() {
+            self.shared.node(op.home).prefetch_slot(op.tuple);
+        }
+        for op in admitted {
+            self.shared.node(op.home).prefetch(op.tuple);
         }
 
-        // --- Admission, pass 2: resolve + lock the whole footprint, one
+        // --- Admission, pass 3: resolve + lock the whole footprint, one
         // hash and one lock per tuple. A row is locked through its own lock
         // word; a key without a row (an insert) through the lock table's
         // map.

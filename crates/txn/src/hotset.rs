@@ -9,17 +9,17 @@
 //! asking any switch. In this reproduction the "replica" is a shared
 //! immutable structure built once after offloading.
 
+use p4db_common::hash::FastMap;
 use p4db_common::sync::unpoison;
 use p4db_common::{SwitchId, TupleId};
 use p4db_switch::{ControlPlane, RegisterSlot};
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// Immutable hot-set index, shared by all workers of all nodes. Each hot
 /// tuple maps to exactly one `(switch, register slot)` pair.
 #[derive(Clone, Debug, Default)]
 pub struct HotSetIndex {
-    map: HashMap<TupleId, (SwitchId, RegisterSlot)>,
+    map: FastMap<TupleId, (SwitchId, RegisterSlot)>,
 }
 
 impl HotSetIndex {
@@ -41,7 +41,7 @@ impl HotSetIndex {
     /// disjoint by construction (the layout assigns every hot tuple to one
     /// switch), so insertion order does not matter.
     pub fn from_control_planes<'a>(cps: impl IntoIterator<Item = (SwitchId, &'a ControlPlane)>) -> Self {
-        let mut map = HashMap::new();
+        let mut map = FastMap::default();
         for (switch, cp) in cps {
             for (tuple, slot) in cp.placements() {
                 map.insert(tuple, (switch, slot));
