@@ -12,7 +12,8 @@
 //! wave or one test's traffic.
 
 use crate::driver::{Driving, Load};
-use crate::session::{ResolverReport, Session, SubmissionPool};
+use crate::lifecycle::SwitchEpoch;
+use crate::session::{Session, SubmissionPool};
 use p4db_common::faults::{FaultEvent, FaultInjector, FaultPlan};
 use p4db_common::rand_util::FastRng;
 use p4db_common::stats::RunStats;
@@ -20,14 +21,13 @@ use p4db_common::{
     CcScheme, Error, GlobalTxnId, LatencyConfig, NodeId, Result, SwitchId, SystemMode, TupleId, TxnId, Value,
 };
 use p4db_layout::{assign_tuples_to_switches, LayoutPlanner, LayoutStrategy};
-use p4db_net::{EndpointId, Fabric, LatencyModel, Mailbox, RecvOutcome};
+use p4db_net::{Fabric, LatencyModel};
 use p4db_storage::{
-    decode_segment_tail, recover_cold_records, recover_switch_state, take_fuzzy_checkpoint, LogRecord, NodeStorage,
-    SwitchRecoveryOutcome, Wal, DEFAULT_SEGMENT_RECORDS, DEFAULT_TABLE_SHARDS,
+    decode_segment_tail, recover_cold_records, take_fuzzy_checkpoint, NodeStorage, Wal, DEFAULT_SEGMENT_RECORDS,
+    DEFAULT_TABLE_SHARDS,
 };
 use p4db_switch::{
-    start_switch_with_id, ControlPlane, ProbeRequest, RegisterMemory, SwitchConfig, SwitchHandle, SwitchMessage,
-    SwitchStatsSnapshot,
+    start_switch_with_id, ControlPlane, RegisterMemory, SwitchConfig, SwitchHandle, SwitchStatsSnapshot,
 };
 use p4db_txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth};
 use p4db_workloads::{PartitionMap, Workload};
@@ -129,25 +129,6 @@ impl ClusterConfig {
     }
 }
 
-/// The checker baseline for the current *switch epoch* of one switch.
-///
-/// A switch epoch starts at offload time and at every recovery event of that
-/// switch ([`Cluster::crash_and_recover_switch_at`]): recovery may fold
-/// previously in-flight intents into the restored state, so invariant
-/// checking replays the audit log only from the epoch start against the
-/// epoch's baseline values, and reads WAL records only from the epoch's
-/// per-node offsets. In a multi-switch topology every switch keeps its own
-/// epoch — crashing one switch moves only that switch's baseline.
-#[derive(Clone, Debug)]
-pub struct SwitchEpoch {
-    /// Value of every offloaded tuple at the epoch start.
-    pub baseline: HashMap<TupleId, u64>,
-    /// Audit-log length at the epoch start.
-    pub audit_start: usize,
-    /// Per-node WAL lengths at the epoch start.
-    pub wal_start: Vec<usize>,
-}
-
 /// What [`Cluster::crash_and_recover_node`] did and found.
 #[derive(Clone, Debug)]
 pub struct NodeRecoveryReport {
@@ -179,65 +160,12 @@ pub struct NodeRecoveryReport {
     pub tail_records: usize,
 }
 
-/// What [`Cluster::crash_and_recover_switch`] did and found.
-#[derive(Clone, Debug)]
-pub struct SwitchRecoveryReport {
-    /// The raw log-replay outcome (completed / in-flight counts).
-    pub outcome: SwitchRecoveryOutcome,
-    /// Tuples written back into register memory.
-    pub restored_tuples: usize,
-    /// Whether the hot set was re-offloaded into fresh register slots (and
-    /// the replicated hot-set index swapped cluster-wide).
-    pub reoffloaded: bool,
-    /// Tuples whose recovered value differs from the pre-crash live value
-    /// with no unexecuted in-flight intent explaining the difference — must
-    /// be empty.
-    pub unexplained_divergences: Vec<(TupleId, u64, u64)>,
-}
-
-/// Heartbeat cadence of [`Cluster::supervise_until`]: how long it sleeps
-/// between degrade/probe rounds.
-const PROBE_INTERVAL: Duration = Duration::from_millis(2);
-
-/// What one [`Cluster::supervise_until`] run observed and did.
-#[derive(Clone, Debug, Default)]
-pub struct SupervisorReport {
-    /// Switches the supervisor stood degraded mode up for, in trip order.
-    pub degraded: Vec<SwitchId>,
-    /// Switches re-admitted after their half-open probe streak closed.
-    pub recovered: Vec<SwitchId>,
-    /// Heartbeat probes sent to open switches.
-    pub probes_sent: u64,
-    /// Probes echoed back within the probe timeout.
-    pub probes_answered: u64,
-    /// Outcomes of the in-doubt resolution pass run before re-admission.
-    pub resolver: ResolverReport,
-    /// Whether the deadline elapsed and the supervisor force-healed the
-    /// network fault to restore liveness.
-    pub deadline_forced: bool,
-    /// Total breaker trips observed across the cluster's lifetime.
-    pub trips_seen: u64,
-}
-
-impl SupervisorReport {
-    /// Folds a later run's report into this one.
-    pub fn merge(&mut self, later: SupervisorReport) {
-        self.degraded.extend(later.degraded);
-        self.recovered.extend(later.recovered);
-        self.probes_sent += later.probes_sent;
-        self.probes_answered += later.probes_answered;
-        self.resolver.merge(&later.resolver);
-        self.deadline_forced |= later.deadline_forced;
-        self.trips_seen = later.trips_seen;
-    }
-}
-
 /// A fully assembled cluster, ready to serve sessions and run measurements.
 pub struct Cluster {
-    config: ClusterConfig,
-    workload: Arc<dyn Workload>,
-    shared: Arc<EngineShared>,
-    partition_map: PartitionMap,
+    pub(crate) config: ClusterConfig,
+    pub(crate) workload: Arc<dyn Workload>,
+    pub(crate) shared: Arc<EngineShared>,
+    pub(crate) partition_map: PartitionMap,
     /// Offload-time initial values of the full hot set, captured once at
     /// build time (the conservation checker's run-wide reference).
     initial_values: HashMap<TupleId, u64>,
@@ -248,13 +176,13 @@ pub struct Cluster {
     pool: SubmissionPool,
     /// One per switch. A switch has no thread: its pipeline runs on the
     /// threads that deliver to it, and dropping its handle detaches it.
-    switches: Vec<SwitchHandle>,
-    control_planes: Vec<ControlPlane>,
+    pub(crate) switches: Vec<SwitchHandle>,
+    pub(crate) control_planes: Vec<ControlPlane>,
     offloaded: usize,
     hot_total: usize,
     /// One per switch, started at offload time and on every recovery or
     /// re-admission of that switch.
-    epochs: Vec<SwitchEpoch>,
+    pub(crate) epochs: Vec<SwitchEpoch>,
     /// Drives started on this cluster: the next one's seed salt.
     drives: AtomicU64,
 }
@@ -601,18 +529,6 @@ impl Cluster {
         }
     }
 
-    /// Round-trips one node's log through its segment bytes — the crash
-    /// model is that only the serialised form survives. Returns the decoded
-    /// log plus the torn-tail note, if the tail was torn. Interior corruption
-    /// (intact records after the failure) is a hard error.
-    fn roundtrip_wal(&self, storage: &NodeStorage) -> Result<(Wal, Option<String>)> {
-        let blobs = storage.wal().serialize_segments();
-        let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-        let (wal, torn) = Wal::deserialize_segments(&views, self.config.wal_segment_records.max(1))
-            .map_err(|e| Error::InvalidConfig(format!("WAL round-trip failed during recovery: {e}")))?;
-        Ok((wal, torn.map(|t| t.to_string())))
-    }
-
     /// Takes a fuzzy checkpoint of one node's partition and installs it in
     /// that node's [`p4db_storage::CheckpointStore`]: per-coordinator WAL
     /// fences are captured first, then every shard of every table is scanned
@@ -840,460 +756,6 @@ impl Cluster {
             report.divergences.extend(divergences);
             report.missing_rows += missing;
         }
-        Ok(report)
-    }
-
-    /// Crashes and recovers **every** switch of the topology in turn (see
-    /// [`Cluster::crash_and_recover_switch_at`]) and merges the reports —
-    /// the single-switch API, kept byte-compatible for existing callers.
-    pub fn crash_and_recover_switch(&mut self, reoffload_seed: Option<u64>) -> Result<SwitchRecoveryReport> {
-        let mut merged: Option<SwitchRecoveryReport> = None;
-        for s in 0..self.switches.len() {
-            let report = self.crash_and_recover_switch_at(SwitchId(s as u16), reoffload_seed)?;
-            merged = Some(match merged {
-                None => report,
-                Some(mut acc) => {
-                    acc.outcome.values.extend(report.outcome.values);
-                    acc.outcome.completed += report.outcome.completed;
-                    acc.outcome.inflight_ordered += report.outcome.inflight_ordered;
-                    acc.outcome.inflight_unordered += report.outcome.inflight_unordered;
-                    acc.outcome.inconsistencies += report.outcome.inconsistencies;
-                    acc.restored_tuples += report.restored_tuples;
-                    acc.reoffloaded |= report.reoffloaded;
-                    acc.unexplained_divergences.extend(report.unexplained_divergences);
-                    acc
-                }
-            });
-        }
-        Ok(merged.expect("a cluster has at least one switch"))
-    }
-
-    /// Round-trips every node's WAL through the serialised format, slices it
-    /// to switch `s`'s current epoch and filters it to the records that
-    /// switch owns — a cross-switch transaction logs one intent/result pair
-    /// *per switch* under the same TxnId, and ownership filtering is what
-    /// keeps each switch's view collision-free — then replays the result
-    /// against the switch's offload snapshot. Returns the replay outcome,
-    /// the filtered per-node logs (for divergence analysis) and the per-node
-    /// *consumed* WAL lengths: intents logged at or below those indices are
-    /// folded into the reconstruction (the resolver's fence).
-    fn replay_switch_suffix(
-        &self,
-        s: usize,
-        owned: &HashSet<TupleId>,
-    ) -> Result<(SwitchRecoveryOutcome, Vec<Wal>, Vec<usize>)> {
-        let epoch_wal_start = self.epochs[s].wal_start.clone();
-        let mut wals = Vec::with_capacity(self.shared.num_nodes());
-        let mut consumed = Vec::with_capacity(self.shared.num_nodes());
-        for (n, storage) in self.shared.nodes.iter().enumerate() {
-            let (full, torn) = self.roundtrip_wal(storage)?;
-            if let Some(note) = torn {
-                // Switch recovery replays intent/result pairs and cannot
-                // tolerate a truncated log the way node recovery can.
-                return Err(Error::InvalidConfig(format!("WAL torn during switch recovery: {note}")));
-            }
-            consumed.push(full.len());
-            let start = epoch_wal_start.get(n).copied().unwrap_or(0);
-            let filtered = Wal::new();
-            for record in full.records_from(start as u64) {
-                let keep = match &record {
-                    LogRecord::SwitchIntent { ops, .. } => ops.first().is_some_and(|op| owned.contains(&op.tuple)),
-                    LogRecord::SwitchResult { results, .. } => results.first().is_some_and(|(t, _)| owned.contains(t)),
-                    _ => false,
-                };
-                if keep {
-                    filtered.append(record);
-                }
-            }
-            wals.push(filtered);
-        }
-        let wal_refs: Vec<&Wal> = wals.iter().collect();
-        let outcome = recover_switch_state(&self.epochs[s].baseline, &wal_refs);
-        Ok((outcome, wals, consumed))
-    }
-
-    /// Simulates a crash + recovery of **one** switch from the node WALs
-    /// (§6.1, §A.3): its register state is lost, rebuilt by replaying the
-    /// *serialised* logs of all nodes in GID order (in-flight intents
-    /// ordered by data dependencies, Fig 9), and written back — either into
-    /// the existing placements, or, with `reoffload_seed`, into **fresh
-    /// register slots** chosen in a seeded random order, after which the
-    /// rebuilt hot-set index is swapped in cluster-wide (the mid-run
-    /// re-offload path).
-    ///
-    /// Only WAL records owned by this switch (by the tuples they touch) and
-    /// only the suffix since this switch's epoch start are replayed, against
-    /// the per-switch offload snapshot — other switches' epochs, registers
-    /// and traffic are untouched.
-    ///
-    /// Starts a new [`SwitchEpoch`] *for this switch*: recovery legitimately
-    /// applies intents whose packets never reached the switch, so the
-    /// checker baseline moves here, and the offload snapshot is recaptured.
-    /// Call only while switch traffic is quiesced
-    /// ([`Cluster::quiesce_switch`]).
-    pub fn crash_and_recover_switch_at(
-        &mut self,
-        switch: SwitchId,
-        reoffload_seed: Option<u64>,
-    ) -> Result<SwitchRecoveryReport> {
-        let s = switch.index();
-        if s >= self.switches.len() {
-            return Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len())));
-        }
-        let pre_crash: HashMap<TupleId, u64> = self.control_planes[s].snapshot().into_iter().collect();
-        let owned: HashSet<TupleId> = self.control_planes[s].placements().map(|(t, _)| t).collect();
-        let (outcome, wals, consumed) = self.replay_switch_suffix(s, &owned)?;
-        // Resolver fence: intents at or below the consumed WAL lengths are
-        // folded into this reconstruction — in-doubt entries below the fence
-        // resolve as committed without querying the switch.
-        self.shared.health.set_fence(switch, consumed);
-
-        // Intents without a result record are in-flight as far as the logs
-        // are concerned: recovery chooses *a* valid position for them (§A.3
-        // — "any order is valid"), which need not be where the live switch
-        // actually executed them (if it did at all), so their tuples may
-        // legitimately diverge from the pre-crash values — and the
-        // difference propagates through any completed transaction that
-        // touches the same tuples (its read-dependent writes replay with
-        // different operands). Tuples outside that closure must match
-        // exactly.
-        let mut explained: HashSet<TupleId> = HashSet::new();
-        let mut completed_ops: Vec<Vec<TupleId>> = Vec::new();
-        for wal in &wals {
-            let records = wal.records();
-            let with_result: HashSet<TxnId> = records
-                .iter()
-                .filter_map(|r| match r {
-                    LogRecord::SwitchResult { txn, .. } => Some(*txn),
-                    _ => None,
-                })
-                .collect();
-            for record in &records {
-                if let LogRecord::SwitchIntent { txn, ops } = record {
-                    let tuples: Vec<TupleId> = ops.iter().map(|op| op.tuple).collect();
-                    if with_result.contains(txn) {
-                        completed_ops.push(tuples);
-                    } else {
-                        explained.extend(tuples);
-                    }
-                }
-            }
-        }
-        loop {
-            let before = explained.len();
-            for tuples in &completed_ops {
-                if tuples.iter().any(|t| explained.contains(t)) {
-                    explained.extend(tuples.iter().copied());
-                }
-            }
-            if explained.len() == before {
-                break;
-            }
-        }
-        let mut unexplained_divergences = Vec::new();
-        for (&tuple, &live) in &pre_crash {
-            let recovered = outcome.values.get(&tuple).copied().unwrap_or(live);
-            if recovered != live && !explained.contains(&tuple) {
-                unexplained_divergences.push((tuple, live, recovered));
-            }
-        }
-
-        // The crash: this switch's register memory is gone. Restore it —
-        // into fresh placements when re-offloading. Ownership is stable:
-        // recovery never migrates tuples between switches, only reshuffles
-        // slots within the crashed one.
-        let control_plane = &mut self.control_planes[s];
-        let mut original: Vec<(TupleId, p4db_switch::RegisterSlot)> = control_plane.placements().collect();
-        // Cell indices are assigned in next_free order, so replaying inserts
-        // in slot order reproduces the original placement exactly.
-        original.sort_by_key(|&(_, slot)| (slot.stage, slot.array, slot.index));
-        let recovered_value = |tuple: TupleId| {
-            outcome.values.get(&tuple).copied().unwrap_or_else(|| pre_crash.get(&tuple).copied().unwrap_or(0))
-        };
-        let swap_index = |planes: &[ControlPlane], shared: &EngineShared| {
-            shared.hot_index.swap(Arc::new(HotSetIndex::from_control_planes(
-                planes.iter().enumerate().map(|(i, cp)| (SwitchId(i as u16), cp)),
-            )));
-        };
-        let reoffloaded = if let Some(seed) = reoffload_seed {
-            let widths: HashMap<TupleId, usize> =
-                self.workload.hot_tuples(self.config.num_nodes).into_iter().map(|h| (h.tuple, h.byte_width)).collect();
-            control_plane.reset();
-            // Seeded shuffle so the new placement differs from the old one.
-            let mut order: Vec<TupleId> = original.iter().map(|&(t, _)| t).collect();
-            let mut rng = FastRng::new(seed ^ 0x0FF_10AD ^ switch.0 as u64);
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.pick(i + 1));
-            }
-            let mut failure = None;
-            for &tuple in &order {
-                let width = widths.get(&tuple).copied().unwrap_or(8);
-                if let Err(e) = control_plane.offload_anywhere(tuple, width, recovered_value(tuple)) {
-                    failure = Some(e);
-                    break;
-                }
-            }
-            if let Some(e) = failure {
-                // A partial re-offload must not leave workers with a stale
-                // index over reshuffled registers: rebuild the *original*
-                // placement (which held every tuple before the crash), then
-                // report the failure.
-                control_plane.reset();
-                for &(tuple, slot) in &original {
-                    let width = widths.get(&tuple).copied().unwrap_or(8);
-                    control_plane.offload_into(tuple, slot.stage, slot.array, width, recovered_value(tuple))?;
-                }
-                swap_index(&self.control_planes, &self.shared);
-                return Err(e);
-            }
-            swap_index(&self.control_planes, &self.shared);
-            true
-        } else {
-            control_plane.crash_data();
-            let restore: Vec<(TupleId, u64)> = original.iter().map(|&(t, _)| (t, recovered_value(t))).collect();
-            control_plane.restore(&restore);
-            false
-        };
-
-        // New epoch for this switch: the restored values are the checker's
-        // new baseline, so the next recovery of this switch replays only the
-        // new epoch's WAL suffix against a never-stale baseline.
-        self.epochs[s] = self.epoch_starting_now(s);
-
-        Ok(SwitchRecoveryReport {
-            restored_tuples: self.epochs[s].baseline.len(),
-            outcome,
-            reoffloaded,
-            unexplained_divergences,
-        })
-    }
-
-    /// The epoch of switch `s` that starts now: its current registers are
-    /// the baseline.
-    fn epoch_starting_now(&self, s: usize) -> SwitchEpoch {
-        SwitchEpoch {
-            baseline: self.control_planes[s].snapshot().into_iter().collect(),
-            audit_start: self.switches[s].audit_len(),
-            wal_start: self.shared.nodes.iter().map(|n| n.wal().len()).collect(),
-        }
-    }
-
-    // --- Self-healing: degraded mode, probes, supervised recovery ----------
-
-    /// The per-switch health state: circuit breakers, degraded flags and the
-    /// in-doubt ledger.
-    pub fn health(&self) -> &SwitchHealth {
-        &self.shared.health
-    }
-
-    /// Stands up **degraded mode** for one switch whose breaker has tripped:
-    /// reconstructs the switch's authoritative values from the node WALs
-    /// (the same epoch-sliced, ownership-filtered replay recovery uses — the
-    /// unreachable switch is never involved), writes them into the owning
-    /// host rows' switch words, publishes a hot-set index that *excludes*
-    /// the switch, and only then raises the degraded flag. From that moment
-    /// workers route the switch's tuples through the host 2PL path:
-    /// throughput degrades to a floor instead of collapsing to zero.
-    ///
-    /// The per-node WAL lengths the replay consumed are recorded as the
-    /// switch's resolver fence — in-doubt intents logged at or below the
-    /// fence are already folded into the reconstruction.
-    ///
-    /// Safe to call while traffic is live: hot sends to the switch already
-    /// fast-fail (breaker open), so no new intents can land past the fence,
-    /// and the owned rows see no host writers until the flag flips. Returns
-    /// the number of host rows seeded.
-    pub fn degrade_switch(&self, switch: SwitchId) -> Result<usize> {
-        let s = switch.index();
-        if s >= self.switches.len() {
-            return Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len())));
-        }
-        let owned: HashSet<TupleId> = self.control_planes[s].placements().map(|(t, _)| t).collect();
-        let (outcome, _wals, consumed) = self.replay_switch_suffix(s, &owned)?;
-        let mut restored = 0usize;
-        for &tuple in &owned {
-            let value = outcome
-                .values
-                .get(&tuple)
-                .copied()
-                .or_else(|| self.epochs[s].baseline.get(&tuple).copied())
-                .unwrap_or(0);
-            let Some(home) = self.partition_map.home(tuple) else { continue };
-            let Ok(table) = self.shared.node(home).table(tuple.table) else { continue };
-            if let Ok(mut live) = table.read(tuple.key) {
-                live.set_switch_word(value);
-                table.write(tuple.key, live)?;
-                restored += 1;
-            }
-        }
-        // Publish the shrunken index *before* raising the flag: a worker
-        // that observes the flag (and demotes a stale-index hot op) must be
-        // guaranteed the host rows already hold the reconstructed values.
-        self.shared.hot_index.swap(Arc::new(HotSetIndex::from_control_planes(
-            self.control_planes.iter().enumerate().filter(|&(i, _)| i != s).map(|(i, cp)| (SwitchId(i as u16), cp)),
-        )));
-        self.shared.health.set_fence(switch, consumed);
-        self.shared.health.set_degraded(switch, true);
-        Ok(restored)
-    }
-
-    /// Re-admits a degraded switch once its half-open probe streak has
-    /// earned a close: re-seeds its registers from the owning host rows
-    /// (during degraded mode the host rows are the authoritative values — a
-    /// WAL switch-replay alone would miss the degraded-era cold commits),
-    /// swaps the full hot-set index back in, starts a fresh checker epoch,
-    /// heals any lingering targeted network fault, closes the breaker and
-    /// lifts the degraded flag. Returns the number of registers re-seeded.
-    ///
-    /// Call only while switch traffic is quiesced (the supervisor re-admits
-    /// after its drivers finish), and resolve the in-doubt ledger first —
-    /// while the host rows are still authoritative, so a replayed intent's
-    /// effect survives the re-seeding.
-    pub fn readmit_switch(&mut self, switch: SwitchId) -> Result<usize> {
-        let s = switch.index();
-        if s >= self.switches.len() {
-            return Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len())));
-        }
-        let placements: Vec<(TupleId, p4db_switch::RegisterSlot)> = self.control_planes[s].placements().collect();
-        let mut restore = Vec::with_capacity(placements.len());
-        for &(tuple, _) in &placements {
-            let value = self
-                .partition_map
-                .home(tuple)
-                .and_then(|home| self.shared.node(home).table(tuple.table).ok())
-                .and_then(|table| table.read(tuple.key).ok())
-                .map(|v| v.switch_word())
-                .or_else(|| self.epochs[s].baseline.get(&tuple).copied())
-                .unwrap_or(0);
-            restore.push((tuple, value));
-        }
-        let control_plane = &mut self.control_planes[s];
-        control_plane.crash_data();
-        control_plane.restore(&restore);
-        // The full index goes back into circulation.
-        self.shared.hot_index.swap(Arc::new(HotSetIndex::from_control_planes(
-            self.control_planes.iter().enumerate().map(|(i, cp)| (SwitchId(i as u16), cp)),
-        )));
-        // Fresh checker epoch: the re-seeded registers are the new baseline.
-        self.epochs[s] = self.epoch_starting_now(s);
-        // Open the road back up.
-        self.shared.fabric.heal_switch(switch.0);
-        self.shared.health.close(switch);
-        self.shared.health.set_degraded(switch, false);
-        Ok(restore.len())
-    }
-
-    /// Sends one heartbeat probe through the fabric (subject to fault
-    /// injection, exactly like real traffic) and waits for the echo.
-    fn probe_switch(
-        &self,
-        switch: SwitchId,
-        origin: EndpointId,
-        mailbox: &Mailbox<SwitchMessage>,
-        token: u64,
-        timeout: Duration,
-    ) -> bool {
-        let sent = self.shared.fabric.send(
-            origin,
-            EndpointId::Switch(switch),
-            SwitchMessage::ProbeRequest(ProbeRequest { origin, token }),
-        );
-        if !sent {
-            return false;
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match mailbox.recv_timeout(remaining) {
-                RecvOutcome::Msg(env) => match env.payload {
-                    SwitchMessage::ProbeReply(r) if r.token == token => return true,
-                    // Stale replies from earlier, timed-out probes.
-                    _ => continue,
-                },
-                RecvOutcome::TimedOut | RecvOutcome::Disconnected => return false,
-            }
-        }
-    }
-
-    /// The self-healing supervisor loop. Runs **on the calling thread**
-    /// (degrade and re-admission need `&mut Cluster`; driver sessions are
-    /// self-contained and run on their own threads) until `drivers_done`
-    /// returns true *and* every breaker is closed:
-    ///
-    /// 1. a tripped breaker stands up degraded mode ([`Cluster::degrade_switch`]),
-    /// 2. every open breaker is heartbeat-probed every 2 ms (probe outcomes
-    ///    walk the breaker Open → Half-Open → ready-to-close),
-    /// 3. once the drivers are done, a ready switch is re-admitted — quiesce,
-    ///    resolve the in-doubt ledger while host rows are authoritative,
-    ///    then [`Cluster::readmit_switch`].
-    ///
-    /// Past `deadline` the supervisor force-heals the targeted network fault
-    /// (the model's "replace the broken hardware" escape hatch) and gives
-    /// the loop one more deadline before giving up; the report records it.
-    pub fn supervise_until<F: Fn() -> bool>(
-        &mut self,
-        drivers_done: F,
-        deadline: Duration,
-    ) -> Result<SupervisorReport> {
-        let origin = crate::session::rogue_endpoint();
-        let mailbox = self.shared.fabric.register(origin);
-        let probe_timeout = Duration::from_millis(2).max(Duration::from_nanos(8 * self.config.latency.one_way_ns));
-        let start = Instant::now();
-        let mut report = SupervisorReport::default();
-        let mut token = 0u64;
-        loop {
-            let done = drivers_done();
-            for s in 0..self.switches.len() {
-                let sid = SwitchId(s as u16);
-                if self.shared.health.is_open(sid) && !self.shared.health.is_degraded(sid) {
-                    self.degrade_switch(sid)?;
-                    report.degraded.push(sid);
-                }
-            }
-            for s in 0..self.switches.len() {
-                let sid = SwitchId(s as u16);
-                if !self.shared.health.is_open(sid) {
-                    continue;
-                }
-                token += 1;
-                report.probes_sent += 1;
-                let answered = self.probe_switch(sid, origin, &mailbox, token, probe_timeout);
-                if answered {
-                    report.probes_answered += 1;
-                }
-                self.shared.health.probe_outcome(sid, answered);
-            }
-            if done {
-                let ready: Vec<SwitchId> = (0..self.switches.len())
-                    .map(|s| SwitchId(s as u16))
-                    .filter(|&sid| self.shared.health.is_open(sid) && self.shared.health.ready_to_close(sid))
-                    .collect();
-                if !ready.is_empty() {
-                    self.quiesce_switch(Duration::from_secs(5));
-                    let mut session = self.session(NodeId(0))?;
-                    report.resolver.merge(&session.resolve_in_doubt()?);
-                    for sid in ready {
-                        self.readmit_switch(sid)?;
-                        report.recovered.push(sid);
-                    }
-                }
-                if (0..self.switches.len()).all(|s| !self.shared.health.is_open(SwitchId(s as u16))) {
-                    break;
-                }
-            }
-            if start.elapsed() >= deadline {
-                if !report.deadline_forced {
-                    report.deadline_forced = true;
-                    for s in 0..self.switches.len() {
-                        self.shared.fabric.heal_switch(s as u16);
-                    }
-                } else if start.elapsed() >= deadline * 2 {
-                    break;
-                }
-            }
-            std::thread::sleep(PROBE_INTERVAL);
-        }
-        report.trips_seen = self.shared.health.trips();
         Ok(report)
     }
 

@@ -9,10 +9,12 @@
 pub mod builder;
 pub mod cluster;
 pub mod driver;
+pub mod lifecycle;
 pub mod session;
 
 pub use builder::ClusterBuilder;
-pub use cluster::{Cluster, ClusterConfig, NodeRecoveryReport, SupervisorReport, SwitchEpoch, SwitchRecoveryReport};
+pub use cluster::{Cluster, ClusterConfig, NodeRecoveryReport};
 pub use driver::{Driving, Load, Stop};
+pub use lifecycle::{SupervisorReport, SwitchEpoch, SwitchRecoveryReport};
 pub use p4db_txn::BreakerState;
 pub use session::{Pending, ResolverReport, Session, DEFAULT_MAX_ATTEMPTS};
