@@ -624,9 +624,9 @@ pub fn resend_logged_intent(cluster: &Cluster, txn: TxnId) -> Result<usize> {
         .and_then(|op| index.owner(op.tuple))
         .ok_or_else(|| Error::InvalidTxn(format!("intent of {txn} has no owning switch")))?;
 
-    // A rogue endpoint outside the worker id space.
-    let origin = EndpointId::Node(NodeId(u16::MAX));
-    let mailbox = cluster.shared().fabric.register(origin);
+    // A control port outside the worker id space.
+    let mailbox = cluster.shared().fabric.control_port();
+    let origin = mailbox.id();
     let mut header = TxnHeader::new(origin, u64::MAX);
     header.txn_id = txn;
     let sent = cluster.shared().fabric.send(

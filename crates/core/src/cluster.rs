@@ -23,15 +23,15 @@ use p4db_common::{
 use p4db_layout::{assign_tuples_to_switches, LayoutPlanner, LayoutStrategy};
 use p4db_net::{Fabric, LatencyModel};
 use p4db_storage::{
-    decode_segment_tail, recover_cold_records, take_fuzzy_checkpoint, NodeStorage, Wal, DEFAULT_SEGMENT_RECORDS,
-    DEFAULT_TABLE_SHARDS,
+    decode_segment_tail, recover_cold_records, take_fuzzy_checkpoint, LogRecord, NodeStorage, Wal, WalCodecError,
+    DEFAULT_SEGMENT_RECORDS, DEFAULT_TABLE_SHARDS,
 };
 use p4db_switch::{
     start_switch_with_id, ControlPlane, RegisterMemory, SwitchConfig, SwitchHandle, SwitchStatsSnapshot,
 };
 use p4db_txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth};
 use p4db_workloads::{PartitionMap, Workload};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,6 +158,18 @@ pub struct NodeRecoveryReport {
     /// checkpoint's start fences, or everything (= `wal_records`) for a
     /// genesis replay.
     pub tail_records: usize,
+}
+
+/// Decodes one node's log from LSN `from` straight from its serialised
+/// segments — the crash model is that only the serialised form survives.
+/// Sealed segments wholly below `from` are skipped undecoded, so a read from
+/// a fence is O(tail). A torn tail comes back as a note; interior corruption
+/// is an error.
+pub(crate) fn decode_log(storage: &NodeStorage, from: u64) -> Result<(Vec<LogRecord>, Option<WalCodecError>)> {
+    let blobs = storage.wal().serialize_segments();
+    let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
+    decode_segment_tail(&views, from)
+        .map_err(|e| Error::InvalidConfig(format!("WAL decode failed during recovery: {e}")))
 }
 
 /// A fully assembled cluster, ready to serve sessions and run measurements.
@@ -596,21 +608,26 @@ impl Cluster {
     /// only each coordinator's log suffix past the checkpoint's start fence
     /// (fuzzy scans are sound because a transaction's cold writes and its
     /// verdict land in the log as one atomic group — whatever in-progress
-    /// value a scan captured, the tail rewrites it); the merged rows are
-    /// written back shard-parallel across worker threads. Torn checkpoint
+    /// value a scan captured, the tail rewrites it). Torn checkpoint
     /// generations decode as errors and are skipped in favour of the
-    /// previous complete one; with none, recovery replays from genesis.
+    /// previous complete one; with none, recovery replays every log from
+    /// genesis, which is the same path with no checkpoint rows. Either way
+    /// the merged rows are written back shard-parallel across worker threads.
     ///
     /// Every coordinator logs its own cold writes, so the crashed node's
     /// tuples are recovered from all logs and filtered to its partition; a
     /// tuple written by several coordinators whose final images disagree has
     /// no recoverable order. It is reported as ambiguous and left as it is —
-    /// neither a log image nor a checkpoint row is written back over it, on
-    /// either path. Call only while the node's traffic is quiesced.
+    /// neither a log image nor a checkpoint row is written back over it.
+    /// Call only while the node's traffic is quiesced.
     pub fn crash_and_recover_node(&self, node: NodeId) -> Result<NodeRecoveryReport> {
         if node.index() >= self.shared.num_nodes() {
             return Err(Error::UnknownNode(node));
         }
+        let storage = self.shared.node(node);
+        // Newest *complete* generation — torn blobs fail to decode and are
+        // skipped by `latest_complete`, falling back to the previous one.
+        let checkpoint = storage.checkpoints().latest_complete();
         let mut report = NodeRecoveryReport {
             node,
             wal_records: 0,
@@ -619,30 +636,19 @@ impl Cluster {
             ambiguous: 0,
             missing_rows: 0,
             codec_error: None,
-            from_checkpoint: None,
-            checkpoint_rows: 0,
+            from_checkpoint: checkpoint.as_ref().map(|c| c.generation),
+            checkpoint_rows: checkpoint.as_ref().map_or(0, |c| c.total_rows()),
             tail_records: 0,
         };
-        let storage = self.shared.node(node);
-        // Newest *complete* generation — torn blobs fail to decode and are
-        // skipped by `latest_complete`, falling back to the previous one.
-        let checkpoint = storage.checkpoints().latest_complete();
 
-        // Recover each coordinator's log through the serialised format and
-        // keep the images of tuples homed on the crashed node. With a
-        // checkpoint, only the suffix past that coordinator's start fence is
-        // replayed.
+        // Recover each coordinator's log suffix past its checkpoint start
+        // fence (all of it without a checkpoint) and keep the images of
+        // tuples homed on the crashed node.
         let mut candidates: HashMap<TupleId, Vec<Value>> = HashMap::new();
         for (n, coordinator) in self.shared.nodes.iter().enumerate() {
-            let fence = checkpoint.as_ref().map(|c| c.start_fence.get(n).copied().unwrap_or(0));
+            let fence = checkpoint.as_ref().map_or(0, |c| c.start_fence.get(n).copied().unwrap_or(0));
             report.wal_records += coordinator.wal().len();
-            // Decode straight from the serialised segments. With a fence this
-            // is the O(tail) restart path: sealed segments wholly below it
-            // are skipped without being decoded.
-            let blobs = coordinator.wal().serialize_segments();
-            let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-            let (records, torn) = decode_segment_tail(&views, fence.unwrap_or(0))
-                .map_err(|e| Error::InvalidConfig(format!("WAL tail decode failed during recovery: {e}")))?;
+            let (records, torn) = decode_log(coordinator, fence)?;
             if let Some(note) = torn {
                 report.codec_error = Some(note.to_string());
             }
@@ -654,58 +660,24 @@ impl Cluster {
             }
         }
 
-        // Resolve cross-coordinator disagreements before write-back.
-        let mut resolved: HashMap<TupleId, Value> = HashMap::new();
-        let mut ambiguous: HashSet<TupleId> = HashSet::new();
-        for (tuple, images) in candidates {
-            if images.iter().any(|v| *v != images[0]) {
-                ambiguous.insert(tuple);
-                continue;
-            }
-            resolved.insert(tuple, images[0]);
-        }
-        report.ambiguous = ambiguous.len();
-
-        let Some(c) = checkpoint else {
-            // Genesis replay: write the log-derived images straight back.
-            for (tuple, recovered) in resolved {
-                let table = storage.table(tuple.table)?;
-                match table.read(tuple.key) {
-                    Ok(live) => {
-                        if live != recovered {
-                            report.divergences.push((tuple, live.switch_word(), recovered.switch_word()));
-                        }
-                        // The "restart": volatile state is rebuilt from the log.
-                        table.write(tuple.key, recovered)?;
-                        report.restored_tuples += 1;
-                    }
-                    // A logged row absent from the live table is an undone
-                    // insert; recovery must not resurrect it.
-                    Err(_) => report.missing_rows += 1,
-                }
-            }
-            return Ok(report);
-        };
-
-        report.from_checkpoint = Some(c.generation);
-        report.checkpoint_rows = c.total_rows();
         // Merge per (table, shard) cell: checkpoint rows first, tail images
         // on top (the tail is authoritative for anything written after the
         // fence, including whatever in-progress value the fuzzy scan caught).
-        // An ambiguous tuple keeps its live value, as on the genesis path:
-        // its checkpoint row predates tail writes whose order is unknown.
+        // An ambiguous tuple keeps its live value: its checkpoint row
+        // predates tail writes whose order is unknown.
         let mut cells: HashMap<(p4db_common::TableId, u32), HashMap<u64, Value>> = HashMap::new();
-        for shard_rows in &c.shards {
-            let cell = cells.entry((shard_rows.table, shard_rows.shard)).or_default();
-            for &(key, value) in &shard_rows.rows {
-                if !ambiguous.contains(&TupleId::new(shard_rows.table, key)) {
-                    cell.insert(key, value);
-                }
-            }
+        for shard_rows in checkpoint.iter().flat_map(|c| &c.shards) {
+            cells.entry((shard_rows.table, shard_rows.shard)).or_default().extend(shard_rows.rows.iter().copied());
         }
-        for (tuple, value) in &resolved {
+        for (tuple, images) in candidates {
             let shard = storage.table(tuple.table)?.shard_of(tuple.key) as u32;
-            cells.entry((tuple.table, shard)).or_default().insert(tuple.key, *value);
+            let cell = cells.entry((tuple.table, shard)).or_default();
+            if images.iter().any(|v| *v != images[0]) {
+                cell.remove(&tuple.key);
+                report.ambiguous += 1;
+            } else {
+                cell.insert(tuple.key, images[0]);
+            }
         }
         let mut work: Vec<(&p4db_storage::Table, Vec<(u64, Value)>)> = Vec::with_capacity(cells.len());
         for ((table_id, _), rows) in cells {

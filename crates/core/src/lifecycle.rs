@@ -1,14 +1,14 @@
 //! The switch lifecycle: crash recovery from the node logs, degraded mode,
 //! heartbeat probes, re-admission and the self-healing supervisor.
 
-use crate::cluster::Cluster;
+use crate::cluster::{decode_log, Cluster};
 use crate::session::ResolverReport;
 use p4db_common::rand_util::FastRng;
 use p4db_common::{Error, NodeId, Result, SwitchId, TupleId, TxnId};
-use p4db_net::{EndpointId, Mailbox, RecvOutcome};
-use p4db_storage::{recover_switch_state, LogRecord, NodeStorage, SwitchRecoveryOutcome, Wal};
-use p4db_switch::{ControlPlane, ProbeRequest, SwitchMessage};
-use p4db_txn::{EngineShared, HotSetIndex, SwitchHealth};
+use p4db_net::{EndpointId, Mailbox};
+use p4db_storage::{recover_switch_state, LogRecord, SwitchRecoveryOutcome, Table};
+use p4db_switch::{ProbeRequest, RegisterSlot, SwitchMessage};
+use p4db_txn::{HotSetIndex, SwitchHealth};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,19 +84,8 @@ impl SupervisorReport {
         self.trips_seen = later.trips_seen;
     }
 }
-impl Cluster {
-    /// Round-trips one node's log through its segment bytes — the crash
-    /// model is that only the serialised form survives. Returns the decoded
-    /// log plus the torn-tail note, if the tail was torn. Interior corruption
-    /// (intact records after the failure) is a hard error.
-    fn roundtrip_wal(&self, storage: &NodeStorage) -> Result<(Wal, Option<String>)> {
-        let blobs = storage.wal().serialize_segments();
-        let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-        let (wal, torn) = Wal::deserialize_segments(&views, self.config.wal_segment_records.max(1))
-            .map_err(|e| Error::InvalidConfig(format!("WAL round-trip failed during recovery: {e}")))?;
-        Ok((wal, torn.map(|t| t.to_string())))
-    }
 
+impl Cluster {
     /// Crashes and recovers **every** switch of the topology in turn (see
     /// [`Cluster::crash_and_recover_switch_at`]) and merges the reports —
     /// the single-switch API, kept byte-compatible for existing callers.
@@ -122,48 +111,46 @@ impl Cluster {
         Ok(merged.expect("a cluster has at least one switch"))
     }
 
-    /// Round-trips every node's WAL through the serialised format, slices it
-    /// to switch `s`'s current epoch and filters it to the records that
-    /// switch owns — a cross-switch transaction logs one intent/result pair
-    /// *per switch* under the same TxnId, and ownership filtering is what
-    /// keeps each switch's view collision-free — then replays the result
-    /// against the switch's offload snapshot. Returns the replay outcome,
-    /// the filtered per-node logs (for divergence analysis) and the per-node
-    /// *consumed* WAL lengths: intents logged at or below those indices are
-    /// folded into the reconstruction (the resolver's fence).
-    fn replay_switch_suffix(
-        &self,
-        s: usize,
-        owned: &HashSet<TupleId>,
-    ) -> Result<(SwitchRecoveryOutcome, Vec<Wal>, Vec<usize>)> {
-        let epoch_wal_start = self.epochs[s].wal_start.clone();
-        let mut wals = Vec::with_capacity(self.shared.num_nodes());
+    /// The index of `switch`, or a structured error outside the topology.
+    fn switch_index(&self, switch: SwitchId) -> Result<usize> {
+        match switch.index() {
+            s if s < self.switches.len() => Ok(s),
+            _ => Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len()))),
+        }
+    }
+
+    /// Rebuilds switch `s`'s registers from the node logs (§6.1, §A.3).
+    /// Each node's log is decoded once, from the switch's epoch fence,
+    /// straight from its serialised segments, and filtered in place to the
+    /// intent and result records this switch owns: a cross-switch
+    /// transaction logs one intent/result pair *per switch* under the same
+    /// TxnId, and ownership keeps each switch's view collision-free. The
+    /// records are replayed against the epoch's baseline. Returns the replay
+    /// outcome, the per-node owned records (for the divergence check) and
+    /// the per-node log lengths consumed: intents logged at or below them
+    /// are folded into the reconstruction (the resolver's fence).
+    #[allow(clippy::type_complexity)]
+    fn replay_switch_suffix(&self, s: usize) -> Result<(SwitchRecoveryOutcome, Vec<Vec<LogRecord>>, Vec<usize>)> {
+        let owned: HashSet<TupleId> = self.control_planes[s].placements().map(|(t, _)| t).collect();
+        let owns = |tuple: Option<&TupleId>| tuple.is_some_and(|t| owned.contains(t));
+        let mut logs = Vec::with_capacity(self.shared.num_nodes());
         let mut consumed = Vec::with_capacity(self.shared.num_nodes());
-        for (n, storage) in self.shared.nodes.iter().enumerate() {
-            let (full, torn) = self.roundtrip_wal(storage)?;
+        for (storage, &start) in self.shared.nodes.iter().zip(&self.epochs[s].wal_start) {
+            let (mut records, torn) = decode_log(storage, start as u64)?;
             if let Some(note) = torn {
                 // Switch recovery replays intent/result pairs and cannot
                 // tolerate a truncated log the way node recovery can.
                 return Err(Error::InvalidConfig(format!("WAL torn during switch recovery: {note}")));
             }
-            consumed.push(full.len());
-            let start = epoch_wal_start.get(n).copied().unwrap_or(0);
-            let filtered = Wal::new();
-            for record in full.records_from(start as u64) {
-                let keep = match &record {
-                    LogRecord::SwitchIntent { ops, .. } => ops.first().is_some_and(|op| owned.contains(&op.tuple)),
-                    LogRecord::SwitchResult { results, .. } => results.first().is_some_and(|(t, _)| owned.contains(t)),
-                    _ => false,
-                };
-                if keep {
-                    filtered.append(record);
-                }
-            }
-            wals.push(filtered);
+            consumed.push(start + records.len());
+            records.retain(|record| match record {
+                LogRecord::SwitchIntent { ops, .. } => owns(ops.first().map(|op| &op.tuple)),
+                LogRecord::SwitchResult { results, .. } => owns(results.first().map(|(t, _)| t)),
+                _ => false,
+            });
+            logs.push(records);
         }
-        let wal_refs: Vec<&Wal> = wals.iter().collect();
-        let outcome = recover_switch_state(&self.epochs[s].baseline, &wal_refs);
-        Ok((outcome, wals, consumed))
+        Ok((recover_switch_state(&self.epochs[s].baseline, &logs), logs, consumed))
     }
 
     /// Simulates a crash + recovery of **one** switch from the node WALs
@@ -172,13 +159,13 @@ impl Cluster {
     /// ordered by data dependencies, Fig 9), and written back — either into
     /// the existing placements, or, with `reoffload_seed`, into **fresh
     /// register slots** chosen in a seeded random order, after which the
-    /// rebuilt hot-set index is swapped in cluster-wide (the mid-run
+    /// rebuilt hot-set index is published cluster-wide (the mid-run
     /// re-offload path).
     ///
-    /// Only WAL records owned by this switch (by the tuples they touch) and
-    /// only the suffix since this switch's epoch start are replayed, against
-    /// the per-switch offload snapshot — other switches' epochs, registers
-    /// and traffic are untouched.
+    /// The replay is the one [`Cluster::degrade_switch`] runs: only records
+    /// owned by this switch (by the tuples they touch) and only each log's
+    /// suffix since this switch's epoch start, against the epoch's baseline
+    /// — other switches' epochs, registers and traffic are untouched.
     ///
     /// Starts a new [`SwitchEpoch`] *for this switch*: recovery legitimately
     /// applies intents whose packets never reached the switch, so the
@@ -190,124 +177,29 @@ impl Cluster {
         switch: SwitchId,
         reoffload_seed: Option<u64>,
     ) -> Result<SwitchRecoveryReport> {
-        let s = switch.index();
-        if s >= self.switches.len() {
-            return Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len())));
-        }
+        let s = self.switch_index(switch)?;
         let pre_crash: HashMap<TupleId, u64> = self.control_planes[s].snapshot().into_iter().collect();
-        let owned: HashSet<TupleId> = self.control_planes[s].placements().map(|(t, _)| t).collect();
-        let (outcome, wals, consumed) = self.replay_switch_suffix(s, &owned)?;
+        let (outcome, logs, consumed) = self.replay_switch_suffix(s)?;
         // Resolver fence: intents at or below the consumed WAL lengths are
         // folded into this reconstruction — in-doubt entries below the fence
         // resolve as committed without querying the switch.
         self.shared.health.set_fence(switch, consumed);
-
-        // Intents without a result record are in-flight as far as the logs
-        // are concerned: recovery chooses *a* valid position for them (§A.3
-        // — "any order is valid"), which need not be where the live switch
-        // actually executed them (if it did at all), so their tuples may
-        // legitimately diverge from the pre-crash values — and the
-        // difference propagates through any completed transaction that
-        // touches the same tuples (its read-dependent writes replay with
-        // different operands). Tuples outside that closure must match
-        // exactly.
-        let mut explained: HashSet<TupleId> = HashSet::new();
-        let mut completed_ops: Vec<Vec<TupleId>> = Vec::new();
-        for wal in &wals {
-            let records = wal.records();
-            let with_result: HashSet<TxnId> = records
-                .iter()
-                .filter_map(|r| match r {
-                    LogRecord::SwitchResult { txn, .. } => Some(*txn),
-                    _ => None,
-                })
-                .collect();
-            for record in &records {
-                if let LogRecord::SwitchIntent { txn, ops } = record {
-                    let tuples: Vec<TupleId> = ops.iter().map(|op| op.tuple).collect();
-                    if with_result.contains(txn) {
-                        completed_ops.push(tuples);
-                    } else {
-                        explained.extend(tuples);
-                    }
-                }
-            }
-        }
-        loop {
-            let before = explained.len();
-            for tuples in &completed_ops {
-                if tuples.iter().any(|t| explained.contains(t)) {
-                    explained.extend(tuples.iter().copied());
-                }
-            }
-            if explained.len() == before {
-                break;
-            }
-        }
-        let mut unexplained_divergences = Vec::new();
-        for (&tuple, &live) in &pre_crash {
-            let recovered = outcome.values.get(&tuple).copied().unwrap_or(live);
-            if recovered != live && !explained.contains(&tuple) {
-                unexplained_divergences.push((tuple, live, recovered));
-            }
-        }
+        let unexplained_divergences = unexplained_divergences(&pre_crash, &outcome.values, &logs);
 
         // The crash: this switch's register memory is gone. Restore it —
         // into fresh placements when re-offloading. Ownership is stable:
         // recovery never migrates tuples between switches, only reshuffles
-        // slots within the crashed one.
-        let control_plane = &mut self.control_planes[s];
-        let mut original: Vec<(TupleId, p4db_switch::RegisterSlot)> = control_plane.placements().collect();
-        // Cell indices are assigned in next_free order, so replaying inserts
-        // in slot order reproduces the original placement exactly.
+        // slots within the crashed one. Cell indices are assigned in
+        // next_free order, so placing in slot order reproduces the original
+        // placement exactly.
+        let mut original: Vec<(TupleId, RegisterSlot)> = self.control_planes[s].placements().collect();
         original.sort_by_key(|&(_, slot)| (slot.stage, slot.array, slot.index));
-        let recovered_value = |tuple: TupleId| {
-            outcome.values.get(&tuple).copied().unwrap_or_else(|| pre_crash.get(&tuple).copied().unwrap_or(0))
-        };
-        let swap_index = |planes: &[ControlPlane], shared: &EngineShared| {
-            shared.hot_index.swap(Arc::new(HotSetIndex::from_control_planes(
-                planes.iter().enumerate().map(|(i, cp)| (SwitchId(i as u16), cp)),
-            )));
-        };
-        let reoffloaded = if let Some(seed) = reoffload_seed {
-            let widths: HashMap<TupleId, usize> =
-                self.workload.hot_tuples(self.config.num_nodes).into_iter().map(|h| (h.tuple, h.byte_width)).collect();
-            control_plane.reset();
-            // Seeded shuffle so the new placement differs from the old one.
-            let mut order: Vec<TupleId> = original.iter().map(|&(t, _)| t).collect();
-            let mut rng = FastRng::new(seed ^ 0x0FF_10AD ^ switch.0 as u64);
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.pick(i + 1));
-            }
-            let mut failure = None;
-            for &tuple in &order {
-                let width = widths.get(&tuple).copied().unwrap_or(8);
-                if let Err(e) = control_plane.offload_anywhere(tuple, width, recovered_value(tuple)) {
-                    failure = Some(e);
-                    break;
-                }
-            }
-            if let Some(e) = failure {
-                // A partial re-offload must not leave workers with a stale
-                // index over reshuffled registers: rebuild the *original*
-                // placement (which held every tuple before the crash), then
-                // report the failure.
-                control_plane.reset();
-                for &(tuple, slot) in &original {
-                    let width = widths.get(&tuple).copied().unwrap_or(8);
-                    control_plane.offload_into(tuple, slot.stage, slot.array, width, recovered_value(tuple))?;
-                }
-                swap_index(&self.control_planes, &self.shared);
-                return Err(e);
-            }
-            swap_index(&self.control_planes, &self.shared);
-            true
-        } else {
-            control_plane.crash_data();
-            let restore: Vec<(TupleId, u64)> = original.iter().map(|&(t, _)| (t, recovered_value(t))).collect();
-            control_plane.restore(&restore);
-            false
-        };
+        let values: Vec<(TupleId, u64)> =
+            original.iter().map(|&(t, _)| (t, outcome.values.get(&t).copied().unwrap_or(0))).collect();
+        match reoffload_seed {
+            Some(seed) => self.reoffload(s, seed, &original, &values)?,
+            None => self.restore_registers(s, &values),
+        }
 
         // New epoch for this switch: the restored values are the checker's
         // new baseline, so the next recovery of this switch replays only the
@@ -317,9 +209,63 @@ impl Cluster {
         Ok(SwitchRecoveryReport {
             restored_tuples: self.epochs[s].baseline.len(),
             outcome,
-            reoffloaded,
+            reoffloaded: reoffload_seed.is_some(),
             unexplained_divergences,
         })
+    }
+
+    /// Re-offloads switch `s`'s tuples into fresh register slots in a
+    /// seeded random order and publishes the new index. If they do not fit,
+    /// the `original` placement (which held every tuple before the crash) is
+    /// rebuilt and published before the failure is returned, so no worker
+    /// keeps a stale index over reshuffled registers.
+    fn reoffload(
+        &mut self,
+        s: usize,
+        seed: u64,
+        original: &[(TupleId, RegisterSlot)],
+        values: &[(TupleId, u64)],
+    ) -> Result<()> {
+        let widths: HashMap<TupleId, usize> =
+            self.workload.hot_tuples(self.config.num_nodes).into_iter().map(|h| (h.tuple, h.byte_width)).collect();
+        let width = |tuple| widths.get(&tuple).copied().unwrap_or(8);
+        let mut order = values.to_vec();
+        let mut rng = FastRng::new(seed ^ 0x0FF_10AD ^ s as u64);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.pick(i + 1));
+        }
+        let control_plane = &mut self.control_planes[s];
+        control_plane.reset();
+        let placed = order.iter().try_for_each(|&(t, v)| control_plane.offload_anywhere(t, width(t), v).map(drop));
+        if placed.is_err() {
+            control_plane.reset();
+            for (&(t, slot), &(_, v)) in original.iter().zip(values) {
+                control_plane.offload_into(t, slot.stage, slot.array, width(t), v)?;
+            }
+        }
+        self.publish_hot_index(None);
+        placed
+    }
+
+    /// Rewrites switch `s`'s registers in their current placements: the
+    /// crashed data is lost, the data-plane program and placements stay.
+    fn restore_registers(&mut self, s: usize, values: &[(TupleId, u64)]) {
+        self.control_planes[s].crash_data();
+        self.control_planes[s].restore(values);
+    }
+
+    /// Publishes the hot-set index of every switch but `without` to the
+    /// workers.
+    fn publish_hot_index(&self, without: Option<usize>) {
+        let planes = self.control_planes.iter().enumerate().filter(|&(i, _)| Some(i) != without);
+        let index = HotSetIndex::from_control_planes(planes.map(|(i, cp)| (SwitchId(i as u16), cp)));
+        self.shared.hot_index.swap(Arc::new(index));
+    }
+
+    /// The host table that holds an offloaded tuple's row.
+    fn host_table(&self, tuple: TupleId) -> Option<&Table> {
+        let home = self.partition_map.home(tuple)?;
+        self.shared.node(home).table(tuple.table).ok()
     }
 
     /// The epoch of switch `s` that starts now: its current registers are
@@ -341,8 +287,8 @@ impl Cluster {
     }
 
     /// Stands up **degraded mode** for one switch whose breaker has tripped:
-    /// reconstructs the switch's authoritative values from the node WALs
-    /// (the same epoch-sliced, ownership-filtered replay recovery uses — the
+    /// rebuilds the switch's authoritative values with the replay crash
+    /// recovery runs ([`Cluster::crash_and_recover_switch_at`] — the
     /// unreachable switch is never involved), writes them into the owning
     /// host rows' switch words, publishes a hot-set index that *excludes*
     /// the switch, and only then raises the degraded flag. From that moment
@@ -358,24 +304,13 @@ impl Cluster {
     /// and the owned rows see no host writers until the flag flips. Returns
     /// the number of host rows seeded.
     pub fn degrade_switch(&self, switch: SwitchId) -> Result<usize> {
-        let s = switch.index();
-        if s >= self.switches.len() {
-            return Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len())));
-        }
-        let owned: HashSet<TupleId> = self.control_planes[s].placements().map(|(t, _)| t).collect();
-        let (outcome, _wals, consumed) = self.replay_switch_suffix(s, &owned)?;
+        let s = self.switch_index(switch)?;
+        let (outcome, _, consumed) = self.replay_switch_suffix(s)?;
         let mut restored = 0usize;
-        for &tuple in &owned {
-            let value = outcome
-                .values
-                .get(&tuple)
-                .copied()
-                .or_else(|| self.epochs[s].baseline.get(&tuple).copied())
-                .unwrap_or(0);
-            let Some(home) = self.partition_map.home(tuple) else { continue };
-            let Ok(table) = self.shared.node(home).table(tuple.table) else { continue };
+        for (tuple, _) in self.control_planes[s].placements() {
+            let Some(table) = self.host_table(tuple) else { continue };
             if let Ok(mut live) = table.read(tuple.key) {
-                live.set_switch_word(value);
+                live.set_switch_word(outcome.values.get(&tuple).copied().unwrap_or(0));
                 table.write(tuple.key, live)?;
                 restored += 1;
             }
@@ -383,9 +318,7 @@ impl Cluster {
         // Publish the shrunken index *before* raising the flag: a worker
         // that observes the flag (and demotes a stale-index hot op) must be
         // guaranteed the host rows already hold the reconstructed values.
-        self.shared.hot_index.swap(Arc::new(HotSetIndex::from_control_planes(
-            self.control_planes.iter().enumerate().filter(|&(i, _)| i != s).map(|(i, cp)| (SwitchId(i as u16), cp)),
-        )));
+        self.publish_hot_index(Some(s));
         self.shared.health.set_fence(switch, consumed);
         self.shared.health.set_degraded(switch, true);
         Ok(restored)
@@ -395,7 +328,7 @@ impl Cluster {
     /// earned a close: re-seeds its registers from the owning host rows
     /// (during degraded mode the host rows are the authoritative values — a
     /// WAL switch-replay alone would miss the degraded-era cold commits),
-    /// swaps the full hot-set index back in, starts a fresh checker epoch,
+    /// publishes the full hot-set index, starts a fresh checker epoch,
     /// heals any lingering targeted network fault, closes the breaker and
     /// lifts the degraded flag. Returns the number of registers re-seeded.
     ///
@@ -404,69 +337,34 @@ impl Cluster {
     /// while the host rows are still authoritative, so a replayed intent's
     /// effect survives the re-seeding.
     pub fn readmit_switch(&mut self, switch: SwitchId) -> Result<usize> {
-        let s = switch.index();
-        if s >= self.switches.len() {
-            return Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len())));
-        }
-        let placements: Vec<(TupleId, p4db_switch::RegisterSlot)> = self.control_planes[s].placements().collect();
-        let mut restore = Vec::with_capacity(placements.len());
-        for &(tuple, _) in &placements {
-            let value = self
-                .partition_map
-                .home(tuple)
-                .and_then(|home| self.shared.node(home).table(tuple.table).ok())
-                .and_then(|table| table.read(tuple.key).ok())
-                .map(|v| v.switch_word())
-                .or_else(|| self.epochs[s].baseline.get(&tuple).copied())
-                .unwrap_or(0);
-            restore.push((tuple, value));
-        }
-        let control_plane = &mut self.control_planes[s];
-        control_plane.crash_data();
-        control_plane.restore(&restore);
-        // The full index goes back into circulation.
-        self.shared.hot_index.swap(Arc::new(HotSetIndex::from_control_planes(
-            self.control_planes.iter().enumerate().map(|(i, cp)| (SwitchId(i as u16), cp)),
-        )));
+        let s = self.switch_index(switch)?;
+        let values: Vec<(TupleId, u64)> = self.control_planes[s]
+            .placements()
+            .map(|(tuple, _)| {
+                let host = self.host_table(tuple).and_then(|table| table.read(tuple.key).ok());
+                let value = host.map(|v| v.switch_word()).or_else(|| self.epochs[s].baseline.get(&tuple).copied());
+                (tuple, value.unwrap_or(0))
+            })
+            .collect();
+        self.restore_registers(s, &values);
+        self.publish_hot_index(None);
         // Fresh checker epoch: the re-seeded registers are the new baseline.
         self.epochs[s] = self.epoch_starting_now(s);
         // Open the road back up.
         self.shared.fabric.heal_switch(switch.0);
         self.shared.health.close(switch);
         self.shared.health.set_degraded(switch, false);
-        Ok(restore.len())
+        Ok(values.len())
     }
 
-    /// Sends one heartbeat probe through the fabric (subject to fault
-    /// injection, exactly like real traffic) and waits for the echo.
-    fn probe_switch(
-        &self,
-        switch: SwitchId,
-        origin: EndpointId,
-        mailbox: &Mailbox<SwitchMessage>,
-        token: u64,
-        timeout: Duration,
-    ) -> bool {
-        let sent = self.shared.fabric.send(
-            origin,
-            EndpointId::Switch(switch),
-            SwitchMessage::ProbeRequest(ProbeRequest { origin, token }),
-        );
-        if !sent {
-            return false;
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match mailbox.recv_timeout(remaining) {
-                RecvOutcome::Msg(env) => match env.payload {
-                    SwitchMessage::ProbeReply(r) if r.token == token => return true,
-                    // Stale replies from earlier, timed-out probes.
-                    _ => continue,
-                },
-                RecvOutcome::TimedOut | RecvOutcome::Disconnected => return false,
-            }
-        }
+    /// Sends one heartbeat probe from `port` through the fabric (subject to
+    /// fault injection, exactly like real traffic) and waits for its echo.
+    fn probe_switch(&self, switch: SwitchId, port: &Mailbox<SwitchMessage>, token: u64, timeout: Duration) -> bool {
+        let origin = port.id();
+        let request = SwitchMessage::ProbeRequest(ProbeRequest { origin, token });
+        let echo = |m| matches!(m, SwitchMessage::ProbeReply(r) if r.token == token).then_some(());
+        self.shared.fabric.send(origin, EndpointId::Switch(switch), request)
+            && port.recv_until(Instant::now() + timeout, echo).is_ok()
     }
 
     /// The self-healing supervisor loop. Runs **on the calling thread**
@@ -489,8 +387,7 @@ impl Cluster {
         drivers_done: F,
         deadline: Duration,
     ) -> Result<SupervisorReport> {
-        let origin = crate::session::rogue_endpoint();
-        let mailbox = self.shared.fabric.register(origin);
+        let port = self.shared.fabric.control_port();
         let probe_timeout = Duration::from_millis(2).max(Duration::from_nanos(8 * self.config.latency.one_way_ns));
         let start = Instant::now();
         let mut report = SupervisorReport::default();
@@ -511,7 +408,7 @@ impl Cluster {
                 }
                 token += 1;
                 report.probes_sent += 1;
-                let answered = self.probe_switch(sid, origin, &mailbox, token, probe_timeout);
+                let answered = self.probe_switch(sid, &port, token, probe_timeout);
                 if answered {
                     report.probes_answered += 1;
                 }
@@ -549,5 +446,127 @@ impl Cluster {
         }
         report.trips_seen = self.shared.health.trips();
         Ok(report)
+    }
+}
+
+/// The tuples whose rebuilt value differs from the live pre-crash value with
+/// no in-flight intent to explain it, as `(tuple, live, rebuilt)`.
+///
+/// Intents without a result record are in-flight as far as the logs are
+/// concerned: recovery chooses *a* valid position for them (§A.3 — "any
+/// order is valid"), which need not be where the live switch actually
+/// executed them (if it did at all), so their tuples may legitimately
+/// diverge from the pre-crash values — and the difference propagates
+/// through any completed transaction that touches the same tuples (its
+/// read-dependent writes replay with different operands). Tuples outside
+/// that closure must match exactly.
+fn unexplained_divergences(
+    pre_crash: &HashMap<TupleId, u64>,
+    rebuilt: &HashMap<TupleId, u64>,
+    logs: &[Vec<LogRecord>],
+) -> Vec<(TupleId, u64, u64)> {
+    let mut explained: HashSet<TupleId> = HashSet::new();
+    let mut completed_ops: Vec<Vec<TupleId>> = Vec::new();
+    for records in logs {
+        let with_result: HashSet<TxnId> = records
+            .iter()
+            .filter_map(|r| match r {
+                LogRecord::SwitchResult { txn, .. } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        for record in records {
+            if let LogRecord::SwitchIntent { txn, ops } = record {
+                let tuples = ops.iter().map(|op| op.tuple);
+                if with_result.contains(txn) {
+                    completed_ops.push(tuples.collect());
+                } else {
+                    explained.extend(tuples);
+                }
+            }
+        }
+    }
+    loop {
+        let before = explained.len();
+        for tuples in &completed_ops {
+            if tuples.iter().any(|t| explained.contains(t)) {
+                explained.extend(tuples.iter().copied());
+            }
+        }
+        if explained.len() == before {
+            break;
+        }
+    }
+    let mut unexplained = Vec::new();
+    for (&tuple, &live) in pre_crash {
+        let recovered = rebuilt.get(&tuple).copied().unwrap_or(live);
+        if recovered != live && !explained.contains(&tuple) {
+            unexplained.push((tuple, live, recovered));
+        }
+    }
+    unexplained
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClusterConfig;
+    use p4db_common::{CcScheme, GlobalTxnId, SystemMode, WorkerId};
+    use p4db_storage::LoggedSwitchOp;
+    use p4db_switch::OpCode;
+    use p4db_workloads::{Workload, Ycsb, YcsbConfig, YcsbMix};
+
+    fn small_cluster() -> Cluster {
+        let workload: Arc<dyn Workload> =
+            Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
+        Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), workload)
+    }
+
+    #[test]
+    fn the_divergence_check_reports_an_unlogged_change_but_not_an_in_flight_closure() {
+        let mut cluster = small_cluster();
+        let sw = SwitchId(0);
+        let live = |cluster: &Cluster, tuple| cluster.switch_value(tuple).expect("offloaded");
+        let hot: Vec<TupleId> = cluster.control_plane_at(sw).snapshot().into_iter().map(|(t, _)| t).collect();
+        let (a, b, c) = (hot[0], hot[1], hot[2]);
+        let (a0, b0, c0) = (live(&cluster, a), live(&cluster, b), live(&cluster, c));
+
+        // Case 1: an intent `a += 5` was logged but never answered, and a
+        // completed transaction read `a` and added what it read to `b`. Its
+        // recorded results are only explainable with the in-flight intent
+        // ordered first, so recovery moves both `a` and `b` away from their
+        // live values — both explained, neither reported.
+        let op = |tuple, op, operand, operand_from| LoggedSwitchOp { tuple, op, operand, operand_from };
+        let (inflight, completed) =
+            (TxnId::compose(1, NodeId(0), WorkerId(0)), TxnId::compose(2, NodeId(0), WorkerId(0)));
+        let wal = cluster.shared().node(NodeId(0)).wal();
+        wal.append(LogRecord::SwitchIntent { txn: inflight, ops: vec![op(a, OpCode::Add, 5, None)] });
+        let ops = vec![op(a, OpCode::Read, 0, None), op(b, OpCode::Add, 0, Some(0))];
+        wal.append(LogRecord::SwitchIntent { txn: completed, ops });
+        let results = vec![(a, a0 + 5), (b, b0 + a0 + 5)];
+        wal.append(LogRecord::SwitchResult { txn: completed, gid: GlobalTxnId(0), results });
+        let report = cluster.crash_and_recover_switch_at(sw, None).unwrap();
+        assert_eq!((report.outcome.completed, report.outcome.inflight_ordered), (1, 1));
+        assert_eq!((live(&cluster, a), live(&cluster, b)), (a0 + 5, b0 + a0 + 5), "the closure diverges");
+        assert!(report.unexplained_divergences.is_empty(), "{:?}", report.unexplained_divergences);
+
+        // Case 2: a register changed behind the log's back — no intent
+        // explains it, so recovery restores the logged value and reports it.
+        cluster.control_planes[sw.index()].restore(&[(c, c0 + 1)]);
+        let report = cluster.crash_and_recover_switch_at(sw, None).unwrap();
+        assert_eq!(report.unexplained_divergences, vec![(c, c0 + 1, c0)]);
+        assert_eq!(live(&cluster, c), c0);
+    }
+
+    #[test]
+    fn supervision_passes_leave_the_fabric_registry_as_they_found_it() {
+        let mut cluster = small_cluster();
+        let endpoints = |cluster: &Cluster| cluster.shared().fabric.endpoints().into_iter().collect::<HashSet<_>>();
+        let before = endpoints(&cluster);
+        for _ in 0..3 {
+            let report = cluster.supervise_until(|| true, Duration::from_secs(5)).unwrap();
+            assert!(report.degraded.is_empty() && !report.deadline_forced);
+        }
+        assert_eq!(endpoints(&cluster), before);
     }
 }

@@ -47,7 +47,7 @@ use p4db_common::simtime::wait_for;
 use p4db_common::stats::WorkerStats;
 use p4db_common::sync::unpoison;
 use p4db_common::{Error, NodeId, Result, SystemMode, WorkerId};
-use p4db_net::{EndpointId, RecvOutcome};
+use p4db_net::EndpointId;
 use p4db_switch::{IntentStatusRequest, SwitchMessage};
 use p4db_txn::{EngineShared, HotSetIndex, OpKind, SnapshotReader, Txn, TxnOp, TxnOutcome, TxnRequest, Worker};
 use p4db_workloads::PartitionMap;
@@ -242,17 +242,6 @@ fn file_replies(settled: &mut Vec<(ReplyTo, JobReply)>) {
 /// transaction ids and switch packets); exhausting it is reported as
 /// [`Error::WorkerIdSpaceExhausted`] instead of silently wrapping into a
 /// fabric endpoint collision panic.
-/// Allocates a fabric endpoint for out-of-band control traffic (supervisor
-/// probes, in-doubt status queries). The high bit keeps these clear of real
-/// node ids and of the recovery drill's fixed `NodeId(u16::MAX)` resend
-/// endpoint; a fresh id per caller sidesteps the fabric's duplicate-
-/// registration panic across repeated cluster builds in one process.
-pub(crate) fn rogue_endpoint() -> EndpointId {
-    static NEXT: AtomicU32 = AtomicU32::new(0);
-    let n = NEXT.fetch_add(1, AtomicOrdering::Relaxed);
-    EndpointId::Node(NodeId(0x8000 | (n as u16 & 0x3FFF)))
-}
-
 fn next_worker_slot() -> Result<WorkerId> {
     static NEXT: AtomicU32 = AtomicU32::new(0);
     let slot = NEXT.fetch_add(1, AtomicOrdering::Relaxed);
@@ -755,8 +744,7 @@ impl Session {
         if entries.is_empty() {
             return Ok(report);
         }
-        let origin = rogue_endpoint();
-        let mailbox = self.shared.fabric.register(origin);
+        let port = self.shared.fabric.control_port();
         // A status query is a single round trip; don't let the engine's
         // (deliberately generous) switch timeout stall a resolution pass
         // over an unreachable switch for seconds per entry.
@@ -771,33 +759,21 @@ impl Session {
                 report.resolved_committed += 1;
                 continue;
             }
-            let mut executed = None;
-            'query: for _ in 0..TRIES {
+            // A failed send or a timeout is the next try; a stale reply to
+            // an earlier try is dropped.
+            let executed = (0..TRIES).find_map(|_| {
                 token += 1;
-                let sent = self.shared.fabric.send(
-                    origin,
-                    EndpointId::Switch(entry.switch),
-                    SwitchMessage::IntentStatusRequest(IntentStatusRequest { origin, token, txn: entry.txn }),
-                );
-                if !sent {
-                    continue;
+                let request = IntentStatusRequest { origin: port.id(), token, txn: entry.txn };
+                let request = SwitchMessage::IntentStatusRequest(request);
+                if !self.shared.fabric.send(port.id(), EndpointId::Switch(entry.switch), request) {
+                    return None;
                 }
-                let deadline = Instant::now() + per_try;
-                loop {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match mailbox.recv_timeout(remaining) {
-                        RecvOutcome::Msg(env) => match env.payload {
-                            SwitchMessage::IntentStatusReply(r) if r.token == token => {
-                                executed = Some(r.executed);
-                                break 'query;
-                            }
-                            // Stale replies from earlier, timed-out tries.
-                            _ => continue,
-                        },
-                        RecvOutcome::TimedOut | RecvOutcome::Disconnected => break,
-                    }
-                }
-            }
+                let status = |m| match m {
+                    SwitchMessage::IntentStatusReply(r) if r.token == token => Some(r.executed),
+                    _ => None,
+                };
+                port.recv_until(Instant::now() + per_try, status).ok()
+            });
             match executed {
                 Some(true) => report.resolved_committed += 1,
                 Some(false) => match self.execute_request(&TxnRequest::new(entry.ops.clone())) {

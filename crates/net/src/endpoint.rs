@@ -18,6 +18,10 @@ pub enum EndpointId {
     /// A programmable switch's packet-processing engine. Multi-switch
     /// topologies register one such endpoint per switch.
     Switch(SwitchId),
+    /// A short-lived host-side control port (supervisor probes, in-doubt
+    /// status queries): not a node, so no warm-decision multicast reaches
+    /// it. See [`crate::Fabric::control_port`].
+    Control(u32),
 }
 
 impl EndpointId {
@@ -26,11 +30,12 @@ impl EndpointId {
         matches!(self, EndpointId::Switch(_))
     }
 
-    /// The node this endpoint belongs to (`None` for switches).
+    /// The node this endpoint belongs to (`None` for switches and control
+    /// ports).
     pub fn node(self) -> Option<NodeId> {
         match self {
             EndpointId::Node(n) | EndpointId::Worker(n, _) => Some(n),
-            EndpointId::Switch(_) => None,
+            EndpointId::Switch(_) | EndpointId::Control(_) => None,
         }
     }
 
@@ -49,6 +54,7 @@ impl fmt::Display for EndpointId {
             EndpointId::Node(n) => write!(f, "{n}"),
             EndpointId::Worker(n, w) => write!(f, "{n}/{w}"),
             EndpointId::Switch(s) => write!(f, "{s}"),
+            EndpointId::Control(c) => write!(f, "control{c}"),
         }
     }
 }
@@ -66,6 +72,8 @@ mod tests {
         assert_eq!(EndpointId::Node(NodeId(0)).switch(), None);
         assert!(EndpointId::Switch(SwitchId(0)).is_switch());
         assert!(!EndpointId::Node(NodeId(0)).is_switch());
+        assert_eq!(EndpointId::Control(5).node(), None);
+        assert!(!EndpointId::Control(5).is_switch());
     }
 
     #[test]

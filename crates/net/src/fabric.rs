@@ -28,7 +28,7 @@ use p4db_common::simtime::wait_for;
 use p4db_common::sync::unpoison;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Outcome of a timed receive, distinguishing "nothing arrived in time" from
 /// "no sender can ever deliver again". The distinction matters to
@@ -111,6 +111,22 @@ impl<M> Mailbox<M> {
         }
     }
 
+    /// Receives until `accept` takes a message or `deadline` passes. Every
+    /// message `accept` declines is dropped: a stale reply to an earlier,
+    /// timed-out request, or one meant for no waiter.
+    pub fn recv_until<T>(
+        &self,
+        deadline: Instant,
+        mut accept: impl FnMut(M) -> Option<T>,
+    ) -> Result<T, RecvTimeoutError> {
+        loop {
+            let env = self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))?;
+            if let Some(taken) = accept(env.payload) {
+                return Ok(taken);
+            }
+        }
+    }
+
     /// Blocking receive; returns `None` only when every sender is gone.
     pub fn recv(&self) -> Option<Envelope<M>> {
         self.rx.recv().ok()
@@ -162,6 +178,29 @@ struct Registry<M> {
     /// [`Fabric::register`], so the warm-decision multicast does not allocate
     /// (or filter the whole registry) on every call.
     node_senders: Vec<(EndpointId, Sender<Envelope<M>>)>,
+    /// The id of the last [`Fabric::control_port`].
+    last_control: u32,
+}
+
+/// A registered [`EndpointId::Control`] endpoint: its mailbox, which it
+/// derefs to. Dropping the port unregisters the endpoint.
+pub struct ControlPort<M> {
+    mailbox: Mailbox<M>,
+    registry: Arc<RwLock<Registry<M>>>,
+}
+
+impl<M> std::ops::Deref for ControlPort<M> {
+    type Target = Mailbox<M>;
+
+    fn deref(&self) -> &Mailbox<M> {
+        &self.mailbox
+    }
+}
+
+impl<M> Drop for ControlPort<M> {
+    fn drop(&mut self) {
+        unpoison(self.registry.write()).endpoints.remove(&self.mailbox.id);
+    }
 }
 
 /// Chaos-testing state attached to a fabric: the seeded fault decision
@@ -189,7 +228,11 @@ impl<M> Clone for Fabric<M> {
 impl<M> Fabric<M> {
     pub fn new(latency: LatencyModel) -> Self {
         Fabric {
-            registry: Arc::new(RwLock::new(Registry { endpoints: FastMap::default(), node_senders: Vec::new() })),
+            registry: Arc::new(RwLock::new(Registry {
+                endpoints: FastMap::default(),
+                node_senders: Vec::new(),
+                last_control: 0,
+            })),
             latency,
             chaos: None,
         }
@@ -198,7 +241,11 @@ impl<M> Fabric<M> {
     /// A fabric that routes every unicast send through `injector`.
     pub fn with_faults(latency: LatencyModel, injector: Arc<FaultInjector>) -> Self {
         Fabric {
-            registry: Arc::new(RwLock::new(Registry { endpoints: FastMap::default(), node_senders: Vec::new() })),
+            registry: Arc::new(RwLock::new(Registry {
+                endpoints: FastMap::default(),
+                node_senders: Vec::new(),
+                last_control: 0,
+            })),
             latency,
             chaos: Some(Arc::new(ChaosState { injector, held: Mutex::new(HashMap::new()) })),
         }
@@ -261,6 +308,19 @@ impl<M> Fabric<M> {
     /// Panics if the endpoint is already registered.
     pub fn register_pumped(&self, id: EndpointId, pump: Pump) -> Mailbox<M> {
         self.register_endpoint(id, Some(pump))
+    }
+
+    /// Registers a control port with an id no live endpoint has, for
+    /// out-of-band traffic such as heartbeat probes. Ids are not reused
+    /// until the `u32` space wraps, so a late reply to an earlier port
+    /// finds no mailbox.
+    pub fn control_port(&self) -> ControlPort<M> {
+        let id = {
+            let mut reg = unpoison(self.registry.write());
+            reg.last_control = reg.last_control.wrapping_add(1);
+            EndpointId::Control(reg.last_control)
+        };
+        ControlPort { mailbox: self.register(id), registry: Arc::clone(&self.registry) }
     }
 
     fn register_endpoint(&self, id: EndpointId, pump: Option<Pump>) -> Mailbox<M> {
@@ -520,6 +580,30 @@ mod tests {
         // Dropping the whole fabric (all senders) disconnects the mailbox.
         drop(f);
         assert!(mb.recv_timeout(Duration::from_millis(5)).is_disconnected());
+    }
+
+    #[test]
+    fn a_control_port_is_no_node_and_unregisters_when_dropped() {
+        let f = fabric();
+        let _sw = f.register(SW);
+        let port = f.control_port();
+        let other = f.control_port();
+        assert!(matches!(port.id(), EndpointId::Control(_)));
+        assert_ne!(port.id(), other.id());
+        assert_eq!(f.endpoints().len(), 3);
+        assert_eq!(f.multicast_to_nodes(SW, 1), 0, "a control port gets no node multicast");
+        // Awaiting by matcher drops what it declines and times out cleanly.
+        for v in [1, 2, 3] {
+            assert!(f.send(SW, port.id(), v));
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert_eq!(port.recv_until(deadline, |v| (v == 2).then_some(v * 10)), Ok(20));
+        assert_eq!(port.recv_until(Instant::now(), |v| (v == 2).then_some(v)), Err(RecvTimeoutError::Timeout));
+        assert!(port.is_empty(), "the declined 3 was dropped");
+        let id = port.id();
+        drop((port, other));
+        assert_eq!(f.endpoints(), vec![SW]);
+        assert!(!f.send(SW, id, 4), "a dropped port receives nothing");
     }
 
     #[test]

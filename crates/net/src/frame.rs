@@ -119,6 +119,7 @@ fn endpoint_key(ep: EndpointId) -> (u8, u16, u16) {
         EndpointId::Node(n) => (0, n.0, 0),
         EndpointId::Worker(n, w) => (1, n.0, w.0),
         EndpointId::Switch(s) => (2, s.0, 0),
+        EndpointId::Control(c) => (3, c as u16, (c >> 16) as u16),
     }
 }
 
@@ -137,6 +138,7 @@ fn decode_endpoint(bytes: &[u8], at: usize) -> Result<EndpointId, FrameCodecErro
         0 => Ok(EndpointId::Node(NodeId(a))),
         1 => Ok(EndpointId::Worker(NodeId(a), WorkerId(b))),
         2 => Ok(EndpointId::Switch(SwitchId(a))),
+        3 => Ok(EndpointId::Control(a as u32 | (b as u32) << 16)),
         other => Err(FrameCodecError::new(at, format!("unknown endpoint tag {other}"))),
     }
 }
@@ -248,6 +250,7 @@ mod tests {
             env(1),
             env(2),
             Envelope::new(EndpointId::Switch(SwitchId(1)), EndpointId::Node(NodeId(3)), Vec::new()),
+            Envelope::new(EndpointId::Control(0x0012_3456), EndpointId::Switch(SwitchId(0)), vec![1]),
         ];
         let bytes = encode_frame(&frame);
         assert_eq!(decode_frame(&bytes).unwrap(), frame);

@@ -50,22 +50,18 @@ impl LatencyModel {
     }
 
     /// Delay for one hop between the given endpoints, following the rack
-    /// topology: node → switch is one hop, node → node is two hops (through
-    /// the switch), switch → node is one hop. Messages between endpoints on
-    /// the same node are free (shared memory).
+    /// topology: host → switch is one hop, node → node is two hops (through
+    /// the switch), switch → host is one hop. Messages between endpoints on
+    /// the same node are free (shared memory). A control port is host-side
+    /// but on no node.
     pub fn one_way(&self, src: EndpointId, dst: EndpointId) -> Duration {
-        match (src.node(), dst.node()) {
-            // node -> switch or switch -> node: single hop.
-            (Some(_), None) | (None, Some(_)) => self.config.to_switch(),
+        match (src.is_switch(), dst.is_switch()) {
+            // host -> switch or switch -> host: single hop.
+            (false, true) | (true, false) => self.config.to_switch(),
             // switch -> switch does not exist, treat as free.
-            (None, None) => Duration::ZERO,
-            (Some(a), Some(b)) => {
-                if a == b {
-                    Duration::ZERO
-                } else {
-                    self.config.to_node()
-                }
-            }
+            (true, true) => Duration::ZERO,
+            (false, false) if src.node() == dst.node() => Duration::ZERO,
+            (false, false) => self.config.to_node(),
         }
     }
 
@@ -137,6 +133,10 @@ mod tests {
         let to_switch = lat.one_way(n0, sw);
         let to_node = lat.one_way(n0, n1);
         assert_eq!(to_switch.as_nanos() * 2, to_node.as_nanos());
+        // A control port pays the host's hop to the switch and back.
+        let control = EndpointId::Control(1);
+        assert_eq!(lat.one_way(control, sw), to_switch);
+        assert_eq!(lat.one_way(sw, control), to_switch);
     }
 
     #[test]

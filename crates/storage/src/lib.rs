@@ -21,8 +21,8 @@ pub use locks::{LockMode, LockTable, LockWaitStats, RowLock};
 pub use mvcc::{CommitClock, MvccState, SnapshotRegistry, SnapshotSlot, IDLE_SNAPSHOT};
 pub use node::{Grant, NodeStorage};
 pub use recovery::{
-    recover_cold_records, recover_cold_state, recover_switch_state, replay_logged_op, replay_logged_txn,
-    LoggedOpEffect, SwitchRecoveryOutcome,
+    recover_cold_records, recover_switch_state, replay_logged_op, replay_logged_txn, LoggedOpEffect,
+    SwitchRecoveryOutcome,
 };
 pub use segment::{
     decode_segment_prefix, decode_segment_tail, decode_segments, encode_segment, peek_base_lsn, SegmentPrefix,

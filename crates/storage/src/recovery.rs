@@ -11,7 +11,7 @@
 //! when the in-flight transaction ran before it, it is ordered first —
 //! otherwise any order is valid (the paper's Figure 9 scenario).
 
-use crate::wal::{LogRecord, LoggedSwitchOp, Wal};
+use crate::wal::{LogRecord, LoggedSwitchOp};
 use p4db_common::{TupleId, TxnId, Value};
 use p4db_switch::apply_op;
 use std::collections::{HashMap, HashSet};
@@ -102,24 +102,19 @@ fn replay_matches(state: &HashMap<TupleId, u64>, ops: &[LoggedSwitchOp], expecte
 /// Recovers the switch state after a switch failure from the logs of all
 /// database nodes (§A.3, case 1 and case 3).
 ///
-/// `initial` is the offload-time value of every hot tuple (the state the
-/// switch was initialised with); `logs` are the write-ahead logs of all
-/// nodes.
-pub fn recover_switch_state(initial: &HashMap<TupleId, u64>, logs: &[&Wal]) -> SwitchRecoveryOutcome {
+/// `initial` is the state the switch started from (its offload-time or
+/// epoch-start values); `logs` are the decoded records of every node's log.
+pub fn recover_switch_state(initial: &HashMap<TupleId, u64>, logs: &[Vec<LogRecord>]) -> SwitchRecoveryOutcome {
     // -- Collect switch transactions from all logs ---------------------------
     let mut txns: HashMap<TxnId, RecoveredTxn> = HashMap::new();
-    for wal in logs {
-        for record in wal.records() {
-            match record {
-                LogRecord::SwitchIntent { txn, ops } => {
-                    txns.entry(txn).or_insert_with(|| RecoveredTxn { txn, ops: Vec::new(), outcome: None }).ops = ops;
-                }
-                LogRecord::SwitchResult { txn, gid, results } => {
-                    txns.entry(txn).or_insert_with(|| RecoveredTxn { txn, ops: Vec::new(), outcome: None }).outcome =
-                        Some((gid.0, results));
-                }
-                _ => {}
+    for record in logs.iter().flatten() {
+        let entry = |txn: TxnId| RecoveredTxn { txn, ops: Vec::new(), outcome: None };
+        match record {
+            LogRecord::SwitchIntent { txn, ops } => txns.entry(*txn).or_insert_with(|| entry(*txn)).ops = ops.clone(),
+            LogRecord::SwitchResult { txn, gid, results } => {
+                txns.entry(*txn).or_insert_with(|| entry(*txn)).outcome = Some((gid.0, results.clone()));
             }
+            _ => {}
         }
     }
 
@@ -171,16 +166,11 @@ pub fn recover_switch_state(initial: &HashMap<TupleId, u64>, logs: &[&Wal]) -> S
     outcome
 }
 
-/// Recovers the *cold* state of one node from its own log: after-images of
-/// all committed transactions are redone; writes of transactions without a
-/// commit record are undone via their before-images (§A.3, case 2).
-pub fn recover_cold_state(wal: &Wal) -> HashMap<TupleId, Value> {
-    recover_cold_records(&wal.records())
-}
-
-/// [`recover_cold_state`] over a record slice — the checkpoint-aware
-/// recovery path replays only the segment tail since the checkpoint fence,
-/// which group-atomic commit/abort records make self-contained: a
+/// Recovers the *cold* state of one node from its log records: after-images
+/// of all committed transactions are redone; writes of transactions without
+/// a commit record are undone via their before-images (§A.3, case 2). A
+/// checkpointed restart replays only the segment tail since the checkpoint
+/// fence, which group-atomic commit/abort records make self-contained: a
 /// transaction's cold writes always share one group append with their
 /// `Commit`/`Abort`, so a tail never splits a write from its verdict.
 pub fn recover_cold_records(records: &[LogRecord]) -> HashMap<TupleId, Value> {
@@ -226,6 +216,7 @@ pub fn recover_cold_records(records: &[LogRecord]) -> HashMap<TupleId, Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::Wal;
     use p4db_common::{GlobalTxnId, NodeId, TableId, WorkerId};
     use p4db_switch::OpCode;
 
@@ -252,7 +243,7 @@ mod tests {
         wal.append(LogRecord::SwitchResult { txn: txn(2, 0), gid: GlobalTxnId(1), results: vec![(tuple(1), 6)] });
 
         let initial = HashMap::from([(tuple(1), 1u64)]);
-        let out = recover_switch_state(&initial, &[&wal]);
+        let out = recover_switch_state(&initial, &[wal.records()]);
         assert_eq!(out.values[&tuple(1)], 6);
         assert_eq!(out.completed, 2);
         assert_eq!(out.inconsistencies, 0);
@@ -272,7 +263,7 @@ mod tests {
         node2.append(LogRecord::SwitchResult { txn: txn(1, 2), gid: GlobalTxnId(5), results: vec![(tuple(7), 6)] });
 
         let initial = HashMap::from([(tuple(7), 1u64)]);
-        let out = recover_switch_state(&initial, &[&node1, &node2]);
+        let out = recover_switch_state(&initial, &[node1.records(), node2.records()]);
         assert_eq!(out.values[&tuple(7)], 6, "x must end at 1 + 2 + 3");
         assert_eq!(out.inflight_ordered, 1);
         assert_eq!(out.inflight_unordered, 0);
@@ -291,7 +282,7 @@ mod tests {
         node2.append(LogRecord::SwitchResult { txn: txn(1, 2), gid: GlobalTxnId(0), results: vec![(tuple(7), 4)] });
 
         let initial = HashMap::from([(tuple(7), 1u64), (tuple(50), 100u64)]);
-        let out = recover_switch_state(&initial, &[&node1, &node2]);
+        let out = recover_switch_state(&initial, &[node1.records(), node2.records()]);
         assert_eq!(out.values[&tuple(7)], 4);
         assert_eq!(out.values[&tuple(50)], 110);
         assert_eq!(out.inflight_unordered, 1);
@@ -305,7 +296,7 @@ mod tests {
         // Recorded result is impossible given the initial state.
         wal.append(LogRecord::SwitchResult { txn: txn(1, 0), gid: GlobalTxnId(0), results: vec![(tuple(1), 999)] });
         let initial = HashMap::from([(tuple(1), 1u64)]);
-        let out = recover_switch_state(&initial, &[&wal]);
+        let out = recover_switch_state(&initial, &[wal.records()]);
         assert_eq!(out.inconsistencies, 1);
         assert_eq!(out.values[&tuple(1)], 3, "replay still applies the op");
     }
@@ -314,7 +305,7 @@ mod tests {
     fn untouched_tuples_keep_their_initial_values() {
         let wal = Wal::new();
         let initial = HashMap::from([(tuple(1), 11u64), (tuple(2), 22u64)]);
-        let out = recover_switch_state(&initial, &[&wal]);
+        let out = recover_switch_state(&initial, &[wal.records()]);
         assert_eq!(out.values, initial);
     }
 
@@ -333,7 +324,7 @@ mod tests {
             results: vec![(tuple(1), 40), (tuple(2), 45)],
         });
         let initial = HashMap::from([(tuple(1), 40u64), (tuple(2), 5u64)]);
-        let out = recover_switch_state(&initial, &[&wal]);
+        let out = recover_switch_state(&initial, &[wal.records()]);
         assert_eq!(out.values[&tuple(2)], 45);
         assert_eq!(out.inconsistencies, 0);
     }
@@ -367,7 +358,7 @@ mod tests {
         });
         wal.append(LogRecord::SwitchIntent { txn: in_doubt, ops: vec![add_op(9, 1)] });
 
-        let state = recover_cold_state(&wal);
+        let state = recover_cold_records(&wal.records());
         assert_eq!(state[&tuple(1)].switch_word(), 10);
         assert_eq!(state[&tuple(2)].switch_word(), 5);
         assert_eq!(state[&tuple(3)].switch_word(), 70);
@@ -385,7 +376,7 @@ mod tests {
             LogRecord::ColdWrite { txn: t, tuple: tuple(1), before: Value::scalar(50), after: Value::scalar(70) },
             LogRecord::Abort { txn: t },
         ]);
-        let state = recover_cold_state(&wal);
+        let state = recover_cold_records(&wal.records());
         assert_eq!(state[&tuple(1)].switch_word(), 5);
 
         // The committed twin redoes to the *last* after-image.
@@ -396,7 +387,7 @@ mod tests {
             LogRecord::ColdWrite { txn: t, tuple: tuple(1), before: Value::scalar(50), after: Value::scalar(70) },
             LogRecord::Commit { txn: t },
         ]);
-        assert_eq!(recover_cold_state(&wal)[&tuple(1)].switch_word(), 70);
+        assert_eq!(recover_cold_records(&wal.records())[&tuple(1)].switch_word(), 70);
     }
 
     #[test]

@@ -371,43 +371,14 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> Result<SegmentPrefix, WalCodecErro
     Ok(SegmentPrefix { base_lsn: Some(base_lsn), records, torn })
 }
 
-/// Decodes a whole segment sequence into one record vector. A torn tail is
-/// tolerated in the **final** segment only and returned as a note; a tear in
-/// any sealed segment, a base-LSN discontinuity (a missing or reordered
-/// segment) or interior corruption anywhere is a hard error.
+/// Decodes a whole segment sequence into one record vector: the tail from
+/// LSN 0 ([`decode_segment_tail`]). A torn tail is tolerated in the **final**
+/// segment only and returned as a note; a tear in any sealed segment, a
+/// base-LSN discontinuity (a missing or reordered segment) or interior
+/// corruption anywhere is a hard error.
 #[allow(clippy::type_complexity)]
 pub fn decode_segments(blobs: &[impl AsRef<[u8]>]) -> Result<(Vec<LogRecord>, Option<WalCodecError>), WalCodecError> {
-    let mut records: Vec<LogRecord> = Vec::new();
-    let mut torn = None;
-    for (i, blob) in blobs.iter().enumerate() {
-        let last = i + 1 == blobs.len();
-        let prefix = decode_segment_prefix(blob.as_ref())?;
-        if let Some(note) = prefix.torn {
-            if !last {
-                return Err(WalCodecError {
-                    record: note.record,
-                    message: format!(
-                        "segment {i} is torn but is not the final segment — interior data loss: {}",
-                        note.message
-                    ),
-                });
-            }
-            torn = Some(note);
-        }
-        if let Some(base) = prefix.base_lsn {
-            if base != records.len() as u64 {
-                return Err(WalCodecError {
-                    record: 0,
-                    message: format!(
-                        "segment {i} starts at LSN {base} but {} records precede it — missing or reordered segment",
-                        records.len()
-                    ),
-                });
-            }
-        }
-        records.extend(prefix.records);
-    }
-    Ok((records, torn))
+    decode_segment_tail(blobs, 0)
 }
 
 /// Reads a segment's base LSN from its header without decoding any records.
@@ -429,9 +400,10 @@ pub fn peek_base_lsn(bytes: &[u8]) -> Result<Option<u64>, WalCodecError> {
 /// headers are still checked: valid magic and strictly increasing base
 /// LSNs), which is what makes a checkpointed restart O(tail) instead of
 /// O(log). Decoding starts at the last segment whose base LSN is ≤
-/// `from_lsn` and follows the same continuity and final-only-tear rules as
-/// [`decode_segments`]. Returns the records from `from_lsn` on, plus the
-/// torn-tail note if the final segment was torn.
+/// `from_lsn`; a sequence that starts above `from_lsn` is missing segments.
+/// Only the final segment may be torn, and base LSNs must be contiguous from
+/// the first decoded segment on. Returns the records from `from_lsn` on,
+/// plus the torn-tail note if the final segment was torn.
 #[allow(clippy::type_complexity)]
 pub fn decode_segment_tail(
     blobs: &[impl AsRef<[u8]>],
@@ -464,7 +436,14 @@ pub fn decode_segment_tail(
     }
     // Last segment whose base is ≤ from_lsn: the fence lands inside it (or
     // at its start), so everything before it holds only pre-fence records.
+    // With none, the segments holding `from_lsn` are missing.
     let start = bases.iter().rposition(|&base| base <= from_lsn).unwrap_or(0);
+    if let Some(&base) = bases.first().filter(|&&base| base > from_lsn) {
+        return Err(WalCodecError {
+            record: 0,
+            message: format!("segment 0 starts at LSN {base}, past LSN {from_lsn} — missing or reordered segment"),
+        });
+    }
     let mut records: Vec<LogRecord> = Vec::new();
     let mut expected_next = bases.get(start).copied();
     let mut torn = None;
@@ -634,6 +613,19 @@ mod tests {
         assert!(decode_segment_tail(&bad, 4).unwrap_err().message.contains("magic"));
         let reordered = vec![blobs[1].clone(), blobs[0].clone(), blobs[2].clone()];
         assert!(decode_segment_tail(&reordered, 4).unwrap_err().message.contains("missing or reordered"));
+    }
+
+    #[test]
+    fn a_sequence_starting_above_the_fence_is_missing_segments() {
+        let records = sample_records();
+        let blobs = vec![encode_segment(2, &records[2..4]), encode_segment(4, &records[4..])];
+        for fence in 0..2 {
+            let err = decode_segment_tail(&blobs, fence).unwrap_err();
+            assert!(err.message.contains("missing or reordered"), "fence {fence}: {err}");
+        }
+        let (tail, torn) = decode_segment_tail(&blobs, 2).unwrap();
+        assert_eq!(tail, records[2..]);
+        assert!(torn.is_none());
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! * **Torn tail** — the failing record ends at the physical end of the
 //!   **final** segment. That is exactly what a crash mid-flush produces: the
 //!   prefix reached stable storage, the last record did not.
-//!   [`Wal::deserialize_segments`] returns the intact prefix together with
-//!   the tear as a note, and recovery proceeds from the prefix.
+//!   [`crate::segment::decode_segment_tail`] returns the intact prefix
+//!   together with the tear as a note, and recovery proceeds from the prefix.
 //! * **Interior corruption** — a record fails while *intact bytes follow
 //!   it*, or anywhere in a sealed (non-final) segment. No crash produces
 //!   that shape; it means the medium lost data in the middle of the log, and
@@ -279,19 +279,6 @@ impl Wal {
         }
         blobs
     }
-
-    /// Reconstructs a log from a binary segment sequence, tolerating a torn
-    /// tail in the **final** segment only (see [`crate::segment`]). The
-    /// reconstructed log re-rotates under `capacity`.
-    pub fn deserialize_segments(
-        blobs: &[impl AsRef<[u8]>],
-        capacity: usize,
-    ) -> Result<(Self, Option<WalCodecError>), WalCodecError> {
-        let (records, torn) = crate::segment::decode_segments(blobs)?;
-        let wal = Self::with_segment_capacity(capacity);
-        wal.append_group(records);
-        Ok((wal, torn))
-    }
 }
 
 #[cfg(test)]
@@ -441,9 +428,9 @@ mod tests {
         let blobs = wal.serialize_segments();
         assert_eq!(blobs.len(), 3);
         let views: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
-        let (restored, torn) = Wal::deserialize_segments(&views, 2).unwrap();
+        let (restored, torn) = crate::segment::decode_segments(&views).unwrap();
         assert!(torn.is_none());
-        assert_eq!(restored.records(), wal.records());
+        assert_eq!(restored, wal.records());
         // Sealed blobs are shared: serialising twice returns the same Arcs,
         // and they are exactly the chunk-wise encoding of the records.
         let again = wal.serialize_segments();
@@ -461,7 +448,7 @@ mod tests {
         assert_eq!(wal.records_from(5), sample_wal().records());
         // An empty log has no segments.
         assert!(Wal::new().serialize_segments().is_empty());
-        let (empty, torn) = Wal::deserialize_segments(&Vec::<Vec<u8>>::new(), 2).unwrap();
+        let (empty, torn) = crate::segment::decode_segments(&Vec::<Vec<u8>>::new()).unwrap();
         assert!(empty.is_empty() && torn.is_none());
     }
 

@@ -32,6 +32,7 @@ use crate::health::{InDoubtEntry, SwitchHealth};
 use crate::hotset::{HotIndexCell, HotSetIndex};
 use crate::request::{OpKind, TxnOp, TxnOutcome, TxnRequest};
 use crate::switch_client::build_switch_txn;
+use p4db_common::channel::RecvTimeoutError;
 use p4db_common::simtime::Stopwatch;
 use p4db_common::stats::{Phase, TxnClass, WorkerStats};
 use p4db_common::{
@@ -1377,27 +1378,25 @@ impl Worker {
             return Err(Error::Disconnected);
         }
         let deadline = Instant::now() + self.shared.config.switch_timeout.unwrap_or(WEDGED_SWITCH_TIMEOUT);
-        let reply = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.mailbox.recv_timeout(remaining) {
-                RecvOutcome::Msg(env) => match env.payload {
-                    SwitchMessage::LockReply(r) if r.token == token => break r,
-                    _ => continue,
-                },
-                // Under fault injection a lost lock request or grant is
-                // treated as a denial: the transaction aborts under NO_WAIT
-                // and retries with a fresh request. (If the grant itself was
-                // lost the switch-side lock leaks — contention on that tuple
-                // then shows up as repeated denials, a degradation the chaos
-                // harness tolerates.) Without faults, fail loudly.
-                RecvOutcome::TimedOut if self.shared.config.switch_timeout.is_some() => return Ok(false),
-                RecvOutcome::TimedOut | RecvOutcome::Disconnected => return Err(Error::Disconnected),
-            }
+        let grant = |m| match m {
+            SwitchMessage::LockReply(r) if r.token == token => Some(r.granted),
+            _ => None,
+        };
+        let granted = match self.mailbox.recv_until(deadline, grant) {
+            Ok(granted) => granted,
+            // Under fault injection a lost lock request or grant is
+            // treated as a denial: the transaction aborts under NO_WAIT
+            // and retries with a fresh request. (If the grant itself was
+            // lost the switch-side lock leaks — contention on that tuple
+            // then shows up as repeated denials, a degradation the chaos
+            // harness tolerates.) Without faults, fail loudly.
+            Err(RecvTimeoutError::Timeout) if self.shared.config.switch_timeout.is_some() => return Ok(false),
+            Err(_) => return Err(Error::Disconnected),
         };
         // The grant/deny message: a full wire RTT on top of the request's
         // ½ RTT, like every switch exchange (ROADMAP item 13).
         self.shared.latency.impose_switch_rtt_wire();
-        Ok(reply.granted)
+        Ok(granted)
     }
 
     /// Rolls a host (sub-)transaction back: undoes writes through their
@@ -2217,7 +2216,7 @@ mod tests {
         }
         // Crash the switch data and recover it from the logs.
         let initial: HashMap<TupleId, u64> = (0..10).map(|k| (t(k), 100u64)).collect();
-        let logs: Vec<&p4db_storage::Wal> = rig.shared.nodes.iter().map(|n| n.wal()).collect();
+        let logs: Vec<_> = rig.shared.nodes.iter().map(|n| n.wal().records()).collect();
         let outcome = recover_switch_state(&initial, &logs);
         assert_eq!(outcome.values[&t(1)], 150);
         assert_eq!(outcome.inconsistencies, 0);

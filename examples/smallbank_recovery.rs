@@ -47,7 +47,7 @@ fn main() {
     }
 
     let initial = cluster.offload_snapshot();
-    let logs: Vec<&p4db::storage::Wal> = cluster.shared().nodes.iter().map(|n| n.wal()).collect();
+    let logs: Vec<_> = cluster.shared().nodes.iter().map(|n| n.wal().records()).collect();
     let recovered = recover_switch_state(initial, &logs);
     println!(
         "recovery replayed {} completed switch transactions ({} in-flight ordered by dependencies, {} unordered)",

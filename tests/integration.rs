@@ -119,7 +119,7 @@ fn switch_state_recovers_from_node_logs_after_a_crash() {
         cluster.shared().hot_index.load().iter().map(|(t, _)| (t, cluster.switch_value(t).unwrap())).collect();
 
     let initial = cluster.offload_snapshot();
-    let logs: Vec<&p4db::storage::Wal> = cluster.shared().nodes.iter().map(|n| n.wal()).collect();
+    let logs: Vec<_> = cluster.shared().nodes.iter().map(|n| n.wal().records()).collect();
     let outcome = recover_switch_state(initial, &logs);
     assert_eq!(outcome.inconsistencies, 0);
     for (tuple, value) in live {

@@ -13,7 +13,8 @@ use p4db::common::{CcScheme, GlobalTxnId, NodeId, SwitchId, TableId, TupleId, Tx
 use p4db::layout::{max_cut, single_pass_fraction, AccessGraph, LayoutPlanner, LayoutStrategy, TraceAccess, TxnTrace};
 use p4db::net::{decode_frame_prefix, encode_frame, EndpointId, Envelope};
 use p4db::storage::{
-    decode_segment_prefix, encode_segment, recover_switch_state, LockMode, LockTable, LogRecord, LoggedSwitchOp, Wal,
+    decode_segment_prefix, decode_segments, encode_segment, recover_switch_state, LockMode, LockTable, LogRecord,
+    LoggedSwitchOp, Wal,
 };
 use p4db::switch::{apply_op, plan_passes, Instruction, OpCode, RegisterSlot};
 use std::collections::HashMap;
@@ -271,9 +272,11 @@ fn wal_segments_are_the_chunkwise_encoding_of_the_appended_stream() {
             }
 
             let other = if capacity == 7 { 3 } else { 7 };
-            let (rebuilt, torn) = Wal::deserialize_segments(&expected, other).expect("clean segments decode");
+            let (decoded, torn) = decode_segments(&expected).expect("clean segments decode");
             assert!(torn.is_none());
-            assert_eq!(rebuilt.records(), stream);
+            assert_eq!(decoded, stream);
+            let rebuilt = Wal::with_segment_capacity(other);
+            rebuilt.append_group(decoded);
             let rebuilt_blobs = rebuilt.serialize_segments();
             assert_eq!(rebuilt_blobs.len(), stream.len().div_ceil(other));
             for (i, (blob, chunk)) in rebuilt_blobs.iter().zip(stream.chunks(other)).enumerate() {
@@ -301,11 +304,11 @@ fn assert_torn_tail_recovers_the_intact_prefix(wal: &Wal, records: &[LogRecord])
     for cut in 0..=last.len() {
         let mut torn_blobs = sealed.to_vec();
         torn_blobs.push(last[..cut].to_vec());
-        let (rebuilt, torn) = Wal::deserialize_segments(&torn_blobs, capacity)
-            .expect("a truncation is a torn tail, not interior corruption");
+        let (rebuilt, torn) =
+            decode_segments(&torn_blobs).expect("a truncation is a torn tail, not interior corruption");
         let intact = boundaries.iter().skip(1).filter(|&&end| cut >= end).count();
         assert_eq!(
-            rebuilt.records(),
+            rebuilt,
             records[..sealed_records + intact].to_vec(),
             "cut at byte {cut}/{} of the final segment",
             last.len()
@@ -317,7 +320,7 @@ fn assert_torn_tail_recovers_the_intact_prefix(wal: &Wal, records: &[LogRecord])
 /// Truncating a log's final segment at *every* byte offset recovers exactly
 /// the records whose frames are fully intact before the cut — never fewer,
 /// never a corrupted extra one. This is the crash-mid-flush contract
-/// `Wal::deserialize_segments` gives recovery.
+/// `decode_segments` gives recovery.
 #[test]
 fn wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
     check("wal_truncation_at_every_offset_recovers_exactly_the_intact_prefix", |rng| {
@@ -529,7 +532,7 @@ fn recovery_replay_matches_live_execution() {
             wal.append(LogRecord::SwitchIntent { txn, ops });
             wal.append(LogRecord::SwitchResult { txn, gid: GlobalTxnId(gid as u64), results: vec![(t, new)] });
         }
-        let outcome = recover_switch_state(&initial, &[&node0, &node1]);
+        let outcome = recover_switch_state(&initial, &[node0.records(), node1.records()]);
         assert_eq!(outcome.inconsistencies, 0);
         for (t, v) in live {
             assert_eq!(outcome.values.get(&t).copied().unwrap_or(initial[&t]), v);
