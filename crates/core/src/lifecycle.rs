@@ -129,7 +129,6 @@ impl Cluster {
     /// outcome, the per-node owned records (for the divergence check) and
     /// the per-node log lengths consumed: intents logged at or below them
     /// are folded into the reconstruction (the resolver's fence).
-    #[allow(clippy::type_complexity)]
     fn replay_switch_suffix(&self, s: usize) -> Result<(SwitchRecoveryOutcome, Vec<Vec<LogRecord>>, Vec<usize>)> {
         let owned: HashSet<TupleId> = self.control_planes[s].placements().map(|(t, _)| t).collect();
         let owns = |tuple: Option<&TupleId>| tuple.is_some_and(|t| owned.contains(t));

@@ -240,15 +240,8 @@ impl<M> Fabric<M> {
 
     /// A fabric that routes every unicast send through `injector`.
     pub fn with_faults(latency: LatencyModel, injector: Arc<FaultInjector>) -> Self {
-        Fabric {
-            registry: Arc::new(RwLock::new(Registry {
-                endpoints: FastMap::default(),
-                node_senders: Vec::new(),
-                last_control: 0,
-            })),
-            latency,
-            chaos: Some(Arc::new(ChaosState { injector, held: Mutex::new(HashMap::new()) })),
-        }
+        let chaos = Some(Arc::new(ChaosState { injector, held: Mutex::new(HashMap::new()) }));
+        Fabric { chaos, ..Self::new(latency) }
     }
 
     /// The latency model this fabric uses (shared with direct-call accesses).

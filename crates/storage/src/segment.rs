@@ -434,16 +434,16 @@ pub fn decode_segment_tail(
             }
         }
     }
-    // Last segment whose base is ≤ from_lsn: the fence lands inside it (or
-    // at its start), so everything before it holds only pre-fence records.
-    // With none, the segments holding `from_lsn` are missing.
-    let start = bases.iter().rposition(|&base| base <= from_lsn).unwrap_or(0);
+    // A sequence that starts above from_lsn lacks the segments holding it.
     if let Some(&base) = bases.first().filter(|&&base| base > from_lsn) {
         return Err(WalCodecError {
             record: 0,
             message: format!("segment 0 starts at LSN {base}, past LSN {from_lsn} — missing or reordered segment"),
         });
     }
+    // Last segment whose base is ≤ from_lsn: the fence lands inside it (or
+    // at its start), so everything before it holds only pre-fence records.
+    let start = bases.iter().rposition(|&base| base <= from_lsn).unwrap_or(0);
     let mut records: Vec<LogRecord> = Vec::new();
     let mut expected_next = bases.get(start).copied();
     let mut torn = None;
