@@ -193,6 +193,8 @@ impl Cluster {
         // placement exactly.
         let mut original: Vec<(TupleId, RegisterSlot)> = self.control_planes[s].placements().collect();
         original.sort_by_key(|&(_, slot)| (slot.stage, slot.array, slot.index));
+        // The replay starts from the epoch baseline, which holds every owned
+        // tuple, so each has a rebuilt value.
         let values: Vec<(TupleId, u64)> =
             original.iter().map(|&(t, _)| (t, outcome.values.get(&t).copied().unwrap_or(0))).collect();
         match reoffload_seed {
