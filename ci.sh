@@ -7,13 +7,18 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# ROADMAP item 4's size measure, reported on every run (no threshold):
-# non-test lines of core + txn + storage, each file counted up to its first
-# column-0 #[cfg(test)].
-CORE_LINES=$(for f in $(git ls-files 'crates/core/*.rs' 'crates/txn/*.rs' 'crates/storage/*.rs'); do
-    awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
-done | awk '{s+=$1} END{print s}')
-echo "==> size: core + txn + storage have $CORE_LINES non-test lines"
+# ROADMAP items 4 and 10's size measures, reported on every run (no
+# threshold): non-test lines of core + txn + storage, of crates/bench and of
+# all of crates/, each file counted up to its first column-0 #[cfg(test)].
+non_test_lines() {
+    for f in $(git ls-files "$@"); do
+        awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
+    done | awk '{s+=$1} END{print s}'
+}
+CORE_LINES=$(non_test_lines 'crates/core/*.rs' 'crates/txn/*.rs' 'crates/storage/*.rs')
+BENCH_LINES=$(non_test_lines 'crates/bench/*.rs')
+CRATES_LINES=$(non_test_lines 'crates/*.rs')
+echo "==> size: non-test lines: core + txn + storage $CORE_LINES, crates/bench $BENCH_LINES, crates/ $CRATES_LINES"
 
 echo "==> cargo fmt --check"
 cargo fmt --check

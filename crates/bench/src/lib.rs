@@ -865,9 +865,7 @@ pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
         let mut run = RunStats::default();
         for _ in 0..5 {
             run.merge(&cluster.drive(Load::new(Stop::For(window / 5))).expect("outage figure: drive failed"));
-            if cluster.health().is_open(switch) && !cluster.health().is_degraded(switch) {
-                cluster.degrade_switch(switch).expect("outage figure: degrade failed");
-            }
+            cluster.degrade_tripped().expect("outage figure: degrade failed");
         }
         run
     };

@@ -17,7 +17,7 @@
 use crate::invariants::{self, InvariantReport, SemanticChecks};
 use p4db_common::faults::{BlackholeFault, FaultEvent, FaultPlan};
 use p4db_common::stats::RunStats;
-use p4db_common::{Error, NodeId, Result, SystemMode, TxnId};
+use p4db_common::{Error, NodeId, Result, SwitchId, SystemMode, TxnId};
 use p4db_core::{Cluster, Load, NodeRecoveryReport, ResolverReport, Stop, SupervisorReport, SwitchRecoveryReport};
 use p4db_net::{EndpointId, RecvOutcome};
 use p4db_storage::LogRecord;
@@ -329,7 +329,9 @@ pub struct ChaosReport {
     pub fault_events: Vec<FaultEvent>,
     pub invariants: InvariantReport,
     pub node_recovery: Option<NodeRecoveryReport>,
-    pub switch_recovery: Option<SwitchRecoveryReport>,
+    /// One report per crashed switch, indexed by switch (empty without
+    /// `crash_switch`).
+    pub switch_recovery: Vec<SwitchRecoveryReport>,
     /// Fuzzy checkpoints installed while traffic was live.
     pub checkpoints_taken: usize,
     /// Set by the crash-during-checkpoint drill: the complete generation
@@ -355,7 +357,7 @@ impl ChaosReport {
                 .node_recovery
                 .as_ref()
                 .is_none_or(|r| r.divergences.is_empty() && r.ambiguous == 0 && r.codec_error.is_none())
-            && self.switch_recovery.as_ref().is_none_or(|r| r.unexplained_divergences.is_empty())
+            && self.switch_recovery.iter().all(|r| r.unexplained_divergences.is_empty())
             && self
                 .expected_checkpoint
                 .is_none_or(|expected| self.node_recovery.as_ref().is_some_and(|r| r.from_checkpoint == Some(expected)))
@@ -383,9 +385,9 @@ impl ChaosReport {
                 }
             }
         }
-        if let Some(r) = &self.switch_recovery {
+        for (s, r) in self.switch_recovery.iter().enumerate() {
             if !r.unexplained_divergences.is_empty() {
-                out.push_str(&format!("  switch recovery divergences: {:?}\n", r.unexplained_divergences));
+                out.push_str(&format!("  switch{s} recovery divergences: {:?}\n", r.unexplained_divergences));
             }
         }
         if !self.minimized_faults.is_empty() {
@@ -474,7 +476,7 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
     let mut traffic = RunStats::default();
     let mut quiesced = true;
     let mut node_recovery = None;
-    let mut switch_recovery = None;
+    let mut switch_recovery = Vec::new();
     let mut checkpoints_taken = 0usize;
     let mut expected_checkpoint = None;
     let mut wave_committed = Vec::with_capacity(options.waves.max(1));
@@ -533,10 +535,11 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
             }
             if options.crash_switch {
                 let reoffload_seed = options.reoffload.then_some(options.seed ^ 0xC0DE);
-                // In a multi-switch topology this crashes and recovers each
-                // switch *independently* (per-switch WAL-suffix replay,
-                // epoch and reshuffle) and merges the per-switch reports.
-                switch_recovery = Some(cluster.crash_and_recover_switch(reoffload_seed)?);
+                // Each switch crashes and recovers *independently*
+                // (per-switch WAL-suffix replay, epoch and reshuffle).
+                for s in 0..cluster.num_switches() {
+                    switch_recovery.push(cluster.crash_and_recover_switch_at(SwitchId(s as u16), reoffload_seed)?);
+                }
             }
         }
     }

@@ -65,18 +65,6 @@ impl fmt::Display for WorkerId {
     }
 }
 
-/// Identifier of a horizontal partition of a table. In the shared-nothing
-/// host DBMS each partition is owned by exactly one node.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct PartitionId(pub u16);
-
-impl PartitionId {
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// Identifier of a table in the schema.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TableId(pub u16);
@@ -177,22 +165,9 @@ impl fmt::Display for TxnId {
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct GlobalTxnId(pub u64);
 
-impl GlobalTxnId {
-    pub const UNASSIGNED: GlobalTxnId = GlobalTxnId(u64::MAX);
-
-    #[inline]
-    pub fn is_assigned(self) -> bool {
-        self != Self::UNASSIGNED
-    }
-}
-
 impl fmt::Display for GlobalTxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_assigned() {
-            write!(f, "gid{}", self.0)
-        } else {
-            write!(f, "gid?")
-        }
+        write!(f, "gid{}", self.0)
     }
 }
 
@@ -223,12 +198,6 @@ mod tests {
         let c = TxnId::compose(5, NodeId(2), WorkerId(1));
         assert!(a.is_older_than(b));
         assert!(b.is_older_than(c));
-    }
-
-    #[test]
-    fn global_txn_id_unassigned_sentinel() {
-        assert!(!GlobalTxnId::UNASSIGNED.is_assigned());
-        assert!(GlobalTxnId(0).is_assigned());
     }
 
     #[test]

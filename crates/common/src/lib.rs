@@ -3,7 +3,7 @@
 //! Shared foundation types for the P4DB reproduction: identifiers for nodes,
 //! tables, tuples and transactions, the one-word value representation used
 //! both on host nodes and in the (simulated) switch register arrays, error
-//! types, workload randomness (Zipf / hot-set generators), throughput and
+//! types, workload randomness (a fast per-worker PRNG), throughput and
 //! latency statistics, and a calibrated simulated-latency primitive used by
 //! the network fabric.
 //!
@@ -27,5 +27,5 @@ pub mod value;
 pub use config::{CcScheme, LatencyConfig, SystemMode};
 pub use error::{AbortReason, Error, Result};
 pub use faults::{FaultAction, FaultEvent, FaultInjector, FaultKind, FaultPlan, NetFaultConfig};
-pub use ids::{GlobalTxnId, NodeId, PartitionId, SwitchId, TableId, TupleId, TxnId, WorkerId};
+pub use ids::{GlobalTxnId, NodeId, SwitchId, TableId, TupleId, TxnId, WorkerId};
 pub use value::Value;

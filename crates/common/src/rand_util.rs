@@ -1,10 +1,9 @@
-//! Workload randomness: a fast per-worker PRNG, Zipf-distributed key
-//! selection, and helpers for hot/cold key picks.
+//! Workload randomness: a fast per-worker PRNG.
 //!
 //! The workload generators need to draw millions of keys per second per
-//! worker, so everything here is allocation-free after construction and does
-//! not depend on the `rand` crate's distribution machinery on the hot path
-//! (the `rand` crate is still used for seeding and in tests).
+//! worker, so the generator is allocation-free and a handful of instructions
+//! per draw. Skew is declared by each workload's own hot/cold draw (the
+//! paper's explicit hot-set model, §7.2), not by a generic distribution.
 
 /// A small, fast xorshift* PRNG. Deterministic per seed, which keeps workload
 /// runs reproducible for a given `(node, worker, seed)` triple.
@@ -66,142 +65,6 @@ impl FastRng {
     }
 }
 
-/// Zipf-distributed generator over `0..n` with exponent `theta`, using the
-/// standard Gray/Jim Gray "scrambled zipfian" construction from the YCSB
-/// paper. Used by the microbenchmarks that vary skew continuously; the main
-/// YCSB/SmallBank experiments instead use the paper's explicit hot-set model
-/// (fixed hot-set size + hot-access probability) which is implemented by
-/// [`HotSetChooser`].
-#[derive(Clone, Debug)]
-pub struct Zipf {
-    n: u64,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
-    zeta2: f64,
-}
-
-impl Zipf {
-    /// Builds a Zipf generator over `0..n` with skew `theta` (0 = uniform,
-    /// 0.99 = classic YCSB default, larger = more skewed).
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `theta` is not finite / negative / `>= 1.0` is
-    /// allowed but `theta == 1.0` exactly is rejected (harmonic divergence).
-    pub fn new(n: u64, theta: f64) -> Self {
-        assert!(n > 0, "Zipf requires a non-empty key space");
-        assert!(theta.is_finite() && theta >= 0.0 && (theta - 1.0).abs() > 1e-9, "invalid theta {theta}");
-        let zetan = Self::zeta(n, theta);
-        let zeta2 = Self::zeta(2, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Zipf { n, theta, alpha, zetan, eta, zeta2 }
-    }
-
-    fn zeta(n: u64, theta: f64) -> f64 {
-        // Direct summation: n is at most a few million in our workloads and
-        // construction happens once per worker, so O(n) here is acceptable.
-        // For the billion-key YCSB table we approximate with the integral
-        // beyond a cutoff, which keeps construction O(1e6).
-        const EXACT_CUTOFF: u64 = 2_000_000;
-        let exact_n = n.min(EXACT_CUTOFF);
-        let mut sum = 0.0;
-        for i in 1..=exact_n {
-            sum += 1.0 / (i as f64).powf(theta);
-        }
-        if n > exact_n {
-            // ∫_{cutoff}^{n} x^-theta dx
-            let a = 1.0 - theta;
-            sum += ((n as f64).powf(a) - (exact_n as f64).powf(a)) / a;
-        }
-        sum
-    }
-
-    /// Draws a value in `0..n`.
-    pub fn sample(&self, rng: &mut FastRng) -> u64 {
-        let u = rng.gen_f64();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        v.min(self.n - 1)
-    }
-
-    /// The key-space size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Unused but kept for introspection in tests.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    #[allow(dead_code)]
-    fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
-}
-
-/// The paper's skew model for YCSB and SmallBank (§7.2): a fixed number of
-/// hot keys per node receives a fixed share of all accesses; the remaining
-/// accesses are uniform over the cold keys.
-#[derive(Clone, Debug)]
-pub struct HotSetChooser {
-    /// Number of hot keys (cluster-wide, already multiplied by node count).
-    hot_keys: u64,
-    /// Total key-space size.
-    total_keys: u64,
-    /// Probability that an access hits the hot set.
-    hot_probability: f64,
-}
-
-impl HotSetChooser {
-    /// Creates a chooser.
-    ///
-    /// # Panics
-    /// Panics if `hot_keys > total_keys` or `total_keys == 0`.
-    pub fn new(hot_keys: u64, total_keys: u64, hot_probability: f64) -> Self {
-        assert!(total_keys > 0, "empty key space");
-        assert!(hot_keys <= total_keys, "hot set larger than key space");
-        assert!((0.0..=1.0).contains(&hot_probability), "invalid probability");
-        HotSetChooser { hot_keys, total_keys, hot_probability }
-    }
-
-    /// Draws a key. Keys `0..hot_keys` are the hot keys (the workload crates
-    /// map them onto per-node hot tuples); keys `hot_keys..total_keys` are
-    /// cold.
-    #[inline]
-    pub fn sample(&self, rng: &mut FastRng) -> u64 {
-        if self.hot_keys > 0 && rng.gen_bool(self.hot_probability) {
-            rng.gen_range(self.hot_keys)
-        } else if self.total_keys > self.hot_keys {
-            self.hot_keys + rng.gen_range(self.total_keys - self.hot_keys)
-        } else {
-            rng.gen_range(self.total_keys)
-        }
-    }
-
-    /// Whether a key drawn by [`Self::sample`] belongs to the hot range.
-    #[inline]
-    pub fn is_hot(&self, key: u64) -> bool {
-        key < self.hot_keys
-    }
-
-    pub fn hot_keys(&self) -> u64 {
-        self.hot_keys
-    }
-
-    pub fn total_keys(&self) -> u64 {
-        self.total_keys
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,70 +92,5 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.gen_bool(0.25)).count();
         let frac = hits as f64 / 100_000.0;
         assert!((frac - 0.25).abs() < 0.02, "frac={frac}");
-    }
-
-    #[test]
-    fn zipf_is_skewed_towards_small_keys() {
-        let zipf = Zipf::new(1_000, 0.99);
-        let mut rng = FastRng::new(3);
-        let mut top10 = 0usize;
-        let draws = 50_000;
-        for _ in 0..draws {
-            if zipf.sample(&mut rng) < 10 {
-                top10 += 1;
-            }
-        }
-        // With theta=0.99 the top-1% of keys should receive far more than 1%
-        // of accesses.
-        assert!(top10 as f64 / draws as f64 > 0.3, "top10 fraction {}", top10 as f64 / draws as f64);
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_roughly_uniform() {
-        let zipf = Zipf::new(100, 0.0);
-        let mut rng = FastRng::new(11);
-        let mut counts = [0usize; 100];
-        for _ in 0..100_000 {
-            counts[zipf.sample(&mut rng) as usize] += 1;
-        }
-        let max = *counts.iter().max().unwrap() as f64;
-        let min = *counts.iter().min().unwrap() as f64;
-        assert!(max / min.max(1.0) < 3.0, "max={max} min={min}");
-    }
-
-    #[test]
-    fn zipf_handles_large_keyspaces() {
-        // The billion-row YCSB table: construction must stay fast and samples
-        // must stay in range.
-        let zipf = Zipf::new(1_000_000_000, 0.9);
-        let mut rng = FastRng::new(5);
-        for _ in 0..1_000 {
-            assert!(zipf.sample(&mut rng) < 1_000_000_000);
-        }
-    }
-
-    #[test]
-    fn hot_set_chooser_respects_hot_probability() {
-        let chooser = HotSetChooser::new(400, 1_000_000, 0.75);
-        let mut rng = FastRng::new(9);
-        let draws = 200_000;
-        let hot = (0..draws).filter(|_| chooser.is_hot(chooser.sample(&mut rng))).count();
-        let frac = hot as f64 / draws as f64;
-        assert!((frac - 0.75).abs() < 0.01, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn hot_set_chooser_with_zero_hot_keys_is_all_cold() {
-        let chooser = HotSetChooser::new(0, 1_000, 0.9);
-        let mut rng = FastRng::new(2);
-        for _ in 0..1_000 {
-            assert!(!chooser.is_hot(chooser.sample(&mut rng)));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "hot set larger")]
-    fn hot_set_chooser_rejects_oversized_hot_set() {
-        let _ = HotSetChooser::new(10, 5, 0.5);
     }
 }

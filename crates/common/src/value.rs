@@ -33,20 +33,6 @@ impl Value {
     pub fn set_switch_word(&mut self, v: u64) {
         self.0 = v;
     }
-
-    /// Interprets the switch column as a signed balance (SmallBank stores
-    /// balances as two's-complement fixed-point integers on the switch, which
-    /// is how the paper's constrained-writes check `balance >= 0`).
-    #[inline]
-    pub fn signed(&self) -> i64 {
-        self.0 as i64
-    }
-
-    /// Sets the switch column from a signed quantity.
-    #[inline]
-    pub fn set_signed(&mut self, v: i64) {
-        self.0 = v as u64;
-    }
 }
 
 #[cfg(test)]
@@ -66,14 +52,5 @@ mod tests {
         let mut v = Value::scalar(1);
         v.set_switch_word(42);
         assert_eq!(v, Value::scalar(42));
-    }
-
-    #[test]
-    fn signed_roundtrip() {
-        let mut v = Value::scalar(0);
-        v.set_signed(-1234);
-        assert_eq!(v.signed(), -1234);
-        v.set_signed(99);
-        assert_eq!(v.signed(), 99);
     }
 }

@@ -378,10 +378,6 @@ impl Cluster {
         &self.shared
     }
 
-    pub fn workload_name(&self) -> String {
-        self.workload.name()
-    }
-
     /// The workload's partitioning scheme bound to this cluster's size, used
     /// to resolve [`p4db_txn::Txn`] builders into placed requests.
     pub fn partition_map(&self) -> PartitionMap {
@@ -455,16 +451,6 @@ impl Cluster {
     /// build time — the conservation checker's run-wide reference.
     pub fn offload_snapshot(&self) -> &HashMap<TupleId, u64> {
         &self.initial_values
-    }
-
-    /// One switch's offload snapshot: the baseline of its current epoch,
-    /// the values its registers held when the epoch started. Recovery
-    /// replays the WAL suffix of the epoch against exactly this baseline.
-    ///
-    /// # Panics
-    /// Panics when `switch` is outside the topology.
-    pub fn offload_snapshot_at(&self, switch: SwitchId) -> &HashMap<TupleId, u64> {
-        &self.epochs[switch.index()].baseline
     }
 
     // --- Chaos-testing surface --------------------------------------------
@@ -948,13 +934,13 @@ mod tests {
         let old_slots: HashMap<TupleId, _> = cluster.shared().hot_index.load().iter().collect();
 
         // Plain restore first: values come back into the same placements.
-        let report = cluster.crash_and_recover_switch(None).unwrap();
+        let report = cluster.crash_and_recover_switch_at(SwitchId(0), None).unwrap();
         assert!(!report.reoffloaded);
         assert!(report.unexplained_divergences.is_empty(), "{:?}", report.unexplained_divergences);
         assert_eq!(cluster.control_plane_at(SwitchId(0)).snapshot(), live);
 
         // Re-offload: same values, fresh placements, index swapped.
-        let report = cluster.crash_and_recover_switch(Some(7)).unwrap();
+        let report = cluster.crash_and_recover_switch_at(SwitchId(0), Some(7)).unwrap();
         assert!(report.reoffloaded);
         assert!(report.unexplained_divergences.is_empty(), "{:?}", report.unexplained_divergences);
         for (tuple, value) in &live {
@@ -995,7 +981,7 @@ mod tests {
         assert_eq!(cluster.offloaded_tuples(), 100, "the full hot set is offloaded across the topology");
         let index = cluster.shared().hot_index.load();
         for s in 0..2u16 {
-            let owned = index.iter_with_owner().filter(|&(_, sw, _)| sw == SwitchId(s)).count();
+            let owned = index.iter().filter(|&(t, _)| index.owner(t) == Some(SwitchId(s))).count();
             assert_eq!(owned, 50, "balanced capacity forces an even split, switch{s} holds {owned}");
             assert_eq!(cluster.control_plane_at(SwitchId(s)).offloaded_tuples(), owned);
         }
@@ -1062,12 +1048,8 @@ mod tests {
             cluster.switch_audit_at(SwitchId(1)).len(),
             "switch 1 starts a fresh epoch"
         );
-        // Satellite: the crashed switch's offload snapshot was recaptured.
-        assert_eq!(
-            cluster.offload_snapshot_at(SwitchId(1)),
-            &cluster.switch_epoch_at(SwitchId(1)).baseline.clone(),
-            "snapshot must equal the new epoch baseline"
-        );
+        // The new epoch's baseline is the restored state.
+        assert_eq!(cluster.switch_epoch_at(SwitchId(1)).baseline, live1.iter().copied().collect::<HashMap<_, _>>());
 
         // A seeded re-offload of switch 1 moves placements there only.
         let slots_before0: HashMap<TupleId, _> = cluster.control_plane_at(SwitchId(0)).placements().collect();

@@ -32,7 +32,7 @@ pub struct SwitchEpoch {
     pub wal_start: Vec<usize>,
 }
 
-/// What [`Cluster::crash_and_recover_switch`] did and found.
+/// What [`Cluster::crash_and_recover_switch_at`] did and found.
 #[derive(Clone, Debug)]
 pub struct SwitchRecoveryReport {
     /// The raw log-replay outcome (completed / in-flight counts).
@@ -86,31 +86,6 @@ impl SupervisorReport {
 }
 
 impl Cluster {
-    /// Crashes and recovers **every** switch of the topology in turn (see
-    /// [`Cluster::crash_and_recover_switch_at`]) and merges the reports —
-    /// the single-switch API, kept byte-compatible for existing callers.
-    pub fn crash_and_recover_switch(&mut self, reoffload_seed: Option<u64>) -> Result<SwitchRecoveryReport> {
-        let mut merged: Option<SwitchRecoveryReport> = None;
-        for s in 0..self.switches.len() {
-            let report = self.crash_and_recover_switch_at(SwitchId(s as u16), reoffload_seed)?;
-            merged = Some(match merged {
-                None => report,
-                Some(mut acc) => {
-                    acc.outcome.values.extend(report.outcome.values);
-                    acc.outcome.completed += report.outcome.completed;
-                    acc.outcome.inflight_ordered += report.outcome.inflight_ordered;
-                    acc.outcome.inflight_unordered += report.outcome.inflight_unordered;
-                    acc.outcome.inconsistencies += report.outcome.inconsistencies;
-                    acc.restored_tuples += report.restored_tuples;
-                    acc.reoffloaded |= report.reoffloaded;
-                    acc.unexplained_divergences.extend(report.unexplained_divergences);
-                    acc
-                }
-            });
-        }
-        Ok(merged.expect("a cluster has at least one switch"))
-    }
-
     /// The index of `switch`, or a structured error outside the topology.
     fn switch_index(&self, switch: SwitchId) -> Result<usize> {
         match switch.index() {
@@ -325,6 +300,21 @@ impl Cluster {
         Ok(restored)
     }
 
+    /// Stands up degraded mode ([`Cluster::degrade_switch`]) for every
+    /// switch whose breaker is open and that is not degraded yet: the
+    /// supervisor's first step. Returns those switches in index order.
+    pub fn degrade_tripped(&self) -> Result<Vec<SwitchId>> {
+        let health = &self.shared.health;
+        let mut degraded = Vec::new();
+        for sid in (0..self.switches.len()).map(|s| SwitchId(s as u16)) {
+            if health.is_open(sid) && !health.is_degraded(sid) {
+                self.degrade_switch(sid)?;
+                degraded.push(sid);
+            }
+        }
+        Ok(degraded)
+    }
+
     /// Re-admits a degraded switch once its half-open probe streak has
     /// earned a close: re-seeds its registers from the owning host rows
     /// (during degraded mode the host rows are the authoritative values — a
@@ -373,7 +363,7 @@ impl Cluster {
     /// self-contained and run on their own threads) until `drivers_done`
     /// returns true *and* every breaker is closed:
     ///
-    /// 1. a tripped breaker stands up degraded mode ([`Cluster::degrade_switch`]),
+    /// 1. a tripped breaker stands up degraded mode ([`Cluster::degrade_tripped`]),
     /// 2. every open breaker is heartbeat-probed every 2 ms (probe outcomes
     ///    walk the breaker Open → Half-Open → ready-to-close),
     /// 3. once the drivers are done, a ready switch is re-admitted — quiesce,
@@ -395,13 +385,7 @@ impl Cluster {
         let mut token = 0u64;
         loop {
             let done = drivers_done();
-            for s in 0..self.switches.len() {
-                let sid = SwitchId(s as u16);
-                if self.shared.health.is_open(sid) && !self.shared.health.is_degraded(sid) {
-                    self.degrade_switch(sid)?;
-                    report.degraded.push(sid);
-                }
-            }
+            report.degraded.extend(self.degrade_tripped()?);
             for s in 0..self.switches.len() {
                 let sid = SwitchId(s as u16);
                 if !self.shared.health.is_open(sid) {
@@ -515,12 +499,35 @@ mod tests {
     use p4db_common::{CcScheme, GlobalTxnId, SystemMode, WorkerId};
     use p4db_storage::LoggedSwitchOp;
     use p4db_switch::OpCode;
+    use p4db_txn::health::TRIP_THRESHOLD;
     use p4db_workloads::{Workload, Ycsb, YcsbConfig, YcsbMix};
 
     fn small_cluster() -> Cluster {
         let workload: Arc<dyn Workload> =
             Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
         Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), workload)
+    }
+
+    #[test]
+    fn a_tripped_switch_is_degraded_once_and_a_closed_one_never() {
+        let workload: Arc<dyn Workload> =
+            Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
+        let cluster = Cluster::builder(workload).test_profile().switches(2).breaker(true).build();
+        let (tripped, closed) = (SwitchId(1), SwitchId(0));
+        assert!(cluster.degrade_tripped().unwrap().is_empty(), "no breaker is open yet");
+        for _ in 0..TRIP_THRESHOLD {
+            cluster.health().record_failure(tripped);
+        }
+        assert!(cluster.health().is_open(tripped));
+        assert_eq!(cluster.degrade_tripped().unwrap(), vec![tripped]);
+        assert!(cluster.health().is_degraded(tripped));
+        let index = cluster.shared().hot_index.load();
+        assert!(
+            index.iter().all(|(t, _)| index.owner(t) == Some(closed)),
+            "the published index drops the tripped switch"
+        );
+        assert!(cluster.degrade_tripped().unwrap().is_empty(), "an already degraded switch is not degraded again");
+        assert!(!cluster.health().is_degraded(closed));
     }
 
     #[test]

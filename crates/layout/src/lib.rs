@@ -13,12 +13,13 @@
 //!   `(stage, array)` assignment, the alternative layouts used in the
 //!   ablations (random / worst / hashed), and the single-pass-fraction
 //!   evaluator.
-//! * [`replay`] — offline hot-set detection by statement replay (§3.1).
+//!
+//! The hot set itself is declared per workload (`Workload::hot_tuples`), the
+//! offline choice §3.1 describes; this crate only places it.
 
 pub mod graph;
 pub mod layout;
 pub mod maxcut;
-pub mod replay;
 
 pub use graph::{AccessGraph, TraceAccess, TxnTrace};
 pub use layout::{
@@ -26,4 +27,3 @@ pub use layout::{
     StageArray,
 };
 pub use maxcut::{assign_switches, cut_value, max_cut, Partitioning, SwitchAssignment};
-pub use replay::HotSetDetector;

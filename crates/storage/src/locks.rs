@@ -415,14 +415,6 @@ impl LockTable {
         }
     }
 
-    /// Releases every lock in `tuples` for `txn` (commit / abort path of
-    /// callers that did not keep admission hashes around).
-    pub fn release_all(&self, txn: TxnId, tuples: &[TupleId]) {
-        for &tuple in tuples {
-            self.release(txn, tuple);
-        }
-    }
-
     /// Whether any transaction currently holds the key `tuple` in the map
     /// (test / stats helper). Row locks live in the rows:
     /// `NodeStorage::is_locked` sees both.
@@ -598,20 +590,6 @@ mod tests {
         assert!(stats.total_wait() >= Duration::from_millis(10), "under-reported cumulative wait: {stats:?}");
         // 2 holders + 2 waiter acquisitions.
         assert_eq!(lt.acquisition_count(), 4);
-        lt.release_all(older, &[a, b]);
-    }
-
-    #[test]
-    fn release_all_clears_everything() {
-        let lt = LockTable::new();
-        let tuples: Vec<_> = (0..10).map(t).collect();
-        for &tuple in &tuples {
-            lt.acquire(txn(1), tuple, LockMode::Exclusive, CcScheme::NoWait).unwrap();
-        }
-        assert_eq!(lt.locked_count(), 10);
-        lt.release_all(txn(1), &tuples);
-        assert_eq!(lt.locked_count(), 0);
-        assert!(!lt.is_locked(t(0)));
     }
 
     #[test]

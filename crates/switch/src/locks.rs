@@ -33,11 +33,6 @@ impl LockMask {
     }
 
     #[inline]
-    pub fn intersects(self, other: LockMask) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    #[inline]
     pub fn union(self, other: LockMask) -> LockMask {
         LockMask(self.0 | other.0)
     }
@@ -121,8 +116,7 @@ mod tests {
     #[test]
     fn mask_set_operations() {
         assert!(LockMask::BOTH.contains(LockMask::LEFT));
-        assert!(LockMask::LEFT.intersects(LockMask::BOTH));
-        assert!(!LockMask::LEFT.intersects(LockMask::RIGHT));
+        assert!(!LockMask::LEFT.contains(LockMask::RIGHT));
         assert_eq!(LockMask::LEFT.union(LockMask::RIGHT), LockMask::BOTH);
         assert!(LockMask::NONE.is_empty());
     }

@@ -65,12 +65,6 @@ impl SwitchTxn {
     pub fn new(header: TxnHeader, instructions: Vec<Instruction>) -> Self {
         SwitchTxn { header, instructions }
     }
-
-    /// Approximate wire size in bytes: a fixed header plus 16 bytes per
-    /// instruction (slot + opcode + operand). Used only for reporting.
-    pub fn wire_size(&self) -> usize {
-        32 + 16 * self.instructions.len()
-    }
 }
 
 /// Reply to a [`SwitchTxn`].
@@ -192,7 +186,6 @@ pub enum SwitchMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instruction::RegisterSlot;
     use p4db_common::{NodeId, WorkerId};
 
     fn origin() -> EndpointId {
@@ -207,17 +200,6 @@ mod tests {
         assert_eq!(h.nb_recircs, 0);
         assert!(!h.multicast_decision);
         assert_eq!(h.token, 7);
-    }
-
-    #[test]
-    fn wire_size_grows_with_instructions() {
-        let small = SwitchTxn::new(TxnHeader::new(origin(), 1), vec![Instruction::read(RegisterSlot::new(0, 0, 0))]);
-        let big = SwitchTxn::new(
-            TxnHeader::new(origin(), 1),
-            (0..8).map(|i| Instruction::read(RegisterSlot::new(0, 0, i))).collect(),
-        );
-        assert!(big.wire_size() > small.wire_size());
-        assert_eq!(big.wire_size() - small.wire_size(), 7 * 16);
     }
 
     #[test]

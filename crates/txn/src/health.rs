@@ -54,22 +54,15 @@ pub(crate) struct BreakerCore {
     state: BreakerState,
     consecutive_failures: u32,
     consecutive_probe_oks: u32,
-    /// Bumped on every close: lets late observations from before a recovery
-    /// be attributed to the right incarnation.
-    generation: u64,
 }
 
 impl BreakerCore {
     pub fn new() -> Self {
-        BreakerCore { state: BreakerState::Closed, consecutive_failures: 0, consecutive_probe_oks: 0, generation: 0 }
+        BreakerCore { state: BreakerState::Closed, consecutive_failures: 0, consecutive_probe_oks: 0 }
     }
 
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// A switch interaction failed (timeout or in-doubt). Returns `true`
@@ -133,14 +126,13 @@ impl BreakerCore {
         self.state == BreakerState::HalfOpen && self.consecutive_probe_oks >= CLOSE_THRESHOLD
     }
 
-    /// Closes the breaker (re-admission complete) and starts a new
-    /// generation. Idempotent when already closed.
+    /// Closes the breaker (re-admission complete). Idempotent when already
+    /// closed.
     pub fn close(&mut self) {
         if self.state != BreakerState::Closed {
             self.state = BreakerState::Closed;
             self.consecutive_failures = 0;
             self.consecutive_probe_oks = 0;
-            self.generation += 1;
         }
     }
 }
@@ -273,10 +265,6 @@ impl SwitchHealth {
         unpoison(self.breakers[switch.index()].lock()).state()
     }
 
-    pub fn generation(&self, switch: SwitchId) -> u64 {
-        unpoison(self.breakers[switch.index()].lock()).generation()
-    }
-
     /// Total breaker trips across all switches.
     pub fn trips(&self) -> u64 {
         self.trips.load(Ordering::Relaxed)
@@ -346,7 +334,6 @@ mod tests {
         assert!(b.ready_to_close());
         b.close();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.generation(), 1);
     }
 
     #[test]
@@ -439,14 +426,10 @@ mod tests {
                 if b.ready_to_close() {
                     assert_eq!(b.state(), BreakerState::HalfOpen);
                 }
-                // Generation only moves on close().
-                assert_eq!(b.generation(), 0);
             }
             // Closing from any state is safe and lands Closed.
-            let was_closed = b.state() == BreakerState::Closed;
             b.close();
             assert_eq!(b.state(), BreakerState::Closed);
-            assert_eq!(b.generation(), if was_closed { 0 } else { 1 });
         }
     }
 
@@ -482,7 +465,7 @@ mod tests {
         assert!(health.ready_to_close(a));
         health.close(a);
         assert!(!health.is_open(a));
-        assert_eq!(health.generation(a), 1);
+        assert_eq!(health.state(a), BreakerState::Closed);
     }
 
     #[test]

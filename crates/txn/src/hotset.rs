@@ -94,11 +94,6 @@ impl HotSetIndex {
         self.map.iter().map(|(t, &(_, s))| (*t, s))
     }
 
-    /// Iterates all `(tuple, switch, slot)` triples.
-    pub fn iter_with_owner(&self) -> impl Iterator<Item = (TupleId, SwitchId, RegisterSlot)> + '_ {
-        self.map.iter().map(|(t, &(sw, s))| (*t, sw, s))
-    }
-
     /// A stable lock id for a hot tuple, used by the LM-Switch baseline.
     pub fn lock_id(tuple: TupleId) -> u64 {
         (tuple.table.0 as u64) << 48 ^ tuple.key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -186,7 +181,7 @@ mod tests {
         let (sw, slot) = idx.entry(t(3)).unwrap();
         assert_eq!(sw, SwitchId(1));
         assert_eq!(slot.stage, 3);
-        assert_eq!(idx.iter_with_owner().filter(|&(_, sw, _)| sw == SwitchId(1)).count(), 2);
+        assert_eq!(idx.iter().filter(|&(t, _)| idx.owner(t) == Some(SwitchId(1))).count(), 2);
     }
 
     #[test]

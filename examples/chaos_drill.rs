@@ -33,13 +33,16 @@ fn main() {
         node.restored_tuples,
         node.divergences.len()
     );
-    let switch = report.switch_recovery.as_ref().expect("switch crash ran");
-    println!(
-        "  switch crash: {} completed / {} in-flight txns replayed, {} tuples re-offloaded",
-        switch.outcome.completed,
-        switch.outcome.inflight_ordered + switch.outcome.inflight_unordered,
-        switch.restored_tuples
-    );
+    assert!(!report.switch_recovery.is_empty(), "switch crash ran");
+    for (s, switch) in report.switch_recovery.iter().enumerate() {
+        println!(
+            "  switch{s} crash: {} completed / {} in-flight txns replayed, {} tuples re-offloaded",
+            switch.outcome.completed,
+            switch.outcome.inflight_ordered + switch.outcome.inflight_unordered,
+            switch.restored_tuples
+        );
+        assert!(switch.reoffloaded && switch.restored_tuples > 0, "switch{s} was not re-offloaded");
+    }
     println!(
         "  invariants: {} switch txns replayed, {} in-doubt executed, {} in-doubt lost, {} cold tuples compared",
         report.invariants.replayed,

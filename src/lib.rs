@@ -13,7 +13,7 @@
 //! * [`layout`] — the declustered storage model: access graph, max-cut,
 //!   direction-aware stage assignment.
 //! * [`storage`] — host node storage: tables, row locks (NO_WAIT / WAIT_DIE),
-//!   secondary indexes, write-ahead log and recovery.
+//!   write-ahead log, checkpoints and recovery.
 //! * [`txn`] — the distributed transaction engine: hot/cold/warm
 //!   classification, switch transaction construction, 2PC integration,
 //!   the LM-Switch and Chiller-style baselines.

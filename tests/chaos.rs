@@ -87,7 +87,9 @@ fn chaos_switch_crash_with_recovery() {
         options.crash_switch = true;
         let report = run_chaos(&options).unwrap();
         assert_clean(&report);
-        let recovery = report.switch_recovery.as_ref().expect("switch crash must have happened");
+        let [recovery] = &report.switch_recovery[..] else {
+            panic!("seed {seed}: one switch crash must have happened")
+        };
         assert!(!recovery.reoffloaded);
         assert!(recovery.restored_tuples > 0);
     }
@@ -101,7 +103,10 @@ fn chaos_switch_crash_with_reoffload() {
         options.reoffload = true;
         let report = run_chaos(&options).unwrap();
         assert_clean(&report);
-        assert!(report.switch_recovery.as_ref().unwrap().reoffloaded);
+        let [recovery] = &report.switch_recovery[..] else {
+            panic!("seed {seed}: one switch crash must have happened")
+        };
+        assert!(recovery.reoffloaded);
     }
 }
 
@@ -124,8 +129,8 @@ fn chaos_two_switch_sweep_with_faults() {
 
 /// Two-switch crash drill: `crash_switch` crashes and recovers *each* switch
 /// independently (per-switch epoch, per-switch WAL suffix replay filtered to
-/// owned tuples), and the merged recovery report plus the per-switch
-/// invariant checks must come back clean.
+/// owned tuples): each switch's recovery report and invariant checks must
+/// come back clean, and each switch must restore its own tuples.
 #[test]
 fn chaos_two_switch_crash_with_recovery() {
     for seed in 1..4 {
@@ -134,9 +139,11 @@ fn chaos_two_switch_crash_with_recovery() {
         options.crash_switch = true;
         let report = run_chaos(&options).unwrap();
         assert_clean(&report);
-        let recovery = report.switch_recovery.as_ref().expect("switch crashes must have happened");
-        assert!(!recovery.reoffloaded);
-        assert!(recovery.restored_tuples > 0);
+        assert_eq!(report.switch_recovery.len(), 2, "seed {seed}: both switches must have crashed");
+        for (s, recovery) in report.switch_recovery.iter().enumerate() {
+            assert!(!recovery.reoffloaded);
+            assert!(recovery.restored_tuples > 0, "seed {seed}: switch{s} restored nothing");
+        }
     }
 }
 
@@ -249,7 +256,7 @@ fn smoke_fixed_seed_crash_paths() {
     let report = run_chaos(&options).unwrap();
     assert_clean(&report);
     assert!(report.node_recovery.is_some());
-    assert!(report.switch_recovery.is_some());
+    assert_eq!(report.switch_recovery.len(), 1);
 }
 
 /// Fast fixed-seed two-switch gate: independent per-switch crash/recovery
@@ -265,9 +272,11 @@ fn smoke_two_switch_crash_recovery() {
     options.reoffload = true;
     let report = run_chaos(&options).unwrap();
     assert_clean(&report);
-    let recovery = report.switch_recovery.as_ref().expect("switch crashes must have happened");
-    assert!(recovery.reoffloaded);
-    assert!(recovery.restored_tuples > 0);
+    assert_eq!(report.switch_recovery.len(), 2, "both switches must have crashed");
+    for (s, recovery) in report.switch_recovery.iter().enumerate() {
+        assert!(recovery.reoffloaded, "switch{s} was not re-offloaded");
+        assert!(recovery.restored_tuples > 0, "switch{s} restored nothing");
+    }
 }
 
 /// The self-healing acceptance drill: a switch is blackholed mid-run (it

@@ -28,7 +28,7 @@ fn tpcc() -> Arc<dyn Workload> {
 fn drive_n(cluster: &Cluster, n: usize) -> RunStats {
     let stats = cluster.drive(Load::new(Stop::Txns(n))).expect("drive failed");
     let (nodes, workers) = (cluster.config().num_nodes as u64, cluster.config().workers_per_node as u64);
-    let cell = format!("{} in {:?}", cluster.workload_name(), cluster.config().mode);
+    let cell = format!("{:?}", cluster.config().mode);
     assert_eq!(
         stats.merged.committed_total() + stats.failed,
         nodes * workers * n as u64,
@@ -45,6 +45,7 @@ fn all_workloads_commit_in_all_modes() {
     for workload in [ycsb(), smallbank(), tpcc()] {
         for mode in [SystemMode::NoSwitch, SystemMode::LmSwitch, SystemMode::P4db] {
             let cluster = Cluster::build(ClusterConfig::test_profile(mode, CcScheme::NoWait), Arc::clone(&workload));
+            eprintln!("cell: {} in {mode:?}", workload.name());
             drive_n(&cluster, 100);
         }
     }
