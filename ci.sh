@@ -33,8 +33,14 @@ cargo test --offline -q
 echo "==> member-crate unit tests and doctests (root package already covered by tier-1)"
 cargo test --offline --workspace --exclude p4db -q
 
-echo "==> chaos smoke gate: fixed-seed fault + crash paths (incl. 2-switch per-switch crash/recovery, supervised blackhole outage liveness) with invariant checking"
+echo "==> chaos smoke gate: fixed-seed fault + crash paths (incl. 2-switch per-switch crash/recovery, supervised blackhole outage liveness) with invariant checking, a report's repro line naming its test and seed, and that repro form run: CHAOS_SEED=5 on the SmallBank sweep runs exactly one scenario"
 cargo test --offline --release -q --test chaos smoke_ -- --nocapture
+# The command a failing report prints: a broken seed filter runs the whole
+# sweep (or nothing), and the count below catches either.
+CHAOS_REPRO_OUT="$(pwd)/target/chaos_repro.txt"
+CHAOS_SEED=5 cargo test --offline --release --test chaos chaos_sweep_smallbank_with_faults -- --exact --nocapture > "$CHAOS_REPRO_OUT"
+awk '/^chaos scenario: / { n++; if ($3 != "smallbank" || $5 != "5:") bad = 1; print "    " $0 }
+     END { if (n != 1 || bad) { print "CHAOS_SEED=5 must run exactly one scenario, smallbank seed 5 (ran " n + 0 ")"; exit 1 } }' "$CHAOS_REPRO_OUT"
 
 echo "==> batching gate: whole-frame faults at batch_size=16 (full differential sweep runs in tier-1)"
 cargo test --offline --release -q --test batching batched_chaos -- --nocapture

@@ -31,13 +31,11 @@ pub use report::{fmt_class_mix, fmt_speedup, fmt_tps, speedup, BenchPoint, Figur
 use p4db_common::faults::BlackholeFault;
 use p4db_common::rand_util::FastRng;
 use p4db_common::stats::{RunStats, WorkerStats, PHASES};
-use p4db_common::{CcScheme, FaultPlan, LatencyConfig, NodeId, SwitchId, SystemMode, WorkerId};
-use p4db_core::{Cluster, ClusterConfig, Load, Stop};
+use p4db_common::{CcScheme, FaultPlan, NodeId, SwitchId, SystemMode, WorkerId};
+use p4db_core::{Cluster, ClusterBuilder, Load, Stop};
 use p4db_layout::LayoutStrategy;
-use p4db_net::{Fabric, LatencyModel};
-use p4db_storage::NodeStorage;
-use p4db_switch::{LockGranularity, SwitchConfig, SwitchMessage};
-use p4db_txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, Worker};
+use p4db_switch::{LockGranularity, SwitchConfig};
+use p4db_txn::Worker;
 use p4db_workloads::{
     ReadMix, SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, WorkloadCtx, Ycsb, YcsbConfig, YcsbMix,
 };
@@ -135,13 +133,13 @@ struct Arm {
     /// table cell naming the arm is the key's value after any `=`.
     key: &'static str,
     mode: SystemMode,
-    /// Applied to the cluster config after the row's tweak.
-    tweak: fn(&mut ClusterConfig),
+    /// Applied to the cluster builder after the row's step.
+    step: fn(ClusterBuilder) -> ClusterBuilder,
 }
 
-const NO_SWITCH: Arm = Arm { key: "No-Switch", mode: SystemMode::NoSwitch, tweak: |_| {} };
-const LM_SWITCH: Arm = Arm { key: "LM-Switch", mode: SystemMode::LmSwitch, tweak: |_| {} };
-const P4DB: Arm = Arm { key: "P4DB", mode: SystemMode::P4db, tweak: |_| {} };
+const NO_SWITCH: Arm = Arm { key: "No-Switch", mode: SystemMode::NoSwitch, step: |b| b };
+const LM_SWITCH: Arm = Arm { key: "LM-Switch", mode: SystemMode::LmSwitch, step: |b| b };
+const P4DB: Arm = Arm { key: "P4DB", mode: SystemMode::P4db, step: |b| b };
 
 impl Arm {
     fn label(&self) -> &'static str {
@@ -157,18 +155,14 @@ struct Row {
     /// arm's key).
     params: String,
     workload: Arc<dyn Workload>,
-    workers: u16,
-    distributed: f64,
-    cc: CcScheme,
-    /// Applied to every arm's cluster config of this row.
-    tweak: Box<dyn Fn(&mut ClusterConfig)>,
+    /// Applied to every arm's cluster builder of this row.
+    step: Box<dyn Fn(ClusterBuilder) -> ClusterBuilder>,
 }
 
-/// A row at the figures' common operating point: 4 workers per node, 20%
-/// distributed transactions, NO_WAIT.
+/// A row at the builder's defaults, the figures' common operating point: 4
+/// workers per node, 20% distributed transactions, NO_WAIT.
 fn row(labels: Vec<String>, params: impl Into<String>, workload: &Arc<dyn Workload>) -> Row {
-    let (workload, tweak) = (Arc::clone(workload), Box::new(|_: &mut ClusterConfig| {}));
-    Row { labels, params: params.into(), workload, workers: 4, distributed: 0.2, cc: CcScheme::NoWait, tweak }
+    Row { labels, params: params.into(), workload: Arc::clone(workload), step: Box::new(|b| b) }
 }
 
 /// What a table cell shows of one measured arm.
@@ -225,12 +219,8 @@ struct Run {
 }
 
 fn measure(row: &Row, arm: &Arm, time: Duration) -> Run {
-    let mut config = ClusterConfig::new(arm.mode, row.cc);
-    config.workers_per_node = row.workers;
-    config.distributed_prob = row.distributed;
-    (row.tweak)(&mut config);
-    (arm.tweak)(&mut config);
-    let cluster = Cluster::build(config, Arc::clone(&row.workload));
+    let builder = Cluster::builder(Arc::clone(&row.workload)).mode(arm.mode);
+    let cluster = (arm.step)((row.step)(builder)).build();
     let offloaded = cluster.offloaded_tuples();
     let stats = cluster.drive(Load::new(Stop::For(time))).expect("figure: drive failed");
     Run { stats, single_pass: cluster.switch_stats().single_pass_fraction(), offloaded }
@@ -316,7 +306,7 @@ fn fig11_contention(profile: &BenchProfile) -> Figure {
             for workers in profile.workers_sweep() {
                 let labels = vec![mix.label().into(), cc.label().into(), workers.to_string()];
                 let params = format!("{} {} workers={workers}", mix.label(), cc.label());
-                rows.push(Row { workers, cc, ..row(labels, params, &w) });
+                rows.push(Row { step: Box::new(move |b| b.cc(cc).workers(workers)), ..row(labels, params, &w) });
             }
         }
     }
@@ -340,7 +330,8 @@ fn fig11_distributed(profile: &BenchProfile) -> Figure {
         let w = ycsb(mix);
         for distributed in profile.distributed_sweep() {
             let params = format!("{} dist={}", mix.label(), pct(distributed));
-            rows.push(Row { distributed, ..row(vec![mix.label().into(), pct(distributed)], params, &w) });
+            let step = Box::new(move |b: ClusterBuilder| b.distributed_prob(distributed));
+            rows.push(Row { step, ..row(vec![mix.label().into(), pct(distributed)], params, &w) });
         }
     }
     with_lm_switch(versus(
@@ -369,11 +360,12 @@ fn fig12(_: &BenchProfile) -> Figure {
 fn sweep_rows(profile: &BenchProfile, group: String, key: String, w: &Arc<dyn Workload>) -> Vec<Row> {
     let by_workers = profile.workers_sweep().into_iter().map(|workers| {
         let labels = vec![group.clone(), "workers/node".into(), workers.to_string()];
-        Row { workers, ..row(labels, format!("{key} workers={workers}"), w) }
+        Row { step: Box::new(move |b| b.workers(workers)), ..row(labels, format!("{key} workers={workers}"), w) }
     });
     let by_distribution = profile.distributed_sweep().into_iter().map(|distributed| {
         let labels = vec![group.clone(), "% distributed".into(), pct(distributed)];
-        Row { distributed, ..row(labels, format!("{key} dist={}", pct(distributed)), w) }
+        let step = Box::new(move |b: ClusterBuilder| b.distributed_prob(distributed));
+        Row { step, ..row(labels, format!("{key} dist={}", pct(distributed)), w) }
     });
     by_workers.chain(by_distribution).collect()
 }
@@ -417,15 +409,15 @@ fn fig15c(_: &BenchProfile) -> Figure {
     let w = ycsb_with(YcsbConfig { keys_per_node: 20_000, hot_txn_prob: 1.0, ..YcsbConfig::new(YcsbMix::A) });
     // Each step adds one switch optimisation to the one before; the last is
     // the default switch with the declustered layout.
-    fn random_layout(c: &mut ClusterConfig, lock_granularity: LockGranularity, fast_recirculation: bool) {
-        c.switch = SwitchConfig { lock_granularity, fast_recirculation, ..SwitchConfig::tofino_defaults() };
-        c.layout = LayoutStrategy::Random { seed: 7 };
+    fn random_layout(b: ClusterBuilder, lock_granularity: LockGranularity, fast_recirculation: bool) -> ClusterBuilder {
+        b.switch(SwitchConfig { lock_granularity, fast_recirculation, ..SwitchConfig::tofino_defaults() })
+            .layout(LayoutStrategy::Random { seed: 7 })
     }
     Figure {
         arms: &[
-            Arm { key: "Unoptimized", tweak: |c| random_layout(c, LockGranularity::Coarse, false), ..P4DB },
-            Arm { key: "+Fast-Recirculate", tweak: |c| random_layout(c, LockGranularity::Coarse, true), ..P4DB },
-            Arm { key: "+Fine-Locking", tweak: |c| random_layout(c, LockGranularity::FineGrained, true), ..P4DB },
+            Arm { key: "Unoptimized", step: |b| random_layout(b, LockGranularity::Coarse, false), ..P4DB },
+            Arm { key: "+Fast-Recirculate", step: |b| random_layout(b, LockGranularity::Coarse, true), ..P4DB },
+            Arm { key: "+Fine-Locking", step: |b| random_layout(b, LockGranularity::FineGrained, true), ..P4DB },
             Arm { key: "+Declustered", ..P4DB },
         ],
         layout: Layout::Down(&[Metric::Tps, Metric::Speedup, Metric::SinglePass]),
@@ -443,13 +435,14 @@ fn fig16(profile: &BenchProfile) -> Figure {
     for (name, w) in headline_workloads() {
         for workers in profile.workers_sweep() {
             let params = format!("{name} workers={workers}");
-            rows.push(Row { workers, ..row(vec![name.into(), workers.to_string()], params, &w) });
+            let step = Box::new(move |b: ClusterBuilder| b.workers(workers));
+            rows.push(Row { step, ..row(vec![name.into(), workers.to_string()], params, &w) });
         }
     }
     Figure {
         arms: &[
             Arm { key: "layout=optimal", ..P4DB },
-            Arm { key: "layout=worst", tweak: |c| c.layout = LayoutStrategy::Worst, ..P4DB },
+            Arm { key: "layout=worst", step: |b| b.layout(LayoutStrategy::Worst), ..P4DB },
         ],
         layout: Layout::Down(&[Metric::Tps, Metric::MeanLatencyUs]),
         baseline: None,
@@ -473,12 +466,11 @@ fn fig17(profile: &BenchProfile) -> Figure {
                 ..YcsbConfig::new(YcsbMix::A)
             });
             let labels = vec![capacity.to_string(), hot_total.to_string()];
-            let tweak = Box::new(move |c: &mut ClusterConfig| {
-                if c.mode == SystemMode::P4db {
-                    c.switch = SwitchConfig::tofino_defaults().with_total_rows(capacity);
-                }
+            let step = Box::new(move |b: ClusterBuilder| match b.config().mode {
+                SystemMode::P4db => b.switch(SwitchConfig::tofino_defaults().with_total_rows(capacity)),
+                _ => b,
             });
-            rows.push(Row { tweak, ..row(labels, format!("cap={capacity} hot={hot_total}"), &w) });
+            rows.push(Row { step, ..row(labels, format!("cap={capacity} hot={hot_total}"), &w) });
         }
     }
     Figure {
@@ -511,9 +503,9 @@ fn fig18b(_: &BenchProfile) -> Figure {
             // Plain 2PL/2PC with poor locality (80% distributed); optimal
             // partitioning brings that to 20%; Chiller-style
             // contention-centric execution on top; then P4DB.
-            Arm { key: "Plain 2PL", tweak: |c| c.distributed_prob = 0.8, ..NO_SWITCH },
+            Arm { key: "Plain 2PL", step: |b| b.distributed_prob(0.8), ..NO_SWITCH },
             Arm { key: "+Opt. Part.", ..NO_SWITCH },
-            Arm { key: "+Chiller", tweak: |c| c.chiller = true, ..NO_SWITCH },
+            Arm { key: "+Chiller", step: |b| b.chiller(true), ..NO_SWITCH },
             Arm { key: "+P4DB", ..P4DB },
         ],
         layout: Layout::Down(&[Metric::Tps, Metric::Speedup]),
@@ -550,15 +542,14 @@ const SCALING_PASS_NS: u64 = 100_000;
 /// datapoint is the acceptance bar of the multi-switch work: its speedup
 /// over the 1-switch arm is floored by the CI gate ([`json::FLOORS`]).
 fn fig_switch_scaling(_: &BenchProfile) -> Figure {
-    let tweak = Box::new(|c: &mut ClusterConfig| {
-        c.batch_size = 1;
-        c.switch.pass_latency_ns = SCALING_PASS_NS;
+    let step = Box::new(|b: ClusterBuilder| {
+        b.batch_size(1).switch(SwitchConfig { pass_latency_ns: SCALING_PASS_NS, ..SwitchConfig::tofino_defaults() })
     });
     Figure {
         arms: &[
-            Arm { key: "switches=1", tweak: |c| c.num_switches = 1, ..P4DB },
-            Arm { key: "switches=2", tweak: |c| c.num_switches = 2, ..P4DB },
-            Arm { key: "switches=4", tweak: |c| c.num_switches = 4, ..P4DB },
+            Arm { key: "switches=1", step: |b| b.switches(1), ..P4DB },
+            Arm { key: "switches=2", step: |b| b.switches(2), ..P4DB },
+            Arm { key: "switches=4", step: |b| b.switches(4), ..P4DB },
         ],
         layout: Layout::Down(&[Metric::Tps, Metric::ClassMix, Metric::Speedup]),
         best_of: 2,
@@ -567,7 +558,7 @@ fn fig_switch_scaling(_: &BenchProfile) -> Figure {
             "Switch scaling — throughput vs switch count at a fixed aggregate hot-set size (SmallBank 4x40, saturated \
              pipeline)",
             &["Switches", "Throughput [txn/s]", "Class mix", "Speedup vs 1 switch"],
-            vec![Row { tweak, ..row(vec![], "", &smallbank(40)) }],
+            vec![Row { step, ..row(vec![], "", &smallbank(40)) }],
         )
     }
 }
@@ -621,7 +612,8 @@ pub fn select(filters: &[String]) -> Result<Vec<(&'static str, FigureFn)>, Strin
 /// all-reads, and the `snapshot` arm additionally marks them read-only so
 /// they take the lock-free snapshot path. The locking arm executes the
 /// *same* seeded pool through 2PL, so the two arms differ only in the read
-/// path. Workers call the engine directly: this measures the engine without
+/// path. The one-node cluster's workers call its engine directly, on
+/// endpoints outside the pool's id space: this measures the engine without
 /// the session layer.
 pub fn measure_read_mix(
     workload: &Arc<dyn Workload>,
@@ -630,32 +622,19 @@ pub fn measure_read_mix(
     snapshot: bool,
     measure: Duration,
 ) -> RunStats {
-    let workload = Arc::new(ReadMix::new(Arc::clone(workload), read_frac, snapshot));
-    let storage = NodeStorage::new(NodeId(0), workload.tables());
-    workload.load_node(&storage, 1);
-    let latency = LatencyModel::new(LatencyConfig::zero());
-    let fabric: Fabric<SwitchMessage> = Fabric::new(latency.clone());
-    let config = EngineConfig::new(SystemMode::NoSwitch, CcScheme::NoWait, SwitchConfig::tiny());
-    let shared = Arc::new(EngineShared {
-        nodes: vec![Arc::new(storage)],
-        latency,
-        fabric,
-        hot_index: HotIndexCell::new(HotSetIndex::empty()),
-        mvcc: p4db_txn::MvccState::default(),
-        health: p4db_txn::SwitchHealth::new(0, 1, false),
-        config,
-    });
+    let workload: Arc<dyn Workload> = Arc::new(ReadMix::new(Arc::clone(workload), read_frac, snapshot));
+    let cluster = Cluster::builder(Arc::clone(&workload)).nodes(1).mode(SystemMode::NoSwitch).test_latencies().build();
 
     let stop = Arc::new(AtomicBool::new(false));
     let ready = Arc::new(std::sync::Barrier::new(workers as usize + 1));
     let handles: Vec<_> = (0..workers)
         .map(|w| {
-            let shared = Arc::clone(&shared);
+            let shared = Arc::clone(cluster.shared());
             let workload = Arc::clone(&workload);
             let stop = Arc::clone(&stop);
             let ready = Arc::clone(&ready);
             std::thread::spawn(move || {
-                let mut worker = Worker::new(shared, NodeId(0), WorkerId(w));
+                let mut worker = Worker::new(shared, NodeId(0), WorkerId(u16::MAX - w));
                 let ctx = WorkloadCtx::new(1, NodeId(0), 0.0);
                 let mut rng = FastRng::new(0xF00D ^ ((w as u64) << 8));
                 // Identical pools in both arms: the conversion draw happens
@@ -747,10 +726,7 @@ pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
         hot_customers_per_node: 5,
         ..SmallBankConfig::default()
     }));
-    let mut config = ClusterConfig::new(SystemMode::NoSwitch, CcScheme::NoWait);
-    config.workers_per_node = 4;
-    config.distributed_prob = 0.0;
-    let cluster = Cluster::build(config, Arc::clone(&w));
+    let cluster = Cluster::builder(w).mode(SystemMode::NoSwitch).distributed_prob(0.0).build();
     let node = NodeId(0);
     // Grow the log until the crashed node's own WAL holds enough records for
     // the genesis replay to take measurable time (bounded: a wedged cluster
@@ -837,10 +813,6 @@ pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
         "Outage — committed throughput timeline across a switch blackhole (SmallBank, breaker + supervisor)",
         &["Window", "Phase", "Committed", "Throughput [txn/s]"],
     );
-    let w = smallbank(50);
-    let mut config = ClusterConfig::new(SystemMode::P4db, CcScheme::NoWait);
-    config.workers_per_node = 4;
-    config.distributed_prob = 0.0;
     // A quiet net plan (no probabilistic faults) carrying only the blackhole:
     // the switch goes silent mid-window-0 and heals itself after 120 swallowed
     // messages — which the supervisor's own heartbeat probes drive, so
@@ -849,9 +821,7 @@ pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
     let mut plan = FaultPlan::quiet(11);
     plan.switch_timeout = Duration::from_millis(4);
     plan.blackhole = Some(BlackholeFault { switch: 0, after_messages: 64, heal_after_drops: 120 });
-    config.faults = Some(plan);
-    config.breaker = true;
-    let mut cluster = Cluster::build(config, Arc::clone(&w));
+    let mut cluster = Cluster::builder(smallbank(50)).distributed_prob(0.0).with_faults(plan).breaker(true).build();
     let switch = SwitchId(0);
 
     let window = profile.measure.clamp(Duration::from_millis(25), Duration::from_millis(50));

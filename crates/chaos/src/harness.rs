@@ -9,13 +9,16 @@
 //! optionally re-offloading the hot set into fresh register slots.
 //!
 //! Everything derives from `ChaosOptions::seed`: the workload streams, the
-//! fault decision stream and the re-offload shuffle, so a failing seed is
-//! re-run with one command. When violations are found and the plan mixes
-//! several fault classes, the harness re-runs the seed with one class at a
-//! time to report the minimal set that still reproduces the failure.
+//! fault decision stream and the re-offload shuffle. A seeded test draws its
+//! seeds through [`seeds`], so a failing report's [`ChaosReport::repro`]
+//! line — `CHAOS_SEED=<s>` and the test's own name — reruns exactly that
+//! test at that seed, every arm and every option included. When violations
+//! are found and the plan mixes several fault classes, the harness re-runs
+//! the seed with one class at a time to report the minimal set that still
+//! reproduces the failure.
 
 use crate::invariants::{self, InvariantReport, SemanticChecks};
-use p4db_common::faults::{BlackholeFault, FaultEvent, FaultPlan};
+use p4db_common::faults::{FaultEvent, FaultPlan};
 use p4db_common::stats::RunStats;
 use p4db_common::{Error, NodeId, Result, SwitchId, SystemMode, TxnId};
 use p4db_core::{Cluster, Load, NodeRecoveryReport, ResolverReport, Stop, SupervisorReport, SwitchRecoveryReport};
@@ -40,16 +43,6 @@ impl ChaosWorkload {
             ChaosWorkload::Ycsb => "ycsb",
             ChaosWorkload::SmallBank => "smallbank",
             ChaosWorkload::Tpcc => "tpcc",
-        }
-    }
-
-    /// Parses the `CHAOS_WORKLOAD` environment value.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "ycsb" => Some(ChaosWorkload::Ycsb),
-            "smallbank" => Some(ChaosWorkload::SmallBank),
-            "tpcc" => Some(ChaosWorkload::Tpcc),
-            _ => None,
         }
     }
 }
@@ -89,11 +82,11 @@ pub struct ChaosOptions {
     pub reoffload: bool,
     /// Retry budget per transaction (aborts only; in-doubt is never retried).
     pub max_attempts: u32,
-    /// Hot-path batching degree (`ClusterConfig::batch_size`), and each
+    /// Hot-path batching degree (`ClusterBuilder::batch_size`), and each
     /// session's in-flight window (`Load::window`): an executor only batches
     /// what is queued. `1` = unbatched, one request in flight per session.
     pub batch: u16,
-    /// Fuzzy-checkpoint cadence (`ClusterConfig::checkpoint_interval`). When
+    /// Fuzzy-checkpoint cadence (`ClusterBuilder::checkpoint_interval`). When
     /// set, the harness thread races every traffic wave, checkpointing
     /// any node whose WAL grew by this many records — the scans are
     /// genuinely fuzzy, racing live writers — and the invariant checker
@@ -154,145 +147,6 @@ impl ChaosOptions {
         self.faults = None;
         self
     }
-
-    /// The `VAR=value` environment prefix that makes
-    /// [`ChaosOptions::from_env`] rebuild this exact scenario. Only
-    /// non-default knobs are emitted.
-    pub fn repro_env(&self) -> String {
-        let defaults = ChaosOptions::new(self.workload, self.seed);
-        let mut env = format!("CHAOS_WORKLOAD={} CHAOS_SEED={}", self.workload.name(), self.seed);
-        match &self.faults {
-            None => env.push_str(" CHAOS_FAULTS=off"),
-            // A plan with no probabilistic message faults (quiet net, e.g. a
-            // blackhole-only scenario) must not round-trip into the seeded
-            // default's drop/delay/reorder mix.
-            Some(plan) if plan.net.drop_prob == 0.0 && plan.net.delay_prob == 0.0 && plan.net.reorder_prob == 0.0 => {
-                env.push_str(" CHAOS_FAULTS=quiet");
-            }
-            Some(_) => {}
-        }
-        if self.mode != defaults.mode {
-            let mode = match self.mode {
-                SystemMode::P4db => "p4db",
-                SystemMode::LmSwitch => "lmswitch",
-                SystemMode::NoSwitch => "noswitch",
-            };
-            env.push_str(&format!(" CHAOS_MODE={mode}"));
-        }
-        if self.distributed_prob != defaults.distributed_prob {
-            env.push_str(&format!(" CHAOS_DIST={}", self.distributed_prob));
-        }
-        if let Some(node) = self.crash_node {
-            env.push_str(&format!(" CHAOS_CRASH_NODE={}", node.0));
-        }
-        if self.crash_switch {
-            env.push_str(" CHAOS_CRASH_SWITCH=1");
-        }
-        if self.reoffload {
-            env.push_str(" CHAOS_REOFFLOAD=1");
-        }
-        if let Some(interval) = self.checkpoint_interval {
-            env.push_str(&format!(" CHAOS_CKPT={interval}"));
-        }
-        if self.torn_checkpoint {
-            env.push_str(" CHAOS_TORN_CKPT=1");
-        }
-        if self.read_only_frac != defaults.read_only_frac {
-            env.push_str(&format!(" CHAOS_RO_FRAC={}", self.read_only_frac));
-        }
-        if self.snapshot_arm {
-            env.push_str(" CHAOS_SNAPSHOT=1");
-        }
-        if self.supervised {
-            env.push_str(" CHAOS_SUPERVISED=1");
-        }
-        if let Some(bh) = self.faults.as_ref().and_then(|p| p.blackhole) {
-            env.push_str(&format!(
-                " CHAOS_BLACKHOLE={} CHAOS_BH_AFTER={} CHAOS_BH_HEAL={}",
-                bh.switch, bh.after_messages, bh.heal_after_drops
-            ));
-        }
-        for (var, actual, default) in [
-            ("CHAOS_NODES", self.nodes as u64, defaults.nodes as u64),
-            ("CHAOS_WORKERS", self.workers as u64, defaults.workers as u64),
-            ("CHAOS_SWITCHES", self.switches as u64, defaults.switches as u64),
-            ("CHAOS_WAVES", self.waves as u64, defaults.waves as u64),
-            ("CHAOS_TXNS", self.txns_per_wave as u64, defaults.txns_per_wave as u64),
-            ("CHAOS_ATTEMPTS", self.max_attempts as u64, defaults.max_attempts as u64),
-            ("CHAOS_BATCH", self.batch as u64, defaults.batch as u64),
-        ] {
-            if actual != default {
-                env.push_str(&format!(" {var}={actual}"));
-            }
-        }
-        env
-    }
-
-    /// Rebuilds a scenario from `CHAOS_*` environment variables (the
-    /// counterpart of [`ChaosOptions::repro_env`]); unset variables keep the
-    /// standard-scenario defaults. Used by the repro test a failing run
-    /// points at.
-    pub fn from_env() -> Self {
-        let var = |name: &str| std::env::var(name).ok();
-        let parse = |name: &str| var(name).and_then(|v| v.parse::<u64>().ok());
-        let workload = var("CHAOS_WORKLOAD").and_then(|w| ChaosWorkload::parse(&w)).unwrap_or(ChaosWorkload::SmallBank);
-        let seed = parse("CHAOS_SEED").unwrap_or(7);
-        let mut options = ChaosOptions::new(workload, seed);
-        match var("CHAOS_FAULTS").as_deref() {
-            Some("off") => options.faults = None,
-            Some("quiet") => options.faults = Some(FaultPlan::quiet(seed)),
-            _ => {}
-        }
-        options.mode = match var("CHAOS_MODE").as_deref() {
-            Some("lmswitch") => SystemMode::LmSwitch,
-            Some("noswitch") => SystemMode::NoSwitch,
-            _ => options.mode,
-        };
-        if let Some(p) = var("CHAOS_DIST").and_then(|v| v.parse::<f64>().ok()) {
-            options.distributed_prob = p;
-        }
-        let flag = |name: &str| matches!(var(name).as_deref(), Some("1") | Some("true"));
-        options.crash_node = parse("CHAOS_CRASH_NODE").map(|n| NodeId(n as u16));
-        options.crash_switch = flag("CHAOS_CRASH_SWITCH");
-        options.reoffload = flag("CHAOS_REOFFLOAD");
-        options.checkpoint_interval = parse("CHAOS_CKPT").filter(|&n| n > 0);
-        options.torn_checkpoint = flag("CHAOS_TORN_CKPT");
-        if let Some(f) = var("CHAOS_RO_FRAC").and_then(|v| v.parse::<f64>().ok()) {
-            options.read_only_frac = f;
-        }
-        options.snapshot_arm = flag("CHAOS_SNAPSHOT");
-        options.supervised = flag("CHAOS_SUPERVISED");
-        if let Some(switch) = parse("CHAOS_BLACKHOLE") {
-            let blackhole = BlackholeFault {
-                switch: switch as u16,
-                after_messages: parse("CHAOS_BH_AFTER").unwrap_or(50),
-                heal_after_drops: parse("CHAOS_BH_HEAL").unwrap_or(0),
-            };
-            options.faults.get_or_insert_with(|| FaultPlan::quiet(seed)).blackhole = Some(blackhole);
-        }
-        if let Some(n) = parse("CHAOS_NODES") {
-            options.nodes = n as u16;
-        }
-        if let Some(n) = parse("CHAOS_WORKERS") {
-            options.workers = n as u16;
-        }
-        if let Some(n) = parse("CHAOS_SWITCHES") {
-            options.switches = n as u16;
-        }
-        if let Some(n) = parse("CHAOS_WAVES") {
-            options.waves = n as usize;
-        }
-        if let Some(n) = parse("CHAOS_TXNS") {
-            options.txns_per_wave = n as usize;
-        }
-        if let Some(n) = parse("CHAOS_ATTEMPTS") {
-            options.max_attempts = n as u32;
-        }
-        if let Some(n) = parse("CHAOS_BATCH") {
-            options.batch = n as u16;
-        }
-        options
-    }
 }
 
 /// Everything a chaos run observed.
@@ -342,7 +196,9 @@ pub struct ChaosReport {
     /// Fault classes that alone still reproduce the failure (populated only
     /// when the full plan failed and mixes several classes).
     pub minimized_faults: Vec<&'static str>,
-    /// One command that reproduces this exact scenario.
+    /// `CHAOS_SEED=<seed> cargo test … <test> -- --exact`: reruns the test
+    /// that ran this scenario, at its seed only. Off a test thread (an
+    /// example's `main`), just `seed <seed>`.
     pub repro: String,
 }
 
@@ -563,8 +419,6 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         // settled in a later one is settled.
         invariants.unresolved = cluster.health().ledger_len() as u64;
     }
-    let repro =
-        format!("{} cargo test --offline --test chaos smoke_reproduce_from_env -- --nocapture", options.repro_env());
     Ok(ChaosReport {
         workload: options.workload.name(),
         seed: options.seed,
@@ -586,8 +440,45 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         expected_checkpoint,
         quiesced,
         minimized_faults: Vec::new(),
-        repro,
+        repro: repro_command(options.seed),
     })
+}
+
+/// The seeds a seeded chaos test runs: `given`, or only the seed in
+/// `CHAOS_SEED` when that variable is set — the variable a failing report's
+/// [`ChaosReport::repro`] line sets, so rerunning one test replays one seed.
+///
+/// # Panics
+/// Panics, naming the variable, when `CHAOS_SEED` is set but is not a `u64`.
+pub fn seeds(given: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let pinned = match std::env::var("CHAOS_SEED") {
+        Ok(value) => Some(value),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(e) => panic!("CHAOS_SEED: {e}"),
+    };
+    pick_seeds(pinned.as_deref(), given).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`seeds`] without the environment: `pinned` is `CHAOS_SEED`'s value.
+fn pick_seeds(pinned: Option<&str>, given: impl IntoIterator<Item = u64>) -> std::result::Result<Vec<u64>, String> {
+    let Some(value) = pinned else { return Ok(given.into_iter().collect()) };
+    value.parse().map(|seed| vec![seed]).map_err(|_| format!("CHAOS_SEED={value:?} is not a u64 seed"))
+}
+
+/// The command that reruns the calling test at `seed`. libtest names each
+/// test's thread after the test, and cargo names the test binary
+/// `<target>-<hash>`; off a named test thread only the seed is known.
+fn repro_command(seed: u64) -> String {
+    let thread = std::thread::current();
+    let exe = std::env::current_exe().ok();
+    let stem = exe.as_deref().and_then(|exe| exe.file_stem()?.to_str());
+    let binary = stem.map(|stem| stem.rsplit_once('-').map_or(stem, |(target, _hash)| target));
+    match (binary, thread.name().filter(|name| *name != "main")) {
+        (Some(binary), Some(test)) => {
+            format!("CHAOS_SEED={seed} cargo test --offline --test {binary} {test} -- --exact --nocapture")
+        }
+        _ => format!("seed {seed}"),
+    }
 }
 
 /// Re-sends an already-executed logged intent to the switch, byte for byte —
@@ -660,4 +551,20 @@ pub fn resend_logged_intent(cluster: &Cluster, txn: TxnId) -> Result<usize> {
         }
     }
     Ok(ops.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_pinned_seed_replaces_the_given_ones_and_garbage_is_an_error() {
+        assert_eq!(pick_seeds(None, 1..4), Ok(vec![1, 2, 3]));
+        assert_eq!(pick_seeds(Some("5"), 1..4), Ok(vec![5]));
+        assert_eq!(pick_seeds(Some("77"), [7]), Ok(vec![77]));
+        for garbage in ["", "five", "-1", "1..4"] {
+            let err = pick_seeds(Some(garbage), 1..4).unwrap_err();
+            assert!(err.contains("CHAOS_SEED"), "{err}");
+        }
+    }
 }

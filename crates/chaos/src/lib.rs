@@ -17,11 +17,13 @@
 //!   store and asserts serializability equivalence, exactly-once application
 //!   of switch intents, cold durability, SmallBank balance conservation and
 //!   TPC-C money conservation;
-//! * failures report the seed, a one-command repro line and a minimized
-//!   fault-class trace ([`harness::ChaosReport::failure_summary`]).
+//! * failures report the seed, a minimized fault-class trace
+//!   ([`harness::ChaosReport::failure_summary`]) and a repro line that
+//!   reruns the failing test at that seed: seeded tests draw their seeds
+//!   through [`harness::seeds`], which honours `CHAOS_SEED`.
 
 pub mod harness;
 pub mod invariants;
 
-pub use harness::{resend_logged_intent, run_chaos, ChaosOptions, ChaosReport, ChaosWorkload};
+pub use harness::{resend_logged_intent, run_chaos, seeds, ChaosOptions, ChaosReport, ChaosWorkload};
 pub use invariants::{check, InvariantReport, SemanticChecks, Violation};

@@ -24,7 +24,7 @@ use p4db_layout::{assign_tuples_to_switches, LayoutPlanner, LayoutStrategy};
 use p4db_net::{Fabric, LatencyModel};
 use p4db_storage::{
     decode_segment_tail, recover_cold_records, take_fuzzy_checkpoint, LogRecord, NodeStorage, Wal, WalCodecError,
-    DEFAULT_SEGMENT_RECORDS, DEFAULT_TABLE_SHARDS,
+    DEFAULT_TABLE_SHARDS,
 };
 use p4db_switch::{
     start_switch_with_id, ControlPlane, RegisterMemory, SwitchConfig, SwitchHandle, SwitchStatsSnapshot,
@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 
 /// Everything needed to build a cluster for one experiment configuration.
 ///
-/// This is the *resolved* form that [`crate::ClusterBuilder`] produces; the
-/// benchmark harness still constructs it directly for its sweep loops.
+/// This is the *resolved* form that [`crate::ClusterBuilder`] produces and
+/// [`Cluster::config`] reads back; no public constructor takes one.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     pub num_nodes: u16,
@@ -48,7 +48,7 @@ pub struct ClusterConfig {
     /// `1` is the paper's topology and the default; a multi-switch cluster
     /// splits the hot set across switches with the capacity-aware,
     /// co-access-affine assignment of [`p4db_layout::assign_tuples_to_switches`].
-    /// `0` is rejected by [`Cluster::try_build`].
+    /// `0` is rejected by [`crate::ClusterBuilder::try_build`].
     pub num_switches: u16,
     pub mode: SystemMode,
     pub cc: CcScheme,
@@ -90,43 +90,6 @@ pub struct ClusterConfig {
     /// Off by default: every health check short-circuits to "healthy" and
     /// the engine behaves byte-for-byte like the breaker-less build.
     pub breaker: bool,
-}
-
-impl ClusterConfig {
-    /// A small default cluster: the paper's 8×8–20 configuration scaled down
-    /// so it can be driven by the slow-motion latency profile on machines
-    /// with few cores (see `LatencyConfig::bench_profile`).
-    pub fn new(mode: SystemMode, cc: CcScheme) -> Self {
-        ClusterConfig {
-            num_nodes: 4,
-            workers_per_node: 4,
-            num_switches: 1,
-            mode,
-            cc,
-            latency: LatencyConfig::bench_profile(),
-            switch: SwitchConfig::tofino_defaults(),
-            layout: LayoutStrategy::Declustered,
-            distributed_prob: 0.2,
-            chiller: false,
-            batch_size: 16,
-            wal_segment_records: DEFAULT_SEGMENT_RECORDS,
-            checkpoint_interval: None,
-            seed: 42,
-            faults: None,
-            breaker: false,
-        }
-    }
-
-    /// Fast functional-test profile: tiny latencies, tiny switch.
-    pub fn test_profile(mode: SystemMode, cc: CcScheme) -> Self {
-        ClusterConfig {
-            num_nodes: 2,
-            workers_per_node: 2,
-            latency: LatencyConfig::zero(),
-            switch: SwitchConfig::tiny(),
-            ..Self::new(mode, cc)
-        }
-    }
 }
 
 /// What [`Cluster::crash_and_recover_node`] did and found.
@@ -208,17 +171,8 @@ impl Cluster {
     /// Builds the cluster: creates and loads every node's partition, detects
     /// and offloads the hot set under the configured layout strategy, starts
     /// the switch, wires up the engine and spawns the submission pool.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration; see [`Cluster::try_build`] for
-    /// the error-reporting variant.
-    pub fn build(config: ClusterConfig, workload: Arc<dyn Workload>) -> Self {
-        Self::try_build(config, workload).expect("failed to build cluster")
-    }
-
-    /// Builds the cluster, reporting invalid configurations and worker-id
-    /// exhaustion as structured errors instead of panicking.
-    pub fn try_build(mut config: ClusterConfig, workload: Arc<dyn Workload>) -> Result<Self> {
+    /// Invalid configurations and worker-id exhaustion are structured errors.
+    pub(crate) fn try_build(mut config: ClusterConfig, workload: Arc<dyn Workload>) -> Result<Self> {
         if config.num_nodes == 0 || config.workers_per_node == 0 {
             return Err(Error::InvalidConfig("cluster needs nodes and workers".into()));
         }
@@ -757,7 +711,7 @@ mod tests {
 
     #[test]
     fn cluster_builds_and_offloads_hot_set_in_p4db_mode() {
-        let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), small_ycsb());
+        let cluster = Cluster::builder(small_ycsb()).test_profile().build();
         assert_eq!(cluster.hot_set_size(), 2 * 50);
         assert_eq!(cluster.offloaded_tuples(), 100);
         assert!(cluster.switch_value(TupleId::new(p4db_workloads::ycsb::YCSB_TABLE, 0)).is_some());
@@ -765,7 +719,7 @@ mod tests {
 
     #[test]
     fn no_switch_mode_offloads_nothing() {
-        let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::NoSwitch, CcScheme::NoWait), small_ycsb());
+        let cluster = Cluster::builder(small_ycsb()).test_profile().mode(SystemMode::NoSwitch).build();
         assert_eq!(cluster.offloaded_tuples(), 0);
     }
 
@@ -842,7 +796,7 @@ mod tests {
     #[test]
     fn drive_settles_every_transaction_in_all_modes() {
         for mode in [SystemMode::NoSwitch, SystemMode::LmSwitch, SystemMode::P4db] {
-            let cluster = Cluster::build(ClusterConfig::test_profile(mode, CcScheme::NoWait), small_ycsb());
+            let cluster = Cluster::builder(small_ycsb()).test_profile().mode(mode).build();
             let stats = drive_n(&cluster, 100);
             if mode == SystemMode::P4db {
                 assert!(stats.merged.committed_hot > 0, "P4DB must execute hot transactions on the switch");
@@ -853,7 +807,7 @@ mod tests {
 
     #[test]
     fn sessions_execute_ad_hoc_transactions() {
-        let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), small_ycsb());
+        let cluster = Cluster::builder(small_ycsb()).test_profile().build();
         let mut session = cluster.session(NodeId(0)).unwrap();
         let t = |key| TupleId::new(p4db_workloads::ycsb::YCSB_TABLE, key);
 
@@ -875,7 +829,7 @@ mod tests {
 
     #[test]
     fn open_loop_submission_overlaps_transactions() {
-        let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), small_ycsb());
+        let cluster = Cluster::builder(small_ycsb()).test_profile().build();
         let mut session = cluster.session(NodeId(1)).unwrap();
         let t = |key| TupleId::new(p4db_workloads::ycsb::YCSB_TABLE, key);
         let tickets: Vec<_> =
@@ -889,7 +843,7 @@ mod tests {
 
     #[test]
     fn session_rejects_malformed_requests() {
-        let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), small_ycsb());
+        let cluster = Cluster::builder(small_ycsb()).test_profile().build();
         let mut session = cluster.session(NodeId(0)).unwrap();
         let t = |key| TupleId::new(p4db_workloads::ycsb::YCSB_TABLE, key);
 
@@ -907,9 +861,8 @@ mod tests {
     fn node_crash_recovery_round_trips_the_serialised_wal() {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
-        let mut config = ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait);
-        config.distributed_prob = 0.0; // single-partition traffic: unambiguous recovery
-        let cluster = Cluster::build(config, workload);
+        // Single-partition traffic: unambiguous recovery.
+        let cluster = Cluster::builder(workload).test_profile().distributed_prob(0.0).build();
         drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
         let report = cluster.crash_and_recover_node(NodeId(0)).unwrap();
@@ -926,7 +879,7 @@ mod tests {
     fn switch_crash_recovery_restores_registers_and_reoffload_swaps_the_index() {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
-        let mut cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), workload);
+        let mut cluster = Cluster::builder(workload).test_profile().build();
         drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
 
@@ -1126,7 +1079,7 @@ mod tests {
     fn smallbank_cluster_preserves_non_negative_switch_balances() {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
-        let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), workload);
+        let cluster = Cluster::builder(workload).test_profile().build();
         drive_n(&cluster, 100);
         for (tuple, _) in cluster.shared().hot_index.load().iter() {
             let value = cluster.switch_value(tuple).unwrap();

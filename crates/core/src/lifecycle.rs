@@ -495,8 +495,7 @@ fn unexplained_divergences(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ClusterConfig;
-    use p4db_common::{CcScheme, GlobalTxnId, SystemMode, WorkerId};
+    use p4db_common::{GlobalTxnId, WorkerId};
     use p4db_storage::LoggedSwitchOp;
     use p4db_switch::OpCode;
     use p4db_txn::health::TRIP_THRESHOLD;
@@ -505,7 +504,7 @@ mod tests {
     fn small_cluster() -> Cluster {
         let workload: Arc<dyn Workload> =
             Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
-        Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), workload)
+        Cluster::builder(workload).test_profile().build()
     }
 
     #[test]

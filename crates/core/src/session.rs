@@ -846,7 +846,7 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Cluster, ClusterConfig};
+    use crate::cluster::Cluster;
     use p4db_common::stats::TxnClass;
     use p4db_common::{AbortReason, CcScheme, LatencyConfig, SystemMode, TupleId, TxnId};
     use p4db_storage::LockMode;
@@ -857,7 +857,7 @@ mod tests {
     }
 
     fn small_cluster() -> Cluster {
-        Cluster::build(ClusterConfig::test_profile(SystemMode::NoSwitch, CcScheme::NoWait), ycsb())
+        Cluster::builder(ycsb()).test_profile().mode(SystemMode::NoSwitch).build()
     }
 
     fn t(key: u64) -> TupleId {

@@ -227,11 +227,11 @@ struct Engine {
     waiting_queue: VecDeque<Inflight>,
     /// Egress frame batching for [`TxnReply`]s: replies accumulate per origin
     /// and leave as one fabric frame when full or, at the latest, when the
-    /// switch goes quiet and the pump lets go of the pipeline. Pass-through
-    /// when `batch_size <= 1`.
+    /// switch goes quiet and the pump lets go of the pipeline. At
+    /// `batch_size <= 1` every reply is a frame of one.
     reply_batcher: FrameBatcher<SwitchMessage>,
-    /// Audit entries of the current quantum, appended to the shared audit log
-    /// in one lock acquisition per flush (order preserved).
+    /// Audit entries not yet in the shared audit log, appended in one lock
+    /// acquisition before the next reply frame leaves (order preserved).
     audit_buf: Vec<(TxnId, GlobalTxnId)>,
     /// Single-pass packets executed in the current ingress frame: they are
     /// pipelined back-to-back (§4.1), so the per-pass pipeline latency is
@@ -299,14 +299,18 @@ impl Engine {
     }
 
     /// Flushes everything pending: audit entries (one lock acquisition) and
-    /// every partially filled reply frame. No-op in unbatched mode, where
-    /// nothing is ever buffered.
+    /// every partially filled reply frame.
     fn flush_pending(&mut self) {
-        if !self.audit_buf.is_empty() {
-            unpoison(self.audit.lock()).append(&mut self.audit_buf);
-        }
+        self.flush_audit();
         for (dst, frame) in self.reply_batcher.flush_all() {
             self.fabric.send_frame_no_latency(self.endpoint, dst, frame);
+        }
+    }
+
+    /// Appends the buffered audit entries to the shared audit log.
+    fn flush_audit(&mut self) {
+        if !self.audit_buf.is_empty() {
+            unpoison(self.audit.lock()).append(&mut self.audit_buf);
         }
     }
 
@@ -382,16 +386,11 @@ impl Engine {
     /// to the issuing worker, and multicasts the warm-transaction decision if
     /// requested.
     fn complete(&mut self, pkt: Inflight) {
-        let batched = self.config.batch_size > 1;
         let gid = GlobalTxnId(self.gid_counter.fetch_add(1, Ordering::Relaxed));
         if self.config.audit_data_plane {
-            if batched {
-                // One audit-lock acquisition per flush, not per transaction;
-                // the buffer preserves the serial execution order.
-                self.audit_buf.push((pkt.txn.header.txn_id, gid));
-            } else {
-                unpoison(self.audit.lock()).push((pkt.txn.header.txn_id, gid));
-            }
+            // One audit-lock acquisition per reply frame, not per
+            // transaction; the buffer preserves the serial execution order.
+            self.audit_buf.push((pkt.txn.header.txn_id, gid));
         }
         if !pkt.holds.is_empty() {
             self.locks.release(pkt.holds);
@@ -405,19 +404,11 @@ impl Engine {
 
         let header = pkt.txn.header;
         let reply = TxnReply { token: header.token, gid, results: pkt.results, recirculations: header.nb_recircs };
-        if batched {
-            if let Some((dst, frame)) = self.reply_batcher.push(header.origin, SwitchMessage::TxnReply(reply)) {
-                // Audit entries always reach the shared log before their
-                // replies become visible, exactly like the unbatched path
-                // (one lock acquisition per full frame keeps the
-                // amortisation).
-                if !self.audit_buf.is_empty() {
-                    unpoison(self.audit.lock()).append(&mut self.audit_buf);
-                }
-                self.fabric.send_frame_no_latency(self.endpoint, dst, frame);
-            }
-        } else {
-            self.fabric.send_no_latency(self.endpoint, header.origin, SwitchMessage::TxnReply(reply));
+        if let Some((dst, frame)) = self.reply_batcher.push(header.origin, SwitchMessage::TxnReply(reply)) {
+            // Audit entries always reach the shared log before their replies
+            // become visible.
+            self.flush_audit();
+            self.fabric.send_frame_no_latency(self.endpoint, dst, frame);
         }
 
         if header.multicast_decision {

@@ -12,7 +12,7 @@
 //! an executor batches its share of what is *queued*, so a closed loop of
 //! one request per driver would leave the batched paths unexercised.
 
-use p4db::chaos::{run_chaos, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks, Violation};
+use p4db::chaos::{run_chaos, seeds, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks, Violation};
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload};
 use p4db::{Cluster, NodeId, TupleId};
 use std::sync::Arc;
@@ -79,7 +79,7 @@ fn assert_equivalent(workload: ChaosWorkload, seed: u64, unbatched: &ChaosReport
 }
 
 fn differential_sweep(workload: ChaosWorkload) {
-    for seed in SEEDS {
+    for seed in seeds(SEEDS) {
         let batch = batch_for(seed);
         let unbatched = run(workload, seed, 1);
         let batched = run(workload, seed, batch);
@@ -109,7 +109,7 @@ fn differential_sweep_tpcc() {
 #[test]
 fn batched_chaos_with_faults_never_double_applies() {
     for workload in [ChaosWorkload::Ycsb, ChaosWorkload::SmallBank, ChaosWorkload::Tpcc] {
-        for seed in 1..5 {
+        for seed in seeds(1..5) {
             let mut options = ChaosOptions::new(workload, seed);
             options.batch = 16;
             let report = run_chaos(&options).expect("chaos run failed to execute");
@@ -120,13 +120,22 @@ fn batched_chaos_with_faults_never_double_applies() {
     }
 }
 
-/// The repro line of a batched scenario round-trips the batch size, so a
-/// failing differential seed is reproducible with one command.
+/// Both arms of a differential seed print the same repro line: the command
+/// reruns the whole test at that seed, so a failing arm is replayed beside
+/// its baseline.
 #[test]
-fn batched_repro_env_names_the_batch_size() {
-    let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, 3);
-    options.batch = 64;
-    assert!(options.repro_env().contains("CHAOS_BATCH=64"), "{}", options.repro_env());
+fn both_arms_of_a_differential_seed_print_one_repro_line() {
+    for seed in seeds([3]) {
+        let unbatched = run(ChaosWorkload::SmallBank, seed, 1);
+        let batched = run(ChaosWorkload::SmallBank, seed, 16);
+        assert_eq!(unbatched.repro, batched.repro);
+        assert!(
+            batched.repro.starts_with(&format!("CHAOS_SEED={seed} "))
+                && batched.repro.contains("--test batching both_arms_of_a_differential_seed_print_one_repro_line "),
+            "{}",
+            batched.repro
+        );
+    }
 }
 
 /// Negative control under batching: a deliberately re-transmitted intent

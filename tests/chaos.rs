@@ -6,14 +6,16 @@
 //! afterwards the committed history (node WALs + the switch's data-plane
 //! audit log) is replayed against a shadow store and checked for
 //! serializability equivalence, exactly-once switch-intent application, cold
-//! durability and workload-level conservation. A failure prints the seed and
-//! a one-command repro line (`smoke_reproduce_from_env`).
+//! durability and workload-level conservation. Every test draws its seeds
+//! through `p4db::chaos::seeds`, so a failure's repro line
+//! (`CHAOS_SEED=<s> cargo test --offline --test chaos <test> -- --exact`)
+//! reruns that one test at that one seed.
 //!
 //! The `smoke_*` tests are the fixed-seed fast subset that `ci.sh` runs as
 //! its chaos gate.
 
 use p4db::chaos::{
-    resend_logged_intent, run_chaos, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks, Violation,
+    resend_logged_intent, run_chaos, seeds, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks, Violation,
 };
 use p4db::common::NodeId;
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload};
@@ -25,13 +27,25 @@ use std::time::Duration;
 /// scenarios with faults enabled.
 const SWEEP_SEEDS: std::ops::Range<u64> = 1..12;
 
+/// Prints one line per scenario (`ci.sh` counts them under `CHAOS_SEED`)
+/// and asserts the run clean and non-empty.
 fn assert_clean(report: &ChaosReport) {
+    println!(
+        "chaos scenario: {} seed {}: {} committed, {} aborted, {} in doubt, {} faults injected, {} violations",
+        report.workload,
+        report.seed,
+        report.committed,
+        report.aborted,
+        report.in_doubt,
+        report.faults_injected,
+        report.invariants.violations.len()
+    );
     assert!(report.is_clean(), "{}", report.failure_summary());
     assert!(report.committed > 0, "seed {} committed nothing", report.seed);
 }
 
 fn sweep(workload: ChaosWorkload) {
-    for seed in SWEEP_SEEDS {
+    for seed in seeds(SWEEP_SEEDS) {
         let report = run_chaos(&ChaosOptions::new(workload, seed)).expect("chaos run failed to execute");
         assert_clean(&report);
     }
@@ -55,7 +69,7 @@ fn chaos_sweep_tpcc_with_faults() {
 #[test]
 fn chaos_control_arm_without_faults_is_silent() {
     for workload in [ChaosWorkload::Ycsb, ChaosWorkload::SmallBank, ChaosWorkload::Tpcc] {
-        for seed in 1..3 {
+        for seed in seeds(1..3) {
             let report = run_chaos(&ChaosOptions::new(workload, seed).faults_off()).unwrap();
             assert_clean(&report);
             assert!(report.fault_events.is_empty(), "no faults were configured");
@@ -67,7 +81,7 @@ fn chaos_control_arm_without_faults_is_silent() {
 #[test]
 fn chaos_node_crash_with_wal_restart() {
     for workload in [ChaosWorkload::SmallBank, ChaosWorkload::Ycsb] {
-        for seed in 1..4 {
+        for seed in seeds(1..4) {
             let mut options = ChaosOptions::new(workload, seed);
             // Single-partition traffic: node recovery is unambiguous.
             options.distributed_prob = 0.0;
@@ -82,7 +96,7 @@ fn chaos_node_crash_with_wal_restart() {
 
 #[test]
 fn chaos_switch_crash_with_recovery() {
-    for seed in 1..4 {
+    for seed in seeds(1..4) {
         let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, seed);
         options.crash_switch = true;
         let report = run_chaos(&options).unwrap();
@@ -97,7 +111,8 @@ fn chaos_switch_crash_with_recovery() {
 
 #[test]
 fn chaos_switch_crash_with_reoffload() {
-    for (workload, seed) in [(ChaosWorkload::SmallBank, 5), (ChaosWorkload::SmallBank, 6), (ChaosWorkload::Tpcc, 5)] {
+    let smallbank = seeds([5, 6]).into_iter().map(|seed| (ChaosWorkload::SmallBank, seed));
+    for (workload, seed) in smallbank.chain(seeds([5]).into_iter().map(|seed| (ChaosWorkload::Tpcc, seed))) {
         let mut options = ChaosOptions::new(workload, seed);
         options.crash_switch = true;
         options.reoffload = true;
@@ -118,7 +133,7 @@ fn chaos_switch_crash_with_reoffload() {
 #[test]
 fn chaos_two_switch_sweep_with_faults() {
     for workload in [ChaosWorkload::SmallBank, ChaosWorkload::Ycsb] {
-        for seed in 1..6 {
+        for seed in seeds(1..6) {
             let mut options = ChaosOptions::new(workload, seed);
             options.switches = 2;
             let report = run_chaos(&options).unwrap();
@@ -133,7 +148,7 @@ fn chaos_two_switch_sweep_with_faults() {
 /// come back clean, and each switch must restore its own tuples.
 #[test]
 fn chaos_two_switch_crash_with_recovery() {
-    for seed in 1..4 {
+    for seed in seeds(1..4) {
         let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, seed);
         options.switches = 2;
         options.crash_switch = true;
@@ -149,13 +164,16 @@ fn chaos_two_switch_crash_with_recovery() {
 
 #[test]
 fn chaos_lm_switch_mode_survives_message_faults() {
-    let mut options = ChaosOptions::new(ChaosWorkload::Ycsb, 9);
-    options.mode = p4db::SystemMode::LmSwitch;
-    // Lost lock grants leak switch-side locks (a liveness degradation, not a
-    // safety violation); keep the retry budget small so the run terminates.
-    options.max_attempts = 5;
-    let report = run_chaos(&options).unwrap();
-    assert_clean(&report);
+    for seed in seeds([9]) {
+        let mut options = ChaosOptions::new(ChaosWorkload::Ycsb, seed);
+        options.mode = p4db::SystemMode::LmSwitch;
+        // Lost lock grants leak switch-side locks (a liveness degradation,
+        // not a safety violation); keep the retry budget small so the run
+        // terminates.
+        options.max_attempts = 5;
+        let report = run_chaos(&options).unwrap();
+        assert_clean(&report);
+    }
 }
 
 /// The negative test: a deliberately re-transmitted (double-applied) switch
@@ -210,25 +228,6 @@ fn double_apply_is_caught_by_the_checker() {
     );
 }
 
-/// Failure reports carry the seed and a runnable repro command that encodes
-/// the whole scenario, not just the seed.
-#[test]
-fn failure_reports_name_seed_and_repro_command() {
-    let mut options = ChaosOptions::new(ChaosWorkload::Ycsb, 77);
-    options.crash_switch = true;
-    options.reoffload = true;
-    options.distributed_prob = 0.0;
-    let report = run_chaos(&options).unwrap();
-    for fragment in
-        ["CHAOS_SEED=77", "CHAOS_WORKLOAD=ycsb", "CHAOS_CRASH_SWITCH=1", "CHAOS_REOFFLOAD=1", "CHAOS_DIST=0"]
-    {
-        assert!(report.repro.contains(fragment), "repro {:?} misses {fragment}", report.repro);
-    }
-    assert!(report.repro.contains("smoke_reproduce_from_env"));
-    // failure_summary always renders, clean or not.
-    assert!(report.failure_summary().contains("seed=77"));
-}
-
 // --- Fixed-seed smoke subset (the ci.sh chaos gate) -----------------------
 
 /// One fast fixed-seed faulty run per workload: exercises drop/delay/reorder,
@@ -236,27 +235,31 @@ fn failure_reports_name_seed_and_repro_command() {
 #[test]
 fn smoke_fixed_seed_fault_paths() {
     for workload in [ChaosWorkload::Ycsb, ChaosWorkload::SmallBank, ChaosWorkload::Tpcc] {
-        let mut options = ChaosOptions::new(workload, 7);
-        options.waves = 1;
-        options.txns_per_wave = 80;
-        let report = run_chaos(&options).unwrap();
-        assert_clean(&report);
+        for seed in seeds([7]) {
+            let mut options = ChaosOptions::new(workload, seed);
+            options.waves = 1;
+            options.txns_per_wave = 80;
+            let report = run_chaos(&options).unwrap();
+            assert_clean(&report);
+        }
     }
 }
 
 /// Fast fixed-seed crash smoke: node crash + switch crash with re-offload.
 #[test]
 fn smoke_fixed_seed_crash_paths() {
-    let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, 7);
-    options.distributed_prob = 0.0;
-    options.txns_per_wave = 80;
-    options.crash_node = Some(NodeId(1));
-    options.crash_switch = true;
-    options.reoffload = true;
-    let report = run_chaos(&options).unwrap();
-    assert_clean(&report);
-    assert!(report.node_recovery.is_some());
-    assert_eq!(report.switch_recovery.len(), 1);
+    for seed in seeds([7]) {
+        let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, seed);
+        options.distributed_prob = 0.0;
+        options.txns_per_wave = 80;
+        options.crash_node = Some(NodeId(1));
+        options.crash_switch = true;
+        options.reoffload = true;
+        let report = run_chaos(&options).unwrap();
+        assert_clean(&report);
+        assert!(report.node_recovery.is_some());
+        assert_eq!(report.switch_recovery.len(), 1);
+    }
 }
 
 /// Fast fixed-seed two-switch gate: independent per-switch crash/recovery
@@ -265,17 +268,19 @@ fn smoke_fixed_seed_crash_paths() {
 /// multi-switch topology work.
 #[test]
 fn smoke_two_switch_crash_recovery() {
-    let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, 7);
-    options.switches = 2;
-    options.txns_per_wave = 80;
-    options.crash_switch = true;
-    options.reoffload = true;
-    let report = run_chaos(&options).unwrap();
-    assert_clean(&report);
-    assert_eq!(report.switch_recovery.len(), 2, "both switches must have crashed");
-    for (s, recovery) in report.switch_recovery.iter().enumerate() {
-        assert!(recovery.reoffloaded, "switch{s} was not re-offloaded");
-        assert!(recovery.restored_tuples > 0, "switch{s} restored nothing");
+    for seed in seeds([7]) {
+        let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, seed);
+        options.switches = 2;
+        options.txns_per_wave = 80;
+        options.crash_switch = true;
+        options.reoffload = true;
+        let report = run_chaos(&options).unwrap();
+        assert_clean(&report);
+        assert_eq!(report.switch_recovery.len(), 2, "both switches must have crashed");
+        for (s, recovery) in report.switch_recovery.iter().enumerate() {
+            assert!(recovery.reoffloaded, "switch{s} was not re-offloaded");
+            assert!(recovery.restored_tuples > 0, "switch{s} restored nothing");
+        }
     }
 }
 
@@ -288,60 +293,79 @@ fn smoke_two_switch_crash_recovery() {
 /// switch must be re-admitted — all while every wave keeps committing.
 #[test]
 fn smoke_switch_outage_liveness() {
-    let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, 7);
-    options.waves = 3;
-    options.supervised = true;
-    // Blackhole only — no probabilistic message faults — so the drill is the
-    // pure outage→floor→recovery story: activates after 60 requests
-    // ("mid-run"), heals itself after swallowing 40 messages (a transient
-    // outage: the probes themselves burn it down).
-    let mut plan = p4db::common::faults::FaultPlan::quiet(7);
-    plan.blackhole = Some(p4db::common::faults::BlackholeFault { switch: 0, after_messages: 60, heal_after_drops: 40 });
-    options.faults = Some(plan);
+    for seed in seeds([7]) {
+        let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, seed);
+        options.waves = 3;
+        options.supervised = true;
+        // Blackhole only — no probabilistic message faults — so the drill is
+        // the pure outage→floor→recovery story: activates after 60 requests
+        // ("mid-run"), heals itself after swallowing 40 messages (a
+        // transient outage: the probes themselves burn it down).
+        let mut plan = p4db::common::faults::FaultPlan::quiet(seed);
+        plan.blackhole =
+            Some(p4db::common::faults::BlackholeFault { switch: 0, after_messages: 60, heal_after_drops: 40 });
+        options.faults = Some(plan);
 
-    let report = run_chaos(&options).unwrap();
-    assert_clean(&report);
+        let report = run_chaos(&options).unwrap();
+        assert_clean(&report);
 
-    // Liveness: committed throughput never hits zero in any wave, outage or
-    // not — the breaker's degraded floor, not a stall.
-    assert_eq!(report.wave_committed.len(), 3);
-    for (wave, &c) in report.wave_committed.iter().enumerate() {
-        assert!(c > 0, "wave {wave} committed nothing during the outage: {report:?}");
+        // Liveness: committed throughput never hits zero in any wave, outage
+        // or not — the breaker's degraded floor, not a stall.
+        assert_eq!(report.wave_committed.len(), 3);
+        for (wave, &c) in report.wave_committed.iter().enumerate() {
+            assert!(c > 0, "wave {wave} committed nothing during the outage: {report:?}");
+        }
+
+        let sup = report.supervisor.as_ref().expect("supervised run must carry a supervisor report");
+        assert!(sup.trips_seen >= 1, "the blackhole must trip the breaker: {sup:?}");
+        assert!(sup.degraded.contains(&p4db::SwitchId(0)), "switch 0 must have been degraded: {sup:?}");
+        assert!(sup.recovered.contains(&p4db::SwitchId(0)), "switch 0 must have been re-admitted: {sup:?}");
+        assert!(sup.probes_answered > 0, "recovery must come from answered probes: {sup:?}");
+        assert!(!sup.deadline_forced, "recovery must not need the deadline escape hatch: {sup:?}");
+
+        // The swallowed replies became in-doubt commits, all of them settled.
+        assert!(report.in_doubt > 0, "a blackholed switch must strand in-doubt commits");
+        assert!(report.in_doubt_per_switch[0] > 0);
+        let resolved = report.invariants.resolved_committed + report.invariants.resolved_retried;
+        assert!(resolved > 0, "the resolver must have settled the parked entries: {:?}", report.invariants);
+        assert_eq!(report.invariants.unresolved, 0, "no entry may stay unresolved: {:?}", report.invariants);
     }
-
-    let sup = report.supervisor.as_ref().expect("supervised run must carry a supervisor report");
-    assert!(sup.trips_seen >= 1, "the blackhole must trip the breaker: {sup:?}");
-    assert!(sup.degraded.contains(&p4db::SwitchId(0)), "switch 0 must have been degraded: {sup:?}");
-    assert!(sup.recovered.contains(&p4db::SwitchId(0)), "switch 0 must have been re-admitted: {sup:?}");
-    assert!(sup.probes_answered > 0, "recovery must come from answered probes: {sup:?}");
-    assert!(!sup.deadline_forced, "recovery must not need the deadline escape hatch: {sup:?}");
-
-    // The swallowed replies became in-doubt commits, all of them settled.
-    assert!(report.in_doubt > 0, "a blackholed switch must strand in-doubt commits");
-    assert!(report.in_doubt_per_switch[0] > 0);
-    let resolved = report.invariants.resolved_committed + report.invariants.resolved_retried;
-    assert!(resolved > 0, "the resolver must have settled the parked entries: {:?}", report.invariants);
-    assert_eq!(report.invariants.unresolved, 0, "no entry may stay unresolved: {:?}", report.invariants);
 }
 
-/// Reproduces one scenario, driven by the `CHAOS_*` environment variables a
-/// failing run prints (`ChaosOptions::repro_env` round-trips through
-/// `ChaosOptions::from_env`, so crashes, re-offloads, mode and sizing are
-/// reproduced too — not just the seed). Without the env vars it runs the
-/// default smoke seed.
+/// A report's repro line reruns the test that ran the scenario, at its seed:
+/// `CHAOS_SEED` pins the seed, and the test binary and this test's own name
+/// pick the scenario, so every option and every arm is replayed.
 #[test]
-fn smoke_reproduce_from_env() {
-    let options = ChaosOptions::from_env();
-    let report = run_chaos(&options).unwrap();
-    println!(
-        "chaos seed {} on {}: {} committed, {} aborted, {} in doubt, {} faults injected, {} violations",
-        report.seed,
-        report.workload,
-        report.committed,
-        report.aborted,
-        report.in_doubt,
-        report.faults_injected,
-        report.invariants.violations.len()
-    );
-    assert_clean(&report);
+fn smoke_failure_report_names_its_test_and_seed() {
+    for seed in seeds([77]) {
+        let mut options = ChaosOptions::new(ChaosWorkload::Ycsb, seed);
+        options.waves = 1;
+        options.txns_per_wave = 40;
+        let report = run_chaos(&options).unwrap();
+        assert_clean(&report);
+        for fragment in [
+            format!("CHAOS_SEED={seed} "),
+            "--test chaos ".to_string(),
+            " smoke_failure_report_names_its_test_and_seed ".to_string(),
+            "-- --exact".to_string(),
+        ] {
+            assert!(report.repro.contains(&fragment), "repro {:?} misses {fragment:?}", report.repro);
+        }
+        // failure_summary always renders, clean or not.
+        assert!(report.failure_summary().contains(&format!("seed={seed}")));
+    }
+}
+
+/// Off a test thread — an example's `main`, or a thread a test spawns — no
+/// test can be named for a rerun, so the repro line is the seed alone.
+#[test]
+fn smoke_a_report_off_a_test_thread_names_only_its_seed() {
+    for seed in seeds([78]) {
+        let mut options = ChaosOptions::new(ChaosWorkload::Ycsb, seed);
+        options.waves = 1;
+        options.txns_per_wave = 20;
+        let report = std::thread::spawn(move || run_chaos(&options).unwrap()).join().unwrap();
+        assert_clean(&report);
+        assert_eq!(report.repro, format!("seed {seed}"));
+    }
 }

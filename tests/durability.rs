@@ -8,7 +8,7 @@
 //! tests are the fixed-seed fast subset that `ci.sh` runs as its recovery
 //! gate.
 
-use p4db::chaos::{check, run_chaos, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks};
+use p4db::chaos::{check, run_chaos, seeds, ChaosOptions, ChaosReport, ChaosWorkload, SemanticChecks};
 use p4db::common::stats::RunStats;
 use p4db::common::NodeId;
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
@@ -56,7 +56,7 @@ fn fell_back(report: &ChaosReport) -> bool {
 }
 
 fn sweep(workload: ChaosWorkload) {
-    for seed in SWEEP_SEEDS {
+    for seed in seeds(SWEEP_SEEDS) {
         let report = run_chaos(&durability_options(workload, seed)).expect("durability run failed");
         assert_clean(&report);
         if seed.is_multiple_of(3) {
@@ -168,17 +168,19 @@ fn smoke_recovery_checkpointed_restart_leaves_ambiguous_tuples_alone() {
 /// invariants stay green.
 #[test]
 fn smoke_recovery_torn_checkpoint_falls_back() {
-    let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, 7);
-    options.distributed_prob = 0.0;
-    options.txns_per_wave = 80;
-    options.crash_node = Some(NodeId(0));
-    options.checkpoint_interval = Some(40);
-    options.torn_checkpoint = true;
-    let report = run_chaos(&options).unwrap();
-    assert_clean(&report);
-    let recovery = report.node_recovery.as_ref().expect("node crash must have happened");
-    assert!(recovery.from_checkpoint.is_some());
-    assert_eq!(recovery.from_checkpoint, report.expected_checkpoint, "{}", report.failure_summary());
+    for seed in seeds([7]) {
+        let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, seed);
+        options.distributed_prob = 0.0;
+        options.txns_per_wave = 80;
+        options.crash_node = Some(NodeId(0));
+        options.checkpoint_interval = Some(40);
+        options.torn_checkpoint = true;
+        let report = run_chaos(&options).unwrap();
+        assert_clean(&report);
+        let recovery = report.node_recovery.as_ref().expect("node crash must have happened");
+        assert!(recovery.from_checkpoint.is_some());
+        assert_eq!(recovery.from_checkpoint, report.expected_checkpoint, "{}", report.failure_summary());
+    }
 }
 
 /// Nodes with a complete checkpoint at the end of the seed-9 smoke: the
@@ -191,7 +193,9 @@ const CHECKPOINTED_NODES: usize = 2;
 /// checkpoint+tail reconstruction checked.
 #[test]
 fn smoke_recovery_fuzzy_checkpoint_crash_is_clean() {
-    let report = run_chaos(&durability_options(ChaosWorkload::SmallBank, 9)).unwrap();
-    assert_clean(&report);
-    assert_eq!(report.invariants.checkpointed_nodes, CHECKPOINTED_NODES, "{}", report.failure_summary());
+    for seed in seeds([9]) {
+        let report = run_chaos(&durability_options(ChaosWorkload::SmallBank, seed)).unwrap();
+        assert_clean(&report);
+        assert_eq!(report.invariants.checkpointed_nodes, CHECKPOINTED_NODES, "{}", report.failure_summary());
+    }
 }

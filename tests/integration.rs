@@ -3,7 +3,7 @@
 
 use p4db::common::stats::{RunStats, TxnClass};
 use p4db::common::{AbortReason, CcScheme, Error, NodeId, SystemMode, TupleId};
-use p4db::core::{Cluster, ClusterConfig, Load, Stop};
+use p4db::core::{Cluster, Load, Stop};
 use p4db::storage::recover_switch_state;
 use p4db::workloads::smallbank::{CHECKING, INITIAL_BALANCE, SAVINGS};
 use p4db::workloads::{SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
@@ -44,7 +44,7 @@ fn drive_n(cluster: &Cluster, n: usize) -> RunStats {
 fn all_workloads_commit_in_all_modes() {
     for workload in [ycsb(), smallbank(), tpcc()] {
         for mode in [SystemMode::NoSwitch, SystemMode::LmSwitch, SystemMode::P4db] {
-            let cluster = Cluster::build(ClusterConfig::test_profile(mode, CcScheme::NoWait), Arc::clone(&workload));
+            let cluster = Cluster::builder(Arc::clone(&workload)).test_profile().mode(mode).build();
             eprintln!("cell: {} in {mode:?}", workload.name());
             drive_n(&cluster, 100);
         }
@@ -55,9 +55,7 @@ fn all_workloads_commit_in_all_modes() {
 fn p4db_executes_hot_transactions_on_the_switch_and_keeps_hosts_consistent() {
     // Use the full-size (Tofino-like) switch geometry so the declustered
     // layout has the pipeline depth the paper assumes; latencies stay zero.
-    let mut config = ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait);
-    config.switch = p4db::switch::SwitchConfig::tofino_defaults();
-    let cluster = Cluster::build(config, ycsb());
+    let cluster = Cluster::builder(ycsb()).test_profile().switch(p4db::switch::SwitchConfig::tofino_defaults()).build();
     let stats = drive_n(&cluster, 100);
     assert!(stats.merged.committed_hot > 0, "hot transactions must run on the switch");
     let sw = cluster.switch_stats();
@@ -67,13 +65,13 @@ fn p4db_executes_hot_transactions_on_the_switch_and_keeps_hosts_consistent() {
 
 #[test]
 fn wait_die_also_makes_progress_under_contention() {
-    let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::NoSwitch, CcScheme::WaitDie), ycsb());
+    let cluster = Cluster::builder(ycsb()).test_profile().mode(SystemMode::NoSwitch).cc(CcScheme::WaitDie).build();
     drive_n(&cluster, 100);
 }
 
 #[test]
 fn tpcc_produces_warm_transactions_in_p4db_mode() {
-    let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), tpcc());
+    let cluster = Cluster::builder(tpcc()).test_profile().build();
     let stats = drive_n(&cluster, 100);
     assert!(stats.merged.committed_warm > 0, "TPC-C must produce warm transactions");
     assert!(cluster.switch_stats().multicasts > 0 || stats.merged.committed_warm > 0);
@@ -87,8 +85,7 @@ fn tpcc_money_is_conserved_between_customers_and_ytd_counters() {
     // customers, whichever path (switch or host) executed the update.
     use p4db::workloads::tpcc::{keys, CUSTOMER, CUSTOMERS_PER_DISTRICT, DISTRICTS_PER_WAREHOUSE, WAREHOUSE};
     let workload = tpcc();
-    let cluster =
-        Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), Arc::clone(&workload));
+    let cluster = Cluster::builder(Arc::clone(&workload)).test_profile().build();
     drive_n(&cluster, 100);
 
     let mut ytd_total: i128 = 0;
@@ -113,7 +110,7 @@ fn tpcc_money_is_conserved_between_customers_and_ytd_counters() {
 
 #[test]
 fn switch_state_recovers_from_node_logs_after_a_crash() {
-    let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait), smallbank());
+    let cluster = Cluster::builder(smallbank()).test_profile().build();
     drive_n(&cluster, 100);
 
     let live: HashMap<TupleId, u64> =
@@ -131,7 +128,7 @@ fn switch_state_recovers_from_node_logs_after_a_crash() {
 
 #[test]
 fn lm_switch_keeps_data_on_the_hosts() {
-    let cluster = Cluster::build(ClusterConfig::test_profile(SystemMode::LmSwitch, CcScheme::NoWait), ycsb());
+    let cluster = Cluster::builder(ycsb()).test_profile().mode(SystemMode::LmSwitch).build();
     drive_n(&cluster, 100);
     assert_eq!(cluster.switch_stats().txns_executed, 0, "LM-Switch must not execute data-plane transactions");
     assert!(cluster.switch_stats().lm_requests > 0, "LM-Switch must process lock requests");
@@ -249,9 +246,8 @@ fn capacity_overflow_degrades_gracefully() {
         hot_keys_per_node: 1_000,
         ..YcsbConfig::new(YcsbMix::A)
     }));
-    let mut config = ClusterConfig::test_profile(SystemMode::P4db, CcScheme::NoWait);
-    config.switch = p4db::switch::SwitchConfig::tiny(); // 512 cells total
-    let cluster = Cluster::build(config, workload);
+    // The test profile's tiny switch: 512 cells total.
+    let cluster = Cluster::builder(workload).test_profile().build();
     assert!(cluster.offloaded_tuples() > 0);
     assert!(cluster.offloaded_tuples() < cluster.hot_set_size());
     let stats = drive_n(&cluster, 100);
@@ -260,4 +256,36 @@ fn capacity_overflow_degrades_gracefully() {
     // the switch is still involved, throughput degrades gracefully.
     assert!(stats.merged.committed_hot + stats.merged.committed_warm > 0);
     assert!(stats.merged.committed_cold + stats.merged.committed_warm > 0);
+}
+
+/// The builder is the only way to build a cluster, and its defaults are the
+/// figures' common operating point: the benchmark harness's rows and arms
+/// state only what they change from here.
+#[test]
+fn the_builder_defaults_are_the_figures_operating_point() {
+    let builder = Cluster::builder(ycsb());
+    let config = builder.config();
+    assert_eq!((config.num_nodes, config.workers_per_node, config.num_switches), (4, 4, 1));
+    assert_eq!((config.mode, config.cc), (SystemMode::P4db, CcScheme::NoWait));
+    assert_eq!(config.distributed_prob, 0.2);
+    assert_eq!(config.batch_size, 16);
+    assert_eq!(config.switch, p4db::switch::SwitchConfig::tofino_defaults());
+    assert_eq!(config.latency, p4db::common::LatencyConfig::bench_profile());
+    assert!(config.faults.is_none() && !config.breaker && !config.chiller);
+}
+
+/// An engine worker outside the pool's id space runs directly on a built
+/// cluster's engine beside the pool (as the read-mix figure and the
+/// benchmark's traced run do): no fabric endpoint collides, and its commit
+/// is visible to a session.
+#[test]
+fn an_engine_worker_outside_the_pool_runs_beside_it() {
+    let cluster = Cluster::builder(ycsb()).test_profile().mode(SystemMode::NoSwitch).build();
+    let mut worker = p4db::txn::Worker::new(Arc::clone(cluster.shared()), NodeId(0), p4db::common::WorkerId(u16::MAX));
+    let key = TupleId::new(p4db::workloads::ycsb::YCSB_TABLE, 100);
+    let req = Txn::new().add(key, 7).resolve(&cluster.partition_map(), NodeId(0)).unwrap();
+    let mut stats = p4db::common::stats::WorkerStats::new();
+    assert_eq!(worker.execute(&req, &mut stats).unwrap().results, vec![7]);
+    let mut session = cluster.session(NodeId(0)).unwrap();
+    assert_eq!(session.execute(&Txn::new().read(key)).unwrap().results, vec![7]);
 }

@@ -10,7 +10,7 @@
 //! baseline, so both verdicts must also be clean.
 
 use p4db::chaos::invariants::{self, SemanticChecks, Violation};
-use p4db::chaos::{run_chaos, ChaosOptions, ChaosReport, ChaosWorkload};
+use p4db::chaos::{run_chaos, seeds, ChaosOptions, ChaosReport, ChaosWorkload};
 use p4db::common::rand_util::FastRng;
 use p4db::common::{SwitchId, Value};
 use p4db::storage::{LogRecord, MvccState, Row, Table};
@@ -81,7 +81,7 @@ fn assert_equivalent(workload: ChaosWorkload, seed: u64, faults: bool, locking: 
 fn differential_sweep(workload: ChaosWorkload) {
     let mut snapshot_reads = 0u64;
     let mut version_entries = 0usize;
-    for seed in SEEDS {
+    for seed in seeds(SEEDS) {
         let faults = seed % 3 == 0;
         let locking = run(workload, seed, false, faults);
         let snapshot = run(workload, seed, true, faults);
@@ -110,27 +110,13 @@ fn differential_sweep_tpcc() {
     differential_sweep(ChaosWorkload::Tpcc);
 }
 
-/// The repro string must round-trip the snapshot knobs, or a failing seed
-/// from this suite cannot be replayed.
-#[test]
-fn repro_env_includes_snapshot_knobs() {
-    let mut options = ChaosOptions::new(ChaosWorkload::Ycsb, 7);
-    options.read_only_frac = 0.5;
-    options.snapshot_arm = true;
-    let env = options.repro_env();
-    assert!(env.contains("CHAOS_RO_FRAC=0.5"), "missing read-only fraction in {env:?}");
-    assert!(env.contains("CHAOS_SNAPSHOT=1"), "missing snapshot arm in {env:?}");
-    let legacy = ChaosOptions::new(ChaosWorkload::Ycsb, 7).repro_env();
-    assert!(!legacy.contains("CHAOS_RO_FRAC"), "default options must not emit the knob: {legacy:?}");
-}
-
 /// Snapshot traffic through full crash chaos: switch crash + WAL-driven
 /// recovery (with and without re-offload) and a node crash/recovery, all
 /// with half the schedule converted to snapshot reads. The verdict must
 /// stay clean and the chains must actually be checked.
 #[test]
 fn snapshot_arm_survives_switch_and_node_recovery() {
-    for seed in [3u64, 10] {
+    for seed in seeds([3, 10]) {
         let mut options = ChaosOptions::new(ChaosWorkload::SmallBank, seed);
         options.read_only_frac = 0.5;
         options.snapshot_arm = true;

@@ -4,7 +4,7 @@
 //! `p4db_chaos::invariants::check` clean for every seeded workload, with and
 //! without message faults, and must settle every transaction it was given.
 
-use p4db::chaos::{run_chaos, ChaosOptions, ChaosWorkload};
+use p4db::chaos::{run_chaos, seeds, ChaosOptions, ChaosWorkload};
 use p4db::storage::{NodeStorage, RowHandle, Table, DEFAULT_TABLE_SHARDS};
 use p4db::workloads::{SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
 use p4db::{Cluster, Load, NodeId, Stop, TableId};
@@ -19,7 +19,7 @@ const SEEDS: std::ops::Range<u64> = 1..13;
 /// commit or an abort, so the attempted count is known up front: sharding
 /// must not lose or invent work, faults or not.
 fn sweep(workload: ChaosWorkload) {
-    for seed in SEEDS {
+    for seed in seeds(SEEDS) {
         let faults = seed % 3 == 0;
         let mut options = ChaosOptions::new(workload, seed);
         options.waves = 1;
