@@ -102,9 +102,9 @@ impl fmt::Display for FrameCodecError {
 
 impl std::error::Error for FrameCodecError {}
 
-/// FNV-1a 64-bit over a byte slice — the same per-record checksum the WAL
-/// uses, here guarding each envelope of a frame against torn or bit-flipped
-/// tails that would otherwise decode as a shorter but well-formed envelope.
+/// FNV-1a 64-bit over a byte slice, guarding each envelope of a frame
+/// against torn or bit-flipped tails that would otherwise decode as a
+/// shorter but well-formed envelope.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

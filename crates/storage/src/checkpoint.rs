@@ -25,23 +25,26 @@
 //!
 //! ```text
 //! checkpoint := magic frame*
-//! magic      := "P4CK" 0x01                    (5 bytes)
+//! magic      := "P4CK" 0x02                    (5 bytes)
 //! frame      := len:u32 LE  body  crc:u64 LE   (crc over len+body bytes)
 //! body       := tag:u8 fields…                 (all integers LE)
 //! ```
 //!
 //! Frame bodies: `1` header (node:u16, generation, `n:u16` coordinator
 //! fences of start/end u64 pairs), `2` shard rows (table:u16, shard:u32,
-//! `n:u32` rows of key + value), `3` footer (shard-frame count:u32, total
-//! row count:u64). The footer must be the final frame and its counts must
-//! match — a checkpoint cut short mid-write (a crash during the checkpoint)
-//! fails decoding and the whole generation is **skipped**, falling back to
-//! the previous complete one. Unlike the WAL there is no torn-*tail*
-//! salvage: a checkpoint is all-or-nothing, which is what makes skipping a
-//! torn generation safe (the WAL behind the older fence is still intact).
+//! `n:u32` rows of key:u64 + value), `3` footer (shard-frame count:u32,
+//! total row count:u64). A value and the checksum are those of the WAL's
+//! segment codec ([`crate::segment`]): a byte count and the value's minimal
+//! little-endian bytes, and its word-wise 64-bit checksum. The footer must
+//! be the final frame and its counts must match — a checkpoint cut short
+//! mid-write (a crash during the checkpoint) fails decoding and the whole
+//! generation is **skipped**, falling back to the previous complete one.
+//! Unlike the WAL there is no torn-*tail* salvage: a checkpoint is
+//! all-or-nothing, which is what makes skipping a torn generation safe (the
+//! WAL behind the older fence is still intact).
 
 use crate::node::NodeStorage;
-use crate::segment::{fnv1a_bytes, put_u16, put_u32, put_u64, put_value, BodyReader};
+use crate::segment::{checksum, put_u64, put_value, BodyReader};
 use crate::wal::{Wal, WalCodecError};
 use p4db_common::sync::unpoison;
 use p4db_common::{NodeId, TableId, Value};
@@ -49,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Versioned magic opening every checkpoint blob.
-pub const CHECKPOINT_MAGIC: &[u8; 5] = b"P4CK\x01";
+pub const CHECKPOINT_MAGIC: &[u8; 5] = b"P4CK\x02";
 
 /// How many checkpoint generations a [`CheckpointStore`] retains. Two: the
 /// newest (possibly torn by a crash mid-write) and the previous complete one
@@ -91,6 +94,14 @@ impl Checkpoint {
 // Encoding
 // ---------------------------------------------------------------------------
 
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 fn begin_frame(out: &mut Vec<u8>) -> usize {
     let start = out.len();
     put_u32(out, 0); // length placeholder
@@ -100,7 +111,7 @@ fn begin_frame(out: &mut Vec<u8>) -> usize {
 fn end_frame(out: &mut Vec<u8>, start: usize) {
     let body_len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    let crc = fnv1a_bytes(&out[start..]);
+    let crc = checksum(&out[start..]);
     put_u64(out, crc);
 }
 
@@ -172,7 +183,7 @@ pub fn take_fuzzy_checkpoint(target: &NodeStorage, coordinator_wals: &[&Wal], ge
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WalCodecError> {
     let magic_len = CHECKPOINT_MAGIC.len();
     if bytes.len() < magic_len || &bytes[..magic_len] != CHECKPOINT_MAGIC {
-        return Err(WalCodecError { record: 0, message: "bad checkpoint magic (not a P4CK v1 checkpoint)".into() });
+        return Err(WalCodecError { record: 0, message: "bad checkpoint magic (not a P4CK v2 checkpoint)".into() });
     }
     let mut at = magic_len;
     let mut frame_no = 0usize;
@@ -195,7 +206,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WalCodecError> {
             return Err(err(format!("torn checkpoint: truncated frame at byte {at}")));
         }
         let stored = u64::from_le_bytes(bytes[body_end..frame_end].try_into().expect("8 bytes"));
-        let actual = fnv1a_bytes(&bytes[at..body_end]);
+        let actual = checksum(&bytes[at..body_end]);
         if stored != actual {
             return Err(err(format!("checkpoint frame checksum mismatch at byte {at}")));
         }

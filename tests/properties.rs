@@ -186,45 +186,83 @@ fn lock_table_compatibility() {
     });
 }
 
-/// One pseudo-random record of any of the five shapes, for transaction
-/// sequence number `s`.
-fn random_record(rng: &mut FastRng, s: u64) -> LogRecord {
-    let txn = TxnId::compose(s as u32, NodeId(0), WorkerId(0));
-    let tuple = TupleId::new(TableId(rng.gen_range(3) as u16), rng.gen_range(1_000));
+/// An integer at one of the codec's width edges (a varint's or a word's
+/// byte count changes there) 30% of the time, else one below `small`.
+fn edge_int(rng: &mut FastRng, small: u64) -> u64 {
+    const EDGES: [u64; 6] = [0, 127, 128, (1 << 56) - 1, 1 << 56, u64::MAX];
+    if rng.gen_bool(0.3) {
+        EDGES[rng.gen_range(EDGES.len() as u64) as usize]
+    } else {
+        rng.gen_range(small)
+    }
+}
+
+/// A list length: now and then 128 or more (a two-byte count), else 1..=3.
+fn list_len(rng: &mut FastRng) -> u64 {
+    if rng.gen_bool(0.03) {
+        128 + rng.gen_range(3)
+    } else {
+        1 + rng.gen_range(3)
+    }
+}
+
+/// One pseudo-random record of any of the five shapes for `txn`, with table
+/// ids, keys, values, operands, GIDs and list lengths drawn across the
+/// codec's width edges.
+fn random_record(rng: &mut FastRng, txn: TxnId) -> LogRecord {
+    let table = if rng.gen_bool(0.1) { u16::MAX } else { rng.gen_range(3) as u16 };
+    let tuple = TupleId::new(TableId(table), edge_int(rng, 1_000));
     match rng.gen_range(5) {
         0 => LogRecord::ColdWrite {
             txn,
             tuple,
-            before: Value::scalar(rng.next_u64() % 1_000),
-            after: Value::scalar(rng.next_u64() % 1_000),
+            before: Value::scalar(edge_int(rng, 1_000)),
+            after: Value::scalar(edge_int(rng, 1_000)),
         },
         1 => {
-            let ops = (0..1 + rng.gen_range(3))
+            let ops = (0..list_len(rng))
                 .map(|i| LoggedSwitchOp {
-                    tuple: TupleId::new(tuple.table, tuple.key + i),
+                    tuple: TupleId::new(tuple.table, tuple.key.wrapping_add(i)),
                     op: OpCode::Add,
-                    operand: rng.gen_range(50),
-                    operand_from: (i > 0 && rng.gen_bool(0.3)).then_some(0),
+                    operand: edge_int(rng, 50),
+                    operand_from: (i > 0 && rng.gen_bool(0.3)).then(|| if rng.gen_bool(0.5) { 255 } else { 0 }),
                 })
                 .collect();
             LogRecord::SwitchIntent { txn, ops }
         }
         2 => LogRecord::SwitchResult {
             txn,
-            gid: GlobalTxnId(rng.gen_range(100)),
-            results: vec![(tuple, rng.next_u64() % 500)],
+            gid: GlobalTxnId(edge_int(rng, 100)),
+            results: (0..list_len(rng)).map(|i| (TupleId::new(tuple.table, i), edge_int(rng, 500))).collect(),
         },
         3 => LogRecord::Commit { txn },
         _ => LogRecord::Abort { txn },
     }
 }
 
+/// A stream of `len` pseudo-random records in runs of 1..=4 that share one
+/// transaction, so runs straddle segment boundaries at any capacity and the
+/// codec's same-transaction encoding is exercised on both sides of them.
+fn random_stream(rng: &mut FastRng, len: u64) -> Vec<LogRecord> {
+    let mut stream = Vec::new();
+    let mut seq = 0;
+    while stream.len() < len as usize {
+        let txn = TxnId::compose(seq, NodeId(0), WorkerId(0));
+        seq += 1;
+        for _ in 0..(1 + rng.gen_range(4)).min(len - stream.len() as u64) {
+            stream.push(random_record(rng, txn));
+        }
+    }
+    stream
+}
+
 /// Builds a WAL with a pseudo-random mix of all record types, so truncation
 /// sweeps cover every encoding shape.
 fn random_wal(rng: &mut FastRng) -> Wal {
     let wal = Wal::new();
-    for s in 0..2 + rng.gen_range(8) {
-        wal.append(random_record(rng, s));
+    let len = 2 + rng.gen_range(8);
+    for record in random_stream(rng, len) {
+        wal.append(record);
     }
     wal
 }
@@ -238,7 +276,8 @@ fn random_wal(rng: &mut FastRng) -> Wal {
 #[test]
 fn wal_segments_are_the_chunkwise_encoding_of_the_appended_stream() {
     check("wal_segments_are_the_chunkwise_encoding_of_the_appended_stream", |rng| {
-        let stream: Vec<LogRecord> = (0..rng.gen_range(40)).map(|s| random_record(rng, s)).collect();
+        let len = rng.gen_range(40);
+        let stream = random_stream(rng, len);
         for capacity in [1usize, 2, 7, 512] {
             let wal = Wal::with_segment_capacity(capacity);
             let mut at = 0;
@@ -458,6 +497,15 @@ fn segment_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
                 }
             }
         }
+
+        // A malformed varint — more than 10 bytes, or bits past 64 — in
+        // place of the first record's length prefix is a hard error, never a
+        // panic and never a tear: no cut produces one.
+        let malformed: &[u8] =
+            if rng.gen_bool(0.5) { &[0xff; 11] } else { &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02] };
+        let corrupt = [&bytes[..boundaries[0]], malformed, &bytes[boundaries[0]..]].concat();
+        let err = decode_segment_prefix(&corrupt).expect_err("a malformed length prefix is a hard error");
+        assert!(err.message.contains("malformed length prefix"), "{err}");
     });
 }
 
