@@ -48,7 +48,7 @@ cargo test --offline --release -q --test batching batched_chaos -- --nocapture
 echo "==> pool gate: an executor drains its fair share of the submission queue (channel share rule, 8 queued jobs on 8 executors finish in one round trip, a single executor still drains whole batches in order)"
 cargo test --offline --release -q -p p4db-core -p p4db-common -- recv_share queued_jobs_spread_over_idle_executors a_single_executor_drains_the_whole_queue_in_order
 
-echo "==> driver gate: one load driver (a count stop settles exactly n per session at windows 1 and 4, a timed stop cancels retry loops and reports its measured span, each drive on a cluster draws the seed stream of its call index) and one read-only conversion (both arms draw the same footprints, a zero fraction leaves the stream untouched)"
+echo "==> driver gate: one load driver, Cluster::drive, with supervision and checkpointing on scoped threads beside it (a count stop settles exactly n per session at windows 1 and 4, a timed stop cancels retry loops and reports its measured span, each drive on a cluster draws the seed stream of its call index) and one read-only conversion (both arms draw the same footprints, a zero fraction leaves the stream untouched)"
 cargo test --offline --release -q -p p4db-core -p p4db-workloads -- a_txns_stop_settles_exactly_n_per_session_at_windows_1_and_4 a_timed_stop_cancels_retry_loops_and_measures_its_span each_drive_on_a_cluster_draws_the_stream_of_its_call_index both_arms_draw_the_same_footprints_and_only_the_snapshot_arm_marks_them a_zero_fraction_leaves_the_inner_stream_untouched
 
 echo "==> session gate: one reply queue per session (a dropped ticket's statistics still count, a batchmate's retry does not hold committed replies, a parked waiter is woken only by its own ticket, the channel's wake rule under stress), node-local snapshot reads on the caller's thread (answered before submit returns, remote-home and switch-resident reads still pooled, a dropped inline read's statistics still count, a dropped cluster refuses reads), snapshot slots given back by dropped readers, allocations per session round trip"
@@ -62,13 +62,14 @@ echo "==> switch gate: the pipeline runs on the delivering thread (a frame is an
 cargo test --offline --release -q -p p4db-switch -p p4db-net -- a_frame_is_answered_before_its_send_returns no_frame_is_stranded_behind_a_busy_pipeline a_reply_addressed_to_the_switch_itself_is_ignored a_serial_script_keeps_its_audit_order_and_replies every_delivery_to_a_pumped_endpoint_runs_its_pump_after_queueing undelivered_messages_do_not_pump_and_released_ones_do
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture
 
-echo "==> lock gate: the lock lives in the row (under 8 threads never two exclusive holders of a row, shared holders count up and down, a retired row conflicts, WAIT_DIE lets an older requester wait and kills a younger or equal one, a saturated shared count conflicts), the row index against a std map model (collisions, wrap-around, growth, backward-shift removal), admission (no map entry for a key with a row, a row inserted between the two probes is row-locked too, neither prefetch pass — slot or row — takes a lock, keeps a handle, inserts a row or grows the index, the prefetch passes add no acquisition), the insert lifecycle (a row inserted by an open transaction is locked to others, an aborted insert's row cannot be locked, an insert over a live key retires the old row, each tuple locked once in its strongest mode), and fixed serial YCSB/SmallBank/TPC-C runs logging the recorded WAL (a record digest over the decoded stream, which no codec change may move, and a byte digest over the segments)"
+echo "==> lock gate: the lock lives in the row (under 8 threads never two exclusive holders of a row, shared holders count up and down, a retired row conflicts, WAIT_DIE lets an older requester wait and kills a younger or equal one, a saturated shared count conflicts), the row index against a std map model (collisions, wrap-around, growth, backward-shift removal), admission (no map entry for a key with a row, a row inserted between the two probes is row-locked too, neither prefetch pass — slot or row — takes a lock, keeps a handle, inserts a row or grows the index, the prefetch passes add no acquisition), the insert lifecycle (a row inserted by an open transaction is locked to others, an aborted insert's row cannot be locked, an insert over a live key retires the old row, each tuple locked once in its strongest mode), a drive waiting on a row held by a younger transaction records its WAIT_DIE wait, and fixed serial YCSB/SmallBank/TPC-C runs logging the recorded WAL (a record digest over the decoded stream, which no codec change may move, and a byte digest over the segments)"
 cargo test --offline --release -q -p p4db-storage -p p4db-txn -- no_wait_under_concurrency_never_grants_conflicting_row_locks shared_row_holders_count_up_and_down a_retired_row_conflicts_under_both_schemes under_wait_die_an_older_row_requester_waits under_wait_die_a_shared_row_remembers_its_oldest_owner a_saturated_shared_count_conflicts_instead_of_overflowing property_the_row_index_matches_a_map_model admit_locks_and_resolves_in_one_step a_row_inserted_between_the_two_probes_is_row_locked_too a_prefetch_takes_no_lock_and_resolves_nothing the_prefetch_pass_adds_no_acquisition a_row_inserted_by_an_open_transaction_is_locked_to_others the_row_of_an_aborted_insert_cannot_be_locked an_insert_over_a_live_key_retires_the_old_row a_footprint_locks_each_tuple_once_in_its_strongest_mode
+cargo test --offline --release -q --test sharding lock_wait_time_is_recorded_under_wait_die_contention
 cargo test --offline --release -q --test wal_identity
 
-echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, fuzzy-checkpoint crash, a checkpointed restart leaving ambiguous tuples alone (full 12x3 sweep runs in tier-1); a switch rebuild's divergence check reports a register changed behind the log's back but not an in-flight intent's closure; a segment sequence starting above the fence is missing segments; the log codec's record sizes meet their budgets (a YCSB-A commit group <= 150 B, a SmallBank intent and result <= 60 B, a TPC-C insert <= 34 B, a transaction id once per run and at the head of every segment); supervision passes and control ports leave the fabric registry as they found it"
+echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, fuzzy-checkpoint crash, a checkpointed restart leaving ambiguous tuples alone (full 12x3 sweep runs in tier-1); a switch rebuild's divergence check reports a register changed behind the log's back but not an in-flight intent's closure; a segment sequence starting above the fence is missing segments; the log codec's record sizes meet their budgets (a YCSB-A commit group <= 150 B, a SmallBank intent and result <= 60 B, a TPC-C insert <= 34 B, a transaction id once per run and at the head of every segment); supervision passes and control ports leave the fabric registry as they found it; a breaker re-tripped after re-admission is degraded and re-admitted again"
 cargo test --offline --release -q --test durability smoke_recovery_ -- --nocapture
-cargo test --offline --release -q -p p4db-core -p p4db-storage -p p4db-net -- the_divergence_check_reports_an_unlogged_change_but_not_an_in_flight_closure a_sequence_starting_above_the_fence_is_missing_segments record_sizes_meet_their_budgets supervision_passes_leave_the_fabric_registry_as_they_found_it a_control_port_is_no_node_and_unregisters_when_dropped
+cargo test --offline --release -q -p p4db-core -p p4db-storage -p p4db-net -- the_divergence_check_reports_an_unlogged_change_but_not_an_in_flight_closure a_sequence_starting_above_the_fence_is_missing_segments record_sizes_meet_their_budgets supervision_passes_leave_the_fabric_registry_as_they_found_it a_re_trip_after_re_admission_is_degraded_and_re_admitted_again a_control_port_is_no_node_and_unregisters_when_dropped
 
 echo "==> mvcc gate: snapshot-vs-2PL differential sweep, zero-lock read path, GC safety, doctored-chain detection (folded chains included), the fold-at-install reference model (property_fold_at_install_matches_the_reference_model), the 72 B Row size budget (a_row_stays_within_its_size_budget), a write-only stream retaining only its log (mvcc_memory), and an inserted row retaining at most 128 B of heap (row_memory)"
 cargo test --offline --release -q --test mvcc -- --nocapture

@@ -799,13 +799,15 @@ pub fn fig_recovery(profile: &BenchProfile) -> FigureTable {
 // ---------------------------------------------------------------------------
 
 /// Self-healing timeline: SmallBank traffic through a mid-run switch
-/// blackhole with the circuit breaker enabled. The first windows absorb the
-/// outage — switch timeouts trip the breaker and degraded mode moves hot
-/// transactions onto the host 2PL path — then the supervisor probes the
-/// healed switch, resolves the in-doubt ledger and re-admits the hot set,
-/// and the final windows measure the recovered switch path. The datapoint's
-/// `speedup` column carries min-window/max-window throughput: the fraction
-/// of peak the cluster retains at its worst moment, floored by the CI gate
+/// blackhole, with the supervisor running beside the traffic. The first
+/// windows absorb the outage — switch timeouts trip the breaker and the
+/// supervisor's degraded mode moves hot transactions onto the host 2PL path
+/// — then the supervisor probes the healed switch, resolves the in-doubt
+/// ledger and re-admits the hot set, and the final windows measure the
+/// recovered switch path under a second supervisor run, which degrades and
+/// re-admits a re-trip there the same way. The datapoint's `speedup`
+/// column carries min-window/max-window throughput: the fraction of peak
+/// the cluster retains at its worst moment, floored by the CI gate
 /// ([`json::FLOORS`]). Every window must commit transactions — a zero
 /// window is a liveness failure, not a slow figure.
 pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
@@ -821,41 +823,42 @@ pub fn fig_outage(profile: &BenchProfile) -> FigureTable {
     let mut plan = FaultPlan::quiet(11);
     plan.switch_timeout = Duration::from_millis(4);
     plan.blackhole = Some(BlackholeFault { switch: 0, after_messages: 64, heal_after_drops: 120 });
-    let mut cluster = Cluster::builder(smallbank(50)).distributed_prob(0.0).with_faults(plan).breaker(true).build();
+    let cluster = Cluster::builder(smallbank(50)).distributed_prob(0.0).with_faults(plan).build();
     let switch = SwitchId(0);
 
     let window = profile.measure.clamp(Duration::from_millis(25), Duration::from_millis(50));
-    // Each window runs in 5 slices with a degrade check between slices: a
-    // tripped switch is stood up in degraded mode (WAL-suffix replay into
-    // host rows, hot demoted to 2PL) within ~window/5 of the trip, which is
-    // what the supervisor's degrade pass does under live traffic at its
-    // 2 ms probe cadence. Degrading only at window boundaries would leave a
-    // long window mostly in fail-fast limbo and understate the floor.
-    let run_window = |cluster: &Cluster| -> RunStats {
-        let mut run = RunStats::default();
-        for _ in 0..5 {
-            run.merge(&cluster.drive(Load::new(Stop::For(window / 5))).expect("outage figure: drive failed"));
-            cluster.degrade_tripped().expect("outage figure: degrade failed");
-        }
-        run
+    // Drives `count` windows, each labelled by `phase` as it starts, with the
+    // supervisor on a scoped thread beside them: it degrades a tripped
+    // switch within one 2 ms probe round under live traffic, and once the
+    // windows are over it resolves the in-doubt ledger and re-admits the
+    // switch before returning.
+    let supervised = |count: usize, phase: &dyn Fn() -> &'static str| {
+        let drivers_done = AtomicBool::new(false);
+        let (runs, report) = std::thread::scope(|scope| {
+            let supervisor = scope
+                .spawn(|| cluster.supervise_until(|| drivers_done.load(Ordering::Acquire), Duration::from_secs(30)));
+            let runs: Vec<_> = (0..count).map(|_| (phase(), cluster.drive(Load::new(Stop::For(window))))).collect();
+            drivers_done.store(true, Ordering::Release);
+            (runs, supervisor.join().expect("outage figure: supervisor panicked"))
+        });
+        let runs: Vec<(&'static str, RunStats)> =
+            runs.into_iter().map(|(phase, run)| (phase, run.expect("outage figure: drive failed"))).collect();
+        (runs, report.expect("outage figure: supervisor failed"))
     };
-    let mut windows: Vec<(&'static str, RunStats)> = Vec::new();
     // Outage + floor windows: traffic runs while the blackhole swallows the
-    // hot path.
-    for _ in 0..3 {
-        let phase = if cluster.health().is_degraded(switch) { "degraded floor" } else { "outage" };
-        windows.push((phase, run_window(&cluster)));
-    }
-    // Probe → resolve → re-admit. The drivers are parked between windows, so
-    // the supervisor can quiesce and re-admit as soon as its probe streak
-    // closes the breaker.
-    let report = cluster.supervise_until(|| true, Duration::from_secs(30)).expect("outage figure: supervisor failed");
+    // hot path. The supervisor re-admits the switch as soon as the windows
+    // are over and its probe streak has closed the breaker.
+    let (mut windows, report) =
+        supervised(3, &|| if cluster.health().is_degraded(switch) { "degraded floor" } else { "outage" });
     assert!(report.trips_seen >= 1, "outage figure: the blackhole never tripped the breaker");
     assert!(!report.deadline_forced, "outage figure: supervisor hit its deadline and force-healed the fault");
     assert!(report.recovered.contains(&switch), "outage figure: switch was never re-admitted");
-    for _ in 0..2 {
-        windows.push(("recovered", run_window(&cluster)));
-    }
+    let executed = cluster.switch_stats_at(switch).txns_executed;
+    windows.extend(supervised(2, &|| "recovered").0);
+    assert!(
+        cluster.switch_stats_at(switch).txns_executed > executed,
+        "outage figure: the re-admitted switch executed nothing in the recovered windows"
+    );
     assert!(!cluster.health().is_open(switch), "outage figure: breaker still open after recovery");
     assert_eq!(cluster.health().ledger_len(), 0, "outage figure: unresolved in-doubt transactions after recovery");
 

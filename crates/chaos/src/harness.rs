@@ -26,6 +26,7 @@ use p4db_net::{EndpointId, RecvOutcome};
 use p4db_storage::LogRecord;
 use p4db_switch::{Instruction, SwitchMessage, SwitchTxn, TxnHeader};
 use p4db_workloads::{ReadMix, SmallBank, SmallBankConfig, Tpcc, TpccConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,9 +87,9 @@ pub struct ChaosOptions {
     /// session's in-flight window (`Load::window`): an executor only batches
     /// what is queued. `1` = unbatched, one request in flight per session.
     pub batch: u16,
-    /// Fuzzy-checkpoint cadence (`ClusterBuilder::checkpoint_interval`). When
-    /// set, the harness thread races every traffic wave, checkpointing
-    /// any node whose WAL grew by this many records — the scans are
+    /// Fuzzy-checkpoint cadence. When set, a checkpointer thread races
+    /// every traffic wave, checkpointing any node whose own WAL grew by this
+    /// many records since its last complete checkpoint — the scans are
     /// genuinely fuzzy, racing live writers — and the invariant checker
     /// verifies checkpoint+tail reconstruction against the live tables.
     pub checkpoint_interval: Option<u64>,
@@ -105,13 +106,12 @@ pub struct ChaosOptions {
     /// onto the lock-free snapshot path. `false` runs the same schedule
     /// through ordinary 2PL — the differential baseline arm.
     pub snapshot_arm: bool,
-    /// Runs every wave under the self-healing supervisor: the circuit
-    /// breaker is enabled, the supervisor loop detects trips, stands up
-    /// degraded mode, probes, resolves in-doubt transactions and re-admits —
-    /// no manual recovery calls. (The blackhole fault itself rides in
-    /// [`ChaosOptions::faults`] via [`FaultPlan::blackhole`].) Not combined
-    /// with `checkpoint_interval` — the supervisor owns the harness thread
-    /// the checkpointer would use.
+    /// Runs every wave beside the self-healing supervisor
+    /// (`Cluster::supervise_until` on its own thread, which arms the
+    /// circuit breakers): it detects trips, stands up degraded mode,
+    /// probes, resolves in-doubt transactions and re-admits — no manual
+    /// recovery calls. (The blackhole fault itself rides in
+    /// [`ChaosOptions::faults`] via [`FaultPlan::blackhole`].)
     pub supervised: bool,
 }
 
@@ -318,16 +318,10 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         .seed(options.seed)
         .batch_size(options.batch)
         .test_latencies();
-    if let Some(interval) = options.checkpoint_interval {
-        builder = builder.checkpoint_interval(interval);
-    }
     if let Some(plan) = &options.faults {
         builder = builder.with_faults(plan.clone());
     }
-    if options.supervised {
-        builder = builder.breaker(true);
-    }
-    let mut cluster = builder.try_build()?;
+    let cluster = builder.try_build()?;
 
     let mut traffic = RunStats::default();
     let mut quiesced = true;
@@ -347,28 +341,29 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         max_attempts: options.max_attempts,
     };
     for wave in 0..options.waves.max(1) {
-        let driving = cluster.start(load);
-        if options.supervised {
-            // The supervisor loop owns this thread while the wave runs: trip
-            // detection, degraded mode, probes, in-doubt resolution and
-            // re-admission all happen *during* the wave, with no manual
-            // recovery calls anywhere.
-            let sup = cluster.supervise_until(|| driving.is_done(), Duration::from_secs(20))?;
+        // The supervisor and the checkpointer run beside the wave's drive
+        // until it has settled: degrade, probe, resolve and re-admit happen
+        // *during* the wave, and the fuzzy checkpoint scans race live writers
+        // on purpose (the invariant checker proves checkpoint+tail later).
+        let drive_done = AtomicBool::new(false);
+        let done = || drive_done.load(Ordering::Acquire);
+        let (run, sup, taken) = std::thread::scope(|scope| {
+            let cluster = &cluster;
+            let sup =
+                options.supervised.then(|| scope.spawn(move || cluster.supervise_until(done, Duration::from_secs(20))));
+            let taken =
+                options.checkpoint_interval.map(|every| scope.spawn(move || checkpointer(cluster, every, done)));
+            let run = cluster.drive(load);
+            drive_done.store(true, Ordering::Release);
+            let sup = sup.map(|h| h.join().expect("the supervisor panicked"));
+            (run, sup, taken.map(|h| h.join().expect("the checkpointer panicked")))
+        });
+        if let Some(sup) = sup.transpose()? {
             resolver.merge(&sup.resolver);
             supervisor.get_or_insert_with(SupervisorReport::default).merge(sup);
-        } else if options.checkpoint_interval.is_some() {
-            // The checkpointer races the wave's live traffic on purpose:
-            // the scans are fuzzy, and the invariant checker later proves
-            // checkpoint+tail reconstruction still matches the live state.
-            loop {
-                checkpoints_taken += cluster.maybe_checkpoint();
-                if driving.is_done() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
         }
-        let run = driving.join()?;
+        checkpoints_taken += taken.transpose()?.unwrap_or(0);
+        let run = run?;
         wave_committed.push(run.merged.committed_total());
         traffic.merge(&run);
         quiesced &= cluster.quiesce_switch(Duration::from_secs(10));
@@ -442,6 +437,28 @@ fn run_once(options: &ChaosOptions) -> Result<ChaosReport> {
         minimized_faults: Vec::new(),
         repro: repro_command(options.seed),
     })
+}
+
+/// Checkpoints, every 5 ms until `done` (at least once), each node whose own
+/// WAL grew by at least `interval` records since its last complete
+/// checkpoint (all of it, for a node that never checkpointed). Returns how
+/// many checkpoints it took.
+fn checkpointer(cluster: &Cluster, interval: u64, done: impl Fn() -> bool) -> Result<usize> {
+    let mut taken = 0;
+    loop {
+        for storage in cluster.shared().nodes.iter() {
+            let own = storage.wal().len() as u64;
+            let fence = storage.checkpoints().latest_complete().map_or(0, |c| c.start_fence[storage.node().index()]);
+            if own.saturating_sub(fence) >= interval.max(1) {
+                cluster.checkpoint_node(storage.node())?;
+                taken += 1;
+            }
+        }
+        if done() {
+            return Ok(taken);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// The seeds a seeded chaos test runs: `given`, or only the seed in

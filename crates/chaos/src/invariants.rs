@@ -431,6 +431,7 @@ fn check_cold(
 ) -> i128 {
     let map = cluster.partition_map();
     let owned = switch_owned(cluster);
+    let epochs: Vec<_> = (0..cluster.num_switches()).map(|s| cluster.switch_epoch_at(SwitchId(s as u16))).collect();
     // (home, tuple) -> recovered final images from each coordinator's log.
     let mut candidates: HashMap<(NodeId, TupleId), Vec<u64>> = HashMap::new();
     let mut money_delta: i128 = 0;
@@ -441,7 +442,7 @@ fn check_cold(
             if let LogRecord::ColdWrite { txn, tuple, before, after } = r {
                 if committed.get(txn).copied().unwrap_or(false) && money_tables.contains(&tuple.table) {
                     if let Some(&s) = owned.get(tuple) {
-                        let fence = cluster.switch_epoch_at(s).wal_start.get(n).copied().unwrap_or(0);
+                        let fence = epochs[s.index()].wal_start.get(n).copied().unwrap_or(0);
                         if i < fence {
                             continue; // baked into the re-admission baseline
                         }
@@ -674,9 +675,9 @@ fn check_smallbank(
     // The epoch baselines already contain pre-epoch switch deltas; account
     // for them relative to the offload-time values, switch by switch (each
     // switch's epoch moves independently under per-switch crash/recovery).
-    let baselines: Vec<(SwitchId, &HashMap<TupleId, u64>)> = (0..cluster.num_switches())
-        .map(|s| (SwitchId(s as u16), &cluster.switch_epoch_at(SwitchId(s as u16)).baseline))
-        .collect();
+    let epochs: Vec<_> = (0..cluster.num_switches()).map(|s| cluster.switch_epoch_at(SwitchId(s as u16))).collect();
+    let baselines: Vec<(SwitchId, &HashMap<TupleId, u64>)> =
+        epochs.iter().enumerate().map(|(s, epoch)| (SwitchId(s as u16), &epoch.baseline)).collect();
     let pre_epoch_delta =
         pre_epoch_money_delta(&baselines, cluster.offload_snapshot(), &[SAVINGS, CHECKING], &mut report.violations);
 

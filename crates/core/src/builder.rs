@@ -58,10 +58,8 @@ impl ClusterBuilder {
             chiller: false,
             batch_size: 16,
             wal_segment_records: DEFAULT_SEGMENT_RECORDS,
-            checkpoint_interval: None,
             seed: 42,
             faults: None,
-            breaker: false,
         };
         ClusterBuilder { workload, config }
     }
@@ -153,14 +151,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Fuzzy-checkpoint cadence for [`Cluster::maybe_checkpoint`]: a node is
-    /// checkpointed once its own WAL grows by this many records since its
-    /// last complete checkpoint.
-    pub fn checkpoint_interval(mut self, records: u64) -> Self {
-        self.config.checkpoint_interval = Some(records.max(1));
-        self
-    }
-
     /// RNG seed for generators and backoff.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -174,17 +164,6 @@ impl ClusterBuilder {
     /// `p4db-chaos` invariant checker can verify the run afterwards.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.config.faults = Some(plan);
-        self
-    }
-
-    /// Per-switch circuit breakers for the self-healing path. Off by
-    /// default: switch timeouts surface as in-doubt commits but never demote
-    /// traffic. On, [`p4db_txn::health::TRIP_THRESHOLD`] consecutive
-    /// timeouts open a switch's breaker (its hot transactions fast-fail to
-    /// the host 2PL path) and [`p4db_txn::health::CLOSE_THRESHOLD`]
-    /// consecutive answered probes re-admit it.
-    pub fn breaker(mut self, enabled: bool) -> Self {
-        self.config.breaker = enabled;
         self
     }
 

@@ -1,22 +1,21 @@
-//! Cluster assembly and the experiment driver.
+//! Cluster assembly, node checkpoints and node crash recovery.
 //!
 //! A [`Cluster`] is the full system of the paper's evaluation: `n` database
 //! nodes (each with its partition, lock table and WAL), the programmable
-//! switch (simulator), the rack fabric with the ½-RTT latency model, the
+//! switches (simulator), the rack fabric with the ½-RTT latency model, the
 //! offloaded hot set with its declustered layout, and the per-node executor
 //! pool that runs submitted transactions. The cluster is a *database first*:
 //! any code can open a [`Session`] and execute ad-hoc
 //! transactions; [`Cluster::drive`] is merely the built-in closed-loop
 //! client that drives the workload generators through the same session API
 //! (see [`crate::driver`]) to produce one data point of one figure, one chaos
-//! wave or one test's traffic.
+//! wave or one test's traffic. A switch's crash recovery, degraded mode and
+//! supervision live in [`crate::lifecycle`].
 
-use crate::driver::{Driving, Load};
-use crate::lifecycle::SwitchEpoch;
+use crate::lifecycle::SwitchState;
 use crate::session::{Session, SubmissionPool};
 use p4db_common::faults::{FaultEvent, FaultInjector, FaultPlan};
 use p4db_common::rand_util::FastRng;
-use p4db_common::stats::RunStats;
 use p4db_common::{
     CcScheme, Error, GlobalTxnId, LatencyConfig, NodeId, Result, SwitchId, SystemMode, TupleId, TxnId, Value,
 };
@@ -32,7 +31,7 @@ use p4db_switch::{
 use p4db_txn::{EngineConfig, EngineShared, HotIndexCell, HotSetIndex, SwitchHealth};
 use p4db_workloads::{PartitionMap, Workload};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,11 +73,6 @@ pub struct ClusterConfig {
     /// Smaller segments seal — and checksum — more eagerly; larger ones
     /// amortise the encode.
     pub wal_segment_records: usize,
-    /// Fuzzy-checkpoint cadence: when set, [`Cluster::maybe_checkpoint`]
-    /// checkpoints any node whose own WAL grew by at least this many records
-    /// since its last complete checkpoint. `None` (the default) disables the
-    /// automatic cadence; [`Cluster::checkpoint_node`] still works.
-    pub checkpoint_interval: Option<u64>,
     /// RNG seed (workers derive their own seeds from it).
     pub seed: u64,
     /// Seeded fault-injection plan (chaos testing). When set, the fabric
@@ -86,10 +80,6 @@ pub struct ClusterConfig {
     /// plan's short switch timeout, and the switch keeps its data-plane
     /// audit log for the invariant checker.
     pub faults: Option<FaultPlan>,
-    /// Per-switch circuit breakers (thresholds in [`p4db_txn::health`]).
-    /// Off by default: every health check short-circuits to "healthy" and
-    /// the engine behaves byte-for-byte like the breaker-less build.
-    pub breaker: bool,
 }
 
 /// What [`Cluster::crash_and_recover_node`] did and found.
@@ -149,17 +139,12 @@ pub struct Cluster {
     /// the switches are still alive (struct fields drop in declaration
     /// order).
     pool: SubmissionPool,
-    /// One per switch. A switch has no thread: its pipeline runs on the
-    /// threads that deliver to it, and dropping its handle detaches it.
-    pub(crate) switches: Vec<SwitchHandle>,
-    pub(crate) control_planes: Vec<ControlPlane>,
+    /// One per switch, indexed by [`SwitchId`].
+    pub(crate) switches: Vec<SwitchState>,
     offloaded: usize,
     hot_total: usize,
-    /// One per switch, started at offload time and on every recovery or
-    /// re-admission of that switch.
-    pub(crate) epochs: Vec<SwitchEpoch>,
     /// Drives started on this cluster: the next one's seed salt.
-    drives: AtomicU64,
+    pub(crate) drives: AtomicU64,
 }
 
 impl Cluster {
@@ -272,7 +257,7 @@ impl Cluster {
             Some(plan) => Fabric::with_faults(latency.clone(), Arc::new(FaultInjector::new(plan))),
             None => Fabric::new(latency.clone()),
         };
-        let switches: Vec<SwitchHandle> = memories
+        let handles: Vec<SwitchHandle> = memories
             .into_iter()
             .enumerate()
             .map(|(s, memory)| start_switch_with_id(SwitchId(s as u16), config.switch, memory, fabric.clone()))
@@ -280,9 +265,8 @@ impl Cluster {
 
         // --- Engine ----------------------------------------------------------
         let hot_index = match config.mode {
-            SystemMode::P4db => HotSetIndex::from_control_planes(
-                control_planes.iter().enumerate().map(|(s, cp)| (SwitchId(s as u16), cp)),
-            ),
+            SystemMode::P4db => (control_planes.iter().enumerate())
+                .fold(HotSetIndex::empty(), |index, (s, cp)| index.with_switch(SwitchId(s as u16), Some(cp))),
             // The LM-Switch and Chiller baselines need hot-tuple *identity*
             // even though the data stays on the nodes.
             SystemMode::LmSwitch | SystemMode::NoSwitch => HotSetIndex::from_tuples(hot_tuples.iter().map(|h| h.tuple)),
@@ -299,14 +283,19 @@ impl Cluster {
             hot_index: HotIndexCell::new(hot_index),
             config: engine_config,
             mvcc: p4db_txn::MvccState::new(),
-            health: SwitchHealth::new(num_switches, config.num_nodes as usize, config.breaker),
+            health: SwitchHealth::new(num_switches, config.num_nodes as usize),
         });
+        let switches = handles
+            .into_iter()
+            .zip(control_planes)
+            .map(|(handle, control_plane)| SwitchState::new(handle, control_plane, &shared.nodes))
+            .collect();
 
         // --- Submission pool --------------------------------------------------
         let pool = SubmissionPool::spawn(&shared, &config)?;
         let partition_map = PartitionMap::new(Arc::clone(&workload), config.num_nodes);
 
-        let mut cluster = Cluster {
+        Ok(Cluster {
             config,
             workload,
             shared,
@@ -314,14 +303,10 @@ impl Cluster {
             initial_values,
             pool,
             switches,
-            control_planes,
             offloaded,
             hot_total,
-            epochs: Vec::new(),
             drives: AtomicU64::new(0),
-        };
-        cluster.epochs = (0..num_switches).map(|s| cluster.epoch_starting_now(s)).collect();
-        Ok(cluster)
+        })
     }
 
     pub fn config(&self) -> &ClusterConfig {
@@ -364,8 +349,8 @@ impl Cluster {
     /// Data-plane statistics summed over every switch of the topology.
     pub fn switch_stats(&self) -> SwitchStatsSnapshot {
         let mut merged = SwitchStatsSnapshot::default();
-        for handle in &self.switches {
-            let s = handle.stats();
+        for switch in &self.switches {
+            let s = switch.handle.stats();
             merged.txns_executed += s.txns_executed;
             merged.single_pass += s.single_pass;
             merged.multi_pass += s.multi_pass;
@@ -384,21 +369,7 @@ impl Cluster {
     /// # Panics
     /// Panics when `switch` is outside the topology.
     pub fn switch_stats_at(&self, switch: SwitchId) -> SwitchStatsSnapshot {
-        self.switches[switch.index()].stats()
-    }
-
-    /// The control plane of one switch.
-    ///
-    /// # Panics
-    /// Panics when `switch` is outside the topology.
-    pub fn control_plane_at(&self, switch: SwitchId) -> &ControlPlane {
-        &self.control_planes[switch.index()]
-    }
-
-    /// Current switch-side value of an offloaded tuple, whichever switch
-    /// owns it (placement maps are disjoint across switches).
-    pub fn switch_value(&self, tuple: TupleId) -> Option<u64> {
-        self.control_planes.iter().find_map(|cp| cp.read_tuple(tuple))
+        self.switches[switch.index()].handle.stats()
     }
 
     /// Offload-time initial values of the full hot set, captured once at
@@ -435,15 +406,7 @@ impl Cluster {
     /// # Panics
     /// Panics when `switch` is outside the topology.
     pub fn switch_audit_at(&self, switch: SwitchId) -> Vec<(TxnId, GlobalTxnId)> {
-        self.switches[switch.index()].audit_log()
-    }
-
-    /// The checker baseline of one switch's current epoch.
-    ///
-    /// # Panics
-    /// Panics when `switch` is outside the topology.
-    pub fn switch_epoch_at(&self, switch: SwitchId) -> &SwitchEpoch {
-        &self.epochs[switch.index()]
+        self.switches[switch.index()].handle.audit_log()
     }
 
     /// Waits until every switch has gone quiet: no execution progress across
@@ -455,7 +418,7 @@ impl Cluster {
     /// submitting (flushes the network first so stranded reordered packets
     /// get executed rather than lost).
     pub fn quiesce_switch(&self, timeout: Duration) -> bool {
-        let executed = || self.switches.iter().map(|s| s.executed_count()).sum::<u64>();
+        let executed = || self.switches.iter().map(|s| s.handle.executed_count()).sum::<u64>();
         let deadline = Instant::now() + timeout;
         let mut last = executed();
         let mut stable_polls = 0;
@@ -496,29 +459,6 @@ impl Cluster {
         let blob = take_fuzzy_checkpoint(storage, &wals, generation);
         storage.checkpoints().install(blob);
         Ok(generation)
-    }
-
-    /// Checkpoints every node whose own WAL grew by at least the configured
-    /// [`ClusterConfig::checkpoint_interval`] since its last complete
-    /// checkpoint (all records, for a node that never checkpointed). No-op
-    /// without an interval. Returns how many checkpoints were taken.
-    pub fn maybe_checkpoint(&self) -> usize {
-        let Some(interval) = self.config.checkpoint_interval else {
-            return 0;
-        };
-        let mut taken = 0;
-        for storage in self.shared.nodes.iter() {
-            let node = storage.node();
-            let own = storage.wal().len() as u64;
-            let since = match storage.checkpoints().latest_complete() {
-                Some(c) => own.saturating_sub(c.start_fence.get(node.index()).copied().unwrap_or(0)),
-                None => own,
-            };
-            if since >= interval.max(1) && self.checkpoint_node(node).is_ok() {
-                taken += 1;
-            }
-        }
-        taken
     }
 
     /// The version-GC low-watermark: the oldest snapshot timestamp any
@@ -670,28 +610,13 @@ impl Cluster {
         }
         Ok(report)
     }
-
-    /// Drives the workload's generators with `load` (see [`crate::driver`])
-    /// and returns the merged statistics. Data is *not* reloaded between
-    /// drives, and each drive on a cluster draws a new stream.
-    pub fn drive(&self, load: Load) -> Result<RunStats> {
-        self.start(load).join()
-    }
-
-    /// Starts `load` and returns without waiting: poll
-    /// [`Driving::is_done`], then [`Driving::join`]. The sessions borrow
-    /// nothing, so the caller may take `&mut self` meanwhile (the
-    /// supervised chaos wave runs [`Cluster::supervise_until`]).
-    pub fn start(&self, load: Load) -> Driving {
-        let call = self.drives.fetch_add(1, Ordering::Relaxed);
-        Driving::spawn(self, &self.workload, call, load)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4db_common::stats::TxnClass;
+    use crate::Load;
+    use p4db_common::stats::{RunStats, TxnClass};
     use p4db_txn::Txn;
     use p4db_workloads::{SmallBank, SmallBankConfig, Ycsb, YcsbConfig, YcsbMix};
 
@@ -879,7 +804,7 @@ mod tests {
     fn switch_crash_recovery_restores_registers_and_reoffload_swaps_the_index() {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
-        let mut cluster = Cluster::builder(workload).test_profile().build();
+        let cluster = Cluster::builder(workload).test_profile().build();
         drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
 
@@ -980,7 +905,7 @@ mod tests {
     fn per_switch_crash_recovery_touches_only_the_crashed_switch() {
         let workload: Arc<dyn Workload> =
             Arc::new(SmallBank::new(SmallBankConfig { customers_per_node: 2_000, ..SmallBankConfig::default() }));
-        let mut cluster = Cluster::builder(workload).test_profile().switches(2).build();
+        let cluster = Cluster::builder(workload).test_profile().switches(2).build();
         drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
 
@@ -1032,14 +957,13 @@ mod tests {
             .test_profile()
             .distributed_prob(0.0) // single-partition traffic: unambiguous recovery
             .wal_segment_records(32)
-            .checkpoint_interval(64)
             .build();
         for storage in cluster.shared().nodes.iter() {
             assert_eq!(storage.wal().segment_capacity(), 32, "segment knob must reach every node's WAL");
         }
         drive_n(&cluster, 100);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
-        assert!(cluster.maybe_checkpoint() > 0, "the run must have crossed the checkpoint interval");
+        cluster.checkpoint_node(NodeId(0)).unwrap();
         drive_n(&cluster, 50);
         assert!(cluster.quiesce_switch(Duration::from_secs(5)));
         let report = cluster.crash_and_recover_node(NodeId(0)).unwrap();

@@ -1,23 +1,25 @@
 //! The one load driver behind the figures, the chaos waves, the examples and
 //! the tests. [`Cluster::drive`] runs `workers_per_node` sessions per node,
-//! one thread each. A session keeps up to [`Load::window`] generated
-//! transactions in flight and redeems them in submission order (a window of
-//! 1 is the closed loop of [`crate::Session::execute_request`]; a deeper one fills
-//! executors' shares, so the batched paths run) until it has settled its
-//! quota ([`Stop::Txns`]) or the span of [`Stop::For`] has passed. Session
-//! `s` of node `n` in the `c`-th drive of a cluster draws from the seed
-//! `seed·0x9E3779B97F4A7C15 + (c << 40 | n << 20 | s)`.
+//! one scoped thread each, and returns once every one has settled. A
+//! session keeps up to [`Load::window`] generated transactions in flight and
+//! redeems them in submission order (a window of 1 is the closed loop of
+//! [`crate::Session::execute_request`]; a deeper one fills executors'
+//! shares, so the batched paths run) until it has settled its quota
+//! ([`Stop::Txns`]) or the span of [`Stop::For`] has passed. Session `s` of
+//! node `n` in the `c`-th drive of a cluster draws from the seed
+//! `seed·0x9E3779B97F4A7C15 + (c << 40 | n << 20 | s)`. Work that must run
+//! while traffic does (the supervisor, a checkpointer) runs on another
+//! scoped thread beside the drive.
 
 use crate::session::DEFAULT_MAX_ATTEMPTS;
 use crate::Cluster;
 use p4db_common::rand_util::FastRng;
 use p4db_common::stats::RunStats;
 use p4db_common::{NodeId, Result};
-use p4db_workloads::{Workload, WorkloadCtx};
+use p4db_workloads::WorkloadCtx;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// When a drive's sessions stop submitting.
@@ -48,84 +50,65 @@ impl Load {
     }
 }
 
-/// A drive in progress, returned by [`Cluster::start`].
-pub struct Driving {
-    sessions: Vec<JoinHandle<Result<RunStats>>>,
-    stop: Arc<AtomicBool>,
-    /// Set for [`Stop::For`].
-    deadline: Option<Instant>,
-    started: Instant,
-}
-
-impl Driving {
-    /// Spawns one thread per session; `call` salts the seeds.
-    pub(crate) fn spawn(cluster: &Cluster, workload: &Arc<dyn Workload>, call: u64, load: Load) -> Self {
-        let config = cluster.config();
+impl Cluster {
+    /// Drives the workload's generators with `load` and returns the merged
+    /// statistics. Data is *not* reloaded between drives, and each drive on
+    /// a cluster draws a new stream. `wall_time` is the measured span from
+    /// the first spawn to the last join. Every session is joined before an
+    /// error is returned, so none outlives the drive; a session's panic is
+    /// re-raised with its own payload.
+    pub fn drive(&self, load: Load) -> Result<RunStats> {
+        let call = self.drives.fetch_add(1, Ordering::Relaxed);
+        let config = self.config();
         let started = Instant::now();
-        let stop = Arc::new(AtomicBool::new(false));
-        let (quota, deadline) = match load.stop {
-            Stop::Txns(n) => (n, None),
-            Stop::For(span) => (usize::MAX, Some(started + span)),
+        let cancel = Arc::new(AtomicBool::new(false));
+        let (workload, stop, window) = (&*self.workload, &*cancel, load.window.max(1));
+        let quota = match load.stop {
+            Stop::Txns(n) => n,
+            Stop::For(_) => usize::MAX,
         };
-        let mut sessions = Vec::new();
-        for node in 0..config.num_nodes {
-            for s in 0..config.workers_per_node {
-                let mut session = cluster.session(NodeId(node)).expect("every cluster node has a submission queue");
-                session.set_max_attempts(load.max_attempts);
-                session.set_cancel_flag(Arc::clone(&stop));
-                let ctx = WorkloadCtx::new(config.num_nodes, NodeId(node), config.distributed_prob);
-                let salt = call << 40 | (node as u64) << 20 | s as u64;
-                let mut rng = FastRng::new(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(salt));
-                let (workload, stop, window, mut quota) =
-                    (Arc::clone(workload), Arc::clone(&stop), load.window.max(1), quota);
-                // The closed loop: keep `window` transactions in flight until
-                // the quota is submitted or the stop is raised, then settle
-                // the rest. An abort settles as failed; any other error ends
-                // the session with it.
-                sessions.push(std::thread::spawn(move || {
-                    let mut run = RunStats::default();
-                    let mut in_flight = VecDeque::with_capacity(window);
-                    loop {
-                        while quota > 0 && in_flight.len() < window && !stop.load(Ordering::Relaxed) {
-                            in_flight.push_back(session.submit_request(&workload.generate(&ctx, &mut rng))?);
-                            quota -= 1;
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let mut sessions = Vec::new();
+            for node in 0..config.num_nodes {
+                for s in 0..config.workers_per_node {
+                    let mut session = self.session(NodeId(node)).expect("every cluster node has a submission queue");
+                    session.set_max_attempts(load.max_attempts);
+                    session.set_cancel_flag(Arc::clone(&cancel));
+                    let ctx = WorkloadCtx::new(config.num_nodes, NodeId(node), config.distributed_prob);
+                    let salt = call << 40 | (node as u64) << 20 | s as u64;
+                    let mut rng = FastRng::new(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(salt));
+                    let mut quota = quota;
+                    // The closed loop: keep `window` transactions in flight
+                    // until the quota is submitted or the stop is raised,
+                    // then settle the rest. An abort settles as failed; any
+                    // other error ends the session with it.
+                    sessions.push(scope.spawn(move || {
+                        let mut run = RunStats::default();
+                        let mut in_flight = VecDeque::with_capacity(window);
+                        loop {
+                            while quota > 0 && in_flight.len() < window && !stop.load(Ordering::Relaxed) {
+                                in_flight.push_back(session.submit_request(&workload.generate(&ctx, &mut rng))?);
+                                quota -= 1;
+                            }
+                            let Some(pending) = in_flight.pop_front() else { break };
+                            match session.wait(pending) {
+                                Ok(outcome) => run.in_doubt += u64::from(outcome.in_doubt),
+                                Err(e) if e.is_abort() => run.failed += 1,
+                                Err(e) => return Err(e),
+                            }
                         }
-                        let Some(pending) = in_flight.pop_front() else { break };
-                        match session.wait(pending) {
-                            Ok(outcome) => run.in_doubt += u64::from(outcome.in_doubt),
-                            Err(e) if e.is_abort() => run.failed += 1,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    run.merged = session.take_stats();
-                    Ok(run)
-                }));
+                        run.merged = session.take_stats();
+                        Ok(run)
+                    }));
+                }
             }
-        }
-        Driving { sessions, stop, deadline, started }
-    }
-
-    /// Whether every session has settled its last transaction (raising the
-    /// stop of a [`Stop::For`] drive once its span has passed).
-    pub fn is_done(&self) -> bool {
-        if self.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-            self.stop.store(true, Ordering::Relaxed);
-        }
-        self.sessions.iter().all(JoinHandle::is_finished)
-    }
-
-    /// Waits for the stop, joins every session and merges what they
-    /// settled. `wall_time` is the measured span from the first spawn to
-    /// the last join. Every session is joined before an error is returned,
-    /// so none outlives the drive; a session's panic is re-raised with its
-    /// own payload.
-    pub fn join(self) -> Result<RunStats> {
-        if let Some(deadline) = self.deadline {
-            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-            self.stop.store(true, Ordering::Relaxed);
-        }
-        let joined: Vec<_> = self.sessions.into_iter().map(JoinHandle::join).collect();
-        let mut run = RunStats::from_workers([], self.started.elapsed());
+            if let Stop::For(span) = load.stop {
+                std::thread::sleep(span.saturating_sub(started.elapsed()));
+                stop.store(true, Ordering::Relaxed);
+            }
+            sessions.into_iter().map(|h| h.join()).collect()
+        });
+        let mut run = RunStats::from_workers([], started.elapsed());
         for session in joined {
             run.merge(&session.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?);
         }
@@ -140,7 +123,7 @@ mod tests {
     use p4db_layout::TxnTrace;
     use p4db_storage::{LockMode, NodeStorage};
     use p4db_txn::TxnRequest;
-    use p4db_workloads::{HotTuple, SmallBank, SmallBankConfig, Ycsb, YcsbConfig, YcsbMix};
+    use p4db_workloads::{HotTuple, SmallBank, SmallBankConfig, Workload, Ycsb, YcsbConfig, YcsbMix};
     use std::sync::Mutex;
 
     fn ycsb() -> Arc<dyn Workload> {

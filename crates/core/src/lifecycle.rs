@@ -1,16 +1,24 @@
 //! The switch lifecycle: crash recovery from the node logs, degraded mode,
 //! heartbeat probes, re-admission and the self-healing supervisor.
+//!
+//! Every operation here takes `&self`. Each switch keeps its control plane
+//! and checker epoch behind one lock (`SwitchState`), held for a whole
+//! operation on that switch, so the supervisor can run on a scoped thread
+//! beside [`Cluster::drive`]. No transaction path takes that lock: workers
+//! read only the published hot-set index and the health state.
 
 use crate::cluster::{decode_log, Cluster};
 use crate::session::ResolverReport;
 use p4db_common::rand_util::FastRng;
+use p4db_common::sync::unpoison;
 use p4db_common::{Error, NodeId, Result, SwitchId, TupleId, TxnId};
 use p4db_net::{EndpointId, Mailbox};
-use p4db_storage::{recover_switch_state, LogRecord, SwitchRecoveryOutcome, Table};
-use p4db_switch::{ProbeRequest, RegisterSlot, SwitchMessage};
-use p4db_txn::{HotSetIndex, SwitchHealth};
+use p4db_storage::{recover_switch_state, LogRecord, NodeStorage, SwitchRecoveryOutcome, Table};
+use p4db_switch::{ControlPlane, ProbeRequest, RegisterSlot, SwitchHandle, SwitchMessage};
+use p4db_txn::SwitchHealth;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The checker baseline for the current *switch epoch* of one switch.
@@ -30,6 +38,46 @@ pub struct SwitchEpoch {
     pub audit_start: usize,
     /// Per-node WAL lengths at the epoch start.
     pub wal_start: Vec<usize>,
+}
+
+impl SwitchEpoch {
+    /// The epoch that starts now: the switch's current registers are the
+    /// baseline.
+    fn starting_now(handle: &SwitchHandle, control_plane: &ControlPlane, nodes: &[Arc<NodeStorage>]) -> Arc<Self> {
+        Arc::new(SwitchEpoch {
+            baseline: control_plane.snapshot().into_iter().collect(),
+            audit_start: handle.audit_len(),
+            wal_start: nodes.iter().map(|n| n.wal().len()).collect(),
+        })
+    }
+}
+
+/// One switch of the topology: its data-plane handle and its lifecycle
+/// state.
+pub(crate) struct SwitchState {
+    /// A switch has no thread: its pipeline runs on the threads that
+    /// deliver to it, and dropping its handle detaches it.
+    pub(crate) handle: SwitchHandle,
+    lifecycle: Mutex<Lifecycle>,
+}
+
+/// What a lifecycle operation reads and rewrites, under one lock.
+struct Lifecycle {
+    control_plane: ControlPlane,
+    /// Started at offload time and on every recovery or re-admission.
+    epoch: Arc<SwitchEpoch>,
+}
+
+impl SwitchState {
+    /// A switch whose first epoch starts now.
+    pub(crate) fn new(handle: SwitchHandle, control_plane: ControlPlane, nodes: &[Arc<NodeStorage>]) -> Self {
+        let epoch = SwitchEpoch::starting_now(&handle, &control_plane, nodes);
+        SwitchState { handle, lifecycle: Mutex::new(Lifecycle { control_plane, epoch }) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Lifecycle> {
+        unpoison(self.lifecycle.lock())
+    }
 }
 
 /// What [`Cluster::crash_and_recover_switch_at`] did and found.
@@ -86,15 +134,45 @@ impl SupervisorReport {
 }
 
 impl Cluster {
-    /// The index of `switch`, or a structured error outside the topology.
-    fn switch_index(&self, switch: SwitchId) -> Result<usize> {
-        match switch.index() {
-            s if s < self.switches.len() => Ok(s),
-            _ => Err(Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len()))),
-        }
+    /// The state of `switch`, or a structured error outside the topology.
+    fn switch_state(&self, switch: SwitchId) -> Result<&SwitchState> {
+        self.switches
+            .get(switch.index())
+            .ok_or_else(|| Error::InvalidConfig(format!("no {switch} in a {}-switch topology", self.switches.len())))
     }
 
-    /// Rebuilds switch `s`'s registers from the node logs (§6.1, §A.3).
+    /// The control plane of one switch. The returned guard holds the
+    /// switch's lifecycle lock, so a lifecycle operation on that switch
+    /// waits until it is dropped.
+    ///
+    /// # Panics
+    /// Panics when `switch` is outside the topology.
+    pub fn control_plane_at(&self, switch: SwitchId) -> impl Deref<Target = ControlPlane> + '_ {
+        struct Guard<'a>(MutexGuard<'a, Lifecycle>);
+        impl Deref for Guard<'_> {
+            type Target = ControlPlane;
+            fn deref(&self) -> &ControlPlane {
+                &self.0.control_plane
+            }
+        }
+        Guard(self.switches[switch.index()].lock())
+    }
+
+    /// Current switch-side value of an offloaded tuple, whichever switch
+    /// owns it (placement maps are disjoint across switches).
+    pub fn switch_value(&self, tuple: TupleId) -> Option<u64> {
+        self.switches.iter().find_map(|switch| switch.lock().control_plane.read_tuple(tuple))
+    }
+
+    /// The checker baseline of one switch's current epoch.
+    ///
+    /// # Panics
+    /// Panics when `switch` is outside the topology.
+    pub fn switch_epoch_at(&self, switch: SwitchId) -> Arc<SwitchEpoch> {
+        Arc::clone(&self.switches[switch.index()].lock().epoch)
+    }
+
+    /// Rebuilds a switch's registers from the node logs (§6.1, §A.3).
     /// Each node's log is decoded once, from the switch's epoch fence,
     /// straight from its serialised segments, and filtered in place to the
     /// intent and result records this switch owns: a cross-switch
@@ -104,12 +182,15 @@ impl Cluster {
     /// outcome, the per-node owned records (for the divergence check) and
     /// the per-node log lengths consumed: intents logged at or below them
     /// are folded into the reconstruction (the resolver's fence).
-    fn replay_switch_suffix(&self, s: usize) -> Result<(SwitchRecoveryOutcome, Vec<Vec<LogRecord>>, Vec<usize>)> {
-        let owned: HashSet<TupleId> = self.control_planes[s].placements().map(|(t, _)| t).collect();
+    fn replay_switch_suffix(
+        &self,
+        lifecycle: &Lifecycle,
+    ) -> Result<(SwitchRecoveryOutcome, Vec<Vec<LogRecord>>, Vec<usize>)> {
+        let owned: HashSet<TupleId> = lifecycle.control_plane.placements().map(|(t, _)| t).collect();
         let owns = |tuple: Option<&TupleId>| tuple.is_some_and(|t| owned.contains(t));
         let mut logs = Vec::with_capacity(self.shared.num_nodes());
         let mut consumed = Vec::with_capacity(self.shared.num_nodes());
-        for (storage, &start) in self.shared.nodes.iter().zip(&self.epochs[s].wal_start) {
+        for (storage, &start) in self.shared.nodes.iter().zip(&lifecycle.epoch.wal_start) {
             let (mut records, torn) = decode_log(storage, start as u64)?;
             if let Some(note) = torn {
                 // Switch recovery replays intent/result pairs and cannot
@@ -124,7 +205,7 @@ impl Cluster {
             });
             logs.push(records);
         }
-        Ok((recover_switch_state(&self.epochs[s].baseline, &logs), logs, consumed))
+        Ok((recover_switch_state(&lifecycle.epoch.baseline, &logs), logs, consumed))
     }
 
     /// Simulates a crash + recovery of **one** switch from the node WALs
@@ -147,13 +228,14 @@ impl Cluster {
     /// Call only while switch traffic is quiesced
     /// ([`Cluster::quiesce_switch`]).
     pub fn crash_and_recover_switch_at(
-        &mut self,
+        &self,
         switch: SwitchId,
         reoffload_seed: Option<u64>,
     ) -> Result<SwitchRecoveryReport> {
-        let s = self.switch_index(switch)?;
-        let pre_crash: HashMap<TupleId, u64> = self.control_planes[s].snapshot().into_iter().collect();
-        let (outcome, logs, consumed) = self.replay_switch_suffix(s)?;
+        let state = self.switch_state(switch)?;
+        let mut lifecycle = state.lock();
+        let pre_crash: HashMap<TupleId, u64> = lifecycle.control_plane.snapshot().into_iter().collect();
+        let (outcome, logs, consumed) = self.replay_switch_suffix(&lifecycle)?;
         // Resolver fence: intents at or below the consumed WAL lengths are
         // folded into this reconstruction — in-doubt entries below the fence
         // resolve as committed without querying the switch.
@@ -166,38 +248,39 @@ impl Cluster {
         // slots within the crashed one. Cell indices are assigned in
         // next_free order, so placing in slot order reproduces the original
         // placement exactly.
-        let mut original: Vec<(TupleId, RegisterSlot)> = self.control_planes[s].placements().collect();
+        let mut original: Vec<(TupleId, RegisterSlot)> = lifecycle.control_plane.placements().collect();
         original.sort_by_key(|&(_, slot)| (slot.stage, slot.array, slot.index));
         // The replay starts from the epoch baseline, which holds every owned
         // tuple, so each has a rebuilt value.
         let values: Vec<(TupleId, u64)> =
             original.iter().map(|&(t, _)| (t, outcome.values.get(&t).copied().unwrap_or(0))).collect();
         match reoffload_seed {
-            Some(seed) => self.reoffload(s, seed, &original, &values)?,
-            None => self.restore_registers(s, &values),
+            Some(seed) => self.reoffload(switch, &mut lifecycle.control_plane, seed, &original, &values)?,
+            None => restore_registers(&mut lifecycle.control_plane, &values),
         }
 
         // New epoch for this switch: the restored values are the checker's
         // new baseline, so the next recovery of this switch replays only the
         // new epoch's WAL suffix against a never-stale baseline.
-        self.epochs[s] = self.epoch_starting_now(s);
+        lifecycle.epoch = SwitchEpoch::starting_now(&state.handle, &lifecycle.control_plane, &self.shared.nodes);
 
         Ok(SwitchRecoveryReport {
-            restored_tuples: self.epochs[s].baseline.len(),
+            restored_tuples: lifecycle.epoch.baseline.len(),
             outcome,
             reoffloaded: reoffload_seed.is_some(),
             unexplained_divergences,
         })
     }
 
-    /// Re-offloads switch `s`'s tuples into fresh register slots in a
-    /// seeded random order and publishes the new index. If they do not fit,
-    /// the `original` placement (which held every tuple before the crash) is
+    /// Re-offloads `switch`'s tuples into fresh register slots in a seeded
+    /// random order and publishes the new index. If they do not fit, the
+    /// `original` placement (which held every tuple before the crash) is
     /// rebuilt and published before the failure is returned, so no worker
     /// keeps a stale index over reshuffled registers.
     fn reoffload(
-        &mut self,
-        s: usize,
+        &self,
+        switch: SwitchId,
+        control_plane: &mut ControlPlane,
         seed: u64,
         original: &[(TupleId, RegisterSlot)],
         values: &[(TupleId, u64)],
@@ -206,11 +289,10 @@ impl Cluster {
             self.workload.hot_tuples(self.config.num_nodes).into_iter().map(|h| (h.tuple, h.byte_width)).collect();
         let width = |tuple| widths.get(&tuple).copied().unwrap_or(8);
         let mut order = values.to_vec();
-        let mut rng = FastRng::new(seed ^ 0x0FF_10AD ^ s as u64);
+        let mut rng = FastRng::new(seed ^ 0x0FF_10AD ^ switch.index() as u64);
         for i in (1..order.len()).rev() {
             order.swap(i, rng.pick(i + 1));
         }
-        let control_plane = &mut self.control_planes[s];
         control_plane.reset();
         let placed = order.iter().try_for_each(|&(t, v)| control_plane.offload_anywhere(t, width(t), v).map(drop));
         if placed.is_err() {
@@ -219,39 +301,20 @@ impl Cluster {
                 control_plane.offload_into(t, slot.stage, slot.array, width(t), v)?;
             }
         }
-        self.publish_hot_index(None);
+        self.publish_hot_index(switch, Some(control_plane));
         placed
     }
 
-    /// Rewrites switch `s`'s registers in their current placements: the
-    /// crashed data is lost, the data-plane program and placements stay.
-    fn restore_registers(&mut self, s: usize, values: &[(TupleId, u64)]) {
-        self.control_planes[s].crash_data();
-        self.control_planes[s].restore(values);
-    }
-
-    /// Publishes the hot-set index of every switch but `without` to the
-    /// workers.
-    fn publish_hot_index(&self, without: Option<usize>) {
-        let planes = self.control_planes.iter().enumerate().filter(|&(i, _)| Some(i) != without);
-        let index = HotSetIndex::from_control_planes(planes.map(|(i, cp)| (SwitchId(i as u16), cp)));
-        self.shared.hot_index.swap(Arc::new(index));
+    /// Publishes the hot-set index with `switch`'s entries taken from
+    /// `control_plane`, or dropped without one.
+    fn publish_hot_index(&self, switch: SwitchId, control_plane: Option<&ControlPlane>) {
+        self.shared.hot_index.update(|index| index.with_switch(switch, control_plane));
     }
 
     /// The host table that holds an offloaded tuple's row.
     fn host_table(&self, tuple: TupleId) -> Option<&Table> {
         let home = self.partition_map.home(tuple)?;
         self.shared.node(home).table(tuple.table).ok()
-    }
-
-    /// The epoch of switch `s` that starts now: its current registers are
-    /// the baseline.
-    pub(crate) fn epoch_starting_now(&self, s: usize) -> SwitchEpoch {
-        SwitchEpoch {
-            baseline: self.control_planes[s].snapshot().into_iter().collect(),
-            audit_start: self.switches[s].audit_len(),
-            wal_start: self.shared.nodes.iter().map(|n| n.wal().len()).collect(),
-        }
     }
 
     // --- Self-healing: degraded mode, probes, supervised recovery ----------
@@ -280,10 +343,10 @@ impl Cluster {
     /// and the owned rows see no host writers until the flag flips. Returns
     /// the number of host rows seeded.
     pub fn degrade_switch(&self, switch: SwitchId) -> Result<usize> {
-        let s = self.switch_index(switch)?;
-        let (outcome, _, consumed) = self.replay_switch_suffix(s)?;
+        let lifecycle = self.switch_state(switch)?.lock();
+        let (outcome, _, consumed) = self.replay_switch_suffix(&lifecycle)?;
         let mut restored = 0usize;
-        for (tuple, _) in self.control_planes[s].placements() {
+        for (tuple, _) in lifecycle.control_plane.placements() {
             let Some(table) = self.host_table(tuple) else { continue };
             if let Ok(mut live) = table.read(tuple.key) {
                 live.set_switch_word(outcome.values.get(&tuple).copied().unwrap_or(0));
@@ -294,7 +357,7 @@ impl Cluster {
         // Publish the shrunken index *before* raising the flag: a worker
         // that observes the flag (and demotes a stale-index hot op) must be
         // guaranteed the host rows already hold the reconstructed values.
-        self.publish_hot_index(Some(s));
+        self.publish_hot_index(switch, None);
         self.shared.health.set_fence(switch, consumed);
         self.shared.health.set_degraded(switch, true);
         Ok(restored)
@@ -303,7 +366,7 @@ impl Cluster {
     /// Stands up degraded mode ([`Cluster::degrade_switch`]) for every
     /// switch whose breaker is open and that is not degraded yet: the
     /// supervisor's first step. Returns those switches in index order.
-    pub fn degrade_tripped(&self) -> Result<Vec<SwitchId>> {
+    fn degrade_tripped(&self) -> Result<Vec<SwitchId>> {
         let health = &self.shared.health;
         let mut degraded = Vec::new();
         for sid in (0..self.switches.len()).map(|s| SwitchId(s as u16)) {
@@ -319,7 +382,7 @@ impl Cluster {
     /// earned a close: re-seeds its registers from the owning host rows
     /// (during degraded mode the host rows are the authoritative values — a
     /// WAL switch-replay alone would miss the degraded-era cold commits),
-    /// publishes the full hot-set index, starts a fresh checker epoch,
+    /// publishes its hot-set index entries, starts a fresh checker epoch,
     /// heals any lingering targeted network fault, closes the breaker and
     /// lifts the degraded flag. Returns the number of registers re-seeded.
     ///
@@ -327,20 +390,22 @@ impl Cluster {
     /// after its drivers finish), and resolve the in-doubt ledger first —
     /// while the host rows are still authoritative, so a replayed intent's
     /// effect survives the re-seeding.
-    pub fn readmit_switch(&mut self, switch: SwitchId) -> Result<usize> {
-        let s = self.switch_index(switch)?;
-        let values: Vec<(TupleId, u64)> = self.control_planes[s]
+    pub fn readmit_switch(&self, switch: SwitchId) -> Result<usize> {
+        let state = self.switch_state(switch)?;
+        let mut lifecycle = state.lock();
+        let values: Vec<(TupleId, u64)> = lifecycle
+            .control_plane
             .placements()
             .map(|(tuple, _)| {
                 let host = self.host_table(tuple).and_then(|table| table.read(tuple.key).ok());
-                let value = host.map(|v| v.switch_word()).or_else(|| self.epochs[s].baseline.get(&tuple).copied());
+                let value = host.map(|v| v.switch_word()).or_else(|| lifecycle.epoch.baseline.get(&tuple).copied());
                 (tuple, value.unwrap_or(0))
             })
             .collect();
-        self.restore_registers(s, &values);
-        self.publish_hot_index(None);
+        restore_registers(&mut lifecycle.control_plane, &values);
+        self.publish_hot_index(switch, Some(&lifecycle.control_plane));
         // Fresh checker epoch: the re-seeded registers are the new baseline.
-        self.epochs[s] = self.epoch_starting_now(s);
+        lifecycle.epoch = SwitchEpoch::starting_now(&state.handle, &lifecycle.control_plane, &self.shared.nodes);
         // Open the road back up.
         self.shared.fabric.heal_switch(switch.0);
         self.shared.health.close(switch);
@@ -358,12 +423,14 @@ impl Cluster {
             && port.recv_until(Instant::now() + timeout, echo).is_ok()
     }
 
-    /// The self-healing supervisor loop. Runs **on the calling thread**
-    /// (degrade and re-admission need `&mut Cluster`; driver sessions are
-    /// self-contained and run on their own threads) until `drivers_done`
-    /// returns true *and* every breaker is closed:
+    /// The self-healing supervisor loop. Runs on the calling thread —
+    /// typically a scoped thread beside [`Cluster::drive`] — until
+    /// `drivers_done` returns true *and* every breaker is closed. Its first
+    /// call arms the circuit breakers ([`SwitchHealth::arm`]); they stay
+    /// armed, since a later re-trip needs a supervisor run to close it.
     ///
-    /// 1. a tripped breaker stands up degraded mode ([`Cluster::degrade_tripped`]),
+    /// 1. a tripped breaker stands up degraded mode
+    ///    ([`Cluster::degrade_switch`]),
     /// 2. every open breaker is heartbeat-probed every 2 ms (probe outcomes
     ///    walk the breaker Open → Half-Open → ready-to-close),
     /// 3. once the drivers are done, a ready switch is re-admitted — quiesce,
@@ -373,11 +440,8 @@ impl Cluster {
     /// Past `deadline` the supervisor force-heals the targeted network fault
     /// (the model's "replace the broken hardware" escape hatch) and gives
     /// the loop one more deadline before giving up; the report records it.
-    pub fn supervise_until<F: Fn() -> bool>(
-        &mut self,
-        drivers_done: F,
-        deadline: Duration,
-    ) -> Result<SupervisorReport> {
+    pub fn supervise_until<F: Fn() -> bool>(&self, drivers_done: F, deadline: Duration) -> Result<SupervisorReport> {
+        self.shared.health.arm();
         let port = self.shared.fabric.control_port();
         let probe_timeout = Duration::from_millis(2).max(Duration::from_nanos(8 * self.config.latency.one_way_ns));
         let start = Instant::now();
@@ -432,6 +496,13 @@ impl Cluster {
         report.trips_seen = self.shared.health.trips();
         Ok(report)
     }
+}
+
+/// Rewrites a switch's registers in their current placements: the crashed
+/// data is lost, the data-plane program and placements stay.
+fn restore_registers(control_plane: &mut ControlPlane, values: &[(TupleId, u64)]) {
+    control_plane.crash_data();
+    control_plane.restore(values);
 }
 
 /// The tuples whose rebuilt value differs from the live pre-crash value with
@@ -495,11 +566,14 @@ fn unexplained_divergences(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Load, Stop};
+    use p4db_common::faults::FaultPlan;
     use p4db_common::{GlobalTxnId, WorkerId};
     use p4db_storage::LoggedSwitchOp;
     use p4db_switch::OpCode;
     use p4db_txn::health::TRIP_THRESHOLD;
     use p4db_workloads::{Workload, Ycsb, YcsbConfig, YcsbMix};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn small_cluster() -> Cluster {
         let workload: Arc<dyn Workload> =
@@ -511,7 +585,8 @@ mod tests {
     fn a_tripped_switch_is_degraded_once_and_a_closed_one_never() {
         let workload: Arc<dyn Workload> =
             Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
-        let cluster = Cluster::builder(workload).test_profile().switches(2).breaker(true).build();
+        let cluster = Cluster::builder(workload).test_profile().switches(2).build();
+        cluster.health().arm();
         let (tripped, closed) = (SwitchId(1), SwitchId(0));
         assert!(cluster.degrade_tripped().unwrap().is_empty(), "no breaker is open yet");
         for _ in 0..TRIP_THRESHOLD {
@@ -531,7 +606,7 @@ mod tests {
 
     #[test]
     fn the_divergence_check_reports_an_unlogged_change_but_not_an_in_flight_closure() {
-        let mut cluster = small_cluster();
+        let cluster = small_cluster();
         let sw = SwitchId(0);
         let live = |cluster: &Cluster, tuple| cluster.switch_value(tuple).expect("offloaded");
         let hot: Vec<TupleId> = cluster.control_plane_at(sw).snapshot().into_iter().map(|(t, _)| t).collect();
@@ -559,7 +634,7 @@ mod tests {
 
         // Case 2: a register changed behind the log's back — no intent
         // explains it, so recovery restores the logged value and reports it.
-        cluster.control_planes[sw.index()].restore(&[(c, c0 + 1)]);
+        cluster.switches[sw.index()].lock().control_plane.restore(&[(c, c0 + 1)]);
         let report = cluster.crash_and_recover_switch_at(sw, None).unwrap();
         assert_eq!(report.unexplained_divergences, vec![(c, c0 + 1, c0)]);
         assert_eq!(live(&cluster, c), c0);
@@ -567,7 +642,7 @@ mod tests {
 
     #[test]
     fn supervision_passes_leave_the_fabric_registry_as_they_found_it() {
-        let mut cluster = small_cluster();
+        let cluster = small_cluster();
         let endpoints = |cluster: &Cluster| cluster.shared().fabric.endpoints().into_iter().collect::<HashSet<_>>();
         let before = endpoints(&cluster);
         for _ in 0..3 {
@@ -575,5 +650,46 @@ mod tests {
             assert!(report.degraded.is_empty() && !report.deadline_forced);
         }
         assert_eq!(endpoints(&cluster), before);
+    }
+
+    /// One supervised drive: a supervisor runs on a scoped thread while
+    /// `TRIP_THRESHOLD` forced failures open `switch`'s breaker and a drive
+    /// runs through the outage; once the drive has settled, the supervisor
+    /// re-admits the switch and returns.
+    fn supervised_trip(cluster: &Cluster, switch: SwitchId) -> SupervisorReport {
+        let drivers_done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let supervisor = scope
+                .spawn(|| cluster.supervise_until(|| drivers_done.load(Ordering::Acquire), Duration::from_secs(20)));
+            // Failures count once the supervisor has armed the breaker.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cluster.health().record_failure(switch) {
+                assert!(Instant::now() < deadline, "the supervisor never armed the breaker");
+                std::thread::yield_now();
+            }
+            let stats = cluster.drive(Load::new(Stop::Txns(50)));
+            drivers_done.store(true, Ordering::Release);
+            let report = supervisor.join().expect("supervisor panicked").expect("supervisor failed");
+            assert!(stats.expect("drive failed").merged.committed_total() > 0, "the outage stopped all traffic");
+            report
+        })
+    }
+
+    #[test]
+    fn a_re_trip_after_re_admission_is_degraded_and_re_admitted_again() {
+        let workload: Arc<dyn Workload> =
+            Arc::new(Ycsb::new(YcsbConfig { keys_per_node: 2_000, ..YcsbConfig::new(YcsbMix::A) }));
+        let cluster = Cluster::builder(workload).test_profile().with_faults(FaultPlan::quiet(5)).build();
+        let sw = SwitchId(0);
+        let mut report = supervised_trip(&cluster, sw);
+        assert_eq!(report.recovered, vec![sw], "the first trip is re-admitted");
+        report.merge(supervised_trip(&cluster, sw));
+        assert_eq!(report.degraded, vec![sw, sw], "both trips are degraded");
+        assert_eq!(report.recovered, vec![sw, sw], "both trips are re-admitted");
+        assert_eq!(report.trips_seen, 2);
+        assert!(!report.deadline_forced);
+        assert!(!cluster.health().is_open(sw), "the breaker ends closed");
+        assert!(!cluster.health().is_degraded(sw));
+        assert_eq!(cluster.health().ledger_len(), 0, "the ledger ends empty");
     }
 }

@@ -80,7 +80,7 @@ pub struct EngineShared {
     pub nodes: Vec<Arc<NodeStorage>>,
     pub latency: LatencyModel,
     pub fabric: Fabric<SwitchMessage>,
-    /// The replicated hot-set index, swappable for mid-run re-offload
+    /// The replicated hot-set index, updatable for mid-run re-offload
     /// recovery. Workers snapshot it once per transaction.
     pub hot_index: HotIndexCell,
     pub config: EngineConfig,
@@ -1340,7 +1340,7 @@ impl Worker {
 
     /// Aborts the host transaction and records the abort in the statistics.
     fn fail_host(&mut self, txn_id: TxnId, state: &mut HostTxnState, stats: &mut WorkerStats, e: &Error) {
-        self.abort_host(txn_id, state, stats);
+        self.abort_host(txn_id, state);
         stats.record_abort(e.abort_reason().unwrap_or(AbortReason::ConstraintViolation));
     }
 
@@ -1402,7 +1402,7 @@ impl Worker {
     /// Rolls a host (sub-)transaction back: undoes writes through their
     /// admission-resolved handles (no table lookups), removes inserted rows,
     /// releases all locks and logs the abort.
-    fn abort_host(&mut self, txn_id: TxnId, state: &mut HostTxnState, _stats: &mut WorkerStats) {
+    fn abort_host(&mut self, txn_id: TxnId, state: &mut HostTxnState) {
         for (row, before) in state.undo.drain(..).rev() {
             row.write(before);
         }
@@ -1562,7 +1562,7 @@ mod tests {
             hot_index: HotIndexCell::new(hot_index),
             config: EngineConfig::new(mode, cc, switch_config),
             mvcc: MvccState::default(),
-            health: SwitchHealth::new(1, num_nodes as usize, false),
+            health: SwitchHealth::new(1, num_nodes as usize),
         });
         Rig { shared, _switch: switch, control_plane }
     }
@@ -2022,7 +2022,7 @@ mod tests {
         // waits for is replaced (retired): then it aborts.
         let mut rig = rig(SystemMode::NoSwitch, CcScheme::WaitDie);
         Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config.chiller = true;
-        rig.shared.hot_index.swap(Arc::new(HotSetIndex::from_tuples((0..10).map(t))));
+        rig.shared.hot_index.update(|_| HotSetIndex::from_tuples((0..10).map(t)));
         let rival = TxnId::compose(1000, NodeId(1), WorkerId(9));
         let held = rig.shared.node(NodeId(1)).admit(rival, t(3), LockMode::Exclusive, CcScheme::WaitDie).unwrap();
         let table = rig.shared.node(NodeId(0)).table(TBL).unwrap();
@@ -2239,7 +2239,7 @@ mod tests {
                 ..EngineConfig::new(SystemMode::NoSwitch, CcScheme::NoWait, cfg_rig.shared.config.switch_config)
             },
             mvcc: MvccState::default(),
-            health: SwitchHealth::new(1, 2, false),
+            health: SwitchHealth::new(1, 2),
         });
         let mut w = Worker::new(shared.clone(), NodeId(0), WorkerId(7));
         let mut stats = WorkerStats::new();
@@ -2368,7 +2368,7 @@ mod tests {
         let mut rig = rig_on(SystemMode::NoSwitch, CcScheme::NoWait, 2, slow_rack());
         Arc::get_mut(&mut rig.shared).expect("rig shared is unshared").config.chiller = true;
         // Chiller needs hot-tuple identity even though data stays on the host.
-        rig.shared.hot_index.swap(Arc::new(HotSetIndex::from_tuples((0..10).map(t))));
+        rig.shared.hot_index.update(|_| HotSetIndex::from_tuples((0..10).map(t)));
         let mut w = worker(&rig, 0, 0);
         // One cold and two contended tuples, all on node 1: the contended
         // pair is acquired late, after the cold admission round.

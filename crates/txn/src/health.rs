@@ -161,9 +161,10 @@ pub struct InDoubtEntry {
 /// (`is_open` / `is_degraded`) are single atomic loads; state transitions
 /// take the per-switch breaker mutex.
 pub struct SwitchHealth {
-    /// Whether the breakers run at all. Disabled, every check short-circuits
-    /// to "healthy": byte-compatible with the pre-breaker behaviour.
-    enabled: bool,
+    /// Whether failures count: set by [`SwitchHealth::arm`] (the supervisor
+    /// arms the breakers when it starts, since only it closes an open one)
+    /// and never cleared. Unarmed, no breaker trips, so none is open.
+    armed: AtomicBool,
     breakers: Vec<Mutex<BreakerCore>>,
     /// Lock-free mirror of `state == Open || state == HalfOpen` per switch —
     /// consulted before every hot send.
@@ -183,9 +184,10 @@ pub struct SwitchHealth {
 }
 
 impl SwitchHealth {
-    pub fn new(num_switches: usize, num_nodes: usize, enabled: bool) -> Self {
+    /// Unarmed health state for `num_switches` switches and `num_nodes` logs.
+    pub fn new(num_switches: usize, num_nodes: usize) -> Self {
         SwitchHealth {
-            enabled,
+            armed: AtomicBool::new(false),
             breakers: (0..num_switches).map(|_| Mutex::new(BreakerCore::new())).collect(),
             open: (0..num_switches).map(|_| AtomicBool::new(false)).collect(),
             degraded: (0..num_switches).map(|_| AtomicBool::new(false)).collect(),
@@ -200,15 +202,21 @@ impl SwitchHealth {
         self.breakers.len()
     }
 
+    /// Arms the breakers: from now on failures count and can trip one. The
+    /// flag publishes no other data, so its ordering is relaxed.
+    pub fn arm(&self) {
+        self.armed.store(true, Ordering::Relaxed);
+    }
+
     /// Whether the breaker is open (or half-open): hot sends must fast-fail.
     pub fn is_open(&self, switch: SwitchId) -> bool {
-        self.enabled && self.open[switch.index()].load(Ordering::Acquire)
+        self.open[switch.index()].load(Ordering::Acquire)
     }
 
     /// Whether degraded mode is up for this switch: classification demotes
     /// its tuples to the host path.
     pub fn is_degraded(&self, switch: SwitchId) -> bool {
-        self.enabled && self.degraded[switch.index()].load(Ordering::Acquire)
+        self.degraded[switch.index()].load(Ordering::Acquire)
     }
 
     pub fn set_degraded(&self, switch: SwitchId, value: bool) {
@@ -219,7 +227,7 @@ impl SwitchHealth {
     /// observation trips the breaker (the caller owns the open→degrade
     /// follow-up).
     pub fn record_failure(&self, switch: SwitchId) -> bool {
-        if !self.enabled {
+        if !self.armed.load(Ordering::Relaxed) {
             return false;
         }
         let mut breaker = unpoison(self.breakers[switch.index()].lock());
@@ -233,7 +241,7 @@ impl SwitchHealth {
 
     /// Records a healthy switch reply (clears the failure streak).
     pub fn record_success(&self, switch: SwitchId) {
-        if !self.enabled {
+        if !self.armed.load(Ordering::Relaxed) {
             return;
         }
         unpoison(self.breakers[switch.index()].lock()).on_success();
@@ -434,8 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_never_trips_or_opens() {
-        let health = SwitchHealth::new(2, 2, false);
+    fn an_unarmed_breaker_never_trips_or_opens() {
+        let health = SwitchHealth::new(2, 2);
         let s = SwitchId(0);
         for _ in 0..1000 {
             assert!(!health.record_failure(s));
@@ -447,7 +455,8 @@ mod tests {
 
     #[test]
     fn switch_health_tracks_per_switch_state_independently() {
-        let health = SwitchHealth::new(2, 3, true);
+        let health = SwitchHealth::new(2, 3);
+        health.arm();
         let (a, b) = (SwitchId(0), SwitchId(1));
         for _ in 1..TRIP_THRESHOLD {
             assert!(!health.record_failure(a));
@@ -470,7 +479,7 @@ mod tests {
 
     #[test]
     fn ledger_and_fences_round_trip() {
-        let health = SwitchHealth::new(1, 2, true);
+        let health = SwitchHealth::new(1, 2);
         let entry =
             InDoubtEntry { switch: SwitchId(0), txn: TxnId(7), node: NodeId(1), logged_at: 42, ops: Vec::new() };
         health.note_in_doubt(entry.clone());

@@ -33,19 +33,19 @@ impl HotSetIndex {
     /// Builds the index from a single switch control plane after offloading
     /// (the single-switch topology: everything owned by switch 0).
     pub fn from_control_plane(cp: &ControlPlane) -> Self {
-        Self::from_control_planes([(SwitchId(0), cp)])
+        Self::empty().with_switch(SwitchId(0), Some(cp))
     }
 
-    /// Builds the index from the control planes of a multi-switch topology:
-    /// each switch's placements enter under its id. Placement maps are
-    /// disjoint by construction (the layout assigns every hot tuple to one
-    /// switch), so insertion order does not matter.
-    pub fn from_control_planes<'a>(cps: impl IntoIterator<Item = (SwitchId, &'a ControlPlane)>) -> Self {
-        let mut map = FastMap::default();
-        for (switch, cp) in cps {
-            for (tuple, slot) in cp.placements() {
-                map.insert(tuple, (switch, slot));
-            }
+    /// This index with `switch`'s entries replaced by `cp`'s placements, or
+    /// dropped without one; every other switch's entries stay as they are.
+    /// Placement maps are disjoint across switches (the layout assigns every
+    /// hot tuple to one switch), so a multi-switch topology's index is the
+    /// empty one with each switch's placements added in any order.
+    pub fn with_switch(&self, switch: SwitchId, cp: Option<&ControlPlane>) -> Self {
+        let mut map = self.map.clone();
+        map.retain(|_, &mut (owner, _)| owner != switch);
+        for (tuple, slot) in cp.into_iter().flat_map(ControlPlane::placements) {
+            map.insert(tuple, (switch, slot));
         }
         HotSetIndex { map }
     }
@@ -104,7 +104,7 @@ impl HotSetIndex {
 ///
 /// The index itself stays immutable (workers snapshot it once per
 /// transaction so classification and packet construction always agree), but
-/// the *slot* is swappable: a mid-run switch re-offload — crash recovery
+/// the *slot* is updatable: a mid-run switch re-offload — crash recovery
 /// that places the hot set into fresh register slots — publishes the rebuilt
 /// index here and every subsequent transaction picks it up. This models the
 /// control plane pushing an updated index replica to the nodes (§6.1).
@@ -125,10 +125,12 @@ impl HotIndexCell {
         Arc::clone(&guard)
     }
 
-    /// Publishes a new index, returning the previous one.
-    pub fn swap(&self, index: Arc<HotSetIndex>) -> Arc<HotSetIndex> {
+    /// Publishes `f` of the current index. No other publication lands in
+    /// between, so updates of different switches' entries never overwrite
+    /// each other.
+    pub fn update(&self, f: impl FnOnce(&HotSetIndex) -> HotSetIndex) {
         let mut guard = unpoison(self.inner.write());
-        std::mem::replace(&mut *guard, index)
+        *guard = Arc::new(f(&guard));
     }
 }
 
@@ -160,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn from_control_planes_records_per_switch_ownership() {
+    fn with_switch_records_per_switch_ownership() {
         let config = SwitchConfig::tiny();
         let mut cps = Vec::new();
         for keys in [[1u64, 2], [3, 4]] {
@@ -171,7 +173,8 @@ mod tests {
             }
             cps.push(cp);
         }
-        let idx = HotSetIndex::from_control_planes(cps.iter().enumerate().map(|(i, cp)| (SwitchId(i as u16), cp)));
+        let idx = (cps.iter().enumerate())
+            .fold(HotSetIndex::empty(), |idx, (i, cp)| idx.with_switch(SwitchId(i as u16), Some(cp)));
         assert_eq!(idx.len(), 4);
         assert_eq!(idx.owner(t(1)), Some(SwitchId(0)));
         assert_eq!(idx.owner(t(2)), Some(SwitchId(0)));
@@ -182,6 +185,13 @@ mod tests {
         assert_eq!(sw, SwitchId(1));
         assert_eq!(slot.stage, 3);
         assert_eq!(idx.iter().filter(|&(t, _)| idx.owner(t) == Some(SwitchId(1))).count(), 2);
+
+        // Dropping switch 1 keeps switch 0's entries; giving it a control
+        // plane back restores its own.
+        let without = idx.with_switch(SwitchId(1), None);
+        assert_eq!((without.len(), without.owner(t(1)), without.owner(t(3))), (2, Some(SwitchId(0)), None));
+        let with = without.with_switch(SwitchId(1), Some(&cps[1]));
+        assert_eq!((with.len(), with.entry(t(3))), (4, idx.entry(t(3))));
     }
 
     #[test]
@@ -200,15 +210,17 @@ mod tests {
     }
 
     #[test]
-    fn hot_index_cell_swaps_atomically() {
+    fn hot_index_cell_updates_atomically() {
         let cell = HotIndexCell::new(HotSetIndex::from_tuples([t(1)]));
         let before = cell.load();
         assert!(before.is_hot(t(1)));
-        let old = cell.swap(Arc::new(HotSetIndex::from_tuples([t(2)])));
-        assert!(old.is_hot(t(1)), "swap returns the previous index");
+        cell.update(|old| {
+            assert!(old.is_hot(t(1)), "the update sees the current index");
+            HotSetIndex::from_tuples([t(2)])
+        });
         assert!(cell.load().is_hot(t(2)));
         assert!(!cell.load().is_hot(t(1)));
-        // Snapshots taken before the swap stay valid.
+        // Snapshots taken before the update stay valid.
         assert!(before.is_hot(t(1)));
     }
 

@@ -40,7 +40,7 @@ pub use p4db_workloads as workloads;
 // submit typed transactions. See README.md § "Using P4DB as a library".
 pub use p4db_common::{CcScheme, Error, NodeId, Result, SwitchId, SystemMode, TableId, TupleId};
 pub use p4db_core::{
-    Cluster, ClusterBuilder, ClusterConfig, Driving, Load, Pending, ResolverReport, Session, Stop, SupervisorReport,
+    Cluster, ClusterBuilder, ClusterConfig, Load, Pending, ResolverReport, Session, Stop, SupervisorReport,
 };
 pub use p4db_txn::{OpKind, Placement, Txn, TxnOutcome, TxnRequest};
 pub use p4db_workloads::{PartitionMap, Workload};

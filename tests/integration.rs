@@ -271,7 +271,7 @@ fn the_builder_defaults_are_the_figures_operating_point() {
     assert_eq!(config.batch_size, 16);
     assert_eq!(config.switch, p4db::switch::SwitchConfig::tofino_defaults());
     assert_eq!(config.latency, p4db::common::LatencyConfig::bench_profile());
-    assert!(config.faults.is_none() && !config.breaker && !config.chiller);
+    assert!(config.faults.is_none() && !config.chiller);
 }
 
 /// An engine worker outside the pool's id space runs directly on a built

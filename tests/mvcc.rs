@@ -146,7 +146,7 @@ fn ycsb_cluster() -> Cluster {
 /// and must keep returning the committed values.
 #[test]
 fn snapshot_readers_race_switch_recovery() {
-    let mut cluster = ycsb_cluster();
+    let cluster = ycsb_cluster();
     let mut setup = cluster.session(NodeId(0)).expect("session");
     // Keys >= hot_keys_per_node (50) are cold: resident on the hosts, never
     // offloaded, visible to the snapshot path in P4DB mode.

@@ -70,7 +70,7 @@ fn a_write_only_stream_retains_its_log_and_no_versions() {
         hot_index: HotIndexCell::new(HotSetIndex::empty()),
         config: EngineConfig::new(SystemMode::NoSwitch, CcScheme::NoWait, SwitchConfig::tiny()),
         mvcc: MvccState::default(),
-        health: SwitchHealth::new(1, 1, false),
+        health: SwitchHealth::new(1, 1),
     });
     let mut worker = Worker::new(Arc::clone(&shared), NodeId(0), WorkerId(0));
     let mut stats = WorkerStats::new();

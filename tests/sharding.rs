@@ -171,7 +171,10 @@ fn property_row_handles_stay_valid_under_concurrent_churn() {
 /// through the cluster path (satellite: backoff + node stats).
 #[test]
 fn lock_wait_time_is_recorded_under_wait_die_contention() {
+    use p4db::common::{TxnId, WorkerId};
+    use p4db::storage::LockMode;
     use p4db::{CcScheme, SystemMode};
+    use std::time::{Duration, Instant};
     let workload: Arc<dyn Workload> = Arc::new(SmallBank::new(SmallBankConfig {
         customers_per_node: 200,
         hot_customers_per_node: 4,
@@ -179,9 +182,30 @@ fn lock_wait_time_is_recorded_under_wait_die_contention() {
     }));
     // NoSwitch keeps the hot accounts on the host lock tables, so WAIT_DIE
     // actually contends on them.
-    let cluster =
-        Cluster::builder(workload).test_profile().workers(4).mode(SystemMode::NoSwitch).cc(CcScheme::WaitDie).build();
-    let stats = cluster.drive(Load::new(Stop::Txns(100))).expect("drive failed");
+    let cluster = Cluster::builder(Arc::clone(&workload))
+        .test_profile()
+        .workers(4)
+        .mode(SystemMode::NoSwitch)
+        .cc(CcScheme::WaitDie)
+        .build();
+    // One hot account is held by a transaction younger than any the drive
+    // issues, so every drive transaction that wants it is older and waits
+    // (WAIT_DIE) rather than dies. The holder lets go once a wait has been
+    // recorded.
+    let holder = TxnId::compose(u32::MAX, NodeId(0), WorkerId(u16::MAX));
+    let hot = workload.hot_tuples(2)[0].tuple;
+    let node = cluster.shared().node(cluster.partition_map().home(hot).expect("a hot account has a home"));
+    let grant = node.admit(holder, hot, LockMode::Exclusive, CcScheme::WaitDie).expect("the account is free");
+    let stats = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while node.locks().wait_stats().waits == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            node.release(holder, &grant);
+        });
+        cluster.drive(Load::new(Stop::Txns(100))).expect("drive failed")
+    });
     assert_eq!(stats.merged.committed_total() + stats.failed, 2 * 4 * 100, "every transaction settles");
     assert!(stats.attempts_per_commit() < 3.0, "{:.2} attempts per commit", stats.attempts_per_commit());
     let waits: u64 = cluster.shared().nodes.iter().map(|n| n.locks().wait_stats().waits).sum();
