@@ -58,6 +58,9 @@ cargo test --offline --release -q --test session_alloc
 echo "==> round-trip gate: one node round trip per participant, not per remote operation (4 remote ops = 2 RTTs and 4 messages, 2 participants asked concurrently, snapshot read = 1 RTT, remote NO_WAIT abort = 1 RTT with no lock leaked, Chiller late set = 1 more RTT)"
 cargo test --offline --release -q -p p4db-txn -p p4db-net -- round_trip participant
 
+echo "==> wait gate: modelled waits end on time (each of 200 waits of 0-600 us ends at or after its deadline, a calibrated 300 us wait's median overrun is at most half a plain sleep's measured beside it, a zero wait leaves the per-thread wait totals untouched, a hot exchange at the benchmark profile takes within [1.0, 1.05] x its modelled wire and pass time and records exactly that modelled wait, a distributed cold transaction records exactly two node round trips)"
+cargo test --offline --release -q -p p4db-common -p p4db-txn -- every_wait_ends_at_or_after_its_due_time calibrated_waits_overrun_at_most_half_as_much_as_plain_sleeps the_totals_count_each_wait_and_a_zero_wait_leaves_them_untouched a_hot_exchange_ends_within_five_percent_of_its_model a_distributed_cold_txn_waits_out_exactly_two_node_round_trips
+
 echo "==> switch gate: the pipeline runs on the delivering thread (a frame is answered before its send returns, no frame is stranded behind a busy pipeline, a reply addressed to the switch itself is ignored, the fabric pumps on every delivery and on no undelivered message), the audit order and replies of a serial script match those recorded from the threaded engine, and the 1-switch vs 2-switch differential"
 cargo test --offline --release -q -p p4db-switch -p p4db-net -- a_frame_is_answered_before_its_send_returns no_frame_is_stranded_behind_a_busy_pipeline a_reply_addressed_to_the_switch_itself_is_ignored a_serial_script_keeps_its_audit_order_and_replies every_delivery_to_a_pumped_endpoint_runs_its_pump_after_queueing undelivered_messages_do_not_pump_and_released_ones_do
 cargo test --offline --release -q --test topology topology_differential_smallbank -- --nocapture

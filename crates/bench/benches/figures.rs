@@ -6,7 +6,7 @@
 //! matches no figure is an error. Environment knobs: `P4DB_MEASURE_MS`
 //! (per-point measurement time in whole milliseconds, default 250),
 //! `P4DB_FULL=1` (wider parameter sweeps) and `P4DB_BENCH_JSON` (output
-//! path for the machine-readable datapoints, default `BENCH_23.json` at the
+//! path for the machine-readable datapoints, default `BENCH_47.json` at the
 //! workspace root). Stdout is markdown. The figures that ran are
 //! additionally serialised as `BenchPoint`s, merged by figure into the JSON
 //! file, whose smoke emission the CI regression gate holds to the floors of

@@ -1,6 +1,6 @@
 //! The hot path's batching tripwire (not a figure from the paper): the
 //! switch hot path driven open-loop unbatched and in frames of 16, recorded
-//! as one machine-readable datapoint in `BENCH_23.json` (figure `micro`),
+//! as one machine-readable datapoint in `BENCH_47.json` (figure `micro`),
 //! which the CI gate tripwires with a count, not a rate. Per-component
 //! timings (switch round trip and frame cost, lock table, layout planner,
 //! WAL appends) are the repo benchmark's per-layer metrics

@@ -22,7 +22,7 @@
 //!
 //! Writers merge by figure: emitting points for `fig01` replaces every
 //! existing `fig01` point in the file and leaves other figures' points
-//! untouched, so `figures` and `micro` can update the same `BENCH_23.json`
+//! untouched, so `figures` and `micro` can update the same `BENCH_47.json`
 //! independently.
 
 use crate::BenchPoint;
@@ -338,13 +338,16 @@ pub fn write_merged(path: &Path, points: &[BenchPoint]) -> std::io::Result<()> {
     std::fs::write(path, render(&merged))
 }
 
-/// Default output path: `$P4DB_BENCH_JSON`, or `BENCH_23.json` at the
-/// workspace root (the current trajectory file; `BENCH_4.json` through
-/// `BENCH_22.json` are the committed history of earlier PRs).
+/// The current trajectory file at the workspace root; the lower-numbered
+/// `BENCH_*.json` files are the committed history of earlier PRs.
+const CURRENT: &str = "BENCH_47.json";
+
+/// Default output path: `$P4DB_BENCH_JSON`, or the current trajectory file
+/// (`BENCH_47.json`) at the workspace root.
 pub fn output_path() -> std::path::PathBuf {
     match std::env::var("P4DB_BENCH_JSON") {
         Ok(path) if !path.is_empty() => std::path::PathBuf::from(path),
-        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_23.json"),
+        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(CURRENT),
     }
 }
 
@@ -362,7 +365,7 @@ pub fn output_path() -> std::path::PathBuf {
 /// baseline (that band tripped on whatever machine it was not recorded on):
 /// each floor is a ratio between two arms of the same run, or a count. It is
 /// a tripwire for collapses and schema drift, not a microbenchmark judge;
-/// the committed `BENCH_23.json` and the repo benchmark (`benchmark/`) carry
+/// the committed `BENCH_47.json` and the repo benchmark (`benchmark/`) carry
 /// the trend.
 pub const FLOORS: &[(&str, &str, f64, &str, u32)] = &[
     // The batching tripwire. One unbatched message carries one switch
@@ -512,6 +515,7 @@ mod tests {
             .collect();
         files.sort();
         assert!(files.len() >= 8, "committed BENCH files: {files:?}");
+        assert_eq!(files.last().map(|(_, name)| name.as_str()), Some(CURRENT), "the newest record is the default");
         for &(figure, .., since) in FLOORS {
             assert!(files.iter().any(|(n, _)| *n >= since), "no committed file holds the {figure} floor");
         }

@@ -9,7 +9,7 @@
 //! Three drills that are not a sweep of cluster runs keep their own bodies:
 //! [`fig_read_mix`], [`fig_recovery`] and [`fig_outage`]. The `figures`
 //! bench target picks entries of [`FIGURES`] with [`select`] and serialises
-//! their points into `BENCH_23.json` (see [`json`]) — the machine-readable
+//! their points into `BENCH_47.json` (see [`json`]) — the machine-readable
 //! perf trajectory whose smoke emission the CI gate holds to the floors of
 //! [`json::FLOORS`].
 //!
@@ -256,9 +256,11 @@ impl Metric {
 fn run_figure(fig: &Figure, profile: &BenchProfile) -> FigureTable {
     let time = if fig.best_of > 1 { profile.measure.max(Duration::from_millis(200)) } else { profile.measure };
     let mut table = FigureTable::new(fig.title, fig.headers);
+    let mut waits = RunStats::default();
     for row in &fig.rows {
         let measured = |arm| best_of(fig.best_of, || measure(row, arm, time), |run| run.stats.throughput());
         let runs: Vec<Run> = fig.arms.iter().map(measured).collect();
+        runs.iter().for_each(|run| waits.merge(&run.stats));
         // The speedup base of arm `i`: the baseline arm, except for itself.
         let base = |i: usize| fig.baseline.filter(|&b| b != i).map(|b| &runs[b].stats);
         match fig.layout {
@@ -279,6 +281,11 @@ fn run_figure(fig: &Figure, profile: &BenchProfile) -> FigureTable {
             }
         }
     }
+    table.notes.push(format!(
+        "Modelled wait overrun: {:.2}% of {:.1} s modelled wait.",
+        waits.wait_overrun_share() * 100.0,
+        waits.merged.modelled_wait_ns as f64 / 1e9
+    ));
     table
 }
 

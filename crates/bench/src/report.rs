@@ -75,6 +75,8 @@ pub struct FigureTable {
     pub headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
     pub points: Vec<BenchPoint>,
+    /// Lines printed under the table.
+    pub notes: Vec<String>,
 }
 
 impl FigureTable {
@@ -84,6 +86,7 @@ impl FigureTable {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             points: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -104,6 +107,9 @@ impl FigureTable {
         out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
         for row in &self.rows {
             out.push_str(&format!("| {} |\n", row.join(" | ")));
+        }
+        for note in &self.notes {
+            out.push_str(&format!("\n{note}\n"));
         }
         out
     }

@@ -81,14 +81,16 @@ impl LatencyConfig {
     /// machine may not have. This profile scales the **wire hops only**, by
     /// ~500× (a switch round trip is 0.55 ms, a node round trip 1.05 ms), so
     /// that tens of worker threads can time-share a single core: workers
-    /// spend almost all wall-clock time sleeping in the latency model rather
-    /// than burning cycles, and the switch stays reachable in ½ the node RTT
-    /// with contention windows proportional to access latency. Nothing else
-    /// is scaled. The pipeline pass is `SwitchConfig::pass_latency_ns`
-    /// (60 ns on the Tofino defaults, charged by the switch simulator), and
-    /// host CPU work runs at native speed. Absolute throughput numbers are
-    /// correspondingly far below the paper's, and a cost the paper pays in
-    /// host CPU weighs less here than in the paper.
+    /// spend almost all wall-clock time asleep in the latency model (each
+    /// wait spins only its last few tens of µs, so that it ends on its
+    /// deadline: `simtime::wait_for`), and the switch stays reachable in ½
+    /// the node RTT with contention windows proportional to access latency.
+    /// Nothing else is scaled. The pipeline pass is
+    /// `SwitchConfig::pass_latency_ns` (60 ns on the Tofino defaults, charged
+    /// by the switch simulator), and host CPU work runs at native speed.
+    /// Absolute throughput numbers are correspondingly far below the paper's,
+    /// and a cost the paper pays in host CPU weighs less here than in the
+    /// paper.
     pub const fn bench_profile() -> Self {
         LatencyConfig { one_way_ns: 250_000, sw_overhead_ns: 25_000 }
     }

@@ -6,6 +6,7 @@
 //! and lock-free.
 
 use crate::error::AbortReason;
+use crate::simtime;
 use std::time::Duration;
 
 /// Classification of a committed transaction, matching the paper's
@@ -186,6 +187,11 @@ pub struct WorkerStats {
     pub degraded_hot: u64,
     /// Circuit-breaker trips observed by this worker (Closed → Open edges).
     pub breaker_trips: u64,
+    /// Modelled time waited out ([`crate::simtime::wait_for`]): wire hops,
+    /// pipeline passes, retry backoff and injected fault delays.
+    pub modelled_wait_ns: u64,
+    /// How far past their deadlines those waits ended.
+    pub wait_overrun_ns: u64,
 }
 
 impl WorkerStats {
@@ -224,6 +230,15 @@ impl WorkerStats {
         self.phase_ns[phase.index()] += d.as_nanos().min(u128::from(u64::MAX)) as u64;
     }
 
+    /// Adds the modelled waits this thread made since its last fold
+    /// ([`simtime::take_wait_totals`]).
+    #[inline]
+    pub fn fold_thread_waits(&mut self) {
+        let waits = simtime::take_wait_totals();
+        self.modelled_wait_ns += waits.modelled_ns;
+        self.wait_overrun_ns += waits.overrun_ns;
+    }
+
     pub fn committed_total(&self) -> u64 {
         self.committed_hot + self.committed_cold + self.committed_warm
     }
@@ -258,6 +273,8 @@ impl WorkerStats {
         self.switch_timeouts += other.switch_timeouts;
         self.degraded_hot += other.degraded_hot;
         self.breaker_trips += other.breaker_trips;
+        self.modelled_wait_ns += other.modelled_wait_ns;
+        self.wait_overrun_ns += other.wait_overrun_ns;
     }
 }
 
@@ -315,6 +332,16 @@ impl RunStats {
             0.0
         } else {
             aborts / (aborts + commits)
+        }
+    }
+
+    /// How far modelled waits ran past their deadlines, as a share of the
+    /// modelled wait (0 when nothing was modelled).
+    pub fn wait_overrun_share(&self) -> f64 {
+        if self.merged.modelled_wait_ns == 0 {
+            0.0
+        } else {
+            self.merged.wait_overrun_ns as f64 / self.merged.modelled_wait_ns as f64
         }
     }
 
@@ -406,6 +433,16 @@ mod tests {
         assert_eq!(run.merged.committed_total(), 2);
         assert!((run.hot_fraction() - 0.5).abs() < f64::EPSILON);
         assert!(run.abort_rate() > 0.0);
+    }
+
+    #[test]
+    fn merge_sums_the_wait_totals() {
+        let a = WorkerStats { modelled_wait_ns: 800, wait_overrun_ns: 8, ..WorkerStats::new() };
+        let b = WorkerStats { modelled_wait_ns: 200, wait_overrun_ns: 2, ..WorkerStats::new() };
+        let run = RunStats::from_workers([&a, &b], Duration::from_secs(1));
+        assert_eq!((run.merged.modelled_wait_ns, run.merged.wait_overrun_ns), (1_000, 10));
+        assert!((run.wait_overrun_share() - 0.01).abs() < 1e-12);
+        assert_eq!(RunStats::default().wait_overrun_share(), 0.0);
     }
 
     #[test]

@@ -465,6 +465,10 @@ impl Worker {
     /// later batchmate that conflicts with it aborts and retries after the
     /// share, like any lock conflict. Hot transactions cannot abort on a
     /// conflict, so only host-path results ever need the caller's retry loop.
+    ///
+    /// Before it returns, the modelled waits this thread made since its last
+    /// fold are added to `stats` ([`WorkerStats::fold_thread_waits`]): the
+    /// share's own, and a retry's backoff ahead of it.
     pub fn execute_batch<'r>(
         &mut self,
         reqs: impl IntoIterator<Item = &'r TxnRequest>,
@@ -479,6 +483,7 @@ impl Worker {
             out.push(result);
         }
         if self.exchange.subs.is_empty() {
+            stats.fold_thread_waits();
             return;
         }
         let scatter = |slot: usize, i: usize, value| {
@@ -502,6 +507,7 @@ impl Worker {
                 }
             }
         }
+        stats.fold_thread_waits();
     }
 
     /// Runs `req`, the share's request `slot`, as far as it goes before the
@@ -2315,6 +2321,43 @@ mod tests {
         for n in 0..3 {
             assert_eq!(rig.shared.node(NodeId(n)).locked_count(), 0);
         }
+    }
+
+    #[test]
+    fn a_distributed_cold_txn_waits_out_exactly_two_node_round_trips() {
+        let rig = rig_on(SystemMode::NoSwitch, CcScheme::NoWait, 2, slow_rack());
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        let req = TxnRequest::new(vec![op(100, OpKind::Add(1)), op(101, OpKind::Add(1))]);
+        p4db_common::simtime::take_wait_totals();
+        assert_eq!(w.execute(&req, &mut stats).unwrap().class, TxnClass::Cold);
+        let rtt = slow_rack().node_rtt().as_nanos() as u64;
+        assert_eq!(stats.modelled_wait_ns, 2 * rtt, "admission + vote");
+    }
+
+    /// A single-tuple hot exchange at the benchmark profile: the outbound
+    /// hop, the pipeline pass and the return leg, each a modelled wait.
+    #[test]
+    fn a_hot_exchange_ends_within_five_percent_of_its_model() {
+        let latency = LatencyConfig::bench_profile();
+        let rig = rig_on(SystemMode::P4db, CcScheme::NoWait, 2, latency);
+        let mut w = worker(&rig, 0, 0);
+        let mut stats = WorkerStats::new();
+        let pass = Duration::from_nanos(p4db_switch::SwitchConfig::tiny().pass_latency_ns);
+        let model = latency.to_switch() + latency.switch_rtt() + pass;
+        let req = TxnRequest::new(vec![op(1, OpKind::Add(1))]);
+        p4db_common::simtime::take_wait_totals();
+        let mut took: Vec<Duration> = (0..21)
+            .map(|_| {
+                let started = Instant::now();
+                assert_eq!(w.execute(&req, &mut stats).unwrap().class, TxnClass::Hot);
+                started.elapsed()
+            })
+            .collect();
+        took.sort();
+        let ratio = took[10].as_secs_f64() / model.as_secs_f64();
+        assert!((1.0..=1.05).contains(&ratio), "median exchange {:?} is {ratio:.3}x its model {model:?}", took[10]);
+        assert_eq!(stats.modelled_wait_ns, 21 * model.as_nanos() as u64);
     }
 
     #[test]
