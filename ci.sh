@@ -7,9 +7,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# ROADMAP items 4 and 10's size measures, reported on every run (no
-# threshold): non-test lines of core + txn + storage, of crates/bench and of
-# all of crates/, each file counted up to its first column-0 #[cfg(test)].
+# ROADMAP items 4, 10 and 17's size measures, reported on every run (no
+# threshold): non-test lines of core + txn + storage, of crates/bench, of
+# crates/layout and of all of crates/, each file counted up to its first
+# column-0 #[cfg(test)].
 non_test_lines() {
     for f in $(git ls-files "$@"); do
         awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
@@ -17,8 +18,9 @@ non_test_lines() {
 }
 CORE_LINES=$(non_test_lines 'crates/core/*.rs' 'crates/txn/*.rs' 'crates/storage/*.rs')
 BENCH_LINES=$(non_test_lines 'crates/bench/*.rs')
+LAYOUT_LINES=$(non_test_lines 'crates/layout/*.rs')
 CRATES_LINES=$(non_test_lines 'crates/*.rs')
-echo "==> size: non-test lines: core + txn + storage $CORE_LINES, crates/bench $BENCH_LINES, crates/ $CRATES_LINES"
+echo "==> size: non-test lines: core + txn + storage $CORE_LINES, crates/bench $BENCH_LINES, crates/layout $LAYOUT_LINES, crates/ $CRATES_LINES"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -69,6 +71,10 @@ echo "==> lock gate: the lock lives in the row (under 8 threads never two exclus
 cargo test --offline --release -q -p p4db-storage -p p4db-txn -- no_wait_under_concurrency_never_grants_conflicting_row_locks shared_row_holders_count_up_and_down a_retired_row_conflicts_under_both_schemes under_wait_die_an_older_row_requester_waits under_wait_die_a_shared_row_remembers_its_oldest_owner a_saturated_shared_count_conflicts_instead_of_overflowing property_the_row_index_matches_a_map_model admit_locks_and_resolves_in_one_step a_row_inserted_between_the_two_probes_is_row_locked_too a_prefetch_takes_no_lock_and_resolves_nothing the_prefetch_pass_adds_no_acquisition a_row_inserted_by_an_open_transaction_is_locked_to_others the_row_of_an_aborted_insert_cannot_be_locked an_insert_over_a_live_key_retires_the_old_row a_footprint_locks_each_tuple_once_in_its_strongest_mode
 cargo test --offline --release -q --test sharding lock_wait_time_is_recorded_under_wait_die_contention
 cargo test --offline --release -q --test wal_identity
+
+echo "==> layout gate: fixed YCSB-A/SmallBank/TPC-C hot sets and trace streams plan the recorded layouts (all four strategies at the default Tofino geometry, the 2- and 4-switch assignment), and the layout's single-pass verdict matches the switch's pass planner"
+cargo test --offline --release -q --test layout_identity
+cargo test --offline --release -q --test properties layout_single_pass_verdict_matches_the_pass_planner
 
 echo "==> recovery gate: fixed-seed checkpoint+tail vs genesis restart, torn-checkpoint fallback, fuzzy-checkpoint crash, a checkpointed restart leaving ambiguous tuples alone (full 12x3 sweep runs in tier-1); a switch rebuild's divergence check reports a register changed behind the log's back but not an in-flight intent's closure; a segment sequence starting above the fence is missing segments; the log codec's record sizes meet their budgets (a YCSB-A commit group <= 150 B, a SmallBank intent and result <= 60 B, a TPC-C insert <= 34 B, a transaction id once per run and at the head of every segment); supervision passes and control ports leave the fabric registry as they found it; a breaker re-tripped after re-admission is degraded and re-admitted again"
 cargo test --offline --release -q --test durability smoke_recovery_ -- --nocapture

@@ -542,7 +542,7 @@ const SCALING_PASS_NS: u64 = 100_000;
 /// (hot-heavy SmallBank, 40 hot customers/node). All arms run the unbatched
 /// hot path with the pipeline delay of `SCALING_PASS_NS` (100µs), so the 1-switch
 /// arm is pipeline-saturated and adding switches adds usable capacity. The
-/// maxcut assignment keeps each customer's savings/checking pair on one
+/// switch assignment keeps each customer's savings/checking pair on one
 /// switch, so only the two-customer transfers (`Amalgamate`/`SendPayment`
 /// across the switch boundary) pay the cross-switch host fallback; the class
 /// mix column makes that share visible next to the speedup. The `switches=2`

@@ -230,8 +230,6 @@ impl Cluster {
         // --- Switches --------------------------------------------------------
         // One register memory, control plane and (below) data-plane engine
         // per switch; the switches share nothing but the fabric.
-        let hot_meta: HashMap<TupleId, (usize, u64)> =
-            hot_tuples.iter().map(|h| (h.tuple, (h.byte_width, h.initial))).collect();
         let mut memories = Vec::with_capacity(num_switches);
         let mut control_planes = Vec::with_capacity(num_switches);
         let mut offloaded = 0usize;
@@ -242,8 +240,9 @@ impl Cluster {
             if config.mode == SystemMode::P4db {
                 for &tuple in tuples {
                     let Some(at) = layout.get(tuple) else { continue };
-                    let (byte_width, initial) = hot_meta.get(&tuple).copied().unwrap_or((8, 0));
-                    if control_plane.offload_into(tuple, at.stage, at.array, byte_width, initial).is_ok() {
+                    // Every hot tuple is one 8-byte switch cell.
+                    let initial = initial_values.get(&tuple).copied().unwrap_or(0);
+                    if control_plane.offload_into(tuple, at.stage, at.array, 8, initial).is_ok() {
                         offloaded += 1;
                     }
                 }

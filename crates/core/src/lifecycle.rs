@@ -285,20 +285,17 @@ impl Cluster {
         original: &[(TupleId, RegisterSlot)],
         values: &[(TupleId, u64)],
     ) -> Result<()> {
-        let widths: HashMap<TupleId, usize> =
-            self.workload.hot_tuples(self.config.num_nodes).into_iter().map(|h| (h.tuple, h.byte_width)).collect();
-        let width = |tuple| widths.get(&tuple).copied().unwrap_or(8);
         let mut order = values.to_vec();
         let mut rng = FastRng::new(seed ^ 0x0FF_10AD ^ switch.index() as u64);
         for i in (1..order.len()).rev() {
             order.swap(i, rng.pick(i + 1));
         }
         control_plane.reset();
-        let placed = order.iter().try_for_each(|&(t, v)| control_plane.offload_anywhere(t, width(t), v).map(drop));
+        let placed = order.iter().try_for_each(|&(t, v)| control_plane.offload_anywhere(t, 8, v).map(drop));
         if placed.is_err() {
             control_plane.reset();
             for (&(t, slot), &(_, v)) in original.iter().zip(values) {
-                control_plane.offload_into(t, slot.stage, slot.array, width(t), v)?;
+                control_plane.offload_into(t, slot.stage, slot.array, 8, v)?;
             }
         }
         self.publish_hot_index(switch, Some(control_plane));

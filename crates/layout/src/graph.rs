@@ -1,11 +1,11 @@
 //! The transaction-access graph of the declustered storage model (§4.2).
 //!
 //! Tuples are graph nodes. If two tuples are accessed by the same transaction
-//! an edge connects them, weighted by how often that co-access occurs. Edges
-//! are *directed* when the transaction imposes an access order between the
-//! two tuples (a read-dependent write must be placed in a later MAU stage
-//! than the tuple it depends on); co-accesses without an ordering dependency
-//! contribute weight in both directions ("bidirectional" edges in the paper).
+//! an undirected edge connects them, weighted by how often that co-access
+//! occurs: 2 for an unordered pair and 1 for a pair whose later access
+//! depends on the values read before it (the paper's "bidirectional" and
+//! directed edges, summed over both directions). No consumer orders stages
+//! by edges: the planner orders them by each tuple's mean access position.
 
 use p4db_common::TupleId;
 use std::collections::HashMap;
@@ -14,25 +14,20 @@ use std::collections::HashMap;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TraceAccess {
     pub tuple: TupleId,
-    /// Whether the access writes the tuple.
-    pub write: bool,
     /// Whether this access depends on the values read by *earlier* accesses
     /// of the same transaction (e.g. SmallBank's `SendPayment` writes depend
-    /// on the balances read before). Dependencies force a stage ordering.
+    /// on the balances read before). Such a pair weighs half an unordered one.
     pub depends_on_prior: bool,
 }
 
 impl TraceAccess {
-    pub fn read(tuple: TupleId) -> Self {
-        TraceAccess { tuple, write: false, depends_on_prior: false }
-    }
-
-    pub fn write(tuple: TupleId) -> Self {
-        TraceAccess { tuple, write: true, depends_on_prior: false }
+    /// A read or write with no dependency on earlier accesses.
+    pub fn new(tuple: TupleId) -> Self {
+        TraceAccess { tuple, depends_on_prior: false }
     }
 
     pub fn dependent_write(tuple: TupleId) -> Self {
-        TraceAccess { tuple, write: true, depends_on_prior: true }
+        TraceAccess { tuple, depends_on_prior: true }
     }
 }
 
@@ -61,13 +56,14 @@ impl TxnTrace {
     }
 }
 
-/// The weighted, directed access graph.
-#[derive(Clone, Debug, Default)]
+/// The weighted, undirected access graph.
+#[derive(Clone, Debug)]
 pub struct AccessGraph {
     tuples: Vec<TupleId>,
     index: HashMap<TupleId, usize>,
-    /// Directed edge weights `(from, to) -> weight`.
-    edges: HashMap<(usize, usize), u64>,
+    /// Per-tuple `(neighbour, co-access weight)` lists, sorted by neighbour;
+    /// each edge appears in both endpoints' lists.
+    adjacency: Vec<Vec<(usize, u64)>>,
     /// Per-tuple total access frequency.
     freq: Vec<u64>,
     /// Per-tuple sum of access positions (used to derive the average position
@@ -77,57 +73,37 @@ pub struct AccessGraph {
 }
 
 impl AccessGraph {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn from_traces<'a>(traces: impl IntoIterator<Item = &'a TxnTrace>) -> Self {
-        let mut g = Self::new();
-        for t in traces {
-            g.add_trace(t);
-        }
-        g
-    }
-
-    fn intern(&mut self, tuple: TupleId) -> usize {
-        if let Some(&i) = self.index.get(&tuple) {
-            return i;
-        }
-        let i = self.tuples.len();
-        self.tuples.push(tuple);
-        self.index.insert(tuple, i);
-        self.freq.push(0);
-        self.position_sum.push(0);
-        i
-    }
-
-    /// Adds one transaction trace to the graph.
-    pub fn add_trace(&mut self, trace: &TxnTrace) {
-        // Intern and count.
-        let mut ids = Vec::with_capacity(trace.accesses.len());
-        for (pos, a) in trace.accesses.iter().enumerate() {
-            let id = self.intern(a.tuple);
-            self.freq[id] += 1;
-            self.position_sum[id] += pos as u64;
-            ids.push(id);
-        }
-        // Pairwise edges.
-        for j in 1..trace.accesses.len() {
-            for i in 0..j {
-                let (u, v) = (ids[i], ids[j]);
-                if u == v {
-                    continue;
-                }
-                if trace.accesses[j].depends_on_prior {
-                    // Ordered dependency: u must come before v.
-                    *self.edges.entry((u, v)).or_insert(0) += 1;
-                } else {
-                    // No ordering constraint: bidirectional edge.
-                    *self.edges.entry((u, v)).or_insert(0) += 1;
-                    *self.edges.entry((v, u)).or_insert(0) += 1;
+        let (mut tuples, mut index, mut freq, mut position_sum) = (Vec::new(), HashMap::new(), Vec::new(), Vec::new());
+        let mut pairs: HashMap<(usize, usize), u64> = HashMap::new();
+        for trace in traces {
+            let ids: Vec<usize> = (trace.accesses.iter().enumerate())
+                .map(|(pos, a)| {
+                    let id = *index.entry(a.tuple).or_insert_with(|| {
+                        tuples.push(a.tuple);
+                        freq.push(0);
+                        position_sum.push(0);
+                        tuples.len() - 1
+                    });
+                    freq[id] += 1;
+                    position_sum[id] += pos as u64;
+                    id
+                })
+                .collect();
+            for (j, later) in trace.accesses.iter().enumerate() {
+                let weight = if later.depends_on_prior { 1 } else { 2 };
+                for &u in ids[..j].iter().filter(|&&u| u != ids[j]) {
+                    *pairs.entry((u.min(ids[j]), u.max(ids[j]))).or_insert(0) += weight;
                 }
             }
         }
+        let mut adjacency = vec![Vec::new(); tuples.len()];
+        for ((u, v), w) in pairs {
+            adjacency[u].push((v, w));
+            adjacency[v].push((u, w));
+        }
+        adjacency.iter_mut().for_each(|list| list.sort_unstable());
+        AccessGraph { tuples, index, adjacency, freq, position_sum }
     }
 
     pub fn len(&self) -> usize {
@@ -146,6 +122,11 @@ impl AccessGraph {
         self.index.get(&tuple).copied()
     }
 
+    /// The `(neighbour, co-access weight)` pairs of a tuple (by graph index).
+    pub fn neighbours(&self, idx: usize) -> &[(usize, u64)] {
+        &self.adjacency[idx]
+    }
+
     /// Access frequency of a tuple (by graph index).
     pub fn frequency(&self, idx: usize) -> u64 {
         self.freq[idx]
@@ -160,22 +141,6 @@ impl AccessGraph {
             self.position_sum[idx] as f64 / self.freq[idx] as f64
         }
     }
-
-    /// Directed edge weight from `u` to `v` (graph indices).
-    pub fn weight(&self, u: usize, v: usize) -> u64 {
-        self.edges.get(&(u, v)).copied().unwrap_or(0)
-    }
-
-    /// Undirected co-access weight between `u` and `v`: the sum of both
-    /// directions, which is what the max-cut maximises across partitions.
-    pub fn coaccess_weight(&self, u: usize, v: usize) -> u64 {
-        self.weight(u, v) + self.weight(v, u)
-    }
-
-    /// Iterates all directed edges `(u, v, weight)`.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.edges.iter().map(|(&(u, v), &w)| (u, v, w))
-    }
 }
 
 #[cfg(test)]
@@ -187,60 +152,58 @@ mod tests {
         TupleId::new(TableId(0), key)
     }
 
+    fn weight(g: &AccessGraph, a: TupleId, b: TupleId) -> u64 {
+        let (a, b) = (g.tuple_index(a).unwrap(), g.tuple_index(b).unwrap());
+        let w = g.neighbours(a).iter().find(|&&(o, _)| o == b).map_or(0, |&(_, w)| w);
+        assert_eq!(g.neighbours(b).iter().find(|&&(o, _)| o == a).map_or(0, |&(_, w)| w), w, "edges are undirected");
+        w
+    }
+
     #[test]
     fn trace_tuples_deduplicates_in_order() {
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(5)), TraceAccess::write(t(3)), TraceAccess::write(t(5))]);
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(5)), TraceAccess::new(t(3)), TraceAccess::new(t(5))]);
         assert_eq!(trace.tuples(), vec![t(5), t(3)]);
     }
 
     #[test]
-    fn independent_accesses_produce_bidirectional_edges() {
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(1)), TraceAccess::read(t(2))]);
+    fn an_unordered_pair_weighs_two() {
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(1)), TraceAccess::new(t(2))]);
         let g = AccessGraph::from_traces([&trace]);
-        let a = g.tuple_index(t(1)).unwrap();
-        let b = g.tuple_index(t(2)).unwrap();
-        assert_eq!(g.weight(a, b), 1);
-        assert_eq!(g.weight(b, a), 1);
-        assert_eq!(g.coaccess_weight(a, b), 2);
+        assert_eq!(weight(&g, t(1), t(2)), 2);
     }
 
     #[test]
-    fn dependent_write_produces_directed_edge() {
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(1)), TraceAccess::dependent_write(t(2))]);
+    fn a_read_dependent_pair_weighs_one() {
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(1)), TraceAccess::dependent_write(t(2))]);
         let g = AccessGraph::from_traces([&trace]);
-        let a = g.tuple_index(t(1)).unwrap();
-        let b = g.tuple_index(t(2)).unwrap();
-        assert_eq!(g.weight(a, b), 1);
-        assert_eq!(g.weight(b, a), 0);
+        assert_eq!(weight(&g, t(1), t(2)), 1);
+        // The same pair in the other order, also read-dependent, adds one more.
+        let back = TxnTrace::new(vec![TraceAccess::new(t(2)), TraceAccess::dependent_write(t(1))]);
+        assert_eq!(weight(&AccessGraph::from_traces([&trace, &back]), t(1), t(2)), 2);
     }
 
     #[test]
     fn repeated_traces_accumulate_weight_and_frequency() {
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(1)), TraceAccess::read(t(2))]);
-        let mut g = AccessGraph::new();
-        for _ in 0..10 {
-            g.add_trace(&trace);
-        }
-        let a = g.tuple_index(t(1)).unwrap();
-        let b = g.tuple_index(t(2)).unwrap();
-        assert_eq!(g.coaccess_weight(a, b), 20);
-        assert_eq!(g.frequency(a), 10);
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(1)), TraceAccess::new(t(2))]);
+        let g = AccessGraph::from_traces(std::iter::repeat_n(&trace, 10));
+        assert_eq!(weight(&g, t(1), t(2)), 20);
+        assert_eq!(g.frequency(g.tuple_index(t(1)).unwrap()), 10);
         assert_eq!(g.len(), 2);
     }
 
     #[test]
     fn mean_position_reflects_access_order() {
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(1)), TraceAccess::read(t(2)), TraceAccess::read(t(3))]);
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(1)), TraceAccess::new(t(2)), TraceAccess::new(t(3))]);
         let g = AccessGraph::from_traces([&trace]);
         assert!(g.mean_position(g.tuple_index(t(1)).unwrap()) < g.mean_position(g.tuple_index(t(3)).unwrap()));
     }
 
     #[test]
     fn same_tuple_twice_in_one_txn_adds_no_self_edge() {
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(1)), TraceAccess::write(t(1))]);
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(1)), TraceAccess::new(t(1))]);
         let g = AccessGraph::from_traces([&trace]);
         let a = g.tuple_index(t(1)).unwrap();
-        assert_eq!(g.weight(a, a), 0);
+        assert!(g.neighbours(a).is_empty());
         assert_eq!(g.frequency(a), 2);
     }
 }

@@ -1,16 +1,16 @@
 //! The declustered data layout: assigning hot tuples to register arrays of
 //! MAU stages (§4.3).
 //!
-//! The planner runs the capacity-constrained max-cut, then orders the
-//! resulting partitions along the pipeline using the directed edges of the
-//! access graph (tuples that are read before other tuples are written must
-//! sit in earlier stages), and finally maps partitions onto concrete
-//! `(stage, array)` register arrays. The alternative strategies (`Random`,
-//! `Worst`, `Hashed`) exist for the Fig 15c / Fig 16 ablations and for hot
-//! sets too large to justify graph construction (Fig 17).
+//! The planner orders the traced hot tuples along the pipeline by the mean
+//! position at which transactions access them (tuples read before others are
+//! written sit in earlier stages), then spreads each stage's share over its
+//! register arrays with the capacity-constrained max-cut. The alternative
+//! strategies (`Random`, `Worst`, `Hashed`) exist for the Fig 15c / Fig 16
+//! ablations and for hot sets too large to justify graph construction
+//! (Fig 17).
 
 use crate::graph::{AccessGraph, TxnTrace};
-use crate::maxcut::{assign_switches, max_cut};
+use crate::partition::{partition, weight_to_parts, Goal, MAX_SWEEPS};
 use p4db_common::rand_util::FastRng;
 use p4db_common::TupleId;
 use std::collections::{HashMap, HashSet};
@@ -47,36 +47,77 @@ pub fn assign_tuples_to_switches(
 
     // Affinity assignment over the hot-projected access graph (cold accesses
     // carry no cross-switch cost, so they are dropped first).
-    let sub_traces = project_traces(traces, hot_tuples);
-    let graph = AccessGraph::from_traces(&sub_traces);
-    let hot_set: HashSet<TupleId> = hot_tuples.iter().copied().collect();
+    let graph = AccessGraph::from_traces(&project_traces(traces, hot_tuples));
+    let mut switch_of = partition(&graph, num_switches, capacity, Goal::Gather, seed);
+    swap_repair(&graph, &mut switch_of, num_switches);
     let mut members: Vec<Vec<TupleId>> = vec![Vec::new(); num_switches];
-    let mut assigned: HashSet<TupleId> = HashSet::new();
-    if !graph.is_empty() {
-        let assignment = assign_switches(&graph, num_switches, capacity, seed);
-        for (node, &tuple) in graph.tuples().iter().enumerate() {
-            if hot_set.contains(&tuple) {
-                members[assignment.switch_of[node]].push(tuple);
-                assigned.insert(tuple);
-            }
-        }
+    for (&tuple, &s) in graph.tuples().iter().zip(&switch_of) {
+        members[s].push(tuple);
     }
-
-    // Untraced hot tuples: fill the least-loaded switch (first on ties, so
-    // the result does not depend on iteration luck).
-    for &tuple in hot_tuples {
-        if assigned.contains(&tuple) {
-            continue;
-        }
-        let (s, _) = members
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.len() < capacity)
-            .min_by_key(|(s, m)| (m.len(), *s))
-            .expect("capacity checked at entry");
+    for &tuple in hot_tuples.iter().filter(|&&t| graph.tuple_index(t).is_none()) {
+        let s = least_loaded(members.iter().map(Vec::len), capacity);
         members[s].push(tuple);
     }
     members
+}
+
+/// Pairwise swaps repair what single moves cannot under tight capacity (a
+/// balanced topology fills every switch exactly, so a full switch blocks a
+/// move even when two nodes would both rather trade places). Quadratic in
+/// the graph size, so it runs only where that stays cheap: the partition
+/// already stands on larger hot sets.
+fn swap_repair(graph: &AccessGraph, switch_of: &mut [usize], num_switches: usize) {
+    let n = graph.len();
+    if n > 2048 {
+        return;
+    }
+    for _ in 0..MAX_SWEEPS {
+        let mut improved = false;
+        for u in 0..n {
+            let wu = weight_to_parts(graph, u, switch_of, num_switches);
+            let cu = switch_of[u];
+            for v in u + 1..n {
+                let cv = switch_of[v];
+                if cv == cu {
+                    continue;
+                }
+                let wv = weight_to_parts(graph, v, switch_of, num_switches);
+                let w_uv = graph.neighbours(u).iter().find(|&&(o, _)| o == v).map_or(0, |&(_, w)| w);
+                // Intra-switch weight gained by trading places; the u—v
+                // edge itself stays cross either way, but it is counted in
+                // both nodes' affinity to the other's switch.
+                let gain = (wu[cv] + wv[cu]) as i64 - (wu[cu] + wv[cv]) as i64 - 2 * w_uv as i64;
+                if gain > 0 {
+                    switch_of.swap(u, v);
+                    improved = true;
+                    break;
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+}
+
+/// The first of the least-loaded bins that has room below `capacity`.
+fn least_loaded(loads: impl Iterator<Item = usize>, capacity: usize) -> usize {
+    let (bin, _) = loads
+        .enumerate()
+        .filter(|&(_, load)| load < capacity)
+        .min_by_key(|&(_, load)| load)
+        .expect("capacity checked at entry");
+    bin
+}
+
+/// Takes a slot in bin `n` or, when it is full, in the next bin with room
+/// (wrapping around), and returns the bin taken.
+fn claim(occupancy: &mut [u32], mut n: usize, capacity: u32) -> usize {
+    while occupancy[n] >= capacity {
+        n = (n + 1) % occupancy.len();
+    }
+    occupancy[n] += 1;
+    n
 }
 
 /// A register array position on the switch (the cell index within the array
@@ -136,8 +177,8 @@ impl DataLayout {
 /// How the planner assigns tuples to register arrays.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum LayoutStrategy {
-    /// The paper's declustered storage model: max-cut + direction-aware
-    /// ordering of partitions onto stages.
+    /// The paper's declustered storage model: stages ordered by mean access
+    /// position, then a max-cut over each stage's register arrays.
     Declustered,
     /// Tuples are assigned to register arrays pseudo-randomly (the
     /// "random / worst-case data layout" baseline of Fig 15c and Fig 16).
@@ -203,43 +244,42 @@ impl LayoutPlanner {
         }
     }
 
-    fn plan_hashed(&self, hot_tuples: &[TupleId]) -> DataLayout {
+    /// Places `tuples` in order, each in the array `preferred` names for its
+    /// position or, when that array is full, the next one with room.
+    fn place_in_order(
+        &self,
+        tuples: impl IntoIterator<Item = TupleId>,
+        mut preferred: impl FnMut(usize) -> usize,
+    ) -> DataLayout {
         let mut layout = DataLayout::new();
-        let arrays = self.num_arrays();
-        let mut occupancy = vec![0u32; arrays];
-        for (i, &t) in hot_tuples.iter().enumerate() {
-            // Round-robin over arrays keeps occupancy balanced regardless of
-            // key distribution.
-            let mut n = i % arrays;
-            while occupancy[n] >= self.slots_per_array {
-                n = (n + 1) % arrays;
-            }
-            occupancy[n] += 1;
+        let mut occupancy = vec![0u32; self.num_arrays()];
+        for (i, t) in tuples.into_iter().enumerate() {
+            let n = claim(&mut occupancy, preferred(i), self.slots_per_array);
             layout.insert(t, self.nth_array(n));
         }
         layout
     }
 
-    fn plan_random(&self, hot_tuples: &[TupleId], seed: u64) -> DataLayout {
-        let mut layout = DataLayout::new();
+    /// Round-robin over arrays keeps occupancy balanced regardless of key
+    /// distribution.
+    fn plan_hashed(&self, hot_tuples: &[TupleId]) -> DataLayout {
         let arrays = self.num_arrays();
-        let mut occupancy = vec![0u32; arrays];
+        self.place_in_order(hot_tuples.iter().copied(), |i| i % arrays)
+    }
+
+    fn plan_random(&self, hot_tuples: &[TupleId], seed: u64) -> DataLayout {
         let mut rng = FastRng::new(seed);
-        for &t in hot_tuples {
-            let mut n = rng.pick(arrays);
-            while occupancy[n] >= self.slots_per_array {
-                n = (n + 1) % arrays;
-            }
-            occupancy[n] += 1;
-            layout.insert(t, self.nth_array(n));
-        }
-        layout
+        let arrays = self.num_arrays();
+        self.place_in_order(hot_tuples.iter().copied(), |_| rng.pick(arrays))
     }
 
     /// Worst-case layout: order tuples by the position at which transactions
     /// access them and then place *later-accessed* tuples into *earlier*
     /// stages, so that single-pass execution is impossible whenever an order
-    /// dependency exists.
+    /// dependency exists. Every tuple prefers array 0, so arrays fill one
+    /// after the other: consecutive (by reversed order) tuples share an
+    /// array, which concentrates co-accessed tuples in it, the other
+    /// ingredient of a bad layout.
     fn plan_worst(&self, hot_tuples: &[TupleId], traces: &[TxnTrace]) -> DataLayout {
         let graph = AccessGraph::from_traces(traces);
         let mut ranked: Vec<(TupleId, f64)> = hot_tuples
@@ -251,34 +291,15 @@ impl LayoutPlanner {
             .collect();
         // Descending mean position: tuples accessed last go to stage 0.
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-
-        let mut layout = DataLayout::new();
-        let arrays = self.num_arrays();
-        let mut occupancy = vec![0u32; arrays];
-        let mut n = 0usize;
-        for (t, _) in ranked {
-            while occupancy[n] >= self.slots_per_array {
-                n = (n + 1) % arrays;
-            }
-            occupancy[n] += 1;
-            layout.insert(t, self.nth_array(n));
-            // Advance slowly so consecutive (by reversed order) tuples fill an
-            // array before moving on — this concentrates co-accessed tuples in
-            // the same array, the other ingredient of a bad layout.
-            if occupancy[n] >= self.slots_per_array {
-                n = (n + 1) % arrays;
-            }
-        }
-        layout
+        self.place_in_order(ranked.into_iter().map(|(t, _)| t), |_| 0)
     }
 
     /// The declustered storage model proper (§4.3), realised in two levels:
     ///
     /// 1. **Stage ordering** — tuples are ranked by the mean position at
     ///    which transactions access them and split evenly into one group per
-    ///    MAU stage, so that tuples accessed earlier (the sources of directed
-    ///    access-graph edges) land in earlier stages. This is the
-    ///    direction-aware ordering step of the paper: it ensures that
+    ///    MAU stage, so that tuples accessed earlier land in earlier stages.
+    ///    This is the ordering step of the paper: it ensures that
     ///    read-dependent writes can be satisfied downstream of the reads they
     ///    depend on.
     /// 2. **Intra-stage declustering** — within each stage group a
@@ -289,6 +310,7 @@ impl LayoutPlanner {
         let graph = AccessGraph::from_traces(traces);
         let mut layout = DataLayout::new();
         let mut occupancy = vec![0u32; self.num_arrays()];
+        let arrays_per_stage = self.arrays_per_stage as usize;
 
         // --- Level 1: order traced tuples by mean access position ----------
         let hot_set: HashSet<TupleId> = hot_tuples.iter().copied().collect();
@@ -305,54 +327,34 @@ impl LayoutPlanner {
                 .then_with(|| (a.0.table.0, a.0.key).cmp(&(b.0.table.0, b.0.key)))
         });
 
-        if !traced.is_empty() {
-            let stage_capacity = self.arrays_per_stage as usize * self.slots_per_array as usize;
-            // Spread evenly over all stages (never exceeding a stage's
-            // capacity) so the pipeline depth is fully used for ordering.
-            let per_stage = traced.len().div_ceil(self.num_stages as usize).min(stage_capacity);
-            for (stage_idx, chunk) in traced.chunks(per_stage.max(1)).enumerate() {
-                let stage = (stage_idx as u8).min(self.num_stages - 1);
-                // --- Level 2: decluster within the stage -------------------
-                let chunk_tuples: Vec<TupleId> = chunk.iter().map(|(t, _)| *t).collect();
-                let sub_traces = project_traces(traces, &chunk_tuples);
-                let sub_graph = AccessGraph::from_traces(&sub_traces);
-                let partitioning = if sub_graph.is_empty() {
-                    None
-                } else {
-                    Some(max_cut(
-                        &sub_graph,
-                        self.arrays_per_stage as usize,
-                        self.slots_per_array as usize,
-                        0x1A70_5EED ^ stage_idx as u64,
-                    ))
-                };
-                let mut next_rr = 0usize;
-                for &tuple in &chunk_tuples {
-                    let array = match partitioning
-                        .as_ref()
-                        .and_then(|p| sub_graph.tuple_index(tuple).map(|i| p.partition_of[i]))
-                    {
-                        Some(a) => a as u8,
-                        None => {
-                            let a = (next_rr % self.arrays_per_stage as usize) as u8;
-                            next_rr += 1;
-                            a
-                        }
-                    };
-                    // Respect per-array capacity; overflow spills to the next
-                    // array of the same stage.
-                    let mut array = array;
-                    let mut attempts = 0;
-                    while occupancy[self.flat_index(stage, array)] >= self.slots_per_array
-                        && attempts < self.arrays_per_stage
-                    {
-                        array = (array + 1) % self.arrays_per_stage;
-                        attempts += 1;
+        // Spread evenly over all stages so the pipeline depth is fully used
+        // for ordering; the entry check keeps each group within its stage.
+        let per_stage = traced.len().div_ceil(self.num_stages as usize).max(1);
+        for (stage, chunk) in traced.chunks(per_stage).enumerate() {
+            // --- Level 2: decluster within the stage -----------------------
+            let chunk_tuples: Vec<TupleId> = chunk.iter().map(|(t, _)| *t).collect();
+            let sub_graph = AccessGraph::from_traces(&project_traces(traces, &chunk_tuples));
+            let array_of = partition(
+                &sub_graph,
+                arrays_per_stage,
+                self.slots_per_array as usize,
+                Goal::Spread,
+                0x1A70_5EED ^ stage as u64,
+            );
+            // Tuples without a co-access in the stage go round-robin; a full
+            // array spills to the next one of the same stage.
+            let stage_occupancy = &mut occupancy[stage * arrays_per_stage..][..arrays_per_stage];
+            let mut next_rr = 0usize;
+            for &tuple in &chunk_tuples {
+                let preferred = match sub_graph.tuple_index(tuple) {
+                    Some(i) => array_of[i],
+                    None => {
+                        next_rr += 1;
+                        (next_rr - 1) % arrays_per_stage
                     }
-                    let sa = StageArray { stage, array };
-                    occupancy[self.flat_index(stage, array)] += 1;
-                    layout.insert(tuple, sa);
-                }
+                };
+                let array = claim(stage_occupancy, preferred, self.slots_per_array);
+                layout.insert(tuple, StageArray { stage: stage as u8, array: array as u8 });
             }
         }
 
@@ -362,20 +364,11 @@ impl LayoutPlanner {
             if layout.contains(t) {
                 continue;
             }
-            let (n, _) = occupancy
-                .iter()
-                .enumerate()
-                .filter(|(_, &o)| o < self.slots_per_array)
-                .min_by_key(|(_, &o)| o)
-                .expect("capacity checked at entry");
+            let n = least_loaded(occupancy.iter().map(|&o| o as usize), self.slots_per_array as usize);
             occupancy[n] += 1;
             layout.insert(t, self.nth_array(n));
         }
         layout
-    }
-
-    fn flat_index(&self, stage: u8, array: u8) -> usize {
-        stage as usize * self.arrays_per_stage as usize + array as usize
     }
 }
 
@@ -446,7 +439,7 @@ mod tests {
         for i in 0..8u64 {
             let a = t(2 * i);
             let b = t(2 * i + 1);
-            traces.push(TxnTrace::new(vec![TraceAccess::read(a), TraceAccess::dependent_write(b)]));
+            traces.push(TxnTrace::new(vec![TraceAccess::new(a), TraceAccess::dependent_write(b)]));
         }
         traces
     }
@@ -506,7 +499,7 @@ mod tests {
         let mut layout = DataLayout::new();
         layout.insert(t(1), StageArray { stage: 0, array: 0 });
         layout.insert(t(2), StageArray { stage: 0, array: 0 });
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(1)), TraceAccess::read(t(2))]);
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(1)), TraceAccess::new(t(2))]);
         assert!(!trace_is_single_pass(&layout, &trace));
         layout.insert(t(2), StageArray { stage: 0, array: 1 });
         assert!(trace_is_single_pass(&layout, &trace));
@@ -517,7 +510,7 @@ mod tests {
         let mut layout = DataLayout::new();
         layout.insert(t(1), StageArray { stage: 3, array: 0 });
         layout.insert(t(2), StageArray { stage: 1, array: 1 });
-        let trace = TxnTrace::new(vec![TraceAccess::read(t(1)), TraceAccess::dependent_write(t(2))]);
+        let trace = TxnTrace::new(vec![TraceAccess::new(t(1)), TraceAccess::dependent_write(t(2))]);
         assert!(!trace_is_single_pass(&layout, &trace));
     }
 
@@ -526,8 +519,8 @@ mod tests {
         let mut layout = DataLayout::new();
         layout.insert(t(1), StageArray { stage: 0, array: 0 });
         let trace = TxnTrace::new(vec![
-            TraceAccess::read(t(99)), // not offloaded
-            TraceAccess::read(t(1)),
+            TraceAccess::new(t(99)), // not offloaded
+            TraceAccess::new(t(1)),
         ]);
         assert!(trace_is_single_pass(&layout, &trace));
     }

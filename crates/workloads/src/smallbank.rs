@@ -172,8 +172,8 @@ impl Workload for SmallBank {
         for node in 0..num_nodes {
             for local in 0..self.config.hot_customers_per_node {
                 let c = self.customer(NodeId(node), local);
-                hot.push(HotTuple { tuple: self.savings(c), initial: INITIAL_BALANCE, byte_width: 8 });
-                hot.push(HotTuple { tuple: self.checking(c), initial: INITIAL_BALANCE, byte_width: 8 });
+                hot.push(HotTuple { tuple: self.savings(c), initial: INITIAL_BALANCE });
+                hot.push(HotTuple { tuple: self.checking(c), initial: INITIAL_BALANCE });
             }
         }
         hot
@@ -188,15 +188,15 @@ impl Workload for SmallBank {
             let c2 = self.pick_customer(node2, rng, true);
             let txn = Self::pick_type(rng);
             let ops = self.place(self.build(txn, c1, c2, rng), num_nodes, coordinator).ops;
-            let mut accesses = Vec::with_capacity(ops.len());
-            for op in &ops {
-                let access = match (op.kind.is_write(), op.operand_from.is_some()) {
-                    (true, true) => TraceAccess::dependent_write(op.tuple),
-                    (true, false) => TraceAccess::write(op.tuple),
-                    (false, _) => TraceAccess::read(op.tuple),
-                };
-                accesses.push(access);
-            }
+            let accesses = (ops.iter())
+                .map(|op| {
+                    if op.kind.is_write() && op.operand_from.is_some() {
+                        TraceAccess::dependent_write(op.tuple)
+                    } else {
+                        TraceAccess::new(op.tuple)
+                    }
+                })
+                .collect();
             traces.push(TxnTrace::new(accesses));
         }
         traces

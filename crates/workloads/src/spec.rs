@@ -22,8 +22,6 @@ pub struct HotTuple {
     pub tuple: TupleId,
     /// Initial value of the switch column at offload time.
     pub initial: u64,
-    /// Row width in bytes — wider rows consume more register cells (Fig 17).
-    pub byte_width: usize,
 }
 
 /// Per-worker generation context.

@@ -241,25 +241,13 @@ impl Workload for Tpcc {
     fn hot_tuples(&self, _num_nodes: u16) -> Vec<HotTuple> {
         let mut hot = Vec::new();
         for w in 0..self.config.warehouses {
-            hot.push(HotTuple { tuple: TupleId::new(WAREHOUSE, keys::warehouse(w)), initial: 0, byte_width: 8 });
+            hot.push(HotTuple { tuple: TupleId::new(WAREHOUSE, keys::warehouse(w)), initial: 0 });
             for d in 0..DISTRICTS_PER_WAREHOUSE {
-                hot.push(HotTuple {
-                    tuple: TupleId::new(DISTRICT, keys::district(w, d)),
-                    initial: INITIAL_NEXT_O_ID,
-                    byte_width: 8,
-                });
-                hot.push(HotTuple {
-                    tuple: TupleId::new(DISTRICT_YTD, keys::district(w, d)),
-                    initial: 0,
-                    byte_width: 8,
-                });
+                hot.push(HotTuple { tuple: TupleId::new(DISTRICT, keys::district(w, d)), initial: INITIAL_NEXT_O_ID });
+                hot.push(HotTuple { tuple: TupleId::new(DISTRICT_YTD, keys::district(w, d)), initial: 0 });
             }
             for i in 0..self.config.hot_items {
-                hot.push(HotTuple {
-                    tuple: TupleId::new(STOCK, keys::stock(w, i)),
-                    initial: INITIAL_STOCK,
-                    byte_width: 8,
-                });
+                hot.push(HotTuple { tuple: TupleId::new(STOCK, keys::stock(w, i)), initial: INITIAL_STOCK });
             }
         }
         hot
@@ -279,7 +267,7 @@ impl Workload for Tpcc {
                     matches!(op.tuple.table, WAREHOUSE | DISTRICT | DISTRICT_YTD)
                         || (op.tuple.table == STOCK && self.is_hot_item(op.tuple.key % ITEMS))
                 })
-                .map(|op| if op.kind.is_write() { TraceAccess::write(op.tuple) } else { TraceAccess::read(op.tuple) })
+                .map(|op| TraceAccess::new(op.tuple))
                 .collect();
             if accesses.len() >= 2 {
                 traces.push(TxnTrace::new(accesses));

@@ -150,7 +150,7 @@ impl Workload for Ycsb {
         let mut hot = Vec::new();
         for node in 0..num_nodes {
             for local in 0..self.config.hot_keys_per_node {
-                hot.push(HotTuple { tuple: self.tuple(self.key(NodeId(node), local)), initial: 0, byte_width: 8 });
+                hot.push(HotTuple { tuple: self.tuple(self.key(NodeId(node), local)), initial: 0 });
             }
         }
         hot
@@ -169,8 +169,8 @@ impl Workload for Ycsb {
                 let node = self.pick_node(&ctx, rng, distributed, op_idx);
                 let local = self.pick_hot_local(rng, op_idx);
                 let tuple = self.tuple(self.key(node, local));
-                let write = rng.gen_f64() >= self.config.mix.read_ratio();
-                accesses.push(if write { TraceAccess::write(tuple) } else { TraceAccess::read(tuple) });
+                rng.gen_f64(); // the former read/write coin, kept so the seeded trace stream does not move
+                accesses.push(TraceAccess::new(tuple));
             }
             traces.push(TxnTrace::new(accesses));
         }
@@ -232,9 +232,6 @@ mod tests {
         let w = ycsb();
         let hot = w.hot_tuples(8);
         assert_eq!(hot.len(), 8 * 50);
-        for h in &hot {
-            assert_eq!(h.byte_width, 8);
-        }
     }
 
     #[test]

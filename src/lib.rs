@@ -10,8 +10,8 @@
 //! * [`net`] — in-process message fabric with the paper's ½-RTT latency model.
 //! * [`switch`] — the PISA/Tofino pipeline simulator: register stages,
 //!   one-packet-one-transaction execution, recirculation, pipeline locks.
-//! * [`layout`] — the declustered storage model: access graph, max-cut,
-//!   direction-aware stage assignment.
+//! * [`layout`] — the declustered storage model: access graph, stage order
+//!   by mean access position, max-cut over each stage's arrays.
 //! * [`storage`] — host node storage: tables, row locks (NO_WAIT / WAIT_DIE),
 //!   write-ahead log, checkpoints and recovery.
 //! * [`txn`] — the distributed transaction engine: hot/cold/warm

@@ -10,7 +10,10 @@
 
 use p4db::common::rand_util::FastRng;
 use p4db::common::{CcScheme, GlobalTxnId, NodeId, SwitchId, TableId, TupleId, TxnId, Value, WorkerId};
-use p4db::layout::{max_cut, single_pass_fraction, AccessGraph, LayoutPlanner, LayoutStrategy, TraceAccess, TxnTrace};
+use p4db::layout::{
+    partition, single_pass_fraction, trace_is_single_pass, AccessGraph, DataLayout, Goal, LayoutPlanner,
+    LayoutStrategy, StageArray, TraceAccess, TxnTrace,
+};
 use p4db::net::{decode_frame_prefix, encode_frame, EndpointId, Envelope};
 use p4db::storage::{
     decode_segment_prefix, decode_segments, encode_segment, recover_switch_state, LockMode, LockTable, LogRecord,
@@ -121,6 +124,32 @@ fn pass_planner_respects_tofino_constraints() {
     });
 }
 
+/// The layout's single-pass verdict and the switch's pass planner state the
+/// same Tofino rule twice: for any slot sequence, a trace whose i-th hot
+/// tuple sits in the i-th slot is single-pass exactly when the planner packs
+/// those slots' instructions into at most one pass. Cold accesses between
+/// them (tuples outside the layout) never reach the switch and change
+/// nothing.
+#[test]
+fn layout_single_pass_verdict_matches_the_pass_planner() {
+    check("layout_single_pass_verdict_matches_the_pass_planner", |rng| {
+        let slots: Vec<RegisterSlot> = (0..rng.gen_range(8)).map(|_| rand_slot(rng)).collect();
+        let instructions: Vec<Instruction> = slots.iter().map(|&slot| Instruction::read(slot)).collect();
+        let mut layout = DataLayout::new();
+        let mut accesses = Vec::new();
+        for (i, slot) in slots.iter().enumerate() {
+            let hot = TupleId::new(TableId(0), i as u64);
+            layout.insert(hot, StageArray { stage: slot.stage, array: slot.array });
+            if rng.gen_bool(0.3) {
+                accesses.push(TraceAccess::new(TupleId::new(TableId(1), i as u64)));
+            }
+            accesses.push(TraceAccess::new(hot));
+        }
+        let trace = TxnTrace::new(accesses);
+        assert_eq!(trace_is_single_pass(&layout, &trace), plan_passes(&instructions).len() <= 1, "slots {slots:?}");
+    });
+}
+
 /// Any layout produced by any strategy respects the per-array capacity and
 /// places every hot tuple exactly once.
 #[test]
@@ -130,7 +159,7 @@ fn layouts_respect_capacity() {
         let seed = rng.next_u64();
         let tuples: Vec<TupleId> = (0..n as u64).map(|k| TupleId::new(TableId(0), k)).collect();
         let traces: Vec<TxnTrace> = (0..64)
-            .map(|_| TxnTrace::new((0..4).map(|_| TraceAccess::read(tuples[rng.pick(tuples.len())])).collect()))
+            .map(|_| TxnTrace::new((0..4).map(|_| TraceAccess::new(tuples[rng.pick(tuples.len())])).collect()))
             .collect();
         let strategy = match rng.gen_range(4) {
             0 => LayoutStrategy::Declustered,
@@ -511,7 +540,8 @@ fn segment_truncation_at_every_offset_recovers_exactly_the_intact_prefix() {
 
 /// Same seed + same conflict graph ⇒ byte-identical max-cut partitioning and
 /// declustered layout, across repeated runs with freshly built graphs
-/// (exercising `HashMap` iteration-order independence).
+/// (exercising `HashMap` iteration-order independence). The partitioner's
+/// gathering goal (the switch assignment's) is held to the same rule.
 #[test]
 fn maxcut_and_declustered_layout_are_deterministic_per_seed() {
     check("maxcut_and_declustered_layout_are_deterministic_per_seed", |rng| {
@@ -525,7 +555,7 @@ fn maxcut_and_declustered_layout_are_deterministic_per_seed() {
                             if i > 0 && rng.gen_bool(0.25) {
                                 TraceAccess::dependent_write(t)
                             } else {
-                                TraceAccess::read(t)
+                                TraceAccess::new(t)
                             }
                         })
                         .collect(),
@@ -536,10 +566,11 @@ fn maxcut_and_declustered_layout_are_deterministic_per_seed() {
 
         // Fresh graphs per run: HashMap iteration order differs, results
         // must not.
-        let first = max_cut(&AccessGraph::from_traces(&traces), 4, n_tuples as usize, seed);
-        let second = max_cut(&AccessGraph::from_traces(&traces), 4, n_tuples as usize, seed);
-        assert_eq!(first.partition_of, second.partition_of, "max-cut diverged for seed {seed:#x}");
-        assert_eq!(first.cut_weight, second.cut_weight);
+        for goal in [Goal::Spread, Goal::Gather] {
+            let first = partition(&AccessGraph::from_traces(&traces), 4, n_tuples as usize, goal, seed);
+            let second = partition(&AccessGraph::from_traces(&traces), 4, n_tuples as usize, goal, seed);
+            assert_eq!(first, second, "{goal:?} partition diverged for seed {seed:#x}");
+        }
 
         let tuples: Vec<TupleId> = (0..n_tuples).map(|k| TupleId::new(TableId(0), k)).collect();
         let planner = LayoutPlanner::new(5, 2, 64);
